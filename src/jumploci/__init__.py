@@ -9,13 +9,13 @@ equations).  All arithmetic is exact — rationals, integers, cyclotomics.
 """
 
 from .qlinalg import (IntegerLattice, PluckerVector, RationalSubspace,
-                      canonicalize, evaluate_form, format_rational, hnf,
-                      integer_kernel, lattice_coset_membership,
-                      lattice_coset_solve, nullspace, parse_rational, plucker,
-                      rref, saturated_dual_lattice, saturated_integer_points,
+                      evaluate_form, format_rational, hnf, integer_kernel,
+                      lattice_coset_membership, lattice_coset_solve,
+                      nullspace, parse_rational, plucker, rref,
+                      saturated_dual_lattice, saturated_integer_points,
                       schubert_equations, sigma_membership, snf)
 from .laurent import (CyclotomicNumber, CycloLaurentPoly, LaurentPoly,
-                      bareiss_rank, cyclo_equal, cyclotomic_polynomial,
+                      bareiss_rank, cyclotomic_polynomial,
                       evaluate_at_character, restrict_to_translated_torus)
 from .fox import (Abelianization, AlexanderMatrix, FreeWord, Presentation,
                   PresentationSyntaxError, abelianize, alexander_matrix,
@@ -48,8 +48,8 @@ __all__ = [
     "SubspaceArrangement", "TorsionCharacter", "TranslatedIntersection",
     "TranslatedTorus", "VarietyDescription", "WitnessReport", "WitnessStep",
     "abelianize", "admissible_partitions_maximal", "alexander_matrix",
-    "bareiss_rank", "canonicalize", "contains_translated_torus",
-    "cyclo_equal", "cyclotomic_polynomial", "depth1_membership",
+    "bareiss_rank", "contains_translated_torus", "cyclotomic_polynomial",
+    "depth1_membership",
     "evaluate_at_character", "evaluate_form", "format_rational",
     "fox_derivative_abelianized", "fpk_report", "generic_rank_on_torus",
     "hnf", "integer_kernel", "intersect_translated",

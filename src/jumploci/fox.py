@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .laurent import (CyclotomicNumber, LaurentPoly, bareiss_rank,
-                      evaluate_at_character, restrict_to_translated_torus)
-from .qlinalg import snf, vec
+from .laurent import (LaurentPoly, bareiss_rank, evaluate_at_character,
+                      restrict_to_translated_torus)
+from .qlinalg import forward_eliminate, snf, vec
 from .tori import TorsionCharacter, TranslatedTorus
 
 
@@ -414,33 +414,6 @@ def generator_character_poly(ab: Abelianization, j: int) -> LaurentPoly:
 # exact ranks
 # ---------------------------------------------------------------------------
 
-def _cyclo_rank(rows: list[list[CyclotomicNumber]]) -> int:
-    if not rows or not rows[0]:
-        return 0
-    work = [row[:] for row in rows]
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(work)):
-            if not work[i][col].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = work[rank][col].inverse()
-        work[rank] = [x * inv for x in work[rank]]
-        for i in range(rank + 1, len(work)):
-            f = work[i][col]
-            if not f.is_zero():
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
-
-
 def rank_at_character(M: AlexanderMatrix, lam) -> int:
     """Exact rank of M(rho) over Q(zeta_m), rho = exp(2 pi i lam)."""
     lam = lam if isinstance(lam, TorsionCharacter) else TorsionCharacter(vec(lam))
@@ -448,7 +421,7 @@ def rank_at_character(M: AlexanderMatrix, lam) -> int:
         raise ValueError("character length mismatch")
     evaluated = [[evaluate_at_character(e, lam) for e in row]
                  for row in M.entries]
-    return _cyclo_rank(evaluated)
+    return len(forward_eliminate(evaluated)[0])
 
 
 def depth1_membership(P: Presentation, lam) -> bool:
@@ -492,8 +465,8 @@ def contains_translated_torus(P: Presentation, torus: TranslatedTorus) -> bool:
     """Generic containment of the coset in the degree-one jump locus.
 
     True iff generic rank d2 + generic rank d1 along the coset is at most
-    q - 1.  Rank is upper-semicontinuous, so the generic verdict certifies
-    every point of the (closed) coset.
+    q - 1.  Rank is lower-semicontinuous ({rank <= k} is closed), so the
+    generic verdict certifies every point of the (closed) coset.
     """
     ab = abelianize(P)
     if torus.ambient_dim != ab.free_rank:

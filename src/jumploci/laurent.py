@@ -482,7 +482,7 @@ class CyclotomicNumber:
 
     def __mul__(self, other):
         if not isinstance(other, CyclotomicNumber):
-            other = CyclotomicNumber.from_rational(self.order, other)
+            return CyclotomicNumber(self.order, [c * other for c in self.coeffs])
         self._check(other)
         phi = len(self.coeffs)
         conv = [Fraction(0)] * (2 * phi - 1 if phi else 1)
@@ -521,6 +521,9 @@ class CyclotomicNumber:
         if not isinstance(other, CyclotomicNumber):
             other = CyclotomicNumber.from_rational(self.order, other)
         return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
 
     def lift(self, new_order: int) -> "CyclotomicNumber":
         """Image under zeta_m -> zeta_M^(M/m) for m | M."""
@@ -567,11 +570,6 @@ class CyclotomicNumber:
 
     def __repr__(self):
         return f"CyclotomicNumber(order={self.order}, {list(self.coeffs)})"
-
-
-def cyclo_equal(a: CyclotomicNumber, b: CyclotomicNumber) -> bool:
-    m = a.order * b.order // math.gcd(a.order, b.order)
-    return a.lift(m).coeffs == b.lift(m).coeffs
 
 
 def _poly_trim(p: list[Fraction]) -> list[Fraction]:
@@ -754,19 +752,6 @@ class CycloLaurentPoly:
             r = r - g.shift(t).scale(c)
         q = CycloLaurentPoly(self.num_vars, self.order, quo)
         return q.shift(tuple(a - b for a, b in zip(fshift, gshift)))
-
-    def evaluate_at_torsion(self, w: Sequence) -> CyclotomicNumber:
-        """Value at u = exp(2 pi i w) for a rational vector w."""
-        w = vec(w)
-        m = self.order
-        for x in w:
-            m = m * x.denominator // math.gcd(m, x.denominator)
-        total = CyclotomicNumber.zero(m)
-        for e, c in self.terms.items():
-            phase = sum((Fraction(k) * x for k, x in zip(e, w)), Fraction(0))
-            k = int(phase * m) % m
-            total = total + c.lift(m) * CyclotomicNumber.zeta_power(m, k)
-        return total
 
     def __eq__(self, other):
         return (isinstance(other, CycloLaurentPoly)

@@ -47,10 +47,7 @@ class PlaneQuery:
 
 
 def _as_plane(P: PlaneLike) -> RationalSubspace:
-    plane = P.plane if isinstance(P, PlaneQuery) else P
-    if not 1 <= plane.dim <= plane.ambient_dim:
-        raise ValueError("a plane query needs 1 <= dim <= ambient_dim")
-    return plane
+    return (P if isinstance(P, PlaneQuery) else PlaneQuery(P)).plane
 
 
 @dataclass(frozen=True)

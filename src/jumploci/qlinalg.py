@@ -48,21 +48,8 @@ def mat(rows: Iterable[Iterable]) -> Matrix:
     return tuple(vec(r) for r in rows)
 
 
-def vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_sub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c, a: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * x for x in a)
-
-
-def vec_dot(a: Vector, b: Vector) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
 def mat_mul_vec(rows: Sequence[Sequence], v: Sequence) -> Vector:
@@ -110,6 +97,49 @@ def rref(rows: Iterable[Iterable]) -> tuple[Matrix, tuple[int, ...]]:
         pivots.append(col)
         rank += 1
     return tuple(tuple(r) for r in work[:rank]), tuple(pivots)
+
+
+def forward_eliminate(rows: Iterable[Iterable]) -> tuple[list[int], list, int]:
+    """Row echelon form over a field: ``(pivot columns, pivot values, sign)``.
+
+    Entries are field elements supporting ``+ - *``, ``1 / x`` and ``!= 0``:
+    Fraction for Q, CyclotomicNumber for Q(zeta_m) (plain ints would divide
+    into floats).  Each pivot row is scaled to a leading 1 and the entries
+    below it are cleared.  The rank is the number of pivots; ``pivot values``
+    are the pivots before scaling and ``sign`` is the sign of the row
+    permutation, so a square matrix of full rank has determinant
+    ``sign * prod(pivot values)``.
+
+    >>> forward_eliminate(mat([[0, 2], [3, 1]]))
+    ([0, 1], [Fraction(3, 1), Fraction(2, 1)], -1)
+    """
+    work = [list(r) for r in rows]
+    ncols = len(work[0]) if work else 0
+    pivots: list[int] = []
+    values: list = []
+    sign = 1
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(work):
+            break
+        piv = next((i for i in range(rank, len(work)) if work[i][col] != 0),
+                   None)
+        if piv is None:
+            continue
+        if piv != rank:
+            work[rank], work[piv] = work[piv], work[rank]
+            sign = -sign
+        p = work[rank][col]
+        pivots.append(col)
+        values.append(p)
+        below = [row for row in work[rank + 1:] if row[col] != 0]
+        if below:
+            inv = 1 / p
+            top = [x * inv for x in work[rank][col + 1:]]
+            for row in below:
+                f = row[col]
+                row[col + 1:] = [a - f * b for a, b in zip(row[col + 1:], top)]
+    return pivots, values, sign
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +217,7 @@ class RationalSubspace:
         return f"RationalSubspace({self.ambient_dim}, [{rows}])"
 
     def contains_vector(self, v: Sequence) -> bool:
-        v = list(vec(v))
-        for row, p in zip(self.basis, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return all(x == 0 for x in v)
+        return not any(self.reduce_vector(v))
 
     def reduce_vector(self, v: Sequence) -> Vector:
         """v minus the unique element of the subspace matching v on pivots."""
@@ -257,12 +282,6 @@ def nullspace(rows: Iterable[Iterable], n: int) -> list[Vector]:
             v[pc] = -reduced[i][fc]
         basis.append(tuple(v))
     return basis
-
-
-def canonicalize(rows: Iterable[Iterable], ambient_dim: Optional[int] = None
-                 ) -> RationalSubspace:
-    """Spanning rows -> canonical subspace."""
-    return RationalSubspace.from_rows(rows, ambient_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -637,28 +656,12 @@ class PluckerVector:
 
 
 def _minor(rows: Matrix, col_subset: Sequence[int]) -> Fraction:
-    sub = [[row[c] for c in col_subset] for row in rows]
-    # LU-free exact determinant by elimination (small matrices)
-    k = len(sub)
-    det = Fraction(1)
-    for col in range(k):
-        piv = None
-        for i in range(col, k):
-            if sub[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            sub[col], sub[piv] = sub[piv], sub[col]
-            det = -det
-        det *= sub[col][col]
-        inv = 1 / sub[col][col]
-        for i in range(col + 1, k):
-            if sub[i][col] != 0:
-                f = sub[i][col] * inv
-                sub[i] = [a - f * b for a, b in zip(sub[i], sub[col])]
-    return det
+    """Determinant of the square submatrix on the given columns."""
+    pivots, values, sign = forward_eliminate(
+        [[row[c] for c in col_subset] for row in rows])
+    if len(pivots) < len(col_subset):
+        return Fraction(0)
+    return math.prod(values, start=Fraction(sign))
 
 
 def plucker(space: RationalSubspace) -> PluckerVector:

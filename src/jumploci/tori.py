@@ -41,6 +41,7 @@ from .qlinalg import (
     lattice_coset_membership,
     lattice_coset_solve,
     parse_rational,
+    rref,
     snf,
     vec,
     vec_sub,
@@ -568,41 +569,6 @@ class TranslatedIntersection:
     witness: TorsionCharacter
 
 
-def _solve_rational(rows: list[list[Fraction]], rhs: list[Fraction]
-                    ) -> Optional[list[Fraction]]:
-    """One solution of rows @ x = rhs over Q, or None."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(aug)):
-            if aug[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [x * inv for x in aug[rank]]
-        for i in range(len(aug)):
-            if i != rank and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, len(aug)):
-        if aug[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = aug[i][ncols]
-    return x
-
-
 def intersect_translated(c1: TranslatedTorus, c2: TranslatedTorus
                          ) -> Optional[TranslatedIntersection]:
     """Intersection of two translated tori: None if empty, else dimension
@@ -625,16 +591,16 @@ def intersect_translated(c1: TranslatedTorus, c2: TranslatedTorus
     if m is None:
         return None
     y = vec_sub(diff, vec(m))                   # y in L1 + L2
+    # split y = -x1 + x2 with x1 in L1, x2 in L2: solve the augmented system
+    # [-L1^T | L2^T | y]; the coefficients of x1 sit in the last column
     k1, k2 = l1.dim, l2.dim
-    if k1 + k2:
-        rows = [[-l1.basis[j][i] for j in range(k1)]
-                + [l2.basis[j][i] for j in range(k2)] for i in range(n)]
-        sol = _solve_rational(rows, list(y))
-        assert sol is not None, "membership certified but split failed"
-        x1 = tuple(sum((sol[j] * l1.basis[j][i] for j in range(k1)), Fraction(0))
-                   for i in range(n))
-    else:
-        x1 = tuple(Fraction(0) for _ in range(n))
+    reduced, pivots = rref([[-row[i] for row in l1.basis]
+                            + [row[i] for row in l2.basis] + [y[i]]
+                            for i in range(n)])
+    assert k1 + k2 not in pivots, "membership certified but split failed"
+    x1 = tuple(sum((r[-1] * l1.basis[pc][i] for r, pc in zip(reduced, pivots)
+                    if pc < k1), Fraction(0))
+               for i in range(n))
     witness = TorsionCharacter(a + b for a, b in zip(lam1, x1))
     assert c1.contains_character(witness) and c2.contains_character(witness)
     return TranslatedIntersection(l1.intersect(l2).dim, witness)

@@ -8,12 +8,14 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from jumploci.laurent import CyclotomicNumber
 from jumploci.qlinalg import (
     IntegerLattice,
     PluckerVector,
     RationalSubspace,
     clear_denominators,
     evaluate_form,
+    forward_eliminate,
     format_rational,
     hnf,
     integer_kernel,
@@ -29,6 +31,7 @@ from jumploci.qlinalg import (
     sigma_membership,
     snf,
 )
+from jumploci.qlinalg import _minor
 
 F = Fraction
 
@@ -112,6 +115,51 @@ def test_nullspace_matches_oracle():
         for v in ours:
             for row in rows:
                 assert sum(F(x) * y for x, y in zip(row, v)) == 0
+
+
+def random_cyclo(rng, m):
+    phi = len(CyclotomicNumber.zero(m).coeffs)
+    return CyclotomicNumber(m, [F(rng.choice([0, 0, -1, 1, 2]))
+                                for _ in range(phi)])
+
+
+def test_forward_eliminate_rank_over_cyclotomic_fields_matches_minor_oracle():
+    rng = random.Random(47)
+    for m in [3, 5, 8, 12]:
+        zero, one = CyclotomicNumber.zero(m), CyclotomicNumber.one(m)
+        for trial in range(8):
+            nrows, ncols = rng.randint(2, 3), rng.randint(1, 4)
+            rows = [[random_cyclo(rng, m) for _ in range(ncols)]
+                    for _ in range(nrows)]
+            deficient = trial % 2 == 1
+            if deficient:
+                # last row is a Q(zeta_m)-combination of the others
+                coeffs = [random_cyclo(rng, m) for _ in range(nrows - 1)]
+                rows[-1] = [sum((c * r[j] for c, r in zip(coeffs, rows)), zero)
+                            for j in range(ncols)]
+            expected = oracles.minor_rank(
+                rows, add=lambda a, b: a + b, mul=lambda a, b: a * b,
+                neg=lambda a: -a, is_zero=lambda a: a.is_zero(),
+                zero=zero, one=one)
+            if deficient:
+                assert expected < nrows
+            assert len(forward_eliminate(rows)[0]) == expected
+
+
+def test_minor_matches_cofactor_determinant():
+    rng = random.Random(48)
+    singular = 0
+    for trial in range(60):
+        k = rng.randint(1, 4)
+        rows = [[F(rng.choice([0, 0, -3, -1, 1, 2]), rng.randint(1, 3))
+                 for _ in range(k + 1)] for _ in range(k)]
+        if trial % 3 == 0 and k >= 2:
+            rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[1])]
+        cols = sorted(rng.sample(range(k + 1), k))
+        expected = oracles.naive_det([[row[c] for c in cols] for row in rows])
+        singular += expected == 0
+        assert _minor(rows, cols) == expected
+    assert singular > 0
 
 
 def test_clear_denominators_primitive_and_sign_preserving():
