@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 domain error (a JSON error object is printed),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -22,8 +23,9 @@ from .omega import (fpk_report, nonopen_witness, omega1_r1_description,
                     omega_codim1_closed_form, omega_membership)
 from .qlinalg import (PluckerVector, RationalSubspace, clear_denominators,
                       format_rational, parse_rational, schubert_equations)
-from .tcone import (DEFAULT_SUPPORT_LIMIT, SubspaceArrangement,
-                    tangent_cone_description, tangent_cone_polys)
+from .tcone import (DEFAULT_SUPPORT_LIMIT, SUBSET_SUM_LIMIT,
+                    SubspaceArrangement, tangent_cone_description,
+                    tangent_cone_polys)
 from .tori import GradedDescription, VarietyDescription
 
 
@@ -43,6 +45,8 @@ def _load_json(value: str):
 def _parse_subspace(data, ambient_dim: Optional[int] = None) -> RationalSubspace:
     """Rows, or {"basis": rows}; entries are "p/q" strings or integers."""
     if isinstance(data, dict):
+        if "basis" not in data:
+            raise ValueError("a subspace is missing the key 'basis'")
         rows = data["basis"]
         if ambient_dim is None and "n" in data:
             ambient_dim = int(data["n"])
@@ -170,6 +174,8 @@ def _cmd_omega_test(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_omega_describe(args) -> tuple[dict, list[str]]:
+    if args.r < 1:
+        raise ValueError("r must be >= 1")
     if args.r == 1:
         if args.poly:
             arr = tangent_cone_polys(_parse_polys(args.poly),
@@ -259,6 +265,16 @@ def _cmd_fpk(args) -> tuple[dict, list[str]]:
 # parser
 # ---------------------------------------------------------------------------
 
+def _support_limit(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jumploci",
@@ -281,8 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", action="append", default=[],
                    help="Laurent polynomial text (repeatable)")
     p.add_argument("--desc", help="variety description (JSON file or inline)")
-    p.add_argument("--max-support", type=int, default=DEFAULT_SUPPORT_LIMIT,
-                   help="support-size guard for partition enumeration")
+    p.add_argument("--max-support", type=_support_limit,
+                   default=DEFAULT_SUPPORT_LIMIT,
+                   help="support-size guard for the tangent-cone enumeration, "
+                        "whose cost grows exponentially with the support "
+                        f"(default {DEFAULT_SUPPORT_LIMIT}; supports over "
+                        f"{SUBSET_SUM_LIMIT} terms are always rejected)")
     add_format(p)
     p.set_defaults(handler=_cmd_tcone)
 
@@ -308,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", action="append", default=[])
     p.add_argument("--desc")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--max-support", type=int, default=DEFAULT_SUPPORT_LIMIT)
+    p.add_argument("--max-support", type=_support_limit,
+                   default=DEFAULT_SUPPORT_LIMIT)
     add_format(p)
     p.set_defaults(handler=_cmd_omega_describe)
 
@@ -342,8 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by later calls to main."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.subcommand == "tcone" and bool(args.poly) == bool(args.desc):
         parser.error("tcone needs exactly one of --poly / --desc")

@@ -41,7 +41,7 @@ Matrix = tuple[Vector, ...]
 # ---------------------------------------------------------------------------
 
 def vec(entries: Iterable) -> Vector:
-    return tuple(Fraction(x) for x in entries)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
 
 
 def mat(rows: Iterable[Iterable]) -> Matrix:
@@ -62,18 +62,22 @@ def clear_denominators(row: Sequence[Fraction]) -> tuple[int, ...]:
     den = 1
     for x in row:
         den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in row]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    return _primitive([x.numerator * (den // x.denominator) for x in row])
+
+
+def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    """An integer row divided by the gcd of its entries."""
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 
 
 def rref(rows: Iterable[Iterable]) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form: (nonzero rows, pivot columns)."""
-    work = [list(vec(r)) for r in rows]
+    """Reduced row echelon form: (nonzero rows, pivot columns).
+
+    The elimination runs on primitive integer multiples of the rows, which
+    span the same space; each row is divided by its pivot only at the end.
+    """
+    work = [clear_denominators(vec(r)) for r in rows]
     if not work:
         return (), ()
     ncols = len(work[0])
@@ -88,15 +92,18 @@ def rref(rows: Iterable[Iterable]) -> tuple[Matrix, tuple[int, ...]]:
         if piv is None:
             continue
         work[rank], work[piv] = work[piv], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
+        prow = work[rank]
+        p = prow[col]
         for i in range(len(work)):
             if i != rank and work[i][col] != 0:
                 f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
+                work[i] = _primitive([p * a - f * b
+                                      for a, b in zip(work[i], prow)])
         pivots.append(col)
         rank += 1
-    return tuple(tuple(r) for r in work[:rank]), tuple(pivots)
+    reduced = tuple(tuple(Fraction(x, r[c]) for x in r)
+                    for r, c in zip(work, pivots))
+    return reduced, tuple(pivots)
 
 
 def forward_eliminate(rows: Iterable[Iterable]) -> tuple[list[int], list, int]:
@@ -233,6 +240,8 @@ class RationalSubspace:
 
     def sum(self, other: "RationalSubspace") -> "RationalSubspace":
         self._check_ambient(other)
+        if self.dim == self.ambient_dim:
+            return self
         return RationalSubspace.from_rows(
             list(self.basis) + list(other.basis), self.ambient_dim)
 

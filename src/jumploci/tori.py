@@ -179,9 +179,19 @@ class TranslatedTorus:
 
     @classmethod
     def from_json(cls, data: dict, ambient_dim: int) -> "TranslatedTorus":
-        lam = [parse_rational(str(x)) for x in data["lambda"]]
+        lam = [parse_rational(str(x))
+               for x in _json_field(data, "lambda", "a component")]
         rows = [[parse_rational(str(x)) for x in row] for row in data.get("basis", [])]
         return cls.from_data(lam, rows, ambient_dim)
+
+
+def _json_field(data, key: str, what: str):
+    """data[key], or a ValueError naming the missing key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    if key not in data:
+        raise ValueError(f"{what} is missing the key {key!r}")
+    return data[key]
 
 
 def _canonical_translate(lam: Vector, space: RationalSubspace) -> Vector:
@@ -267,7 +277,7 @@ class VarietyDescription:
 
     @classmethod
     def from_json(cls, data: dict) -> "VarietyDescription":
-        n = int(data["n"])
+        n = int(_json_field(data, "n", "a variety description"))
         comps = [TranslatedTorus.from_json(c, n) for c in data.get("components", [])]
         return cls(n, comps, degree=data.get("degree"))
 
@@ -342,9 +352,10 @@ class GradedDescription:
 
     @classmethod
     def from_json(cls, data: dict) -> "GradedDescription":
-        n = int(data["n"])
+        n = int(_json_field(data, "n", "a graded description"))
         by_degree = {}
-        for key, comps in data["degrees"].items():
+        for key, comps in _json_field(data, "degrees",
+                                      "a graded description").items():
             by_degree[int(key)] = VarietyDescription.from_json(
                 {"n": n, "components": comps, "degree": int(key)})
         return cls(n, by_degree)

@@ -6,6 +6,7 @@ import pytest
 
 import datasets
 from jumploci.cli import main
+from jumploci.tori import VarietyDescription
 
 
 def run(capsys, *argv):
@@ -99,6 +100,68 @@ def test_tcone_usage_errors(capsys):
         main(["tcone", "--poly", "t1 - 1", "--desc", "{}"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_successive_calls_print_only_their_own_cone(capsys):
+    code, first = run_json(capsys, "tcone", "--poly", "t1 - 1")
+    assert code == 0
+    code, second = run_json(capsys, "tcone", "--poly", "t2 - 1",
+                            "--format", "json")
+    assert code == 0
+    assert first["ambient_dim"] == 1 and first["subspaces"] == [[]]
+    assert second["ambient_dim"] == 2
+    assert second["subspaces"] == [[["1", "0"]]]
+    code, third = run_json(capsys, "tcone", "--poly", "t1 - 1")
+    assert third == first
+
+
+def test_max_support_below_one_is_usage_error(capsys):
+    for argv in (["tcone", "--poly", "t1 - 1", "--max-support", "0"],
+                 ["omega-describe", "--r", "1", "--poly", "t1 - 1",
+                  "--max-support", "-3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--max-support: must be at least 1" in capsys.readouterr().err
+
+
+def test_support_over_limit_is_domain_error(capsys):
+    code, data = run_json(capsys, "tcone", "--poly", "t1 + t2 + t1*t2 - 3",
+                          "--max-support", "3")
+    assert code == 1
+    assert data["error"]["type"] == "ValueError"
+    assert "support size 4 exceeds the enumeration limit 3" in \
+        data["error"]["message"]
+
+
+def test_support_beyond_subset_sum_table_is_domain_error(capsys):
+    poly = " + ".join(f"t1^{i}" for i in range(1, 22)) + " - 21"
+    code, data = run_json(capsys, "tcone", "--poly", poly,
+                          "--max-support", "34")
+    assert code == 1
+    assert data["error"]["type"] == "ValueError"
+    assert "2^22 subset sums" in data["error"]["message"]
+
+
+def test_missing_json_keys_are_named(capsys):
+    code, data = run_json(capsys, "tcone", "--desc", "{}")
+    assert code == 1
+    assert data["error"]["type"] == "ValueError"
+    assert "missing the key 'n'" in data["error"]["message"]
+    with pytest.raises(ValueError, match="missing the key 'n'"):
+        VarietyDescription.from_json({})
+    for argv, message in (
+            (["tcone", "--desc", "[]"], "must be a JSON object"),
+            (["tcone", "--desc", '{"n": 1, "components": [{"basis": []}]}'],
+             "missing the key 'lambda'"),
+            (["fpk", "--graded", '{"n": 2}', "--k", "1", "--r", "1"],
+             "missing the key 'degrees'"),
+            (["schubert-eqs", "--space", '{"n": 3}', "--r", "1"],
+             "missing the key 'basis'")):
+        code, data = run_json(capsys, *argv)
+        assert code == 1
+        assert data["error"]["type"] == "ValueError"
+        assert message in data["error"]["message"]
 
 
 def test_tcone_domain_error_empty_identity(capsys):
@@ -206,6 +269,14 @@ def test_omega_describe_requires_desc_for_higher_r(capsys):
                           "--poly", datasets.CHAIN_DELTA_TEXT)
     assert code == 1
     assert "require --desc" in data["error"]["message"]
+
+
+def test_omega_describe_rejects_r_below_one(capsys):
+    for source in (["--poly", datasets.CHAIN_DELTA_TEXT],
+                   ["--desc", desc_json(datasets.closed_omega_description())]):
+        code, data = run_json(capsys, "omega-describe", "--r", "0", *source)
+        assert code == 1
+        assert data["error"]["message"] == "r must be >= 1"
 
 
 def test_omega_describe_usage_error(capsys):

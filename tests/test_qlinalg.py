@@ -50,6 +50,25 @@ def test_rref_canonicalizes_spanning_sets():
     assert pivots == (0, 2)
 
 
+def test_rref_of_rational_rows_is_the_reduced_echelon_form():
+    rng = random.Random(10)
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        rows = [[F(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 6]))
+                 for _ in range(n)] for _ in range(rng.randint(0, 5))]
+        if rows and rng.random() < 0.3:
+            rows.append([2 * x - y for x, y in zip(rows[0], rows[-1])])
+        reduced, pivots = rref(rows)
+        assert len(reduced) == len(pivots) == oracles.naive_rank(rows)
+        assert list(pivots) == sorted(set(pivots))
+        for row, p in zip(reduced, pivots):
+            assert all(type(x) is F for x in row)
+            assert row[p] == 1 and not any(row[:p])
+            assert all(other[p] == 0 for other in reduced if other is not row)
+        assert oracles.spans_equal(rows, reduced)
+        assert rref(reduced) == (reduced, pivots)
+
+
 def test_rref_empty_and_zero():
     assert rref([]) == ((), ())
     assert rref([(0, 0)]) == ((), ())

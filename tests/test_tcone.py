@@ -10,6 +10,8 @@ import oracles
 from jumploci.laurent import LaurentPoly
 from jumploci.qlinalg import RationalSubspace, clear_denominators
 from jumploci.tcone import (
+    DEFAULT_SUPPORT_LIMIT,
+    SUBSET_SUM_LIMIT,
     AdmissiblePartition,
     SubspaceArrangement,
     admissible_partitions_maximal,
@@ -133,6 +135,102 @@ def test_random_polynomials_against_partition_oracle():
                 {tuple(e): F(c) for e, c in f.terms.items()}, n)
         }
         assert ours == theirs
+
+
+def _oracle_cone(f: LaurentPoly) -> SubspaceArrangement:
+    n = f.num_vars
+    return SubspaceArrangement(n, [
+        RationalSubspace.from_rows([[F(x) for x in row] for row in rows], n)
+        for rows in oracles.oracle_tangent_cone(dict(f.terms), n)])
+
+
+def _enumerated_cone(f: LaurentPoly) -> SubspaceArrangement:
+    return SubspaceArrangement(f.num_vars, [
+        partition_subspace(p, f) for p in admissible_partitions_maximal(f)])
+
+
+def _random_poly(rng, n, size, coeffs, on_identity):
+    """A polynomial with up to ``size`` terms; f(1) = 0 when on_identity."""
+    terms = {}
+    for _ in range(size):
+        expo = tuple(rng.randint(-2, 2) for _ in range(n))
+        terms[expo] = terms.get(expo, 0) + rng.choice(coeffs)
+    if on_identity:
+        anchor = next(iter(terms))
+        terms[anchor] -= sum(terms.values())
+    return LaurentPoly(n, {e: F(c) for e, c in terms.items() if c != 0})
+
+
+@pytest.mark.parametrize("seed, coeffs", [
+    (1, (-1, 1)),
+    (2, (2, -1, -1, 3, -3, 1, -2)),     # minimal parts of sizes 2, 3 and 4
+    (3, (F(1, 2), F(-3, 2), 1, -1, 2)),
+])
+def test_minimal_part_cone_matches_oracle_and_enumeration(seed, coeffs):
+    rng = random.Random(seed)
+    checked = 0
+    for i in range(24):
+        f = _random_poly(rng, rng.randint(2, 4), rng.randint(2, 8), coeffs,
+                         on_identity=i % 4 != 3)
+        if f.is_zero():
+            continue
+        cone = tangent_cone_polys([f])
+        assert cone == _oracle_cone(f) == _enumerated_cone(f), f
+        assert cone.is_empty() == (f.coefficient_sum() != 0)
+        checked += 1
+    assert checked >= 20
+
+
+def test_minimal_parts_of_different_sizes():
+    # coefficients 2, -1, -1, 3, -3, 1, -1: zero-sum parts such as {3, -3},
+    # {1, -1}, {2, -1, -1} and {2, -3, 1}
+    f = LaurentPoly.parse("2*t1 - t2 - t3 + 3*t1*t2 - 3*t2*t3 + t1*t3 - 1", 3)
+    assert tangent_cone_polys([f]) == _oracle_cone(f) == _enumerated_cone(f)
+    g = LaurentPoly.parse("2*t1 - t1^2 - 1", 1)   # -(t1 - 1)^2: one part
+    assert tangent_cone_polys([g]).subspaces == (RationalSubspace.zero(1),)
+
+
+def test_two_polynomial_systems_match_oracle():
+    rng = random.Random(77)
+    for i in range(15):
+        n = rng.randint(2, 4)
+        f = _random_poly(rng, n, rng.randint(2, 7), (2, -1, 1, -2, 3),
+                         on_identity=True)
+        g = _random_poly(rng, n, rng.randint(2, 6), (1, -1, 2),
+                         on_identity=i % 5 != 4)
+        if f.is_zero() or g.is_zero():
+            continue
+        expected = _oracle_cone(f).intersect(_oracle_cone(g))
+        assert tangent_cone_polys([f, g]) == expected, (f, g)
+        assert tangent_cone_polys([g, f]) == expected
+
+
+def test_cone_of_product_at_support_limit_is_coordinate_hyperplanes():
+    f = LaurentPoly.parse("t1 - 1", 4)
+    for i in range(2, 5):
+        f = f * LaurentPoly.parse(f"t{i} - 1", 4)
+    assert len(f.terms) == DEFAULT_SUPPORT_LIMIT == 16
+    hyperplanes = {RationalSubspace.from_rows(
+        [[int(j == i) for j in range(4)] for i in range(4) if i != skip], 4)
+        for skip in range(4)}
+    assert set(tangent_cone_polys([f]).subspaces) == hyperplanes
+    g = f + LaurentPoly.monomial((5, 0, 0, 0), 1, 4) \
+        - LaurentPoly.monomial((6, 0, 0, 0), 1, 4)
+    with pytest.raises(ValueError, match="enumeration limit 16.*exponentially"):
+        tangent_cone_polys([g])
+    with pytest.raises(ValueError, match="enumeration limit 16"):
+        tangent_cone_polys([LaurentPoly.parse("t1 - 1", 4), g])
+
+
+def test_support_beyond_subset_sum_table_is_rejected_before_allocating():
+    k = SUBSET_SUM_LIMIT + 1
+    f = LaurentPoly.parse(" + ".join(f"t1^{i}" for i in range(1, k))
+                          + f" - {k - 1}")
+    assert len(f.terms) == k
+    # 2^34 table slots would take more than 100 GB: the check must come first.
+    with pytest.raises(ValueError, match=rf"2\^{k} subset sums.*at most "
+                                         rf"{SUBSET_SUM_LIMIT} terms"):
+        tangent_cone_polys([f], max_support=34)
 
 
 # ---------------------------------------------------------------------------
