@@ -26,7 +26,8 @@ from .qlinalg import (PluckerVector, RationalSubspace, clear_denominators,
 from .tcone import (DEFAULT_SUPPORT_LIMIT, SUBSET_SUM_LIMIT,
                     SubspaceArrangement, tangent_cone_description,
                     tangent_cone_polys)
-from .tori import GradedDescription, VarietyDescription
+from .tori import (GradedDescription, VarietyDescription, _json_field,
+                   _json_dim, _json_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -45,14 +46,13 @@ def _load_json(value: str):
 def _parse_subspace(data, ambient_dim: Optional[int] = None) -> RationalSubspace:
     """Rows, or {"basis": rows}; entries are "p/q" strings or integers."""
     if isinstance(data, dict):
-        if "basis" not in data:
-            raise ValueError("a subspace is missing the key 'basis'")
-        rows = data["basis"]
+        rows = _json_field(data, "basis", "a subspace")
         if ambient_dim is None and "n" in data:
-            ambient_dim = int(data["n"])
+            ambient_dim = _json_dim(data["n"], "a subspace's 'n'")
     else:
         rows = data
-    parsed = [[parse_rational(str(x)) for x in row] for row in rows]
+    parsed = [[parse_rational(str(x)) for x in row]
+              for row in _json_rows(rows, "a subspace's 'basis'")]
     if ambient_dim is None:
         if not parsed:
             raise ValueError("cannot infer ambient dimension of an empty basis")

@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .qlinalg import (PluckerVector, RationalSubspace, format_rational,
-                      lattice_coset_membership, plucker)
-from .tcone import SubspaceArrangement, tangent_cone_description
+from .qlinalg import PluckerVector, RationalSubspace, format_rational, plucker
+from .tcone import SubspaceArrangement
 from .tori import (TranslatedTorus, VarietyDescription, GradedDescription,
-                   intersect_translated, sigma_rho_membership)
+                   sigma_rho_membership)
 
 PlaneLike = Union["PlaneQuery", RationalSubspace]
 
@@ -79,46 +78,20 @@ def omega_membership(W: VarietyDescription, P: PlaneLike) -> OmegaVerdict:
 
     P is a member iff no positive-dimensional component (lambda, L)
     satisfies the translated incidence condition: lambda in P + L + Z^n and
-    P meet L != {0}.  Each verdict is cross-checked against the
-    coset-intersection formulation (nonempty intersection of exp(P (x) C)
-    with the component, of dimension >= 1).
+    P meet L != {0} (:func:`jumploci.tori.sigma_rho_membership`, one call
+    per component).  A blocker's reason is "dim_ge_1" when its translate
+    lies on the subtorus, which the canonical translate shows as
+    ``through_identity()``, and "sigma_rho" otherwise.
     """
     plane = _as_plane(P)
     if plane.ambient_dim != W.ambient_dim:
         raise ValueError("plane and description live in different tori")
-    blockers = []
-    p_coset = TranslatedTorus([Fraction(0)] * plane.ambient_dim, plane)
-    for comp in W.components:
-        if comp.direction.dim == 0:
-            continue
-        blocked = sigma_rho_membership(plane, comp.direction, comp.translate)
-        # equivalent reading: the plane's subtorus meets the component in a
-        # positive-dimensional set
-        meet = intersect_translated(p_coset, comp)
-        infinite = meet is not None and meet.dim >= 1
-        assert blocked == infinite, "incidence criteria disagree"
-        if blocked:
-            on_torus = lattice_coset_membership(comp.translate.values,
-                                                comp.direction)
-            blockers.append((comp, "dim_ge_1" if on_torus else "sigma_rho"))
-    verdict = OmegaVerdict(member=not blockers, blockers=tuple(blockers))
-    if plane.dim == 1:
-        _crosscheck_line_verdict(W, plane, verdict)
-    return verdict
-
-
-def _crosscheck_line_verdict(W: VarietyDescription, line: RationalSubspace,
-                             verdict: OmegaVerdict) -> None:
-    """For subtorus-only descriptions the line case has a closed form."""
-    subtorus_only = all(
-        lattice_coset_membership(c.translate.values, c.direction)
-        for c in W.components)
-    if not subtorus_only:
-        return
-    excluded = omega1_r1_description(tangent_cone_description(W))
-    expected = not any(L.contains(line) for L in excluded)
-    if expected != verdict.member:
-        raise AssertionError("line closed form disagrees with membership test")
+    blockers = tuple(
+        (comp, "dim_ge_1" if comp.through_identity() else "sigma_rho")
+        for comp in W.components
+        if comp.direction.dim >= 1
+        and sigma_rho_membership(plane, comp.direction, comp.translate))
+    return OmegaVerdict(member=not blockers, blockers=blockers)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +158,7 @@ def omega_codim1_closed_form(W: VarietyDescription, r: int) -> ClosedFormVerdict
     if L.dim != n - 1:
         raise ValueError("the translated subtorus must have codimension one")
     for c in W.components:
-        if c.direction.dim >= 1 and lattice_coset_membership(
-                c.translate.values, c.direction):
+        if c.direction.dim >= 1 and c.through_identity():
             raise ValueError("a translate lies on the subtorus; "
                              "the closed form requires proper translates")
     if r == 1:
@@ -287,7 +259,7 @@ def nonopen_witness(W: VarietyDescription, beta: int, r: int,
     lam = list(comp.translate.values)
     if L.dim < 2 or not 2 <= r <= L.dim:
         raise ValueError("need 2 <= r <= dim of the chosen component")
-    if lattice_coset_membership(lam, L):
+    if comp.through_identity():
         raise ValueError(
             "hypothesis (1) fails: the chosen component is not translated "
             "off its subtorus")
@@ -295,7 +267,7 @@ def nonopen_witness(W: VarietyDescription, beta: int, r: int,
         if other.direction.dim == 0:
             continue
         if other.direction == L:
-            if lattice_coset_membership(other.translate.values, L):
+            if other.through_identity():
                 raise ValueError(
                     f"hypothesis (2) fails: parallel component {i} meets "
                     "its subtorus")
@@ -307,7 +279,6 @@ def nonopen_witness(W: VarietyDescription, beta: int, r: int,
     basis = [list(row) for row in L.basis]
     plane = RationalSubspace.from_rows(basis[:r], L.ambient_dim)
     verdict = omega_membership(W, plane)
-    assert verdict.member, "hypotheses should force membership"
     p_ref = plucker(plane)
     steps = []
     for q in q_list:
@@ -317,7 +288,6 @@ def nonopen_witness(W: VarietyDescription, beta: int, r: int,
             [x + y / q for x, y in zip(basis[r - 1], lam)]]
         plane_q = RationalSubspace.from_rows(perturbed, L.ambient_dim)
         verdict_q = omega_membership(W, plane_q)
-        assert not verdict_q.member, "perturbed plane should be blocked"
         steps.append(WitnessStep(
             q=q, plane=plane_q,
             plucker_distance=plucker_distance(plucker(plane_q), p_ref),
@@ -364,8 +334,7 @@ def fpk_report(W: GradedDescription, k: int, r: int) -> FpkReport:
     n = desc.ambient_dim
     for i, comp in enumerate(desc.components):
         codim = n - comp.direction.dim
-        if codim <= r - 1 and lattice_coset_membership(
-                comp.translate.values, comp.direction):
+        if codim <= r - 1 and comp.through_identity():
             reason = (f"component {i} passes through the identity with "
                       f"direction of codimension {codim} <= r-1 = {r - 1}; "
                       "every r-plane meets it nontrivially")

@@ -614,10 +614,7 @@ def lattice_coset_solve(lam: Sequence, space: RationalSubspace
             residue = [a - z[i] * b for a, b in zip(residue, row)]
     if any(residue):
         return None
-    m = tuple(sum(u[i][k] * z[i] for i in range(n)) for k in range(n))
-    # sanity: lam - m must actually lie in V
-    assert space.contains_vector(vec_sub(lam, vec(m)))
-    return m
+    return tuple(sum(u[i][k] * z[i] for i in range(n)) for k in range(n))
 
 
 def lattice_coset_membership(lam: Sequence, space: RationalSubspace) -> bool:

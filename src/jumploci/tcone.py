@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .laurent import LaurentPoly
-from .qlinalg import RationalSubspace, lattice_coset_membership, nullspace
+from .qlinalg import RationalSubspace, nullspace
 from .tori import VarietyDescription
 
 Expo = tuple[int, ...]
@@ -391,13 +391,9 @@ def tangent_cone_polys(polys: Sequence[LaurentPoly],
 def tangent_cone_description(W: VarietyDescription) -> SubspaceArrangement:
     """Tangent cone at 1 of a union of torsion-translated subtori.
 
-    A component rho exp(L otimes C) meets 1 iff lambda lies in L + Z^n, and
-    then contributes exactly L (a point component contributes {0} iff it is
-    the identity).
+    A component rho exp(L otimes C) meets 1 iff lambda lies in L + Z^n, that
+    is, iff it passes through the identity, and then contributes exactly L
+    (a point component contributes {0} iff it is the identity).
     """
-    n = W.ambient_dim
-    subs = []
-    for comp in W.components:
-        if lattice_coset_membership(comp.translate.values, comp.direction):
-            subs.append(comp.direction)
-    return SubspaceArrangement(n, subs)
+    return SubspaceArrangement(W.ambient_dim, [
+        comp.direction for comp in W.components if comp.through_identity()])

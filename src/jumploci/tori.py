@@ -142,7 +142,13 @@ class TranslatedTorus:
         return self.direction.dim == 0
 
     def through_identity(self) -> bool:
-        """Does the coset contain the trivial character?"""
+        """Does the coset contain the trivial character?
+
+        The translate is canonical and the coset of 0 is stored as 0, so this
+        holds exactly when lambda lies in L + Z^n, i.e. when
+        ``lattice_coset_membership(lambda, L)`` holds: the translate lies on
+        the subtorus itself.
+        """
         return self.translate.is_trivial()
 
     def contains_character(self, chi: TorsionCharacter) -> bool:
@@ -179,9 +185,10 @@ class TranslatedTorus:
 
     @classmethod
     def from_json(cls, data: dict, ambient_dim: int) -> "TranslatedTorus":
-        lam = [parse_rational(str(x))
-               for x in _json_field(data, "lambda", "a component")]
-        rows = [[parse_rational(str(x)) for x in row] for row in data.get("basis", [])]
+        lam = [parse_rational(str(x)) for x in _json_list(
+            _json_field(data, "lambda", "a component"), "a component's 'lambda'")]
+        rows = [[parse_rational(str(x)) for x in row] for row in _json_rows(
+            data.get("basis", []), "a component's 'basis'")]
         return cls.from_data(lam, rows, ambient_dim)
 
 
@@ -192,6 +199,29 @@ def _json_field(data, key: str, what: str):
     if key not in data:
         raise ValueError(f"{what} is missing the key {key!r}")
     return data[key]
+
+
+def _json_dim(value, what: str) -> int:
+    """A dimension: a JSON integer (or decimal string) >= 0, else a ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, str))
+            or int(value) < 0):
+        raise ValueError(f"{what} must be a nonnegative integer")
+    return int(value)
+
+
+def _json_list(value, what: str) -> Sequence:
+    """value if it is a JSON array, else a ValueError naming the field."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a JSON array")
+    return value
+
+
+def _json_rows(value, what: str) -> Sequence:
+    """value if it is a JSON array of arrays (basis rows), else a ValueError."""
+    if not all(isinstance(row, (list, tuple))
+               for row in _json_list(value, what)):
+        raise ValueError(f"{what} must be a JSON array of rows (arrays)")
+    return value
 
 
 def _canonical_translate(lam: Vector, space: RationalSubspace) -> Vector:
@@ -277,8 +307,10 @@ class VarietyDescription:
 
     @classmethod
     def from_json(cls, data: dict) -> "VarietyDescription":
-        n = int(_json_field(data, "n", "a variety description"))
-        comps = [TranslatedTorus.from_json(c, n) for c in data.get("components", [])]
+        n = _json_dim(_json_field(data, "n", "a variety description"),
+                      "a variety description's 'n'")
+        comps = [TranslatedTorus.from_json(c, n) for c in _json_list(
+            data.get("components", []), "a variety description's 'components'")]
         return cls(n, comps, degree=data.get("degree"))
 
     @classmethod
@@ -352,10 +384,14 @@ class GradedDescription:
 
     @classmethod
     def from_json(cls, data: dict) -> "GradedDescription":
-        n = int(_json_field(data, "n", "a graded description"))
+        n = _json_dim(_json_field(data, "n", "a graded description"),
+                      "a graded description's 'n'")
+        degrees = _json_field(data, "degrees", "a graded description")
+        if not isinstance(degrees, dict):
+            raise ValueError("a graded description's 'degrees' must be a JSON "
+                             "object mapping degrees to component lists")
         by_degree = {}
-        for key, comps in _json_field(data, "degrees",
-                                      "a graded description").items():
+        for key, comps in degrees.items():
             by_degree[int(key)] = VarietyDescription.from_json(
                 {"n": n, "components": comps, "degree": int(key)})
         return cls(n, by_degree)
@@ -604,16 +640,14 @@ def intersect_translated(c1: TranslatedTorus, c2: TranslatedTorus
     y = vec_sub(diff, vec(m))                   # y in L1 + L2
     # split y = -x1 + x2 with x1 in L1, x2 in L2: solve the augmented system
     # [-L1^T | L2^T | y]; the coefficients of x1 sit in the last column
-    k1, k2 = l1.dim, l2.dim
+    k1 = l1.dim
     reduced, pivots = rref([[-row[i] for row in l1.basis]
                             + [row[i] for row in l2.basis] + [y[i]]
                             for i in range(n)])
-    assert k1 + k2 not in pivots, "membership certified but split failed"
     x1 = tuple(sum((r[-1] * l1.basis[pc][i] for r, pc in zip(reduced, pivots)
                     if pc < k1), Fraction(0))
                for i in range(n))
     witness = TorsionCharacter(a + b for a, b in zip(lam1, x1))
-    assert c1.contains_character(witness) and c2.contains_character(witness)
     return TranslatedIntersection(l1.intersect(l2).dim, witness)
 
 

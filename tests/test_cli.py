@@ -164,6 +164,35 @@ def test_missing_json_keys_are_named(capsys):
         assert message in data["error"]["message"]
 
 
+LINE_DESC = '{"n": 2, "components": [{"lambda": [0, 0], "basis": [[1, 0]]}]}'
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["omega-test", "--desc", LINE_DESC, "--plane", "[1, 2]"],
+     "a subspace's 'basis'"),
+    (["omega-test", "--desc", LINE_DESC, "--plane", '{"basis": 5}'],
+     "a subspace's 'basis'"),
+    (["omega-test", "--desc", '{"n": 2, "components": 5}',
+      "--plane", "[[1, 0]]"],
+     "a variety description's 'components'"),
+    (["tcone", "--desc",
+      '{"n": 2, "components": [{"lambda": [0, 0], "basis": [1, 0]}]}'],
+     "a component's 'basis'"),
+    (["fpk", "--graded", '{"n": 2, "degrees": [1]}', "--k", "0", "--r", "1"],
+     "a graded description's 'degrees'"),
+    (["omega-test", "--desc", '{"n": [2]}', "--plane", "[[1, 0]]"],
+     "a variety description's 'n'"),
+    (["tcone", "--desc", '{"n": -2}'], "a variety description's 'n'"),
+], ids=["plane-row-not-array", "plane-basis-not-array", "components-not-array",
+        "component-basis-flat", "degrees-not-object", "n-not-integer",
+        "n-negative"])
+def test_json_of_the_wrong_shape_is_a_named_domain_error(capsys, argv, field):
+    code, data = run_json(capsys, *argv)
+    assert code == 1
+    assert data["error"]["type"] == "ValueError"
+    assert field in data["error"]["message"]
+
+
 def test_tcone_domain_error_empty_identity(capsys):
     code, data = run_json(capsys, "tcone", "--poly", "t1 + t2")
     assert code == 0

@@ -134,6 +134,36 @@ def test_line_description_drops_origin_component():
     assert omega1_r1_membership(trivial, span((1, 0, 0)))
 
 
+@pytest.mark.parametrize("W", [
+    datasets.free2_square_graded(1).at(1),
+    datasets.free2_cube_graded(1).at(1),
+    VarietyDescription(6, [datasets.surface_subtorus()]),
+], ids=["F2xF2", "F2^3", "surface-subtorus"])
+def test_line_membership_matches_tangent_cone_closed_form(W):
+    # through the identity, a line is blocked iff it lies in a component's
+    # direction, which is the line closed form on the tangent cone
+    comps = [c for c in W.components if c.direction.dim >= 1]
+    assert comps and all(c.through_identity() for c in W.components)
+    cone = tangent_cone_description(W)
+    rng = random.Random(72)
+    outcomes = set()
+    for _ in range(60):
+        if rng.random() < 0.5:
+            # a line inside a random component's direction
+            basis = rng.choice(comps).direction.basis
+            row = [sum((rng.randint(-2, 2) * b[i] for b in basis), F(0))
+                   for i in range(W.ambient_dim)]
+        else:
+            row = [F(rng.randint(-2, 2)) for _ in range(W.ambient_dim)]
+        if not any(row):
+            continue
+        line = span(tuple(row))
+        member = omega_membership(W, line).member
+        assert member == omega1_r1_membership(cone, line)
+        outcomes.add(member)
+    assert outcomes == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # codimension-one closed form
 # ---------------------------------------------------------------------------
@@ -236,19 +266,25 @@ def test_plucker_distance_values():
 
 
 def test_witness_family_for_surface_description():
-    W = datasets.surface_description()
-    report = nonopen_witness(W, 0, 2, [1, 2, 3, 4, 10])
-    assert report.plane == span((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))
-    assert report.verdict.member
-    distances = [step.plucker_distance for step in report.family]
+    qs = [1, 2, 3, 4, 10]
+    surface = nonopen_witness(datasets.surface_description(), 0, 2, qs)
+    distances = [step.plucker_distance for step in surface.family]
     assert distances == [F(1, 2), F(1, 4), F(1, 6), F(1, 8), F(1, 20)]
-    for step in report.family:
-        assert not step.verdict.member
-        assert step.q >= 1
-    data = report.to_json()
-    assert data["member"] is True
-    assert [s["member"] for s in data["family"]] == [False] * 5
-    assert data["family"][0]["plucker_distance"] == "1/2"
+    assert surface.to_json()["family"][0]["plucker_distance"] == "1/2"
+    # the member and blocked flags, here and on the closed-Omega description
+    # (component 1: the order-2 translate of {t1 = 1})
+    closed = nonopen_witness(datasets.closed_omega_description(), 1, 2, qs)
+    for report, plane in (
+            (surface, span((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))),
+            (closed, datasets.closed_omega_member_plane())):
+        assert report.plane == plane
+        assert report.verdict.member
+        for step in report.family:
+            assert not step.verdict.member
+            assert step.q >= 1
+        data = report.to_json()
+        assert data["member"] is True
+        assert [s["member"] for s in data["family"]] == [False] * 5
 
 
 def test_witness_rejects_component_through_identity():

@@ -82,6 +82,7 @@ def test_canonical_translate_entries_live_in_unit_box():
 def test_coset_equality_matches_oracle():
     rng = random.Random(62)
     agreements = 0
+    through = set()
     for _ in range(120):
         n = rng.randint(1, 3)
         rows = [[rng.randint(-2, 2) for _ in range(n)]
@@ -95,7 +96,13 @@ def test_coset_equality_matches_oracle():
         same_coset = lattice_coset_membership(diff, space)
         assert (t1 == t2) == same_coset
         agreements += same_coset
+        # the canonical translate is 0 exactly when lambda is in L + Z^n
+        for t, lam in ((t1, lam1), (t2, lam2)):
+            on_subtorus = lattice_coset_membership(lam, space)
+            assert t.through_identity() == on_subtorus
+            through.add(on_subtorus)
     assert agreements > 5  # the sample hits both outcomes
+    assert through == {True, False}
 
 
 def test_membership_and_identity_flags():
