@@ -9,11 +9,11 @@ equations).  All arithmetic is exact — rationals, integers, cyclotomics.
 """
 
 from .qlinalg import (IntegerLattice, PluckerVector, RationalSubspace,
-                      evaluate_form, format_rational, hnf, integer_kernel,
-                      lattice_coset_membership, lattice_coset_solve,
-                      nullspace, parse_rational, plucker, rref,
-                      saturated_dual_lattice, saturated_integer_points,
-                      schubert_equations, sigma_membership, snf)
+                      coset_reduce, evaluate_form, format_rational, hnf,
+                      integer_kernel, lattice_coset_membership,
+                      lattice_coset_solve, nullspace, parse_rational, plucker,
+                      rref, saturated_integer_points, schubert_equations,
+                      sigma_membership, snf)
 from .laurent import (CyclotomicNumber, CycloLaurentPoly, LaurentPoly,
                       bareiss_rank, cyclotomic_polynomial,
                       evaluate_at_character, restrict_to_translated_torus)
@@ -48,8 +48,8 @@ __all__ = [
     "SubspaceArrangement", "TorsionCharacter", "TranslatedIntersection",
     "TranslatedTorus", "VarietyDescription", "WitnessReport", "WitnessStep",
     "abelianize", "admissible_partitions_maximal", "alexander_matrix",
-    "bareiss_rank", "contains_translated_torus", "cyclotomic_polynomial",
-    "depth1_membership",
+    "bareiss_rank", "contains_translated_torus", "coset_reduce",
+    "cyclotomic_polynomial", "depth1_membership",
     "evaluate_at_character", "evaluate_form", "format_rational",
     "fox_derivative_abelianized", "fpk_report", "generic_rank_on_torus",
     "hnf", "integer_kernel", "intersect_translated",
@@ -60,8 +60,8 @@ __all__ = [
     "orbifold_v1", "parse_presentation", "parse_rational",
     "partition_subspace", "plucker", "plucker_distance",
     "product_description", "pushforward", "rank_at_character",
-    "restrict_to_translated_torus", "rref", "saturated_dual_lattice",
-    "saturated_integer_points", "schubert_equations", "schubert_upper_bound",
+    "restrict_to_translated_torus", "rref", "saturated_integer_points",
+    "schubert_equations", "schubert_upper_bound",
     "sigma_membership", "sigma_rho_membership", "snf",
     "tangent_cone_description", "tangent_cone_polys", "wedge_description",
 ]

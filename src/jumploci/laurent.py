@@ -368,12 +368,14 @@ def _int_poly_div(num: list[int], den: list[int]) -> list[int]:
     for shift in range(len(num) - len(den), -1, -1):
         c = num[shift + len(den) - 1]
         q, r = divmod(c, den[-1])
-        assert r == 0, "non-exact polynomial division"
+        if r:
+            raise ArithmeticError("non-exact polynomial division")
         out[shift] = q
         if q:
             for i, d in enumerate(den):
                 num[shift + i] -= q * d
-    assert all(x == 0 for x in num), "non-exact polynomial division"
+    if any(num):
+        raise ArithmeticError("non-exact polynomial division")
     return out
 
 
@@ -510,7 +512,9 @@ class CyclotomicNumber:
         top = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
         g, s, _ = _poly_xgcd(list(self.coeffs), top)
         # g is a nonzero constant since Phi_m is irreducible
-        assert len([c for c in g if c != 0]) == 1 and g[0] != 0
+        if len(g) != 1 or g[0] == 0:
+            raise ArithmeticError("gcd with the cyclotomic polynomial is not "
+                                  "a nonzero constant")
         inv = [c / g[0] for c in s]
         inv = _poly_mod(inv, top)
         phi = len(self.coeffs)

@@ -205,8 +205,14 @@ class WitnessReport:
 
     Certifies non-openness of the membership set in the Grassmannian: the
     P_q differ from P only in the last basis vector, perturbed by
-    (translate of the chosen component)/q, and the reported max-norm
-    Plücker distances shrink to zero while every P_q stays blocked.
+    (translate of the chosen component)/q, so they converge to P while every
+    P_q stays blocked.  Each step reports ``plucker_distance(plucker(P_q),
+    plucker(P))``, the max-norm distance of the coordinate vectors each
+    scaled to a leading 1.  That number need not shrink with q: when the
+    first nonzero coordinate of P_q vanishes on P, the scaling blows up.
+    For W = {1} together with the order-2 translate of {t1 = 1} in (C*)^3,
+    whose member 2-plane is {x1 = 0}, it reads 3, 5, 7, 9, 21 at
+    q = 1, 2, 3, 4, 10.
     """
     component_index: int
     plane: RationalSubspace

@@ -12,13 +12,18 @@ are no floats anywhere.  The two central canonical forms are
   pivot, pivot columns strictly increase, pivots are positive, and the entries
   below a pivot in its column are reduced into ``[0, pivot)``).
 
-On top of these the module provides the lattice-coset membership test
-``lambda in V + Z^n`` (the decidable core of every "does this character lie on
-that algebraic subtorus" question downstream), Pluecker coordinates of
-subspaces, and the linear equations cutting out the locus of r-planes meeting
-a fixed subspace nontrivially.
+On top of these the module provides :func:`coset_reduce`, the one place that
+decides ``lambda in V + Z^n`` (the decidable core of every "does this
+character lie on that algebraic subtorus" question downstream): it reduces
+lambda to the canonical representative of its coset mod V + Z^n, with one
+HNF, and returns the integer step taken.  :func:`lattice_coset_solve` and
+:func:`lattice_coset_membership` read their answers off it.  The module also
+provides Pluecker coordinates of subspaces, and the linear equations cutting
+out the locus of r-planes meeting a fixed subspace nontrivially.
 
 >>> V = RationalSubspace.from_rows([(1, 1)], 2)
+>>> coset_reduce((Fraction(3, 2), Fraction(1, 2)), V)
+((Fraction(0, 1), Fraction(0, 1)), (0, -1))
 >>> lattice_coset_membership((Fraction(1, 2), Fraction(1, 2)), V)
 True
 >>> lattice_coset_membership((Fraction(1, 2), 0), V)
@@ -50,11 +55,6 @@ def mat(rows: Iterable[Iterable]) -> Matrix:
 
 def vec_sub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def mat_mul_vec(rows: Sequence[Sequence], v: Sequence) -> Vector:
-    return tuple(sum((Fraction(r[j]) * Fraction(v[j]) for j in range(len(v))),
-                     Fraction(0)) for r in rows)
 
 
 def clear_denominators(row: Sequence[Fraction]) -> tuple[int, ...]:
@@ -556,12 +556,6 @@ def integer_kernel(rows: Sequence[Sequence[int]], n: int) -> IntegerLattice:
     return IntegerLattice.from_rows(kernel_rows, n)
 
 
-def saturated_dual_lattice(space: RationalSubspace) -> IntegerLattice:
-    """perp(V) intersected with Z^n (saturated by construction)."""
-    int_rows = [clear_denominators(r) for r in space.basis]
-    return integer_kernel(int_rows, space.ambient_dim)
-
-
 def saturated_integer_points(space: RationalSubspace) -> IntegerLattice:
     """V intersected with Z^n — a saturated lattice spanning V."""
     perp_rows = [clear_denominators(r) for r in space.perp().basis]
@@ -572,49 +566,54 @@ def saturated_integer_points(space: RationalSubspace) -> IntegerLattice:
 # lattice-coset membership: lambda in V + Z^n ?
 # ---------------------------------------------------------------------------
 
-def lattice_coset_solve(lam: Sequence, space: RationalSubspace
-                        ) -> Optional[tuple[int, ...]]:
-    """An integer vector m with lam - m in V, or None if none exists.
+def coset_reduce(lam: Sequence, space: RationalSubspace
+                 ) -> tuple[Vector, tuple[int, ...]]:
+    """The canonical representative of lam mod V + Z^n, and the integer step.
 
-    Criterion: with W a basis of the saturated dual lattice (perp(V) in Z^n),
-    lam - m in V  iff  W (lam - m) = 0, so membership asks whether W lam lies
-    in the image lattice W Z^n; the witness m is recovered by solving the
-    triangular system given by the HNF of W's columns.
+    Returns ``(rep, m)``: ``rep`` has every entry in [0, 1) and depends only on
+    the coset lam + V + Z^n, and m is an integer vector with lam - m - rep in
+    V.  So lam lies in V + Z^n exactly when rep is 0, and then m is a witness.
+
+    Subtracting the element of V that agrees with lam on V's RREF pivots
+    leaves a residue supported off the pivots.  The projection of Z^n along V
+    onto those coordinates is generated by e_j off the pivots and by e_p - b
+    at the pivot p of each basis row b; scaled by the common denominator den
+    of the basis these are integer rows G.  The residue is reduced, rightmost
+    pivot first, to the fundamental domain of the HNF H = U G.  Row k of H is
+    den (U_k - x) for some x in V, so each step by f copies of it adds f U_k
+    to m.
     """
     lam = vec(lam)
     n = space.ambient_dim
     if len(lam) != n:
         raise ValueError("character length does not match ambient dimension")
-    w = saturated_dual_lattice(space).basis
-    if not w:
-        return tuple(0 for _ in range(n))
-    target = mat_mul_vec(w, lam)
-    if any(t.denominator != 1 for t in target):
-        # W is saturated, so W lam must be integral for any solution
-        return None
-    target = [int(t) for t in target]
-    # solve W m = target over Z: transform columns of W via HNF of W^T
-    wt = [[w[i][j] for i in range(len(w))] for j in range(n)]   # n x r
-    h, u = hnf(wt)                    # h = u @ wt, rows of h in HNF shape
-    # W m = target  with  m = u^T z  becomes  (h^T) z = target.
-    # h^T has one "staircase" column per nonzero row of h; forward-solve.
-    z = [0] * n
-    residue = list(target)
-    for i in range(n):
-        row = h[i]
-        if not any(row):
+    den = 1
+    for row in space.basis:
+        for x in row:
+            den = den * x.denominator // math.gcd(den, x.denominator)
+    gens = [[den if i == j else 0 for j in range(n)] for i in range(n)]
+    for row, p in zip(space.basis, space.pivots):
+        gens[p] = [-(x.numerator * (den // x.denominator)) for x in row]
+        gens[p][p] = 0                          # den * (1 - row[p])
+    h, u = hnf(gens)
+    v = list(space.reduce_vector(lam))
+    m = [0] * n
+    for row, u_row in zip(reversed(h), reversed(u)):
+        if not any(row):                        # zero rows sit at the bottom
             continue
-        c = max(j for j in range(len(row)) if row[j] != 0)
-        # column i of h^T has its lowest nonzero entry at position c and
-        # zeros below; entries above c were produced by earlier pivots.
-        if residue[c] % row[c] != 0:
-            return None
-        z[i] = residue[c] // row[c]
-        if z[i]:
-            residue = [a - z[i] * b for a, b in zip(residue, row)]
-    if any(residue):
-        return None
-    return tuple(sum(u[i][k] * z[i] for i in range(n)) for k in range(n))
+        c = max(j for j in range(n) if row[j] != 0)
+        f = (v[c].numerator * den) // (v[c].denominator * row[c])
+        if f:
+            v = [a - Fraction(f * b, den) for a, b in zip(v, row)]
+            m = [a + f * b for a, b in zip(m, u_row)]
+    return tuple(v), tuple(m)
+
+
+def lattice_coset_solve(lam: Sequence, space: RationalSubspace
+                        ) -> Optional[tuple[int, ...]]:
+    """An integer vector m with lam - m in V, or None if none exists."""
+    rep, m = coset_reduce(lam, space)
+    return None if any(rep) else m
 
 
 def lattice_coset_membership(lam: Sequence, space: RationalSubspace) -> bool:
@@ -676,8 +675,7 @@ def plucker(space: RationalSubspace) -> PluckerVector:
         raise ValueError("the zero subspace has no Pluecker coordinates")
     r, n = space.dim, space.ambient_dim
     coords = [_minor(space.basis, s) for s in itertools.combinations(range(n), r)]
-    lead = next((c for c in coords if c != 0), None)
-    assert lead is not None
+    lead = next(c for c in coords if c != 0)
     return PluckerVector(r, n, [c / lead for c in coords])
 
 

@@ -10,13 +10,11 @@ Canonical coset representative
 ------------------------------
 Two pairs (lambda, L) and (lambda', L) describe the same coset exactly when
 lambda - lambda' lies in L + Z^n, so a canonical representative must reduce
-lambda modulo that subgroup.  The reduction happens in two steps: first kill
-the L-part (subtract the unique element of L agreeing with lambda on L's RREF
-pivot coordinates), then reduce the remainder — supported on the non-pivot
-coordinates — to the Hermite fundamental domain of the projection of Z^n
-along L.  That projection lattice contains every non-pivot unit vector, so
-the canonical vector has all entries in [0, 1); equality of cosets is then
-literal equality of representations.
+lambda modulo that subgroup.  :func:`jumploci.qlinalg.coset_reduce` does it:
+it kills the L-part of lambda, then reduces the remainder to the Hermite
+fundamental domain of the projection of Z^n along L, so the canonical vector
+has all entries in [0, 1); equality of cosets is then literal equality of
+representations.
 
 >>> T1 = TranslatedTorus.from_data(("0", "1/2"), [("1", "1")])
 >>> T2 = TranslatedTorus.from_data(("1/2", "0"), [("2", "2")])
@@ -36,8 +34,9 @@ from typing import Iterable, Optional, Sequence
 from .qlinalg import (
     RationalSubspace,
     Vector,
+    coset_reduce,
     format_rational,
-    hnf,
+    hnf,  # noqa: F401  unused here; perfbench's tracer test rebinds tori.hnf
     lattice_coset_membership,
     lattice_coset_solve,
     parse_rational,
@@ -117,7 +116,8 @@ class TranslatedTorus:
         if len(lam) != direction.ambient_dim:
             raise ValueError("translate length does not match ambient dimension")
         self.direction = direction
-        self.translate = TorsionCharacter(_canonical_translate(lam, direction))
+        rep, _ = coset_reduce(lam, direction)
+        self.translate = TorsionCharacter(rep)
 
     @classmethod
     def from_data(cls, lam: Iterable, basis_rows: Iterable[Iterable],
@@ -144,10 +144,9 @@ class TranslatedTorus:
     def through_identity(self) -> bool:
         """Does the coset contain the trivial character?
 
-        The translate is canonical and the coset of 0 is stored as 0, so this
-        holds exactly when lambda lies in L + Z^n, i.e. when
-        ``lattice_coset_membership(lambda, L)`` holds: the translate lies on
-        the subtorus itself.
+        The translate is the representative from
+        :func:`jumploci.qlinalg.coset_reduce`, which is 0 exactly when lambda
+        lies in L + Z^n: the translate lies on the subtorus itself.
         """
         return self.translate.is_trivial()
 
@@ -222,33 +221,6 @@ def _json_rows(value, what: str) -> Sequence:
                for row in _json_list(value, what)):
         raise ValueError(f"{what} must be a JSON array of rows (arrays)")
     return value
-
-
-def _canonical_translate(lam: Vector, space: RationalSubspace) -> Vector:
-    """Reduce lam to the canonical representative of its coset mod L + Z^n."""
-    n = space.ambient_dim
-    residue = space.reduce_vector(lam)       # zero on L's pivot coordinates
-    if space.dim == 0:
-        return tuple(_mod1(x) for x in residue)
-    # projections of the unit vectors along L generate the image of Z^n
-    gens = []
-    for j in range(n):
-        e = tuple(Fraction(1 if i == j else 0) for i in range(n))
-        gens.append(space.reduce_vector(e))
-    den = 1
-    for g in gens:
-        for x in g:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    h, _ = hnf([tuple(int(x * den) for x in g) for g in gens])
-    rows = [row for row in h if any(row)]
-    v = list(residue)
-    for row in reversed(rows):                # rightmost pivot first
-        c = max(j for j in range(n) if row[j] != 0)
-        step = Fraction(row[c], den)
-        f = math.floor(v[c] / step)
-        if f:
-            v = [a - f * Fraction(b, den) for a, b in zip(v, row)]
-    return tuple(v)
 
 
 # ---------------------------------------------------------------------------
@@ -619,12 +591,13 @@ class TranslatedIntersection:
 def intersect_translated(c1: TranslatedTorus, c2: TranslatedTorus
                          ) -> Optional[TranslatedIntersection]:
     """Intersection of two translated tori: None if empty, else dimension
-    plus a verified common torsion character.
+    plus a common torsion character.
 
     The intersection is nonempty iff lambda1 - lambda2 lies in
     (L1 + L2) + Z^n; when it is, splitting the residual over the two
     directions produces an explicit common point, and the dimension equals
-    dim(L1 meet L2).
+    dim(L1 meet L2).  The witness is not re-checked here: the tests check
+    that it lies on both tori.
     """
     if c1.ambient_dim != c2.ambient_dim:
         raise ValueError("ambient dimensions differ")

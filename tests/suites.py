@@ -14,8 +14,9 @@ from jumploci.fox import (Abelianization, FreeWord, Presentation,
                           generator_character_poly)
 from jumploci.laurent import LaurentPoly
 from jumploci.omega import omega_codim1_closed_form, omega_membership
-from jumploci.qlinalg import (RationalSubspace, lattice_coset_membership,
-                              lattice_coset_solve, plucker, sigma_membership)
+from jumploci.qlinalg import (RationalSubspace, coset_reduce,
+                              lattice_coset_membership, lattice_coset_solve,
+                              plucker, sigma_membership)
 from jumploci.tori import TorsionCharacter, TranslatedTorus, VarietyDescription, \
     sigma_rho_membership
 
@@ -63,7 +64,8 @@ def suite_partition_oracle(cases=210, seed=101):
 
 
 def suite_lattice_oracle(cases=220, seed=102):
-    """Coset membership (and its witness) agree with the determinantal oracle."""
+    """Coset membership, its witness and the canonical representative agree
+    with the determinantal oracle."""
     rng = random.Random(seed)
     done = 0
     hits = 0
@@ -80,6 +82,17 @@ def suite_lattice_oracle(cases=220, seed=102):
             hits += 1
             assert all(x == int(x) for x in witness)
             assert space.contains_vector([a - b for a, b in zip(lam, witness)])
+        rep, m = coset_reduce(lam, space)
+        assert all(0 <= x < 1 for x in rep)
+        assert all(type(x) is int for x in m)
+        assert space.contains_vector([a - b - c for a, b, c in zip(lam, m, rep)])
+        assert (not any(rep)) == theirs
+        # rep depends only on the coset: shift by Z^n and by an element of V
+        shift = [rng.randint(-5, 5) for _ in range(n)]
+        for row in space.basis:
+            c = F(rng.randint(-9, 9), rng.randint(1, 5))
+            shift = [a + c * b for a, b in zip(shift, row)]
+        assert coset_reduce([a + b for a, b in zip(lam, shift)], space)[0] == rep
         done += 1
     assert hits > cases // 20  # the sample exercises both outcomes
     return done

@@ -17,6 +17,7 @@ from jumploci.laurent import (
     restrict_to_translated_torus,
     restriction_lattice_basis,
 )
+from jumploci.laurent import _int_poly_div
 from jumploci.qlinalg import RationalSubspace
 from jumploci.tori import TranslatedTorus
 
@@ -132,6 +133,15 @@ def test_cyclotomic_polynomials_multiply_to_x_m_minus_1():
                         out[i + j] += a * b
                 prod = out
         assert prod == [-1] + [0] * (m - 1) + [1]
+
+
+def test_non_exact_polynomial_division_raises():
+    # an explicit error, not an assert that python -O would strip
+    assert _int_poly_div([-1, 0, 1], [1, 1]) == [-1, 1]
+    with pytest.raises(ArithmeticError):
+        _int_poly_div([1, 0, 1], [1, 1])         # remainder 2
+    with pytest.raises(ArithmeticError):
+        _int_poly_div([1, 0, 1], [1, 2])         # 2 does not divide 1
 
 
 def test_zeta_arithmetic():

@@ -25,7 +25,6 @@ from jumploci.qlinalg import (
     parse_rational,
     plucker,
     rref,
-    saturated_dual_lattice,
     saturated_integer_points,
     schubert_equations,
     sigma_membership,
@@ -329,10 +328,6 @@ def test_saturated_integer_points_spans_the_subspace():
     pts = saturated_integer_points(v)
     assert pts.rank == 1
     assert pts.basis == ((3, 2, 0),)
-    dual = saturated_dual_lattice(v)
-    assert dual.rank == 2
-    for row in dual.basis:
-        assert sum(F(a) * b for a, b in zip(v.basis[0], row)) == 0
 
 
 # ---------------------------------------------------------------------------
