@@ -15,8 +15,10 @@ from .qlinalg import (IntegerLattice, PluckerVector, RationalSubspace,
                       rref, saturated_integer_points, schubert_equations,
                       sigma_membership, snf)
 from .laurent import (CyclotomicNumber, CycloLaurentPoly, LaurentPoly,
-                      bareiss_rank, cyclotomic_polynomial,
-                      evaluate_at_character, restrict_to_translated_torus)
+                      bareiss_rank, cyclotomic_polynomial, cyclotomic_rank,
+                      evaluate_at_character,
+                      restrict_matrix_to_translated_torus,
+                      restrict_to_translated_torus)
 from .fox import (Abelianization, AlexanderMatrix, FreeWord, Presentation,
                   PresentationSyntaxError, abelianize, alexander_matrix,
                   contains_translated_torus, depth1_membership,
@@ -49,7 +51,7 @@ __all__ = [
     "TranslatedTorus", "VarietyDescription", "WitnessReport", "WitnessStep",
     "abelianize", "admissible_partitions_maximal", "alexander_matrix",
     "bareiss_rank", "contains_translated_torus", "coset_reduce",
-    "cyclotomic_polynomial", "depth1_membership",
+    "cyclotomic_polynomial", "cyclotomic_rank", "depth1_membership",
     "evaluate_at_character", "evaluate_form", "format_rational",
     "fox_derivative_abelianized", "fpk_report", "generic_rank_on_torus",
     "hnf", "integer_kernel", "intersect_translated",
@@ -60,7 +62,8 @@ __all__ = [
     "orbifold_v1", "parse_presentation", "parse_rational",
     "partition_subspace", "plucker", "plucker_distance",
     "product_description", "pushforward", "rank_at_character",
-    "restrict_to_translated_torus", "rref", "saturated_integer_points",
+    "restrict_matrix_to_translated_torus", "restrict_to_translated_torus",
+    "rref", "saturated_integer_points",
     "schubert_equations", "schubert_upper_bound",
     "sigma_membership", "sigma_rho_membership", "snf",
     "tangent_cone_description", "tangent_cone_polys", "wedge_description",

@@ -29,6 +29,12 @@ from .tcone import (DEFAULT_SUPPORT_LIMIT, SUBSET_SUM_LIMIT,
 from .tori import (GradedDescription, VarietyDescription, _json_field,
                    _json_dim, _json_rows)
 
+#: The highest order of a component's translate that charvar-check accepts.
+#: Ranks at a character of order m work in Q(zeta_m), of degree phi(m) over
+#: Q; a dense point of order 4001 on a 16 x 6 Alexander matrix takes about
+#: a second.
+MAX_CHARACTER_ORDER = 4096
+
 
 # ---------------------------------------------------------------------------
 # input plumbing
@@ -136,6 +142,12 @@ def _cmd_charvar_check(args) -> tuple[dict, list[str]]:
         raise ValueError(
             f"description lives in Q^{desc.ambient_dim} but the presentation "
             f"has free rank {ab.free_rank}")
+    for i, comp in enumerate(desc.components):
+        if comp.translate.order > MAX_CHARACTER_ORDER:
+            raise ValueError(
+                f"component {i} has a translate of order "
+                f"{comp.translate.order}, above MAX_CHARACTER_ORDER = "
+                f"{MAX_CHARACTER_ORDER}")
     reports = []
     for comp in desc.components:
         generic = contains_translated_torus(pres, comp)

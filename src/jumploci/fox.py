@@ -29,11 +29,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .laurent import (LaurentPoly, bareiss_rank, evaluate_at_character,
-                      restrict_to_translated_torus)
-from .qlinalg import forward_eliminate, snf, vec
+from .laurent import (LaurentPoly, bareiss_rank, cyclotomic_rank,
+                      evaluate_at_character,
+                      restrict_matrix_to_translated_torus)
+from .qlinalg import snf, vec
 from .tori import TorsionCharacter, TranslatedTorus
 
+#: The longest relator :func:`parse_presentation` builds, in letters (the sum
+#: of |exponent| over the syllables).  The Fox derivatives of a relator cost
+#: one term per letter, so a longer power is refused before it is built.
+MAX_RELATOR_LETTERS = 100_000
 
 # ---------------------------------------------------------------------------
 # free words
@@ -78,13 +83,11 @@ class FreeWord:
         return FreeWord(self.syllables + other.syllables)
 
     def __pow__(self, k: int) -> "FreeWord":
-        if k == 0:
-            return FreeWord.identity()
         base = self if k > 0 else self.inverse()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return out
+        if len(base.syllables) == 1:
+            (g, e), = base.syllables
+            return FreeWord(((g, e * abs(k)),))
+        return FreeWord(base.syllables * abs(k))
 
     def inverse(self) -> "FreeWord":
         return FreeWord(tuple((g, -e) for g, e in reversed(self.syllables)))
@@ -95,6 +98,10 @@ class FreeWord:
 
     def is_identity(self) -> bool:
         return not self.syllables
+
+    def length(self) -> int:
+        """The number of letters: the sum of |exponent| over the syllables."""
+        return sum(abs(e) for _, e in self.syllables)
 
     def letters(self) -> list[tuple[int, int]]:
         """Expanded (generator, +-1) letters, for cross-checking."""
@@ -192,7 +199,8 @@ def parse_presentation(text: str) -> Presentation:
     Words are juxtaposed atoms.  An atom is a generator name, optionally
     followed by ``^`` and either an integer (power) or another atom
     (conjugation, ``u^w = w^-1 u w``); ``[u,v]`` is the commutator
-    u v u^-1 v^-1 and ``(w)`` groups.  Whitespace is ignored.
+    u v u^-1 v^-1 and ``(w)`` groups.  Whitespace is ignored.  A word of
+    more than ``MAX_RELATOR_LETTERS`` letters is a ValueError.
 
     >>> parse_presentation("<a,b | [a,b]>").relators[0]
     FreeWord(((0, 1), (1, 1), (0, -1), (1, -1)))
@@ -220,6 +228,15 @@ def parse_presentation(text: str) -> Presentation:
         raise PresentationSyntaxError("duplicate generator name", tokens[0][2])
     index = {name: i for i, name in enumerate(names)}
 
+    def bounded(word: FreeWord, at: int, letters: Optional[int] = None
+                ) -> FreeWord:
+        letters = word.length() if letters is None else letters
+        if letters > MAX_RELATOR_LETTERS:
+            raise ValueError(
+                f"a word of {letters} letters at position {at} exceeds the "
+                f"relator limit MAX_RELATOR_LETTERS = {MAX_RELATOR_LETTERS}")
+        return word
+
     def parse_primary() -> FreeWord:
         nonlocal pos
         kind, value, at = peek()
@@ -234,7 +251,7 @@ def parse_presentation(text: str) -> Presentation:
             expect(",")
             v = parse_word()
             expect("]")
-            return u * v * u.inverse() * v.inverse()
+            return bounded(u * v * u.inverse() * v.inverse(), at)
         if kind == "(":
             pos += 1
             w = parse_word()
@@ -250,15 +267,17 @@ def parse_presentation(text: str) -> Presentation:
             kind, value, at = peek()
             if kind == "int":
                 pos += 1
+                bounded(word, at, word.length() * abs(value))
                 word = word ** value
             else:
-                word = word.conjugate_by(parse_atom())
+                word = bounded(word.conjugate_by(parse_atom()), at)
         return word
 
     def parse_word() -> FreeWord:
         word = parse_atom()
         while peek()[0] in ("name", "[", "("):
-            word = word * parse_atom()
+            at = peek()[2]
+            word = bounded(word * parse_atom(), at)
         return word
 
     relators: list[FreeWord] = []
@@ -415,13 +434,17 @@ def generator_character_poly(ab: Abelianization, j: int) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 def rank_at_character(M: AlexanderMatrix, lam) -> int:
-    """Exact rank of M(rho) over Q(zeta_m), rho = exp(2 pi i lam)."""
+    """Exact rank of M(rho) over Q(zeta_m), rho = exp(2 pi i lam).
+
+    The entries are evaluated in Q(zeta_m); :func:`cyclotomic_rank` clears
+    the denominators of each row and eliminates in Z[zeta_m] without
+    division.
+    """
     lam = lam if isinstance(lam, TorsionCharacter) else TorsionCharacter(vec(lam))
     if len(lam.values) != M.num_vars:
         raise ValueError("character length mismatch")
-    evaluated = [[evaluate_at_character(e, lam) for e in row]
-                 for row in M.entries]
-    return len(forward_eliminate(evaluated)[0])
+    return cyclotomic_rank([[evaluate_at_character(e, lam) for e in row]
+                            for row in M.entries])
 
 
 def depth1_membership(P: Presentation, lam) -> bool:
@@ -451,14 +474,16 @@ def generic_rank_on_torus(M: AlexanderMatrix, torus: TranslatedTorus) -> int:
 
     Entries are restricted to the coset (Laurent polynomials in dim L
     variables with cyclotomic coefficients) and eliminated fraction-free.
+    A coset of dimension 0 is the point rho, where restricting is
+    evaluating, so its rank is :func:`rank_at_character` at rho.
     """
     if torus.ambient_dim != M.num_vars:
         raise ValueError("torus ambient dimension mismatch")
     if not M.entries:
         return 0
-    restricted = [[restrict_to_translated_torus(e, torus) for e in row]
-                  for row in M.entries]
-    return bareiss_rank(restricted)
+    if torus.dim == 0:
+        return rank_at_character(M, torus.translate)
+    return bareiss_rank(restrict_matrix_to_translated_torus(M.entries, torus))
 
 
 def contains_translated_torus(P: Presentation, torus: TranslatedTorus) -> bool:
@@ -473,10 +498,7 @@ def contains_translated_torus(P: Presentation, torus: TranslatedTorus) -> bool:
         raise ValueError("torus ambient dimension mismatch")
     M = alexander_matrix(P, ab)
     rank2 = generic_rank_on_torus(M, torus)
-    rank1 = 0
-    for j in range(P.num_generators):
-        poly = generator_character_poly(ab, j)
-        if not restrict_to_translated_torus(poly, torus).is_zero():
-            rank1 = 1
-            break
+    d1 = [[generator_character_poly(ab, j) for j in range(P.num_generators)]]
+    restricted = restrict_matrix_to_translated_torus(d1, torus)[0]
+    rank1 = 0 if all(p.is_zero() for p in restricted) else 1
     return rank2 + rank1 <= P.num_generators - 1

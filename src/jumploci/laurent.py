@@ -5,10 +5,17 @@ Three layers, all exact:
 * :class:`LaurentPoly` — Z^n-graded sparse polynomials over Q; the parsers
   and serializers for the ``t1^2*t2^-1`` text form and the JSON term form
   live here.
-* :class:`CyclotomicNumber` — elements of Q(zeta_m) = Q[x]/Phi_m(x) with
-  Phi_m computed by recursive division of x^m - 1; inverses come from the
-  extended Euclidean algorithm in Q[x] (Phi_m is irreducible, so this is a
-  field and linear algebra over it is exact).
+* :class:`CyclotomicNumber` — elements of Q(zeta_m) = Q[x]/Phi_m(x), kept
+  as integer numerators over one positive common denominator.  Phi_m is the
+  Moebius product of the binomials x^d - 1.  A product is one multiplication
+  of Python ints (Kronecker substitution: each coefficient vector packed
+  into one int), then a fold mod x^m - 1 and one reduction by the monic
+  Phi_m.  A power of zeta, a lift to a multiple order, or the value of a
+  Laurent polynomial at a character is a vector indexed by exponents mod m,
+  reduced once.  An inverse is the product of the other Galois conjugates
+  over the norm (Phi_m is irreducible, so this is a field).  Ranks at
+  characters (:func:`cyclotomic_rank`) take no inverse: they eliminate in
+  Z[zeta_m] without division.
 * :class:`CycloLaurentPoly` — Laurent polynomials with cyclotomic
   coefficients; what a rational polynomial becomes after being restricted to
   a translated subtorus.
@@ -27,7 +34,9 @@ Fraction(0, 1)
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -343,9 +352,41 @@ def _parse_poly(tokens, text):
 # cyclotomic fields Q(zeta_m)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+def _prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m > 0, ascending (trial division)."""
+    primes = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    return primes
+
+
+def _totient(m: int) -> int:
+    for p in _prime_factors(m):
+        m -= m // p
+    return m
+
+
+def _mobius(m: int) -> int:
+    primes = _prime_factors(m)
+    if any(m % (p * p) == 0 for p in primes):
+        return 0
+    return -1 if len(primes) % 2 else 1
+
+
+@lru_cache(maxsize=64)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Integer coefficients (ascending) of the m-th cyclotomic polynomial.
+
+    The Moebius product Phi_m = prod_{d | m} (1 - x^d)^mu(m/d) for m > 1,
+    taken as a power series cut after degree phi(m): each factor is one pass
+    that multiplies or divides by a binomial.
 
     >>> cyclotomic_polynomial(1)
     (-1, 1)
@@ -354,62 +395,139 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """
     if m < 1:
         raise ValueError("m must be positive")
-    num = [-1] + [0] * (m - 1) + [1]          # x^m - 1
-    for d in range(1, m):
-        if m % d == 0:
-            num = _int_poly_div(num, list(cyclotomic_polynomial(d)))
-    return tuple(num)
+    if m == 1:
+        return (-1, 1)
+    phi = _totient(m)
+    c = [1] + [0] * phi
+    primes = _prime_factors(m)
+    for squarefree in itertools.product((False, True), repeat=len(primes)):
+        d = m
+        for p, used in zip(primes, squarefree):
+            if used:
+                d //= p
+        if d > phi:
+            continue
+        if sum(squarefree) % 2:                  # mu(m/d) = -1: divide
+            for i in range(d, phi + 1):
+                c[i] += c[i - d]
+        else:                                    # mu(m/d) = 1: multiply
+            for i in range(phi, d - 1, -1):
+                c[i] -= c[i - d]
+    return tuple(c)
 
 
-def _int_poly_div(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (ascending coefficients)."""
-    num = num[:]
-    out = [0] * (len(num) - len(den) + 1)
-    for shift in range(len(num) - len(den), -1, -1):
-        c = num[shift + len(den) - 1]
-        q, r = divmod(c, den[-1])
-        if r:
-            raise ArithmeticError("non-exact polynomial division")
-        out[shift] = q
-        if q:
-            for i, d in enumerate(den):
-                num[shift + i] -= q * d
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
+@lru_cache(maxsize=64)
+def _field(m: int) -> tuple[int, int, tuple[int, ...]]:
+    """``(phi, k, low)`` for reducing integer polynomials mod Phi_m.
 
-
-@lru_cache(maxsize=None)
-def _phi(m: int) -> int:
-    return len(cyclotomic_polynomial(m)) - 1
-
-
-@lru_cache(maxsize=None)
-def _power_table(m: int) -> tuple[tuple[Fraction, ...], ...]:
-    """x^j mod Phi_m for 0 <= j < max(m, 2*phi(m)), as coefficient tuples."""
-    phi = _phi(m)
+    ``phi`` is phi(m) and ``low`` the coefficients of the monic Phi_m below
+    x^phi.  ``k = m / p`` for p the least prime factor of m (0 when m = 1):
+    Theta = 1 + x^k + ... + x^((p-1)k) = Phi_p(x^k) is a multiple of Phi_m
+    with only p terms, so reducing by it first is one cheap pass that leaves
+    few steps to the long division by Phi_m (none when m is a prime power,
+    one when m is twice an odd prime).
+    """
     top = cyclotomic_polynomial(m)
-    limit = max(m, 2 * phi)
-    rows: list[tuple[Fraction, ...]] = []
-    current = [Fraction(0)] * phi
-    if phi:
-        current[0] = Fraction(1)
-    rows.append(tuple(current))
-    for _ in range(1, limit):
-        shifted = [Fraction(0)] + current[:]
-        if len(shifted) > phi:
-            lead = shifted.pop()
-            if lead:
-                # x^phi = -(Phi_m - x^phi), monic reduction
-                for i in range(phi):
-                    shifted[i] -= lead * top[i]
-        current = shifted
-        rows.append(tuple(current))
-    return tuple(rows)
+    k = m // _prime_factors(m)[0] if m > 1 else 0
+    return len(top) - 1, k, top[:-1]
+
+
+def _reduce(m: int, c: list[int]) -> list[int]:
+    """The integer polynomial c (ascending) mod Phi_m: phi(m) coefficients."""
+    phi, k, low = _field(m)
+    if len(c) > m:                                    # x^m = 1
+        folded = c[:m]
+        for i in range(m, len(c)):
+            folded[i % m] += c[i]
+        c = folded
+    top = m - k                                       # deg Theta
+    if len(c) > top and any(c[top:]):
+        # x^((p-1)k + i) = -(x^i + x^(k+i) + ... + x^((p-2)k+i)) mod Theta
+        block = c[top:] + [0] * (m - len(c))
+        c = [a - b for a, b in zip(c, block * (top // k))]
+    else:
+        c = c[:top]
+    for d in range(len(c) - 1, phi - 1, -1):          # long division
+        q = c.pop()
+        if q:
+            base = d - phi
+            c[base:d] = [a - q * b for a, b in zip(c[base:d], low)]
+    return c + [0] * (phi - len(c))
+
+
+def _offset(width: int, count: int) -> int:
+    """sum(2^(8 width - 1) * 2^(8 width i) for i < count): the digit bias."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _pack(v: Sequence[int], width: int, half: int) -> int:
+    """sum(v[i] * 2^(8 width i)), each |v[i]| < half = 2^(8 width - 1)."""
+    digits = b"".join([(x + half).to_bytes(width, "little") for x in v])
+    return int.from_bytes(digits, "little") - _offset(width, len(v))
+
+
+def _convolve(pairs: Sequence[tuple[Sequence[int], Sequence[int]]]
+              ) -> list[int]:
+    """Coefficients of sum(a * b) over the pairs of integer polynomials.
+
+    Kronecker substitution (Harvey, J. Symb. Comp. 44, 2009): each vector is
+    packed into one Python int with ``width`` bytes per coefficient, the
+    ints are multiplied and summed, and the result is unpacked with signs.
+    The width leaves room for the largest coefficient the sum can have, so
+    no digit carries into the next.
+    """
+    count = max(len(a) + len(b) - 1 for a, b in pairs)
+    live, bound = [], 0
+    for a, b in pairs:
+        size = max(map(abs, a)) * max(map(abs, b))
+        if size:
+            live.append((a, b))
+            bound += size * min(len(a), len(b))
+    if not bound:
+        return [0] * count
+    width = bound.bit_length() // 8 + 1
+    half = 1 << (8 * width - 1)
+    total = sum(_pack(a, width, half) * _pack(b, width, half) for a, b in live)
+    data = (total + _offset(width, count)).to_bytes(width * count, "little")
+    return [int.from_bytes(data[i:i + width], "little") - half
+            for i in range(0, width * count, width)]
+
+
+def _ring_mul(m: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a * b in Z[zeta_m], both given by their phi(m) coefficients."""
+    return _reduce(m, _convolve([(a, b)]))
+
+
+def _conjugate(m: int, a: Sequence[int], g: int) -> list[int]:
+    """sigma_g(a) in Z[zeta_m], zeta -> zeta^g for a unit g mod m."""
+    spread = [0] * m
+    for i, x in enumerate(a):
+        spread[i * g % m] = x
+    return _reduce(m, spread)
+
+
+def _orbit_product(m: int, a: Sequence[int], g: int, k: int) -> list[int]:
+    """prod(sigma_g^i(a) for i < k), from the bits of k: with P_j the
+    product of the first j factors, P_2j = P_j sigma_g^j(P_j) and
+    P_(j+1) = a sigma_g(P_j)."""
+    product, j = [1] + [0] * (len(a) - 1), 0
+    for bit in bin(k)[2:]:
+        if j:
+            product = _ring_mul(m, product,
+                                _conjugate(m, product, pow(g, j, m)))
+            j *= 2
+        if bit == "1":
+            product = _ring_mul(m, a, _conjugate(m, product, g))
+            j += 1
+    return product
 
 
 class CyclotomicNumber:
     """An element of Q(zeta_m), coefficients in the basis 1, x, ..., x^{phi-1}.
+
+    Stored as integer numerators ``num`` over one positive denominator
+    ``den`` with no common factor, so equal values have equal fields.
+    ``coeffs`` gives the coefficients as Fractions.
 
     >>> z = CyclotomicNumber.zeta_power(3, 1)
     >>> (z * z + z + 1).is_zero()
@@ -418,18 +536,37 @@ class CyclotomicNumber:
     True
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs: Iterable):
-        self.order = int(order)
-        coeffs = tuple(Fraction(x) for x in coeffs)
-        if len(coeffs) != _phi(self.order):
+        coeffs = [Fraction(x) for x in coeffs]
+        if len(coeffs) != _field(int(order))[0]:
             raise ValueError("wrong number of coefficients")
-        self.coeffs = coeffs
+        den = math.lcm(*(c.denominator for c in coeffs))
+        self._set(int(order),
+                  [c.numerator * (den // c.denominator) for c in coeffs], den)
+
+    def _set(self, order: int, num: Sequence[int], den: int) -> None:
+        g = math.gcd(den, *num)
+        self.order = order
+        self.num = tuple(x // g for x in num) if g != 1 else tuple(num)
+        self.den = den // g
+
+    @classmethod
+    def _make(cls, order: int, num: Sequence[int], den: int = 1
+              ) -> "CyclotomicNumber":
+        """num / den in lowest terms; den > 0, len(num) = phi(order)."""
+        z = cls.__new__(cls)
+        z._set(order, num, den)
+        return z
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     @classmethod
     def zero(cls, order: int) -> "CyclotomicNumber":
-        return cls(order, [Fraction(0)] * _phi(order))
+        return cls._make(order, [0] * _field(order)[0])
 
     @classmethod
     def one(cls, order: int) -> "CyclotomicNumber":
@@ -437,29 +574,25 @@ class CyclotomicNumber:
 
     @classmethod
     def from_rational(cls, order: int, value) -> "CyclotomicNumber":
-        coeffs = [Fraction(0)] * _phi(order)
         v = Fraction(value)
-        if _phi(order) == 0:
-            raise ValueError("degenerate order")
-        if v != 0:
-            table = _power_table(order)
-            coeffs = [v * c for c in table[0]]
-        return cls(order, coeffs)
+        num = [0] * _field(order)[0]
+        num[0] = v.numerator
+        return cls._make(order, num, v.denominator)
 
     @classmethod
     def zeta_power(cls, order: int, k: int) -> "CyclotomicNumber":
         """zeta_m^k, exponent taken mod m."""
         k %= order
-        return cls(order, _power_table(order)[k])
+        return cls._make(order, _reduce(order, [0] * k + [1]))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_part(self) -> Fraction:
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def _check(self, other: "CyclotomicNumber"):
         if self.order != other.order:
@@ -469,13 +602,17 @@ class CyclotomicNumber:
         if not isinstance(other, CyclotomicNumber):
             other = CyclotomicNumber.from_rational(self.order, other)
         self._check(other)
-        return CyclotomicNumber(self.order,
-                                [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        den = math.lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        return CyclotomicNumber._make(
+            self.order, [s * a + t * b for a, b in zip(self.num, other.num)],
+            den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.order, [-a for a in self.coeffs])
+        return CyclotomicNumber._make(self.order, [-a for a in self.num],
+                                      self.den)
 
     def __sub__(self, other):
         if not isinstance(other, CyclotomicNumber):
@@ -484,42 +621,51 @@ class CyclotomicNumber:
 
     def __mul__(self, other):
         if not isinstance(other, CyclotomicNumber):
-            return CyclotomicNumber(self.order, [c * other for c in self.coeffs])
+            q = Fraction(other)
+            return CyclotomicNumber._make(
+                self.order, [a * q.numerator for a in self.num],
+                self.den * q.denominator)
         self._check(other)
-        phi = len(self.coeffs)
-        conv = [Fraction(0)] * (2 * phi - 1 if phi else 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    conv[i + j] += a * b
-        table = _power_table(self.order)
-        out = [Fraction(0)] * phi
-        for k, c in enumerate(conv):
-            if c:
-                row = table[k]
-                for i in range(phi):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return CyclotomicNumber(self.order, out)
+        return CyclotomicNumber._make(
+            self.order, _ring_mul(self.order, self.num, other.num),
+            self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
+        """1/z = (the product of the other conjugates of z) / N(z).
+
+        The conjugates sigma_g(z), zeta -> zeta^g for g a unit mod m, are
+        multiplied along a chain of subgroups H of (Z/m)^*, each adding one
+        generator g by doubling, so the whole product takes O(log phi(m))
+        multiplications.  The norm N(z) is z times that product, a rational.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        top = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        g, s, _ = _poly_xgcd(list(self.coeffs), top)
-        # g is a nonzero constant since Phi_m is irreducible
-        if len(g) != 1 or g[0] == 0:
-            raise ArithmeticError("gcd with the cyclotomic polynomial is not "
-                                  "a nonzero constant")
-        inv = [c / g[0] for c in s]
-        inv = _poly_mod(inv, top)
-        phi = len(self.coeffs)
-        inv += [Fraction(0)] * (phi - len(inv))
-        return CyclotomicNumber(self.order, inv[:phi])
+        m, a = self.order, list(self.num)
+        others = [1] + [0] * (len(a) - 1)        # prod over H \ {1}
+        norm = a                                  # prod over H
+        group = {1}
+        for g in range(2, m):
+            if len(group) == len(a):
+                break
+            if g in group or math.gcd(g, m) != 1:
+                continue
+            t, power = 1, g                       # g^t is the first in H
+            while power not in group:
+                t, power = t + 1, power * g % m
+            # H' = H u gH u ... u g^(t-1)H; the cosets j >= 1 multiply in
+            # sigma_g^j(prod over H) = sigma_g(orbit product of t - 1)
+            others = _ring_mul(m, others, _conjugate(
+                m, _orbit_product(m, norm, g, t - 1), g))
+            norm = _ring_mul(m, a, others)
+            group = {h * pow(g, j, m) % m for h in group for j in range(t)}
+        if any(norm[1:]):
+            raise ArithmeticError("the product of the conjugates is not "
+                                  "rational")
+        sign = 1 if norm[0] > 0 else -1
+        return CyclotomicNumber._make(
+            m, [sign * self.den * x for x in others], abs(norm[0]))
 
     def __truediv__(self, other):
         if not isinstance(other, CyclotomicNumber):
@@ -536,16 +682,10 @@ class CyclotomicNumber:
         if new_order % self.order != 0:
             raise ValueError("new order must be a multiple of the old one")
         step = new_order // self.order
-        table = _power_table(new_order)
-        phi = _phi(new_order)
-        out = [Fraction(0)] * phi
-        for i, c in enumerate(self.coeffs):
-            if c:
-                row = table[(i * step) % new_order]
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return CyclotomicNumber(new_order, out)
+        spread = [0] * ((len(self.num) - 1) * step + 1)
+        spread[::step] = self.num
+        return CyclotomicNumber._make(new_order, _reduce(new_order, spread),
+                                      self.den)
 
     def to_complex(self) -> complex:
         z = complex(math.cos(2 * math.pi / self.order),
@@ -560,79 +700,27 @@ class CyclotomicNumber:
     def __eq__(self, other):
         if isinstance(other, CyclotomicNumber):
             if self.order != other.order:
-                m = self.order * other.order // math.gcd(self.order, other.order)
-                return self.lift(m).coeffs == other.lift(m).coeffs
-            return self.coeffs == other.coeffs
+                m = math.lcm(self.order, other.order)
+                return self.lift(m) == other.lift(m)
+            return self.den == other.den and self.num == other.num
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.rational_part() == other
         return NotImplemented
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.rational_part())
-        return hash((self.order, self.coeffs))
+        # Tr(z) / phi(m) is the same at every order z can be lifted to, and
+        # is z itself when z is rational; Tr(zeta_m^i) is the Ramanujan sum
+        # mu(d) phi(m) / phi(d) with d = m / gcd(m, i).
+        m = self.order
+        trace = Fraction(0)
+        for i, a in enumerate(self.num):
+            if a:
+                d = m // math.gcd(m, i)
+                trace += Fraction(a * _mobius(d), _totient(d))
+        return hash(trace / self.den)
 
     def __repr__(self):
         return f"CyclotomicNumber(order={self.order}, {list(self.coeffs)})"
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = _poly_trim([Fraction(x) for x in a])
-    b = _poly_trim([Fraction(x) for x in b])
-    if not b:
-        raise ZeroDivisionError
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = a[:]
-    while len(r) >= len(b) and r:
-        f = r[-1] / b[-1]
-        shift = len(r) - len(b)
-        q[shift] = f
-        for i in range(len(b)):
-            r[shift + i] -= f * b[i]
-        _poly_trim(r)
-    return q, r
-
-
-def _poly_mod(a, b):
-    return _poly_divmod(a, b)[1]
-
-
-def _poly_xgcd(a, b):
-    """(g, s, t) with s*a + t*b = g over Q[x], coefficients ascending."""
-    r0, r1 = _poly_trim([Fraction(x) for x in a]), _poly_trim([Fraction(x) for x in b])
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-
-    def add(p, q):
-        out = [Fraction(0)] * max(len(p), len(q))
-        for i, c in enumerate(p):
-            out[i] += c
-        for i, c in enumerate(q):
-            out[i] += c
-        return _poly_trim(out)
-
-    def mul(p, q):
-        if not p or not q:
-            return []
-        out = [Fraction(0)] * (len(p) + len(q) - 1)
-        for i, c in enumerate(p):
-            if c:
-                for j, d in enumerate(q):
-                    out[i + j] += c * d
-        return _poly_trim(out)
-
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, add(s0, [-c for c in mul(q, s1)])
-        t0, t1 = t1, add(t0, [-c for c in mul(q, t1)])
-    return r0, s0, t0
 
 
 # ---------------------------------------------------------------------------
@@ -772,6 +860,29 @@ class CycloLaurentPoly:
 # characters and restriction to translated subtori
 # ---------------------------------------------------------------------------
 
+def _character_steps(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """``(m, w)``: m the lcm of the denominators, w = m * values in Z^n.
+
+    The monomial t^a takes the value zeta_m^(a . w) at exp(2 pi i values).
+    """
+    m = math.lcm(*(x.denominator for x in values))
+    return m, [x.numerator * (m // x.denominator) for x in values]
+
+
+def _cyclotomic_sum(m: int, terms: Sequence[tuple[int, Fraction]]
+                    ) -> CyclotomicNumber:
+    """sum(c * zeta_m^k) over the ``(k, c)`` pairs, with one reduction.
+
+    The coefficients go over their common denominator into one m-long
+    integer vector, indexed by k mod m.
+    """
+    den = math.lcm(*(c.denominator for _, c in terms))
+    acc = [0] * m
+    for k, c in terms:
+        acc[k % m] += c.numerator * (den // c.denominator)
+    return CyclotomicNumber._make(m, _reduce(m, acc), den)
+
+
 def evaluate_at_character(f: LaurentPoly, lam) -> CyclotomicNumber:
     """Value of f at the finite-order character t = exp(2 pi i lam).
 
@@ -783,15 +894,9 @@ def evaluate_at_character(f: LaurentPoly, lam) -> CyclotomicNumber:
         values = TorsionCharacter(vec(lam)).values
     if len(values) != f.num_vars:
         raise ValueError("character length mismatch")
-    m = 1
-    for x in values:
-        m = m * x.denominator // math.gcd(m, x.denominator)
-    total = CyclotomicNumber.zero(m)
-    for e, c in f.terms.items():
-        phase = sum((Fraction(k) * x for k, x in zip(e, values)), Fraction(0))
-        k = int(phase * m) % m
-        total = total + CyclotomicNumber.zeta_power(m, k) * c
-    return total
+    m, w = _character_steps(values)
+    return _cyclotomic_sum(m, [(sum(map(operator.mul, e, w)), c)
+                               for e, c in f.terms.items()])
 
 
 def restriction_lattice_basis(direction) -> tuple[tuple[int, ...], ...]:
@@ -809,20 +914,28 @@ def restrict_to_translated_torus(f: LaurentPoly, torus: TranslatedTorus
     k = dim T variables and coefficients in Q(zeta_m), m the order of the
     translate.
     """
-    if f.num_vars != torus.ambient_dim:
-        raise ValueError("variable count does not match the ambient torus")
+    return restrict_matrix_to_translated_torus([[f]], torus)[0][0]
+
+
+def restrict_matrix_to_translated_torus(
+        rows: Sequence[Sequence[LaurentPoly]], torus: TranslatedTorus
+) -> list[list[CycloLaurentPoly]]:
+    """:func:`restrict_to_translated_torus` of every entry, one basis B."""
+    n = torus.ambient_dim
     basis = restriction_lattice_basis(torus.direction)
-    k = len(basis)
-    m = torus.translate.order
-    values = torus.translate.values
-    out: dict = {}
-    for a, c in f.terms.items():
-        e = tuple(sum(basis[j][i] * a[i] for i in range(f.num_vars))
-                  for j in range(k))
-        phase = sum((Fraction(ai) * x for ai, x in zip(a, values)), Fraction(0))
-        coeff = CyclotomicNumber.zeta_power(m, int(phase * m) % m) * c
-        out[e] = out[e] + coeff if e in out else coeff
-    return CycloLaurentPoly(k, m, out)
+    m, w = _character_steps(torus.translate.values)
+
+    def restrict(f: LaurentPoly) -> CycloLaurentPoly:
+        if f.num_vars != n:
+            raise ValueError("variable count does not match the ambient torus")
+        groups: dict = {}
+        for a, c in f.terms.items():
+            e = tuple(sum(map(operator.mul, b, a)) for b in basis)
+            groups.setdefault(e, []).append((sum(map(operator.mul, a, w)), c))
+        return CycloLaurentPoly(len(basis), m, {
+            e: _cyclotomic_sum(m, terms) for e, terms in groups.items()})
+
+    return [[restrict(f) for f in row] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -887,4 +1000,59 @@ def bareiss_rank(rows: Sequence[Sequence[CycloLaurentPoly]]) -> int:
         prev_is_one = False
         rank += 1
         row_at += 1
+    return rank
+
+
+def cyclotomic_rank(rows: Sequence[Sequence[CyclotomicNumber]]) -> int:
+    """Rank over Q(zeta_m) of a matrix of cyclotomic numbers of one order.
+
+    Each row is scaled to integer numerators, so entries lie in Z[zeta_m],
+    and eliminated without division: a pivot p clears an entry a below it
+    by row_i <- p * row_i - a * row_p, which keeps the rank since p != 0,
+    and the integer content of the new row is divided out.  No inverse is
+    taken.  Zero entries are kept as None.
+    """
+    if not rows:
+        return 0
+    order = rows[0][0].order if rows[0] else 1
+    work = []
+    for row in rows:
+        if any(z.order != order for z in row):
+            raise ValueError("cyclotomic orders differ (lift first)")
+        den = math.lcm(*(z.den for z in row))
+        work.append([[a * (den // z.den) for a in z.num] if any(z.num)
+                     else None for z in row])
+    ncols = len(work[0])
+    rank = 0
+    for col in range(ncols):
+        below = [i for i in range(rank, len(work)) if work[i][col]]
+        if not below:
+            continue
+        # the pivot with the fewest and smallest coefficients
+        piv = min(below, key=lambda i: (
+            len(work[i][col]) - work[i][col].count(0),
+            max(map(abs, work[i][col])), i))
+        work[rank], work[piv] = work[piv], work[rank]
+        prow = work[rank]
+        p = prow[col]
+        for i in range(rank + 1, len(work)):
+            row = work[i]
+            a = row[col]
+            if a is None:
+                continue
+            row[col] = None
+            neg_a = [-x for x in a]
+            for c in range(col + 1, ncols):
+                pairs = [(p, row[c])] if row[c] else []
+                if prow[c]:
+                    pairs.append((neg_a, prow[c]))
+                if pairs:
+                    v = _reduce(order, _convolve(pairs))
+                    row[c] = v if any(v) else None
+            g = math.gcd(*(x for v in row if v for x in v))
+            if g > 1:
+                work[i] = [[x // g for x in v] if v else None for v in row]
+        rank += 1
+        if rank == len(work):
+            break
     return rank

@@ -440,3 +440,89 @@ def minor_rank(entries, add, mul, neg, is_zero, zero, one):
                 if not is_zero(det(list(rsel), list(csel))):
                     return k
     return 0
+
+
+# ---------------------------------------------------------------------------
+# Q(zeta_m) with Fraction coefficients, schoolbook throughout
+# ---------------------------------------------------------------------------
+
+def _poly_divmod(a, b):
+    """Quotient and remainder of Fraction polynomials (ascending, b[-1] != 0)."""
+    r = [Fraction(x) for x in a]
+    q = [Fraction(0)] * max(1, len(r) - len(b) + 1)
+    while len(r) >= len(b):
+        f = r[-1] / b[-1]
+        shift = len(r) - len(b)
+        q[shift] = f
+        for i, c in enumerate(b):
+            r[shift + i] -= f * c
+        r.pop()
+    return q, r
+
+
+def oracle_cyclotomic_polynomial(m):
+    """Phi_m (Fractions, ascending): x^m - 1 divided by Phi_d, d | m, d < m."""
+    num = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
+    for d in range(1, m):
+        if m % d == 0:
+            num, rest = _poly_divmod(num, oracle_cyclotomic_polynomial(d))
+            assert not any(rest)
+    return num
+
+
+def cyclo_reduce(coeffs, phi_poly):
+    """coeffs mod phi_poly, padded to deg(phi_poly) Fractions."""
+    deg = len(phi_poly) - 1
+    r = _poly_divmod(coeffs, phi_poly)[1] if len(coeffs) > deg else \
+        [Fraction(x) for x in coeffs]
+    return r + [Fraction(0)] * (deg - len(r))
+
+
+def cyclo_mul(a, b, phi_poly):
+    """Schoolbook product of two elements of Q[x]/phi_poly."""
+    conv = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    return cyclo_reduce(conv, phi_poly)
+
+
+def cyclo_inverse(a, phi_poly):
+    """a^-1 in Q[x]/phi_poly, by solving (multiplication by a) y = 1 over Q."""
+    deg = len(phi_poly) - 1
+    columns = [cyclo_mul(a, [Fraction(0)] * j + [Fraction(1)], phi_poly)
+               for j in range(deg)]
+    rows = [[columns[j][i] for j in range(deg)] for i in range(deg)]
+    return naive_solve(rows, [1] + [0] * (deg - 1))
+
+
+def oracle_cyclotomic_rank(entries, m):
+    """Rank over Q(zeta_m) of a matrix whose entries are {k: Fraction}
+    dicts, standing for sum(c * zeta_m^k), by Gaussian elimination with
+    each pivot row scaled to a leading 1."""
+    phi_poly = oracle_cyclotomic_polynomial(m)
+
+    def element(terms):
+        v = [Fraction(0)] * m
+        for k, c in terms.items():
+            v[k % m] += Fraction(c)
+        return cyclo_reduce(v, phi_poly)
+
+    rows = [[element(t) for t in row] for row in entries]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if any(rows[i][col])),
+                   None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = cyclo_inverse(rows[rank][col], phi_poly)
+        rows[rank] = [cyclo_mul(x, inv, phi_poly) for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if any(f):
+                rows[i] = [[p - q for p, q in
+                            zip(x, cyclo_mul(f, y, phi_poly))]
+                           for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank

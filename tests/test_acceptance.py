@@ -219,6 +219,21 @@ def test_08_product_cover_homology_deduction():
         assert "H_3(K) is not finitely generated" in report.deduction
 
 
+def test_10_dense_prime_order_point_on_the_surface_group(capsys):
+    # six nonzero coordinates of order 163: minutes before the ranks at
+    # characters worked in Z[zeta_m] without inverses
+    lam = [f"{k}/163" for k in (59, 3, 7, 11, 13, 17)]
+    desc = json.dumps({"n": 6, "components": [{"lambda": lam, "basis": []}]})
+    with Stopwatch("criterion 10: dense order-163 point on the surface group",
+                   2.0):
+        data = cli_json(capsys, "charvar-check", "--pres",
+                        datasets.SURFACE_PRES, "--desc", desc)
+        assert data["verified"] is False
+        (report,) = data["components"]
+        assert not report["generic_contained"]
+        assert not report["translate_in_locus"]
+
+
 def test_09_property_suites():
     with Stopwatch("criterion 9: seven randomized oracle suites", 60.0):
         counts = {fn.__name__: fn() for fn in suites.ALL_SUITES}

@@ -1,11 +1,13 @@
 """End-to-end command-line tests: JSON payloads, text reports, exit codes."""
 
 import json
+import time
 
 import pytest
 
 import datasets
-from jumploci.cli import main
+from jumploci.cli import MAX_CHARACTER_ORDER, main
+from jumploci.fox import MAX_RELATOR_LETTERS
 from jumploci.tori import VarietyDescription
 
 
@@ -212,6 +214,37 @@ def test_charvar_check_closed_omega(capsys):
     assert len(data["components"]) == 2
     assert all(c["generic_contained"] and c["translate_in_locus"]
                for c in data["components"])
+
+
+def point_desc(n, lam):
+    return json.dumps({"n": n, "components": [{"lambda": lam, "basis": []}]})
+
+
+def test_charvar_check_refuses_orders_over_the_limit(capsys):
+    over = MAX_CHARACTER_ORDER + 3                # 4099 is prime
+    code, data = run_json(capsys, "charvar-check",
+                          "--pres", datasets.ONE_RELATOR_PRES,
+                          "--desc", point_desc(2, [f"1/{over}", "0"]))
+    assert code == 1
+    assert data["error"]["message"] == (
+        f"component 0 has a translate of order {over}, above "
+        f"MAX_CHARACTER_ORDER = {MAX_CHARACTER_ORDER}")
+    # the benchmark's costliest orders, 2 * 101 and 2 * 127, still run
+    for p in (101, 127):
+        lam = [f"1/{p}", f"2/{p}", "1/2", "0", "0", "0"]
+        code, data = run_json(capsys, "charvar-check",
+                              "--pres", datasets.SURFACE_PRES,
+                              "--desc", point_desc(6, lam))
+        assert code == 0 and data["verified"] is True     # on a component
+
+
+def test_alexander_refuses_a_relator_power_over_the_limit_at_once(capsys):
+    start = time.perf_counter()
+    code, data = run_json(capsys, "alexander", "--pres",
+                          "<x1,x2 | x1^100000000 x2 x1^-100000000 x2^-1>")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert f"MAX_RELATOR_LETTERS = {MAX_RELATOR_LETTERS}" in data["error"]["message"]
 
 
 def test_charvar_check_rank_mismatch(capsys):

@@ -1,5 +1,6 @@
 """Presentations, Fox derivatives, Alexander matrices, exact ranks."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,8 +8,11 @@ import pytest
 
 import datasets
 import oracles
+from jumploci import laurent
 from jumploci.fox import (
+    MAX_RELATOR_LETTERS,
     Abelianization,
+    AlexanderMatrix,
     FreeWord,
     PresentationSyntaxError,
     abelianize,
@@ -21,7 +25,8 @@ from jumploci.fox import (
     parse_presentation,
     rank_at_character,
 )
-from jumploci.laurent import LaurentPoly
+from jumploci.laurent import (LaurentPoly, bareiss_rank,
+                              restrict_matrix_to_translated_torus)
 from jumploci.tori import TranslatedTorus
 
 F = Fraction
@@ -45,6 +50,10 @@ def test_inverse_and_powers():
     assert w ** 3 == w * w * w
     assert w ** -2 == (w.inverse()) * (w.inverse())
     assert w ** 0 == FreeWord.identity()
+    # one syllable: exponent arithmetic, whatever the size of the power
+    assert FreeWord.generator(1, -3) ** 10 ** 12 == FreeWord.generator(1, -3 * 10 ** 12)
+    assert FreeWord.generator(1, -3) ** -2 == FreeWord.generator(1, 6)
+    assert (w ** 4).length() == 12
 
 
 def test_conjugation_convention():
@@ -106,6 +115,19 @@ def test_parse_rejects_bad_input():
     except PresentationSyntaxError as exc:
         err = exc
     assert err is not None and err.position == len("<a | a^")
+
+
+def test_parse_refuses_relators_over_the_letter_limit():
+    limit = MAX_RELATOR_LETTERS
+    assert parse_presentation(f"<a | a^{limit}>").relators[0].length() == limit
+    for text in (f"<a | a^{limit + 1}>",
+                 f"<a, b | (a b)^{limit // 2 + 1}>",       # refused unbuilt
+                 f"<a, b | a^{limit} b>",
+                 f"<a, b | [a^{limit // 2}, b]>",
+                 f"<a, b | a^(b^{limit})>",
+                 "<a, b | " + "[" * 20 + "a, b" + "], a" * 20 + ">"):
+        with pytest.raises(ValueError, match="MAX_RELATOR_LETTERS"):
+            parse_presentation(text)
 
 
 def test_round_trip_through_to_text():
@@ -284,3 +306,81 @@ def test_surface_group_contains_both_components():
     assert generic_rank_on_torus(m, datasets.surface_translated()) == 3
     assert contains_translated_torus(pres, datasets.surface_subtorus())
     assert contains_translated_torus(pres, datasets.surface_translated())
+
+
+def random_alexander_matrix(rng):
+    """The Alexander matrix of 2-4 commutators of random words in 3
+    generators: free rank 3 and rank at most 2 at every character."""
+    names = ["x1", "x2", "x3"]
+
+    def word():
+        return " ".join(f"{rng.choice(names)}^{rng.choice([-2, -1, 1, 2])}"
+                        for _ in range(rng.randint(1, 3)))
+
+    rels = ", ".join(f"[{word()}, {word()}]" for _ in range(rng.randint(2, 4)))
+    return alexander_matrix(parse_presentation(f"<x1, x2, x3 | {rels}>"))
+
+
+def cyclotomic_entries(M, lam):
+    """Entries of M at exp(2 pi i lam) as {k: c} sums of c zeta_m^k."""
+    m = 1
+    for x in lam:
+        m = m * x.denominator // math.gcd(m, x.denominator)
+    out = []
+    for row in M.entries:
+        out.append([])
+        for f in row:
+            terms = {}
+            for e, c in f.terms.items():
+                k = int(sum(a * x for a, x in zip(e, lam)) * m) % m
+                terms[k] = terms.get(k, 0) + c
+            out[-1].append(terms)
+    return out, m
+
+
+def test_rank_at_character_matches_the_fraction_oracle():
+    rng = random.Random(45)
+    deficient = 0
+    for trial in range(40):
+        if trial % 2:
+            M = random_alexander_matrix(rng)
+        else:
+            # rows 3 and 4 combine rows 1 and 2 with Laurent multipliers
+            t1, t2, t3 = LaurentPoly.variables(3)
+            f, g = rng.choice([t1 - 1, t2 * t3 + 2]), rng.choice([t3, t1 - t2])
+            top = [[rng.choice([t1, t2 - 1, t3 + t1, LaurentPoly.zero(3)])
+                    for _ in range(3)] for _ in range(2)]
+            rows = top + [[f * a + g * b for a, b in zip(*top)],
+                          [g * a for a in top[0]]]
+            M = AlexanderMatrix(rows, 3, None)
+        lam = tuple(F(rng.randrange(d), d)
+                    for d in rng.choice([(2, 3, 4), (5, 5, 1), (12, 6, 4),
+                                         (8, 8, 8), (3, 1, 1)]))
+        entries, m = cyclotomic_entries(M, lam)
+        expected = oracles.oracle_cyclotomic_rank(entries, m)
+        assert rank_at_character(M, lam) == expected
+        deficient += expected < min(len(M.entries), 3)
+    assert deficient >= 20
+
+
+def test_rank_at_character_takes_no_inverse(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("inverse taken on the rank path")
+    monkeypatch.setattr(laurent.CyclotomicNumber, "inverse", refuse)
+    m = alexander_matrix(parse_presentation(datasets.SURFACE_PRES))
+    assert rank_at_character(m, [F(k, 163) for k in (59, 3, 7, 11, 13, 17)]) == 5
+    assert rank_at_character(m, (F(1, 5), 0, F(1, 2), 0, 0, 0)) == 3
+    assert rank_at_character(m, (F(1, 5), F(2, 5), F(1, 2), 0, F(1, 3), 0)) == 5
+
+
+def test_generic_rank_at_a_point_is_the_bareiss_rank_of_the_restriction():
+    rng = random.Random(46)
+    for text in (datasets.CLOSED_OMEGA_PRES, datasets.ONE_RELATOR_PRES,
+                 datasets.SURFACE_PRES):
+        M = alexander_matrix(parse_presentation(text))
+        for _ in range(6):
+            order = rng.choice([2, 3, 4, 6, 12])
+            lam = [F(rng.randrange(order), order) for _ in range(M.num_vars)]
+            point = TranslatedTorus.from_data(lam, [], M.num_vars)
+            restricted = restrict_matrix_to_translated_torus(M.entries, point)
+            assert generic_rank_on_torus(M, point) == bareiss_rank(restricted)

@@ -17,7 +17,7 @@ from jumploci.laurent import (
     restrict_to_translated_torus,
     restriction_lattice_basis,
 )
-from jumploci.laurent import _int_poly_div
+from jumploci.laurent import _convolve
 from jumploci.qlinalg import RationalSubspace
 from jumploci.tori import TranslatedTorus
 
@@ -122,7 +122,7 @@ def test_cyclotomic_polynomial_small_values():
 
 
 def test_cyclotomic_polynomials_multiply_to_x_m_minus_1():
-    for m in [1, 2, 4, 6, 9, 12, 15]:
+    for m in [1, 2, 4, 6, 9, 12, 15, 30, 105, 202]:
         prod = [1]
         for d in range(1, m + 1):
             if m % d == 0:
@@ -135,13 +135,84 @@ def test_cyclotomic_polynomials_multiply_to_x_m_minus_1():
         assert prod == [-1] + [0] * (m - 1) + [1]
 
 
-def test_non_exact_polynomial_division_raises():
-    # an explicit error, not an assert that python -O would strip
-    assert _int_poly_div([-1, 0, 1], [1, 1]) == [-1, 1]
-    with pytest.raises(ArithmeticError):
-        _int_poly_div([1, 0, 1], [1, 1])         # remainder 2
-    with pytest.raises(ArithmeticError):
-        _int_poly_div([1, 0, 1], [1, 2])         # 2 does not divide 1
+def test_large_cyclotomic_polynomials_satisfy_their_identities():
+    # Phi_9240 took seconds and Phi_30030 most of a minute by recursive
+    # division; the Moebius product takes milliseconds
+    phi_2310 = cyclotomic_polynomial(2310)
+    phi_9240 = cyclotomic_polynomial(9240)            # 9240 = 4 * 2310
+    assert phi_9240[::4] == phi_2310 and not any(
+        c for i, c in enumerate(phi_9240) if i % 4)
+    for odd in (1155, 15015):                         # Phi_2n(x) = Phi_n(-x)
+        assert cyclotomic_polynomial(2 * odd) == tuple(
+            -c if i % 2 else c for i, c in enumerate(cyclotomic_polynomial(odd)))
+    for m, phi in ((9240, 1920), (30030, 5760)):
+        c = cyclotomic_polynomial(m)
+        assert len(c) - 1 == phi and c == c[::-1] and sum(c) == 1
+    assert cyclotomic_polynomial.cache_info().maxsize is not None
+
+
+def schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_kronecker_convolution_matches_schoolbook():
+    rng = random.Random(41)
+    big = 2 ** 200
+    cases = [([0, 0, 0], [5, -7, 1]), ([0], [0]), ([3], [-4]),
+             ([big, -big], [-big, big, 1]), ([-1] * 30, [-1] * 30)]
+    for _ in range(80):
+        bound = rng.choice([1, 9, 2 ** 64, big])
+        cases.append(tuple([rng.randint(-bound, bound)
+                            for _ in range(rng.randint(1, 12))]
+                           for _ in range(2)))
+    for a, b in cases:
+        assert _convolve([(a, b)]) == schoolbook(a, b)
+    # a sum of products, as in one elimination step p * x - a * y
+    for (a, b), (c, d) in zip(cases, cases[1:]):
+        ab, cd = schoolbook(a, b), schoolbook([-x for x in c], d)
+        n = max(len(ab), len(cd))
+        expected = [u + v for u, v in zip(ab + [0] * (n - len(ab)),
+                                          cd + [0] * (n - len(cd)))]
+        assert _convolve([(a, b), ([-x for x in c], d)]) == expected
+
+
+def test_products_and_powers_match_schoolbook_reduction():
+    rng = random.Random(43)
+    for m in [1, 2, 3, 12, 30, 202]:
+        phi_poly = oracles.oracle_cyclotomic_polynomial(m)
+        phi = len(phi_poly) - 1
+        for trial in range(5):
+            a = [F(rng.randint(-2 ** 200, 2 ** 200), rng.randint(1, 5))
+                 for _ in range(phi)]
+            b = [F(rng.randint(-3, 3)) for _ in range(phi)]
+            if trial == 0:
+                b = [F(0)] * phi
+            product = CyclotomicNumber(m, a) * CyclotomicNumber(m, b)
+            assert product.coeffs == tuple(oracles.cyclo_mul(a, b, phi_poly))
+            k = rng.randint(-3 * m, 3 * m)
+            power = [F(0)] * (k % m) + [F(1)]
+            assert CyclotomicNumber.zeta_power(m, k).coeffs == tuple(
+                oracles.cyclo_reduce(power, phi_poly))
+
+
+def test_hash_agrees_with_equality_across_orders():
+    rng = random.Random(44)
+    for m in [3, 4, 5, 12]:
+        phi = len(CyclotomicNumber.zero(m).coeffs)
+        for _ in range(10):
+            z = CyclotomicNumber(m, [F(rng.randint(-5, 5), rng.randint(1, 3))
+                                     for _ in range(phi)])
+            for big in (2 * m, 6 * m):
+                assert z.lift(big) == z and hash(z.lift(big)) == hash(z)
+            assert len({z, z.lift(2 * m), z.lift(6 * m)}) == 1
+    z = CyclotomicNumber.zeta_power(3, 1)
+    assert len({z, z.lift(6)}) == 1
+    assert hash(CyclotomicNumber.from_rational(12, F(-7, 3))) == hash(F(-7, 3))
+    assert hash(CyclotomicNumber.from_rational(5, 4)) == hash(4)
 
 
 def test_zeta_arithmetic():
