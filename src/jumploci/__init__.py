@@ -23,6 +23,7 @@ from .fox import (Abelianization, AlexanderMatrix, FreeWord, Presentation,
                   PresentationSyntaxError, abelianize, alexander_matrix,
                   contains_translated_torus, depth1_membership,
                   fox_derivative_abelianized, generic_rank_on_torus,
+                  locus_contains_character, locus_contains_torus,
                   parse_presentation, rank_at_character)
 from .tcone import (AdmissiblePartition, SubspaceArrangement,
                     admissible_partitions_maximal, partition_subspace,
@@ -56,6 +57,7 @@ __all__ = [
     "fox_derivative_abelianized", "fpk_report", "generic_rank_on_torus",
     "hnf", "integer_kernel", "intersect_translated",
     "lattice_coset_membership", "lattice_coset_solve",
+    "locus_contains_character", "locus_contains_torus",
     "maximal_cover_finiteness", "nonopen_witness", "nullspace",
     "omega1_r1_description", "omega1_r1_membership",
     "omega_codim1_closed_form", "omega_membership", "orbifold_components",

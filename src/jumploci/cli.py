@@ -16,8 +16,8 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .fox import (abelianize, alexander_matrix, contains_translated_torus,
-                  depth1_membership, parse_presentation)
+from .fox import (abelianize, alexander_matrix, locus_contains_character,
+                  locus_contains_torus, parse_presentation)
 from .laurent import LaurentPoly
 from .omega import (fpk_report, nonopen_witness, omega1_r1_description,
                     omega_codim1_closed_form, omega_membership)
@@ -71,9 +71,12 @@ def _subspace_rows(space: RationalSubspace) -> list[list[str]]:
 
 
 def _parse_polys(texts: Sequence[str]) -> list[LaurentPoly]:
-    probe = [LaurentPoly.parse(t) for t in texts]
-    n = max((f.num_vars for f in probe), default=0)
-    return [LaurentPoly.parse(t, num_vars=n) for t in texts]
+    """Parse each text once, then pad every exponent to the most variables."""
+    polys = [LaurentPoly.parse(t) for t in texts]
+    n = max((f.num_vars for f in polys), default=0)
+    return [f if f.num_vars == n else LaurentPoly(
+                n, {e + (0,) * (n - f.num_vars): c for e, c in f.terms.items()})
+            for f in polys]
 
 
 def _arrangement_payload(arr: SubspaceArrangement) -> dict:
@@ -148,10 +151,13 @@ def _cmd_charvar_check(args) -> tuple[dict, list[str]]:
                 f"component {i} has a translate of order "
                 f"{comp.translate.order}, above MAX_CHARACTER_ORDER = "
                 f"{MAX_CHARACTER_ORDER}")
+    matrix = alexander_matrix(pres, ab)
     reports = []
     for comp in desc.components:
-        generic = contains_translated_torus(pres, comp)
-        at_translate = depth1_membership(pres, comp.translate)
+        generic = locus_contains_torus(matrix, comp)
+        # on a point the generic verdict is the verdict at the translate
+        at_translate = (generic if comp.dim == 0
+                        else locus_contains_character(matrix, comp.translate))
         reports.append({
             "component": comp.to_json(),
             "generic_contained": generic,

@@ -453,20 +453,24 @@ def depth1_membership(P: Presentation, lam) -> bool:
     Criterion: rank d2(rho) + rank d1(rho) <= q - 1, with d1(rho) the
     column (rho(x_j) - 1)_j.  At lam = 0 this reduces to b_1(G) >= 1.
     """
-    ab = abelianize(P)
+    return locus_contains_character(alexander_matrix(P), lam)
+
+
+def locus_contains_character(M: AlexanderMatrix, lam) -> bool:
+    """:func:`depth1_membership` for the presentation whose Alexander
+    matrix is M."""
     lam = lam if isinstance(lam, TorsionCharacter) else TorsionCharacter(vec(lam))
-    if len(lam.values) != ab.free_rank:
+    if len(lam.values) != M.num_vars:
         raise ValueError("character length mismatch")
-    M = alexander_matrix(P, ab)
     rank2 = rank_at_character(M, lam)
     rank1 = 0
-    for j in range(P.num_generators):
-        pairing = sum((Fraction(a) * x for a, x in
-                       zip(ab.projection[j], lam.values)), Fraction(0))
+    for a in M.abelianization.projection:
+        pairing = sum((Fraction(x) * y for x, y in zip(a, lam.values)),
+                      Fraction(0))
         if pairing.denominator != 1:
             rank1 = 1
             break
-    return rank2 + rank1 <= P.num_generators - 1
+    return rank2 + rank1 <= M.num_cols - 1
 
 
 def generic_rank_on_torus(M: AlexanderMatrix, torus: TranslatedTorus) -> int:
@@ -493,12 +497,20 @@ def contains_translated_torus(P: Presentation, torus: TranslatedTorus) -> bool:
     q - 1.  Rank is lower-semicontinuous ({rank <= k} is closed), so the
     generic verdict certifies every point of the (closed) coset.
     """
-    ab = abelianize(P)
-    if torus.ambient_dim != ab.free_rank:
+    return locus_contains_torus(alexander_matrix(P), torus)
+
+
+def locus_contains_torus(M: AlexanderMatrix, torus: TranslatedTorus) -> bool:
+    """:func:`contains_translated_torus` for the presentation whose
+    Alexander matrix is M.  On a point it is
+    :func:`locus_contains_character` at that point."""
+    if torus.ambient_dim != M.num_vars:
         raise ValueError("torus ambient dimension mismatch")
-    M = alexander_matrix(P, ab)
+    if torus.dim == 0:
+        return locus_contains_character(M, torus.translate)
     rank2 = generic_rank_on_torus(M, torus)
-    d1 = [[generator_character_poly(ab, j) for j in range(P.num_generators)]]
+    ab = M.abelianization
+    d1 = [[generator_character_poly(ab, j) for j in range(M.num_cols)]]
     restricted = restrict_matrix_to_translated_torus(d1, torus)[0]
     rank1 = 0 if all(p.is_zero() for p in restricted) else 1
-    return rank2 + rank1 <= P.num_generators - 1
+    return rank2 + rank1 <= M.num_cols - 1

@@ -1,11 +1,17 @@
 """Exact linear algebra over Q and Z: subspaces, lattices, Pluecker coordinates.
 
-Everything is computed with ``fractions.Fraction`` / ``int`` arithmetic; there
-are no floats anywhere.  The two central canonical forms are
+Everything is computed with ``int`` and ``fractions.Fraction`` arithmetic;
+there are no floats anywhere.  The two central canonical forms are
 
-* :class:`RationalSubspace` — a linear subspace of Q^n stored as the reduced
-  row echelon form (RREF) of any spanning set, so two subspaces are equal as
-  sets if and only if their stored bases are identical, and
+* :class:`RationalSubspace` — a linear subspace of Q^n stored as the
+  primitive integer multiple of each row of the reduced row echelon form
+  (RREF) of any spanning set, so two subspaces are equal as sets if and only
+  if their stored integer rows are identical.  One integer elimination core
+  builds that form, adds rows to it, and reads kernels off it; sums,
+  intersections, complements, inclusion and coset reduction all run on the
+  integer rows.  The ``Fraction`` RREF (``basis``, and the functions
+  :func:`rref` and :func:`nullspace`) is built only where rational values
+  are wanted: for output, Pluecker minors and explicit solutions, and
 
 * :class:`IntegerLattice` — a subgroup of Z^n stored in row-style Hermite
   normal form (lower triangular shape: each row's last nonzero entry is its
@@ -32,6 +38,7 @@ False
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -57,18 +64,99 @@ def vec_sub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def clear_denominators(row: Sequence[Fraction]) -> tuple[int, ...]:
+def clear_denominators(row: Sequence) -> tuple[int, ...]:
     """Scale a rational row by the lcm of denominators (primitive direction)."""
-    den = 1
-    for x in row:
-        den = den * x.denominator // math.gcd(den, x.denominator)
+    row = [x if type(x) is int or type(x) is Fraction else Fraction(x)
+           for x in row]
+    den = math.lcm(*(x.denominator for x in row))
     return _primitive([x.numerator * (den // x.denominator) for x in row])
 
 
 def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
     """An integer row divided by the gcd of its entries."""
     g = math.gcd(*ints)
-    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+    return tuple([x // g for x in ints]) if g > 1 else tuple(ints)
+
+
+def _echelon(new: Iterable[Sequence[int]],
+             rows: Sequence[tuple[int, ...]] = (),
+             pivots: Sequence[int] = ()
+             ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Primitive integer RREF of the span of rows and new: (rows, pivots).
+
+    ``rows`` and ``pivots`` must already be a primitive integer RREF (empty
+    by default); the integer rows ``new`` are added one at a time.  Each is
+    reduced to zero at the pivots present, and if anything is left it is
+    made primitive with a positive leading entry, cleared from the other
+    rows and inserted at its pivot.  Every row stays primitive, positive at
+    its pivot and zero at the other pivots.
+    """
+    rows, pivots = list(rows), list(pivots)
+    for v in new:
+        v, _ = _reduce(v, rows, pivots)
+        c = next((j for j, x in enumerate(v) if x), None)
+        if c is None:
+            continue
+        v = _primitive(v)
+        if v[c] < 0:
+            v = tuple(-x for x in v)
+        a = v[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f:
+                g = math.gcd(a, f)
+                rows[i] = _primitive([a // g * x - f // g * y
+                                      for x, y in zip(row, v)])
+        k = bisect.bisect(pivots, c)
+        rows.insert(k, v)
+        pivots.insert(k, c)
+    return tuple(rows), tuple(pivots)
+
+
+def _reduce(v: Sequence[int], rows: Sequence[tuple[int, ...]],
+            pivots: Sequence[int], den: int = 1) -> tuple[list[int], int]:
+    """v / den minus the element of span(rows) that agrees with it at the
+    pivots, as integers over a new denominator: ``(nums, den)``.
+
+    ``rows`` is a primitive integer RREF, so each step multiplies v by a
+    positive factor and subtracts a multiple of one row.
+    """
+    v = list(v)
+    for row, p in zip(rows, pivots):
+        f = v[p]
+        if f:
+            a = row[p]
+            g = math.gcd(a, f)
+            a, f = a // g, f // g
+            v = [a * x - f * y for x, y in zip(v, row)]
+            den *= a
+    return v, den
+
+
+def _fractions(rows: Sequence[tuple[int, ...]], pivots: Sequence[int]
+               ) -> Matrix:
+    """The rows of a primitive integer RREF divided by their pivots."""
+    return tuple(tuple(Fraction(x, r[p]) for x in r)
+                 for r, p in zip(rows, pivots))
+
+
+def _kernel(rows: Sequence[tuple[int, ...]], pivots: Sequence[int], n: int
+            ) -> list[tuple[int, ...]]:
+    """Primitive integer basis of {x : rows @ x = 0}, from a primitive RREF.
+
+    One vector per free column fc: 1 at fc, 0 at the other free columns and
+    -row[fc] / row[pivot] at each pivot, scaled to primitive integers.
+    """
+    basis = []
+    for fc in sorted(set(range(n)).difference(pivots)):
+        den = math.lcm(*(r[p] for r, p in zip(rows, pivots) if r[fc]))
+        v = [0] * n
+        v[fc] = den
+        for r, p in zip(rows, pivots):
+            if r[fc]:
+                v[p] = -r[fc] * (den // r[p])
+        basis.append(_primitive(v))
+    return basis
 
 
 def rref(rows: Iterable[Iterable]) -> tuple[Matrix, tuple[int, ...]]:
@@ -77,33 +165,8 @@ def rref(rows: Iterable[Iterable]) -> tuple[Matrix, tuple[int, ...]]:
     The elimination runs on primitive integer multiples of the rows, which
     span the same space; each row is divided by its pivot only at the end.
     """
-    work = [clear_denominators(vec(r)) for r in rows]
-    if not work:
-        return (), ()
-    ncols = len(work[0])
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(work)):
-            if work[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
-        p = prow[col]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = _primitive([p * a - f * b
-                                      for a, b in zip(work[i], prow)])
-        pivots.append(col)
-        rank += 1
-    reduced = tuple(tuple(Fraction(x, r[c]) for x in r)
-                    for r, c in zip(work, pivots))
-    return reduced, tuple(pivots)
+    reduced, pivots = _echelon(clear_denominators(r) for r in rows)
+    return _fractions(reduced, pivots), pivots
 
 
 def forward_eliminate(rows: Iterable[Iterable]) -> tuple[list[int], list, int]:
@@ -154,125 +217,145 @@ def forward_eliminate(rows: Iterable[Iterable]) -> tuple[list[int], list, int]:
 # ---------------------------------------------------------------------------
 
 class RationalSubspace:
-    """A linear subspace of Q^n in canonical (RREF) form.
+    """A linear subspace of Q^n, stored as its primitive integer RREF.
 
-    Equality and hashing are representation equality, which by canonicity
-    coincides with equality of the underlying point sets.
+    ``rows`` holds one integer row per dimension: primitive (its entries
+    have gcd 1), positive at its pivot column and zero at the pivot columns
+    of the other rows; ``pivots`` lists those columns in increasing order.
+    Dividing each row by its pivot entry gives the reduced row echelon form,
+    so two subspaces are equal as point sets exactly when their rows are
+    identical, and equality and hashing compare tuples of ints.  ``basis``,
+    that RREF with ``Fraction`` entries, is built on first use only.
 
     >>> A = RationalSubspace.from_rows([(2, 4), (1, 2)], 2)
     >>> A.basis
     ((Fraction(1, 1), Fraction(2, 1)),)
     >>> A == RationalSubspace.from_rows([(-3, -6)], 2)
     True
+    >>> RationalSubspace.from_rows([(2, 1, 0), (0, 3, 1)], 3).rows
+    ((6, 0, -1), (0, 3, 1))
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "rows", "pivots", "_basis")
 
-    def __init__(self, ambient_dim: int, basis: Matrix, pivots: tuple[int, ...],
-                 _checked: bool = False):
-        if not _checked:
-            basis, pivots = rref(basis if basis else ())
+    def __init__(self, ambient_dim: int, rows: tuple[tuple[int, ...], ...],
+                 pivots: tuple[int, ...]):
+        """Wrap rows already in primitive integer RREF (see :meth:`from_rows`
+        for any other spanning set)."""
         self.ambient_dim = int(ambient_dim)
-        self.basis = basis
+        self.rows = rows
         self.pivots = pivots
+        self._basis: Optional[Matrix] = None
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable], ambient_dim: Optional[int] = None
                   ) -> "RationalSubspace":
-        rows = [vec(r) for r in rows]
+        """The span of rows of ints, Fractions or anything Fraction accepts."""
+        work = [clear_denominators(r) for r in rows]
         if ambient_dim is None:
-            if not rows:
+            if not work:
                 raise ValueError("ambient dimension required for an empty row set")
-            ambient_dim = len(rows[0])
-        for r in rows:
+            ambient_dim = len(work[0])
+        for r in work:
             if len(r) != ambient_dim:
                 raise ValueError("rows of unequal length")
-        basis, pivots = rref(rows)
-        return cls(ambient_dim, basis, pivots, _checked=True)
+        return cls(ambient_dim, *_echelon(work))
 
     @classmethod
     def zero(cls, n: int) -> "RationalSubspace":
-        return cls(n, (), (), _checked=True)
+        return cls(n, (), ())
 
     @classmethod
     def full(cls, n: int) -> "RationalSubspace":
-        rows = tuple(tuple(Fraction(1 if i == j else 0) for j in range(n))
-                     for i in range(n))
-        return cls(n, rows, tuple(range(n)), _checked=True)
+        rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        return cls(n, rows, tuple(range(n)))
+
+    @property
+    def basis(self) -> Matrix:
+        """The reduced row echelon form, each row divided by its pivot."""
+        if self._basis is None:
+            self._basis = _fractions(self.rows, self.pivots)
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     @property
     def codim(self) -> int:
-        return self.ambient_dim - len(self.basis)
+        return self.ambient_dim - len(self.rows)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.rows
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalSubspace)
                 and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+                and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.rows))
 
     def __repr__(self):
         rows = ", ".join("(" + ", ".join(str(x) for x in r) + ")" for r in self.basis)
         return f"RationalSubspace({self.ambient_dim}, [{rows}])"
 
     def contains_vector(self, v: Sequence) -> bool:
-        return not any(self.reduce_vector(v))
+        return not any(_reduce(clear_denominators(v), self.rows, self.pivots)[0])
 
     def reduce_vector(self, v: Sequence) -> Vector:
         """v minus the unique element of the subspace matching v on pivots."""
-        v = list(vec(v))
-        for row, p in zip(self.basis, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return tuple(v)
+        v = vec(v)
+        den = math.lcm(*(x.denominator for x in v))
+        nums, den = _reduce([x.numerator * (den // x.denominator) for x in v],
+                            self.rows, self.pivots, den)
+        return tuple(Fraction(x, den) for x in nums)
 
     def contains(self, other: "RationalSubspace") -> bool:
-        return all(self.contains_vector(row) for row in other.basis)
+        """Inclusion.  The pivots of a subspace are the columns where its
+        vectors can start, so a subspace of V has a subset of V's pivots,
+        and all of them only if it is V."""
+        if (self.ambient_dim != other.ambient_dim
+                or not set(other.pivots).issubset(self.pivots)):
+            return False
+        if len(other.rows) == len(self.rows):
+            return other.rows == self.rows
+        return all(not any(_reduce(row, self.rows, self.pivots)[0])
+                   for row in other.rows)
 
     def sum(self, other: "RationalSubspace") -> "RationalSubspace":
         self._check_ambient(other)
-        if self.dim == self.ambient_dim:
+        if not other.rows or len(self.rows) == self.ambient_dim:
             return self
-        return RationalSubspace.from_rows(
-            list(self.basis) + list(other.basis), self.ambient_dim)
+        if not self.rows:
+            return other
+        return RationalSubspace(self.ambient_dim,
+                                *_echelon(other.rows, self.rows, self.pivots))
 
     def intersect(self, other: "RationalSubspace") -> "RationalSubspace":
         """Intersection via the kernel of the stacked coefficient matrix.
 
-        A vector of the intersection is c . basisA where the stacked system
-        [basisA^T | -basisB^T] has a kernel element (c, d).
+        A vector of the intersection is c . rowsA where the stacked system
+        [rowsA^T | -rowsB^T] has a kernel element (c, d).
         """
         self._check_ambient(other)
-        a, b = self.basis, other.basis
+        a, b = self.rows, other.rows
+        n = self.ambient_dim
         if not a or not b:
-            return RationalSubspace.zero(self.ambient_dim)
-        rows = []
-        for i in range(self.ambient_dim):
-            rows.append([x[i] for x in a] + [-y[i] for y in b])
-        kernel = nullspace(rows, len(a) + len(b))
-        combos = []
-        for k in kernel:
-            coeffs = k[: len(a)]
-            combos.append(tuple(
-                sum((c * row[i] for c, row in zip(coeffs, a)), Fraction(0))
-                for i in range(self.ambient_dim)))
-        return RationalSubspace.from_rows(combos, self.ambient_dim)
+            return RationalSubspace.zero(n)
+        width = len(a) + len(b)
+        stacked = [[x[i] for x in a] + [-y[i] for y in b] for i in range(n)]
+        kernel = _kernel(*_echelon(stacked), width)
+        return RationalSubspace.from_rows(
+            [[sum(c * row[i] for c, row in zip(k, a)) for i in range(n)]
+             for k in kernel], n)
 
     def perp(self) -> "RationalSubspace":
         """Orthogonal complement {w : w . x = 0 for all x in the subspace}."""
-        if not self.basis:
-            return RationalSubspace.full(self.ambient_dim)
-        return RationalSubspace.from_rows(
-            nullspace(self.basis, self.ambient_dim), self.ambient_dim)
+        n = self.ambient_dim
+        if not self.rows:
+            return RationalSubspace.full(n)
+        return RationalSubspace(n, *_echelon(_kernel(self.rows, self.pivots, n)))
 
     def _check_ambient(self, other: "RationalSubspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -280,17 +363,12 @@ class RationalSubspace:
 
 
 def nullspace(rows: Iterable[Iterable], n: int) -> list[Vector]:
-    """Basis of {x in Q^n : rows @ x = 0}."""
-    reduced, pivots = rref(rows)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -reduced[i][fc]
-        basis.append(tuple(v))
-    return basis
+    """Basis of {x in Q^n : rows @ x = 0}: one vector per non-pivot column
+    of the RREF of rows, 1 there and 0 at the other non-pivot columns."""
+    reduced, pivots = _echelon(clear_denominators(r) for r in rows)
+    free = sorted(set(range(n)).difference(pivots))
+    return [tuple(Fraction(x, v[fc]) for x in v)
+            for fc, v in zip(free, _kernel(reduced, pivots, n))]
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +636,7 @@ def integer_kernel(rows: Sequence[Sequence[int]], n: int) -> IntegerLattice:
 
 def saturated_integer_points(space: RationalSubspace) -> IntegerLattice:
     """V intersected with Z^n — a saturated lattice spanning V."""
-    perp_rows = [clear_denominators(r) for r in space.perp().basis]
-    return integer_kernel(perp_rows, space.ambient_dim)
+    return integer_kernel(space.perp().rows, space.ambient_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +655,8 @@ def coset_reduce(lam: Sequence, space: RationalSubspace
     leaves a residue supported off the pivots.  The projection of Z^n along V
     onto those coordinates is generated by e_j off the pivots and by e_p - b
     at the pivot p of each basis row b; scaled by the common denominator den
-    of the basis these are integer rows G.  The residue is reduced, rightmost
+    of the basis, which is the lcm of the pivot entries of the stored integer
+    rows, these are integer rows G.  The residue is reduced, rightmost
     pivot first, to the fundamental domain of the HNF H = U G.  Row k of H is
     den (U_k - x) for some x in V, so each step by f copies of it adds f U_k
     to m.
@@ -587,26 +665,28 @@ def coset_reduce(lam: Sequence, space: RationalSubspace
     n = space.ambient_dim
     if len(lam) != n:
         raise ValueError("character length does not match ambient dimension")
-    den = 1
-    for row in space.basis:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
+    den = math.lcm(*(row[p] for row, p in zip(space.rows, space.pivots)))
     gens = [[den if i == j else 0 for j in range(n)] for i in range(n)]
-    for row, p in zip(space.basis, space.pivots):
-        gens[p] = [-(x.numerator * (den // x.denominator)) for x in row]
-        gens[p][p] = 0                          # den * (1 - row[p])
+    for row, p in zip(space.rows, space.pivots):
+        scale = den // row[p]
+        gens[p] = [-x * scale for x in row]
+        gens[p][p] = 0                          # den - row[p] * scale
     h, u = hnf(gens)
-    v = list(space.reduce_vector(lam))
+    # the residue of lam mod V, as integers x over den * d
+    d = math.lcm(*(x.denominator for x in lam))
+    x, d = _reduce([a.numerator * (d // a.denominator) for a in lam],
+                   space.rows, space.pivots, d)
+    x = [a * den for a in x]
     m = [0] * n
     for row, u_row in zip(reversed(h), reversed(u)):
         if not any(row):                        # zero rows sit at the bottom
             continue
         c = max(j for j in range(n) if row[j] != 0)
-        f = (v[c].numerator * den) // (v[c].denominator * row[c])
+        f = x[c] // (d * row[c])
         if f:
-            v = [a - Fraction(f * b, den) for a, b in zip(v, row)]
+            x = [a - f * d * b for a, b in zip(x, row)]
             m = [a + f * b for a, b in zip(m, u_row)]
-    return tuple(v), tuple(m)
+    return tuple(Fraction(a, den * d) for a in x), tuple(m)
 
 
 def lattice_coset_solve(lam: Sequence, space: RationalSubspace

@@ -1,4 +1,4 @@
-"""Acceptance gate: nine end-to-end criteria with pinned values and time bounds.
+"""Acceptance gate: end-to-end criteria with pinned values and time bounds.
 
 Every assertion is exact (rational arithmetic throughout); each test prints a
 single PASS line with its wall-clock time, and fails its stated bound if
@@ -240,3 +240,18 @@ def test_09_property_suites():
         assert len(counts) == 7
         for name, count in counts.items():
             assert count >= 200, f"{name} ran only {count} cases"
+
+
+def test_11_sixteen_term_support_in_four_variables():
+    # twelve +1 and four -3 on random exponents in [-2, 2]^4: 2^16 subset
+    # sums, then about 47,000 subspace sums
+    rng = random.Random(5)
+    exps = set()
+    while len(exps) < 16:
+        exps.add(tuple(rng.randint(-2, 2) for _ in range(4)))
+    coeffs = [1] * 12 + [-3] * 4
+    rng.shuffle(coeffs)
+    f = LaurentPoly(4, dict(zip(sorted(exps), coeffs)))
+    with Stopwatch("criterion 11: 16-term support in four variables", 2.5):
+        cone = tangent_cone_polys([f])
+        assert cone.subspaces == (RationalSubspace.zero(4),)

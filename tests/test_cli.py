@@ -117,6 +117,24 @@ def test_successive_calls_print_only_their_own_cone(capsys):
     assert third == first
 
 
+def test_each_poly_is_parsed_once_and_padded(capsys, monkeypatch):
+    from jumploci.laurent import LaurentPoly
+    texts = []
+    parse = LaurentPoly.parse.__func__
+
+    def counted(cls, text, num_vars=None):
+        texts.append(text)
+        return parse(cls, text, num_vars)
+
+    monkeypatch.setattr(LaurentPoly, "parse", classmethod(counted))
+    code, data = run_json(capsys, "tcone", "--poly", "t1 - 1",
+                          "--poly", "t3^2 - t2")
+    assert code == 0
+    assert texts == ["t1 - 1", "t3^2 - t2"]
+    assert data["ambient_dim"] == 3
+    assert data["subspaces"] == [[["0", "1", "1/2"]]]
+
+
 def test_max_support_below_one_is_usage_error(capsys):
     for argv in (["tcone", "--poly", "t1 - 1", "--max-support", "0"],
                  ["omega-describe", "--r", "1", "--poly", "t1 - 1",
@@ -245,6 +263,38 @@ def test_alexander_refuses_a_relator_power_over_the_limit_at_once(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert f"MAX_RELATOR_LETTERS = {MAX_RELATOR_LETTERS}" in data["error"]["message"]
+
+
+def test_charvar_check_builds_one_matrix_and_one_rank_per_point(
+        capsys, monkeypatch):
+    from jumploci import cli, fox
+    calls = {"matrix": 0, "rank": 0}
+    build, rank = fox.alexander_matrix, fox.rank_at_character
+
+    def counted_build(*args):
+        calls["matrix"] += 1
+        return build(*args)
+
+    def counted_rank(*args):
+        calls["rank"] += 1
+        return rank(*args)
+
+    for module in (cli, fox):
+        monkeypatch.setattr(module, "alexander_matrix", counted_build)
+    monkeypatch.setattr(fox, "rank_at_character", counted_rank)
+    # two points (one on the locus, one off it) and a translated plane
+    desc = json.dumps({"n": 3, "components": [
+        {"lambda": ["0", "0", "0"], "basis": []},
+        {"lambda": ["1/3", "1/5", "1/7"], "basis": []},
+        {"lambda": ["1/2", "0", "0"], "basis": [[0, 1, 0], [0, 0, 1]]}]})
+    code, data = run_json(capsys, "charvar-check",
+                          "--pres", datasets.CLOSED_OMEGA_PRES, "--desc", desc)
+    assert code == 0
+    assert sorted((c["generic_contained"], c["translate_in_locus"])
+                  for c in data["components"]) == [(False, False), (True, True),
+                                                   (True, True)]
+    assert calls["matrix"] == 1
+    assert calls["rank"] == 3           # one per point, one at the translate
 
 
 def test_charvar_check_rank_mismatch(capsys):

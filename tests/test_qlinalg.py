@@ -135,6 +135,89 @@ def test_nullspace_matches_oracle():
                 assert sum(F(x) * y for x, y in zip(row, v)) == 0
 
 
+def rand_rational_rows(rng, m, n):
+    return [[F(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 6]))
+             for _ in range(n)] for _ in range(m)]
+
+
+def canonical_form_ok(space):
+    """Rows primitive, zero before a positive pivot, zero at other pivots;
+    basis is the rows divided by their pivots."""
+    assert list(space.pivots) == sorted(set(space.pivots))
+    assert len(space.rows) == len(space.pivots) == space.dim
+    for row, p in zip(space.rows, space.pivots):
+        assert len(row) == space.ambient_dim
+        assert all(type(x) is int for x in row)
+        assert math.gcd(*row) == 1
+        assert row[p] > 0 and not any(row[:p])
+        assert all(other[p] == 0 for other in space.rows if other is not row)
+    assert space.basis == tuple(tuple(F(x, r[p]) for x in r)
+                                for r, p in zip(space.rows, space.pivots))
+    return True
+
+
+def test_canonical_form_ignores_scaling_order_and_redundant_rows():
+    rng = random.Random(15)
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        rows = rand_rational_rows(rng, rng.randint(0, 4), n)
+        base = RationalSubspace.from_rows(rows, n)
+        scaled = [[x * c for x in row] for row in rows
+                  for c in [F(rng.choice([-5, -2, -1, 1, 3, 4]),
+                              rng.choice([1, 2, 7]))]]
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        padded = rows[:]
+        for _ in range(rng.randint(1, 3)):
+            cs = [rng.randint(-2, 2) for _ in rows]
+            padded.append([sum(c * row[i] for c, row in zip(cs, rows))
+                           for i in range(n)])
+        padded.insert(rng.randint(0, len(padded)), [F(0)] * n)
+        for variant in (scaled, shuffled, padded):
+            other = RationalSubspace.from_rows(variant, n)
+            assert other == base and hash(other) == hash(base)
+            assert other.rows == base.rows and other.pivots == base.pivots
+
+
+def test_stored_rows_are_primitive_with_positive_pivots():
+    # rows the elimination never combines are normalized too
+    space = RationalSubspace.from_rows([(0, -2, 4), (-3, 0, 6)], 3)
+    assert space.rows == ((1, 0, -2), (0, 1, -2))
+    assert RationalSubspace.from_rows([(F(-1, 2), F(3, 4))], 2).rows == ((2, -3),)
+    assert RationalSubspace.from_rows([(0, 0, -6)], 3).rows == ((0, 0, 1),)
+    rng = random.Random(16)
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        a = RationalSubspace.from_rows(rand_rational_rows(rng, rng.randint(0, 4), n), n)
+        b = RationalSubspace.from_rows(rand_rational_rows(rng, rng.randint(0, 4), n), n)
+        for space in (a, a.sum(b), a.intersect(b), a.perp(),
+                      RationalSubspace.full(n), RationalSubspace.zero(n)):
+            assert canonical_form_ok(space)
+        assert a.basis is a.basis                     # built once
+
+
+def test_subspace_operations_match_the_oracles():
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        rows_a = rand_rational_rows(rng, rng.randint(0, n), n)
+        rows_b = rand_rational_rows(rng, rng.randint(0, n), n)
+        a = RationalSubspace.from_rows(rows_a, n)
+        b = RationalSubspace.from_rows(rows_b, n)
+        assert oracles.spans_equal(a.basis, rows_a)
+        assert a.dim == oracles.naive_rank(rows_a)
+        assert oracles.spans_equal(a.sum(b).basis, rows_a + rows_b)
+        perp_a = oracles.naive_nullspace(rows_a, n)
+        perp_b = oracles.naive_nullspace(rows_b, n)
+        assert oracles.spans_equal(a.perp().basis, perp_a)
+        met = oracles.naive_nullspace(perp_a + perp_b, n)
+        assert oracles.spans_equal(a.intersect(b).basis, met)
+        assert a.contains(b) == oracles.span_contains(rows_a, rows_b)
+        assert b.contains(a) == oracles.span_contains(rows_b, rows_a)
+        v = rand_rational_rows(rng, 1, n)[0]
+        assert a.contains_vector(v) == oracles.span_contains(rows_a, [v])
+
+
 def random_cyclo(rng, m):
     phi = len(CyclotomicNumber.zero(m).coeffs)
     return CyclotomicNumber(m, [F(rng.choice([0, 0, -1, 1, 2]))
