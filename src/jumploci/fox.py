@@ -463,14 +463,26 @@ def locus_contains_character(M: AlexanderMatrix, lam) -> bool:
     if len(lam.values) != M.num_vars:
         raise ValueError("character length mismatch")
     rank2 = rank_at_character(M, lam)
-    rank1 = 0
-    for a in M.abelianization.projection:
-        pairing = sum((Fraction(x) * y for x, y in zip(a, lam.values)),
-                      Fraction(0))
-        if pairing.denominator != 1:
-            rank1 = 1
-            break
+    rank1 = _d1_rank(M.abelianization, lam.values)
     return rank2 + rank1 <= M.num_cols - 1
+
+
+def _d1_rank(ab: Abelianization, lam: Sequence[Fraction],
+             rows: Sequence[Sequence[int]] = ()) -> int:
+    """Generic rank of d1 = (t^{a_j} - 1)_j on the coset exp(2 pi i lam) times
+    exp(L tensor C), L spanned by ``rows`` (a point when there are none).
+
+    On the coset t^{a_j} is rho^{a_j} times a monomial whose exponents are
+    the pairings of a_j with a basis of L, so the entry vanishes there iff
+    a_j pairs to an integer with lam and to zero with L.  The rank is 0 if
+    every entry vanishes and 1 otherwise.
+    """
+    for a in ab.projection:
+        if (sum((Fraction(x) * y for x, y in zip(a, lam)), Fraction(0))
+                .denominator != 1
+                or any(sum(x * y for x, y in zip(a, row)) for row in rows)):
+            return 1
+    return 0
 
 
 def generic_rank_on_torus(M: AlexanderMatrix, torus: TranslatedTorus) -> int:
@@ -502,15 +514,10 @@ def contains_translated_torus(P: Presentation, torus: TranslatedTorus) -> bool:
 
 def locus_contains_torus(M: AlexanderMatrix, torus: TranslatedTorus) -> bool:
     """:func:`contains_translated_torus` for the presentation whose
-    Alexander matrix is M.  On a point it is
-    :func:`locus_contains_character` at that point."""
+    Alexander matrix is M."""
     if torus.ambient_dim != M.num_vars:
         raise ValueError("torus ambient dimension mismatch")
-    if torus.dim == 0:
-        return locus_contains_character(M, torus.translate)
     rank2 = generic_rank_on_torus(M, torus)
-    ab = M.abelianization
-    d1 = [[generator_character_poly(ab, j) for j in range(M.num_cols)]]
-    restricted = restrict_matrix_to_translated_torus(d1, torus)[0]
-    rank1 = 0 if all(p.is_zero() for p in restricted) else 1
+    rank1 = _d1_rank(M.abelianization, torus.translate.values,
+                     torus.direction.rows)
     return rank2 + rank1 <= M.num_cols - 1

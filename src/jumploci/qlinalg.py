@@ -11,7 +11,9 @@ there are no floats anywhere.  The two central canonical forms are
   intersections, complements, inclusion and coset reduction all run on the
   integer rows.  The ``Fraction`` RREF (``basis``, and the functions
   :func:`rref` and :func:`nullspace`) is built only where rational values
-  are wanted: for output, Pluecker minors and explicit solutions, and
+  are wanted: for a spanning set given as rows (``from_rows`` goes through
+  :func:`rref` and keeps its result as ``basis``), for output, Pluecker
+  minors and explicit solutions, and
 
 * :class:`IntegerLattice` — a subgroup of Z^n stored in row-style Hermite
   normal form (lower triangular shape: each row's last nonzero entry is its
@@ -38,7 +40,6 @@ False
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -107,7 +108,7 @@ def _echelon(new: Iterable[Sequence[int]],
                 g = math.gcd(a, f)
                 rows[i] = _primitive([a // g * x - f // g * y
                                       for x, y in zip(row, v)])
-        k = bisect.bisect(pivots, c)
+        k = sum(p < c for p in pivots)
         rows.insert(k, v)
         pivots.insert(k, c)
     return tuple(rows), tuple(pivots)
@@ -225,7 +226,9 @@ class RationalSubspace:
     Dividing each row by its pivot entry gives the reduced row echelon form,
     so two subspaces are equal as point sets exactly when their rows are
     identical, and equality and hashing compare tuples of ints.  ``basis``,
-    that RREF with ``Fraction`` entries, is built on first use only.
+    that RREF with ``Fraction`` entries, is kept from :meth:`from_rows`;
+    a subspace made by :meth:`sum`, :meth:`intersect` or :meth:`perp` builds
+    it on first use only.
 
     >>> A = RationalSubspace.from_rows([(2, 4), (1, 2)], 2)
     >>> A.basis
@@ -250,16 +253,25 @@ class RationalSubspace:
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable], ambient_dim: Optional[int] = None
                   ) -> "RationalSubspace":
-        """The span of rows of ints, Fractions or anything Fraction accepts."""
-        work = [clear_denominators(r) for r in rows]
+        """The span of rows of ints, Fractions or anything Fraction accepts.
+
+        The span is reduced by :func:`rref`; its ``Fraction`` rows are kept
+        as ``basis``, and scaled by the lcm of their denominators they are
+        the stored primitive integer rows.
+        """
+        rows = [tuple(r) for r in rows]
         if ambient_dim is None:
-            if not work:
+            if not rows:
                 raise ValueError("ambient dimension required for an empty row set")
-            ambient_dim = len(work[0])
-        for r in work:
+            ambient_dim = len(rows[0])
+        for r in rows:
             if len(r) != ambient_dim:
                 raise ValueError("rows of unequal length")
-        return cls(ambient_dim, *_echelon(work))
+        basis, pivots = rref(rows)
+        space = cls(ambient_dim, tuple(clear_denominators(r) for r in basis),
+                    pivots)
+        space._basis = basis
+        return space
 
     @classmethod
     def zero(cls, n: int) -> "RationalSubspace":
@@ -305,11 +317,12 @@ class RationalSubspace:
 
     def reduce_vector(self, v: Sequence) -> Vector:
         """v minus the unique element of the subspace matching v on pivots."""
-        v = vec(v)
-        den = math.lcm(*(x.denominator for x in v))
-        nums, den = _reduce([x.numerator * (den // x.denominator) for x in v],
-                            self.rows, self.pivots, den)
-        return tuple(Fraction(x, den) for x in nums)
+        v = list(vec(v))
+        for row, p in zip(self.basis, self.pivots):
+            if v[p] != 0:
+                f = v[p]
+                v = [a - f * b for a, b in zip(v, row)]
+        return tuple(v)
 
     def contains(self, other: "RationalSubspace") -> bool:
         """Inclusion.  The pivots of a subspace are the columns where its
@@ -346,9 +359,9 @@ class RationalSubspace:
         width = len(a) + len(b)
         stacked = [[x[i] for x in a] + [-y[i] for y in b] for i in range(n)]
         kernel = _kernel(*_echelon(stacked), width)
-        return RationalSubspace.from_rows(
-            [[sum(c * row[i] for c, row in zip(k, a)) for i in range(n)]
-             for k in kernel], n)
+        return RationalSubspace(n, *_echelon(
+            [sum(c * row[i] for c, row in zip(k, a)) for i in range(n)]
+            for k in kernel))
 
     def perp(self) -> "RationalSubspace":
         """Orthogonal complement {w : w . x = 0 for all x in the subspace}."""

@@ -329,21 +329,29 @@ def _poly_cone(f: LaurentPoly) -> list[RationalSubspace]:
             parts[least].append((mask, RationalSubspace.from_rows(diffs, n)))
 
     memo = {0: [RationalSubspace.zero(n)]}
+    return [r.perp() for r in _row_spaces((1 << k) - 1, parts, memo)]
 
-    def row_spaces(remaining: int) -> list[RationalSubspace]:
-        """Minimal R(p) over partitions of `remaining` into minimal parts."""
-        if remaining in memo:
-            return memo[remaining]
-        anchor = (remaining & -remaining).bit_length() - 1
-        found = []
-        for mask, span in parts[anchor]:
-            if mask & remaining == mask:
-                found.extend(rest.sum(span)
-                             for rest in row_spaces(remaining ^ mask))
-        memo[remaining] = out = _prune_subspaces(found, minimal=True)
-        return out
 
-    return [r.perp() for r in row_spaces((1 << k) - 1)]
+def _row_spaces(remaining: int,
+                parts: Sequence[Sequence[tuple[int, RationalSubspace]]],
+                memo: dict[int, list[RationalSubspace]]
+                ) -> list[RationalSubspace]:
+    """Minimal R(p) over partitions of `remaining` into minimal parts.
+
+    A module-level function rather than a closure: a recursive closure is
+    a reference cycle, which would keep the memo alive after the call until
+    the cyclic garbage collector ran.
+    """
+    if remaining in memo:
+        return memo[remaining]
+    anchor = (remaining & -remaining).bit_length() - 1
+    found = []
+    for mask, span in parts[anchor]:
+        if mask & remaining == mask:
+            found.extend(rest.sum(span)
+                         for rest in _row_spaces(remaining ^ mask, parts, memo))
+    memo[remaining] = out = _prune_subspaces(found, minimal=True)
+    return out
 
 
 def tangent_cone_polys(polys: Sequence[LaurentPoly],
@@ -361,7 +369,7 @@ def tangent_cone_polys(polys: Sequence[LaurentPoly],
     are rejected, because the cost grows exponentially with the support
     size k: 2^k subset sums, then up to one step per partition into
     minimal parts.  At k = 16 the product of (t_i - 1) over four variables
-    takes about 0.13 s; random supports take up to about a second in four
+    takes about 0.2 s; random supports take about a second in four
     variables and tens of seconds in seven.
 
     >>> cone = tangent_cone_polys([LaurentPoly.parse("t1 - 1", 2),

@@ -27,6 +27,7 @@ from jumploci.fox import (
 )
 from jumploci.laurent import (LaurentPoly, bareiss_rank,
                               restrict_matrix_to_translated_torus)
+from jumploci.fox import _d1_rank
 from jumploci.tori import TranslatedTorus
 
 F = Fraction
@@ -384,3 +385,29 @@ def test_generic_rank_at_a_point_is_the_bareiss_rank_of_the_restriction():
             point = TranslatedTorus.from_data(lam, [], M.num_vars)
             restricted = restrict_matrix_to_translated_torus(M.entries, point)
             assert generic_rank_on_torus(M, point) == bareiss_rank(restricted)
+
+
+def test_d1_rank_reads_the_restriction_off_the_pairings():
+    # d1 = (t^{a_j} - 1)_j restricted to random cosets, against _d1_rank
+    rng = random.Random(47)
+    seen = []
+    for text in (datasets.CLOSED_OMEGA_PRES, datasets.ONE_RELATOR_PRES,
+                 datasets.SURFACE_PRES, "<a, b | a^2 b^-3>"):
+        ab = abelianize(parse_presentation(text))
+        n = ab.free_rank
+        d1 = [[generator_character_poly(ab, j)
+               for j in range(len(ab.projection))]]
+        cosets = [([0] * n, [])]                 # the identity: d1 = 0
+        for _ in range(12):
+            order = rng.choice([1, 1, 2, 3, 6])
+            cosets.append(([F(rng.randrange(order), order) for _ in range(n)],
+                           [[rng.choice([0, 0, 1, -1, 2]) for _ in range(n)]
+                            for _ in range(rng.randint(0, n))]))
+        for lam, rows in cosets:
+            torus = TranslatedTorus.from_data(lam, rows, n)
+            restricted = restrict_matrix_to_translated_torus(d1, torus)[0]
+            expected = 0 if all(p.is_zero() for p in restricted) else 1
+            assert _d1_rank(ab, torus.translate.values,
+                            torus.direction.rows) == expected
+            seen.append(expected)
+    assert seen.count(0) >= 4 and seen.count(1) >= 4

@@ -14,6 +14,7 @@ from jumploci.qlinalg import (
     PluckerVector,
     RationalSubspace,
     clear_denominators,
+    coset_reduce,
     evaluate_form,
     forward_eliminate,
     format_rational,
@@ -446,6 +447,16 @@ def test_coset_membership_of_full_and_zero_spaces():
     assert lattice_coset_membership((F(1, 7), F(2, 9), F(1, 2)), full)
     assert lattice_coset_membership((1, -2, 3), zero)
     assert not lattice_coset_membership((F(1, 2), 0, 0), zero)
+
+
+def test_coset_functions_accept_anything_fraction_accepts():
+    v = RationalSubspace.from_rows([(1, 1)], 2)
+    expected = coset_reduce((F(3, 2), F(1, 2)), v)
+    assert coset_reduce(("3/2", 0.5), v) == expected
+    assert coset_reduce((F(3, 2), "1/2"), v) == expected
+    assert coset_reduce((3, 1), v) == ((F(0), F(0)), (0, -2))
+    assert lattice_coset_solve(["1/2", "1/2"], v) == (0, 0)
+    assert not lattice_coset_membership(("1/2", 0), v)
 
 
 # ---------------------------------------------------------------------------
