@@ -281,6 +281,145 @@ def oracle_tangent_cone(terms, n):
 
 
 # ---------------------------------------------------------------------------
+# Laurent polynomial text, token by token
+# ---------------------------------------------------------------------------
+
+def oracle_parse_poly(text, num_vars=None):
+    """Reference parser for the ``t1^2*t2^-1 - 3/2*t3 + 1`` text form.
+
+    A character tokenizer (a ``Fraction`` per number token) and a
+    recursive-descent term parser: the library's parser before its
+    term-level scan, kept as the specification of the accepted language and
+    of every error message.  Returns ``(num_vars, terms)``, terms a dict
+    from exponent tuples to nonzero Fractions in order of first appearance;
+    bad input raises what the library raised.
+    """
+    tokens = _tokenize_poly(text)
+    terms, max_index = _parse_poly(tokens, text)
+    if num_vars is None:
+        num_vars = max_index
+    if max_index > num_vars:
+        raise ValueError(f"variable t{max_index} exceeds num_vars={num_vars}")
+    padded = {}
+    for e, c in terms.items():
+        key = tuple(e[i] if i < len(e) else 0 for i in range(num_vars))
+        padded[key] = padded.get(key, Fraction(0)) + c
+    if any(len(e) != num_vars for e in padded):
+        raise ValueError("exponent arity mismatch")
+    return num_vars, {e: c for e, c in padded.items() if c != 0}
+
+
+def _tokenize_poly(text: str):
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+-*^":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            if j < n and text[j] == "/":
+                k = j + 1
+                while k < n and text[k].isdigit():
+                    k += 1
+                if k == j + 1:
+                    raise ValueError(f"bad rational at position {i}")
+                tokens.append(("num", Fraction(text[i:k]), i))
+                i = k
+            else:
+                tokens.append(("num", Fraction(text[i:j]), i))
+                i = j
+            continue
+        if ch == "t" and i + 1 < n and text[i + 1].isdigit():
+            j = i + 1
+            while j < n and text[j].isdigit():
+                j += 1
+            index = int(text[i + 1:j])
+            if index < 1:
+                raise ValueError(f"variables are numbered from t1, at position {i}")
+            tokens.append(("var", index, i))
+            i = j
+            continue
+        raise ValueError(f"unexpected character {ch!r} at position {i}")
+    return tokens
+
+
+def _parse_poly(tokens, text):
+    terms: dict = {}
+    max_index = 0
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else (None, None, len(text))
+
+    def parse_term():
+        nonlocal pos, max_index
+        coeff = Fraction(1)
+        exps: dict[int, int] = {}
+        saw_factor = False
+        while True:
+            kind, value, at = peek()
+            if kind == "num":
+                coeff *= value
+                pos += 1
+                saw_factor = True
+            elif kind == "var":
+                pos += 1
+                exp = 1
+                if peek()[0] == "^":
+                    pos += 1
+                    sign = 1
+                    if peek()[0] == "-":
+                        sign = -1
+                        pos += 1
+                    k2, v2, at2 = peek()
+                    if k2 != "num" or v2.denominator != 1:
+                        raise ValueError(f"expected integer exponent at position {at2}")
+                    exp = sign * int(v2)
+                    pos += 1
+                exps[value] = exps.get(value, 0) + exp
+                max_index = max(max_index, value)
+                saw_factor = True
+            elif kind == "*":
+                pos += 1
+                continue
+            else:
+                break
+        if not saw_factor:
+            raise ValueError(f"expected a term at position {peek()[2]}")
+        return coeff, exps
+
+    first = True
+    while pos < len(tokens):
+        sign = Fraction(1)
+        kind, _, at = peek()
+        if kind in ("+", "-"):
+            sign = Fraction(-1) if kind == "-" else Fraction(1)
+            pos += 1
+        elif not first:
+            raise ValueError(f"expected '+' or '-' at position {at}")
+        coeff, exps = parse_term()
+        first = False
+        width = max(exps) if exps else 0
+        key = tuple(exps.get(i + 1, 0) for i in range(width))
+        terms[key] = terms.get(key, Fraction(0)) + sign * coeff
+    # normalize: pad all keys to the widest arity
+    width = max((len(k) for k in terms), default=0)
+    out = {}
+    for k, c in terms.items():
+        key = k + (0,) * (width - len(k))
+        out[key] = out.get(key, Fraction(0)) + c
+    return out, max_index
+
+
+# ---------------------------------------------------------------------------
 # free calculus on words, letter by letter
 # ---------------------------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,120 @@ def test_parse_errors_carry_positions():
         LaurentPoly.parse("t2", num_vars=1)
     with pytest.raises(ValueError):
         LaurentPoly.parse("x1 + 1")
+
+
+def _outcome(parse, text, num_vars=None):
+    """``(num_vars, terms in order)``, or ``(error type, message)``."""
+    try:
+        nv, terms = parse(text, num_vars)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+    return nv, list(terms.items())
+
+
+def _library(text, num_vars=None):
+    f = LaurentPoly.parse(text, num_vars)
+    return f.num_vars, f.terms
+
+
+def _bench_text(rng, nv, coeffs):
+    """The benchmark's text shape: ``2*t1^-1*t2 - t3 + 1/2``."""
+    exps = sorted({tuple(rng.randint(-2, 2) for _ in range(nv))
+                   for _ in coeffs})
+    parts = []
+    for e, c in zip(exps, rng.sample(coeffs, len(exps))):
+        mono = "*".join(f"t{i + 1}" + (f"^{k}" if k != 1 else "")
+                        for i, k in enumerate(e) if k)
+        body = f"{abs(c)}*{mono}" if mono else str(abs(c))
+        parts.append(("- " if c < 0 else "+ ") + body)
+    return " ".join(parts).lstrip("+ ")
+
+
+def _spaced(rng, text):
+    """Whitespace of several kinds inserted next to the operators."""
+    out = []
+    for i, ch in enumerate(text):
+        if ch in "+-*^" or (i and text[i - 1] in "+-*^"):
+            out.append(rng.choice(["", " ", "  ", "\t", "\n", "\u00a0"]))
+        out.append(ch)
+    return "".join(out)
+
+
+def _valid_texts():
+    rng = random.Random(41)
+    texts = []
+    for _ in range(60):
+        coeffs = rng.choice([(1, 1, -1, -1), (2, -1, -1, 1, -1),
+                             (F(1, 2), F(1, 2), -1, 3, -3),
+                             (1, 1, 1, 1, 1, -1, -1, -1, -2)])
+        texts.append(_bench_text(rng, rng.randint(1, 4), list(coeffs)))
+    for _ in range(60):
+        nv = rng.randint(1, 3)
+        terms = {tuple(rng.randint(-3, 3) for _ in range(nv)):
+                 F(rng.randint(-7, 7), rng.randint(1, 4)) for _ in range(4)}
+        texts.append(LaurentPoly(nv, terms).to_text())
+    variants = []
+    for text in texts:
+        variants += [text.replace("*", ""), text.replace(" ", ""),
+                     _spaced(rng, text)]
+    return texts + variants + [
+        "t1^ - 2", "t1 ^-2 * t2", "t1^6/2", "t1^-6/3 - t1^-2", "t1^0",
+        "3/4*t1 - 3/4", "1/2 3/4 t1 - 3/8 t1", "007*t1^010", "2 3 t1t2",
+        "t1*t1^-1*t2", "t1 + t1 - 2", "t1 - t1", "t3^1*t3^-1 + t2", "*t1",
+        "t1* *2", "2*", "-t1", "+ t1 - 1", "", "   ", "0", "0*t4",
+        "t1\u2003+\u00a0t2", "\u0663*t1 - 3", "t\u0662 - t1"]
+
+
+def test_parse_matches_the_reference_parser_on_valid_text():
+    for text in _valid_texts():
+        expected = _outcome(oracles.oracle_parse_poly, text)
+        assert isinstance(expected[0], int), (text, expected)
+        assert _outcome(_library, text) == expected, text
+        for num_vars in (expected[0], expected[0] + 2):
+            assert (_outcome(_library, text, num_vars)
+                    == _outcome(oracles.oracle_parse_poly, text, num_vars)), text
+
+
+INVALID_TEXTS = [
+    "t1 + + t2", "t0 + 1", "x1 + 1", "1/ + t1", "t1^", "t1^ ", "t1^t2",
+    "t1^+2", "t1^--2", "t1^ - - 2", "t1^1/2", "t1^-6/4 - 1", "2^3", "t1^2^3",
+    "t1*^2", "^2", "t1 + ^2", "+", "-", "t1 +", "t1 + *", "* + t1", "+ - t1",
+    "1/0*t1", "t1^3/0", "t1 + + 1/0", "t1 + + t2 $", "t1^1/2 + $",
+    "t1^1/2 t0", "t0 t1^1/2", "1 /2", "1/2/3", "t1/2", "t", "t x", "T1",
+    "t1 + 2$", "t1.5", "t\u00b2", "1\u00b2*t1", "t1^\u00b2", "t1\u00b2",
+    "1/2\u00b2", "t1 - " + "1" * 5000, "t" + "1" * 5000, "t1 + + t" + "9" * 5000]
+
+
+def _mutants(rng, text, count):
+    """Texts one insertion, deletion or replacement away from text."""
+    out = []
+    while len(out) < count:
+        i = rng.randrange(len(text) + 1)
+        ch = rng.choice("+-*^/ t01x$.\t")
+        kind = rng.randrange(3) if text else 0
+        i = min(i, len(text) - (kind > 0))
+        mutant = text[:i] + (ch if kind != 1 else "") + text[i + (kind > 0):]
+        # indices over the variable limit are refused by the library alone
+        if all(int(k) <= 256 for k in re.findall(r"t(\d+)", mutant)):
+            out.append(mutant)
+    return out
+
+
+def test_parse_errors_match_the_reference_parser():
+    rng = random.Random(43)
+    texts = list(INVALID_TEXTS)
+    for text in _valid_texts()[:120]:
+        texts += _mutants(rng, text, 4)
+    errors = 0
+    for text in texts:
+        expected = _outcome(oracles.oracle_parse_poly, text)
+        errors += isinstance(expected[0], str)
+        assert _outcome(_library, text) == expected, text
+    assert errors > len(texts) // 2
+    for text, num_vars in (("t2", 1), ("t1", 0), ("5", -1), ("", -1),
+                           ("t1 + + t2", 1)):
+        assert (_outcome(_library, text, num_vars)
+                == _outcome(oracles.oracle_parse_poly, text, num_vars))
 
 
 def test_support_and_coefficient_sum():
