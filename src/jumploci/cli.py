@@ -34,6 +34,12 @@ from .tori import (GradedDescription, VarietyDescription, _json_field,
 #: Q; a dense point of order 4001 on a 16 x 6 Alexander matrix takes about
 #: a second.
 MAX_CHARACTER_ORDER = 4096
+#: The highest translate order that charvar-check accepts on a component of
+#: dimension >= 1.  Bareiss elimination over the subtorus still inverts
+#: leading coefficients in Q(zeta_m); on the surface group a translated
+#: circle of order 509 takes about 0.8 s, of order 1009 about 4 s, and
+#: of order 4001 over 100 s.
+MAX_TORUS_ORDER = 512
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +157,11 @@ def _cmd_charvar_check(args) -> tuple[dict, list[str]]:
                 f"component {i} has a translate of order "
                 f"{comp.translate.order}, above MAX_CHARACTER_ORDER = "
                 f"{MAX_CHARACTER_ORDER}")
+        if comp.dim >= 1 and comp.translate.order > MAX_TORUS_ORDER:
+            raise ValueError(
+                f"component {i} has dimension {comp.dim} and a translate of "
+                f"order {comp.translate.order}, above MAX_TORUS_ORDER = "
+                f"{MAX_TORUS_ORDER} for components of dimension >= 1")
     matrix = alexander_matrix(pres, ab)
     reports = []
     for comp in desc.components:

@@ -2,9 +2,14 @@
 
 Three layers, all exact:
 
-* :class:`LaurentPoly` — Z^n-graded sparse polynomials over Q; the parsers
-  and serializers for the ``t1^2*t2^-1`` text form and the JSON term form
-  live here.
+* :class:`LaurentPoly` — Z^n-graded sparse polynomials over Q, with
+  serializers for a JSON term form and a text form such as
+  ``t1^2*t2^-1 - 3/2*t3 + 1``.  The text parser reads one term per match of
+  a regular expression (a sign, then numbers ``p`` or ``p/q`` and variables
+  ``tK`` with integer exponents, ``*`` optional, whitespace between any two
+  tokens) and keeps each coefficient an integer numerator and denominator
+  until it builds the term's one ``Fraction``.  Indices above
+  ``MAX_VARIABLES`` are refused as they are read.
 * :class:`CyclotomicNumber` — elements of Q(zeta_m) = Q[x]/Phi_m(x), kept
   as integer numerators over one positive common denominator.  Phi_m is the
   Moebius product of the binomials x^d - 1.  A product is one multiplication
@@ -37,6 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -45,6 +51,21 @@ from .qlinalg import format_rational, parse_rational, saturated_integer_points, 
 from .tori import TorsionCharacter, TranslatedTorus
 
 Expo = tuple[int, ...]
+
+#: The highest variable index that :meth:`LaurentPoly.parse` accepts.  A
+#: tangent cone in Q^n prints a hyperplane as n - 1 rows, so its cost grows
+#: with n: ``tcone --poly "tN - 1"`` takes 0.5 s and 28 MB at N = 256, and
+#: would take 20 s and 455 MB at N = 1600.
+MAX_VARIABLES = 256
+
+# The text form, one term per match: a sign, then factors (a number p or
+# p/q; a variable tK with an optional exponent ^k, ^-k or ^p/q; a "*"),
+# whitespace between any two tokens.
+_TERM = re.compile(r"([-+]?)((?:\s*(?:\d+(?:/\d+)?"
+                   r"|t\d+(?:\s*\^\s*-?\s*\d+(?:/\d+)?)?|\*))*)\s*")
+# one factor of a term: (p, q, index, minus, k, d) for p/q or t_index^(-k/d)
+_FACTOR = re.compile(r"(\d+)(?:/(\d+))?|t(\d+)(?:\s*\^\s*(-?)\s*(\d+)(?:/(\d+))?)?")
+_EXPONENT_GAP = re.compile(r"\s*\^\s*-?\s*")
 
 
 # ---------------------------------------------------------------------------
@@ -204,20 +225,49 @@ class LaurentPoly:
     def parse(cls, text: str, num_vars: Optional[int] = None) -> "LaurentPoly":
         """Parse ``"t1^2*t2^-1 - 3/2*t3 + 1"``-style text.
 
-        Variables are t1, t2, ...; ``num_vars`` defaults to the largest index
-        that appears.  Raises ValueError with a position on bad input.
+        A text is a sum of terms, each after a ``+`` or ``-`` (optional on
+        the first).  A term is a product of factors, ``*`` between them
+        optional: numbers ``p`` or ``p/q`` and variables ``t1``, ``t2``,
+        ..., each variable with an optional integer exponent ``^k``,
+        ``^-k`` or ``^p/q`` (with q dividing p).  Whitespace may stand
+        between any two tokens.  Numbers multiply, exponents of a repeated
+        variable add, like terms combine and zero terms drop; blank text is
+        the zero polynomial.  ``num_vars`` defaults to the largest index
+        that appears.  A ``num_vars`` above ``MAX_VARIABLES`` is refused at
+        once, and an index above it as the variable is read, before any
+        exponent tuple is built.  Bad input raises ValueError with a
+        position.
+
+        >>> LaurentPoly.parse("2 t1^ -1 t1^3 t2 - 1/2 + t1^2*t2")
+        LaurentPoly(2, '-1/2 + 3*t1^2*t2')
         """
-        tokens = _tokenize_poly(text)
-        terms, max_index = _parse_poly(tokens, text)
+        if num_vars is not None and num_vars > MAX_VARIABLES:
+            raise ValueError(f"num_vars={num_vars} is above MAX_VARIABLES = "
+                             f"{MAX_VARIABLES}")
+        parsed = []
+        n = len(text)
+        pos = n - len(text.lstrip())
+        while pos < n:
+            m = _TERM.match(text, pos)
+            term = _term(m[1], _FACTOR.findall(m[2]))
+            pos, start = m.end(), pos
+            if term is None or (pos < n and text[pos] not in "+-"):
+                raise _syntax_error(text, start)
+            parsed.append(term)
+        max_index = max((max(e, default=0) for _, e in parsed), default=0)
         if num_vars is None:
             num_vars = max_index
         if max_index > num_vars:
             raise ValueError(f"variable t{max_index} exceeds num_vars={num_vars}")
-        padded = {}
-        for e, c in terms.items():
-            key = tuple(e[i] if i < len(e) else 0 for i in range(num_vars))
-            padded[key] = padded.get(key, Fraction(0)) + c
-        return cls(num_vars, padded)
+        zero = [0] * num_vars
+        terms: dict = {}
+        for c, exps in parsed:
+            e = zero.copy()
+            for i, k in exps.items():
+                e[i - 1] = k
+            key = tuple(e)
+            terms[key] = terms.get(key, 0) + c
+        return cls(num_vars, terms)
 
     # -- JSON form -----------------------------------------------------------
 
@@ -238,114 +288,102 @@ class LaurentPoly:
         return cls(n, terms)
 
 
-def _tokenize_poly(text: str):
-    tokens = []
-    i, n = 0, len(text)
+def _term(sign: str, factors) -> Optional[tuple[Fraction, dict[int, int]]]:
+    """The coefficient and ``{index: exponent}`` of one term, from its sign
+    and its factors as ``_FACTOR`` groups; None if it has no factor or a
+    factor the term scan cannot take (see :func:`_syntax_error`)."""
+    if not factors:
+        return None
+    num, den = (-1 if sign == "-" else 1), 1
+    exps: dict[int, int] = {}
+    for p, q, index, minus, k, d in factors:
+        if index:
+            index = int(index)
+            if not 0 < index <= MAX_VARIABLES:
+                return None
+            if k:
+                k = int(k)
+                if d:
+                    d = int(d)
+                    if not d or k % d:
+                        return None
+                    k //= d
+                if minus:
+                    k = -k
+            else:
+                k = 1
+            exps[index] = exps.get(index, 0) + k
+        else:
+            num *= int(p)
+            if q:
+                den *= int(q)
+                if not den:
+                    return None
+    return Fraction(num, den), exps
+
+
+def _syntax_error(text: str, start: int) -> Exception:
+    """The error for text whose term at ``start`` the term scan rejects.
+
+    Errors come in the order of a token-by-token reading: first the leftmost
+    bad token from ``start`` on (a stray character, ``p/`` without digits, a
+    zero denominator, ``t0``, an index above ``MAX_VARIABLES``), then the
+    first misplaced token.  Tokens are runs of ``str.isdigit`` characters,
+    each converted by ``Fraction`` or ``int``, so a digit that is not
+    decimal (``²``) gets the error those give.
+    """
+    i, n = start, len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
+        if ch.isspace() or ch in "+-*^":
             i += 1
             continue
-        if ch in "+-*^":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "/":
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                if k == j + 1:
-                    raise ValueError(f"bad rational at position {i}")
-                tokens.append(("num", Fraction(text[i:k]), i))
-                i = k
-            else:
-                tokens.append(("num", Fraction(text[i:j]), i))
-                i = j
-            continue
-        if ch == "t" and i + 1 < n and text[i + 1].isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            index = int(text[i + 1:j])
+        j = i + (ch == "t")
+        k = _digits_end(text, j)
+        if k == j:
+            return ValueError(f"unexpected character {ch!r} at position {i}")
+        if ch == "t":
+            try:
+                index = int(text[j:k])
+            except ValueError as exc:                       # a ²
+                return exc
             if index < 1:
-                raise ValueError(f"variables are numbered from t1, at position {i}")
-            tokens.append(("var", index, i))
-            i = j
-            continue
-        raise ValueError(f"unexpected character {ch!r} at position {i}")
-    return tokens
+                return ValueError(f"variables are numbered from t1, at position {i}")
+            if index > MAX_VARIABLES:
+                return ValueError(f"variable t{index} at position {i} is above "
+                                  f"MAX_VARIABLES = {MAX_VARIABLES}")
+        else:
+            if text[k:k + 1] == "/":
+                j = k + 1
+                k = _digits_end(text, j)
+                if k == j:
+                    return ValueError(f"bad rational at position {i}")
+            try:
+                Fraction(text[i:k])
+            except (ValueError, ZeroDivisionError) as exc:  # p/0, or a ²
+                return exc
+        i = k
+    m = _TERM.match(text, start)
+    factors = list(_FACTOR.finditer(text, m.start(2), m.end(2)))
+    for f in factors:
+        if f[6] and int(f[5]) % int(f[6]):
+            return ValueError(f"expected integer exponent at position {f.start(5)}")
+    if not factors:
+        return ValueError(f"expected a term at position {m.end()}")
+    # the term ends at a "^": an exponent missing after a bare variable, or
+    # a "^" where only a sign may follow
+    last = factors[-1]
+    gap = _EXPONENT_GAP.match(text, last.end()) if last[3] and not last[5] else None
+    if gap:
+        return ValueError(f"expected integer exponent at position {gap.end()}")
+    return ValueError(f"expected '+' or '-' at position {m.end()}")
 
 
-def _parse_poly(tokens, text):
-    terms: dict = {}
-    max_index = 0
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, None, len(text))
-
-    def parse_term():
-        nonlocal pos, max_index
-        coeff = Fraction(1)
-        exps: dict[int, int] = {}
-        saw_factor = False
-        while True:
-            kind, value, at = peek()
-            if kind == "num":
-                coeff *= value
-                pos += 1
-                saw_factor = True
-            elif kind == "var":
-                pos += 1
-                exp = 1
-                if peek()[0] == "^":
-                    pos += 1
-                    sign = 1
-                    if peek()[0] == "-":
-                        sign = -1
-                        pos += 1
-                    k2, v2, at2 = peek()
-                    if k2 != "num" or v2.denominator != 1:
-                        raise ValueError(f"expected integer exponent at position {at2}")
-                    exp = sign * int(v2)
-                    pos += 1
-                exps[value] = exps.get(value, 0) + exp
-                max_index = max(max_index, value)
-                saw_factor = True
-            elif kind == "*":
-                pos += 1
-                continue
-            else:
-                break
-        if not saw_factor:
-            raise ValueError(f"expected a term at position {peek()[2]}")
-        return coeff, exps
-
-    first = True
-    while pos < len(tokens):
-        sign = Fraction(1)
-        kind, _, at = peek()
-        if kind in ("+", "-"):
-            sign = Fraction(-1) if kind == "-" else Fraction(1)
-            pos += 1
-        elif not first:
-            raise ValueError(f"expected '+' or '-' at position {at}")
-        coeff, exps = parse_term()
-        first = False
-        width = max(exps) if exps else 0
-        key = tuple(exps.get(i + 1, 0) for i in range(width))
-        terms[key] = terms.get(key, Fraction(0)) + sign * coeff
-    # normalize: pad all keys to the widest arity
-    width = max((len(k) for k in terms), default=0)
-    out = {}
-    for k, c in terms.items():
-        key = k + (0,) * (width - len(k))
-        out[key] = out.get(key, Fraction(0)) + c
-    return out, max_index
+def _digits_end(text: str, i: int) -> int:
+    """The end of the run of ``str.isdigit`` characters at position i."""
+    while i < len(text) and text[i].isdigit():
+        i += 1
+    return i
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,11 @@ covers the remaining support with minimal parts, memoized on the remaining
 support.  It carries the row space R(p) = span of in-part differences, so
 L(p) = R(p)^perp, and keeps only the inclusion-minimal R at each step.  This
 is sound because R(part) + R(rest) grows with R(rest).  The in-part
-differences are integer vectors and every R is held as integer rows (see
-:class:`jumploci.qlinalg.RationalSubspace`), so the sums, the pruning and
-the memo add, compare and hash ints; ``Fraction`` bases are built only for
-the subspaces of the final arrangement.
+differences are integer vectors, each part's R is their primitive integer
+RREF straight from ``qlinalg._echelon``, and every R is held as integer
+rows (see :class:`jumploci.qlinalg.RationalSubspace`), so the sums, the
+pruning and the memo add, compare and hash ints; ``Fraction`` bases are
+built only for the subspaces of the final arrangement.
 :func:`admissible_partitions_maximal` still lists the maximal partitions
 themselves by the full enumeration.
 
@@ -44,7 +45,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .laurent import LaurentPoly
-from .qlinalg import RationalSubspace
+from .qlinalg import RationalSubspace, _echelon
 from .tori import VarietyDescription
 
 Expo = tuple[int, ...]
@@ -326,7 +327,7 @@ def _poly_cone(f: LaurentPoly) -> list[RationalSubspace]:
             base = support[least]
             diffs = [[a - b for a, b in zip(support[i], base)]
                      for i in range(least + 1, k) if mask >> i & 1]
-            parts[least].append((mask, RationalSubspace.from_rows(diffs, n)))
+            parts[least].append((mask, RationalSubspace(n, *_echelon(diffs))))
 
     memo = {0: [RationalSubspace.zero(n)]}
     return [r.perp() for r in _row_spaces((1 << k) - 1, parts, memo)]

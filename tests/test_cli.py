@@ -6,8 +6,9 @@ import time
 import pytest
 
 import datasets
-from jumploci.cli import MAX_CHARACTER_ORDER, main
+from jumploci.cli import MAX_CHARACTER_ORDER, MAX_TORUS_ORDER, main
 from jumploci.fox import MAX_RELATOR_LETTERS
+from jumploci.laurent import MAX_VARIABLES
 from jumploci.tori import VarietyDescription
 
 
@@ -163,6 +164,20 @@ def test_support_beyond_subset_sum_table_is_domain_error(capsys):
     assert "2^22 subset sums" in data["error"]["message"]
 
 
+def test_variable_index_over_the_limit_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    code, data = run_json(capsys, "tcone", "--poly", "t100000 - 1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert data["error"] == {"type": "ValueError", "message": (
+        f"variable t100000 at position 0 is above MAX_VARIABLES = "
+        f"{MAX_VARIABLES}")}
+    code, data = run_json(capsys, "omega-describe", "--r", "1", "--poly",
+                          "t1 - 1", "--poly", f"t{MAX_VARIABLES + 1} - 1")
+    assert code == 1
+    assert f"MAX_VARIABLES = {MAX_VARIABLES}" in data["error"]["message"]
+
+
 def test_missing_json_keys_are_named(capsys):
     code, data = run_json(capsys, "tcone", "--desc", "{}")
     assert code == 1
@@ -254,6 +269,35 @@ def test_charvar_check_refuses_orders_over_the_limit(capsys):
                               "--pres", datasets.SURFACE_PRES,
                               "--desc", point_desc(6, lam))
         assert code == 0 and data["verified"] is True     # on a component
+
+
+def circle_desc(lam):
+    return json.dumps({"n": 2, "components": [{"lambda": lam,
+                                               "basis": [[1, 0]]}]})
+
+
+def test_charvar_check_refuses_subtori_of_high_order(capsys):
+    over = 521                                  # prime, above MAX_TORUS_ORDER
+    assert MAX_TORUS_ORDER < over < MAX_CHARACTER_ORDER
+    start = time.perf_counter()
+    code, data = run_json(capsys, "charvar-check",
+                          "--pres", datasets.ONE_RELATOR_PRES,
+                          "--desc", circle_desc(["0", f"1/{over}"]))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert data["error"]["message"] == (
+        f"component 0 has dimension 1 and a translate of order {over}, above "
+        f"MAX_TORUS_ORDER = {MAX_TORUS_ORDER} for components of dimension "
+        f">= 1")
+    # a point of the same order, and a circle of low order, still run
+    code, data = run_json(capsys, "charvar-check",
+                          "--pres", datasets.ONE_RELATOR_PRES,
+                          "--desc", point_desc(2, ["0", f"1/{over}"]))
+    assert code == 0
+    code, data = run_json(capsys, "charvar-check",
+                          "--pres", datasets.ONE_RELATOR_PRES,
+                          "--desc", circle_desc(["0", "1/2"]))
+    assert code == 0 and data["verified"] is True
 
 
 def test_alexander_refuses_a_relator_power_over_the_limit_at_once(capsys):

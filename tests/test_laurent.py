@@ -11,6 +11,7 @@ import oracles
 from jumploci.laurent import (
     CycloLaurentPoly,
     CyclotomicNumber,
+    MAX_VARIABLES,
     LaurentPoly,
     bareiss_rank,
     cyclotomic_polynomial,
@@ -163,7 +164,7 @@ INVALID_TEXTS = [
     "1/0*t1", "t1^3/0", "t1 + + 1/0", "t1 + + t2 $", "t1^1/2 + $",
     "t1^1/2 t0", "t0 t1^1/2", "1 /2", "1/2/3", "t1/2", "t", "t x", "T1",
     "t1 + 2$", "t1.5", "t\u00b2", "1\u00b2*t1", "t1^\u00b2", "t1\u00b2",
-    "1/2\u00b2", "t1 - " + "1" * 5000, "t" + "1" * 5000, "t1 + + t" + "9" * 5000]
+    "1/2\u00b2", "t1 - " + "1" * 5000, "t1^" + "2" * 5000 + " + + 1"]
 
 
 def _mutants(rng, text, count):
@@ -176,7 +177,7 @@ def _mutants(rng, text, count):
         i = min(i, len(text) - (kind > 0))
         mutant = text[:i] + (ch if kind != 1 else "") + text[i + (kind > 0):]
         # indices over the variable limit are refused by the library alone
-        if all(int(k) <= 256 for k in re.findall(r"t(\d+)", mutant)):
+        if all(int(k) <= MAX_VARIABLES for k in re.findall(r"t(\d+)", mutant)):
             out.append(mutant)
     return out
 
@@ -196,6 +197,20 @@ def test_parse_errors_match_the_reference_parser():
                            ("t1 + + t2", 1)):
         assert (_outcome(_library, text, num_vars)
                 == _outcome(oracles.oracle_parse_poly, text, num_vars))
+
+
+def test_parse_refuses_variables_over_the_limit():
+    top = MAX_VARIABLES
+    f = LaurentPoly.parse(f"t{top} - 1")
+    assert f.num_vars == top and f.terms[(0,) * (top - 1) + (1,)] == 1
+    with pytest.raises(ValueError, match=(
+            f"variable t{top + 1} at position 5 is above MAX_VARIABLES = {top}")):
+        LaurentPoly.parse(f"t1 + t{top + 1}^2 - 2")
+    # the limit is checked as the token is read, before a later syntax error
+    with pytest.raises(ValueError, match="t100000 at position 0"):
+        LaurentPoly.parse("t100000 + + 1")
+    with pytest.raises(ValueError, match=f"num_vars={top + 1} is above"):
+        LaurentPoly.parse("t1 - 1", top + 1)
 
 
 def test_support_and_coefficient_sum():
