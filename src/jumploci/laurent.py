@@ -250,7 +250,7 @@ class LaurentPoly:
         while pos < n:
             m = _TERM.match(text, pos)
             term = _term(m[1], _FACTOR.findall(m[2]))
-            pos, start = m.end(), pos
+            start, pos = pos, m.end()
             if term is None or (pos < n and text[pos] not in "+-"):
                 raise _syntax_error(text, start)
             parsed.append(term)
