@@ -3,7 +3,7 @@
 Computes which free-abelian covers of a space or group have finite Betti
 numbers, working from characteristic-variety data: Alexander matrices of
 group presentations (Fox calculus), exponential tangent cones of Laurent
-polynomial zero sets (admissible partitions), and incidence theory of
+polynomial zero sets (minimal zero-sum parts), and incidence theory of
 torsion-translated subtori (lattice normal forms, Plücker/Schubert
 equations).  All arithmetic is exact — rationals, integers, cyclotomics.
 """
@@ -11,8 +11,8 @@ equations).  All arithmetic is exact — rationals, integers, cyclotomics.
 from .qlinalg import (IntegerLattice, PluckerVector, RationalSubspace,
                       coset_reduce, evaluate_form, format_rational, hnf,
                       integer_kernel, lattice_coset_membership,
-                      lattice_coset_solve, nullspace, parse_rational, plucker,
-                      rref, saturated_integer_points, schubert_equations,
+                      lattice_coset_solve, parse_rational, plucker, rref,
+                      saturated_integer_points, schubert_equations,
                       sigma_membership, snf)
 from .laurent import (CyclotomicNumber, CycloLaurentPoly, LaurentPoly,
                       bareiss_rank, cyclotomic_polynomial, cyclotomic_rank,
@@ -23,11 +23,9 @@ from .fox import (Abelianization, AlexanderMatrix, FreeWord, Presentation,
                   PresentationSyntaxError, abelianize, alexander_matrix,
                   contains_translated_torus, depth1_membership,
                   fox_derivative_abelianized, generic_rank_on_torus,
-                  locus_contains_character, locus_contains_torus,
                   parse_presentation, rank_at_character)
-from .tcone import (AdmissiblePartition, SubspaceArrangement,
-                    admissible_partitions_maximal, partition_subspace,
-                    tangent_cone_description, tangent_cone_polys)
+from .tcone import (SubspaceArrangement, tangent_cone_description,
+                    tangent_cone_polys)
 from .tori import (GradedDescription, OrbifoldDatum, TorsionCharacter,
                    TranslatedIntersection, TranslatedTorus,
                    VarietyDescription, intersect_translated,
@@ -43,26 +41,25 @@ from .omega import (ClosedFormVerdict, FpkReport, OmegaVerdict, PlaneQuery,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Abelianization", "AdmissiblePartition", "AlexanderMatrix",
+    "Abelianization", "AlexanderMatrix",
     "ClosedFormVerdict", "CyclotomicNumber", "CycloLaurentPoly", "FpkReport",
     "FreeWord", "GradedDescription", "IntegerLattice", "LaurentPoly",
     "OmegaVerdict", "OrbifoldDatum", "PlaneQuery", "PluckerVector",
     "Presentation", "PresentationSyntaxError", "RationalSubspace",
     "SubspaceArrangement", "TorsionCharacter", "TranslatedIntersection",
     "TranslatedTorus", "VarietyDescription", "WitnessReport", "WitnessStep",
-    "abelianize", "admissible_partitions_maximal", "alexander_matrix",
+    "abelianize", "alexander_matrix",
     "bareiss_rank", "contains_translated_torus", "coset_reduce",
     "cyclotomic_polynomial", "cyclotomic_rank", "depth1_membership",
     "evaluate_at_character", "evaluate_form", "format_rational",
     "fox_derivative_abelianized", "fpk_report", "generic_rank_on_torus",
     "hnf", "integer_kernel", "intersect_translated",
     "lattice_coset_membership", "lattice_coset_solve",
-    "locus_contains_character", "locus_contains_torus",
-    "maximal_cover_finiteness", "nonopen_witness", "nullspace",
+    "maximal_cover_finiteness", "nonopen_witness",
     "omega1_r1_description", "omega1_r1_membership",
     "omega_codim1_closed_form", "omega_membership", "orbifold_components",
     "orbifold_v1", "parse_presentation", "parse_rational",
-    "partition_subspace", "plucker", "plucker_distance",
+    "plucker", "plucker_distance",
     "product_description", "pushforward", "rank_at_character",
     "restrict_matrix_to_translated_torus", "restrict_to_translated_torus",
     "rref", "saturated_integer_points",

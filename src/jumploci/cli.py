@@ -16,8 +16,8 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .fox import (abelianize, alexander_matrix, locus_contains_character,
-                  locus_contains_torus, parse_presentation)
+from .fox import (abelianize, alexander_matrix, contains_translated_torus,
+                  depth1_membership, parse_presentation)
 from .laurent import LaurentPoly
 from .omega import (fpk_report, nonopen_witness, omega1_r1_description,
                     omega_codim1_closed_form, omega_membership)
@@ -85,11 +85,24 @@ def _parse_polys(texts: Sequence[str]) -> list[LaurentPoly]:
             for f in polys]
 
 
+def _arrangement(args) -> SubspaceArrangement:
+    """The tangent cone of the --poly texts, or else of the --desc variety."""
+    if args.poly:
+        return tangent_cone_polys(_parse_polys(args.poly),
+                                  max_support=args.max_support)
+    return tangent_cone_description(
+        VarietyDescription.from_json(_load_json(args.desc)))
+
+
+def _point(line: RationalSubspace) -> list[int]:
+    """A line as a projective point: its primitive integer spanning vector."""
+    return list(clear_denominators(line.basis[0]))
+
+
 def _arrangement_payload(arr: SubspaceArrangement) -> dict:
     payload = arr.to_json()
-    payload["projective_points"] = [
-        list(clear_denominators(s.basis[0]))
-        for s in arr.subspaces if s.dim == 1]
+    payload["projective_points"] = [_point(s) for s in arr.subspaces
+                                    if s.dim == 1]
     return payload
 
 
@@ -101,8 +114,7 @@ def _arrangement_text(arr: SubspaceArrangement) -> list[str]:
         if s.dim == 0:
             lines.append("  {0}")
         elif s.dim == 1:
-            lines.append("  line through "
-                         f"{list(clear_denominators(s.basis[0]))}")
+            lines.append(f"  line through {_point(s)}")
         else:
             rows = "; ".join(str([format_rational(x) for x in row])
                              for row in s.basis)
@@ -134,12 +146,7 @@ def _cmd_alexander(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_tcone(args) -> tuple[dict, list[str]]:
-    if args.poly:
-        polys = _parse_polys(args.poly)
-        arr = tangent_cone_polys(polys, max_support=args.max_support)
-    else:
-        desc = VarietyDescription.from_json(_load_json(args.desc))
-        arr = tangent_cone_description(desc)
+    arr = _arrangement(args)
     return _arrangement_payload(arr), _arrangement_text(arr)
 
 
@@ -165,10 +172,10 @@ def _cmd_charvar_check(args) -> tuple[dict, list[str]]:
     matrix = alexander_matrix(pres, ab)
     reports = []
     for comp in desc.components:
-        generic = locus_contains_torus(matrix, comp)
+        generic = contains_translated_torus(matrix, comp)
         # on a point the generic verdict is the verdict at the translate
         at_translate = (generic if comp.dim == 0
-                        else locus_contains_character(matrix, comp.translate))
+                        else depth1_membership(matrix, comp.translate))
         reports.append({
             "component": comp.to_json(),
             "generic_contained": generic,
@@ -206,20 +213,14 @@ def _cmd_omega_describe(args) -> tuple[dict, list[str]]:
     if args.r < 1:
         raise ValueError("r must be >= 1")
     if args.r == 1:
-        if args.poly:
-            arr = tangent_cone_polys(_parse_polys(args.poly),
-                                     max_support=args.max_support)
-        else:
-            desc = VarietyDescription.from_json(_load_json(args.desc))
-            arr = tangent_cone_description(desc)
+        arr = _arrangement(args)
         excluded = omega1_r1_description(arr)
         payload = {
             "r": 1,
             "ambient_dim": arr.ambient_dim,
             "excluded_subspaces": [_subspace_rows(s) for s in excluded],
-            "excluded_projective_points": [
-                list(clear_denominators(s.basis[0]))
-                for s in excluded if s.dim == 1],
+            "excluded_projective_points": [_point(s) for s in excluded
+                                           if s.dim == 1],
         }
         if not excluded:
             lines = ["every line survives: the set is all of projective space"]
@@ -227,7 +228,7 @@ def _cmd_omega_describe(args) -> tuple[dict, list[str]]:
             lines = [f"{len(excluded)} excluded projective subspace(s):"]
             for s in excluded:
                 if s.dim == 1:
-                    lines.append(f"  point {list(clear_denominators(s.basis[0]))}")
+                    lines.append(f"  point {_point(s)}")
                 else:
                     lines.append(f"  P(L) for dim-{s.dim} L = {_subspace_rows(s)}")
         return payload, lines

@@ -447,21 +447,14 @@ def rank_at_character(M: AlexanderMatrix, lam) -> int:
                             for row in M.entries])
 
 
-def depth1_membership(P: Presentation, lam) -> bool:
-    """Whether rho = exp(2 pi i lam) lies in the depth-one degree-one jump locus.
+def depth1_membership(M: AlexanderMatrix, lam) -> bool:
+    """Whether rho = exp(2 pi i lam) lies in the depth-one degree-one jump
+    locus of the presentation whose Alexander matrix is M.
 
     Criterion: rank d2(rho) + rank d1(rho) <= q - 1, with d1(rho) the
     column (rho(x_j) - 1)_j.  At lam = 0 this reduces to b_1(G) >= 1.
     """
-    return locus_contains_character(alexander_matrix(P), lam)
-
-
-def locus_contains_character(M: AlexanderMatrix, lam) -> bool:
-    """:func:`depth1_membership` for the presentation whose Alexander
-    matrix is M."""
     lam = lam if isinstance(lam, TorsionCharacter) else TorsionCharacter(vec(lam))
-    if len(lam.values) != M.num_vars:
-        raise ValueError("character length mismatch")
     rank2 = rank_at_character(M, lam)
     rank1 = _d1_rank(M.abelianization, lam.values)
     return rank2 + rank1 <= M.num_cols - 1
@@ -502,21 +495,14 @@ def generic_rank_on_torus(M: AlexanderMatrix, torus: TranslatedTorus) -> int:
     return bareiss_rank(restrict_matrix_to_translated_torus(M.entries, torus))
 
 
-def contains_translated_torus(P: Presentation, torus: TranslatedTorus) -> bool:
-    """Generic containment of the coset in the degree-one jump locus.
+def contains_translated_torus(M: AlexanderMatrix, torus: TranslatedTorus) -> bool:
+    """Generic containment of the coset in the degree-one jump locus of the
+    presentation whose Alexander matrix is M.
 
     True iff generic rank d2 + generic rank d1 along the coset is at most
     q - 1.  Rank is lower-semicontinuous ({rank <= k} is closed), so the
     generic verdict certifies every point of the (closed) coset.
     """
-    return locus_contains_torus(alexander_matrix(P), torus)
-
-
-def locus_contains_torus(M: AlexanderMatrix, torus: TranslatedTorus) -> bool:
-    """:func:`contains_translated_torus` for the presentation whose
-    Alexander matrix is M."""
-    if torus.ambient_dim != M.num_vars:
-        raise ValueError("torus ambient dimension mismatch")
     rank2 = generic_rank_on_torus(M, torus)
     rank1 = _d1_rank(M.abelianization, torus.translate.values,
                      torus.direction.rows)

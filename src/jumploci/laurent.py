@@ -322,15 +322,15 @@ def _term(sign: str, factors) -> Optional[tuple[Fraction, dict[int, int]]]:
     return Fraction(num, den), exps
 
 
-def _syntax_error(text: str, start: int) -> Exception:
+def _syntax_error(text: str, start: int) -> ValueError:
     """The error for text whose term at ``start`` the term scan rejects.
 
     Errors come in the order of a token-by-token reading: first the leftmost
     bad token from ``start`` on (a stray character, ``p/`` without digits, a
     zero denominator, ``t0``, an index above ``MAX_VARIABLES``), then the
-    first misplaced token.  Tokens are runs of ``str.isdigit`` characters,
-    each converted by ``Fraction`` or ``int``, so a digit that is not
-    decimal (``²``) gets the error those give.
+    first misplaced token.  Tokens are runs of decimal digits (``\\d``, as
+    in the term pattern), so a digit that is not decimal (``²``) is a stray
+    character.
     """
     i, n = start, len(text)
     while i < n:
@@ -343,10 +343,7 @@ def _syntax_error(text: str, start: int) -> Exception:
         if k == j:
             return ValueError(f"unexpected character {ch!r} at position {i}")
         if ch == "t":
-            try:
-                index = int(text[j:k])
-            except ValueError as exc:                       # a ²
-                return exc
+            index = int(text[j:k])
             if index < 1:
                 return ValueError(f"variables are numbered from t1, at position {i}")
             if index > MAX_VARIABLES:
@@ -358,10 +355,10 @@ def _syntax_error(text: str, start: int) -> Exception:
                 k = _digits_end(text, j)
                 if k == j:
                     return ValueError(f"bad rational at position {i}")
-            try:
-                Fraction(text[i:k])
-            except (ValueError, ZeroDivisionError) as exc:  # p/0, or a ²
-                return exc
+            num, _, den = text[i:k].partition("/")
+            int(num)        # a number past int's digit limit raises here
+            if den and not int(den):
+                return ValueError(f"zero denominator at position {i}")
         i = k
     m = _TERM.match(text, start)
     factors = list(_FACTOR.finditer(text, m.start(2), m.end(2)))
@@ -380,8 +377,9 @@ def _syntax_error(text: str, start: int) -> Exception:
 
 
 def _digits_end(text: str, i: int) -> int:
-    """The end of the run of ``str.isdigit`` characters at position i."""
-    while i < len(text) and text[i].isdigit():
+    """The end of the run of decimal digits (``str.isdecimal``, the
+    characters ``\\d`` matches) at position i."""
+    while i < len(text) and text[i].isdecimal():
         i += 1
     return i
 

@@ -9,11 +9,10 @@ there are no floats anywhere.  The two central canonical forms are
   if their stored integer rows are identical.  One integer elimination core
   builds that form, adds rows to it, and reads kernels off it; sums,
   intersections, complements, inclusion and coset reduction all run on the
-  integer rows.  The ``Fraction`` RREF (``basis``, and the functions
-  :func:`rref` and :func:`nullspace`) is built only where rational values
-  are wanted: for a spanning set given as rows (``from_rows`` goes through
-  :func:`rref` and keeps its result as ``basis``), for output, Pluecker
-  minors and explicit solutions, and
+  integer rows.  The ``Fraction`` RREF (``basis``, and :func:`rref`) is
+  built only where rational values are wanted: for a spanning set given as
+  rows (``from_rows`` goes through :func:`rref` and keeps its result as
+  ``basis``), for output, Pluecker minors and explicit solutions, and
 
 * :class:`IntegerLattice` — a subgroup of Z^n stored in row-style Hermite
   normal form (lower triangular shape: each row's last nonzero entry is its
@@ -55,10 +54,6 @@ Matrix = tuple[Vector, ...]
 
 def vec(entries: Iterable) -> Vector:
     return tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
-
-
-def mat(rows: Iterable[Iterable]) -> Matrix:
-    return tuple(vec(r) for r in rows)
 
 
 def vec_sub(a: Vector, b: Vector) -> Vector:
@@ -181,7 +176,7 @@ def forward_eliminate(rows: Iterable[Iterable]) -> tuple[list[int], list, int]:
     permutation, so a square matrix of full rank has determinant
     ``sign * prod(pivot values)``.
 
-    >>> forward_eliminate(mat([[0, 2], [3, 1]]))
+    >>> forward_eliminate([vec([0, 2]), vec([3, 1])])
     ([0, 1], [Fraction(3, 1), Fraction(2, 1)], -1)
     """
     work = [list(r) for r in rows]
@@ -315,15 +310,6 @@ class RationalSubspace:
     def contains_vector(self, v: Sequence) -> bool:
         return not any(_reduce(clear_denominators(v), self.rows, self.pivots)[0])
 
-    def reduce_vector(self, v: Sequence) -> Vector:
-        """v minus the unique element of the subspace matching v on pivots."""
-        v = list(vec(v))
-        for row, p in zip(self.basis, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return tuple(v)
-
     def contains(self, other: "RationalSubspace") -> bool:
         """Inclusion.  The pivots of a subspace are the columns where its
         vectors can start, so a subspace of V has a subset of V's pivots,
@@ -373,15 +359,6 @@ class RationalSubspace:
     def _check_ambient(self, other: "RationalSubspace") -> None:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
-
-
-def nullspace(rows: Iterable[Iterable], n: int) -> list[Vector]:
-    """Basis of {x in Q^n : rows @ x = 0}: one vector per non-pivot column
-    of the RREF of rows, 1 there and 0 at the other non-pivot columns."""
-    reduced, pivots = _echelon(clear_denominators(r) for r in rows)
-    free = sorted(set(range(n)).difference(pivots))
-    return [tuple(Fraction(x, v[fc]) for x in v)
-            for fc, v in zip(free, _kernel(reduced, pivots, n))]
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,6 @@ RREF straight from ``qlinalg._echelon``, and every R is held as integer
 rows (see :class:`jumploci.qlinalg.RationalSubspace`), so the sums, the
 pruning and the memo add, compare and hash ints; ``Fraction`` bases are
 built only for the subspaces of the final arrangement.
-:func:`admissible_partitions_maximal` still lists the maximal partitions
-themselves by the full enumeration.
 
 >>> f = LaurentPoly.parse("t1 + t2 - 2")
 >>> [s.basis for s in tangent_cone_polys([f]).subspaces]
@@ -40,154 +38,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .laurent import LaurentPoly
 from .qlinalg import RationalSubspace, _echelon
 from .tori import VarietyDescription
 
-Expo = tuple[int, ...]
-
 DEFAULT_SUPPORT_LIMIT = 16
 # The tangent cone tabulates all 2^k subset sums of a k-term support, about
 # 40 bytes each: 40 MB at this size, and gigabytes a few terms later.
 SUBSET_SUM_LIMIT = 20
-
-
-# ---------------------------------------------------------------------------
-# admissible partitions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AdmissiblePartition:
-    """A set partition of a polynomial support with zero-sum parts.
-
-    Parts are canonically ordered: elements sorted within each part, parts
-    sorted by their least element.
-    """
-    parts: tuple[tuple[Expo, ...], ...]
-
-    @classmethod
-    def from_parts(cls, parts: Iterable[Iterable[Expo]]) -> "AdmissiblePartition":
-        canon = sorted((tuple(sorted(tuple(e) for e in part)) for part in parts),
-                       key=lambda p: p[0])
-        return cls(tuple(canon))
-
-    def refines(self, other: "AdmissiblePartition") -> bool:
-        """Every part of self lies inside a part of other."""
-        lookup = {}
-        for i, part in enumerate(other.parts):
-            for e in part:
-                lookup[e] = i
-        for part in self.parts:
-            owners = {lookup.get(e) for e in part}
-            if len(owners) != 1 or None in owners:
-                return False
-        return True
-
-    def to_json(self) -> list:
-        return [[list(e) for e in part] for part in self.parts]
-
-
-def _zero_sum_parts(anchor: Expo, others: Sequence[Expo],
-                    coeffs: dict) -> Iterator[tuple[list[Expo], list[Expo]]]:
-    """All (part, remaining) with anchor in part and zero coefficient sum."""
-    target = coeffs[anchor]
-
-    def rec(i: int, chosen: list[Expo], total: Fraction):
-        if i == len(others):
-            if total == 0:
-                yield chosen[:], [e for e in others if e not in set(chosen)]
-            return
-        # exclude others[i]
-        yield from rec(i + 1, chosen, total)
-        # include others[i]
-        chosen.append(others[i])
-        yield from rec(i + 1, chosen, total + coeffs[others[i]])
-        chosen.pop()
-
-    for part, remaining in rec(0, [], target):
-        yield [anchor] + part, remaining
-
-
-def _admissible_partitions(f: LaurentPoly) -> Iterator[AdmissiblePartition]:
-    """Depth-first enumeration anchored on the least unassigned exponent."""
-    support = sorted(f.terms)
-    coeffs = f.terms
-
-    def rec(unassigned: list[Expo]) -> Iterator[list[list[Expo]]]:
-        if not unassigned:
-            yield []
-            return
-        anchor, rest = unassigned[0], unassigned[1:]
-        for part, remaining in _zero_sum_parts(anchor, rest, coeffs):
-            for tail in rec(remaining):
-                yield [part] + tail
-
-    for parts in rec(support):
-        yield AdmissiblePartition.from_parts(parts)
-
-
-def partition_subspace(p: AdmissiblePartition, f: LaurentPoly) -> RationalSubspace:
-    """L(p): common kernel of all in-part exponent differences.
-
-    >>> f = LaurentPoly.parse("t1 - t2")
-    >>> partition_subspace(AdmissiblePartition.from_parts([f.support()]), f).basis
-    ((Fraction(1, 1), Fraction(1, 1)),)
-    """
-    rows = [[a - b for a, b in zip(e, part[0])]
-            for part in p.parts for e in part[1:]]
-    return RationalSubspace.from_rows(rows, f.num_vars).perp()
-
-
-def _check_support(f: LaurentPoly, max_support: int) -> None:
-    if len(f.terms) > max_support:
-        raise ValueError(
-            f"support size {len(f.terms)} exceeds the enumeration limit "
-            f"{max_support}: the cost grows exponentially with the support "
-            f"size; pass a larger max_support to override")
-
-
-def admissible_partitions_maximal(f: LaurentPoly,
-                                  max_support: int = DEFAULT_SUPPORT_LIMIT
-                                  ) -> list[AdmissiblePartition]:
-    """All admissible partitions whose subspace L(p) is maximal.
-
-    Returns [] when f(1) != 0 (no admissible partition exists).  Rejects
-    the zero polynomial, whose tangent cone would be everything, and
-    supports larger than ``max_support`` (default ``DEFAULT_SUPPORT_LIMIT``
-    = 16, the limit of :func:`tangent_cone_polys`).
-
-    This visits every admissible partition, up to Bell(k) of them for k
-    support terms, and compares them pairwise, so its cost grows faster than
-    exponentially: a 10-term polynomial takes seconds and a 12-term one more
-    than five minutes, far below the default limit.  Use
-    :func:`tangent_cone_polys` for the cone itself.
-
-    >>> f = LaurentPoly.parse("t1 + t2")
-    >>> admissible_partitions_maximal(f)
-    []
-    """
-    if f.is_zero():
-        raise ValueError("tangent cone of the zero polynomial is everything")
-    _check_support(f, max_support)
-    if f.coefficient_sum() != 0:
-        return []
-    found: list[tuple[AdmissiblePartition, RationalSubspace]] = []
-    for p in _admissible_partitions(f):
-        found.append((p, partition_subspace(p, f)))
-    out = []
-    for i, (p, sub) in enumerate(found):
-        dominated = False
-        for j, (_, other) in enumerate(found):
-            if i != j and other.contains(sub) and other != sub:
-                dominated = True
-                break
-        if not dominated:
-            out.append(p)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +248,11 @@ def tangent_cone_polys(polys: Sequence[LaurentPoly],
             raise ValueError("tangent cone of the zero polynomial is everything")
     result: Optional[SubspaceArrangement] = None
     for f in polys:
-        _check_support(f, max_support)
+        if len(f.terms) > max_support:
+            raise ValueError(
+                f"support size {len(f.terms)} exceeds the enumeration limit "
+                f"{max_support}: the cost grows exponentially with the support "
+                f"size; pass a larger max_support to override")
         if f.coefficient_sum() != 0:
             return SubspaceArrangement.empty_arrangement(n)
         cone = SubspaceArrangement(n, _poly_cone(f))

@@ -290,9 +290,12 @@ def oracle_parse_poly(text, num_vars=None):
     A character tokenizer (a ``Fraction`` per number token) and a
     recursive-descent term parser: the library's parser before its
     term-level scan, kept as the specification of the accepted language and
-    of every error message.  Returns ``(num_vars, terms)``, terms a dict
-    from exponent tuples to nonzero Fractions in order of first appearance;
-    bad input raises what the library raised.
+    of every error message.  Number tokens are runs of decimal digits
+    (``str.isdecimal``), so another digit such as ``²`` is an unexpected
+    character, and a zero denominator is a ValueError with its position.
+    Returns ``(num_vars, terms)``, terms a dict from exponent tuples to
+    nonzero Fractions in order of first appearance; bad input raises the
+    ValueError the library must raise.
     """
     tokens = _tokenize_poly(text)
     terms, max_index = _parse_poly(tokens, text)
@@ -321,25 +324,28 @@ def _tokenize_poly(text: str):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j < n and text[j] == "/":
                 k = j + 1
-                while k < n and text[k].isdigit():
+                while k < n and text[k].isdecimal():
                     k += 1
                 if k == j + 1:
                     raise ValueError(f"bad rational at position {i}")
-                tokens.append(("num", Fraction(text[i:k]), i))
+                num, den = int(text[i:j]), int(text[j + 1:k])
+                if not den:
+                    raise ValueError(f"zero denominator at position {i}")
+                tokens.append(("num", Fraction(num, den), i))
                 i = k
             else:
                 tokens.append(("num", Fraction(text[i:j]), i))
                 i = j
             continue
-        if ch == "t" and i + 1 < n and text[i + 1].isdigit():
+        if ch == "t" and i + 1 < n and text[i + 1].isdecimal():
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             index = int(text[i + 1:j])
             if index < 1:

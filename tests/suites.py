@@ -30,8 +30,9 @@ def _random_subspace(rng, n, max_rows=None, entry=2):
 
 
 def suite_partition_oracle(cases=210, seed=101):
-    """Maximal admissible-partition subspaces match the brute-force oracle."""
-    from jumploci.tcone import admissible_partitions_maximal, partition_subspace
+    """The tangent cone of one polynomial, the maximal subspaces L(p) over
+    admissible partitions, matches the brute-force partition oracle."""
+    from jumploci.tcone import tangent_cone_polys
     rng = random.Random(seed)
     done = 0
     while done < cases:
@@ -52,8 +53,7 @@ def suite_partition_oracle(cases=210, seed=101):
             if not terms:
                 continue
         f = LaurentPoly(n, terms)
-        ours = {partition_subspace(p, f)
-                for p in admissible_partitions_maximal(f, max_support=7)}
+        ours = set(tangent_cone_polys([f]).subspaces)
         theirs = {
             RationalSubspace.from_rows([[F(x) for x in row] for row in rows], n)
             for rows in oracles.oracle_tangent_cone(dict(f.terms), n)

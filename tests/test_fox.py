@@ -264,16 +264,16 @@ def test_rank_matches_numeric_rank_at_random_characters():
 
 
 def test_depth1_membership_one_relator_group():
-    pres = parse_presentation(datasets.ONE_RELATOR_PRES)
-    assert depth1_membership(pres, (0, F(1, 2)))
-    assert not depth1_membership(pres, (F(1, 2), 0))
-    assert depth1_membership(pres, (0, 0))       # b_1 = 2 >= 1
+    m = alexander_matrix(parse_presentation(datasets.ONE_RELATOR_PRES))
+    assert depth1_membership(m, (0, F(1, 2)))
+    assert not depth1_membership(m, (F(1, 2), 0))
+    assert depth1_membership(m, (0, 0))       # b_1 = 2 >= 1
 
 
 def test_depth1_membership_validates_length():
-    pres = parse_presentation(datasets.ONE_RELATOR_PRES)
-    with pytest.raises(ValueError):
-        depth1_membership(pres, (0, 0, 0))
+    m = alexander_matrix(parse_presentation(datasets.ONE_RELATOR_PRES))
+    with pytest.raises(ValueError, match="character length mismatch"):
+        depth1_membership(m, (0, 0, 0))
 
 
 def test_generic_rank_on_translated_torus():
@@ -288,13 +288,13 @@ def test_generic_rank_on_translated_torus():
 
 
 def test_contains_translated_torus_closed_omega():
-    pres = parse_presentation(datasets.CLOSED_OMEGA_PRES)
-    assert contains_translated_torus(pres, datasets.closed_omega_component())
+    m = alexander_matrix(parse_presentation(datasets.CLOSED_OMEGA_PRES))
+    assert contains_translated_torus(m, datasets.closed_omega_component())
     full = TranslatedTorus.from_data(
         [0, 0, 0], [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
-    assert not contains_translated_torus(pres, full)
+    assert not contains_translated_torus(m, full)
     point = TranslatedTorus.from_data([F(1, 2), 0, 0], [], 3)
-    assert contains_translated_torus(pres, point)
+    assert contains_translated_torus(m, point)
 
 
 def test_surface_group_contains_both_components():
@@ -305,8 +305,8 @@ def test_surface_group_contains_both_components():
     assert m.fundamental_identity_holds()
     assert generic_rank_on_torus(m, datasets.surface_subtorus()) == 3
     assert generic_rank_on_torus(m, datasets.surface_translated()) == 3
-    assert contains_translated_torus(pres, datasets.surface_subtorus())
-    assert contains_translated_torus(pres, datasets.surface_translated())
+    assert contains_translated_torus(m, datasets.surface_subtorus())
+    assert contains_translated_torus(m, datasets.surface_translated())
 
 
 def random_alexander_matrix(rng):

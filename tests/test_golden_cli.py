@@ -145,7 +145,8 @@ def build_argvs() -> list[list[str]]:
     calls.append(["tcone", "--poly", _poly_text(rng, 3, [1] * 9 + [-1] * 9)])
     # malformed polynomial text: the error and its position, byte for byte
     for text in ("t1 + + t2", "t0 + 1", "x1 + 1", "1/ + t1", "t1^", "t1^t2",
-                 "2*", "", "t1^1/2 - 1", "2^3 - t1", "t1 - 1/0"):
+                 "2*", "", "t1^1/2 - 1", "2^3 - t1", "t1 - 1/0",
+                 "t1\u00b2 - 1"):
         calls.append(["tcone", "--poly", text])
     calls.append(["tcone", "--poly", "t1 - 1", "--poly", "t2 - t1 +"])
     calls.append(["omega-describe", "--r", "1", "--poly", "t1^ - 2 t2 $ - 1"])

@@ -199,6 +199,20 @@ def test_parse_errors_match_the_reference_parser():
                 == _outcome(oracles.oracle_parse_poly, text, num_vars))
 
 
+def test_parse_errors_on_zero_denominators_and_other_digits_give_a_position():
+    cases = [t for t in INVALID_TEXTS if "/0" in t or "\u00b2" in t]
+    assert len(cases) == 8
+    for text in cases:
+        with pytest.raises(ValueError, match="position") as info:
+            LaurentPoly.parse(text)
+        assert type(info.value) is ValueError, text
+    with pytest.raises(ValueError, match="^zero denominator at position 5$"):
+        LaurentPoly.parse("t1 - 1/0")
+    with pytest.raises(ValueError,
+                       match="^unexpected character '\u00b2' at position 2$"):
+        LaurentPoly.parse("t1\u00b2 - 1")
+
+
 def test_parse_refuses_variables_over_the_limit():
     top = MAX_VARIABLES
     f = LaurentPoly.parse(f"t{top} - 1")

@@ -17,3 +17,13 @@ def test_library_has_no_assert_statements():
                                             filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its definition is deleted breaks
+    # ``from jumploci import *`` at the user's site, not at import time
+    import jumploci
+    assert len(set(jumploci.__all__)) == len(jumploci.__all__)
+    missing = [name for name in jumploci.__all__
+               if not hasattr(jumploci, name)]
+    assert missing == []

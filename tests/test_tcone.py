@@ -1,4 +1,4 @@
-"""Admissible partitions, exponential tangent cones, subspace arrangements."""
+"""Exponential tangent cones and subspace arrangements."""
 
 import random
 from fractions import Fraction
@@ -12,10 +12,7 @@ from jumploci.qlinalg import RationalSubspace, clear_denominators
 from jumploci.tcone import (
     DEFAULT_SUPPORT_LIMIT,
     SUBSET_SUM_LIMIT,
-    AdmissiblePartition,
     SubspaceArrangement,
-    admissible_partitions_maximal,
-    partition_subspace,
     tangent_cone_description,
     tangent_cone_polys,
 )
@@ -27,71 +24,65 @@ B1, B2, B3 = (0, 1, 1), (1, 0, 1), (1, 1, 0)  # e2+e3, e1+e3, e1+e2
 
 
 # ---------------------------------------------------------------------------
-# partitions
+# tangent cones of one polynomial
 # ---------------------------------------------------------------------------
 
-def test_partition_canonical_form():
-    p = AdmissiblePartition.from_parts([[B3, E2], [E1, B1]])
-    assert p.parts == (((0, 1, 0), (1, 1, 0)), ((0, 1, 1), (1, 0, 0)))
-    assert p == AdmissiblePartition.from_parts([[E1, B1], [E2, B3]])
-    assert p.to_json() == [[[0, 1, 0], [1, 1, 0]], [[0, 1, 1], [1, 0, 0]]]
-
-
-def test_partition_refinement():
-    fine = AdmissiblePartition.from_parts([[E1], [E2], [B1, B3]])
-    coarse = AdmissiblePartition.from_parts([[E1, E2], [B1, B3]])
-    assert fine.refines(coarse)
-    assert not coarse.refines(fine)
-    assert fine.refines(fine)
-    other = AdmissiblePartition.from_parts([[E1, B2]])
-    assert not fine.refines(other)  # supports differ
+def _in_part_kernel(parts, n=3):
+    """L(p): the common kernel of the in-part exponent differences."""
+    rows = [[a - b for a, b in zip(e, part[0])]
+            for part in parts for e in part[1:]]
+    return RationalSubspace.from_rows(rows, n).perp()
 
 
 def test_chain_polynomial_has_three_maximal_partitions():
-    f = datasets.chain_delta()
-    maxi = admissible_partitions_maximal(f)
-    matching_1 = AdmissiblePartition.from_parts([[E1, B1], [E2, B3], [E3, B2]])
-    matching_2 = AdmissiblePartition.from_parts([[E1, B3], [E2, B2], [E3, B1]])
-    matching_3 = AdmissiblePartition.from_parts([[E1, B2], [E2, B1], [E3, B3]])
-    assert set(maxi) == {matching_1, matching_2, matching_3}
-    lines = {partition_subspace(p, f) for p in maxi}
-    assert lines == set(datasets.chain_lines())
+    # the maximal admissible partitions of the chain support are the three
+    # matchings below, and the cone is the union of their subspaces L(p)
+    matchings = ([[E1, B1], [E2, B3], [E3, B2]],
+                 [[E1, B3], [E2, B2], [E3, B1]],
+                 [[E1, B2], [E2, B1], [E3, B3]])
+    cone = tangent_cone_polys([datasets.chain_delta()])
+    assert set(cone.subspaces) == {_in_part_kernel(m) for m in matchings}
+    assert set(cone.subspaces) == set(datasets.chain_lines())
 
 
 def test_single_block_partition_of_toy_polynomial():
+    # the one maximal partition is the whole support, so the cone is {0}
     toy = LaurentPoly.parse(datasets.TOY_CONE_TEXT)
-    maxi = admissible_partitions_maximal(toy)
-    assert len(maxi) == 1
-    assert maxi[0].parts == (((0, 0), (0, 1), (1, 0)),)
-    assert partition_subspace(maxi[0], toy).is_zero()
+    cone = tangent_cone_polys([toy])
+    assert cone.subspaces == (RationalSubspace.zero(2),)
+    assert not cone.is_empty()
 
 
 def test_no_partition_when_identity_misses_variety():
-    assert admissible_partitions_maximal(LaurentPoly.parse("t1 + t2")) == []
-    assert admissible_partitions_maximal(LaurentPoly.parse("3")) == []
+    assert tangent_cone_polys([LaurentPoly.parse("t1 + t2")]).is_empty()
+    assert tangent_cone_polys([LaurentPoly.parse("3")]).is_empty()
 
 
 def test_partition_enumeration_guard_rails():
-    with pytest.raises(ValueError):
-        admissible_partitions_maximal(LaurentPoly.zero(2))
+    with pytest.raises(ValueError, match="zero polynomial"):
+        tangent_cone_polys([LaurentPoly.zero(2)])
     big = LaurentPoly.monomial((8,), -8, 1)
     for k in range(8):
         big = big + LaurentPoly.monomial((k,), 1, 1)
     with pytest.raises(ValueError, match="exceeds the enumeration limit"):
-        admissible_partitions_maximal(big, max_support=8)
-    assert admissible_partitions_maximal(big, max_support=9) != []
+        tangent_cone_polys([big], max_support=8)
+    assert tangent_cone_polys([big], max_support=9).subspaces == (
+        RationalSubspace.zero(1),)
 
 
 def test_partition_subspace_frozen():
-    p = AdmissiblePartition.from_parts([[E2, B3], [E3, B2], [E1, B1]])
-    sub = partition_subspace(p, datasets.chain_delta())
+    sub = _in_part_kernel([[E2, B3], [E3, B2], [E1, B1]])
     assert sub == RationalSubspace.from_rows([(0, 1, -1)], 3)
+    assert sub in tangent_cone_polys([datasets.chain_delta()]).subspaces
 
 
 def test_subspace_of_trivial_partition_is_full():
+    # singleton parts have no in-part differences, so L(p) is everything;
+    # they do not sum to zero, and the cone of (t1 - 1)(t2 + 1) is {z1 = 0}
     f = LaurentPoly.parse("t1 - t2 + t1*t2 - 1")
-    p = AdmissiblePartition.from_parts([[e] for e in f.support()])
-    assert partition_subspace(p, f) == RationalSubspace.full(2)
+    assert _in_part_kernel([[e] for e in f.support()], 2) == \
+        RationalSubspace.full(2)
+    assert tangent_cone_polys([f]).subspaces == (line(0, 1),)
 
 
 def _one_parameter_sum(f: LaurentPoly, z):
@@ -127,8 +118,7 @@ def test_random_polynomials_against_partition_oracle():
             f = f + LaurentPoly.monomial(expo, rng.choice([-2, -1, 1, 2]), n)
         if f.is_zero():
             continue
-        maxi = admissible_partitions_maximal(f)
-        ours = {partition_subspace(p, f) for p in maxi}
+        ours = set(tangent_cone_polys([f]).subspaces)
         theirs = {
             RationalSubspace.from_rows([[F(x) for x in row] for row in rows], n)
             for rows in oracles.oracle_tangent_cone(
@@ -142,11 +132,6 @@ def _oracle_cone(f: LaurentPoly) -> SubspaceArrangement:
     return SubspaceArrangement(n, [
         RationalSubspace.from_rows([[F(x) for x in row] for row in rows], n)
         for rows in oracles.oracle_tangent_cone(dict(f.terms), n)])
-
-
-def _enumerated_cone(f: LaurentPoly) -> SubspaceArrangement:
-    return SubspaceArrangement(f.num_vars, [
-        partition_subspace(p, f) for p in admissible_partitions_maximal(f)])
 
 
 def _random_poly(rng, n, size, coeffs, on_identity):
@@ -175,7 +160,7 @@ def test_minimal_part_cone_matches_oracle_and_enumeration(seed, coeffs):
         if f.is_zero():
             continue
         cone = tangent_cone_polys([f])
-        assert cone == _oracle_cone(f) == _enumerated_cone(f), f
+        assert cone == _oracle_cone(f), f
         assert cone.is_empty() == (f.coefficient_sum() != 0)
         checked += 1
     assert checked >= 20
@@ -185,7 +170,7 @@ def test_minimal_parts_of_different_sizes():
     # coefficients 2, -1, -1, 3, -3, 1, -1: zero-sum parts such as {3, -3},
     # {1, -1}, {2, -1, -1} and {2, -3, 1}
     f = LaurentPoly.parse("2*t1 - t2 - t3 + 3*t1*t2 - 3*t2*t3 + t1*t3 - 1", 3)
-    assert tangent_cone_polys([f]) == _oracle_cone(f) == _enumerated_cone(f)
+    assert tangent_cone_polys([f]) == _oracle_cone(f)
     g = LaurentPoly.parse("2*t1 - t1^2 - 1", 1)   # -(t1 - 1)^2: one part
     assert tangent_cone_polys([g]).subspaces == (RationalSubspace.zero(1),)
 
