@@ -25,6 +25,7 @@ to the coset first and then run fraction-free elimination.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -171,14 +172,18 @@ def _tokenize_presentation(text: str):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch == "-" or ch.isdigit():
+        if ch == "-" or ch.isdecimal():
             j = i + 1 if ch == "-" else i
             k = j
-            while k < n and text[k].isdigit():
+            while k < n and text[k].isdecimal():
                 k += 1
             if k == j:
                 raise PresentationSyntaxError("expected digits after '-'", i)
-            tokens.append(("int", int(text[i:k]), i))
+            try:
+                tokens.append(("int", int(text[i:k]), i))
+            except ValueError:
+                raise PresentationSyntaxError(f"a number of more than "
+                    f"{sys.get_int_max_str_digits()} digits", i) from None
             i = k
             continue
         if ch.isalpha() or ch == "_":
@@ -308,9 +313,6 @@ class Abelianization:
     free_rank: int
     projection: tuple[tuple[int, ...], ...]
     torsion_invariants: tuple[int, ...]
-
-    def generator_image(self, j: int) -> tuple[int, ...]:
-        return self.projection[j]
 
 
 def abelianize(P: Presentation) -> Abelianization:

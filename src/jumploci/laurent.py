@@ -43,6 +43,7 @@ import itertools
 import math
 import operator
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -249,7 +250,10 @@ class LaurentPoly:
         pos = n - len(text.lstrip())
         while pos < n:
             m = _TERM.match(text, pos)
-            term = _term(m[1], _FACTOR.findall(m[2]))
+            try:
+                term = _term(m[1], _FACTOR.findall(m[2]))
+            except ValueError:      # a number past int()'s digit limit
+                term = None
             start, pos = pos, m.end()
             if term is None or (pos < n and text[pos] not in "+-"):
                 raise _syntax_error(text, start)
@@ -291,7 +295,8 @@ class LaurentPoly:
 def _term(sign: str, factors) -> Optional[tuple[Fraction, dict[int, int]]]:
     """The coefficient and ``{index: exponent}`` of one term, from its sign
     and its factors as ``_FACTOR`` groups; None if it has no factor or a
-    factor the term scan cannot take (see :func:`_syntax_error`)."""
+    factor the term scan cannot take (see :func:`_syntax_error`).  A number
+    longer than ``int()`` reads raises its ValueError."""
     if not factors:
         return None
     num, den = (-1 if sign == "-" else 1), 1
@@ -327,10 +332,10 @@ def _syntax_error(text: str, start: int) -> ValueError:
 
     Errors come in the order of a token-by-token reading: first the leftmost
     bad token from ``start`` on (a stray character, ``p/`` without digits, a
-    zero denominator, ``t0``, an index above ``MAX_VARIABLES``), then the
-    first misplaced token.  Tokens are runs of decimal digits (``\\d``, as
-    in the term pattern), so a digit that is not decimal (``²``) is a stray
-    character.
+    number longer than ``int()`` reads, a zero denominator, ``t0``, an index
+    above ``MAX_VARIABLES``), then the first misplaced token.  Tokens are
+    runs of decimal digits (``\\d``, as in the term pattern), so a digit
+    that is not decimal (``²``) is a stray character.
     """
     i, n = start, len(text)
     while i < n:
@@ -342,23 +347,24 @@ def _syntax_error(text: str, start: int) -> ValueError:
         k = _digits_end(text, j)
         if k == j:
             return ValueError(f"unexpected character {ch!r} at position {i}")
+        if ch != "t" and text[k:k + 1] == "/":
+            k = _digits_end(text, k + 1)
+            if text[k - 1] == "/":
+                return ValueError(f"bad rational at position {i}")
+        num, _, den = text[j:k].partition("/")
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError:
+            return ValueError(f"a number of more than {sys.get_int_max_str_digits()}"
+                              f" digits at position {i}")
         if ch == "t":
-            index = int(text[j:k])
-            if index < 1:
+            if num < 1:
                 return ValueError(f"variables are numbered from t1, at position {i}")
-            if index > MAX_VARIABLES:
-                return ValueError(f"variable t{index} at position {i} is above "
+            if num > MAX_VARIABLES:
+                return ValueError(f"variable t{num} at position {i} is above "
                                   f"MAX_VARIABLES = {MAX_VARIABLES}")
-        else:
-            if text[k:k + 1] == "/":
-                j = k + 1
-                k = _digits_end(text, j)
-                if k == j:
-                    return ValueError(f"bad rational at position {i}")
-            num, _, den = text[i:k].partition("/")
-            int(num)        # a number past int's digit limit raises here
-            if den and not int(den):
-                return ValueError(f"zero denominator at position {i}")
+        elif not den:
+            return ValueError(f"zero denominator at position {i}")
         i = k
     m = _TERM.match(text, start)
     factors = list(_FACTOR.finditer(text, m.start(2), m.end(2)))
@@ -722,16 +728,6 @@ class CyclotomicNumber:
         spread[::step] = self.num
         return CyclotomicNumber._make(new_order, _reduce(new_order, spread),
                                       self.den)
-
-    def to_complex(self) -> complex:
-        z = complex(math.cos(2 * math.pi / self.order),
-                    math.sin(2 * math.pi / self.order))
-        total = 0j
-        power = 1 + 0j
-        for c in self.coeffs:
-            total += float(c) * power
-            power *= z
-        return total
 
     def __eq__(self, other):
         if isinstance(other, CyclotomicNumber):

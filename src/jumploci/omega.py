@@ -284,8 +284,8 @@ def nonopen_witness(W: VarietyDescription, beta: int, r: int,
 
     basis = [list(row) for row in L.basis]
     plane = RationalSubspace.from_rows(basis[:r], L.ambient_dim)
-    verdict = omega_membership(W, plane)
     p_ref = plucker(plane)
+    verdict = omega_membership(W, plane)
     steps = []
     for q in q_list:
         if q <= 0:

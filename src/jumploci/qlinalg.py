@@ -12,7 +12,8 @@ there are no floats anywhere.  The two central canonical forms are
   integer rows.  The ``Fraction`` RREF (``basis``, and :func:`rref`) is
   built only where rational values are wanted: for a spanning set given as
   rows (``from_rows`` goes through :func:`rref` and keeps its result as
-  ``basis``), for output, Pluecker minors and explicit solutions, and
+  ``basis``), for output and for explicit solutions; Pluecker minors are
+  fraction-free determinants of the stored integer rows, and
 
 * :class:`IntegerLattice` — a subgroup of Z^n stored in row-style Hermite
   normal form (lower triangular shape: each row's last nonzero entry is its
@@ -46,6 +47,12 @@ from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
+
+#: The most Pluecker coordinates C(n, r) that :func:`plucker` computes, and
+#: the most coefficients C(n, r + s) C(n, r) that :func:`schubert_equations`
+#: writes; more is refused before any minor is computed.  A random 8-plane
+#: in Q^16 (12870 coordinates) takes 1.8 s.
+PLUCKER_BUDGET = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -163,49 +170,6 @@ def rref(rows: Iterable[Iterable]) -> tuple[Matrix, tuple[int, ...]]:
     """
     reduced, pivots = _echelon(clear_denominators(r) for r in rows)
     return _fractions(reduced, pivots), pivots
-
-
-def forward_eliminate(rows: Iterable[Iterable]) -> tuple[list[int], list, int]:
-    """Row echelon form over a field: ``(pivot columns, pivot values, sign)``.
-
-    Entries are field elements supporting ``+ - *``, ``1 / x`` and ``!= 0``:
-    Fraction for Q, CyclotomicNumber for Q(zeta_m) (plain ints would divide
-    into floats).  Each pivot row is scaled to a leading 1 and the entries
-    below it are cleared.  The rank is the number of pivots; ``pivot values``
-    are the pivots before scaling and ``sign`` is the sign of the row
-    permutation, so a square matrix of full rank has determinant
-    ``sign * prod(pivot values)``.
-
-    >>> forward_eliminate([vec([0, 2]), vec([3, 1])])
-    ([0, 1], [Fraction(3, 1), Fraction(2, 1)], -1)
-    """
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    values: list = []
-    sign = 1
-    for col in range(ncols):
-        rank = len(pivots)
-        if rank == len(work):
-            break
-        piv = next((i for i in range(rank, len(work)) if work[i][col] != 0),
-                   None)
-        if piv is None:
-            continue
-        if piv != rank:
-            work[rank], work[piv] = work[piv], work[rank]
-            sign = -sign
-        p = work[rank][col]
-        pivots.append(col)
-        values.append(p)
-        below = [row for row in work[rank + 1:] if row[col] != 0]
-        if below:
-            inv = 1 / p
-            top = [x * inv for x in work[rank][col + 1:]]
-            for row in below:
-                f = row[col]
-                row[col + 1:] = [a - f * b for a, b in zip(row[col + 1:], top)]
-    return pivots, values, sign
 
 
 # ---------------------------------------------------------------------------
@@ -727,37 +691,70 @@ class PluckerVector:
 
     @staticmethod
     def subset_order(n: int, r: int) -> list[tuple[int, ...]]:
+        """The r-subsets of range(n), lexicographic; at most PLUCKER_BUDGET."""
+        _within_budget(math.comb(n, r), f"C({n}, {r}) Pluecker coordinates")
         return list(itertools.combinations(range(n), r))
 
 
-def _minor(rows: Matrix, col_subset: Sequence[int]) -> Fraction:
-    """Determinant of the square submatrix on the given columns."""
-    pivots, values, sign = forward_eliminate(
-        [[row[c] for c in col_subset] for row in rows])
-    if len(pivots) < len(col_subset):
-        return Fraction(0)
-    return math.prod(values, start=Fraction(sign))
+def _within_budget(count: int, what: str) -> None:
+    if count > PLUCKER_BUDGET:
+        raise ValueError(f"{what} = {count} is above PLUCKER_BUDGET = "
+                         f"{PLUCKER_BUDGET}")
+
+
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, fraction-free (Bareiss): each
+    entry below pivot a becomes a 2x2 minor through a, divided exactly by
+    the previous pivot, and the last pivot is the determinant up to sign."""
+    m = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for c in range(len(m)):
+        p = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            sign = -sign
+        a, top = m[c][c], m[c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c]
+            m[i] = [(a * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = a
+    return sign * prev
+
+
+def _minors(space: RationalSubspace, subsets: Iterable[Sequence[int]]
+            ) -> list[Fraction]:
+    """The maximal minors of the RREF ``basis`` on each column subset: those
+    of the integer rows over their minor at the pivots, the product of the
+    pivot entries."""
+    rows = space.rows
+    scale = math.prod(row[p] for row, p in zip(rows, space.pivots))
+    return [Fraction(_det([[row[c] for c in cols] for row in rows]), scale)
+            for cols in subsets]
 
 
 def plucker(space: RationalSubspace) -> PluckerVector:
-    """Pluecker coordinates of a nonzero subspace (from its RREF basis)."""
+    """Pluecker coordinates of a nonzero subspace: the maximal minors of its
+    RREF basis.  The pivot columns are the lexicographically first subset
+    with a nonzero minor, and that minor is 1, so they come normalized."""
     if space.is_zero():
         raise ValueError("the zero subspace has no Pluecker coordinates")
     r, n = space.dim, space.ambient_dim
-    coords = [_minor(space.basis, s) for s in itertools.combinations(range(n), r)]
-    lead = next(c for c in coords if c != 0)
-    return PluckerVector(r, n, [c / lead for c in coords])
+    return PluckerVector(r, n, _minors(space, PluckerVector.subset_order(n, r)))
 
 
 def schubert_equations(space: RationalSubspace, r: int) -> list[tuple[Fraction, ...]]:
     """Linear forms in Pluecker coordinates vanishing iff an r-plane meets L.
 
-    Each returned form is the Laplace expansion, along the plane's rows, of
-    one maximal minor of the stacked matrix (L's basis on top of a basis of
-    the plane); the forms vanish simultaneously on plucker(P) exactly when
-    rank(stack) < r + dim L, i.e. when P and L intersect nontrivially.
-    Coefficient tuples are aligned with ``PluckerVector.subset_order(n, r)``.
-    When r + dim L > n the list is empty (every plane meets L).
+    Each form is the Laplace expansion, along the plane's rows, of one
+    maximal minor of the stacked matrix (L's basis over a basis of the
+    plane), so its coefficients are signed maximal minors of L's basis, each
+    computed once.  The forms vanish together on plucker(P) exactly when P
+    meets L nontrivially.  Coefficient tuples are aligned with
+    ``PluckerVector.subset_order(n, r)``; r + dim L > n gives no forms (every
+    plane meets L), and a table of more than ``PLUCKER_BUDGET`` coefficients
+    is a ValueError.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
@@ -766,23 +763,25 @@ def schubert_equations(space: RationalSubspace, r: int) -> list[tuple[Fraction, 
     n, s = space.ambient_dim, space.dim
     if r + s > n:
         return []
-    subsets = PluckerVector.subset_order(n, r)
-    index = {sub: i for i, sub in enumerate(subsets)}
-    global_sign = -1 if (sum(range(s + 1, s + r + 1)) % 2) else 1
+    _within_budget(math.comb(n, r + s) * math.comb(n, r), f"a table of "
+                   f"C({n}, {r + s}) * C({n}, {r}) Schubert coefficients")
+    index = {sub: i for i, sub in enumerate(PluckerVector.subset_order(n, r))}
+    comps = list(itertools.combinations(range(n), s))
+    minor = dict(zip(comps, _minors(space, comps)))
+    # Laplace signs: the plane's rows are rows s+1..s+r of the stack, its
+    # columns the positions J (0-based, hence the + r) in each column set
+    parity = sum(range(s + 1, s + r + 1)) + r
+    splits = [(J, [p for p in range(r + s) if p not in J],
+               -1 if (parity + sum(J)) % 2 else 1)
+              for J in itertools.combinations(range(r + s), r)]
     forms = []
     for cset in itertools.combinations(range(n), r + s):
-        coeffs = [Fraction(0)] * len(subsets)
-        pos = {c: i + 1 for i, c in enumerate(cset)}   # 1-based position in cset
-        nonzero = False
-        for j_subset in itertools.combinations(cset, r):
-            comp = tuple(c for c in cset if c not in j_subset)
-            minor = _minor(space.basis, comp)
-            if minor == 0:
-                continue
-            sign = -1 if (sum(pos[j] for j in j_subset) % 2) else 1
-            coeffs[index[j_subset]] = global_sign * sign * minor
-            nonzero = True
-        if nonzero:
+        coeffs = [Fraction(0)] * len(index)
+        for J, rest, sign in splits:
+            m = minor[tuple(cset[p] for p in rest)]
+            if m:
+                coeffs[index[tuple(cset[p] for p in J)]] = sign * m
+        if any(coeffs):
             forms.append(tuple(coeffs))
     return forms
 

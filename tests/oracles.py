@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 TAU = 2 * math.pi
@@ -292,7 +293,8 @@ def oracle_parse_poly(text, num_vars=None):
     term-level scan, kept as the specification of the accepted language and
     of every error message.  Number tokens are runs of decimal digits
     (``str.isdecimal``), so another digit such as ``²`` is an unexpected
-    character, and a zero denominator is a ValueError with its position.
+    character, and a zero denominator or a number longer than ``int()``
+    reads is a ValueError with its position.
     Returns ``(num_vars, terms)``, terms a dict from exponent tuples to
     nonzero Fractions in order of first appearance; bad input raises the
     ValueError the library must raise.
@@ -334,20 +336,20 @@ def _tokenize_poly(text: str):
                     k += 1
                 if k == j + 1:
                     raise ValueError(f"bad rational at position {i}")
-                num, den = int(text[i:j]), int(text[j + 1:k])
+                num, den = _int_at(text[i:j], i), _int_at(text[j + 1:k], i)
                 if not den:
                     raise ValueError(f"zero denominator at position {i}")
                 tokens.append(("num", Fraction(num, den), i))
                 i = k
             else:
-                tokens.append(("num", Fraction(text[i:j]), i))
+                tokens.append(("num", Fraction(_int_at(text[i:j], i)), i))
                 i = j
             continue
         if ch == "t" and i + 1 < n and text[i + 1].isdecimal():
             j = i + 1
             while j < n and text[j].isdecimal():
                 j += 1
-            index = int(text[i + 1:j])
+            index = _int_at(text[i + 1:j], i)
             if index < 1:
                 raise ValueError(f"variables are numbered from t1, at position {i}")
             tokens.append(("var", index, i))
@@ -355,6 +357,16 @@ def _tokenize_poly(text: str):
             continue
         raise ValueError(f"unexpected character {ch!r} at position {i}")
     return tokens
+
+
+def _int_at(digits, at):
+    """int(digits); a run longer than int() reads is a ValueError that gives
+    the position ``at`` of its token."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(f"a number of more than {sys.get_int_max_str_digits()}"
+                         f" digits at position {at}") from None
 
 
 def _parse_poly(tokens, text):
@@ -508,6 +520,37 @@ def plucker_relation_residuals(coords, r, n):
                 total += sign * a * b
             residuals.append(total)
     return residuals
+
+
+def oracle_schubert_equations(basis, n, r):
+    """The Schubert incidence forms of span(basis) against r-planes in Q^n.
+
+    One Laplace expansion per (r + s)-subset of columns, s = len(basis):
+    the minor of the stacked matrix (basis on top, an r-plane below) on
+    those columns, expanded along the plane's rows, with every cofactor an
+    s x s ``naive_det`` of the basis.  Coefficient tuples are indexed by the
+    r-subsets of range(n) in lexicographic order; forms with no nonzero
+    coefficient are dropped, and r + s > n gives no forms.
+    """
+    s = len(basis)
+    if r + s > n:
+        return []
+    subsets = list(itertools.combinations(range(n), r))
+    index = {sub: i for i, sub in enumerate(subsets)}
+    forms = []
+    for cset in itertools.combinations(range(n), r + s):
+        coeffs = [Fraction(0)] * len(subsets)
+        for j_subset in itertools.combinations(cset, r):
+            rest = [c for c in cset if c not in j_subset]
+            minor = naive_det([[row[c] for c in rest] for row in basis])
+            # the plane's rows sit at rows s+1..s+r, its columns at the
+            # positions of j_subset in cset (both 1-based)
+            places = sum(range(s + 1, s + r + 1)) + sum(
+                cset.index(j) + 1 for j in j_subset)
+            coeffs[index[j_subset]] = -minor if places % 2 else minor
+        if any(coeffs):
+            forms.append(tuple(coeffs))
+    return forms
 
 
 # ---------------------------------------------------------------------------

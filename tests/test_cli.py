@@ -466,6 +466,26 @@ def test_schubert_eqs_rejects_zero_space(capsys):
     assert data["error"]["type"] == "ValueError"
 
 
+def test_plucker_work_over_the_budget_is_refused_at_once(capsys):
+    # C(40, 20) ~ 1.4e11 coordinates: each command used to run for minutes
+    n = 40
+    e1 = json.dumps([[1] + [0] * (n - 1)])
+    hyperplane = json.dumps([[int(i == j) for j in range(n)]
+                             for i in range(n - 1)])
+    half = [[int(i == j) for j in range(n)] for i in range(20)]
+    desc = json.dumps({"n": n, "components": [
+        {"lambda": ["0"] * (n - 1) + ["1/2"], "basis": half}]})
+    for argv in (["schubert-eqs", "--space", e1, "--r", "20"],
+                 ["schubert-eqs", "--space", hyperplane, "--r", "20"],
+                 ["witness", "--desc", desc, "--component", "0", "--r", "20",
+                  "--q", "1"]):
+        start = time.perf_counter()
+        code, data = run_json(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert "PLUCKER_BUDGET" in data["error"]["message"]
+
+
 # ---------------------------------------------------------------------------
 # witness
 # ---------------------------------------------------------------------------

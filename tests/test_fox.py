@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,20 @@ def test_parse_rejects_bad_input():
     except PresentationSyntaxError as exc:
         err = exc
     assert err is not None and err.position == len("<a | a^")
+
+
+def test_parse_errors_on_numbers_give_a_position():
+    # a digit run past int()'s limit, and a digit that is not decimal
+    for text, at in (("<x | x^" + "7" * 4400 + ">", 7),
+                     ("<x | x^-" + "0" * 4400 + "1>", 7),
+                     ("<x | x^²>", 7)):
+        with pytest.raises(PresentationSyntaxError) as info:
+            parse_presentation(text)
+        assert info.value.position == at
+    with pytest.raises(PresentationSyntaxError, match=(
+            f"^a number of more than {sys.get_int_max_str_digits()} digits "
+            "at position 7$")):
+        parse_presentation("<x | x^" + "7" * 4400 + ">")
 
 
 def test_parse_refuses_relators_over_the_letter_limit():

@@ -120,6 +120,7 @@ def build_argvs() -> list[list[str]]:
         calls.append(["alexander", "--pres", pres])
     calls.append(["alexander", "--pres", CLOSED_PRES, "--format", "text"])
     calls.append(["alexander", "--pres", "<a, b | c>"])
+    calls.append(["alexander", "--pres", "<x | x^" + "7" * 4400 + ">"])
 
     patterns = ((1, 1, -1, -1), (2, -1, -1, 1, -1), (1, 1, 1, -1, -1, -1),
                 (2, 1, -1, -1, -1, 1, -1), (1, 1, 1, 1, -1, -1, -1, -1),
@@ -146,7 +147,7 @@ def build_argvs() -> list[list[str]]:
     # malformed polynomial text: the error and its position, byte for byte
     for text in ("t1 + + t2", "t0 + 1", "x1 + 1", "1/ + t1", "t1^", "t1^t2",
                  "2*", "", "t1^1/2 - 1", "2^3 - t1", "t1 - 1/0",
-                 "t1\u00b2 - 1"):
+                 "t1\u00b2 - 1", "t1 - " + "7" * 4400):
         calls.append(["tcone", "--poly", text])
     calls.append(["tcone", "--poly", "t1 - 1", "--poly", "t2 - t1 +"])
     calls.append(["omega-describe", "--r", "1", "--poly", "t1^ - 2 t2 $ - 1"])

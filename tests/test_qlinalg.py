@@ -8,15 +8,14 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from jumploci.laurent import CyclotomicNumber
 from jumploci.qlinalg import (
     IntegerLattice,
+    PLUCKER_BUDGET,
     PluckerVector,
     RationalSubspace,
     clear_denominators,
     coset_reduce,
     evaluate_form,
-    forward_eliminate,
     format_rational,
     hnf,
     integer_kernel,
@@ -30,7 +29,8 @@ from jumploci.qlinalg import (
     sigma_membership,
     snf,
 )
-from jumploci.qlinalg import _minor, _reduce
+from jumploci import qlinalg
+from jumploci.qlinalg import _det, _reduce
 
 F = Fraction
 
@@ -219,49 +219,23 @@ def test_subspace_operations_match_the_oracles():
         assert a.contains_vector(v) == oracles.span_contains(rows_a, [v])
 
 
-def random_cyclo(rng, m):
-    phi = len(CyclotomicNumber.zero(m).coeffs)
-    return CyclotomicNumber(m, [F(rng.choice([0, 0, -1, 1, 2]))
-                                for _ in range(phi)])
-
-
-def test_forward_eliminate_rank_over_cyclotomic_fields_matches_minor_oracle():
-    rng = random.Random(47)
-    for m in [3, 5, 8, 12]:
-        zero, one = CyclotomicNumber.zero(m), CyclotomicNumber.one(m)
-        for trial in range(8):
-            nrows, ncols = rng.randint(2, 3), rng.randint(1, 4)
-            rows = [[random_cyclo(rng, m) for _ in range(ncols)]
-                    for _ in range(nrows)]
-            deficient = trial % 2 == 1
-            if deficient:
-                # last row is a Q(zeta_m)-combination of the others
-                coeffs = [random_cyclo(rng, m) for _ in range(nrows - 1)]
-                rows[-1] = [sum((c * r[j] for c, r in zip(coeffs, rows)), zero)
-                            for j in range(ncols)]
-            expected = oracles.minor_rank(
-                rows, add=lambda a, b: a + b, mul=lambda a, b: a * b,
-                neg=lambda a: -a, is_zero=lambda a: a.is_zero(),
-                zero=zero, one=one)
-            if deficient:
-                assert expected < nrows
-            assert len(forward_eliminate(rows)[0]) == expected
-
-
 def test_minor_matches_cofactor_determinant():
+    # the fraction-free determinant behind every Pluecker minor
     rng = random.Random(48)
     singular = 0
-    for trial in range(60):
-        k = rng.randint(1, 4)
-        rows = [[F(rng.choice([0, 0, -3, -1, 1, 2]), rng.randint(1, 3))
-                 for _ in range(k + 1)] for _ in range(k)]
+    for trial in range(80):
+        k = rng.randint(1, 5)
+        rows = [[rng.choice([0, 0, -3, -1, 1, 2, 7]) for _ in range(k + 1)]
+                for _ in range(k)]
         if trial % 3 == 0 and k >= 2:
             rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[1])]
         cols = sorted(rng.sample(range(k + 1), k))
-        expected = oracles.naive_det([[row[c] for c in cols] for row in rows])
+        square = [[row[c] for c in cols] for row in rows]
+        expected = oracles.naive_det(square)
         singular += expected == 0
-        assert _minor(rows, cols) == expected
+        assert _det(square) == expected
     assert singular > 0
+    assert _det([[0, 2], [3, 1]]) == -6      # a row swap flips the sign
 
 
 def test_clear_denominators_primitive_and_sign_preserving():
@@ -513,6 +487,70 @@ def test_schubert_equations_cut_out_incidence():
         assert vanish == sigma_membership(plane, space)
         checked += 1
     assert checked >= 30
+
+
+def rand_rational_rows(rng, m, n):
+    return [[F(rng.choice([0, 0, 1, -1, 2, -3, 5]), rng.choice([1, 1, 2, 3, 7]))
+             for _ in range(n)] for _ in range(m)]
+
+
+def test_plucker_coordinates_are_ratios_of_minors_of_any_spanning_set():
+    rng = random.Random(22)
+    checked = 0
+    while checked < 220:
+        n = rng.randint(1, 7)
+        r = rng.randint(1, n)
+        rows = rand_rational_rows(rng, r, n)
+        space = RationalSubspace.from_rows(rows, n)
+        if space.dim != r:
+            continue
+        minors = [oracles.naive_det([[row[c] for c in cols] for row in rows])
+                  for cols in itertools.combinations(range(n), r)]
+        lead = next(x for x in minors if x)
+        assert plucker(space).coords == tuple(x / lead for x in minors)
+        checked += 1
+
+
+def test_schubert_equations_match_the_laplace_oracle():
+    rng = random.Random(23)
+    spaces = wide = complementary = 0
+    while spaces < 200:
+        n = rng.randint(2, 7)
+        space = RationalSubspace.from_rows(
+            rand_rational_rows(rng, rng.randint(1, n), n), n)
+        if space.is_zero():
+            continue
+        s = space.dim
+        for r in range(1, n + 1):
+            assert (schubert_equations(space, r)
+                    == oracles.oracle_schubert_equations(space.basis, n, r))
+            wide += 2 * s > n and r + s <= n
+            complementary += r + s == n
+        spaces += 1
+    assert wide >= 50 and complementary >= 100
+
+
+def test_plucker_layer_refuses_work_over_the_budget(monkeypatch):
+    def no_minor(rows):
+        raise AssertionError("a minor was computed")
+    monkeypatch.setattr(qlinalg, "_det", no_minor)
+    e1 = RationalSubspace.from_rows([[1] + [0] * 39], 40)
+    half = RationalSubspace.from_rows(
+        [[int(i == j) for j in range(20)] for i in range(10)], 20)
+    with pytest.raises(ValueError, match=(
+            r"^C\(20, 10\) Pluecker coordinates = 184756 is above "
+            rf"PLUCKER_BUDGET = {PLUCKER_BUDGET}$")):
+        plucker(half)
+    with pytest.raises(ValueError, match=(
+            r"C\(40, 21\) \* C\(40, 20\) Schubert coefficients = \d+ "
+            "is above PLUCKER_BUDGET")):
+        schubert_equations(e1, 20)
+    with pytest.raises(ValueError, match="PLUCKER_BUDGET"):
+        PluckerVector.subset_order(40, 20)
+    # r + dim L > n: every plane meets L, so there is no table to refuse
+    big = RationalSubspace.from_rows(
+        [[int(i == j) for j in range(40)] for i in range(39)], 40)
+    assert schubert_equations(big, 20) == []
 
 
 def test_schubert_equations_trivial_when_every_plane_meets():
