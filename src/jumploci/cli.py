@@ -22,7 +22,7 @@ from .laurent import LaurentPoly
 from .omega import (fpk_report, nonopen_witness, omega1_r1_description,
                     omega_codim1_closed_form, omega_membership)
 from .qlinalg import (PluckerVector, RationalSubspace, clear_denominators,
-                      format_rational, parse_rational, schubert_equations)
+                      format_rational, json_rational_rows, schubert_equations)
 from .tcone import (DEFAULT_SUPPORT_LIMIT, SUBSET_SUM_LIMIT,
                     SubspaceArrangement, tangent_cone_description,
                     tangent_cone_polys)
@@ -63,8 +63,8 @@ def _parse_subspace(data, ambient_dim: Optional[int] = None) -> RationalSubspace
             ambient_dim = _json_dim(data["n"], "a subspace's 'n'")
     else:
         rows = data
-    parsed = [[parse_rational(str(x)) for x in row]
-              for row in _json_rows(rows, "a subspace's 'basis'")]
+    parsed = json_rational_rows(_json_rows(rows, "a subspace's 'basis'"),
+                                "a subspace's 'basis'")
     if ambient_dim is None:
         if not parsed:
             raise ValueError("cannot infer ambient dimension of an empty basis")

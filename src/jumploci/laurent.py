@@ -48,7 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .qlinalg import format_rational, parse_rational, saturated_integer_points, vec
+from .qlinalg import format_rational, json_rational, saturated_integer_points, vec
 from .tori import TorsionCharacter, TranslatedTorus
 
 Expo = tuple[int, ...]
@@ -286,9 +286,10 @@ class LaurentPoly:
     def from_json(cls, data: dict) -> "LaurentPoly":
         n = int(data["num_vars"])
         terms = {}
-        for t in data.get("terms", []):
+        for k, t in enumerate(data.get("terms", [])):
             e = tuple(int(x) for x in t["exponents"])
-            terms[e] = terms.get(e, Fraction(0)) + parse_rational(str(t["coeff"]))
+            c = json_rational(t["coeff"], f"a polynomial's term {k} 'coeff'")
+            terms[e] = terms.get(e, Fraction(0)) + c
         return cls(n, terms)
 
 
@@ -977,10 +978,8 @@ def restrict_matrix_to_translated_torus(
 def bareiss_rank(rows: Sequence[Sequence[CycloLaurentPoly]]) -> int:
     """Rank over the fraction field, by Bareiss elimination.
 
-    Division by the previous pivot is exact (entries of intermediate
-    matrices are subdeterminants of the original, up to the unit monomial
-    row contents stripped along the way, which never obstruct Laurent
-    divisibility).
+    Division by the previous pivot is exact: every entry of an intermediate
+    matrix is a minor of the original.
     """
     work = [list(r) for r in rows]
     if not work:
@@ -988,13 +987,6 @@ def bareiss_rank(rows: Sequence[Sequence[CycloLaurentPoly]]) -> int:
     ncols = len(work[0])
     nvars = work[0][0].num_vars if work[0] else 0
     order = work[0][0].order if work[0] else 1
-
-    def strip(p: CycloLaurentPoly) -> CycloLaurentPoly:
-        if p.is_zero():
-            return p
-        return p.shift(tuple(-x for x in p.monomial_content()))
-
-    work = [[strip(p) for p in r] for r in work]
     prev = CycloLaurentPoly.constant(nvars, order, 1)
     prev_is_one = True
     rank = 0

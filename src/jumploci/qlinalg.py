@@ -20,14 +20,17 @@ there are no floats anywhere.  The two central canonical forms are
   pivot, pivot columns strictly increase, pivots are positive, and the entries
   below a pivot in its column are reduced into ``[0, pivot)``).
 
-On top of these the module provides :func:`coset_reduce`, the one place that
-decides ``lambda in V + Z^n`` (the decidable core of every "does this
-character lie on that algebraic subtorus" question downstream): it reduces
-lambda to the canonical representative of its coset mod V + Z^n, with one
-HNF, and returns the integer step taken.  :func:`lattice_coset_solve` and
-:func:`lattice_coset_membership` read their answers off it.  The module also
-provides Pluecker coordinates of subspaces, and the linear equations cutting
-out the locus of r-planes meeting a fixed subspace nontrivially.
+On top of these the module provides :func:`coset_reduce`, which decides
+``lambda in V + Z^n`` (the decidable core of every "does this character lie
+on that algebraic subtorus" question downstream): it reduces lambda to the
+canonical representative of its coset mod V + Z^n, with one HNF, and
+returns the integer step taken.  :func:`lattice_coset_solve` reads its
+answer off it, and so does :func:`lattice_coset_membership` unless lambda
+is an integer vector, which lies in every V + Z^n.  ``tori`` calls it for
+the canonical translate of a non-integral lambda.  The module also provides
+Pluecker coordinates of subspaces, the linear equations cutting out the
+locus of r-planes meeting a fixed subspace nontrivially, and the reading of
+rational JSON entries, whose errors name the entry.
 
 >>> V = RationalSubspace.from_rows([(1, 1)], 2)
 >>> coset_reduce((Fraction(3, 2), Fraction(1, 2)), V)
@@ -42,6 +45,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -186,8 +191,8 @@ class RationalSubspace:
     so two subspaces are equal as point sets exactly when their rows are
     identical, and equality and hashing compare tuples of ints.  ``basis``,
     that RREF with ``Fraction`` entries, is kept from :meth:`from_rows`;
-    a subspace made by :meth:`sum`, :meth:`intersect` or :meth:`perp` builds
-    it on first use only.
+    a subspace made from integer rows (by :meth:`sum`, :meth:`intersect`,
+    :meth:`perp` or the constructor) builds it on first use only.
 
     >>> A = RationalSubspace.from_rows([(2, 4), (1, 2)], 2)
     >>> A.basis
@@ -651,7 +656,11 @@ def lattice_coset_solve(lam: Sequence, space: RationalSubspace
 
 
 def lattice_coset_membership(lam: Sequence, space: RationalSubspace) -> bool:
-    """Is lam an element of V + Z^n?"""
+    """Is lam an element of V + Z^n?  An integer vector is, for every V, so
+    only a lam with a denominator goes to :func:`coset_reduce`."""
+    lam = vec(lam)
+    if len(lam) == space.ambient_dim and all(x.denominator == 1 for x in lam):
+        return True
     return lattice_coset_solve(lam, space) is not None
 
 
@@ -802,11 +811,56 @@ def sigma_membership(plane: RationalSubspace, space: RationalSubspace) -> bool:
 # ---------------------------------------------------------------------------
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+    """``Fraction(text.strip())``.  The forms JSON input takes, ASCII
+    ``[-]digits`` and ``[-]digits/digits``, are read to ints directly; any
+    other text goes to ``Fraction``, so the accepted texts, their values and
+    the errors raised are Fraction's."""
+    text = text.strip()
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if (digits.isascii() and digits.isdigit()
+            and (not slash or den.isascii() and den.isdigit())):
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    return Fraction(text)
+
+
+def json_rational(value, what: str) -> Fraction:
+    """``parse_rational(str(value))``, or a ValueError naming the JSON entry
+    (``what``, as in "a polynomial's term 1 'coeff'") and its fault."""
+    text = str(value)
+    try:
+        return parse_rational(text)
+    except ZeroDivisionError:
+        fault = "has a zero denominator"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if limit and any(len(r) > limit for r in re.findall(r"\d+", text)):
+            fault = f"has a number of more than {limit} digits"
+        else:
+            shown = text if len(text) <= 40 else text[:40] + "..."
+            fault = f"is not a rational number ('p' or 'p/q'): {shown!r}"
+    raise ValueError(f"{what} {fault}")
+
+
+def json_rationals(values: Sequence, what: str) -> list[Fraction]:
+    """:func:`json_rational` of each entry of a JSON array ``what``, as in
+    "a component's 'lambda'"; the error names the entry by its index."""
+    try:
+        return [parse_rational(str(x)) for x in values]
+    except (ValueError, ZeroDivisionError):
+        return [json_rational(x, f"{what} entry {i}")
+                for i, x in enumerate(values)]
+
+
+def json_rational_rows(rows: Sequence[Sequence], what: str
+                       ) -> list[list[Fraction]]:
+    """:func:`json_rationals` of each row of a JSON array of arrays."""
+    return [json_rationals(row, f"{what} row {i}") for i, row in enumerate(rows)]
 
 
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 

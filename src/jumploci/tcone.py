@@ -126,12 +126,12 @@ class SubspaceArrangement:
 
     @classmethod
     def from_json(cls, data: dict) -> "SubspaceArrangement":
-        from .qlinalg import parse_rational
+        from .qlinalg import json_rational_rows
         n = int(data["ambient_dim"])
         subs = [
-            RationalSubspace.from_rows(
-                [[parse_rational(str(x)) for x in row] for row in rows], n)
-            for rows in data.get("subspaces", [])
+            RationalSubspace.from_rows(json_rational_rows(
+                rows, f"an arrangement's 'subspaces' item {k}"), n)
+            for k, rows in enumerate(data.get("subspaces", []))
         ]
         return cls(n, subs, empty=data.get("empty"))
 

@@ -10,11 +10,15 @@ Canonical coset representative
 ------------------------------
 Two pairs (lambda, L) and (lambda', L) describe the same coset exactly when
 lambda - lambda' lies in L + Z^n, so a canonical representative must reduce
-lambda modulo that subgroup.  :func:`jumploci.qlinalg.coset_reduce` does it:
-it kills the L-part of lambda, then reduces the remainder to the Hermite
+lambda modulo that subgroup.  An integral lambda lies in Z^n itself, so its
+representative is 0; any other goes to :func:`jumploci.qlinalg.coset_reduce`,
+which kills the L-part of lambda, then reduces the remainder to the Hermite
 fundamental domain of the projection of Z^n along L, so the canonical vector
 has all entries in [0, 1); equality of cosets is then literal equality of
-representations.
+representations.  The plane-membership test
+:func:`sigma_rho_membership` reads whether P meets L off dim(P + L) and only
+then asks :func:`jumploci.qlinalg.lattice_coset_membership` whether the
+translate lies in P + L + Z^n.
 
 >>> T1 = TranslatedTorus.from_data(("0", "1/2"), [("1", "1")])
 >>> T2 = TranslatedTorus.from_data(("1/2", "0"), [("2", "2")])
@@ -34,12 +38,15 @@ from typing import Iterable, Optional, Sequence
 from .qlinalg import (
     RationalSubspace,
     Vector,
+    _echelon,
+    clear_denominators,
     coset_reduce,
     format_rational,
     hnf,  # noqa: F401  unused here; perfbench's tracer test rebinds tori.hnf
+    json_rational_rows,
+    json_rationals,
     lattice_coset_membership,
     lattice_coset_solve,
-    parse_rational,
     rref,
     snf,
     vec,
@@ -48,7 +55,8 @@ from .qlinalg import (
 
 
 def _mod1(x: Fraction) -> Fraction:
-    return x - math.floor(x)
+    n, d = x.numerator, x.denominator
+    return x if 0 <= n < d else Fraction(n % d, d)
 
 
 class TorsionCharacter:
@@ -64,7 +72,8 @@ class TorsionCharacter:
     __slots__ = ("values",)
 
     def __init__(self, values: Iterable):
-        self.values = tuple(_mod1(Fraction(x)) for x in values)
+        self.values = tuple(_mod1(x if type(x) is Fraction else Fraction(x))
+                            for x in values)
 
     @property
     def n(self) -> int:
@@ -100,7 +109,7 @@ class TorsionCharacter:
 
     @classmethod
     def from_json(cls, data: Sequence[str]) -> "TorsionCharacter":
-        return cls(parse_rational(str(x)) for x in data)
+        return cls(json_rationals(data, "a torsion character"))
 
 
 class TranslatedTorus:
@@ -116,7 +125,10 @@ class TranslatedTorus:
         if len(lam) != direction.ambient_dim:
             raise ValueError("translate length does not match ambient dimension")
         self.direction = direction
-        rep, _ = coset_reduce(lam, direction)
+        if all(x.denominator == 1 for x in lam):
+            rep = (Fraction(0),) * len(lam)     # lam in Z^n: the coset of 0
+        else:
+            rep, _ = coset_reduce(lam, direction)
         self.translate = TorsionCharacter(rep)
 
     @classmethod
@@ -125,10 +137,10 @@ class TranslatedTorus:
         lam = vec(lam)
         if ambient_dim is None:
             ambient_dim = len(lam)
-        rows = list(basis_rows)
-        space = (RationalSubspace.from_rows(rows, ambient_dim)
-                 if rows else RationalSubspace.zero(ambient_dim))
-        return cls(lam, space)
+        rows = [clear_denominators(r) for r in basis_rows]
+        if any(len(r) != ambient_dim for r in rows):
+            raise ValueError("rows of unequal length")
+        return cls(lam, RationalSubspace(ambient_dim, *_echelon(rows)))
 
     @property
     def ambient_dim(self) -> int:
@@ -184,10 +196,11 @@ class TranslatedTorus:
 
     @classmethod
     def from_json(cls, data: dict, ambient_dim: int) -> "TranslatedTorus":
-        lam = [parse_rational(str(x)) for x in _json_list(
-            _json_field(data, "lambda", "a component"), "a component's 'lambda'")]
-        rows = [[parse_rational(str(x)) for x in row] for row in _json_rows(
-            data.get("basis", []), "a component's 'basis'")]
+        lam_field, basis_field = "a component's 'lambda'", "a component's 'basis'"
+        lam = json_rationals(_json_list(
+            _json_field(data, "lambda", "a component"), lam_field), lam_field)
+        rows = json_rational_rows(
+            _json_rows(data.get("basis", []), basis_field), basis_field)
         return cls.from_data(lam, rows, ambient_dim)
 
 
@@ -629,17 +642,23 @@ def sigma_rho_membership(plane: RationalSubspace, direction: RationalSubspace,
     """Incidence test for a translated torus: does exp(P tensor C) meet the
     coset in infinitely many points?
 
-    True iff the translate lies on exp((P + L) tensor C) — a lattice-coset
-    membership — and P meets L nontrivially.  Implies the untranslated test
-    :func:`jumploci.qlinalg.sigma_membership`.
+    True iff P meets L nontrivially and the translate lies on
+    exp((P + L) tensor C), a lattice-coset membership.  The sum S = P + L is
+    built once and serves both: by the Grassmann formula
+    dim(P meet L) = dim P + dim L - dim S, so P meets L exactly when
+    dim S < dim P + dim L.  That count is read first; the coset test runs
+    only when it passes, and needs no HNF for an integral translate.
+    Implies the untranslated test :func:`jumploci.qlinalg.sigma_membership`.
     """
     if isinstance(translate, TorsionCharacter):
         lam = translate.values
     else:
         lam = vec(translate)
-    if not lattice_coset_membership(lam, plane.sum(direction)):
-        return False
-    return not plane.intersect(direction).is_zero()
+    if len(lam) != plane.ambient_dim:
+        raise ValueError("character length does not match ambient dimension")
+    total = plane.sum(direction)
+    return (total.dim < plane.dim + direction.dim
+            and lattice_coset_membership(lam, total))
 
 
 if __name__ == "__main__":

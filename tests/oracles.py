@@ -232,6 +232,17 @@ def oracle_lattice_membership(lam, basis_rows, n):
     return oracle_integer_system_solvable(w_rows, b)
 
 
+def oracle_sigma_rho_membership(lam, plane_rows, direction_rows, n):
+    """The translated incidence test read from its definition: P meets L in
+    a nonzero vector (their ranks add up to more than the rank of both row
+    sets together) and lam lies in P + L + Z^n."""
+    plane_rows, direction_rows = list(plane_rows), list(direction_rows)
+    both = plane_rows + direction_rows
+    if naive_rank(plane_rows) + naive_rank(direction_rows) == naive_rank(both):
+        return False
+    return oracle_lattice_membership(lam, both, n)
+
+
 # ---------------------------------------------------------------------------
 # set partitions and exponential tangent cones
 # ---------------------------------------------------------------------------

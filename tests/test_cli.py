@@ -1,6 +1,7 @@
 """End-to-end command-line tests: JSON payloads, text reports, exit codes."""
 
 import json
+import sys
 import time
 
 import pytest
@@ -226,6 +227,45 @@ def test_json_of_the_wrong_shape_is_a_named_domain_error(capsys, argv, field):
     assert code == 1
     assert data["error"]["type"] == "ValueError"
     assert field in data["error"]["message"]
+
+
+def _desc_with(lam, basis) -> str:
+    return json.dumps({"n": 2, "components": [{"lambda": lam, "basis": basis}]})
+
+
+LONG = "7" * (sys.get_int_max_str_digits() + 700)
+TOO_LONG = f"has a number of more than {sys.get_int_max_str_digits()} digits"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["omega-test", "--desc", _desc_with(["1/0", "0"], []),
+      "--plane", "[[1, 0]]"],
+     "a component's 'lambda' entry 0 has a zero denominator"),
+    (["omega-test", "--desc", _desc_with(["0", LONG], []),
+      "--plane", "[[1, 0]]"],
+     f"a component's 'lambda' entry 1 {TOO_LONG}"),
+    (["tcone", "--desc", _desc_with(["0", "0"], [[1, 0], ["1/2", "2/0"]])],
+     "a component's 'basis' row 1 entry 1 has a zero denominator"),
+    (["charvar-check", "--pres", "<a, b | [a, b]>",
+      "--desc", _desc_with([True, "0"], [])],
+     "a component's 'lambda' entry 0 is not a rational number"),
+    (["omega-test", "--desc", LINE_DESC, "--plane", '[["1", "1/0"]]'],
+     "a subspace's 'basis' row 0 entry 1 has a zero denominator"),
+    (["omega-test", "--desc", LINE_DESC, "--plane", f'[["{LONG}", 0]]'],
+     f"a subspace's 'basis' row 0 entry 0 {TOO_LONG}"),
+    (["schubert-eqs", "--space", '[[1, 0], ["1/0", 0]]', "--r", "1"],
+     "a subspace's 'basis' row 1 entry 0 has a zero denominator"),
+    (["schubert-eqs", "--space", '{"basis": [["one", 0]]}', "--r", "1"],
+     "a subspace's 'basis' row 0 entry 0 is not a rational number"),
+], ids=["lambda-zero-denominator", "lambda-too-long", "basis-zero-denominator",
+        "lambda-not-a-number", "plane-zero-denominator", "plane-too-long",
+        "space-zero-denominator", "space-not-a-number"])
+def test_bad_rational_entry_is_a_domain_error_naming_it(capsys, argv, message):
+    code, data = run_json(capsys, *argv)
+    assert code == 1
+    assert data["error"]["type"] == "ValueError"
+    assert message in data["error"]["message"]
+    assert len(data["error"]["message"]) < 200
 
 
 def test_tcone_domain_error_empty_identity(capsys):

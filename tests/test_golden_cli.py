@@ -202,6 +202,10 @@ def build_argvs() -> list[list[str]]:
                   "--desc", point(2, ["1/3", "1/2"])])
     calls.append(["charvar-check", "--pres", "<a, b | [a, b]>",
                   "--desc", CLOSED])
+    # a circle not in V^1: its points (0, -k/97, -k/97), k = 1, 5, 13, are not
+    calls.append(["charvar-check", "--pres",
+                  "<x1, x2, x3 | [x2, x1 x3^-1], [x2^-1 x1^-1, x3^2]>",
+                  "--desc", _desc(3, [(["0", "0", "0"], [[0, -1, -1]])])])
 
     for k in range(10):
         n = 3 + k % 3

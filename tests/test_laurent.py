@@ -260,6 +260,11 @@ def test_json_round_trip():
     for _ in range(40):
         f = rand_poly(rng, rng.randint(1, 3))
         assert LaurentPoly.from_json(f.to_json()) == f
+    data = LaurentPoly.parse("t1 - 1").to_json()
+    data["terms"][1]["coeff"] = "-1/0"
+    with pytest.raises(ValueError, match="a polynomial's term 1 'coeff' "
+                                         "has a zero denominator"):
+        LaurentPoly.from_json(data)
 
 
 def test_multiplication_agrees_with_complex_evaluation():
@@ -548,14 +553,28 @@ def test_bareiss_rank_frozen_cases():
 
 
 def test_bareiss_rank_matches_minor_oracle():
+    """Random 3 x 3 matrices, the same with each entry times its own random
+    monomial, and two 2 x 2 matrices of rank 2 whose entries differ only by
+    monomials in a row or a column (dividing each entry by its own monomial
+    content would make their rows equal)."""
     rng = random.Random(39)
     zero = CycloLaurentPoly.zero(2, 2)
     one = CycloLaurentPoly.constant(2, 2, 1)
-    for _ in range(25):
-        rows = [[CycloLaurentPoly.from_rational_poly(rand_poly(rng, 2, 2, 1), 2)
-                 for _ in range(3)] for _ in range(3)]
-        expected = oracles.minor_rank(
+
+    def oracle_rank(rows):
+        return oracles.minor_rank(
             rows, add=lambda a, b: a + b, mul=lambda a, b: a * b,
             neg=lambda a: -a, is_zero=lambda a: a.is_zero(),
             zero=zero, one=one)
-        assert bareiss_rank(rows) == expected
+
+    u = CycloLaurentPoly.from_rational_poly(LaurentPoly.variables(2)[0], 2)
+    for rows in ([[one, u], [one, u * u]], [[one, u], [u, one]]):
+        assert oracle_rank(rows) == 2
+        assert bareiss_rank(rows) == 2
+    for _ in range(25):
+        rows = [[CycloLaurentPoly.from_rational_poly(rand_poly(rng, 2, 2, 1), 2)
+                 for _ in range(3)] for _ in range(3)]
+        assert bareiss_rank(rows) == oracle_rank(rows)
+        shifted = [[p.shift((rng.randint(-2, 2), rng.randint(-2, 2)))
+                    for p in row] for row in rows]
+        assert bareiss_rank(shifted) == oracle_rank(shifted)

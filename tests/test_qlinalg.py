@@ -578,3 +578,53 @@ def test_rational_round_trip():
     for text in ["0", "5", "-7", "1/2", "-3/4", "22/7"]:
         assert format_rational(parse_rational(text)) == text
     assert parse_rational(" 3/6 ") == F(1, 2)
+
+
+#: Texts around the forms parse_rational reads directly (ASCII [-]digits and
+#: [-]digits/digits) and the ones it leaves to Fraction: signs, whitespace,
+#: decimals, exponents, underscores, non-ASCII digits, zero denominators and
+#: digit runs past int()'s limit.
+PARSE_TEXTS = [
+    "0", "-0", "+0", "5", "-7", "+5", "007", "-0/5", "0005/0010", "3/6",
+    " 7 ", "\t-3/4\n", "1 / 2", "1/ 2", "- 1", "--1", "-+1", "",
+    "   ", "-", "/", "1/", "/2", "1/2/3", "3/-4", "3/+4", "-3/-4",
+    "0.5", ".5", "5.", "-1.25", "1e3", "1E-3", "1.5/2", "1/2.0",
+    "1_0", "1__0", "_1", "1_0/2_0", "²", "1²", "٣", "١/٢", "½", "−1",
+    "1/0", "-1/0", "0/0", "0x10", "inf", "nan", "NaN", "1j",
+    "7" * 4300, "7" * 4400, "-" + "7" * 4400, "1/" + "7" * 4400,
+    "7" * 4400 + "/1", "0." + "7" * 4400,
+]
+
+
+def _parsed(parse, text):
+    """``(type, value)`` of a parse, or ``(error type, message)``."""
+    try:
+        value = parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+    return type(value).__name__, value
+
+
+def _reference(text):
+    return Fraction(text.strip())
+
+
+def test_parse_rational_matches_fraction_on_fixed_texts():
+    for text in PARSE_TEXTS:
+        assert _parsed(parse_rational, text) == _parsed(_reference, text), text
+
+
+def test_parse_rational_matches_fraction_on_generated_texts():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    pieces = st.sampled_from(["-", "+", "/", ".", "_", "e", " ", "\t", "0",
+                              "1", "7", "²", "٣", "7" * 4400])
+    texts = st.one_of(st.lists(pieces, max_size=8).map("".join), st.text())
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(texts)
+    def check(text):
+        assert _parsed(parse_rational, text) == _parsed(_reference, text)
+
+    check()

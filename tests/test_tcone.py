@@ -281,6 +281,11 @@ def test_arrangement_json_round_trip():
     assert SubspaceArrangement.from_json(data) == arr
     empty = SubspaceArrangement.empty_arrangement(2)
     assert SubspaceArrangement.from_json(empty.to_json()) == empty
+    data["subspaces"][-1][0][1] = "1/0"
+    with pytest.raises(ValueError, match=(
+            f"an arrangement's 'subspaces' item {len(data['subspaces']) - 1} "
+            "row 0 entry 1 has a zero denominator")):
+        SubspaceArrangement.from_json(data)
 
 
 # ---------------------------------------------------------------------------

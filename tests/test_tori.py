@@ -1,12 +1,14 @@
 """Translated tori, variety descriptions, combinators, intersections."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import datasets
 import oracles
+from jumploci.omega import omega_membership
 from jumploci.qlinalg import RationalSubspace, sigma_membership
 from jumploci.tori import (
     GradedDescription,
@@ -47,6 +49,9 @@ def test_torsion_character_arithmetic():
 def test_torsion_character_json_round_trip():
     w = TorsionCharacter([F(1, 2), F(2, 3)])
     assert TorsionCharacter.from_json(w.to_json()) == w
+    with pytest.raises(ValueError, match="a torsion character entry 1 has a "
+                                         "zero denominator"):
+        TorsionCharacter.from_json(["1/2", "1/0"])
 
 
 # ---------------------------------------------------------------------------
@@ -476,3 +481,66 @@ def test_sigma_rho_equivalent_to_positive_dimensional_intersection():
         assert direct == infinite
         both.add(direct)
     assert both == {True, False}
+
+
+def _translate(rng, n, rows, kind):
+    """An integer vector, a random rational vector, or a rational point of
+    the span of ``rows`` plus an integer vector."""
+    lam = [F(rng.randint(-3, 3)) for _ in range(n)]
+    if kind == "random":
+        return [F(rng.randint(-6, 6), rng.randint(2, 6)) for _ in range(n)]
+    if kind == "on":
+        for row in rows:
+            c = F(rng.randint(-5, 5), rng.randint(2, 5))
+            lam = [a + c * x for a, x in zip(lam, row)]
+    return lam
+
+
+def test_sigma_rho_and_omega_membership_match_the_definition():
+    """Both tests against the oracle that reads the translated incidence
+    condition off its definition (ranks for P meet L, the determinantal
+    criterion for lam in P + L + Z^n), on the raw input and on the
+    canonical component.  The sample holds integral and non-integral
+    translates, and non-integral ones whose sum P + L has an RREF pivot
+    above 1, where the coset test still runs its HNF."""
+    rng = random.Random(66)
+    seen = Counter()
+    for _ in range(250):
+        n = rng.randint(2, 5)
+        plane_rows = [[rng.randint(-3, 3) for _ in range(n)]
+                      for _ in range(rng.randint(1, n))]
+        P = RationalSubspace.from_rows(plane_rows, n)
+        if P.is_zero():
+            continue
+        comps, blocking = [], []
+        for _ in range(rng.randint(1, 3)):
+            rows = [[rng.randint(-3, 3) for _ in range(n)]
+                    for _ in range(rng.randint(1, n - 1))]
+            if rng.random() < 0.5:          # make L meet P
+                a, b = rng.randint(1, 3), rng.randint(-2, 2)
+                rows[0] = [a * x + b * y for x, y in
+                           zip(plane_rows[0], plane_rows[-1])]
+            kind = rng.choice(("integral", "random", "on"))
+            lam = _translate(rng, n, plane_rows + rows, kind)
+            expected = oracles.oracle_sigma_rho_membership(
+                lam, plane_rows, rows, n)
+            comp = TranslatedTorus.from_data(lam, rows, n)
+            L = comp.direction
+            assert sigma_rho_membership(P, L, lam) == expected
+            assert sigma_rho_membership(P, L, comp.translate) == expected
+            comps.append(comp)
+            blocking.append(expected)
+            S = P.sum(L)
+            wide = max(r[p] for r, p in zip(S.rows, S.pivots)) > 1
+            seen[(kind == "integral", wide, expected)] += 1
+        verdict = omega_membership(VarietyDescription(n, comps), P)
+        assert verdict.member == (not any(blocking))
+        for comp, _ in verdict.blockers:
+            assert oracles.oracle_sigma_rho_membership(
+                comp.translate.values, plane_rows, comp.direction.basis, n)
+    for integral in (True, False):
+        for expected in (True, False):
+            assert seen[(integral, True, expected)] + \
+                seen[(integral, False, expected)] > 10
+    assert seen[(False, True, True)] > 10
+    assert seen[(False, True, False)] > 10
