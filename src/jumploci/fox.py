@@ -25,7 +25,6 @@ to the coset first and then run fraction-free elimination.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -33,7 +32,7 @@ from typing import Optional, Sequence
 from .laurent import (LaurentPoly, bareiss_rank, cyclotomic_rank,
                       evaluate_at_character,
                       restrict_matrix_to_translated_torus)
-from .qlinalg import snf, vec
+from .qlinalg import number_too_long, snf, vec
 from .tori import TorsionCharacter, TranslatedTorus
 
 #: The longest relator :func:`parse_presentation` builds, in letters (the sum
@@ -182,8 +181,7 @@ def _tokenize_presentation(text: str):
             try:
                 tokens.append(("int", int(text[i:k]), i))
             except ValueError:
-                raise PresentationSyntaxError(f"a number of more than "
-                    f"{sys.get_int_max_str_digits()} digits", i) from None
+                raise PresentationSyntaxError(number_too_long(), i) from None
             i = k
             continue
         if ch.isalpha() or ch == "_":

@@ -43,12 +43,12 @@ import itertools
 import math
 import operator
 import re
-import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .qlinalg import format_rational, json_rational, saturated_integer_points, vec
+from .qlinalg import (format_rational, json_rational, number_too_long,
+                      saturated_integer_points, vec)
 from .tori import TorsionCharacter, TranslatedTorus
 
 Expo = tuple[int, ...]
@@ -356,8 +356,7 @@ def _syntax_error(text: str, start: int) -> ValueError:
         try:
             num, den = int(num), int(den or 1)
         except ValueError:
-            return ValueError(f"a number of more than {sys.get_int_max_str_digits()}"
-                              f" digits at position {i}")
+            return ValueError(f"{number_too_long()} at position {i}")
         if ch == "t":
             if num < 1:
                 return ValueError(f"variables are numbered from t1, at position {i}")

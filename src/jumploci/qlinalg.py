@@ -25,12 +25,13 @@ On top of these the module provides :func:`coset_reduce`, which decides
 on that algebraic subtorus" question downstream): it reduces lambda to the
 canonical representative of its coset mod V + Z^n, with one HNF, and
 returns the integer step taken.  :func:`lattice_coset_solve` reads its
-answer off it, and so does :func:`lattice_coset_membership` unless lambda
-is an integer vector, which lies in every V + Z^n.  ``tori`` calls it for
-the canonical translate of a non-integral lambda.  The module also provides
-Pluecker coordinates of subspaces, the linear equations cutting out the
-locus of r-planes meeting a fixed subspace nontrivially, and the reading of
-rational JSON entries, whose errors name the entry.
+answer off it.  :func:`coset_rep` keeps only the representative and skips
+the HNF for an integer vector, which lies in every V + Z^n;
+:func:`lattice_coset_membership` and the canonical translates of ``tori``
+are read off it.  The module also provides Pluecker coordinates of
+subspaces, the linear equations cutting out the locus of r-planes meeting a
+fixed subspace nontrivially, and the reading of rational JSON entries, whose
+errors name the entry.
 
 >>> V = RationalSubspace.from_rows([(1, 1)], 2)
 >>> coset_reduce((Fraction(3, 2), Fraction(1, 2)), V)
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 import sys
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -648,6 +648,17 @@ def coset_reduce(lam: Sequence, space: RationalSubspace
     return tuple(Fraction(a, den * d) for a in x), tuple(m)
 
 
+def coset_rep(lam: Sequence, space: RationalSubspace) -> Vector:
+    """The canonical representative of lam mod V + Z^n, as returned by
+    :func:`coset_reduce`.  An integer vector lies in every V + Z^n, so its
+    representative is 0 with no HNF; only a lam with a denominator is
+    reduced."""
+    lam = vec(lam)
+    if len(lam) == space.ambient_dim and all(x.denominator == 1 for x in lam):
+        return (Fraction(0),) * len(lam)
+    return coset_reduce(lam, space)[0]
+
+
 def lattice_coset_solve(lam: Sequence, space: RationalSubspace
                         ) -> Optional[tuple[int, ...]]:
     """An integer vector m with lam - m in V, or None if none exists."""
@@ -656,12 +667,9 @@ def lattice_coset_solve(lam: Sequence, space: RationalSubspace
 
 
 def lattice_coset_membership(lam: Sequence, space: RationalSubspace) -> bool:
-    """Is lam an element of V + Z^n?  An integer vector is, for every V, so
-    only a lam with a denominator goes to :func:`coset_reduce`."""
-    lam = vec(lam)
-    if len(lam) == space.ambient_dim and all(x.denominator == 1 for x in lam):
-        return True
-    return lattice_coset_solve(lam, space) is not None
+    """Is lam an element of V + Z^n?  Exactly when its :func:`coset_rep`
+    is 0."""
+    return not any(coset_rep(lam, space))
 
 
 # ---------------------------------------------------------------------------
@@ -824,32 +832,46 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def number_too_long() -> str:
+    """How the parsers of this package name a number longer than ``int()``
+    reads."""
+    return f"a number of more than {sys.get_int_max_str_digits()} digits"
+
+
+def _rational_fault(text: str, error: Exception) -> str:
+    """What is wrong with a text that :func:`parse_rational` refused with
+    ``error``: a zero denominator, a digit run ``int()`` refused (the text is
+    well formed, only too long), or no rational at all."""
+    if isinstance(error, ZeroDivisionError):
+        return "has a zero denominator"
+    if str(error).startswith("Exceeds the limit"):      # int()'s digit limit
+        return "has " + number_too_long()
+    shown = text if len(text) <= 40 else text[:40] + "..."
+    return f"is not a rational number ('p' or 'p/q'): {shown!r}"
+
+
 def json_rational(value, what: str) -> Fraction:
     """``parse_rational(str(value))``, or a ValueError naming the JSON entry
     (``what``, as in "a polynomial's term 1 'coeff'") and its fault."""
     text = str(value)
     try:
         return parse_rational(text)
-    except ZeroDivisionError:
-        fault = "has a zero denominator"
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        if limit and any(len(r) > limit for r in re.findall(r"\d+", text)):
-            fault = f"has a number of more than {limit} digits"
-        else:
-            shown = text if len(text) <= 40 else text[:40] + "..."
-            fault = f"is not a rational number ('p' or 'p/q'): {shown!r}"
-    raise ValueError(f"{what} {fault}")
+    except (ValueError, ZeroDivisionError) as error:
+        raise ValueError(f"{what} {_rational_fault(text, error)}") from None
 
 
 def json_rationals(values: Sequence, what: str) -> list[Fraction]:
     """:func:`json_rational` of each entry of a JSON array ``what``, as in
     "a component's 'lambda'"; the error names the entry by its index."""
-    try:
-        return [parse_rational(str(x)) for x in values]
-    except (ValueError, ZeroDivisionError):
-        return [json_rational(x, f"{what} entry {i}")
-                for i, x in enumerate(values)]
+    out = []
+    for i, x in enumerate(values):
+        text = str(x)
+        try:
+            out.append(parse_rational(text))
+        except (ValueError, ZeroDivisionError) as error:
+            raise ValueError(f"{what} entry {i} "
+                             f"{_rational_fault(text, error)}") from None
+    return out
 
 
 def json_rational_rows(rows: Sequence[Sequence], what: str

@@ -10,12 +10,13 @@ Canonical coset representative
 ------------------------------
 Two pairs (lambda, L) and (lambda', L) describe the same coset exactly when
 lambda - lambda' lies in L + Z^n, so a canonical representative must reduce
-lambda modulo that subgroup.  An integral lambda lies in Z^n itself, so its
-representative is 0; any other goes to :func:`jumploci.qlinalg.coset_reduce`,
-which kills the L-part of lambda, then reduces the remainder to the Hermite
-fundamental domain of the projection of Z^n along L, so the canonical vector
-has all entries in [0, 1); equality of cosets is then literal equality of
-representations.  The plane-membership test
+lambda modulo that subgroup.  :func:`jumploci.qlinalg.coset_rep` does it:
+an integral lambda lies in Z^n itself, so its representative is 0; any other
+goes to :func:`jumploci.qlinalg.coset_reduce`, which kills the L-part of
+lambda, then reduces the remainder to the Hermite fundamental domain of the
+projection of Z^n along L, so the canonical vector has all entries in
+[0, 1); equality of cosets is then literal equality of representations.
+The plane-membership test
 :func:`sigma_rho_membership` reads whether P meets L off dim(P + L) and only
 then asks :func:`jumploci.qlinalg.lattice_coset_membership` whether the
 translate lies in P + L + Z^n.
@@ -40,7 +41,7 @@ from .qlinalg import (
     Vector,
     _echelon,
     clear_denominators,
-    coset_reduce,
+    coset_rep,
     format_rational,
     hnf,  # noqa: F401  unused here; perfbench's tracer test rebinds tori.hnf
     json_rational_rows,
@@ -125,11 +126,7 @@ class TranslatedTorus:
         if len(lam) != direction.ambient_dim:
             raise ValueError("translate length does not match ambient dimension")
         self.direction = direction
-        if all(x.denominator == 1 for x in lam):
-            rep = (Fraction(0),) * len(lam)     # lam in Z^n: the coset of 0
-        else:
-            rep, _ = coset_reduce(lam, direction)
-        self.translate = TorsionCharacter(rep)
+        self.translate = TorsionCharacter(coset_rep(lam, direction))
 
     @classmethod
     def from_data(cls, lam: Iterable, basis_rows: Iterable[Iterable],
@@ -157,7 +154,7 @@ class TranslatedTorus:
         """Does the coset contain the trivial character?
 
         The translate is the representative from
-        :func:`jumploci.qlinalg.coset_reduce`, which is 0 exactly when lambda
+        :func:`jumploci.qlinalg.coset_rep`, which is 0 exactly when lambda
         lies in L + Z^n: the translate lies on the subtorus itself.
         """
         return self.translate.is_trivial()

@@ -257,9 +257,17 @@ TOO_LONG = f"has a number of more than {sys.get_int_max_str_digits()} digits"
      "a subspace's 'basis' row 1 entry 0 has a zero denominator"),
     (["schubert-eqs", "--space", '{"basis": [["one", 0]]}', "--r", "1"],
      "a subspace's 'basis' row 0 entry 0 is not a rational number"),
+    # a long digit run in a text Fraction refuses anyway is not a rational;
+    # a long one in a form it takes ("+p") is a number over the limit
+    (["omega-test", "--desc", _desc_with(["x" + LONG, "0"], []),
+      "--plane", "[[1, 0]]"],
+     "a component's 'lambda' entry 0 is not a rational number"),
+    (["schubert-eqs", "--space", f'[["+{LONG}", 0]]', "--r", "1"],
+     f"a subspace's 'basis' row 0 entry 0 {TOO_LONG}"),
 ], ids=["lambda-zero-denominator", "lambda-too-long", "basis-zero-denominator",
         "lambda-not-a-number", "plane-zero-denominator", "plane-too-long",
-        "space-zero-denominator", "space-not-a-number"])
+        "space-zero-denominator", "space-not-a-number",
+        "lambda-long-but-not-a-number", "space-signed-too-long"])
 def test_bad_rational_entry_is_a_domain_error_naming_it(capsys, argv, message):
     code, data = run_json(capsys, *argv)
     assert code == 1

@@ -15,6 +15,7 @@ from jumploci.qlinalg import (
     RationalSubspace,
     clear_denominators,
     coset_reduce,
+    coset_rep,
     evaluate_form,
     format_rational,
     hnf,
@@ -413,6 +414,26 @@ def test_coset_solver_returns_a_real_witness():
             assert all(isinstance(x, int) for x in m)
             assert v.contains_vector([a - b for a, b in zip(lam, m)])
     assert hits > 10  # the sampler must exercise the positive branch
+
+
+def test_coset_rep_is_the_reduced_representative():
+    """coset_rep skips the HNF for integer vectors; its answers, and the
+    membership read off it, are coset_reduce's and lattice_coset_solve's."""
+    rng = random.Random(23)
+    integral = 0
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        rows = rand_int_rows(rng, rng.randint(0, 3), n, -3, 3)
+        v = RationalSubspace.from_rows(rows, n)
+        den = rng.choice([1, 1, 2, 3, 6])
+        lam = [F(rng.randint(-6, 6), den) for _ in range(n)]
+        integral += all(x.denominator == 1 for x in lam)
+        assert coset_rep(lam, v) == coset_reduce(lam, v)[0]
+        assert lattice_coset_membership(lam, v) == (
+            lattice_coset_solve(lam, v) is not None)
+    assert 20 < integral < 180      # both branches are exercised
+    with pytest.raises(ValueError):
+        coset_rep((1, 2, 3), RationalSubspace.zero(2))
 
 
 def test_coset_membership_of_full_and_zero_spaces():
