@@ -9,16 +9,13 @@ equations).  All arithmetic is exact — rationals, integers, cyclotomics.
 """
 
 from .qlinalg import (IntegerLattice, PluckerVector, RationalSubspace,
-                      coset_reduce, evaluate_form, format_rational, hnf,
-                      integer_kernel, lattice_coset_membership,
-                      lattice_coset_solve, parse_rational, plucker, rref,
-                      saturated_integer_points, schubert_equations,
-                      sigma_membership, snf)
+                      coset_reduce, format_rational, hnf, integer_kernel,
+                      lattice_coset_membership, parse_rational, plucker, rref,
+                      saturated_integer_points, schubert_equations, snf)
 from .laurent import (CyclotomicNumber, CycloLaurentPoly, LaurentPoly,
                       bareiss_rank, cyclotomic_polynomial, cyclotomic_rank,
                       evaluate_at_character,
-                      restrict_matrix_to_translated_torus,
-                      restrict_to_translated_torus)
+                      restrict_matrix_to_translated_torus)
 from .fox import (Abelianization, AlexanderMatrix, FreeWord, Presentation,
                   PresentationSyntaxError, abelianize, alexander_matrix,
                   contains_translated_torus, depth1_membership,
@@ -26,17 +23,12 @@ from .fox import (Abelianization, AlexanderMatrix, FreeWord, Presentation,
                   parse_presentation, rank_at_character)
 from .tcone import (SubspaceArrangement, tangent_cone_description,
                     tangent_cone_polys)
-from .tori import (GradedDescription, OrbifoldDatum, TorsionCharacter,
-                   TranslatedIntersection, TranslatedTorus,
-                   VarietyDescription, intersect_translated,
-                   orbifold_components, orbifold_v1, product_description,
-                   pushforward, sigma_rho_membership, wedge_description)
+from .tori import (GradedDescription, TorsionCharacter, TranslatedTorus,
+                   VarietyDescription, sigma_rho_membership)
 from .omega import (ClosedFormVerdict, FpkReport, OmegaVerdict, PlaneQuery,
-                    WitnessReport, WitnessStep, fpk_report,
-                    maximal_cover_finiteness, nonopen_witness,
-                    omega1_r1_description, omega1_r1_membership,
-                    omega_codim1_closed_form, omega_membership,
-                    plucker_distance, schubert_upper_bound)
+                    WitnessReport, WitnessStep, fpk_report, nonopen_witness,
+                    omega1_r1_description, omega_codim1_closed_form,
+                    omega_membership, plucker_distance)
 
 __version__ = "0.1.0"
 
@@ -44,26 +36,20 @@ __all__ = [
     "Abelianization", "AlexanderMatrix",
     "ClosedFormVerdict", "CyclotomicNumber", "CycloLaurentPoly", "FpkReport",
     "FreeWord", "GradedDescription", "IntegerLattice", "LaurentPoly",
-    "OmegaVerdict", "OrbifoldDatum", "PlaneQuery", "PluckerVector",
+    "OmegaVerdict", "PlaneQuery", "PluckerVector",
     "Presentation", "PresentationSyntaxError", "RationalSubspace",
-    "SubspaceArrangement", "TorsionCharacter", "TranslatedIntersection",
+    "SubspaceArrangement", "TorsionCharacter",
     "TranslatedTorus", "VarietyDescription", "WitnessReport", "WitnessStep",
     "abelianize", "alexander_matrix",
     "bareiss_rank", "contains_translated_torus", "coset_reduce",
     "cyclotomic_polynomial", "cyclotomic_rank", "depth1_membership",
-    "evaluate_at_character", "evaluate_form", "format_rational",
+    "evaluate_at_character", "format_rational",
     "fox_derivative_abelianized", "fpk_report", "generic_rank_on_torus",
-    "hnf", "integer_kernel", "intersect_translated",
-    "lattice_coset_membership", "lattice_coset_solve",
-    "maximal_cover_finiteness", "nonopen_witness",
-    "omega1_r1_description", "omega1_r1_membership",
-    "omega_codim1_closed_form", "omega_membership", "orbifold_components",
-    "orbifold_v1", "parse_presentation", "parse_rational",
-    "plucker", "plucker_distance",
-    "product_description", "pushforward", "rank_at_character",
-    "restrict_matrix_to_translated_torus", "restrict_to_translated_torus",
-    "rref", "saturated_integer_points",
-    "schubert_equations", "schubert_upper_bound",
-    "sigma_membership", "sigma_rho_membership", "snf",
-    "tangent_cone_description", "tangent_cone_polys", "wedge_description",
+    "hnf", "integer_kernel", "lattice_coset_membership", "nonopen_witness",
+    "omega1_r1_description", "omega_codim1_closed_form", "omega_membership",
+    "parse_presentation", "parse_rational", "plucker", "plucker_distance",
+    "rank_at_character", "restrict_matrix_to_translated_torus",
+    "rref", "saturated_integer_points", "schubert_equations",
+    "sigma_rho_membership", "snf",
+    "tangent_cone_description", "tangent_cone_polys",
 ]

@@ -423,12 +423,6 @@ def alexander_matrix(P: Presentation,
     return AlexanderMatrix(entries, ab.free_rank, ab)
 
 
-def generator_character_poly(ab: Abelianization, j: int) -> LaurentPoly:
-    """t^{alpha(x_j)} - 1, the boundary-d1 entry for generator j."""
-    n = ab.free_rank
-    return LaurentPoly.monomial(ab.projection[j], 1, n) - LaurentPoly.constant(n, 1)
-
-
 # ---------------------------------------------------------------------------
 # exact ranks
 # ---------------------------------------------------------------------------

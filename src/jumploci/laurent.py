@@ -936,23 +936,18 @@ def restriction_lattice_basis(direction) -> tuple[tuple[int, ...], ...]:
     return saturated_integer_points(direction).basis
 
 
-def restrict_to_translated_torus(f: LaurentPoly, torus: TranslatedTorus
-                                 ) -> CycloLaurentPoly:
-    """Restrict f to the coset rho.T: substitute t_i = rho_i prod_j u_j^B[j][i].
-
-    B is the HNF basis of the saturated lattice spanned by the direction, so
-    distinct lattice characters of T stay distinct monomials and the result
-    is zero iff f vanishes identically on the coset.  The output has
-    k = dim T variables and coefficients in Q(zeta_m), m the order of the
-    translate.
-    """
-    return restrict_matrix_to_translated_torus([[f]], torus)[0][0]
-
-
 def restrict_matrix_to_translated_torus(
         rows: Sequence[Sequence[LaurentPoly]], torus: TranslatedTorus
 ) -> list[list[CycloLaurentPoly]]:
-    """:func:`restrict_to_translated_torus` of every entry, one basis B."""
+    """Restrict every entry f to the coset rho.T: substitute
+    t_i = rho_i prod_j u_j^B[j][i], with one basis B for the whole matrix.
+
+    B is the HNF basis of the saturated lattice spanned by the direction, so
+    distinct lattice characters of T stay distinct monomials and an entry
+    is zero iff f vanishes identically on the coset.  The entries have
+    k = dim T variables and coefficients in Q(zeta_m), m the order of the
+    translate.
+    """
     n = torus.ambient_dim
     basis = restriction_lattice_basis(torus.direction)
     m, w = _character_steps(torus.translate.values)

@@ -11,10 +11,10 @@ this is decidable exactly:
 * point components never block.
 
 On top of the membership test sit the classical closed forms (lines, the
-single-codimension-one case), the Schubert-variety upper bound driven by the
-tangent-cone arrangement, a constructive non-openness witness family
-P_q -> P, a finiteness test for the maximal abelian cover, and a homological
-finiteness reporter.
+single-codimension-one case), a constructive non-openness witness family
+P_q -> P, and a homological finiteness reporter.  The excluded set for
+lines is the tangent-cone arrangement itself: a line span(v) survives
+exactly when ``not C.contains_vector(v)``.
 """
 
 from __future__ import annotations
@@ -108,13 +108,6 @@ def omega1_r1_description(C: SubspaceArrangement) -> list[RationalSubspace]:
     return [s for s in C.subspaces if s.dim >= 1]
 
 
-def omega1_r1_membership(C: SubspaceArrangement, line: PlaneLike) -> bool:
-    plane = _as_plane(line)
-    if plane.dim != 1:
-        raise ValueError("expected a line (dim 1)")
-    return not any(L.contains(plane) for L in omega1_r1_description(C))
-
-
 @dataclass(frozen=True)
 class ClosedFormVerdict:
     """One of: the whole Grassmannian, Grass_r of a fixed subspace, empty."""
@@ -166,25 +159,6 @@ def omega_codim1_closed_form(W: VarietyDescription, r: int) -> ClosedFormVerdict
     if r < n:
         return ClosedFormVerdict("grassmannian", r, L)
     return ClosedFormVerdict("empty", r)
-
-
-# ---------------------------------------------------------------------------
-# Schubert upper bound
-# ---------------------------------------------------------------------------
-
-def schubert_upper_bound(C: SubspaceArrangement, P: PlaneLike) -> bool:
-    """True iff P survives the tangent-cone bound: P meets no L in C.
-
-    Membership implies survival; the converse can fail for translated
-    components, so this is only an upper bound for the membership set.
-    """
-    plane = _as_plane(P)
-    if not C.empty and C.ambient_dim != plane.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    for L in C.subspaces:
-        if plane.intersect(L).dim != 0:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +277,8 @@ def nonopen_witness(W: VarietyDescription, beta: int, r: int,
 
 
 # ---------------------------------------------------------------------------
-# finiteness reporters
+# homological finiteness
 # ---------------------------------------------------------------------------
-
-def maximal_cover_finiteness(W: VarietyDescription) -> bool:
-    """Betti finiteness of the maximal free-abelian cover: W must be finite."""
-    return all(c.direction.dim == 0 for c in W.components)
-
 
 @dataclass(frozen=True)
 class FpkReport:

@@ -24,9 +24,9 @@ On top of these the module provides :func:`coset_reduce`, which decides
 ``lambda in V + Z^n`` (the decidable core of every "does this character lie
 on that algebraic subtorus" question downstream): it reduces lambda to the
 canonical representative of its coset mod V + Z^n, with one HNF, and
-returns the integer step taken.  :func:`lattice_coset_solve` reads its
-answer off it.  :func:`coset_rep` keeps only the representative and skips
-the HNF for an integer vector, which lies in every V + Z^n;
+returns the integer step m taken, so lambda - m lies in V when the
+representative is 0.  :func:`coset_rep` keeps only the representative and
+skips the HNF for an integer vector, which lies in every V + Z^n;
 :func:`lattice_coset_membership` and the canonical translates of ``tori``
 are read off it.  The module also provides Pluecker coordinates of
 subspaces, the linear equations cutting out the locus of r-planes meeting a
@@ -659,13 +659,6 @@ def coset_rep(lam: Sequence, space: RationalSubspace) -> Vector:
     return coset_reduce(lam, space)[0]
 
 
-def lattice_coset_solve(lam: Sequence, space: RationalSubspace
-                        ) -> Optional[tuple[int, ...]]:
-    """An integer vector m with lam - m in V, or None if none exists."""
-    rep, m = coset_reduce(lam, space)
-    return None if any(rep) else m
-
-
 def lattice_coset_membership(lam: Sequence, space: RationalSubspace) -> bool:
     """Is lam an element of V + Z^n?  Exactly when its :func:`coset_rep`
     is 0."""
@@ -801,17 +794,6 @@ def schubert_equations(space: RationalSubspace, r: int) -> list[tuple[Fraction, 
         if any(coeffs):
             forms.append(tuple(coeffs))
     return forms
-
-
-def evaluate_form(form: Sequence[Fraction], pv: PluckerVector) -> Fraction:
-    return sum((c * x for c, x in zip(form, pv.coords)), Fraction(0))
-
-
-def sigma_membership(plane: RationalSubspace, space: RationalSubspace) -> bool:
-    """Does the plane meet the subspace in a nonzero vector?"""
-    if plane.ambient_dim != space.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    return not plane.intersect(space).is_zero()
 
 
 # ---------------------------------------------------------------------------

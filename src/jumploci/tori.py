@@ -32,13 +32,11 @@ True
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .qlinalg import (
     RationalSubspace,
-    Vector,
     _echelon,
     clear_denominators,
     coset_rep,
@@ -47,9 +45,6 @@ from .qlinalg import (
     json_rational_rows,
     json_rationals,
     lattice_coset_membership,
-    lattice_coset_solve,
-    rref,
-    snf,
     vec,
     vec_sub,
 )
@@ -211,11 +206,17 @@ def _json_field(data, key: str, what: str):
 
 
 def _json_dim(value, what: str) -> int:
-    """A dimension: a JSON integer (or decimal string) >= 0, else a ValueError."""
-    if (isinstance(value, bool) or not isinstance(value, (int, str))
-            or int(value) < 0):
+    """A dimension: a JSON integer (or decimal string) >= 0, else a ValueError
+    naming ``what``."""
+    dim = -1
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            dim = int(value)
+        except ValueError:
+            pass
+    if dim < 0:
         raise ValueError(f"{what} must be a nonnegative integer")
-    return int(value)
+    return dim
 
 
 def _json_list(value, what: str) -> Sequence:
@@ -374,264 +375,11 @@ class GradedDescription:
                              "object mapping degrees to component lists")
         by_degree = {}
         for key, comps in degrees.items():
-            by_degree[int(key)] = VarietyDescription.from_json(
-                {"n": n, "components": comps, "degree": int(key)})
+            degree = _json_dim(
+                key, f"a graded description's degree key {key!r}")
+            by_degree[degree] = VarietyDescription.from_json(
+                {"n": n, "components": comps, "degree": degree})
         return cls(n, by_degree)
-
-
-# ---------------------------------------------------------------------------
-# constructors: products, wedges, pushforwards, orbifold groups
-# ---------------------------------------------------------------------------
-
-def _direct_sum(a: TranslatedTorus, b: TranslatedTorus) -> TranslatedTorus:
-    lam = a.translate.values + b.translate.values
-    p, q = a.ambient_dim, b.ambient_dim
-    rows = [row + tuple(Fraction(0) for _ in range(q)) for row in a.direction.basis]
-    rows += [tuple(Fraction(0) for _ in range(p)) + row for row in b.direction.basis]
-    return TranslatedTorus.from_data(lam, rows, p + q)
-
-
-def product_description(a: GradedDescription, b: GradedDescription,
-                        k: int) -> GradedDescription:
-    """Graded description of a direct product: degree i is the union over
-    p + q = i of componentwise direct sums."""
-    n = a.ambient_dim + b.ambient_dim
-    if a.max_degree < k or b.max_degree < k:
-        raise ValueError("factors must be graded at least up to the target degree")
-    out = {}
-    for i in range(k + 1):
-        comps = []
-        for p in range(i + 1):
-            for ca in a.at(p).components:
-                for cb in b.at(i - p).components:
-                    comps.append(_direct_sum(ca, cb))
-        out[i] = VarietyDescription(n, comps, degree=i)
-    return GradedDescription(n, out)
-
-
-def wedge_description(a: GradedDescription, b: GradedDescription,
-                      k: int) -> GradedDescription:
-    """Graded description of a one-point union, valid when both pieces have
-    positive first Betti number: degree 0 is the identity, every degree >= 1
-    is the full character torus."""
-    if a.ambient_dim == 0 or b.ambient_dim == 0:
-        raise ValueError("wedge description requires positive first Betti "
-                         "numbers on both sides")
-    n = a.ambient_dim + b.ambient_dim
-    out = {0: VarietyDescription.identity_only(n, degree=0)}
-    for i in range(1, k + 1):
-        out[i] = VarietyDescription.full_torus(n, degree=i)
-    return GradedDescription(n, out)
-
-
-def pushforward(desc: VarietyDescription, surjection: Sequence[Sequence[int]],
-                torsion_images: Optional[Sequence[TorsionCharacter]] = None
-                ) -> VarietyDescription:
-    """Transport a description along a quotient map.
-
-    ``surjection`` is the m x n integer matrix of the induced map on free
-    abelianizations (rows map the n source generators' images; it must have
-    rank m).  The dual map on characters sends a component (lambda, L) over
-    Q^m to (lambda . S + mu, span(L . S)) over Q^n, one copy per supplied
-    torsion image mu (default: just the trivial one).
-    """
-    s = [tuple(int(x) for x in row) for row in surjection]
-    m = len(s)
-    if m != desc.ambient_dim:
-        raise ValueError("surjection row count must match the description's rank")
-    n = len(s[0]) if s else 0
-    smith, _, _ = snf(s)
-    diag = [smith[i][i] for i in range(min(m, n))]
-    if len([d for d in diag if d != 0]) < m or any(d not in (0, 1) for d in diag):
-        raise ValueError("matrix does not define an epimorphism of free "
-                         "abelianizations")
-    if torsion_images is None:
-        torsion_images = [TorsionCharacter([0] * n)]
-    for mu in torsion_images:
-        if mu.n != n:
-            raise ValueError("torsion image has wrong length")
-
-    def push_vec(v: Sequence[Fraction]) -> Vector:
-        return tuple(sum((Fraction(v[j]) * s[j][i] for j in range(m)), Fraction(0))
-                     for i in range(n))
-
-    comps = []
-    for comp in desc.components:
-        lam = push_vec(comp.translate.values)
-        rows = [push_vec(row) for row in comp.direction.basis]
-        for mu in torsion_images:
-            shifted = tuple(a + b for a, b in zip(lam, mu.values))
-            comps.append(TranslatedTorus.from_data(shifted, rows, n))
-    return VarietyDescription(n, comps, degree=desc.degree)
-
-
-@dataclass(frozen=True)
-class OrbifoldDatum:
-    """Abstract first-variety datum for an orientable 2-orbifold group.
-
-    ``case`` is one of ``"full"`` (the whole character group), ``"off_identity"``
-    (all components away from the identity component, together with the
-    trivial character) and ``"trivial"`` (just the trivial character).
-    Materialization into coordinates happens through :func:`pushforward`
-    with user-supplied torsion images; see :func:`orbifold_components`.
-    """
-
-    kind: str                      # "compact" | "punctured"
-    genus: int
-    punctures: int
-    cone_orders: tuple[int, ...]
-    free_rank: int
-    torsion_invariants: tuple[int, ...]
-    case: str
-
-    @property
-    def torsion_order(self) -> int:
-        out = 1
-        for d in self.torsion_invariants:
-            out *= d
-        return out
-
-
-def orbifold_v1(kind: str, genus: int, punctures: int,
-                cone_orders: Sequence[int]) -> OrbifoldDatum:
-    """Shape of the degree-1 jump locus of an orientable 2-orbifold group.
-
-    Compact case (no punctures): the group abelianization is Z^{2g} x A with
-    A = Z^t / (m_i e_i, (1,...,1)); genus >= 2 gives the full character
-    group, genus 1 with at least two cone points gives all off-identity
-    components plus the trivial character, genus 1 with at most one cone
-    point gives only the trivial character.
-
-    Punctured case: free rank n = 2g + s - 1, torsion A = sum of Z_{m_i};
-    n >= 2 gives the full character group, n = 1 behaves like the torus case
-    (off-identity components iff there is torsion), n = 0 is rejected.
-    """
-    orders = tuple(int(m) for m in cone_orders)
-    if any(m < 2 for m in orders):
-        raise ValueError("cone orders must be at least 2")
-    genus = int(genus)
-    punctures = int(punctures)
-    t = len(orders)
-    if kind == "compact":
-        if punctures != 0:
-            raise ValueError("compact orbifolds have no punctures")
-        if genus < 1:
-            raise ValueError("compact case requires genus >= 1 "
-                             "(positive first Betti number)")
-        n = 2 * genus
-        rel_rows = [[orders[i] if j == i else 0 for j in range(t)] for i in range(t)]
-        if t:
-            rel_rows.append([1] * t)
-            smith, _, _ = snf(rel_rows)
-            invariants = tuple(smith[i][i] for i in range(min(len(rel_rows), t))
-                               if smith[i][i] > 1)
-        else:
-            invariants = ()
-        if genus >= 2:
-            case = "full"
-        elif t > 1:
-            case = "off_identity"
-        else:
-            case = "trivial"
-        return OrbifoldDatum("compact", genus, 0, orders, n, invariants, case)
-    if kind == "punctured":
-        if punctures < 1:
-            raise ValueError("punctured case requires at least one puncture")
-        n = 2 * genus + punctures - 1
-        if n == 0:
-            raise ValueError("orbifold group has first Betti number zero")
-        if t:
-            smith, _, _ = snf([[orders[i] if j == i else 0 for j in range(t)]
-                               for i in range(t)])
-            invariants = tuple(smith[i][i] for i in range(t) if smith[i][i] > 1)
-        else:
-            invariants = ()
-        if n >= 2:
-            case = "full"
-        elif t > 0:
-            case = "off_identity"
-        else:
-            case = "trivial"
-        return OrbifoldDatum("punctured", genus, punctures, orders, n, invariants,
-                             case)
-    raise ValueError("kind must be 'compact' or 'punctured'")
-
-
-def orbifold_components(datum: OrbifoldDatum,
-                        surjection: Sequence[Sequence[int]],
-                        torsion_images: Sequence[TorsionCharacter]
-                        ) -> VarietyDescription:
-    """Materialize an orbifold datum inside a larger character torus.
-
-    ``surjection`` maps the ambient free abelianization onto the orbifold
-    group's (an m x n matrix with m = datum.free_rank); ``torsion_images``
-    lists the images of the *nontrivial* torsion characters of the orbifold
-    group inside the target torus.  Off-identity components become full
-    translates of the image subtorus.
-    """
-    n = len(surjection[0]) if surjection else 0
-    m = datum.free_rank
-    identity_part = pushforward(
-        VarietyDescription.identity_only(m), surjection)
-    if datum.case == "trivial":
-        return identity_part
-    full_m = VarietyDescription.full_torus(m)
-    if datum.case == "full":
-        images = [TorsionCharacter([0] * n)] + list(torsion_images)
-        return pushforward(full_m, surjection, images)
-    if datum.case == "off_identity":
-        off = pushforward(full_m, surjection, list(torsion_images)) \
-            if torsion_images else VarietyDescription.empty(n)
-        return identity_part.union(off)
-    raise ValueError(f"unknown case tag {datum.case!r}")
-
-
-# ---------------------------------------------------------------------------
-# intersections of translated tori
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TranslatedIntersection:
-    """Nonempty intersection data: its dimension and a common torsion point."""
-
-    dim: int
-    witness: TorsionCharacter
-
-
-def intersect_translated(c1: TranslatedTorus, c2: TranslatedTorus
-                         ) -> Optional[TranslatedIntersection]:
-    """Intersection of two translated tori: None if empty, else dimension
-    plus a common torsion character.
-
-    The intersection is nonempty iff lambda1 - lambda2 lies in
-    (L1 + L2) + Z^n; when it is, splitting the residual over the two
-    directions produces an explicit common point, and the dimension equals
-    dim(L1 meet L2).  The witness is not re-checked here: the tests check
-    that it lies on both tori.
-    """
-    if c1.ambient_dim != c2.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    n = c1.ambient_dim
-    l1, l2 = c1.direction, c2.direction
-    lam1 = vec(c1.translate.values)
-    lam2 = vec(c2.translate.values)
-    total = l1.sum(l2)
-    diff = vec_sub(lam1, lam2)
-    m = lattice_coset_solve(diff, total)
-    if m is None:
-        return None
-    y = vec_sub(diff, vec(m))                   # y in L1 + L2
-    # split y = -x1 + x2 with x1 in L1, x2 in L2: solve the augmented system
-    # [-L1^T | L2^T | y]; the coefficients of x1 sit in the last column
-    k1 = l1.dim
-    reduced, pivots = rref([[-row[i] for row in l1.basis]
-                            + [row[i] for row in l2.basis] + [y[i]]
-                            for i in range(n)])
-    x1 = tuple(sum((r[-1] * l1.basis[pc][i] for r, pc in zip(reduced, pivots)
-                    if pc < k1), Fraction(0))
-               for i in range(n))
-    witness = TorsionCharacter(a + b for a, b in zip(lam1, x1))
-    return TranslatedIntersection(l1.intersect(l2).dim, witness)
 
 
 def sigma_rho_membership(plane: RationalSubspace, direction: RationalSubspace,
@@ -645,7 +393,6 @@ def sigma_rho_membership(plane: RationalSubspace, direction: RationalSubspace,
     dim(P meet L) = dim P + dim L - dim S, so P meets L exactly when
     dim S < dim P + dim L.  That count is read first; the coset test runs
     only when it passes, and needs no HNF for an integral translate.
-    Implies the untranslated test :func:`jumploci.qlinalg.sigma_membership`.
     """
     if isinstance(translate, TorsionCharacter):
         lam = translate.values

@@ -15,8 +15,6 @@ from jumploci import (
     RationalSubspace,
     TranslatedTorus,
     VarietyDescription,
-    product_description,
-    wedge_description,
 )
 
 F = Fraction
@@ -160,8 +158,80 @@ def surface_description() -> VarietyDescription:
 
 
 # ---------------------------------------------------------------------------
+# orientable 2-orbifold groups, their degree-one loci pushed into (C*)^3 or
+# (C*)^2 along a surjection of free abelianizations
+# ---------------------------------------------------------------------------
+
+def orbifold_torus_two_cones() -> VarietyDescription:
+    """A torus with two order-2 cone points, through the first two
+    coordinates: the trivial character and the order-2 translate of the
+    image subtorus (every component off the identity)."""
+    return VarietyDescription.from_json({"n": 3, "components": [
+        {"lambda": ["0", "0", "0"], "basis": []},
+        {"lambda": ["0", "0", "1/2"],
+         "basis": [["1", "0", "0"], ["0", "1", "0"]]}]})
+
+
+def orbifold_thrice_punctured_sphere() -> VarietyDescription:
+    """A sphere with three punctures and one order-2 cone point (free rank
+    2): the whole image subtorus and its order-2 translate."""
+    return VarietyDescription.from_json({"n": 3, "components": [
+        {"lambda": ["0", "0", "0"],
+         "basis": [["1", "0", "0"], ["0", "1", "0"]]},
+        {"lambda": ["0", "0", "1/2"],
+         "basis": [["1", "0", "0"], ["0", "1", "0"]]}]})
+
+
+def orbifold_annulus() -> VarietyDescription:
+    """An annulus (free rank 1, no torsion): just the trivial character."""
+    return VarietyDescription.from_json({"n": 2, "components": [
+        {"lambda": ["0", "0"], "basis": []}]})
+
+
+# ---------------------------------------------------------------------------
 # graded descriptions built by combinators: circles, free groups, products
 # ---------------------------------------------------------------------------
+
+def _direct_sum(a: TranslatedTorus, b: TranslatedTorus) -> TranslatedTorus:
+    lam = a.translate.values + b.translate.values
+    p, q = a.ambient_dim, b.ambient_dim
+    rows = [row + tuple(Fraction(0) for _ in range(q)) for row in a.direction.basis]
+    rows += [tuple(Fraction(0) for _ in range(p)) + row for row in b.direction.basis]
+    return TranslatedTorus.from_data(lam, rows, p + q)
+
+
+def product_description(a: GradedDescription, b: GradedDescription,
+                        k: int) -> GradedDescription:
+    """Graded description of a direct product: degree i is the union over
+    p + q = i of componentwise direct sums."""
+    n = a.ambient_dim + b.ambient_dim
+    if a.max_degree < k or b.max_degree < k:
+        raise ValueError("factors must be graded at least up to the target degree")
+    out = {}
+    for i in range(k + 1):
+        comps = []
+        for p in range(i + 1):
+            for ca in a.at(p).components:
+                for cb in b.at(i - p).components:
+                    comps.append(_direct_sum(ca, cb))
+        out[i] = VarietyDescription(n, comps, degree=i)
+    return GradedDescription(n, out)
+
+
+def wedge_description(a: GradedDescription, b: GradedDescription,
+                      k: int) -> GradedDescription:
+    """Graded description of a one-point union, valid when both pieces have
+    positive first Betti number: degree 0 is the identity, every degree >= 1
+    is the full character torus."""
+    if a.ambient_dim == 0 or b.ambient_dim == 0:
+        raise ValueError("wedge description requires positive first Betti "
+                         "numbers on both sides")
+    n = a.ambient_dim + b.ambient_dim
+    out = {0: VarietyDescription.identity_only(n, degree=0)}
+    for i in range(1, k + 1):
+        out[i] = VarietyDescription.full_torus(n, degree=i)
+    return GradedDescription(n, out)
+
 
 def circle_graded(k: int) -> GradedDescription:
     """A single circle: every degree's description is just the identity."""

@@ -219,14 +219,36 @@ LINE_DESC = '{"n": 2, "components": [{"lambda": [0, 0], "basis": [[1, 0]]}]}'
     (["omega-test", "--desc", '{"n": [2]}', "--plane", "[[1, 0]]"],
      "a variety description's 'n'"),
     (["tcone", "--desc", '{"n": -2}'], "a variety description's 'n'"),
+    (["tcone", "--desc", '{"n": "x", "components": []}'],
+     "a variety description's 'n' must be a nonnegative integer"),
+    (["omega-test", "--desc", '{"n": "2.5", "components": []}',
+      "--plane", "[[1, 0]]"],
+     "a variety description's 'n' must be a nonnegative integer"),
+    (["fpk", "--graded", '{"n": 2, "degrees": {"a": []}}', "--k", "0",
+      "--r", "1"],
+     "a graded description's degree key 'a' must be a nonnegative integer"),
 ], ids=["plane-row-not-array", "plane-basis-not-array", "components-not-array",
         "component-basis-flat", "degrees-not-object", "n-not-integer",
-        "n-negative"])
+        "n-negative", "n-not-a-number", "n-decimal-string",
+        "degree-key-not-a-number"])
 def test_json_of_the_wrong_shape_is_a_named_domain_error(capsys, argv, field):
     code, data = run_json(capsys, *argv)
     assert code == 1
     assert data["error"]["type"] == "ValueError"
     assert field in data["error"]["message"]
+
+
+def test_dimensions_given_as_decimal_strings_keep_their_value(capsys):
+    for n in (2, "2", " 2", "+2"):
+        code, data = run_json(capsys, "tcone", "--desc",
+                              json.dumps({"n": n, "components": []}))
+        assert (code, data["ambient_dim"]) == (0, 2)
+    graded = datasets.free2_graded(1).to_json()
+    graded["degrees"] = {" 0": graded["degrees"]["0"],
+                         "+1": graded["degrees"]["1"]}
+    code, data = run_json(capsys, "fpk", "--graded", json.dumps(graded),
+                          "--k", "1", "--r", "1")
+    assert (code, data["certified_empty"]) == (0, True)
 
 
 def _desc_with(lam, basis) -> str:

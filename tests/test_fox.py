@@ -21,7 +21,6 @@ from jumploci.fox import (
     contains_translated_torus,
     depth1_membership,
     fox_derivative_abelianized,
-    generator_character_poly,
     generic_rank_on_torus,
     parse_presentation,
     rank_at_character,
@@ -30,6 +29,7 @@ from jumploci.laurent import (LaurentPoly, bareiss_rank,
                               restrict_matrix_to_translated_torus)
 from jumploci.fox import _d1_rank
 from jumploci.tori import TranslatedTorus
+from suites import generator_character_poly
 
 F = Fraction
 

@@ -1,6 +1,6 @@
 """Replay a recorded CLI transcript: every call must print the same bytes.
 
-``tests/golden_cli.json`` holds about a hundred fixed calls across the
+``tests/golden_cli.json`` holds about 150 fixed calls across the
 subcommands, each with its argv, exit code and exact stdout.  A change that
 claims to leave the output alone (a speed-up, a refactor) must pass this
 test unchanged.  After a deliberate change of output, regenerate the file
@@ -20,6 +20,7 @@ import os
 import random
 from fractions import Fraction
 
+import datasets
 from jumploci.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -42,7 +43,7 @@ def test_transcript_covers_every_subcommand_it_names():
     entries = _load()
     names = {e["argv"][0] for e in entries}
     assert names == {"alexander", "tcone", "omega-describe", "omega-test",
-                     "witness", "charvar-check", "schubert-eqs"}
+                     "witness", "charvar-check", "schubert-eqs", "fpk"}
     assert len(entries) >= 100
     assert {e["exit"] for e in entries} == {0, 1}
 
@@ -215,6 +216,27 @@ def build_argvs() -> list[list[str]]:
                       "--r", str(r)] + (["--format", "text"] if k % 3 == 0
                                         else []))
     calls.append(["schubert-eqs", "--space", "[]", "--r", "2"])
+
+    # orbifold groups' loci: a plane inside the image directions, one across
+    # them, and one off them
+    for desc in (datasets.orbifold_torus_two_cones(),
+                 datasets.orbifold_thrice_punctured_sphere()):
+        text = json.dumps(desc.to_json())
+        for plane in ('[[1, 0, 0]]', '[[1, 0, 0], [0, 0, 1]]', '[[0, 0, 1]]'):
+            calls.append(["omega-test", "--desc", text, "--plane", plane])
+        calls.append(["omega-test", "--desc", text, "--plane",
+                      '[[1, 0, 1], [0, 1, 0]]', "--format", "text"])
+    calls.append(["omega-test", "--desc",
+                  json.dumps(datasets.orbifold_annulus().to_json()),
+                  "--plane", "[[1, 1]]"])
+
+    cube = json.dumps(datasets.free2_cube_graded(3).to_json())
+    for k, r in ((3, 1), (1, 5), (2, 1)):
+        calls.append(["fpk", "--graded", cube, "--k", str(k), "--r", str(r)])
+        calls.append(["fpk", "--graded", cube, "--k", str(k), "--r", str(r),
+                      "--format", "text"])
+    calls.append(["fpk", "--graded", '{"n": 2, "degrees": {"a": []}}',
+                  "--k", "0", "--r", "1"])
     return calls
 
 

@@ -1,6 +1,11 @@
 """Rules on the library's source code itself."""
 
 import ast
+import contextlib
+import inspect
+import io
+import json
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "jumploci"
@@ -56,3 +61,58 @@ def test_every_exported_name_resolves():
     missing = [name for name in jumploci.__all__
                if not hasattr(jumploci, name)]
     assert missing == []
+
+
+def _own_code(obj):
+    """The code object of a function defined in the library, else None; a
+    wrapper such as ``functools.lru_cache`` is looked through."""
+    if isinstance(obj, (classmethod, staticmethod)):
+        obj = obj.__func__
+    elif isinstance(obj, property):
+        obj = obj.fget
+    code = getattr(inspect.unwrap(obj), "__code__", None) \
+        if callable(obj) else None
+    if code is None or not Path(code.co_filename).resolve().is_relative_to(SRC):
+        return None
+    return code
+
+
+def test_every_exported_name_runs_on_the_cli_transcript():
+    # the library keeps only what a CLI path reaches: replaying the recorded
+    # transcript must run every exported function, and at least one method
+    # of every exported class that defines methods here (a dataclass with
+    # none of its own, such as WitnessStep, is exempt)
+    import jumploci
+    from jumploci.cli import main
+    golden = Path(__file__).resolve().parent / "golden_cli.json"
+    entries = json.loads(golden.read_text(encoding="utf-8"))
+    ran = set()
+    # a function behind a warm cache would not run: start every cache empty
+    for module in [m for name, m in sys.modules.items()
+                   if name.startswith("jumploci.")]:
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            ran.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for entry in entries:
+            with contextlib.redirect_stdout(io.StringIO()):
+                main(list(entry["argv"]))
+    finally:
+        sys.setprofile(previous)
+    unused = []
+    for name in jumploci.__all__:
+        obj = getattr(jumploci, name)
+        if inspect.isclass(obj):
+            codes = {_own_code(v) for v in vars(obj).values()} - {None}
+            if codes and not codes & ran:
+                unused.append(name)
+        elif _own_code(obj) not in ran:
+            unused.append(name)
+    assert unused == []

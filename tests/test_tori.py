@@ -8,21 +8,17 @@ import pytest
 
 import datasets
 import oracles
+from datasets import product_description, wedge_description
 from jumploci.omega import omega_membership
-from jumploci.qlinalg import RationalSubspace, sigma_membership
+from jumploci.qlinalg import RationalSubspace, snf
 from jumploci.tori import (
     GradedDescription,
     TorsionCharacter,
     TranslatedTorus,
     VarietyDescription,
-    intersect_translated,
-    orbifold_components,
-    orbifold_v1,
-    product_description,
-    pushforward,
     sigma_rho_membership,
-    wedge_description,
 )
+from suites import intersect_translated
 
 F = Fraction
 
@@ -270,119 +266,58 @@ def test_product_symmetry_under_coordinate_permutation():
     b = datasets.free2_graded(1)
     ab = product_description(a, b, 1).at(1)
     ba = product_description(b, a, 1).at(1)
-    rotate = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]  # (xb1, xb2, xa) -> tail position
-    assert pushforward(ba, rotate) == ab
 
+    def rotate(v):                          # (xb1, xb2, xa) -> (xa, xb1, xb2)
+        return (v[2],) + tuple(v[:2])
 
-# ---------------------------------------------------------------------------
-# pushforward
-# ---------------------------------------------------------------------------
-
-def test_pushforward_of_full_circle_with_torsion_image():
-    full = VarietyDescription.full_torus(1)
-    out = pushforward(full, [[1, 0]], [TorsionCharacter([0, F(1, 2)])])
-    assert out.components == (TranslatedTorus.from_data(
-        [0, F(1, 2)], [(1, 0)], 2),)
-    plain = pushforward(full, [[1, 0]])
-    assert plain.components == (TranslatedTorus.from_data([0, 0], [(1, 0)], 2),)
-
-
-def test_pushforward_identity_map_is_identity():
-    d = datasets.closed_omega_description()
-    eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert pushforward(d, eye) == d
-
-
-def test_pushforward_translated_copies():
-    full = VarietyDescription.full_torus(1)
-    images = [TorsionCharacter([0, 0]), TorsionCharacter([0, F(1, 3)]),
-              TorsionCharacter([0, F(2, 3)])]
-    out = pushforward(full, [[1, 0]], images)
-    assert len(out.components) == 3
-    translates = {c.translate.values for c in out.components}
-    assert translates == {(0, 0), (0, F(1, 3)), (0, F(2, 3))}
-
-
-def test_pushforward_validates_epimorphism():
-    d = VarietyDescription.identity_only(1)
-    with pytest.raises(ValueError, match="epimorphism"):
-        pushforward(d, [[2, 0]])
-    two = VarietyDescription.identity_only(2)
-    with pytest.raises(ValueError, match="epimorphism"):
-        pushforward(two, [[1, 1], [1, 1]])
-    with pytest.raises(ValueError, match="row count"):
-        pushforward(two, [[1, 0]])
-    with pytest.raises(ValueError, match="wrong length"):
-        pushforward(d, [[1, 0]], [TorsionCharacter([0])])
+    moved = VarietyDescription(3, [
+        TranslatedTorus.from_data(rotate(c.translate.values),
+                                  [rotate(row) for row in c.direction.basis], 3)
+        for c in ba.components])
+    assert moved == ab
 
 
 # ---------------------------------------------------------------------------
 # orbifolds
 # ---------------------------------------------------------------------------
 
-def test_orbifold_cases():
-    high = orbifold_v1("compact", 2, 0, ())
-    assert (high.case, high.free_rank, high.torsion_invariants) == ("full", 4, ())
-    torus_two_cones = orbifold_v1("compact", 1, 0, (2, 2))
-    assert torus_two_cones.case == "off_identity"
-    assert torus_two_cones.free_rank == 2
-    assert torus_two_cones.torsion_invariants == (2,)
-    assert torus_two_cones.torsion_order == 2
-    assert orbifold_v1("compact", 1, 0, ()).case == "trivial"
-    assert orbifold_v1("compact", 1, 0, (3,)).case == "trivial"
-    annulus = orbifold_v1("punctured", 0, 2, ())
-    assert (annulus.case, annulus.free_rank) == ("trivial", 1)
-    marked = orbifold_v1("punctured", 0, 2, (2,))
-    assert (marked.case, marked.torsion_invariants) == ("off_identity", (2,))
-    assert orbifold_v1("punctured", 1, 1, ()).case == "full"
-    assert orbifold_v1("punctured", 0, 3, ()).case == "full"
-
-
 def test_orbifold_torsion_invariants_use_elementary_divisors():
-    d = orbifold_v1("compact", 1, 0, (2, 3))
-    # Z_2 + Z_3 modulo the diagonal is cyclic of order 6/lcm = 1? no:
-    # order m1*m2/lcm(m1,m2) = 6/6 = 1, so no torsion survives
-    assert d.torsion_invariants == ()
-    d2 = orbifold_v1("compact", 1, 0, (4, 2))
-    assert d2.torsion_invariants == (2,)
-    d3 = orbifold_v1("punctured", 0, 3, (2, 4))
-    assert d3.torsion_invariants == (2, 4)
+    # the torsion of a compact orbifold group with cone orders m_i is
+    # Z^t / (m_i e_i, (1, ..., 1)); of a punctured one, the sum of Z_{m_i}
+    def invariants(rows):
+        smith, _, _ = snf(rows)
+        return tuple(d for d in (smith[i][i] for i in range(len(rows[0])))
+                     if d > 1)
 
-
-def test_orbifold_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        orbifold_v1("compact", 0, 0, ())
-    with pytest.raises(ValueError):
-        orbifold_v1("compact", 1, 2, ())
-    with pytest.raises(ValueError):
-        orbifold_v1("punctured", 0, 0, (2,))
-    with pytest.raises(ValueError):
-        orbifold_v1("punctured", 0, 1, ())
-    with pytest.raises(ValueError):
-        orbifold_v1("compact", 1, 0, (1, 2))
-    with pytest.raises(ValueError):
-        orbifold_v1("sphere", 1, 0, ())
+    # Z_2 + Z_3 modulo the diagonal: order 6 / lcm(2, 3) = 1, no torsion
+    assert invariants([[2, 0], [0, 3], [1, 1]]) == ()
+    assert invariants([[4, 0], [0, 2], [1, 1]]) == (2,)
+    assert invariants([[2, 0], [0, 4]]) == (2, 4)
 
 
 def test_orbifold_components_materialization():
-    datum = orbifold_v1("compact", 1, 0, (2, 2))
-    desc = orbifold_components(datum, [[1, 0, 0], [0, 1, 0]],
-                               [TorsionCharacter([0, 0, F(1, 2)])])
+    # the degree-one loci of three orbifold groups, kept as fixed data
+    desc = datasets.orbifold_torus_two_cones()
     point, translate = desc.components
     assert point.is_point() and point.through_identity()
     assert translate.translate.values == (0, 0, F(1, 2))
     assert translate.direction == RationalSubspace.from_rows(
         [(1, 0, 0), (0, 1, 0)], 3)
     # full case covers the whole image torus plus translated copies
-    full = orbifold_v1("punctured", 0, 3, (2,))
-    out = orbifold_components(full, [[1, 0, 0], [0, 1, 0]],
-                              [TorsionCharacter([0, 0, F(1, 2)])])
+    out = datasets.orbifold_thrice_punctured_sphere()
     dirs = [c.direction.dim for c in out.components]
     assert dirs == [2, 2] and len({c.translate.values for c in out.components}) == 2
     # trivial case is just the identity
-    triv = orbifold_v1("punctured", 0, 2, ())
-    out2 = orbifold_components(triv, [[1, 0]], [])
-    assert out2 == VarietyDescription.identity_only(2)
+    assert datasets.orbifold_annulus() == VarietyDescription.identity_only(2)
+    # through the image directions the translate blocks nothing, while a
+    # plane meeting them and leaving them blocks on both descriptions
+    inside = RationalSubspace.from_rows([(1, 0, 0)], 3)
+    across = RationalSubspace.from_rows([(1, 0, 0), (0, 0, 1)], 3)
+    assert omega_membership(desc, inside).member
+    assert [reason for _, reason in omega_membership(desc, across).blockers] \
+        == ["sigma_rho"]
+    assert [reason for _, reason in omega_membership(out, across).blockers] \
+        == ["dim_ge_1", "sigma_rho"]
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +392,8 @@ def test_sigma_rho_reduces_to_sigma_for_identity_translate():
         if P.dim != 2 or L.is_zero():
             continue
         checked += 1
-        assert sigma_rho_membership(P, L, trivial) == sigma_membership(P, L)
+        assert sigma_rho_membership(P, L, trivial) == \
+            (not P.intersect(L).is_zero())
     assert checked > 20
 
 
