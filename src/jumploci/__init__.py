@@ -9,7 +9,7 @@ equations).  All arithmetic is exact — rationals, integers, cyclotomics.
 """
 
 from .qlinalg import (IntegerLattice, PluckerVector, RationalSubspace,
-                      coset_reduce, format_rational, hnf, integer_kernel,
+                      coset_reduce_ints, format_rational, hnf, integer_kernel,
                       lattice_coset_membership, parse_rational, plucker, rref,
                       saturated_integer_points, schubert_equations, snf)
 from .laurent import (CyclotomicNumber, CycloLaurentPoly, LaurentPoly,
@@ -41,7 +41,7 @@ __all__ = [
     "SubspaceArrangement", "TorsionCharacter",
     "TranslatedTorus", "VarietyDescription", "WitnessReport", "WitnessStep",
     "abelianize", "alexander_matrix",
-    "bareiss_rank", "contains_translated_torus", "coset_reduce",
+    "bareiss_rank", "contains_translated_torus", "coset_reduce_ints",
     "cyclotomic_polynomial", "cyclotomic_rank", "depth1_membership",
     "evaluate_at_character", "format_rational",
     "fox_derivative_abelianized", "fpk_report", "generic_rank_on_torus",

@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .fox import (abelianize, alexander_matrix, contains_translated_torus,
@@ -21,8 +22,9 @@ from .fox import (abelianize, alexander_matrix, contains_translated_torus,
 from .laurent import LaurentPoly
 from .omega import (fpk_report, nonopen_witness, omega1_r1_description,
                     omega_codim1_closed_form, omega_membership)
-from .qlinalg import (PluckerVector, RationalSubspace, clear_denominators,
-                      format_rational, json_rational_rows, schubert_equations)
+from .qlinalg import (PluckerVector, RationalSubspace, _echelon,
+                      format_rational, format_rref, json_integer_rows,
+                      number_too_long, schubert_equations)
 from .tcone import (DEFAULT_SUPPORT_LIMIT, SUBSET_SUM_LIMIT,
                     SubspaceArrangement, tangent_cone_description,
                     tangent_cone_polys)
@@ -46,34 +48,57 @@ MAX_TORUS_ORDER = 512
 # input plumbing
 # ---------------------------------------------------------------------------
 
+def _json_number(text: str) -> Fraction:
+    """A JSON number with a fraction part or an exponent, read exactly from
+    its text: as a float, 1e-400 would be 0 and 12345678901234567890.5 an
+    integer.  An exponent of more than ``int()``'s digit limit is refused
+    before its power of ten is built."""
+    exponent = text.lower().partition("e")[2].lstrip("+-")
+    limit = sys.get_int_max_str_digits()
+    if exponent and limit and (len(exponent) > 20 or int(exponent) > limit):
+        shown = text if len(text) <= 40 else text[:40] + "..."
+        raise ValueError(f"the JSON number {shown} written out is "
+                         f"{number_too_long()}")
+    return Fraction(text)
+
+
+#: The decoder of inline JSON, built once: ``json.loads`` with a keyword
+#: argument builds a new one on every call.
+_JSON = json.JSONDecoder(parse_float=_json_number)
+
+
 def _load_json(value: str):
     """Inline JSON if the value looks like JSON, else a file path."""
     stripped = value.strip()
     if stripped.startswith("{") or stripped.startswith("["):
-        return json.loads(stripped)
+        return _JSON.decode(stripped)
     with open(value, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_float=_json_number)
 
 
 def _parse_subspace(data, ambient_dim: Optional[int] = None) -> RationalSubspace:
-    """Rows, or {"basis": rows}; entries are "p/q" strings or integers."""
+    """Rows, or {"basis": rows} with an optional "n", which must then be
+    ambient_dim; entries are "p/q" strings or numbers.  The rows go to the
+    integer RREF as integer numerators."""
     if isinstance(data, dict):
         rows = _json_field(data, "basis", "a subspace")
-        if ambient_dim is None and "n" in data:
-            ambient_dim = _json_dim(data["n"], "a subspace's 'n'")
+        if "n" in data:
+            n = _json_dim(data["n"], "a subspace's 'n'")
+            if ambient_dim is not None and n != ambient_dim:
+                raise ValueError(f"a subspace's 'n' is {n}, but the "
+                                 f"description lives in Q^{ambient_dim}")
+            ambient_dim = n
     else:
         rows = data
-    parsed = json_rational_rows(_json_rows(rows, "a subspace's 'basis'"),
-                                "a subspace's 'basis'")
+    ints = json_integer_rows(_json_rows(rows, "a subspace's 'basis'"),
+                             "a subspace's 'basis'")
     if ambient_dim is None:
-        if not parsed:
+        if not ints:
             raise ValueError("cannot infer ambient dimension of an empty basis")
-        ambient_dim = len(parsed[0])
-    return RationalSubspace.from_rows(parsed, ambient_dim)
-
-
-def _subspace_rows(space: RationalSubspace) -> list[list[str]]:
-    return [[format_rational(x) for x in row] for row in space.basis]
+        ambient_dim = len(ints[0])
+    if any(len(r) != ambient_dim for r in ints):
+        raise ValueError("rows of unequal length")
+    return RationalSubspace(ambient_dim, *_echelon(ints))
 
 
 def _parse_polys(texts: Sequence[str]) -> list[LaurentPoly]:
@@ -96,7 +121,7 @@ def _arrangement(args) -> SubspaceArrangement:
 
 def _point(line: RationalSubspace) -> list[int]:
     """A line as a projective point: its primitive integer spanning vector."""
-    return list(clear_denominators(line.basis[0]))
+    return list(line.rows[0])
 
 
 def _arrangement_payload(arr: SubspaceArrangement) -> dict:
@@ -116,8 +141,7 @@ def _arrangement_text(arr: SubspaceArrangement) -> list[str]:
         elif s.dim == 1:
             lines.append(f"  line through {_point(s)}")
         else:
-            rows = "; ".join(str([format_rational(x) for x in row])
-                             for row in s.basis)
+            rows = "; ".join(str(row) for row in format_rref(s))
             lines.append(f"  dim {s.dim}: span of {rows}")
     return lines
 
@@ -198,7 +222,7 @@ def _cmd_omega_test(args) -> tuple[dict, list[str]]:
         raise ValueError(f"plane has dimension {plane.dim}, expected r={args.r}")
     verdict = omega_membership(desc, plane)
     payload = verdict.to_json()
-    payload["plane"] = _subspace_rows(plane)
+    payload["plane"] = format_rref(plane)
     if verdict.member:
         lines = ["member: the cover determined by this plane has finite "
                  "Betti numbers"]
@@ -218,7 +242,7 @@ def _cmd_omega_describe(args) -> tuple[dict, list[str]]:
         payload = {
             "r": 1,
             "ambient_dim": arr.ambient_dim,
-            "excluded_subspaces": [_subspace_rows(s) for s in excluded],
+            "excluded_subspaces": [format_rref(s) for s in excluded],
             "excluded_projective_points": [_point(s) for s in excluded
                                            if s.dim == 1],
         }
@@ -230,7 +254,7 @@ def _cmd_omega_describe(args) -> tuple[dict, list[str]]:
                 if s.dim == 1:
                     lines.append(f"  point {_point(s)}")
                 else:
-                    lines.append(f"  P(L) for dim-{s.dim} L = {_subspace_rows(s)}")
+                    lines.append(f"  P(L) for dim-{s.dim} L = {format_rref(s)}")
         return payload, lines
     if not args.desc:
         raise ValueError("closed forms for r >= 2 require --desc")
@@ -243,7 +267,7 @@ def _cmd_omega_describe(args) -> tuple[dict, list[str]]:
         lines = [f"no r={args.r} plane is a member"]
     else:
         lines = [f"members are exactly the r={args.r} planes inside "
-                 f"{_subspace_rows(verdict.subspace)}"]
+                 f"{format_rref(verdict.subspace)}"]
     return payload, lines
 
 
@@ -274,7 +298,7 @@ def _cmd_witness(args) -> tuple[dict, list[str]]:
     q_list = [int(q) for q in args.q.split(",") if q.strip()]
     report = nonopen_witness(desc, args.component, args.r, q_list)
     payload = report.to_json()
-    lines = [f"P = {_subspace_rows(report.plane)} -> member"]
+    lines = [f"P = {format_rref(report.plane)} -> member"]
     for step in report.family:
         lines.append(f"  q={step.q}: distance {format_rational(step.plucker_distance)}"
                      f" -> {'member' if step.verdict.member else 'blocked'}")

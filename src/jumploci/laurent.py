@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .qlinalg import (format_rational, json_rational, number_too_long,
+from .qlinalg import (format_rational, number_too_long,
                       saturated_integer_points, vec)
 from .tori import TorsionCharacter, TranslatedTorus
 
@@ -281,16 +281,6 @@ class LaurentPoly:
             "terms": [{"exponents": list(e), "coeff": format_rational(self.terms[e])}
                       for e in sorted(self.terms)],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LaurentPoly":
-        n = int(data["num_vars"])
-        terms = {}
-        for k, t in enumerate(data.get("terms", [])):
-            e = tuple(int(x) for x in t["exponents"])
-            c = json_rational(t["coeff"], f"a polynomial's term {k} 'coeff'")
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return cls(n, terms)
 
 
 def _term(sign: str, factors) -> Optional[tuple[Fraction, dict[int, int]]]:

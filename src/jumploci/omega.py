@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .qlinalg import PluckerVector, RationalSubspace, format_rational, plucker
+from .qlinalg import (PluckerVector, RationalSubspace, format_rational,
+                      format_rref, plucker)
 from .tcone import SubspaceArrangement
 from .tori import (TranslatedTorus, VarietyDescription, GradedDescription,
                    sigma_rho_membership)
@@ -128,8 +129,7 @@ class ClosedFormVerdict:
     def to_json(self) -> dict:
         out = {"kind": self.kind, "r": self.r}
         if self.subspace is not None:
-            out["subspace"] = [[format_rational(x) for x in row]
-                               for row in self.subspace.basis]
+            out["subspace"] = format_rref(self.subspace)
         return out
 
 
@@ -196,12 +196,11 @@ class WitnessReport:
     def to_json(self) -> dict:
         return {
             "component_index": self.component_index,
-            "P": [[format_rational(x) for x in row] for row in self.plane.basis],
+            "P": format_rref(self.plane),
             "member": self.verdict.member,
             "family": [{
                 "q": step.q,
-                "plane": [[format_rational(x) for x in row]
-                          for row in step.plane.basis],
+                "plane": format_rref(step.plane),
                 "plucker_distance": format_rational(step.plucker_distance),
                 "member": step.verdict.member,
             } for step in self.family],

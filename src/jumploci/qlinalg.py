@@ -7,12 +7,16 @@ there are no floats anywhere.  The two central canonical forms are
   primitive integer multiple of each row of the reduced row echelon form
   (RREF) of any spanning set, so two subspaces are equal as sets if and only
   if their stored integer rows are identical.  One integer elimination core
-  builds that form, adds rows to it, and reads kernels off it; sums,
-  intersections, complements, inclusion and coset reduction all run on the
-  integer rows.  The ``Fraction`` RREF (``basis``, and :func:`rref`) is
+  (``_echelon``) builds that form, adds rows to it, and reads kernels off
+  it; sums, intersections, complements, inclusion and coset reduction all
+  run on the integer rows.  JSON rows reach that core without a
+  ``Fraction``: :func:`json_rational_ints` reads each row as integer
+  numerators over one denominator, and the numerators span the same line.
+  :func:`format_rref` writes the RREF back out as ``"p/q"`` strings from
+  the integer rows.  The ``Fraction`` RREF (``basis``, and :func:`rref`) is
   built only where rational values are wanted: for a spanning set given as
-  rows (``from_rows`` goes through :func:`rref` and keeps its result as
-  ``basis``), for output and for explicit solutions; Pluecker minors are
+  rows of rationals (``from_rows`` goes through :func:`rref` and keeps its
+  result as ``basis``) and for explicit solutions; Pluecker minors are
   fraction-free determinants of the stored integer rows, and
 
 * :class:`IntegerLattice` — a subgroup of Z^n stored in row-style Hermite
@@ -20,22 +24,24 @@ there are no floats anywhere.  The two central canonical forms are
   pivot, pivot columns strictly increase, pivots are positive, and the entries
   below a pivot in its column are reduced into ``[0, pivot)``).
 
-On top of these the module provides :func:`coset_reduce`, which decides
-``lambda in V + Z^n`` (the decidable core of every "does this character lie
-on that algebraic subtorus" question downstream): it reduces lambda to the
+On top of these the module provides :func:`coset_reduce_ints`, which
+decides ``lambda in V + Z^n`` (the decidable core of every "does this
+character lie on that algebraic subtorus" question downstream) on lambda
+given as integer numerators over one denominator: it reduces lambda to the
 canonical representative of its coset mod V + Z^n, with one HNF, and
 returns the integer step m taken, so lambda - m lies in V when the
-representative is 0.  :func:`coset_rep` keeps only the representative and
-skips the HNF for an integer vector, which lies in every V + Z^n;
+representative is 0.  :func:`coset_rep_ints` keeps only the representative
+and skips the HNF for an integer vector, which lies in every V + Z^n;
+:func:`coset_rep` (the representative as ``Fraction`` values),
 :func:`lattice_coset_membership` and the canonical translates of ``tori``
 are read off it.  The module also provides Pluecker coordinates of
 subspaces, the linear equations cutting out the locus of r-planes meeting a
-fixed subspace nontrivially, and the reading of rational JSON entries, whose
-errors name the entry.
+fixed subspace nontrivially, and the reading of rational JSON entries,
+whose errors name the entry.
 
 >>> V = RationalSubspace.from_rows([(1, 1)], 2)
->>> coset_reduce((Fraction(3, 2), Fraction(1, 2)), V)
-((Fraction(0, 1), Fraction(0, 1)), (0, -1))
+>>> coset_reduce_ints([3, 1], 2, V)
+([0, 0], 2, [0, -1])
 >>> lattice_coset_membership((Fraction(1, 2), Fraction(1, 2)), V)
 True
 >>> lattice_coset_membership((Fraction(1, 2), 0), V)
@@ -602,40 +608,39 @@ def saturated_integer_points(space: RationalSubspace) -> IntegerLattice:
 # lattice-coset membership: lambda in V + Z^n ?
 # ---------------------------------------------------------------------------
 
-def coset_reduce(lam: Sequence, space: RationalSubspace
-                 ) -> tuple[Vector, tuple[int, ...]]:
-    """The canonical representative of lam mod V + Z^n, and the integer step.
+def coset_reduce_ints(nums: Sequence[int], den: int, space: RationalSubspace
+                      ) -> tuple[list[int], int, list[int]]:
+    """The canonical representative of lam = nums / den (den > 0) mod
+    V + Z^n, and the integer step: ``(rep nums, rep den, m)``.
 
-    Returns ``(rep, m)``: ``rep`` has every entry in [0, 1) and depends only on
-    the coset lam + V + Z^n, and m is an integer vector with lam - m - rep in
-    V.  So lam lies in V + Z^n exactly when rep is 0, and then m is a witness.
+    The representative rep = rep nums / rep den has every entry in [0, 1)
+    and depends only on the coset lam + V + Z^n, and m is an integer vector
+    with lam - m - rep in V.  So lam lies in V + Z^n exactly when rep is 0,
+    and then m is a witness.
 
     Subtracting the element of V that agrees with lam on V's RREF pivots
     leaves a residue supported off the pivots.  The projection of Z^n along V
     onto those coordinates is generated by e_j off the pivots and by e_p - b
-    at the pivot p of each basis row b; scaled by the common denominator den
-    of the basis, which is the lcm of the pivot entries of the stored integer
-    rows, these are integer rows G.  The residue is reduced, rightmost
-    pivot first, to the fundamental domain of the HNF H = U G.  Row k of H is
-    den (U_k - x) for some x in V, so each step by f copies of it adds f U_k
-    to m.
+    at the pivot p of each basis row b; scaled by the common denominator
+    ``scale`` of the basis, which is the lcm of the pivot entries of the
+    stored integer rows, these are integer rows G.  The residue is reduced,
+    rightmost pivot first, to the fundamental domain of the HNF H = U G.
+    Row k of H is scale (U_k - x) for some x in V, so each step by f copies
+    of it adds f U_k to m.
     """
-    lam = vec(lam)
     n = space.ambient_dim
-    if len(lam) != n:
+    if len(nums) != n:
         raise ValueError("character length does not match ambient dimension")
-    den = math.lcm(*(row[p] for row, p in zip(space.rows, space.pivots)))
-    gens = [[den if i == j else 0 for j in range(n)] for i in range(n)]
+    scale = math.lcm(*(row[p] for row, p in zip(space.rows, space.pivots)))
+    gens = [[scale if i == j else 0 for j in range(n)] for i in range(n)]
     for row, p in zip(space.rows, space.pivots):
-        scale = den // row[p]
-        gens[p] = [-x * scale for x in row]
-        gens[p][p] = 0                          # den - row[p] * scale
+        f = scale // row[p]
+        gens[p] = [-x * f for x in row]
+        gens[p][p] = 0                          # scale - row[p] * f
     h, u = hnf(gens)
-    # the residue of lam mod V, as integers x over den * d
-    d = math.lcm(*(x.denominator for x in lam))
-    x, d = _reduce([a.numerator * (d // a.denominator) for a in lam],
-                   space.rows, space.pivots, d)
-    x = [a * den for a in x]
+    # the residue of lam mod V, as integers x over scale * d
+    x, d = _reduce(nums, space.rows, space.pivots, den)
+    x = [a * scale for a in x]
     m = [0] * n
     for row, u_row in zip(reversed(h), reversed(u)):
         if not any(row):                        # zero rows sit at the bottom
@@ -645,24 +650,44 @@ def coset_reduce(lam: Sequence, space: RationalSubspace
         if f:
             x = [a - f * d * b for a, b in zip(x, row)]
             m = [a + f * b for a, b in zip(m, u_row)]
-    return tuple(Fraction(a, den * d) for a in x), tuple(m)
+    return x, scale * d, m
 
 
 def coset_rep(lam: Sequence, space: RationalSubspace) -> Vector:
-    """The canonical representative of lam mod V + Z^n, as returned by
-    :func:`coset_reduce`.  An integer vector lies in every V + Z^n, so its
+    """The canonical representative of a rational lam mod V + Z^n, as
+    ``Fraction`` values: :func:`coset_rep_ints` of its numerators over one
+    denominator."""
+    x, d = coset_rep_ints(*_over_one_denominator(lam), space)
+    return tuple(Fraction(a, d) for a in x)
+
+
+def coset_rep_ints(nums: Sequence[int], den: int, space: RationalSubspace
+                   ) -> tuple[list[int], int]:
+    """The representative of :func:`coset_reduce_ints` for lam = nums / den
+    (den > 0), as ``(rep nums, rep den)``.  An integer vector (den divides
+    every numerator, as in ``"2/2"``) lies in every V + Z^n, so its
     representative is 0 with no HNF; only a lam with a denominator is
     reduced."""
-    lam = vec(lam)
-    if len(lam) == space.ambient_dim and all(x.denominator == 1 for x in lam):
-        return (Fraction(0),) * len(lam)
-    return coset_reduce(lam, space)[0]
+    if len(nums) != space.ambient_dim:
+        raise ValueError("character length does not match ambient dimension")
+    if den == 1 or all(a % den == 0 for a in nums):
+        return [0] * len(nums), 1
+    x, d, _ = coset_reduce_ints(nums, den, space)
+    return x, d
 
 
 def lattice_coset_membership(lam: Sequence, space: RationalSubspace) -> bool:
     """Is lam an element of V + Z^n?  Exactly when its :func:`coset_rep`
     is 0."""
-    return not any(coset_rep(lam, space))
+    return not any(coset_rep_ints(*_over_one_denominator(lam), space)[0])
+
+
+def _over_one_denominator(lam: Sequence) -> tuple[list[int], int]:
+    """A rational vector as integer numerators over the lcm of its
+    denominators."""
+    lam = vec(lam)
+    d = math.lcm(*(x.denominator for x in lam))
+    return [x.numerator * (d // x.denominator) for x in lam], d
 
 
 # ---------------------------------------------------------------------------
@@ -832,40 +857,78 @@ def _rational_fault(text: str, error: Exception) -> str:
     return f"is not a rational number ('p' or 'p/q'): {shown!r}"
 
 
-def json_rational(value, what: str) -> Fraction:
-    """``parse_rational(str(value))``, or a ValueError naming the JSON entry
-    (``what``, as in "a polynomial's term 1 'coeff'") and its fault."""
-    text = str(value)
-    try:
-        return parse_rational(text)
-    except (ValueError, ZeroDivisionError) as error:
-        raise ValueError(f"{what} {_rational_fault(text, error)}") from None
+def json_rational_ints(values: Sequence, what: str) -> tuple[list[int], int]:
+    """A JSON array ``what`` of rationals (as in "a component's 'lambda'")
+    as integer numerators over one positive denominator: ``(nums, den)``,
+    entry i being nums[i] / den.
 
-
-def json_rationals(values: Sequence, what: str) -> list[Fraction]:
-    """:func:`json_rational` of each entry of a JSON array ``what``, as in
-    "a component's 'lambda'"; the error names the entry by its index."""
-    out = []
+    A JSON integer is taken as it is, and a text ASCII ``[-]digits`` or
+    ``[-]digits/digits`` is read with ``int()``; any other text (of a
+    string, or of another JSON value) goes to :func:`parse_rational`, so the
+    texts accepted and their values are parse_rational's.  den is the lcm
+    of the denominators as written, so ``["2/2"]`` gives ``([2], 2)``.  An
+    entry that is no rational is a ValueError naming it by its index and
+    its fault.
+    """
+    nums, dens = [], []
     for i, x in enumerate(values):
-        text = str(x)
-        try:
-            out.append(parse_rational(text))
-        except (ValueError, ZeroDivisionError) as error:
-            raise ValueError(f"{what} entry {i} "
-                             f"{_rational_fault(text, error)}") from None
-    return out
+        if type(x) is int:
+            nums.append(x)
+            dens.append(1)
+            continue
+        if type(x) is Fraction:         # a JSON number read exactly
+            p, q = x.numerator, x.denominator
+        else:
+            text = x if type(x) is str else str(x)
+            num, slash, d = text.partition("/")
+            digits = num[1:] if num[:1] == "-" else num
+            try:
+                if (digits.isascii() and digits.isdigit()
+                        and (not slash or d.isascii() and d.isdigit())):
+                    p, q = int(num), int(d) if slash else 1
+                    if not q:
+                        raise ZeroDivisionError
+                else:
+                    value = parse_rational(text)
+                    p, q = value.numerator, value.denominator
+            except (ValueError, ZeroDivisionError) as error:
+                raise ValueError(f"{what} entry {i} "
+                                 f"{_rational_fault(text, error)}") from None
+        nums.append(p)
+        dens.append(q)
+    den = math.lcm(*dens)
+    if den > 1:
+        nums = [p * (den // q) for p, q in zip(nums, dens)]
+    return nums, den
 
 
-def json_rational_rows(rows: Sequence[Sequence], what: str
-                       ) -> list[list[Fraction]]:
-    """:func:`json_rationals` of each row of a JSON array of arrays."""
-    return [json_rationals(row, f"{what} row {i}") for i, row in enumerate(rows)]
+def json_integer_rows(rows: Sequence[Sequence], what: str) -> list[list[int]]:
+    """Each row of a JSON array of arrays ``what`` as integer numerators
+    over its own denominator (:func:`json_rational_ints`), which span the
+    same line as the row; the denominator is dropped."""
+    return [json_rational_ints(row, f"{what} row {i}")[0]
+            for i, row in enumerate(rows)]
 
 
 def format_rational(x: Fraction) -> str:
     if type(x) is not Fraction:
         x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def format_rref(space: RationalSubspace) -> list[list[str]]:
+    """The reduced row echelon form of a subspace as ``"p/q"`` strings, as
+    :func:`format_rational` writes each entry of ``basis``, read straight
+    off the primitive integer rows: entry x of a row with pivot entry a is
+    x / a in lowest terms (a > 0)."""
+    out = []
+    for row, p in zip(space.rows, space.pivots):
+        a, line = row[p], []
+        for x in row:
+            g = math.gcd(x, a)
+            line.append(str(x // g) if g == a else f"{x // g}/{a // g}")
+        out.append(line)
+    return out
 
 
 if __name__ == "__main__":

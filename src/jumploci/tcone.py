@@ -41,7 +41,7 @@ import math
 from typing import Iterable, Optional, Sequence
 
 from .laurent import LaurentPoly
-from .qlinalg import RationalSubspace, _echelon
+from .qlinalg import RationalSubspace, _echelon, format_rref
 from .tori import VarietyDescription
 
 DEFAULT_SUPPORT_LIMIT = 16
@@ -116,24 +116,11 @@ class SubspaceArrangement:
                 f"{[s.basis for s in self.subspaces]})")
 
     def to_json(self) -> dict:
-        from .qlinalg import format_rational
         return {
             "ambient_dim": self.ambient_dim,
             "empty": self.empty,
-            "subspaces": [[[format_rational(x) for x in row] for row in s.basis]
-                          for s in self.subspaces],
+            "subspaces": [format_rref(s) for s in self.subspaces],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SubspaceArrangement":
-        from .qlinalg import json_rational_rows
-        n = int(data["ambient_dim"])
-        subs = [
-            RationalSubspace.from_rows(json_rational_rows(
-                rows, f"an arrangement's 'subspaces' item {k}"), n)
-            for k, rows in enumerate(data.get("subspaces", []))
-        ]
-        return cls(n, subs, empty=data.get("empty"))
 
 
 def _prune_subspaces(subs: Iterable[RationalSubspace], minimal: bool = False

@@ -10,16 +10,21 @@ Canonical coset representative
 ------------------------------
 Two pairs (lambda, L) and (lambda', L) describe the same coset exactly when
 lambda - lambda' lies in L + Z^n, so a canonical representative must reduce
-lambda modulo that subgroup.  :func:`jumploci.qlinalg.coset_rep` does it:
-an integral lambda lies in Z^n itself, so its representative is 0; any other
-goes to :func:`jumploci.qlinalg.coset_reduce`, which kills the L-part of
+lambda modulo that subgroup.  :func:`jumploci.qlinalg.coset_rep` does it,
+on integers: lambda is held as integer numerators over one denominator
+(:func:`jumploci.qlinalg.coset_rep_ints`, which a description read from
+JSON calls directly).  An integral lambda (the denominator divides every
+numerator, as in ``"2/2"``) lies in Z^n itself, so its representative is
+0 and no HNF is built; any other goes to
+:func:`jumploci.qlinalg.coset_reduce_ints`, which kills the L-part of
 lambda, then reduces the remainder to the Hermite fundamental domain of the
 projection of Z^n along L, so the canonical vector has all entries in
 [0, 1); equality of cosets is then literal equality of representations.
-The plane-membership test
-:func:`sigma_rho_membership` reads whether P meets L off dim(P + L) and only
-then asks :func:`jumploci.qlinalg.lattice_coset_membership` whether the
-translate lies in P + L + Z^n.
+Components of a description are ordered by a key read off the integer rows
+of their directions.  The plane-membership test :func:`sigma_rho_membership`
+reads whether P meets L off dim(P + L) and only then asks
+:func:`jumploci.qlinalg.lattice_coset_membership` whether the translate lies
+in P + L + Z^n.
 
 >>> T1 = TranslatedTorus.from_data(("0", "1/2"), [("1", "1")])
 >>> T2 = TranslatedTorus.from_data(("1/2", "0"), [("2", "2")])
@@ -40,10 +45,12 @@ from .qlinalg import (
     _echelon,
     clear_denominators,
     coset_rep,
+    coset_rep_ints,
     format_rational,
+    format_rref,
     hnf,  # noqa: F401  unused here; perfbench's tracer test rebinds tori.hnf
-    json_rational_rows,
-    json_rationals,
+    json_integer_rows,
+    json_rational_ints,
     lattice_coset_membership,
     vec,
     vec_sub,
@@ -103,10 +110,6 @@ class TorsionCharacter:
     def to_json(self) -> list[str]:
         return [format_rational(v) for v in self.values]
 
-    @classmethod
-    def from_json(cls, data: Sequence[str]) -> "TorsionCharacter":
-        return cls(json_rationals(data, "a torsion character"))
-
 
 class TranslatedTorus:
     """A coset (torsion translate) of an algebraic subtorus, in canonical form."""
@@ -165,9 +168,6 @@ class TranslatedTorus:
         diff = vec_sub(vec(other.translate.values), vec(self.translate.values))
         return lattice_coset_membership(diff, self.direction)
 
-    def sort_key(self):
-        return (self.direction.dim, self.direction.basis, self.translate.values)
-
     def __eq__(self, other):
         return (isinstance(other, TranslatedTorus)
                 and self.direction == other.direction
@@ -180,20 +180,30 @@ class TranslatedTorus:
         return f"TranslatedTorus({self.translate!r}, {self.direction!r})"
 
     def to_json(self) -> dict:
-        return {
-            "lambda": self.translate.to_json(),
-            "basis": [[format_rational(x) for x in row]
-                      for row in self.direction.basis],
-        }
+        return {"lambda": self.translate.to_json(),
+                "basis": format_rref(self.direction)}
 
     @classmethod
     def from_json(cls, data: dict, ambient_dim: int) -> "TranslatedTorus":
+        """A component ``{"lambda": [...], "basis": [[...], ...]}`` of a
+        description in Q^ambient_dim, read on integers: the basis rows go
+        to the integer RREF and lambda, as numerators over one denominator,
+        to :func:`jumploci.qlinalg.coset_rep_ints`."""
         lam_field, basis_field = "a component's 'lambda'", "a component's 'basis'"
-        lam = json_rationals(_json_list(
+        nums, den = json_rational_ints(_json_list(
             _json_field(data, "lambda", "a component"), lam_field), lam_field)
-        rows = json_rational_rows(
+        rows = json_integer_rows(
             _json_rows(data.get("basis", []), basis_field), basis_field)
-        return cls.from_data(lam, rows, ambient_dim)
+        if any(len(r) != ambient_dim for r in rows):
+            raise ValueError("rows of unequal length")
+        if len(nums) != ambient_dim:
+            raise ValueError("translate length does not match ambient dimension")
+        direction = RationalSubspace(ambient_dim, *_echelon(rows))
+        x, d = coset_rep_ints(nums, den, direction)
+        torus = cls.__new__(cls)
+        torus.direction = direction
+        torus.translate = TorsionCharacter(Fraction(a, d) for a in x)
+        return torus
 
 
 def _json_field(data, key: str, what: str):
@@ -311,13 +321,25 @@ class VarietyDescription:
 
 
 def _prune(comps: list[TranslatedTorus]) -> list[TranslatedTorus]:
-    kept: list[TranslatedTorus] = []
-    for cand in sorted(comps, key=TranslatedTorus.sort_key, reverse=True):
-        if any(other.contains(cand) for other in kept):
-            continue
-        kept.append(cand)
-    kept.sort(key=TranslatedTorus.sort_key)
-    return kept
+    """The components no other contains, ordered by (dimension, direction
+    RREF, translate).  The RREF is compared on the integer rows, each scaled
+    by one common multiple of every pivot entry: that is the RREF times one
+    positive integer, so it orders the same."""
+    if len(comps) < 2:
+        return comps
+    scale = math.lcm(*(row[p] for c in comps
+                       for row, p in zip(c.direction.rows, c.direction.pivots)))
+    keys = [(c.direction.dim,
+             tuple(tuple(x * (scale // row[p]) for x in row)
+                   for row, p in zip(c.direction.rows, c.direction.pivots)),
+             c.translate.values)
+            for c in comps]
+    kept: list[int] = []
+    for i in sorted(range(len(comps)), key=keys.__getitem__, reverse=True):
+        if not any(comps[j].contains(comps[i]) for j in kept):
+            kept.append(i)
+    kept.sort(key=keys.__getitem__)
+    return [comps[i] for i in kept]
 
 
 class GradedDescription:

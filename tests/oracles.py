@@ -293,6 +293,43 @@ def oracle_tangent_cone(terms, n):
 
 
 # ---------------------------------------------------------------------------
+# rational JSON entries, one Fraction each
+# ---------------------------------------------------------------------------
+
+def _json_fault(text, error):
+    """What is wrong with a text ``Fraction`` refused with ``error``."""
+    if isinstance(error, ZeroDivisionError):
+        return "has a zero denominator"
+    if str(error).startswith("Exceeds the limit"):      # int()'s digit limit
+        return (f"has a number of more than {sys.get_int_max_str_digits()} "
+                "digits")
+    shown = text if len(text) <= 40 else text[:40] + "..."
+    return f"is not a rational number ('p' or 'p/q'): {shown!r}"
+
+
+def json_rational(value, what):
+    """``Fraction(str(value).strip())``, or a ValueError naming the JSON
+    entry ``what`` and its fault: the library's reader of one rational
+    before it read JSON on integers."""
+    text = str(value)
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as error:
+        raise ValueError(f"{what} {_json_fault(text, error)}") from None
+
+
+def json_rationals(values, what):
+    """:func:`json_rational` of each entry of a JSON array ``what``; the
+    error names the entry by its index."""
+    return [json_rational(x, f"{what} entry {i}") for i, x in enumerate(values)]
+
+
+def json_rational_rows(rows, what):
+    """:func:`json_rationals` of each row of a JSON array of arrays."""
+    return [json_rationals(row, f"{what} row {i}") for i, row in enumerate(rows)]
+
+
+# ---------------------------------------------------------------------------
 # Laurent polynomial text, token by token
 # ---------------------------------------------------------------------------
 

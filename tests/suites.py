@@ -4,10 +4,13 @@ Each ``suite_*`` function runs a seeded batch of exact checks against an
 independent oracle (or an internal consistency law) and returns the number
 of cases it verified.  All assertions are exact — no tolerances.  The
 helpers at the top are second constructions that the library has no use
-for itself: intersections of translated tori, the tangent-cone bound on
-planes, and the d1 entries of a presentation.
+for itself: coset reduction with ``Fraction`` values, the readers of
+torsion characters, arrangements and Laurent polynomials from their JSON
+form, intersections of translated tori, the tangent-cone bound on planes,
+and the d1 entries of a presentation.
 """
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +21,7 @@ from jumploci.fox import (Abelianization, FreeWord, Presentation,
                           alexander_matrix, fox_derivative_abelianized)
 from jumploci.laurent import LaurentPoly
 from jumploci.omega import omega_codim1_closed_form, omega_membership
-from jumploci.qlinalg import (RationalSubspace, coset_reduce,
+from jumploci.qlinalg import (RationalSubspace, coset_reduce_ints,
                               lattice_coset_membership, plucker, rref, vec,
                               vec_sub)
 from jumploci.tcone import SubspaceArrangement
@@ -31,6 +34,40 @@ F = Fraction
 # ---------------------------------------------------------------------------
 # second constructions the suites and tests compare the library against
 # ---------------------------------------------------------------------------
+
+def coset_reduce(lam, space):
+    """``(rep, m)`` of :func:`jumploci.qlinalg.coset_reduce_ints` for a
+    rational lam, rep as ``Fraction`` values and m as a tuple."""
+    lam = vec(lam)
+    d = math.lcm(*(x.denominator for x in lam))
+    x, den, m = coset_reduce_ints(
+        [a.numerator * (d // a.denominator) for a in lam], d, space)
+    return tuple(Fraction(a, den) for a in x), tuple(m)
+
+
+def torsion_character_from_json(data) -> TorsionCharacter:
+    """A torsion character from its ``to_json`` list."""
+    return TorsionCharacter(oracles.json_rationals(data, "a torsion character"))
+
+
+def arrangement_from_json(data) -> SubspaceArrangement:
+    """A subspace arrangement from its ``to_json`` object."""
+    n = int(data["ambient_dim"])
+    subs = [RationalSubspace.from_rows(oracles.json_rational_rows(
+                rows, f"an arrangement's 'subspaces' item {k}"), n)
+            for k, rows in enumerate(data.get("subspaces", []))]
+    return SubspaceArrangement(n, subs, empty=data.get("empty"))
+
+
+def laurent_poly_from_json(data) -> LaurentPoly:
+    """A Laurent polynomial from its ``to_json`` object."""
+    terms = {}
+    for k, t in enumerate(data.get("terms", [])):
+        e = tuple(int(x) for x in t["exponents"])
+        c = oracles.json_rational(t["coeff"], f"a polynomial's term {k} 'coeff'")
+        terms[e] = terms.get(e, Fraction(0)) + c
+    return LaurentPoly(int(data["num_vars"]), terms)
+
 
 @dataclass(frozen=True)
 class TranslatedIntersection:

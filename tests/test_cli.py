@@ -3,6 +3,7 @@
 import json
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -227,10 +228,20 @@ LINE_DESC = '{"n": 2, "components": [{"lambda": [0, 0], "basis": [[1, 0]]}]}'
     (["fpk", "--graded", '{"n": 2, "degrees": {"a": []}}', "--k", "0",
       "--r", "1"],
      "a graded description's degree key 'a' must be a nonnegative integer"),
+    (["omega-test", "--desc", '{"n": 2.0, "components": []}',
+      "--plane", "[[1, 0]]"],
+     "a variety description's 'n' must be a nonnegative integer"),
+    (["omega-test", "--desc", LINE_DESC, "--plane",
+      '{"n": 3, "basis": [[1, 0]]}'],
+     "a subspace's 'n' is 3, but the description lives in Q^2"),
+    (["omega-test", "--desc", LINE_DESC, "--plane",
+      '{"n": 2.0, "basis": [[1, 0]]}'],
+     "a subspace's 'n' must be a nonnegative integer"),
 ], ids=["plane-row-not-array", "plane-basis-not-array", "components-not-array",
         "component-basis-flat", "degrees-not-object", "n-not-integer",
         "n-negative", "n-not-a-number", "n-decimal-string",
-        "degree-key-not-a-number"])
+        "degree-key-not-a-number", "n-json-decimal", "plane-n-mismatch",
+        "plane-n-json-decimal"])
 def test_json_of_the_wrong_shape_is_a_named_domain_error(capsys, argv, field):
     code, data = run_json(capsys, *argv)
     assert code == 1
@@ -249,6 +260,37 @@ def test_dimensions_given_as_decimal_strings_keep_their_value(capsys):
     code, data = run_json(capsys, "fpk", "--graded", json.dumps(graded),
                           "--k", "1", "--r", "1")
     assert (code, data["certified_empty"]) == (0, True)
+
+
+@pytest.mark.parametrize("number", [
+    "1e-400", "12345678901234567890.5", "-0.25E1", "1.5e0"])
+def test_json_numbers_are_read_exactly(capsys, number):
+    # read through a binary float, 1e-400 would be 0 and
+    # 12345678901234567890.5 an integer, and the plane would be blocked by
+    # lambda = (0, 0)
+    desc = ('{"n": 2, "components": [{"lambda": [%s, "0"], '
+            '"basis": [[0, 1]]}]}' % number)
+    code, data = run_json(capsys, "omega-test", "--desc", desc,
+                          "--plane", "[[0, 1]]")
+    assert (code, data["member"]) == (0, True)
+    # in a plane row too: the RREF of (x, 1) is (1, 1/x)
+    code, data = run_json(capsys, "omega-test", "--desc", desc,
+                          "--plane", "[[%s, 1]]" % number)
+    inverse = 1 / Fraction(number)
+    assert data["plane"] == [["1", f"{inverse.numerator}/{inverse.denominator}"
+                              if inverse.denominator > 1
+                              else str(inverse.numerator)]]
+
+
+def test_json_number_with_a_huge_exponent_is_refused(capsys):
+    # the exact value would be a power of ten of a billion digits
+    code, data = run_json(capsys, "omega-test", "--desc",
+                          '{"n": 1, "components": [{"lambda": [1e999999999], '
+                          '"basis": []}]}', "--plane", "[[1]]")
+    assert code == 1
+    assert data["error"]["message"] == (
+        f"the JSON number 1e999999999 written out is a number of more than "
+        f"{sys.get_int_max_str_digits()} digits")
 
 
 def _desc_with(lam, basis) -> str:

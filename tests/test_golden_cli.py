@@ -237,6 +237,16 @@ def build_argvs() -> list[list[str]]:
                       "--format", "text"])
     calls.append(["fpk", "--graded", '{"n": 2, "degrees": {"a": []}}',
                   "--k", "0", "--r", "1"])
+    # JSON numbers with a fraction part or an exponent are read exactly, as
+    # their text would be; a plane's own n must be the description's
+    for lam in ('1e-400', '"1e-400"', '12345678901234567890.5', '-0.25E1'):
+        calls.append(["omega-test", "--desc",
+                      '{"n": 2, "components": [{"lambda": [%s, "0"], '
+                      '"basis": [[0, 1]]}]}' % lam, "--plane", "[[0, 1]]"])
+    calls.append(["omega-test", "--desc",
+                  '{"n": 2, "components": [{"lambda": ["1/2", "0"], '
+                  '"basis": [[0, 1]]}]}',
+                  "--plane", '{"n": 3, "basis": [[1, 0]]}'])
     return calls
 
 

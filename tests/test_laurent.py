@@ -23,6 +23,7 @@ from jumploci.laurent import (
 from jumploci.laurent import _convolve
 from jumploci.qlinalg import RationalSubspace
 from jumploci.tori import TranslatedTorus
+from suites import laurent_poly_from_json
 
 F = Fraction
 
@@ -259,12 +260,12 @@ def test_json_round_trip():
     rng = random.Random(32)
     for _ in range(40):
         f = rand_poly(rng, rng.randint(1, 3))
-        assert LaurentPoly.from_json(f.to_json()) == f
+        assert laurent_poly_from_json(f.to_json()) == f
     data = LaurentPoly.parse("t1 - 1").to_json()
     data["terms"][1]["coeff"] = "-1/0"
     with pytest.raises(ValueError, match="a polynomial's term 1 'coeff' "
                                          "has a zero denominator"):
-        LaurentPoly.from_json(data)
+        laurent_poly_from_json(data)
 
 
 def test_multiplication_agrees_with_complex_evaluation():

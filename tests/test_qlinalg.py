@@ -14,11 +14,15 @@ from jumploci.qlinalg import (
     PluckerVector,
     RationalSubspace,
     clear_denominators,
-    coset_reduce,
+    coset_reduce_ints,
     coset_rep,
+    coset_rep_ints,
     format_rational,
+    format_rref,
     hnf,
     integer_kernel,
+    json_integer_rows,
+    json_rational_ints,
     lattice_coset_membership,
     parse_rational,
     plucker,
@@ -29,6 +33,7 @@ from jumploci.qlinalg import (
 )
 from jumploci import qlinalg
 from jumploci.qlinalg import _det, _reduce
+from suites import coset_reduce
 
 F = Fraction
 
@@ -433,6 +438,39 @@ def test_coset_rep_is_the_reduced_representative():
         coset_rep((1, 2, 3), RationalSubspace.zero(2))
 
 
+def test_integer_coset_core_ignores_how_lam_is_written():
+    """nums / den need not be in lowest terms: scaling both by k gives the
+    same representative value and step, and an integral lam written with a
+    denominator (as "2/2") gets 0 from coset_rep_ints without an HNF."""
+    rng = random.Random(29)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        v = RationalSubspace.from_rows(
+            rand_int_rows(rng, rng.randint(0, 3), n, -3, 3), n)
+        den = rng.choice([1, 2, 3, 6])
+        nums = [rng.randint(-9, 9) for _ in range(n)]
+        k = rng.randint(1, 5)
+        x, d, m = coset_reduce_ints(nums, den, v)
+        xk, dk, mk = coset_reduce_ints([a * k for a in nums], den * k, v)
+        assert [F(a, d) for a in x] == [F(a, dk) for a in xk]
+        assert m == mk
+        assert coset_reduce([F(a, den) for a in nums], v) == (
+            tuple(F(a, d) for a in x), tuple(m))
+        rx, rd = coset_rep_ints([a * k for a in nums], den * k, v)
+        assert [F(a, rd) for a in rx] == [F(a, d) for a in x]
+    v = RationalSubspace.from_rows([(1, 2)], 2)
+    real_hnf = qlinalg.hnf
+    qlinalg.hnf = None                  # an HNF here would raise TypeError
+    try:
+        assert coset_rep_ints([2, -6], 2, v) == ([0, 0], 1)
+    finally:
+        qlinalg.hnf = real_hnf
+    with pytest.raises(ValueError, match="character length"):
+        coset_rep_ints([2, 2, 2], 2, v)
+    with pytest.raises(ValueError, match="character length"):
+        coset_reduce_ints([1, 2, 2], 2, v)
+
+
 def test_coset_membership_of_full_and_zero_spaces():
     full = RationalSubspace.full(3)
     zero = RationalSubspace.zero(3)
@@ -631,6 +669,83 @@ def _reference(text):
 def test_parse_rational_matches_fraction_on_fixed_texts():
     for text in PARSE_TEXTS:
         assert _parsed(parse_rational, text) == _parsed(_reference, text), text
+
+
+def _read_ints(values, what="a row"):
+    """``json_rational_ints`` as values, or ``(error type, message)``."""
+    try:
+        nums, den = json_rational_ints(values, what)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+    assert den > 0 and len(nums) == len(values)
+    return [F(p, den) for p in nums]
+
+
+def _read_oracle(values, what="a row"):
+    try:
+        return oracles.json_rationals(values, what)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+#: JSON values that are not strings: integers (big and negative), the
+#: Fractions JSON numbers with a fraction part or an exponent are read to,
+#: and values that are no rational at all.
+JSON_VALUES = [0, -5, 7 ** 40, -(10 ** 30), F(1, 2), F(-3, 10 ** 400),
+               F(5), True, False, None, [1], {"a": 1}]
+
+
+def test_integer_reader_matches_the_fraction_reader_on_fixed_texts():
+    for text in PARSE_TEXTS + JSON_VALUES:
+        assert _read_ints([text]) == _read_oracle([text]), repr(text)[:60]
+        # the same entry later in a row of mixed entries: its index is named
+        row = [1, "-3/6", "2/2", text]
+        assert _read_ints(row) == _read_oracle(row), repr(text)[:60]
+
+
+def test_integer_reader_matches_the_fraction_reader_on_generated_rows():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    pieces = st.sampled_from(["-", "+", "/", ".", "_", "e", " ", "0",
+                              "1", "2", "6", "7", "²", "7" * 4400])
+    entries = st.one_of(
+        st.lists(pieces, max_size=6).map("".join),
+        st.integers(-10 ** 20, 10 ** 20),
+        st.fractions(max_denominator=10 ** 6),
+        st.builds(lambda p, q: f"{p}/{q}", st.integers(-99, 99),
+                  st.integers(0, 99)),
+        st.text(max_size=4))
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(st.lists(entries, max_size=6))
+    def check(row):
+        assert _read_ints(row) == _read_oracle(row)
+
+    check()
+
+
+def test_integer_reader_denominator_and_rows():
+    # den is the lcm of the denominators as written; an integer row is
+    # returned as it is
+    assert json_rational_ints([3, "-4", 0], "r") == ([3, -4, 0], 1)
+    assert json_rational_ints(["2/2", "-3/6", 1], "r") == ([6, -3, 6], 6)
+    assert json_rational_ints([], "r") == ([], 1)
+    assert json_integer_rows([["1/2", "1/3"], [2, 0]], "b") == [[3, 2], [2, 0]]
+    with pytest.raises(ValueError, match="^b row 1 entry 0 has a zero "
+                                         "denominator$"):
+        json_integer_rows([[1], ["0/0"]], "b")
+
+
+def test_format_rref_writes_the_basis_as_format_rational_does():
+    rng = random.Random(31)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        rows = [[F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+                for _ in range(rng.randint(0, 4))]
+        space = RationalSubspace.from_rows(rows, n)
+        assert format_rref(space) == [[format_rational(x) for x in row]
+                                      for row in space.basis]
 
 
 def test_parse_rational_matches_fraction_on_generated_texts():

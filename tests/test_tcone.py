@@ -16,6 +16,7 @@ from jumploci.tcone import (
     tangent_cone_description,
     tangent_cone_polys,
 )
+from suites import arrangement_from_json
 
 F = Fraction
 
@@ -278,14 +279,14 @@ def test_arrangement_json_round_trip():
     arr = tangent_cone_polys([datasets.chain_delta()])
     data = arr.to_json()
     assert data["ambient_dim"] == 3 and data["empty"] is False
-    assert SubspaceArrangement.from_json(data) == arr
+    assert arrangement_from_json(data) == arr
     empty = SubspaceArrangement.empty_arrangement(2)
-    assert SubspaceArrangement.from_json(empty.to_json()) == empty
+    assert arrangement_from_json(empty.to_json()) == empty
     data["subspaces"][-1][0][1] = "1/0"
     with pytest.raises(ValueError, match=(
             f"an arrangement's 'subspaces' item {len(data['subspaces']) - 1} "
             "row 0 entry 1 has a zero denominator")):
-        SubspaceArrangement.from_json(data)
+        arrangement_from_json(data)
 
 
 # ---------------------------------------------------------------------------

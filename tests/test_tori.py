@@ -18,7 +18,7 @@ from jumploci.tori import (
     VarietyDescription,
     sigma_rho_membership,
 )
-from suites import intersect_translated
+from suites import intersect_translated, torsion_character_from_json
 
 F = Fraction
 
@@ -44,10 +44,10 @@ def test_torsion_character_arithmetic():
 
 def test_torsion_character_json_round_trip():
     w = TorsionCharacter([F(1, 2), F(2, 3)])
-    assert TorsionCharacter.from_json(w.to_json()) == w
+    assert torsion_character_from_json(w.to_json()) == w
     with pytest.raises(ValueError, match="a torsion character entry 1 has a "
                                          "zero denominator"):
-        TorsionCharacter.from_json(["1/2", "1/0"])
+        torsion_character_from_json(["1/2", "1/0"])
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +129,9 @@ def test_containment_of_components():
 
 
 def test_component_sort_key_orders_by_dimension():
-    point = TranslatedTorus.from_data([F(1, 2), 0], [], 2)
+    point = TranslatedTorus.from_data([0, F(1, 2)], [], 2)
     line = TranslatedTorus.from_data([0, 0], [(1, 0)], 2)
-    assert sorted([line, point], key=lambda t: t.sort_key())[0] is point
+    assert VarietyDescription(2, [line, point]).components == (point, line)
 
 
 def test_translated_torus_json_round_trip():
@@ -141,6 +141,70 @@ def test_translated_torus_json_round_trip():
     assert TranslatedTorus.from_json(data, 3) == t
     p = TranslatedTorus.from_data([F(1, 3)], [], 1)
     assert TranslatedTorus.from_json(p.to_json(), 1) == p
+
+
+def _json_entry(rng, value: Fraction):
+    """value as a JSON entry: an int, or a "p/q" text in lowest terms or
+    not (as "2/2" or "-3/6"), or a plain integer text."""
+    k = rng.choice([1, 1, 2, 3])
+    if value.denominator == 1 and rng.random() < 0.3:
+        return int(value) if rng.random() < 0.5 else str(int(value))
+    return f"{value.numerator * k}/{value.denominator * k}"
+
+
+def test_component_from_json_matches_the_fraction_reader():
+    """On random components (bases off the coordinate axes, negative
+    entries, unreduced and mixed denominators), reading on integers gives
+    the component built from the Fraction reader's values, and
+    through_identity() agrees with the definition."""
+    rng = random.Random(67)
+    through = Counter()
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        rows = [[F(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+                 for _ in range(n)] for _ in range(rng.randint(0, n))]
+        lam = _translate(rng, n, rows, rng.choice(("integral", "random", "on")))
+        data = {"lambda": [_json_entry(rng, x) for x in lam],
+                "basis": [[_json_entry(rng, x) for x in row] for row in rows]}
+        expected = TranslatedTorus.from_data(
+            oracles.json_rationals(data["lambda"], "lambda"),
+            oracles.json_rational_rows(data["basis"], "basis"), n)
+        got = TranslatedTorus.from_json(data, n)
+        assert got == expected
+        assert got.translate.values == expected.translate.values
+        assert got.to_json() == expected.to_json()
+        on = oracles.oracle_lattice_membership(lam, rows, n)
+        assert got.through_identity() == on
+        through[on] += 1
+    assert min(through.values()) > 30
+    # an integral lambda written with denominators
+    t = TranslatedTorus.from_json({"lambda": ["2/2", "-3/3"], "basis": []}, 2)
+    assert t.through_identity() and t.translate.values == (0, 0)
+    t = TranslatedTorus.from_json({"lambda": ["-3/6", "0"], "basis": []}, 2)
+    assert t.translate.values == (F(1, 2), 0)
+
+
+def _old_sort_key(t: TranslatedTorus):
+    """The order components had when it was read off the Fraction RREF."""
+    return (t.direction.dim, t.direction.basis, t.translate.values)
+
+
+def test_description_orders_components_as_the_fraction_rref_does():
+    rng = random.Random(68)
+    for _ in range(200):
+        n = rng.randint(2, 4)
+        dim = rng.randint(0, n - 1)
+        comps = []
+        for _ in range(rng.randint(2, 6)):
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(dim)]
+            lam = [F(rng.randint(0, 5), rng.choice([2, 3, 5])) for _ in range(n)]
+            t = TranslatedTorus.from_data(lam, rows, n)
+            if t.dim == dim:
+                comps.append(t)
+        desc = VarietyDescription(n, comps)
+        # components of equal dimension never contain one another unless
+        # equal, so pruning only drops repeats
+        assert list(desc.components) == sorted(set(comps), key=_old_sort_key)
 
 
 # ---------------------------------------------------------------------------
