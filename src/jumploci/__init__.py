@@ -8,10 +8,9 @@ torsion-translated subtori (lattice normal forms, Plücker/Schubert
 equations).  All arithmetic is exact — rationals, integers, cyclotomics.
 """
 
-from .qlinalg import (IntegerLattice, PluckerVector, RationalSubspace,
-                      coset_reduce_ints, format_rational, hnf, integer_kernel,
-                      lattice_coset_membership, parse_rational, plucker, rref,
-                      saturated_integer_points, schubert_equations, snf)
+from .qlinalg import (PluckerVector, RationalSubspace, coset_reduce_ints,
+                      format_rational, hnf, parse_rational, plucker, rref,
+                      schubert_equations, snf)
 from .laurent import (CyclotomicNumber, CycloLaurentPoly, LaurentPoly,
                       bareiss_rank, cyclotomic_polynomial, cyclotomic_rank,
                       evaluate_at_character,
@@ -35,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Abelianization", "AlexanderMatrix",
     "ClosedFormVerdict", "CyclotomicNumber", "CycloLaurentPoly", "FpkReport",
-    "FreeWord", "GradedDescription", "IntegerLattice", "LaurentPoly",
+    "FreeWord", "GradedDescription", "LaurentPoly",
     "OmegaVerdict", "PlaneQuery", "PluckerVector",
     "Presentation", "PresentationSyntaxError", "RationalSubspace",
     "SubspaceArrangement", "TorsionCharacter",
@@ -45,11 +44,11 @@ __all__ = [
     "cyclotomic_polynomial", "cyclotomic_rank", "depth1_membership",
     "evaluate_at_character", "format_rational",
     "fox_derivative_abelianized", "fpk_report", "generic_rank_on_torus",
-    "hnf", "integer_kernel", "lattice_coset_membership", "nonopen_witness",
+    "hnf", "nonopen_witness",
     "omega1_r1_description", "omega_codim1_closed_form", "omega_membership",
     "parse_presentation", "parse_rational", "plucker", "plucker_distance",
     "rank_at_character", "restrict_matrix_to_translated_torus",
-    "rref", "saturated_integer_points", "schubert_equations",
+    "rref", "schubert_equations",
     "sigma_rho_membership", "snf",
     "tangent_cone_description", "tangent_cone_polys",
 ]

@@ -14,7 +14,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .fox import (abelianize, alexander_matrix, contains_translated_torus,
@@ -24,7 +23,7 @@ from .omega import (fpk_report, nonopen_witness, omega1_r1_description,
                     omega_codim1_closed_form, omega_membership)
 from .qlinalg import (PluckerVector, RationalSubspace, _echelon,
                       format_rational, format_rref, json_integer_rows,
-                      number_too_long, schubert_equations)
+                      parse_rational, schubert_equations)
 from .tcone import (DEFAULT_SUPPORT_LIMIT, SUBSET_SUM_LIMIT,
                     SubspaceArrangement, tangent_cone_description,
                     tangent_cone_polys)
@@ -48,32 +47,51 @@ MAX_TORUS_ORDER = 512
 # input plumbing
 # ---------------------------------------------------------------------------
 
-def _json_number(text: str) -> Fraction:
+def _json_number(text: str):
     """A JSON number with a fraction part or an exponent, read exactly from
-    its text: as a float, 1e-400 would be 0 and 12345678901234567890.5 an
-    integer.  An exponent of more than ``int()``'s digit limit is refused
-    before its power of ten is built."""
-    exponent = text.lower().partition("e")[2].lstrip("+-")
-    limit = sys.get_int_max_str_digits()
-    if exponent and limit and (len(exponent) > 20 or int(exponent) > limit):
-        shown = text if len(text) <= 40 else text[:40] + "..."
-        raise ValueError(f"the JSON number {shown} written out is "
-                         f"{number_too_long()}")
-    return Fraction(text)
+    its text by ``parse_rational``: as a float, 1e-400 would be 0 and
+    12345678901234567890.5 an integer.  One that ``parse_rational`` refuses
+    (a JSON number is always a rational, so only for being too long to
+    write out) stays text, which the reader of its field refuses by name."""
+    try:
+        return parse_rational(text)
+    except (ValueError, OverflowError):
+        return text
 
 
-#: The decoder of inline JSON, built once: ``json.loads`` with a keyword
-#: argument builds a new one on every call.
+def _json_integer(text: str):
+    """A JSON integer literal as an int, or as its text if it is longer than
+    ``int()`` reads: the reader of its field then refuses it by name."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
+#: The decoder of JSON inputs, built once: ``json.loads`` with a keyword
+#: argument builds a new one on every call.  Integer literals are read by
+#: the decoder's own ``int``; only an input where one is too long is read
+#: again, by the second decoder, which keeps that literal as text.
 _JSON = json.JSONDecoder(parse_float=_json_number)
+_JSON_LONG_INTEGERS = json.JSONDecoder(parse_float=_json_number,
+                                       parse_int=_json_integer)
 
 
 def _load_json(value: str):
     """Inline JSON if the value looks like JSON, else a file path."""
-    stripped = value.strip()
-    if stripped.startswith("{") or stripped.startswith("["):
-        return _JSON.decode(stripped)
-    with open(value, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_float=_json_number)
+    text = value.strip()
+    if not (text.startswith("{") or text.startswith("[")):
+        with open(value, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        if text.startswith("\ufeff"):          # refused as json.load does
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    try:
+        return _JSON.decode(text)
+    except ValueError as error:
+        if not str(error).startswith("Exceeds the limit"):  # int()'s limit
+            raise
+    return _JSON_LONG_INTEGERS.decode(text)
 
 
 def _parse_subspace(data, ambient_dim: Optional[int] = None) -> RationalSubspace:

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 from .laurent import (LaurentPoly, bareiss_rank, cyclotomic_rank,
                       evaluate_at_character,
                       restrict_matrix_to_translated_torus)
-from .qlinalg import number_too_long, snf, vec
+from .qlinalg import number_too_long, snf
 from .tori import TorsionCharacter, TranslatedTorus
 
 #: The longest relator :func:`parse_presentation` builds, in letters (the sum
@@ -427,46 +427,44 @@ def alexander_matrix(P: Presentation,
 # exact ranks
 # ---------------------------------------------------------------------------
 
-def rank_at_character(M: AlexanderMatrix, lam) -> int:
-    """Exact rank of M(rho) over Q(zeta_m), rho = exp(2 pi i lam).
+def rank_at_character(M: AlexanderMatrix, chi: TorsionCharacter) -> int:
+    """Exact rank of M(chi) over Q(zeta_m), m the order of chi.
 
     The entries are evaluated in Q(zeta_m); :func:`cyclotomic_rank` clears
     the denominators of each row and eliminates in Z[zeta_m] without
     division.
     """
-    lam = lam if isinstance(lam, TorsionCharacter) else TorsionCharacter(vec(lam))
-    if len(lam.values) != M.num_vars:
+    if chi.n != M.num_vars:
         raise ValueError("character length mismatch")
-    return cyclotomic_rank([[evaluate_at_character(e, lam) for e in row]
+    return cyclotomic_rank([[evaluate_at_character(e, chi) for e in row]
                             for row in M.entries])
 
 
-def depth1_membership(M: AlexanderMatrix, lam) -> bool:
-    """Whether rho = exp(2 pi i lam) lies in the depth-one degree-one jump
-    locus of the presentation whose Alexander matrix is M.
+def depth1_membership(M: AlexanderMatrix, chi: TorsionCharacter) -> bool:
+    """Whether chi lies in the depth-one degree-one jump locus of the
+    presentation whose Alexander matrix is M.
 
-    Criterion: rank d2(rho) + rank d1(rho) <= q - 1, with d1(rho) the
-    column (rho(x_j) - 1)_j.  At lam = 0 this reduces to b_1(G) >= 1.
+    Criterion: rank d2(chi) + rank d1(chi) <= q - 1, with d1(chi) the
+    column (chi(x_j) - 1)_j.  At the trivial character this reduces to
+    b_1(G) >= 1.
     """
-    lam = lam if isinstance(lam, TorsionCharacter) else TorsionCharacter(vec(lam))
-    rank2 = rank_at_character(M, lam)
-    rank1 = _d1_rank(M.abelianization, lam.values)
+    rank2 = rank_at_character(M, chi)
+    rank1 = _d1_rank(M.abelianization, chi)
     return rank2 + rank1 <= M.num_cols - 1
 
 
-def _d1_rank(ab: Abelianization, lam: Sequence[Fraction],
+def _d1_rank(ab: Abelianization, chi: TorsionCharacter,
              rows: Sequence[Sequence[int]] = ()) -> int:
-    """Generic rank of d1 = (t^{a_j} - 1)_j on the coset exp(2 pi i lam) times
+    """Generic rank of d1 = (t^{a_j} - 1)_j on the coset chi times
     exp(L tensor C), L spanned by ``rows`` (a point when there are none).
 
-    On the coset t^{a_j} is rho^{a_j} times a monomial whose exponents are
+    On the coset t^{a_j} is chi^{a_j} times a monomial whose exponents are
     the pairings of a_j with a basis of L, so the entry vanishes there iff
-    a_j pairs to an integer with lam and to zero with L.  The rank is 0 if
-    every entry vanishes and 1 otherwise.
+    a_j pairs to an integer with chi (a . nums divisible by the order) and
+    to zero with L.  The rank is 0 if every entry vanishes and 1 otherwise.
     """
     for a in ab.projection:
-        if (sum((Fraction(x) * y for x, y in zip(a, lam)), Fraction(0))
-                .denominator != 1
+        if (sum(x * y for x, y in zip(a, chi.nums)) % chi.order
                 or any(sum(x * y for x, y in zip(a, row)) for row in rows)):
             return 1
     return 0
@@ -498,6 +496,5 @@ def contains_translated_torus(M: AlexanderMatrix, torus: TranslatedTorus) -> boo
     generic verdict certifies every point of the (closed) coset.
     """
     rank2 = generic_rank_on_torus(M, torus)
-    rank1 = _d1_rank(M.abelianization, torus.translate.values,
-                     torus.direction.rows)
+    rank1 = _d1_rank(M.abelianization, torus.translate, torus.direction.rows)
     return rank2 + rank1 <= M.num_cols - 1

@@ -26,12 +26,14 @@ Three layers, all exact:
   a translated subtorus.
 
 The restriction map is the workhorse: given f on (C*)^n and a coset rho.T
-with direction L, substituting t_i = rho_i * prod_j u_j^{B_ji} (B a basis of
-the saturated lattice L meet Z^n) yields a polynomial in k = dim L variables
-that vanishes identically iff f vanishes on all of rho.T.
+with direction L, substituting t_i = rho_i * prod_j u_j^{B_ji} (B the k =
+dim L integer rows that store L) yields a polynomial in k variables that
+vanishes identically iff f vanishes on all of rho.T.  A character is read
+on integers throughout: rho = exp(2 pi i w / m) for its numerators w over
+its order m, so the monomial t^a takes the value zeta_m^(a . w).
 
 >>> f = LaurentPoly.parse("t1 + t2 - 2")
->>> evaluate_at_character(f, (Fraction(1, 2), Fraction(1, 2))).is_zero()
+>>> evaluate_at_character(f, TorsionCharacter((1, 1), 2)).is_zero()
 False
 >>> f.coefficient_sum()
 Fraction(0, 1)
@@ -47,8 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .qlinalg import (format_rational, number_too_long,
-                      saturated_integer_points, vec)
+from .qlinalg import format_rational, number_too_long
 from .tori import TorsionCharacter, TranslatedTorus
 
 Expo = tuple[int, ...]
@@ -882,15 +883,6 @@ class CycloLaurentPoly:
 # characters and restriction to translated subtori
 # ---------------------------------------------------------------------------
 
-def _character_steps(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """``(m, w)``: m the lcm of the denominators, w = m * values in Z^n.
-
-    The monomial t^a takes the value zeta_m^(a . w) at exp(2 pi i values).
-    """
-    m = math.lcm(*(x.denominator for x in values))
-    return m, [x.numerator * (m // x.denominator) for x in values]
-
-
 def _cyclotomic_sum(m: int, terms: Sequence[tuple[int, Fraction]]
                     ) -> CyclotomicNumber:
     """sum(c * zeta_m^k) over the ``(k, c)`` pairs, with one reduction.
@@ -905,25 +897,16 @@ def _cyclotomic_sum(m: int, terms: Sequence[tuple[int, Fraction]]
     return CyclotomicNumber._make(m, _reduce(m, acc), den)
 
 
-def evaluate_at_character(f: LaurentPoly, lam) -> CyclotomicNumber:
-    """Value of f at the finite-order character t = exp(2 pi i lam).
-
-    The result lives in Q(zeta_m) with m the lcm of the denominators of lam.
-    """
-    if isinstance(lam, TorsionCharacter):
-        values = lam.values
-    else:
-        values = TorsionCharacter(vec(lam)).values
-    if len(values) != f.num_vars:
+def evaluate_at_character(f: LaurentPoly, chi: TorsionCharacter
+                          ) -> CyclotomicNumber:
+    """Value of f at the finite-order character chi, in Q(zeta_m) with m
+    the order of chi: the monomial t^a takes the value zeta_m^(a . w), w the
+    numerators of chi over m."""
+    if chi.n != f.num_vars:
         raise ValueError("character length mismatch")
-    m, w = _character_steps(values)
-    return _cyclotomic_sum(m, [(sum(map(operator.mul, e, w)), c)
-                               for e, c in f.terms.items()])
-
-
-def restriction_lattice_basis(direction) -> tuple[tuple[int, ...], ...]:
-    """HNF basis of the saturated lattice (direction meet Z^n)."""
-    return saturated_integer_points(direction).basis
+    w = chi.nums
+    return _cyclotomic_sum(chi.order, [(sum(map(operator.mul, e, w)), c)
+                                       for e, c in f.terms.items()])
 
 
 def restrict_matrix_to_translated_torus(
@@ -932,15 +915,20 @@ def restrict_matrix_to_translated_torus(
     """Restrict every entry f to the coset rho.T: substitute
     t_i = rho_i prod_j u_j^B[j][i], with one basis B for the whole matrix.
 
-    B is the HNF basis of the saturated lattice spanned by the direction, so
-    distinct lattice characters of T stay distinct monomials and an entry
-    is zero iff f vanishes identically on the coset.  The entries have
-    k = dim T variables and coefficients in Q(zeta_m), m the order of the
+    B is the primitive integer RREF that stores the direction L.  Its rows
+    need not be a basis of the lattice L meet Z^n, but any integer basis of
+    L will do: u -> rho u^B maps (C*)^k onto the coset (the image is a
+    closed connected subgroup of exp(L tensor C) of the same dimension), so
+    an entry is zero iff f vanishes identically on the coset, and the
+    restricted matrix has the generic rank of M on the coset.  Two
+    monomials t^a and t^a' merge
+    iff a - a' is orthogonal to L, whichever basis B is.  The entries have
+    k = dim L variables and coefficients in Q(zeta_m), m the order of the
     translate.
     """
     n = torus.ambient_dim
-    basis = restriction_lattice_basis(torus.direction)
-    m, w = _character_steps(torus.translate.values)
+    basis = torus.direction.rows
+    m, w = torus.translate.order, torus.translate.nums
 
     def restrict(f: LaurentPoly) -> CycloLaurentPoly:
         if f.num_vars != n:

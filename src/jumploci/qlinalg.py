@@ -1,40 +1,34 @@
-"""Exact linear algebra over Q and Z: subspaces, lattices, Pluecker coordinates.
+"""Exact linear algebra over Q and Z: subspaces, lattice cosets, Pluecker
+coordinates.
 
-Everything is computed with ``int`` and ``fractions.Fraction`` arithmetic;
-there are no floats anywhere.  The two central canonical forms are
+Everything is computed with ``int`` arithmetic, and ``fractions.Fraction``
+where rational values are asked for; there are no floats anywhere.  The
+central canonical form is :class:`RationalSubspace`: a linear subspace of
+Q^n stored as the primitive integer multiple of each row of the reduced row
+echelon form (RREF) of any spanning set, so two subspaces are equal as sets
+if and only if their stored integer rows are identical.  One integer
+elimination core (``_echelon``) builds that form, adds rows to it, and
+reads kernels off it; sums, intersections, complements, inclusion and
+coset reduction all run on the integer rows.  JSON rows reach that core
+without a ``Fraction``: :func:`json_rational_ints` reads each row as
+integer numerators over one denominator, and the numerators span the same
+line.  :func:`format_rref` writes the RREF back out as ``"p/q"`` strings
+from the integer rows.  The ``Fraction`` RREF (``basis``, and :func:`rref`)
+is built only where rational values are wanted: for a spanning set given
+as rows of rationals (``from_rows`` goes through :func:`rref` and keeps its
+result as ``basis``) and for explicit solutions; Pluecker minors are
+fraction-free determinants of the stored integer rows.
 
-* :class:`RationalSubspace` — a linear subspace of Q^n stored as the
-  primitive integer multiple of each row of the reduced row echelon form
-  (RREF) of any spanning set, so two subspaces are equal as sets if and only
-  if their stored integer rows are identical.  One integer elimination core
-  (``_echelon``) builds that form, adds rows to it, and reads kernels off
-  it; sums, intersections, complements, inclusion and coset reduction all
-  run on the integer rows.  JSON rows reach that core without a
-  ``Fraction``: :func:`json_rational_ints` reads each row as integer
-  numerators over one denominator, and the numerators span the same line.
-  :func:`format_rref` writes the RREF back out as ``"p/q"`` strings from
-  the integer rows.  The ``Fraction`` RREF (``basis``, and :func:`rref`) is
-  built only where rational values are wanted: for a spanning set given as
-  rows of rationals (``from_rows`` goes through :func:`rref` and keeps its
-  result as ``basis``) and for explicit solutions; Pluecker minors are
-  fraction-free determinants of the stored integer rows, and
-
-* :class:`IntegerLattice` — a subgroup of Z^n stored in row-style Hermite
-  normal form (lower triangular shape: each row's last nonzero entry is its
-  pivot, pivot columns strictly increase, pivots are positive, and the entries
-  below a pivot in its column are reduced into ``[0, pivot)``).
-
-On top of these the module provides :func:`coset_reduce_ints`, which
-decides ``lambda in V + Z^n`` (the decidable core of every "does this
-character lie on that algebraic subtorus" question downstream) on lambda
-given as integer numerators over one denominator: it reduces lambda to the
-canonical representative of its coset mod V + Z^n, with one HNF, and
-returns the integer step m taken, so lambda - m lies in V when the
-representative is 0.  :func:`coset_rep_ints` keeps only the representative
-and skips the HNF for an integer vector, which lies in every V + Z^n;
-:func:`coset_rep` (the representative as ``Fraction`` values),
-:func:`lattice_coset_membership` and the canonical translates of ``tori``
-are read off it.  The module also provides Pluecker coordinates of
+A rational vector lambda enters the lattice layer as integer numerators
+over one positive denominator.  :func:`coset_reduce_ints` decides
+``lambda in V + Z^n`` (the decidable core of every "does this character lie
+on that algebraic subtorus" question downstream): with one Hermite normal
+form (:func:`hnf`) it reduces lambda to the canonical representative of its
+coset mod V + Z^n, and returns the integer step m taken, so lambda - m lies
+in V when the representative is 0.  :func:`coset_rep_ints` keeps only the
+representative and skips the HNF for an integer vector, which lies in every
+V + Z^n; membership tests and the canonical translates of ``tori`` read it.
+The module also provides Smith normal forms, Pluecker coordinates of
 subspaces, the linear equations cutting out the locus of r-planes meeting a
 fixed subspace nontrivially, and the reading of rational JSON entries,
 whose errors name the entry.
@@ -42,10 +36,8 @@ whose errors name the entry.
 >>> V = RationalSubspace.from_rows([(1, 1)], 2)
 >>> coset_reduce_ints([3, 1], 2, V)
 ([0, 0], 2, [0, -1])
->>> lattice_coset_membership((Fraction(1, 2), Fraction(1, 2)), V)
-True
->>> lattice_coset_membership((Fraction(1, 2), 0), V)
-False
+>>> coset_rep_ints([1, 0], 2, V)
+([0, 1], 2)
 """
 
 from __future__ import annotations
@@ -72,10 +64,6 @@ PLUCKER_BUDGET = 20_000
 
 def vec(entries: Iterable) -> Vector:
     return tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
-
-
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def clear_denominators(row: Sequence) -> tuple[int, ...]:
@@ -524,87 +512,6 @@ def snf(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...],
 
 
 # ---------------------------------------------------------------------------
-# integer lattices
-# ---------------------------------------------------------------------------
-
-class IntegerLattice:
-    """A subgroup of Z^n with canonical HNF basis (no zero rows).
-
-    >>> L = IntegerLattice.from_rows([[1, 2], [0, 3]], 2)
-    >>> L.basis
-    ((3, 0), (2, 1))
-    >>> L.contains((5, 1))
-    True
-    """
-
-    __slots__ = ("ambient_dim", "basis")
-
-    def __init__(self, ambient_dim: int, basis):
-        self.ambient_dim = int(ambient_dim)
-        self.basis = tuple(tuple(int(x) for x in row) for row in basis)
-
-    @classmethod
-    def from_rows(cls, rows, ambient_dim: Optional[int] = None) -> "IntegerLattice":
-        rows = [tuple(int(x) for x in r) for r in rows]
-        if ambient_dim is None:
-            if not rows:
-                raise ValueError("ambient dimension required for an empty row set")
-            ambient_dim = len(rows[0])
-        h, _ = hnf(rows) if rows else ((), ())
-        nonzero = [r for r in h if any(r)]
-        return cls(ambient_dim, nonzero)
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-    def __eq__(self, other):
-        return (isinstance(other, IntegerLattice)
-                and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
-
-    def __repr__(self):
-        return f"IntegerLattice({self.ambient_dim}, {list(self.basis)})"
-
-    def contains(self, v: Sequence[int]) -> bool:
-        v = [int(x) for x in v]
-        # lower-triangular HNF: back-substitute from the rightmost pivot,
-        # since earlier rows also have entries in later rows' pivot columns
-        for row in reversed(self.basis):
-            c = max(j for j in range(self.ambient_dim) if row[j] != 0)
-            if v[c] % row[c] != 0:
-                return False
-            f = v[c] // row[c]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
-        return not any(v)
-
-
-def integer_kernel(rows: Sequence[Sequence[int]], n: int) -> IntegerLattice:
-    """{x in Z^n : x is orthogonal to every row}; automatically saturated.
-
-    Computed from the unimodular witness of the HNF of the transpose: the
-    rows of U facing zero rows of H form a basis of the kernel lattice.
-    """
-    rows = [list(map(int, r)) for r in rows]
-    if not rows:
-        return IntegerLattice.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
-    transpose = [[rows[i][j] for i in range(len(rows))] for j in range(n)]
-    h, u = hnf(transpose)
-    kernel_rows = [u[i] for i in range(n) if not any(h[i])]
-    return IntegerLattice.from_rows(kernel_rows, n)
-
-
-def saturated_integer_points(space: RationalSubspace) -> IntegerLattice:
-    """V intersected with Z^n — a saturated lattice spanning V."""
-    return integer_kernel(space.perp().rows, space.ambient_dim)
-
-
-# ---------------------------------------------------------------------------
 # lattice-coset membership: lambda in V + Z^n ?
 # ---------------------------------------------------------------------------
 
@@ -653,14 +560,6 @@ def coset_reduce_ints(nums: Sequence[int], den: int, space: RationalSubspace
     return x, scale * d, m
 
 
-def coset_rep(lam: Sequence, space: RationalSubspace) -> Vector:
-    """The canonical representative of a rational lam mod V + Z^n, as
-    ``Fraction`` values: :func:`coset_rep_ints` of its numerators over one
-    denominator."""
-    x, d = coset_rep_ints(*_over_one_denominator(lam), space)
-    return tuple(Fraction(a, d) for a in x)
-
-
 def coset_rep_ints(nums: Sequence[int], den: int, space: RationalSubspace
                    ) -> tuple[list[int], int]:
     """The representative of :func:`coset_reduce_ints` for lam = nums / den
@@ -674,20 +573,6 @@ def coset_rep_ints(nums: Sequence[int], den: int, space: RationalSubspace
         return [0] * len(nums), 1
     x, d, _ = coset_reduce_ints(nums, den, space)
     return x, d
-
-
-def lattice_coset_membership(lam: Sequence, space: RationalSubspace) -> bool:
-    """Is lam an element of V + Z^n?  Exactly when its :func:`coset_rep`
-    is 0."""
-    return not any(coset_rep_ints(*_over_one_denominator(lam), space)[0])
-
-
-def _over_one_denominator(lam: Sequence) -> tuple[list[int], int]:
-    """A rational vector as integer numerators over the lcm of its
-    denominators."""
-    lam = vec(lam)
-    d = math.lcm(*(x.denominator for x in lam))
-    return [x.numerator * (d // x.denominator) for x in lam], d
 
 
 # ---------------------------------------------------------------------------
@@ -829,14 +714,40 @@ def parse_rational(text: str) -> Fraction:
     """``Fraction(text.strip())``.  The forms JSON input takes, ASCII
     ``[-]digits`` and ``[-]digits/digits``, are read to ints directly; any
     other text goes to ``Fraction``, so the accepted texts, their values and
-    the errors raised are Fraction's."""
+    the errors raised are Fraction's, but for one refusal made first: a
+    decimal whose exponent is past ``int()``'s digit limit
+    (:func:`_exponent_too_large`) is an OverflowError, since Fraction would
+    build its power of ten in full."""
     text = text.strip()
     num, slash, den = text.partition("/")
     digits = num[1:] if num[:1] == "-" else num
     if (digits.isascii() and digits.isdigit()
             and (not slash or den.isascii() and den.isdigit())):
         return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    if _exponent_too_large(text):
+        shown = text if len(text) <= 40 else text[:40] + "..."
+        raise OverflowError(f"{shown} written out is {number_too_long()}")
     return Fraction(text)
+
+
+def _exponent_too_large(text: str) -> bool:
+    """Whether ``Fraction(text)`` would build a power of ten past ``int()``'s
+    digit limit: text is a decimal that Fraction reads, whose exponent (after
+    its last ``e`` or ``E``) is above that limit.  Whether Fraction reads it
+    is asked of the text with each digit of the exponent made 0, at no cost.
+    """
+    limit = sys.get_int_max_str_digits()
+    cut = max(text.rfind("e"), text.rfind("E")) + 1
+    exponent = text[cut:].strip().lstrip("+-").replace("_", "")
+    if not (limit and cut and exponent.isdecimal()
+            and (len(exponent) > 20 or int(exponent) > limit)):
+        return False
+    try:
+        Fraction(text[:cut] + "".join("0" if c.isdecimal() else c
+                                      for c in text[cut:]))
+    except ValueError:
+        return False
+    return True
 
 
 def number_too_long() -> str:
@@ -847,11 +758,13 @@ def number_too_long() -> str:
 
 def _rational_fault(text: str, error: Exception) -> str:
     """What is wrong with a text that :func:`parse_rational` refused with
-    ``error``: a zero denominator, a digit run ``int()`` refused (the text is
-    well formed, only too long), or no rational at all."""
+    ``error``: a zero denominator, a number too long to write out (a digit
+    run ``int()`` refused, or an exponent past its limit; the text is well
+    formed), or no rational at all."""
     if isinstance(error, ZeroDivisionError):
         return "has a zero denominator"
-    if str(error).startswith("Exceeds the limit"):      # int()'s digit limit
+    if (isinstance(error, OverflowError)
+            or str(error).startswith("Exceeds the limit")):  # int()'s limit
         return "has " + number_too_long()
     shown = text if len(text) <= 40 else text[:40] + "..."
     return f"is not a rational number ('p' or 'p/q'): {shown!r}"
@@ -891,7 +804,7 @@ def json_rational_ints(values: Sequence, what: str) -> tuple[list[int], int]:
                 else:
                     value = parse_rational(text)
                     p, q = value.numerator, value.denominator
-            except (ValueError, ZeroDivisionError) as error:
+            except (ValueError, ArithmeticError) as error:
                 raise ValueError(f"{what} entry {i} "
                                  f"{_rational_fault(text, error)}") from None
         nums.append(p)
@@ -920,15 +833,15 @@ def format_rref(space: RationalSubspace) -> list[list[str]]:
     """The reduced row echelon form of a subspace as ``"p/q"`` strings, as
     :func:`format_rational` writes each entry of ``basis``, read straight
     off the primitive integer rows: entry x of a row with pivot entry a is
-    x / a in lowest terms (a > 0)."""
-    out = []
-    for row, p in zip(space.rows, space.pivots):
-        a, line = row[p], []
-        for x in row:
-            g = math.gcd(x, a)
-            line.append(str(x // g) if g == a else f"{x // g}/{a // g}")
-        out.append(line)
-    return out
+    x / a (a > 0)."""
+    return [[format_ratio(x, row[p]) for x in row]
+            for row, p in zip(space.rows, space.pivots)]
+
+
+def format_ratio(x: int, d: int) -> str:
+    """x / d (d > 0) in lowest terms, as :func:`format_rational` writes it."""
+    g = math.gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
 
 
 if __name__ == "__main__":

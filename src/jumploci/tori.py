@@ -1,37 +1,41 @@
 """Translated subtori of a character torus, and finite unions of them.
 
 A rank-n character torus (C*)^n is described here through its rational
-points: a *torsion character* is a vector in Q^n taken mod Z^n (the character
-t = exp(2 pi i lambda)), and an algebraic subtorus is determined by a rational
-subspace L of Q^n (the tangent direction; the subtorus is exp(L tensor C)).
-A *translated torus* is a coset rho.T, stored as a pair (lambda, L).
+points: a *torsion character* is a vector lambda in Q^n taken mod Z^n (the
+character t = exp(2 pi i lambda)), and an algebraic subtorus is determined
+by a rational subspace L of Q^n (the tangent direction; the subtorus is
+exp(L tensor C)).  A *translated torus* is a coset rho.T, stored as a pair
+(lambda, L).  Both halves are held on integers: a
+:class:`TorsionCharacter` is its numerators over its order, each in
+[0, order), and L is the primitive integer RREF of
+:class:`jumploci.qlinalg.RationalSubspace`.
 
 Canonical coset representative
 ------------------------------
 Two pairs (lambda, L) and (lambda', L) describe the same coset exactly when
 lambda - lambda' lies in L + Z^n, so a canonical representative must reduce
-lambda modulo that subgroup.  :func:`jumploci.qlinalg.coset_rep` does it,
-on integers: lambda is held as integer numerators over one denominator
-(:func:`jumploci.qlinalg.coset_rep_ints`, which a description read from
-JSON calls directly).  An integral lambda (the denominator divides every
-numerator, as in ``"2/2"``) lies in Z^n itself, so its representative is
-0 and no HNF is built; any other goes to
-:func:`jumploci.qlinalg.coset_reduce_ints`, which kills the L-part of
+lambda modulo that subgroup.  :func:`jumploci.qlinalg.coset_rep_ints` does
+it on the numerators of lambda over its order: an integral lambda lies in
+Z^n itself, so its representative is 0 and no HNF is built; any other goes
+to :func:`jumploci.qlinalg.coset_reduce_ints`, which kills the L-part of
 lambda, then reduces the remainder to the Hermite fundamental domain of the
 projection of Z^n along L, so the canonical vector has all entries in
 [0, 1); equality of cosets is then literal equality of representations.
-Components of a description are ordered by a key read off the integer rows
-of their directions.  The plane-membership test :func:`sigma_rho_membership`
-reads whether P meets L off dim(P + L) and only then asks
-:func:`jumploci.qlinalg.lattice_coset_membership` whether the translate lies
-in P + L + Z^n.
+Every translated torus, whether built from rationals
+(:meth:`TranslatedTorus.from_data`) or read from JSON, goes through that
+one constructor.  Components of a description are ordered by a key read off
+the integer rows of their directions and the numerators of their
+translates.  The plane-membership test :func:`sigma_rho_membership` reads
+whether P meets L off dim(P + L) and only then asks
+:func:`jumploci.qlinalg.coset_rep_ints` whether the translate lies in
+P + L + Z^n.
 
 >>> T1 = TranslatedTorus.from_data(("0", "1/2"), [("1", "1")])
 >>> T2 = TranslatedTorus.from_data(("1/2", "0"), [("2", "2")])
 >>> T1 == T2            # same coset of the diagonal subtorus
 True
->>> T1.translate.values
-(Fraction(0, 1), Fraction(1, 2))
+>>> T1.translate.nums, T1.translate.order
+((0, 1), 2)
 """
 
 from __future__ import annotations
@@ -44,98 +48,94 @@ from .qlinalg import (
     RationalSubspace,
     _echelon,
     clear_denominators,
-    coset_rep,
     coset_rep_ints,
-    format_rational,
+    format_ratio,
     format_rref,
     hnf,  # noqa: F401  unused here; perfbench's tracer test rebinds tori.hnf
     json_integer_rows,
     json_rational_ints,
-    lattice_coset_membership,
     vec,
-    vec_sub,
 )
 
 
-def _mod1(x: Fraction) -> Fraction:
-    n, d = x.numerator, x.denominator
-    return x if 0 <= n < d else Fraction(n % d, d)
-
-
 class TorsionCharacter:
-    """A finite-order character of Z^n: a vector in Q^n mod Z^n.
+    """A finite-order character of Z^n: a vector lambda in Q^n mod Z^n.
 
-    >>> chi = TorsionCharacter((Fraction(3, 2), Fraction(-1, 3)))
+    It is held on integers: ``order`` is the order of the character, the
+    lcm of the denominators of lambda in lowest terms, and ``nums`` are the
+    numerators of lambda over it, each in [0, order).  Equal characters
+    have equal fields; ``values`` reads lambda back as ``Fraction``s.
+
+    >>> chi = TorsionCharacter((9, -2), 6)      # (3/2, -1/3) mod Z^2
+    >>> chi.nums, chi.order
+    ((3, 4), 6)
     >>> chi.values
     (Fraction(1, 2), Fraction(2, 3))
-    >>> chi.order
-    6
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("nums", "order")
 
-    def __init__(self, values: Iterable):
-        self.values = tuple(_mod1(x if type(x) is Fraction else Fraction(x))
-                            for x in values)
+    def __init__(self, nums: Iterable[int], den: int):
+        """The character lambda = nums / den, for integers nums and den > 0."""
+        nums = [x % den for x in nums]
+        g = math.gcd(den, *nums)
+        self.nums = tuple(x // g for x in nums) if g > 1 else tuple(nums)
+        self.order = den // g
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        return len(self.nums)
 
     @property
-    def order(self) -> int:
-        m = 1
-        for x in self.values:
-            m = m * x.denominator // math.gcd(m, x.denominator)
-        return m
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.order) for x in self.nums)
 
     def is_trivial(self) -> bool:
-        return all(x == 0 for x in self.values)
-
-    def __add__(self, other: "TorsionCharacter") -> "TorsionCharacter":
-        return TorsionCharacter(a + b for a, b in zip(self.values, other.values))
-
-    def __sub__(self, other: "TorsionCharacter") -> "TorsionCharacter":
-        return TorsionCharacter(a - b for a, b in zip(self.values, other.values))
+        return self.order == 1
 
     def __eq__(self, other):
-        return isinstance(other, TorsionCharacter) and self.values == other.values
+        return (isinstance(other, TorsionCharacter)
+                and self.order == other.order and self.nums == other.nums)
 
     def __hash__(self):
-        return hash(self.values)
+        return hash((self.nums, self.order))
 
     def __repr__(self):
         return "TorsionCharacter((" + ", ".join(str(v) for v in self.values) + "))"
 
     def to_json(self) -> list[str]:
-        return [format_rational(v) for v in self.values]
+        return [format_ratio(x, self.order) for x in self.nums]
 
 
 class TranslatedTorus:
-    """A coset (torsion translate) of an algebraic subtorus, in canonical form."""
+    """A coset (torsion translate) of an algebraic subtorus, in canonical form:
+    ``direction`` is L and ``translate`` the canonical representative of the
+    translate mod L + Z^n."""
 
     __slots__ = ("translate", "direction")
 
-    def __init__(self, translate, direction: RationalSubspace):
-        if isinstance(translate, TorsionCharacter):
-            lam = translate.values
-        else:
-            lam = vec(translate)
-        if len(lam) != direction.ambient_dim:
+    def __init__(self, translate: TorsionCharacter, direction: RationalSubspace):
+        if translate.n != direction.ambient_dim:
             raise ValueError("translate length does not match ambient dimension")
         self.direction = direction
-        self.translate = TorsionCharacter(coset_rep(lam, direction))
+        self.translate = TorsionCharacter(
+            *coset_rep_ints(translate.nums, translate.order, direction))
 
     @classmethod
     def from_data(cls, lam: Iterable, basis_rows: Iterable[Iterable],
                   ambient_dim: Optional[int] = None) -> "TranslatedTorus":
+        """The coset of lam along the span of basis_rows, both given as
+        rationals (or anything ``Fraction`` reads)."""
         lam = vec(lam)
         if ambient_dim is None:
             ambient_dim = len(lam)
         rows = [clear_denominators(r) for r in basis_rows]
         if any(len(r) != ambient_dim for r in rows):
             raise ValueError("rows of unequal length")
-        return cls(lam, RationalSubspace(ambient_dim, *_echelon(rows)))
+        den = math.lcm(*(x.denominator for x in lam))
+        return cls(TorsionCharacter(
+                       [x.numerator * (den // x.denominator) for x in lam], den),
+                   RationalSubspace(ambient_dim, *_echelon(rows)))
 
     @property
     def ambient_dim(self) -> int:
@@ -152,21 +152,20 @@ class TranslatedTorus:
         """Does the coset contain the trivial character?
 
         The translate is the representative from
-        :func:`jumploci.qlinalg.coset_rep`, which is 0 exactly when lambda
-        lies in L + Z^n: the translate lies on the subtorus itself.
+        :func:`jumploci.qlinalg.coset_rep_ints`, which is 0 exactly when
+        lambda lies in L + Z^n: the translate lies on the subtorus itself.
         """
         return self.translate.is_trivial()
 
-    def contains_character(self, chi: TorsionCharacter) -> bool:
-        diff = vec_sub(vec(chi.values), vec(self.translate.values))
-        return lattice_coset_membership(diff, self.direction)
-
     def contains(self, other: "TranslatedTorus") -> bool:
-        """Coset containment: directions nest and translates agree mod L'+Z^n."""
+        """Coset containment: directions nest and translates agree mod L+Z^n."""
         if not self.direction.contains(other.direction):
             return False
-        diff = vec_sub(vec(other.translate.values), vec(self.translate.values))
-        return lattice_coset_membership(diff, self.direction)
+        a, b = self.translate, other.translate
+        den = math.lcm(a.order, b.order)
+        diff = [y * (den // b.order) - x * (den // a.order)
+                for x, y in zip(a.nums, b.nums)]
+        return not any(coset_rep_ints(diff, den, self.direction)[0])
 
     def __eq__(self, other):
         return (isinstance(other, TranslatedTorus)
@@ -188,7 +187,7 @@ class TranslatedTorus:
         """A component ``{"lambda": [...], "basis": [[...], ...]}`` of a
         description in Q^ambient_dim, read on integers: the basis rows go
         to the integer RREF and lambda, as numerators over one denominator,
-        to :func:`jumploci.qlinalg.coset_rep_ints`."""
+        to the constructor."""
         lam_field, basis_field = "a component's 'lambda'", "a component's 'basis'"
         nums, den = json_rational_ints(_json_list(
             _json_field(data, "lambda", "a component"), lam_field), lam_field)
@@ -196,14 +195,8 @@ class TranslatedTorus:
             _json_rows(data.get("basis", []), basis_field), basis_field)
         if any(len(r) != ambient_dim for r in rows):
             raise ValueError("rows of unequal length")
-        if len(nums) != ambient_dim:
-            raise ValueError("translate length does not match ambient dimension")
-        direction = RationalSubspace(ambient_dim, *_echelon(rows))
-        x, d = coset_rep_ints(nums, den, direction)
-        torus = cls.__new__(cls)
-        torus.direction = direction
-        torus.translate = TorsionCharacter(Fraction(a, d) for a in x)
-        return torus
+        return cls(TorsionCharacter(nums, den),
+                   RationalSubspace(ambient_dim, *_echelon(rows)))
 
 
 def _json_field(data, key: str, what: str):
@@ -312,7 +305,8 @@ class VarietyDescription:
 
     @classmethod
     def full_torus(cls, n: int, degree: Optional[int] = None):
-        return cls(n, [TranslatedTorus([0] * n, RationalSubspace.full(n))],
+        return cls(n, [TranslatedTorus(TorsionCharacter([0] * n, 1),
+                                       RationalSubspace.full(n))],
                    degree=degree)
 
     @classmethod
@@ -324,15 +318,17 @@ def _prune(comps: list[TranslatedTorus]) -> list[TranslatedTorus]:
     """The components no other contains, ordered by (dimension, direction
     RREF, translate).  The RREF is compared on the integer rows, each scaled
     by one common multiple of every pivot entry: that is the RREF times one
-    positive integer, so it orders the same."""
+    positive integer, so it orders the same; so are the translates, their
+    numerators scaled by one common multiple of their orders."""
     if len(comps) < 2:
         return comps
     scale = math.lcm(*(row[p] for c in comps
                        for row, p in zip(c.direction.rows, c.direction.pivots)))
+    order = math.lcm(*(c.translate.order for c in comps))
     keys = [(c.direction.dim,
              tuple(tuple(x * (scale // row[p]) for x in row)
                    for row, p in zip(c.direction.rows, c.direction.pivots)),
-             c.translate.values)
+             tuple(x * (order // c.translate.order) for x in c.translate.nums))
             for c in comps]
     kept: list[int] = []
     for i in sorted(range(len(comps)), key=keys.__getitem__, reverse=True):
@@ -405,7 +401,7 @@ class GradedDescription:
 
 
 def sigma_rho_membership(plane: RationalSubspace, direction: RationalSubspace,
-                         translate) -> bool:
+                         translate: TorsionCharacter) -> bool:
     """Incidence test for a translated torus: does exp(P tensor C) meet the
     coset in infinitely many points?
 
@@ -414,17 +410,15 @@ def sigma_rho_membership(plane: RationalSubspace, direction: RationalSubspace,
     built once and serves both: by the Grassmann formula
     dim(P meet L) = dim P + dim L - dim S, so P meets L exactly when
     dim S < dim P + dim L.  That count is read first; the coset test runs
-    only when it passes, and needs no HNF for an integral translate.
+    only when it passes, on the translate's numerators over its order, and
+    needs no HNF for the trivial character.
     """
-    if isinstance(translate, TorsionCharacter):
-        lam = translate.values
-    else:
-        lam = vec(translate)
-    if len(lam) != plane.ambient_dim:
+    if translate.n != plane.ambient_dim:
         raise ValueError("character length does not match ambient dimension")
     total = plane.sum(direction)
     return (total.dim < plane.dim + direction.dim
-            and lattice_coset_membership(lam, total))
+            and not any(coset_rep_ints(translate.nums, translate.order,
+                                       total)[0]))
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -300,21 +301,46 @@ def _json_fault(text, error):
     """What is wrong with a text ``Fraction`` refused with ``error``."""
     if isinstance(error, ZeroDivisionError):
         return "has a zero denominator"
-    if str(error).startswith("Exceeds the limit"):      # int()'s digit limit
+    if (isinstance(error, OverflowError)
+            or str(error).startswith("Exceeds the limit")):  # int()'s limit
         return (f"has a number of more than {sys.get_int_max_str_digits()} "
                 "digits")
     shown = text if len(text) <= 40 else text[:40] + "..."
     return f"is not a rational number ('p' or 'p/q'): {shown!r}"
 
 
+def rational(text):
+    """``Fraction(text.strip())``, except that a decimal with an exponent
+    above ``int()``'s digit limit is an OverflowError, raised before
+    Fraction would build the power of ten.  The text is such a decimal when
+    Fraction reads it with every digit after its last e or E made 0."""
+    text = text.strip()
+    tail = re.search(r"[eE]([^eE]*)\Z", text)
+    if tail:
+        digits = "".join(c for c in tail.group(1) if c.isdecimal())
+        limit = sys.get_int_max_str_digits()
+        zeroed = text[:tail.start(1)] + re.sub(r"\d", "0", tail.group(1))
+        if len(digits) <= limit < int(digits or 0):
+            try:
+                Fraction(zeroed)
+            except ValueError:
+                pass
+            else:
+                shown = text if len(text) <= 40 else text[:40] + "..."
+                raise OverflowError(
+                    f"{shown} written out is a number of more than {limit} "
+                    "digits")
+    return Fraction(text)
+
+
 def json_rational(value, what):
-    """``Fraction(str(value).strip())``, or a ValueError naming the JSON
+    """:func:`rational` of ``str(value)``, or a ValueError naming the JSON
     entry ``what`` and its fault: the library's reader of one rational
     before it read JSON on integers."""
     text = str(value)
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as error:
+        return rational(text)
+    except (ValueError, ArithmeticError) as error:
         raise ValueError(f"{what} {_json_fault(text, error)}") from None
 
 

@@ -4,8 +4,9 @@ Each ``suite_*`` function runs a seeded batch of exact checks against an
 independent oracle (or an internal consistency law) and returns the number
 of cases it verified.  All assertions are exact — no tolerances.  The
 helpers at the top are second constructions that the library has no use
-for itself: coset reduction with ``Fraction`` values, the readers of
-torsion characters, arrangements and Laurent polynomials from their JSON
+for itself: rational vectors as integers over one denominator and as
+torsion characters, coset reduction and membership with ``Fraction``
+values, the readers of torsion characters, arrangements and Laurent polynomials from their JSON
 form, intersections of translated tori, the tangent-cone bound on planes,
 and the d1 entries of a presentation.
 """
@@ -21,9 +22,8 @@ from jumploci.fox import (Abelianization, FreeWord, Presentation,
                           alexander_matrix, fox_derivative_abelianized)
 from jumploci.laurent import LaurentPoly
 from jumploci.omega import omega_codim1_closed_form, omega_membership
-from jumploci.qlinalg import (RationalSubspace, coset_reduce_ints,
-                              lattice_coset_membership, plucker, rref, vec,
-                              vec_sub)
+from jumploci.qlinalg import (RationalSubspace, coset_rep_ints,
+                              coset_reduce_ints, plucker, rref, vec)
 from jumploci.tcone import SubspaceArrangement
 from jumploci.tori import TorsionCharacter, TranslatedTorus, VarietyDescription, \
     sigma_rho_membership
@@ -35,19 +35,35 @@ F = Fraction
 # second constructions the suites and tests compare the library against
 # ---------------------------------------------------------------------------
 
+def over_one_denominator(lam):
+    """A rational vector as ``(nums, den)``: integer numerators over the
+    lcm of its denominators."""
+    lam = vec(lam)
+    d = math.lcm(*(x.denominator for x in lam))
+    return [a.numerator * (d // a.denominator) for a in lam], d
+
+
+def character(lam) -> TorsionCharacter:
+    """The torsion character of a rational vector."""
+    return TorsionCharacter(*over_one_denominator(lam))
+
+
 def coset_reduce(lam, space):
     """``(rep, m)`` of :func:`jumploci.qlinalg.coset_reduce_ints` for a
     rational lam, rep as ``Fraction`` values and m as a tuple."""
-    lam = vec(lam)
-    d = math.lcm(*(x.denominator for x in lam))
-    x, den, m = coset_reduce_ints(
-        [a.numerator * (d // a.denominator) for a in lam], d, space)
+    x, den, m = coset_reduce_ints(*over_one_denominator(lam), space)
     return tuple(Fraction(a, den) for a in x), tuple(m)
+
+
+def in_lattice_coset(lam, space) -> bool:
+    """Is the rational lam in V + Z^n?  Exactly when its representative
+    from :func:`jumploci.qlinalg.coset_rep_ints` is 0."""
+    return not any(coset_rep_ints(*over_one_denominator(lam), space)[0])
 
 
 def torsion_character_from_json(data) -> TorsionCharacter:
     """A torsion character from its ``to_json`` list."""
-    return TorsionCharacter(oracles.json_rationals(data, "a torsion character"))
+    return character(oracles.json_rationals(data, "a torsion character"))
 
 
 def arrangement_from_json(data) -> SubspaceArrangement:
@@ -92,13 +108,13 @@ def intersect_translated(c1: TranslatedTorus, c2: TranslatedTorus
         raise ValueError("ambient dimensions differ")
     n = c1.ambient_dim
     l1, l2 = c1.direction, c2.direction
-    lam1 = vec(c1.translate.values)
-    lam2 = vec(c2.translate.values)
-    diff = vec_sub(lam1, lam2)
+    lam1 = c1.translate.values
+    lam2 = c2.translate.values
+    diff = [a - b for a, b in zip(lam1, lam2)]
     rep, m = coset_reduce(diff, l1.sum(l2))
     if any(rep):
         return None
-    y = vec_sub(diff, vec(m))                   # y in L1 + L2
+    y = [a - b for a, b in zip(diff, m)]        # y in L1 + L2
     # split y = -x1 + x2 with x1 in L1, x2 in L2: solve the augmented system
     # [-L1^T | L2^T | y]; the coefficients of x1 sit in the last column
     k1 = l1.dim
@@ -108,7 +124,7 @@ def intersect_translated(c1: TranslatedTorus, c2: TranslatedTorus
     x1 = tuple(sum((r[-1] * l1.basis[pc][i] for r, pc in zip(reduced, pivots)
                     if pc < k1), Fraction(0))
                for i in range(n))
-    witness = TorsionCharacter(a + b for a, b in zip(lam1, x1))
+    witness = character([a + b for a, b in zip(lam1, x1)])
     return TranslatedIntersection(l1.intersect(l2).dim, witness)
 
 
@@ -179,7 +195,7 @@ def suite_lattice_oracle(cases=220, seed=102):
         n = rng.randint(1, 4)
         rows, space = _random_subspace(rng, n)
         lam = [F(rng.randint(-14, 14), rng.randint(1, 12)) for _ in range(n)]
-        ours = lattice_coset_membership(lam, space)
+        ours = in_lattice_coset(lam, space)
         theirs = oracles.oracle_lattice_membership(lam, rows, n)
         assert ours == theirs
         rep, m = coset_reduce(lam, space)
@@ -288,16 +304,16 @@ def suite_sigma_containment(cases=210, seed=107):
             continue
         _, L = _random_subspace(rng, n, max_rows=3)
         if rng.random() < 0.3:
-            rho = TorsionCharacter([0] * n)
+            rho = TorsionCharacter([0] * n, 1)
         else:
-            rho = TorsionCharacter(
+            rho = character(
                 [F(rng.randint(0, 3), rng.randint(1, 4)) for _ in range(n)])
         rho_hit = sigma_rho_membership(P, L, rho)
         plain_hit = not P.intersect(L).is_zero()
         if rho_hit:
             assert plain_hit
             translated_hits += 1
-        if lattice_coset_membership(rho.values, L):
+        if in_lattice_coset(rho.values, L):
             assert rho_hit == plain_hit
         done += 1
     assert translated_hits > cases // 20
@@ -318,7 +334,7 @@ def suite_closed_form_agreement(cases=200, seed=108):
         for _ in range(rng.randint(1, 2)):
             for _attempt in range(30):
                 lam = [F(rng.randint(0, 3), rng.randint(1, 4)) for _ in range(n)]
-                if not lattice_coset_membership(lam, L):
+                if not in_lattice_coset(lam, L):
                     comps.append(TranslatedTorus.from_data(lam, L.basis, n))
                     break
         if not comps:

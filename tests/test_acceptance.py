@@ -102,7 +102,7 @@ def test_03_closed_membership_set_from_fox_pipeline():
         assert got == datasets.CLOSED_OMEGA_MATRIX_TEXT
         component = datasets.closed_omega_component()
         assert generic_rank_on_torus(matrix, component) == 1
-        assert rank_at_character(matrix, (F(1, 3), 0, 0)) == 2
+        assert rank_at_character(matrix, suites.character((F(1, 3), 0, 0))) == 2
 
         W = datasets.closed_omega_description()
         member_plane = datasets.closed_omega_member_plane()

@@ -94,6 +94,20 @@ def test_tcone_desc_from_file(capsys, tmp_path):
     assert code == 0
     assert len(data["subspaces"]) == 1
     assert len(data["subspaces"][0]) == 4  # the dim-4 direction through 1
+    # a file is read as inline JSON is: an over-long integer literal names
+    # its entry, and a byte-order mark is refused as json.load refuses it
+    path.write_text('{"n": 1, "components": [{"lambda": [%s], "basis": []}]}'
+                    % ("7" * (sys.get_int_max_str_digits() + 1)),
+                    encoding="utf-8")
+    code, data = run_json(capsys, "tcone", "--desc", str(path))
+    assert code == 1
+    assert data["error"]["message"].startswith(
+        "a component's 'lambda' entry 0 has a number of more than")
+    path.write_text("\ufeff" + desc_json(datasets.surface_description()),
+                    encoding="utf-8")
+    code, data = run_json(capsys, "tcone", "--desc", str(path))
+    assert code == 1
+    assert data["error"]["message"].startswith("Unexpected UTF-8 BOM")
 
 
 def test_tcone_usage_errors(capsys):
@@ -289,7 +303,7 @@ def test_json_number_with_a_huge_exponent_is_refused(capsys):
                           '"basis": []}]}', "--plane", "[[1]]")
     assert code == 1
     assert data["error"]["message"] == (
-        f"the JSON number 1e999999999 written out is a number of more than "
+        f"a component's 'lambda' entry 0 has a number of more than "
         f"{sys.get_int_max_str_digits()} digits")
 
 
@@ -328,10 +342,43 @@ TOO_LONG = f"has a number of more than {sys.get_int_max_str_digits()} digits"
      "a component's 'lambda' entry 0 is not a rational number"),
     (["schubert-eqs", "--space", f'[["+{LONG}", 0]]', "--r", "1"],
      f"a subspace's 'basis' row 0 entry 0 {TOO_LONG}"),
+    # an exponent past int()'s digit limit is refused before Fraction
+    # builds its power of ten (seconds for 1e2000000, and a 415 MB integer
+    # for 1e999999999)
+    (["omega-test", "--desc", _desc_with(["1e2000000", "0"], []),
+      "--plane", "[[1, 0]]"],
+     f"a component's 'lambda' entry 0 {TOO_LONG}"),
+    (["tcone", "--desc", _desc_with(["0", "0"], [["1E-2000000", 1]])],
+     f"a component's 'basis' row 0 entry 0 {TOO_LONG}"),
+    (["omega-test", "--desc", LINE_DESC,
+      "--plane", '[["1.5e1_000_000", 0]]'],
+     f"a subspace's 'basis' row 0 entry 0 {TOO_LONG}"),
+    (["schubert-eqs", "--space", '[[1, "-1e3000000"]]', "--r", "1"],
+     f"a subspace's 'basis' row 0 entry 1 {TOO_LONG}"),
+    # a JSON integer literal longer than int() reads is refused by the
+    # reader of its field, as the same digits in a string are
+    (["omega-test", "--desc", '{"n": 2, "components": [{"lambda": '
+      f'[0, {LONG}], "basis": []}}]}}', "--plane", "[[1, 0]]"],
+     f"a component's 'lambda' entry 1 {TOO_LONG}"),
+    (["tcone", "--desc", '{"n": 2, "components": [{"lambda": [0, 0], '
+      f'"basis": [[-{LONG}, 1]]}}]}}'],
+     f"a component's 'basis' row 0 entry 0 {TOO_LONG}"),
+    (["omega-test", "--desc", LINE_DESC, "--plane", f"[[1, {LONG}]]"],
+     f"a subspace's 'basis' row 0 entry 1 {TOO_LONG}"),
+    (["schubert-eqs", "--space", f'{{"basis": [[{LONG}, 0]]}}', "--r", "1"],
+     f"a subspace's 'basis' row 0 entry 0 {TOO_LONG}"),
+    (["tcone", "--desc", f'{{"n": {LONG}, "components": []}}'],
+     "a variety description's 'n' must be a nonnegative integer"),
+    (["omega-test", "--desc", LINE_DESC, "--plane", f"[[1, 0.{LONG}]]"],
+     f"a subspace's 'basis' row 0 entry 1 {TOO_LONG}"),
 ], ids=["lambda-zero-denominator", "lambda-too-long", "basis-zero-denominator",
         "lambda-not-a-number", "plane-zero-denominator", "plane-too-long",
         "space-zero-denominator", "space-not-a-number",
-        "lambda-long-but-not-a-number", "space-signed-too-long"])
+        "lambda-long-but-not-a-number", "space-signed-too-long",
+        "lambda-huge-exponent", "basis-huge-exponent", "plane-huge-exponent",
+        "space-huge-exponent", "lambda-long-literal", "basis-long-literal",
+        "plane-long-literal", "space-long-literal", "n-long-literal",
+        "plane-long-decimal-literal"])
 def test_bad_rational_entry_is_a_domain_error_naming_it(capsys, argv, message):
     code, data = run_json(capsys, *argv)
     assert code == 1

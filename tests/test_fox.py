@@ -29,7 +29,7 @@ from jumploci.laurent import (LaurentPoly, bareiss_rank,
                               restrict_matrix_to_translated_torus)
 from jumploci.fox import _d1_rank
 from jumploci.tori import TranslatedTorus
-from suites import generator_character_poly
+from suites import character, generator_character_poly
 
 F = Fraction
 
@@ -259,10 +259,10 @@ def test_generator_character_poly():
 
 def test_rank_at_characters_of_closed_omega_matrix():
     m = alexander_matrix(parse_presentation(datasets.CLOSED_OMEGA_PRES))
-    assert rank_at_character(m, (0, 0, 0)) == 0
-    assert rank_at_character(m, (F(1, 2), F(1, 3), F(1, 5))) == 1
-    assert rank_at_character(m, (F(1, 3), 0, 0)) == 2
-    assert rank_at_character(m, (F(1, 2), 0, 0)) == 1
+    assert rank_at_character(m, character((0, 0, 0))) == 0
+    assert rank_at_character(m, character((F(1, 2), F(1, 3), F(1, 5)))) == 1
+    assert rank_at_character(m, character((F(1, 3), 0, 0))) == 2
+    assert rank_at_character(m, character((F(1, 2), 0, 0))) == 1
 
 
 def test_rank_matches_numeric_rank_at_random_characters():
@@ -270,7 +270,7 @@ def test_rank_matches_numeric_rank_at_random_characters():
     m = alexander_matrix(parse_presentation(datasets.CLOSED_OMEGA_PRES))
     for _ in range(15):
         lam = [F(rng.randint(0, 5), 6) for _ in range(3)]
-        exact = rank_at_character(m, lam)
+        exact = rank_at_character(m, character(lam))
         point = tuple(oracles.unit_root(x) for x in lam)
         numeric = oracles.complex_rank(
             [[oracles.eval_laurent_complex(e.terms, point) for e in row]
@@ -280,15 +280,15 @@ def test_rank_matches_numeric_rank_at_random_characters():
 
 def test_depth1_membership_one_relator_group():
     m = alexander_matrix(parse_presentation(datasets.ONE_RELATOR_PRES))
-    assert depth1_membership(m, (0, F(1, 2)))
-    assert not depth1_membership(m, (F(1, 2), 0))
-    assert depth1_membership(m, (0, 0))       # b_1 = 2 >= 1
+    assert depth1_membership(m, character((0, F(1, 2))))
+    assert not depth1_membership(m, character((F(1, 2), 0)))
+    assert depth1_membership(m, character((0, 0)))      # b_1 = 2 >= 1
 
 
 def test_depth1_membership_validates_length():
     m = alexander_matrix(parse_presentation(datasets.ONE_RELATOR_PRES))
     with pytest.raises(ValueError, match="character length mismatch"):
-        depth1_membership(m, (0, 0, 0))
+        depth1_membership(m, character((0, 0, 0)))
 
 
 def test_generic_rank_on_translated_torus():
@@ -324,17 +324,18 @@ def test_surface_group_contains_both_components():
     assert contains_translated_torus(m, datasets.surface_translated())
 
 
-def random_alexander_matrix(rng):
-    """The Alexander matrix of 2-4 commutators of random words in 3
-    generators: free rank 3 and rank at most 2 at every character."""
-    names = ["x1", "x2", "x3"]
+def random_alexander_matrix(rng, q=3):
+    """The Alexander matrix of 2-4 commutators of random words in q
+    generators: free rank q and rank at most q - 1 at every character."""
+    names = [f"x{i}" for i in range(1, q + 1)]
 
     def word():
         return " ".join(f"{rng.choice(names)}^{rng.choice([-2, -1, 1, 2])}"
                         for _ in range(rng.randint(1, 3)))
 
     rels = ", ".join(f"[{word()}, {word()}]" for _ in range(rng.randint(2, 4)))
-    return alexander_matrix(parse_presentation(f"<x1, x2, x3 | {rels}>"))
+    return alexander_matrix(
+        parse_presentation(f"<{', '.join(names)} | {rels}>"))
 
 
 def cyclotomic_entries(M, lam):
@@ -374,7 +375,7 @@ def test_rank_at_character_matches_the_fraction_oracle():
                                          (8, 8, 8), (3, 1, 1)]))
         entries, m = cyclotomic_entries(M, lam)
         expected = oracles.oracle_cyclotomic_rank(entries, m)
-        assert rank_at_character(M, lam) == expected
+        assert rank_at_character(M, character(lam)) == expected
         deficient += expected < min(len(M.entries), 3)
     assert deficient >= 20
 
@@ -384,9 +385,11 @@ def test_rank_at_character_takes_no_inverse(monkeypatch):
         raise AssertionError("inverse taken on the rank path")
     monkeypatch.setattr(laurent.CyclotomicNumber, "inverse", refuse)
     m = alexander_matrix(parse_presentation(datasets.SURFACE_PRES))
-    assert rank_at_character(m, [F(k, 163) for k in (59, 3, 7, 11, 13, 17)]) == 5
-    assert rank_at_character(m, (F(1, 5), 0, F(1, 2), 0, 0, 0)) == 3
-    assert rank_at_character(m, (F(1, 5), F(2, 5), F(1, 2), 0, F(1, 3), 0)) == 5
+    assert rank_at_character(m, character(
+        [F(k, 163) for k in (59, 3, 7, 11, 13, 17)])) == 5
+    assert rank_at_character(m, character((F(1, 5), 0, F(1, 2), 0, 0, 0))) == 3
+    assert rank_at_character(m, character(
+        (F(1, 5), F(2, 5), F(1, 2), 0, F(1, 3), 0))) == 5
 
 
 def test_generic_rank_at_a_point_is_the_bareiss_rank_of_the_restriction():
@@ -400,6 +403,50 @@ def test_generic_rank_at_a_point_is_the_bareiss_rank_of_the_restriction():
             point = TranslatedTorus.from_data(lam, [], M.num_vars)
             restricted = restrict_matrix_to_translated_torus(M.entries, point)
             assert generic_rank_on_torus(M, point) == bareiss_rank(restricted)
+
+
+def test_generic_rank_on_random_tori_lies_between_point_ranks_and_fox_bound():
+    # Rank is lower-semicontinuous, so its value at any point of the coset
+    # is at most the generic rank; Fox's identity
+    # sum_j (dr/dx_j)(t^{a_j} - 1) = 0 caps the generic rank at q - 1
+    # wherever d1 is generically nonzero.  The restriction substitutes the
+    # stored RREF rows of L, which for a plane in Q^3 are often no basis
+    # of L meet Z^3, as (2, 0, 1) and (0, 2, 1) are not.
+    rng = random.Random(48)
+    unsaturated = capped = attained = 0
+    for trial in range(80):
+        q = rng.choice([2, 3])
+        M = random_alexander_matrix(rng, q)
+        dim = rng.randint(1, 2)
+        if q == 3 and trial % 4 == 0:
+            rows, dim = [(2, 0, 1), (0, 2, 1)], 2
+        else:
+            rows = [[rng.choice([0, 1, -1, 2, -2, 3]) for _ in range(q)]
+                    for _ in range(dim)]
+        lam = [F(rng.randrange(d), d) for d in rng.choice(
+            [(1,) * q, (2,) * q, (2, 3, 1), (4, 1, 6), (3, 3, 2)])[:q]]
+        torus = TranslatedTorus.from_data(lam, rows, q)
+        if torus.dim != dim:
+            continue
+        basis = torus.direction.rows
+        if dim == 2 and q == 3:
+            minors = [basis[0][i] * basis[1][j] - basis[0][j] * basis[1][i]
+                      for i, j in ((0, 1), (0, 2), (1, 2))]
+            unsaturated += math.gcd(*minors) > 1
+        generic = generic_rank_on_torus(M, torus)
+        point_ranks = []
+        for _ in range(3):
+            steps = [F(rng.randrange(k), k) for k in rng.choice(
+                [(2, 3), (5, 4), (3, 3), (7, 2)])[:dim]]
+            point = [x + sum(c * row[i] for c, row in zip(steps, basis))
+                     for i, x in enumerate(torus.translate.values)]
+            point_ranks.append(rank_at_character(M, character(point)))
+        assert max(point_ranks) <= generic
+        attained += max(point_ranks) == generic
+        if _d1_rank(M.abelianization, torus.translate, basis):
+            capped += 1
+            assert generic <= q - 1
+    assert unsaturated >= 5 and capped >= 30 and attained >= 30
 
 
 def test_d1_rank_reads_the_restriction_off_the_pairings():
@@ -422,7 +469,7 @@ def test_d1_rank_reads_the_restriction_off_the_pairings():
             torus = TranslatedTorus.from_data(lam, rows, n)
             restricted = restrict_matrix_to_translated_torus(d1, torus)[0]
             expected = 0 if all(p.is_zero() for p in restricted) else 1
-            assert _d1_rank(ab, torus.translate.values,
+            assert _d1_rank(ab, torus.translate,
                             torus.direction.rows) == expected
             seen.append(expected)
     assert seen.count(0) >= 4 and seen.count(1) >= 4

@@ -18,12 +18,11 @@ from jumploci.laurent import (
     cyclotomic_polynomial,
     evaluate_at_character,
     restrict_matrix_to_translated_torus,
-    restriction_lattice_basis,
 )
 from jumploci.laurent import _convolve
 from jumploci.qlinalg import RationalSubspace
 from jumploci.tori import TranslatedTorus
-from suites import laurent_poly_from_json
+from suites import character, laurent_poly_from_json
 
 F = Fraction
 
@@ -436,11 +435,12 @@ def test_lift_preserves_value_and_cross_order_equality():
 
 def test_evaluate_at_character_simple_values():
     f = LaurentPoly.parse("t1 + t2 - 2")
-    val = evaluate_at_character(f, (F(1, 2), F(1, 2)))
+    val = evaluate_at_character(f, character((F(1, 2), F(1, 2))))
     assert val.is_rational() and val.rational_part() == -4
-    assert evaluate_at_character(f, (0, 0)).is_zero()
+    assert evaluate_at_character(f, character((0, 0))).is_zero()
     g = LaurentPoly.parse("t1^3")
-    assert evaluate_at_character(g, [F(1, 3)]) == CyclotomicNumber.one(1)
+    assert evaluate_at_character(g, character([F(1, 3)])) == \
+        CyclotomicNumber.one(1)
 
 
 def test_evaluate_at_character_matches_numeric_oracle():
@@ -450,7 +450,7 @@ def test_evaluate_at_character_matches_numeric_oracle():
         f = rand_poly(rng, n)
         lam = [F(rng.randint(0, 11), rng.choice([1, 2, 3, 4, 6, 12]))
                for _ in range(n)]
-        value = evaluate_at_character(f, lam)
+        value = evaluate_at_character(f, character(lam))
         exact = sum(float(c) * oracles.unit_root(F(k, value.order))
                     for k, c in enumerate(value.coeffs))
         approx = oracles.eval_laurent_complex(
@@ -462,9 +462,19 @@ def test_evaluate_at_character_matches_numeric_oracle():
 # restriction to translated subtori
 # ---------------------------------------------------------------------------
 
-def test_restriction_lattice_is_saturated_hnf():
-    d = RationalSubspace.from_rows([(F(1, 2), F(1, 2))], 2)
-    assert restriction_lattice_basis(d) == ((1, 1),)
+def test_restriction_substitutes_the_direction_rows():
+    # t_i -> prod_j u_j^B[j][i] with B the stored rows of L, here (2, 0, 1)
+    # and (0, 2, 1), which are no basis of L meet Z^3: that lattice also
+    # holds (1, 1, 1), half their sum
+    torus = TranslatedTorus.from_data([0, 0, 0], [(2, 0, 1), (0, 2, 1)], 3)
+    assert torus.direction.rows == ((2, 0, 1), (0, 2, 1))
+    t1, t2, t3 = LaurentPoly.variables(3)
+    got = restrict_matrix_to_translated_torus([[t1, t2 * t3, t1 - t2]],
+                                              torus)[0]
+    one = CyclotomicNumber.one(1)
+    assert got == [CycloLaurentPoly(2, 1, {(2, 0): one}),
+                   CycloLaurentPoly(2, 1, {(1, 3): one}),
+                   CycloLaurentPoly(2, 1, {(2, 0): one, (0, 2): -one})]
 
 
 def test_restriction_detects_vanishing_on_coset():
@@ -498,7 +508,7 @@ def test_restriction_agrees_with_sampling_the_coset():
         # sample characters on the coset: lam + s * primitive direction
         zero_everywhere = True
         base = torus.translate.values
-        direction = restriction_lattice_basis(torus.direction)[0]
+        direction = torus.direction.rows[0]
         for num in range(8):
             pt = tuple(oracles.unit_root(b + F(num, 8) * d)
                        for b, d in zip(base, direction))

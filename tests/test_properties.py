@@ -1,5 +1,6 @@
 """Randomized suites (oracle cross-checks) and algebraic-law property tests."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ import suites
 from jumploci.fox import FreeWord
 from jumploci.laurent import LaurentPoly
 from jumploci.qlinalg import RationalSubspace
-from jumploci.tori import TorsionCharacter, TranslatedTorus
+from jumploci.tori import TranslatedTorus
 
 F = Fraction
 
@@ -97,11 +98,18 @@ char_values = st.lists(rationals, min_size=2, max_size=2)
 @settings(max_examples=60, deadline=None)
 @given(char_values, char_values)
 def test_torsion_character_group_laws(xs, ys):
-    a, b = TorsionCharacter(xs), TorsionCharacter(ys)
-    assert a + b == b + a
-    assert (a + b) - b == a
-    assert (a - a).values == (0, 0)
-    assert all(0 <= v < 1 for v in (a + b).values)
+    # the integer form is a function on Q^2 / Z^2: it sees xs only mod Z^2,
+    # so sums and differences of representatives give well-defined
+    # characters
+    a, b = suites.character(xs), suites.character(ys)
+    total = suites.character([x + y for x, y in zip(xs, ys)])
+    assert total == suites.character([x + y for x, y in
+                                      zip(a.values, b.values)])
+    assert total == suites.character([y + x for x, y in zip(xs, ys)])
+    assert suites.character([x - y for x, y in zip(xs, xs)]).is_trivial()
+    assert suites.character([x + 3 for x in xs]) == a
+    assert all(0 <= v < 1 for v in total.values)
+    assert math.lcm(*(v.denominator for v in a.values)) == a.order
 
 
 basis_rows = st.lists(

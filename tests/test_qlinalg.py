@@ -3,37 +3,33 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 import oracles
 from jumploci.qlinalg import (
-    IntegerLattice,
     PLUCKER_BUDGET,
     PluckerVector,
     RationalSubspace,
     clear_denominators,
     coset_reduce_ints,
-    coset_rep,
     coset_rep_ints,
     format_rational,
     format_rref,
     hnf,
-    integer_kernel,
     json_integer_rows,
     json_rational_ints,
-    lattice_coset_membership,
     parse_rational,
     plucker,
     rref,
-    saturated_integer_points,
     schubert_equations,
     snf,
 )
 from jumploci import qlinalg
 from jumploci.qlinalg import _det, _reduce
-from suites import coset_reduce
+from suites import coset_reduce, in_lattice_coset, over_one_denominator
 
 F = Fraction
 
@@ -333,73 +329,14 @@ def test_snf_random_factorization_and_divisibility():
 
 
 # ---------------------------------------------------------------------------
-# integer lattices
-# ---------------------------------------------------------------------------
-
-def test_lattice_canonical_basis_and_membership():
-    lat = IntegerLattice.from_rows([[1, 2], [0, 3]], 2)
-    assert lat.basis == ((3, 0), (2, 1))
-    assert lat.contains((5, 1))           # 5*(1,2) - 3*(0,3)
-    assert lat.contains((1, 2))
-    assert not lat.contains((1, 1))
-    assert not lat.contains((0, 1))
-
-
-def test_lattice_membership_matches_bruteforce():
-    rng = random.Random(17)
-    for _ in range(40):
-        n = rng.randint(1, 3)
-        rows = rand_int_rows(rng, rng.randint(1, 3), n, -3, 3)
-        lat = IntegerLattice.from_rows(rows, n)
-        combos = set()
-        for coeffs in itertools.product(range(-3, 4), repeat=len(rows)):
-            v = tuple(sum(c * row[j] for c, row in zip(coeffs, rows))
-                      for j in range(n))
-            combos.add(v)
-        for v in combos:
-            if all(abs(x) <= 4 for x in v):
-                assert lat.contains(v)
-        for _ in range(10):
-            v = tuple(rng.randint(-4, 4) for _ in range(n))
-            if not lat.contains(v):
-                assert v not in combos
-
-
-def test_integer_kernel_is_saturated():
-    lat = integer_kernel([[2, 4]], 2)
-    # kernel of (2,4) over Z is spanned by (2,-1), not (4,-2)
-    assert lat.contains((2, -1))
-    assert lat.rank == 1
-    rng = random.Random(18)
-    for _ in range(30):
-        n = rng.randint(1, 4)
-        rows = rand_int_rows(rng, rng.randint(1, 2), n, -3, 3)
-        lat = integer_kernel(rows, n)
-        for brow in lat.basis:
-            for row in rows:
-                assert sum(a * b for a, b in zip(row, brow)) == 0
-        # saturation: any integer vector orthogonal to the rows is in the lattice
-        for v in oracles.naive_nullspace(rows, n):
-            scaled = clear_denominators(v)
-            assert lat.contains(scaled)
-
-
-def test_saturated_integer_points_spans_the_subspace():
-    v = RationalSubspace.from_rows([(F(1, 2), F(1, 3), 0)], 3)
-    pts = saturated_integer_points(v)
-    assert pts.rank == 1
-    assert pts.basis == ((3, 2, 0),)
-
-
-# ---------------------------------------------------------------------------
 # lattice-coset membership: lam in V + Z^n
 # ---------------------------------------------------------------------------
 
 def test_coset_membership_diagonal_examples():
     v = RationalSubspace.from_rows([(1, 1)], 2)
-    assert lattice_coset_membership((F(1, 2), F(1, 2)), v)
-    assert not lattice_coset_membership((F(1, 2), F(0)), v)
-    assert lattice_coset_membership((F(3, 2), F(-1, 2)), v)
+    assert in_lattice_coset((F(1, 2), F(1, 2)), v)
+    assert not in_lattice_coset((F(1, 2), F(0)), v)
+    assert in_lattice_coset((F(3, 2), F(-1, 2)), v)
 
 
 def test_coset_solver_returns_a_real_witness():
@@ -419,8 +356,8 @@ def test_coset_solver_returns_a_real_witness():
 
 
 def test_coset_rep_is_the_reduced_representative():
-    """coset_rep skips the HNF for integer vectors; its answers, and the
-    membership read off it, are coset_reduce's."""
+    """coset_rep_ints skips the HNF for integer vectors; its answers, and
+    the membership read off it, are coset_reduce's."""
     rng = random.Random(23)
     integral = 0
     for _ in range(200):
@@ -431,11 +368,12 @@ def test_coset_rep_is_the_reduced_representative():
         lam = [F(rng.randint(-6, 6), den) for _ in range(n)]
         integral += all(x.denominator == 1 for x in lam)
         rep, _ = coset_reduce(lam, v)
-        assert coset_rep(lam, v) == rep
-        assert lattice_coset_membership(lam, v) == (not any(rep))
+        x, d = coset_rep_ints(*over_one_denominator(lam), v)
+        assert tuple(F(a, d) for a in x) == rep
+        assert in_lattice_coset(lam, v) == (not any(rep))
     assert 20 < integral < 180      # both branches are exercised
     with pytest.raises(ValueError):
-        coset_rep((1, 2, 3), RationalSubspace.zero(2))
+        coset_rep_ints([1, 2, 3], 1, RationalSubspace.zero(2))
 
 
 def test_integer_coset_core_ignores_how_lam_is_written():
@@ -474,9 +412,9 @@ def test_integer_coset_core_ignores_how_lam_is_written():
 def test_coset_membership_of_full_and_zero_spaces():
     full = RationalSubspace.full(3)
     zero = RationalSubspace.zero(3)
-    assert lattice_coset_membership((F(1, 7), F(2, 9), F(1, 2)), full)
-    assert lattice_coset_membership((1, -2, 3), zero)
-    assert not lattice_coset_membership((F(1, 2), 0, 0), zero)
+    assert in_lattice_coset((F(1, 7), F(2, 9), F(1, 2)), full)
+    assert in_lattice_coset((1, -2, 3), zero)
+    assert not in_lattice_coset((F(1, 2), 0, 0), zero)
 
 
 def test_coset_functions_accept_anything_fraction_accepts():
@@ -486,7 +424,7 @@ def test_coset_functions_accept_anything_fraction_accepts():
     assert coset_reduce((F(3, 2), "1/2"), v) == expected
     assert coset_reduce((3, 1), v) == ((F(0), F(0)), (0, -2))
     assert coset_reduce(["1/2", "1/2"], v) == ((F(0), F(0)), (0, 0))
-    assert not lattice_coset_membership(("1/2", 0), v)
+    assert not in_lattice_coset(("1/2", 0), v)
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +577,9 @@ def test_rational_round_trip():
 
 #: Texts around the forms parse_rational reads directly (ASCII [-]digits and
 #: [-]digits/digits) and the ones it leaves to Fraction: signs, whitespace,
-#: decimals, exponents, underscores, non-ASCII digits, zero denominators and
-#: digit runs past int()'s limit.
+#: decimals, exponents, underscores, non-ASCII digits, zero denominators,
+#: digit runs past int()'s limit and exponents past it, which are refused
+#: before Fraction builds their power of ten.
 PARSE_TEXTS = [
     "0", "-0", "+0", "5", "-7", "+5", "007", "-0/5", "0005/0010", "3/6",
     " 7 ", "\t-3/4\n", "1 / 2", "1/ 2", "- 1", "--1", "-+1", "",
@@ -650,6 +589,9 @@ PARSE_TEXTS = [
     "1/0", "-1/0", "0/0", "0x10", "inf", "nan", "NaN", "1j",
     "7" * 4300, "7" * 4400, "-" + "7" * 4400, "1/" + "7" * 4400,
     "7" * 4400 + "/1", "0." + "7" * 4400,
+    "1e4300", "1e4301", "1e2000000", "-1E-2000000", "1.5e1_000_000",
+    ".5e+99999999", "٣e٣٣٣٣٣٣٣", "1e99999999 ", "1e" + "7" * 4400,
+    "x1e99999999", "1e--99999999", "1e9999999_", "1e1__0000000",
 ]
 
 
@@ -657,13 +599,13 @@ def _parsed(parse, text):
     """``(type, value)`` of a parse, or ``(error type, message)``."""
     try:
         value = parse(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         return type(exc).__name__, str(exc)
     return type(value).__name__, value
 
 
 def _reference(text):
-    return Fraction(text.strip())
+    return oracles.rational(text)
 
 
 def test_parse_rational_matches_fraction_on_fixed_texts():
@@ -671,11 +613,24 @@ def test_parse_rational_matches_fraction_on_fixed_texts():
         assert _parsed(parse_rational, text) == _parsed(_reference, text), text
 
 
+def test_parse_rational_refuses_exponents_past_the_digit_limit():
+    # Fraction would build 10^2000000 first (seconds), or 10^999999999
+    # (a 415 MB integer); the refusal comes before any power is built
+    limit = sys.get_int_max_str_digits()
+    for text in ["1e2000000", "-2.5E-999999999", "1e1_000_000"]:
+        with pytest.raises(OverflowError, match=f"^{text} written out is a "
+                           f"number of more than {limit} digits$"):
+            parse_rational(text)
+    assert parse_rational(f"1e{limit}") == 10 ** limit
+    with pytest.raises(ValueError, match="Invalid literal"):
+        parse_rational("x1e999999999")
+
+
 def _read_ints(values, what="a row"):
     """``json_rational_ints`` as values, or ``(error type, message)``."""
     try:
         nums, den = json_rational_ints(values, what)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         return type(exc).__name__, str(exc)
     assert den > 0 and len(nums) == len(values)
     return [F(p, den) for p in nums]
@@ -684,7 +639,7 @@ def _read_ints(values, what="a row"):
 def _read_oracle(values, what="a row"):
     try:
         return oracles.json_rationals(values, what)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -708,7 +663,8 @@ def test_integer_reader_matches_the_fraction_reader_on_generated_rows():
     st = hypothesis.strategies
 
     pieces = st.sampled_from(["-", "+", "/", ".", "_", "e", " ", "0",
-                              "1", "2", "6", "7", "²", "7" * 4400])
+                              "1", "2", "6", "7", "²", "7" * 4400,
+                              "99999999"])
     entries = st.one_of(
         st.lists(pieces, max_size=6).map("".join),
         st.integers(-10 ** 20, 10 ** 20),
@@ -753,7 +709,7 @@ def test_parse_rational_matches_fraction_on_generated_texts():
     st = hypothesis.strategies
 
     pieces = st.sampled_from(["-", "+", "/", ".", "_", "e", " ", "\t", "0",
-                              "1", "7", "²", "٣", "7" * 4400])
+                              "1", "7", "²", "٣", "7" * 4400, "99999999"])
     texts = st.one_of(st.lists(pieces, max_size=8).map("".join), st.text())
 
     @hypothesis.settings(max_examples=400, deadline=None, database=None)

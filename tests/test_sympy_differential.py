@@ -19,6 +19,7 @@ import datasets  # noqa: E402
 from jumploci.fox import (alexander_matrix, parse_presentation,  # noqa: E402
                           rank_at_character)
 from jumploci.laurent import CyclotomicNumber  # noqa: E402
+from jumploci.tori import TorsionCharacter  # noqa: E402
 
 F = Fraction
 X = sympy.Symbol("x")
@@ -82,4 +83,4 @@ def test_rank_at_character_matches_sympy(m):
                             sympy.Rational(c.numerator, c.denominator)) * zeta ** k
                     rows[-1].append(value)
             expected = DomainMatrix(rows, (len(rows), len(rows[0])), field).rank()
-            assert rank_at_character(M, lam) == expected
+            assert rank_at_character(M, TorsionCharacter(steps, m)) == expected

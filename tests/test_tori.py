@@ -18,7 +18,7 @@ from jumploci.tori import (
     VarietyDescription,
     sigma_rho_membership,
 )
-from suites import intersect_translated, torsion_character_from_json
+from suites import character, intersect_translated, torsion_character_from_json
 
 F = Fraction
 
@@ -28,22 +28,21 @@ F = Fraction
 # ---------------------------------------------------------------------------
 
 def test_torsion_character_normalizes_mod_one():
-    w = TorsionCharacter([F(3, 2), F(-1, 3), 2])
+    # (3/2, -1/3, 2) over 6: numerators in [0, 6), and over the order when
+    # the denominator is not in lowest terms
+    w = TorsionCharacter([9, -2, 12], 6)
+    assert (w.nums, w.order, w.n) == ((3, 4, 0), 6, 3)
     assert w.values == (F(1, 2), F(2, 3), 0)
-    assert w.order == 6
-    assert w.n == 3
-
-
-def test_torsion_character_arithmetic():
-    a = TorsionCharacter([F(1, 2), 0])
-    b = TorsionCharacter([F(2, 3), F(1, 2)])
-    assert (a + b).values == (F(1, 6), F(1, 2))
-    assert (a - b).values == (F(5, 6), F(1, 2))
-    assert (a - a).values == (0, 0)
+    assert w == character([F(3, 2), F(-1, 3), 2])
+    assert TorsionCharacter([6, -3, 12], 12) == TorsionCharacter([2, 3, 0], 4)
+    trivial = TorsionCharacter([4, -8], 4)
+    assert (trivial.nums, trivial.order) == ((0, 0), 1)
+    assert trivial.is_trivial() and not w.is_trivial()
+    assert repr(w) == "TorsionCharacter((1/2, 2/3, 0))"
 
 
 def test_torsion_character_json_round_trip():
-    w = TorsionCharacter([F(1, 2), F(2, 3)])
+    w = TorsionCharacter([3, 4], 6)
     assert torsion_character_from_json(w.to_json()) == w
     with pytest.raises(ValueError, match="a torsion character entry 1 has a "
                                          "zero denominator"):
@@ -53,6 +52,11 @@ def test_torsion_character_json_round_trip():
 # ---------------------------------------------------------------------------
 # translated tori
 # ---------------------------------------------------------------------------
+
+def _point(chi: TorsionCharacter) -> TranslatedTorus:
+    """The character chi as a translated torus of dimension 0."""
+    return TranslatedTorus(chi, RationalSubspace.zero(chi.n))
+
 
 def test_equal_cosets_share_canonical_form():
     # same coset of span{(1,1)} entered through different representatives
@@ -76,8 +80,9 @@ def test_canonical_translate_entries_live_in_unit_box():
                 for _ in range(rng.randint(0, n))]
         t = TranslatedTorus.from_data(lam, rows, n)
         assert all(0 <= v < 1 for v in t.translate.values)
+        assert all(0 <= x < t.translate.order for x in t.translate.nums)
         # the canonical representative stays in the original coset
-        assert t.contains_character(TorsionCharacter(lam))
+        assert t.contains(_point(character(lam)))
 
 
 def test_coset_equality_matches_oracle():
@@ -108,8 +113,8 @@ def test_coset_equality_matches_oracle():
 def test_membership_and_identity_flags():
     t = datasets.closed_omega_component()
     assert t.dim == 2 and not t.is_point() and not t.through_identity()
-    assert t.contains_character(TorsionCharacter([F(1, 2), F(1, 3), F(2, 5)]))
-    assert not t.contains_character(TorsionCharacter([0, 0, 0]))
+    assert t.contains(_point(character([F(1, 2), F(1, 3), F(2, 5)])))
+    assert not t.contains(_point(character([0, 0, 0])))
     sub = datasets.surface_subtorus()
     assert sub.through_identity()
     assert sub.contains(sub)
@@ -392,15 +397,15 @@ def test_intersect_translated_self():
     t = datasets.closed_omega_component()
     hit = intersect_translated(t, t)
     assert hit.dim == 2
-    assert t.contains_character(hit.witness)
+    assert t.contains(_point(hit.witness))
 
 
 def test_intersect_translated_surface_components():
     hit = intersect_translated(datasets.surface_subtorus(),
                                datasets.surface_translated())
     assert hit is not None and hit.dim == 0
-    assert datasets.surface_subtorus().contains_character(hit.witness)
-    assert datasets.surface_translated().contains_character(hit.witness)
+    assert datasets.surface_subtorus().contains(_point(hit.witness))
+    assert datasets.surface_translated().contains(_point(hit.witness))
 
 
 def test_intersect_translated_parallel_cosets_miss():
@@ -427,8 +432,8 @@ def test_intersect_translated_witness_on_random_pairs():
         hit = intersect_translated(t1, t2)
         if hit is not None:
             nonempty += 1
-            assert t1.contains_character(hit.witness)
-            assert t2.contains_character(hit.witness)
+            assert t1.contains(_point(hit.witness))
+            assert t2.contains(_point(hit.witness))
             assert hit.dim == t1.direction.intersect(t2.direction).dim
     assert nonempty > 10
 
@@ -446,7 +451,7 @@ def test_sigma_rho_membership_on_arrangement_data():
 
 def test_sigma_rho_reduces_to_sigma_for_identity_translate():
     rng = random.Random(64)
-    trivial = TorsionCharacter([0, 0, 0, 0])
+    trivial = TorsionCharacter([0, 0, 0, 0], 1)
     checked = 0
     for _ in range(60):
         rows_p = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(2)]
@@ -526,7 +531,7 @@ def test_sigma_rho_and_omega_membership_match_the_definition():
                 lam, plane_rows, rows, n)
             comp = TranslatedTorus.from_data(lam, rows, n)
             L = comp.direction
-            assert sigma_rho_membership(P, L, lam) == expected
+            assert sigma_rho_membership(P, L, character(lam)) == expected
             assert sigma_rho_membership(P, L, comp.translate) == expected
             comps.append(comp)
             blocking.append(expected)
