@@ -18,8 +18,8 @@ from .laurent import (CyclotomicNumber, CycloLaurentPoly, LaurentPoly,
 from .fox import (Abelianization, AlexanderMatrix, FreeWord, Presentation,
                   PresentationSyntaxError, abelianize, alexander_matrix,
                   contains_translated_torus, depth1_membership,
-                  fox_derivative_abelianized, generic_rank_on_torus,
-                  parse_presentation, rank_at_character)
+                  generic_rank_on_torus, parse_presentation,
+                  rank_at_character)
 from .tcone import (SubspaceArrangement, tangent_cone_description,
                     tangent_cone_polys)
 from .tori import (GradedDescription, TorsionCharacter, TranslatedTorus,
@@ -43,7 +43,7 @@ __all__ = [
     "bareiss_rank", "contains_translated_torus", "coset_reduce_ints",
     "cyclotomic_polynomial", "cyclotomic_rank", "depth1_membership",
     "evaluate_at_character", "format_rational",
-    "fox_derivative_abelianized", "fpk_report", "generic_rank_on_torus",
+    "fpk_report", "generic_rank_on_torus",
     "hnf", "nonopen_witness",
     "omega1_r1_description", "omega_codim1_closed_form", "omega_membership",
     "parse_presentation", "parse_rational", "plucker", "plucker_distance",

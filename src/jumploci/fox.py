@@ -6,7 +6,13 @@ A presentation ``<x1,...,xq | r1,...,rm>`` determines:
   split by Smith normal form into a free part Z^n and torsion invariants;
 * the m x q Alexander matrix whose (i, j) entry is the image of the left
   Fox derivative d(r_i)/d(x_j) under the torsion-free abelianization
-  alpha : G -> Z^n, a Laurent polynomial in n variables.
+  alpha : G -> Z^n, a Laurent polynomial in n variables.  One walk over the
+  letters of r_i builds row i on integers: with p the image of the prefix
+  read so far, x_g adds t^p to column g and x_g^-1 adds -t^(p - alpha(x_g)).
+
+The parser reads each word onto one stack of syllables, reducing an atom
+only where it meets the top and counting letters as it goes, so parsing
+is linear in the letters.
 
 Depth-one jump-locus membership of a character rho = exp(2 pi i lambda) is
 the determinantal condition
@@ -25,8 +31,8 @@ to the coset first and then run fraction-free elimination.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .laurent import (LaurentPoly, bareiss_rank, cyclotomic_rank,
@@ -55,21 +61,16 @@ class FreeWord:
     True
     """
 
-    __slots__ = ("syllables",)
+    __slots__ = ("syllables", "_length")
 
     def __init__(self, syllables=()):
-        reduced: list[list[int]] = []
+        stack: list = []
+        length = 0
         for g, e in syllables:
-            g, e = int(g), int(e)
-            if e == 0:
-                continue
-            if reduced and reduced[-1][0] == g:
-                reduced[-1][1] += e
-                if reduced[-1][1] == 0:
-                    reduced.pop()
-            else:
-                reduced.append([g, e])
-        self.syllables = tuple((g, e) for g, e in reduced)
+            e = int(e)
+            if e:
+                length += abs(e) - _join(stack, ((int(g), e),))
+        self.syllables, self._length = tuple(stack), length
 
     @classmethod
     def identity(cls) -> "FreeWord":
@@ -79,18 +80,31 @@ class FreeWord:
     def generator(cls, index: int, exponent: int = 1) -> "FreeWord":
         return cls(((index, exponent),))
 
+    @classmethod
+    def _make(cls, syllables: tuple, length: int) -> "FreeWord":
+        """The word on freely reduced ``syllables`` of ``length`` letters."""
+        w = cls.__new__(cls)
+        w.syllables, w._length = syllables, length
+        return w
+
     def __mul__(self, other: "FreeWord") -> "FreeWord":
-        return FreeWord(self.syllables + other.syllables)
+        stack = list(self.syllables)
+        cancelled = _join(stack, other.syllables)
+        return FreeWord._make(tuple(stack),
+                              self._length + other._length - cancelled)
 
     def __pow__(self, k: int) -> "FreeWord":
         base = self if k > 0 else self.inverse()
         if len(base.syllables) == 1:
             (g, e), = base.syllables
             return FreeWord(((g, e * abs(k)),))
-        return FreeWord(base.syllables * abs(k))
+        stack: list = []
+        cancelled = sum(_join(stack, base.syllables) for _ in range(abs(k)))
+        return FreeWord._make(tuple(stack), base._length * abs(k) - cancelled)
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(tuple((g, -e) for g, e in reversed(self.syllables)))
+        return FreeWord._make(
+            tuple([(g, -e) for g, e in reversed(self.syllables)]), self._length)
 
     def conjugate_by(self, w: "FreeWord") -> "FreeWord":
         """self^w = w^-1 self w."""
@@ -101,15 +115,7 @@ class FreeWord:
 
     def length(self) -> int:
         """The number of letters: the sum of |exponent| over the syllables."""
-        return sum(abs(e) for _, e in self.syllables)
-
-    def letters(self) -> list[tuple[int, int]]:
-        """Expanded (generator, +-1) letters, for cross-checking."""
-        out = []
-        for g, e in self.syllables:
-            s = 1 if e > 0 else -1
-            out.extend([(g, s)] * abs(e))
-        return out
+        return self._length
 
     def exponent_vector(self, num_generators: int) -> tuple[int, ...]:
         v = [0] * num_generators
@@ -131,6 +137,22 @@ class FreeWord:
 
     def __repr__(self):
         return f"FreeWord({self.syllables})"
+
+
+def _join(stack: list, syllables: Sequence[tuple[int, int]]) -> int:
+    """Append the freely reduced ``syllables`` to the freely reduced word
+    ``stack``, reducing only where the two meet; return the number of
+    letters that cancel there."""
+    i = cancelled = 0
+    while stack and i < len(syllables) and stack[-1][0] == syllables[i][0]:
+        (g, f), e = stack.pop(), syllables[i][1]
+        i += 1
+        cancelled += abs(f) + abs(e) - abs(f + e)
+        if f + e:
+            stack.append((g, f + e))
+            break
+    stack.extend(syllables[i:])
+    return cancelled
 
 
 @dataclass(frozen=True)
@@ -231,14 +253,11 @@ def parse_presentation(text: str) -> Presentation:
         raise PresentationSyntaxError("duplicate generator name", tokens[0][2])
     index = {name: i for i, name in enumerate(names)}
 
-    def bounded(word: FreeWord, at: int, letters: Optional[int] = None
-                ) -> FreeWord:
-        letters = word.length() if letters is None else letters
+    def bounded(letters: int, at: int) -> None:
         if letters > MAX_RELATOR_LETTERS:
             raise ValueError(
                 f"a word of {letters} letters at position {at} exceeds the "
                 f"relator limit MAX_RELATOR_LETTERS = {MAX_RELATOR_LETTERS}")
-        return word
 
     def parse_primary() -> FreeWord:
         nonlocal pos
@@ -247,14 +266,16 @@ def parse_presentation(text: str) -> Presentation:
             pos += 1
             if value not in index:
                 raise PresentationSyntaxError(f"unknown generator {value!r}", at)
-            return FreeWord.generator(index[value])
+            return FreeWord._make(((index[value], 1),), 1)
         if kind == "[":
             pos += 1
             u = parse_word()
             expect(",")
             v = parse_word()
             expect("]")
-            return bounded(u * v * u.inverse() * v.inverse(), at)
+            word = u * v * u.inverse() * v.inverse()
+            bounded(word.length(), at)
+            return word
         if kind == "(":
             pos += 1
             w = parse_word()
@@ -270,18 +291,23 @@ def parse_presentation(text: str) -> Presentation:
             kind, value, at = peek()
             if kind == "int":
                 pos += 1
-                bounded(word, at, word.length() * abs(value))
+                bounded(word.length() * abs(value), at)
                 word = word ** value
             else:
-                word = bounded(word.conjugate_by(parse_atom()), at)
+                word = word.conjugate_by(parse_atom())
+                bounded(word.length(), at)
         return word
 
     def parse_word() -> FreeWord:
-        word = parse_atom()
-        while peek()[0] in ("name", "[", "("):
+        stack: list = []
+        letters = 0
+        while True:
             at = peek()[2]
-            word = bounded(word * parse_atom(), at)
-        return word
+            atom = parse_atom()
+            letters += atom.length() - _join(stack, atom.syllables)
+            bounded(letters, at)
+            if peek()[0] not in ("name", "[", "("):
+                return FreeWord._make(tuple(stack), letters)
 
     relators: list[FreeWord] = []
     kind, _, at = peek()
@@ -336,36 +362,6 @@ def abelianize(P: Presentation) -> Abelianization:
 # Fox derivatives and Alexander matrices
 # ---------------------------------------------------------------------------
 
-def fox_derivative_abelianized(w: FreeWord, j: int, ab: Abelianization
-                               ) -> LaurentPoly:
-    """alpha(dw/dx_j) with the left convention d(uv) = du + u . dv.
-
-    On a syllable x_g^e with abelianized prefix p, the derivative
-    contributes t^p (1 + t^{a_g} + ... + t^{(e-1) a_g}) when g = j and
-    e > 0, and -t^p (t^{-a_g} + ... + t^{e a_g}) when e < 0.
-    """
-    n = ab.free_rank
-    prefix = [0] * n
-    terms: dict = {}
-
-    def add(expo, sign):
-        key = tuple(expo)
-        terms[key] = terms.get(key, Fraction(0)) + sign
-
-    for g, e in w.syllables:
-        a = ab.projection[g]
-        if g == j:
-            if e > 0:
-                for i in range(e):
-                    add((prefix[t] + i * a[t] for t in range(n)), Fraction(1))
-            else:
-                for i in range(1, -e + 1):
-                    add((prefix[t] - i * a[t] for t in range(n)), Fraction(-1))
-        for t in range(n):
-            prefix[t] += e * a[t]
-    return LaurentPoly(n, terms)
-
-
 class AlexanderMatrix:
     """m x q matrix of Laurent polynomials alpha(dr_i/dx_j) in n variables."""
 
@@ -384,19 +380,6 @@ class AlexanderMatrix:
     @property
     def num_cols(self) -> int:
         return len(self.entries[0]) if self.entries else len(self.abelianization.projection)
-
-    def fundamental_identity_holds(self) -> bool:
-        """Sum_j entry(i,j) (t^{alpha(x_j)} - 1) = 0 for every row i."""
-        n = self.num_vars
-        for row in self.entries:
-            total = LaurentPoly.zero(n)
-            for j, entry in enumerate(row):
-                a = self.abelianization.projection[j]
-                factor = LaurentPoly.monomial(a, 1, n) - LaurentPoly.constant(n, 1)
-                total = total + entry * factor
-            if not total.is_zero():
-                return False
-        return True
 
     def to_json(self) -> dict:
         return {
@@ -417,10 +400,25 @@ def alexander_matrix(P: Presentation,
     """
     if ab is None:
         ab = abelianize(P)
-    q = P.num_generators
-    entries = [[fox_derivative_abelianized(r, j, ab) for j in range(q)]
-               for r in P.relators]
-    return AlexanderMatrix(entries, ab.free_rank, ab)
+    n, projection = ab.free_rank, ab.projection
+    entries = []
+    for r in P.relators:
+        columns: list[dict] = [{} for _ in range(P.num_generators)]
+        prefix = (0,) * n
+        for g, e in r.syllables:
+            a, terms = projection[g], columns[g]
+            if e > 0:
+                for _ in range(e):
+                    terms[prefix] = terms.get(prefix, 0) + 1
+                    prefix = tuple(map(operator.add, prefix, a))
+            else:
+                for _ in range(-e):
+                    prefix = tuple(map(operator.sub, prefix, a))
+                    terms[prefix] = terms.get(prefix, 0) - 1
+        entries.append([LaurentPoly._make(n, terms if 0 not in terms.values()
+                                          else {x: c for x, c in terms.items() if c})
+                        for terms in columns])
+    return AlexanderMatrix(entries, n, ab)
 
 
 # ---------------------------------------------------------------------------

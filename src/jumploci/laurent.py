@@ -78,7 +78,8 @@ class LaurentPoly:
     """A sparse Laurent polynomial over Q in ``num_vars`` variables.
 
     Terms are a dict from integer exponent tuples to nonzero rational
-    coefficients; the zero polynomial has no terms.  Canonical serialization
+    coefficients (Fractions, or ints where a caller builds them on
+    integers); the zero polynomial has no terms.  Canonical serialization
     orders terms lexicographically by exponent vector (ascending).
 
     >>> t1, t2 = LaurentPoly.variables(2)
@@ -101,6 +102,15 @@ class LaurentPoly:
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _make(cls, num_vars: int, terms: dict) -> "LaurentPoly":
+        """The polynomial on ``terms`` as they are: int exponent tuples of
+        length num_vars to nonzero int or Fraction coefficients."""
+        f = cls.__new__(cls)
+        f.num_vars = num_vars
+        f.terms = terms
+        return f
 
     @classmethod
     def zero(cls, num_vars: int) -> "LaurentPoly":

@@ -297,7 +297,10 @@ class VarietyDescription:
                       "a variety description's 'n'")
         comps = [TranslatedTorus.from_json(c, n) for c in _json_list(
             data.get("components", []), "a variety description's 'components'")]
-        return cls(n, comps, degree=data.get("degree"))
+        degree = data.get("degree")
+        if degree is not None:
+            degree = _json_dim(degree, "a variety description's 'degree'")
+        return cls(n, comps, degree=degree)
 
     @classmethod
     def identity_only(cls, n: int, degree: Optional[int] = None):

@@ -255,3 +255,16 @@ def test_11_sixteen_term_support_in_four_variables():
     with Stopwatch("criterion 11: 16-term support in four variables", 2.5):
         cone = tangent_cone_polys([f])
         assert cone.subspaces == (RationalSubspace.zero(4),)
+
+
+def test_12_twenty_thousand_atom_relator(capsys):
+    # minutes while every juxtaposed atom rebuilt and recounted the word;
+    # each atom now meets only the top of one syllable stack
+    text = "<x1, x2, x3 | " + " ".join(["x1 x2 x1^-1 x3^2"] * 5000) + ">"
+    with Stopwatch("criterion 12: a 20,000-atom relator parses and "
+                   "alexander exits 0", 2.0):
+        (relator,) = parse_presentation(text).relators
+        data = cli_json(capsys, "alexander", "--pres", text)
+    assert (len(relator.syllables), relator.length()) == (20000, 25000)
+    assert data["free_rank"] == 2 and data["torsion_invariants"] == [5000]
+    assert (data["matrix"]["rows"], data["matrix"]["cols"]) == (1, 3)

@@ -251,11 +251,20 @@ LINE_DESC = '{"n": 2, "components": [{"lambda": [0, 0], "basis": [[1, 0]]}]}'
     (["omega-test", "--desc", LINE_DESC, "--plane",
       '{"n": 2.0, "basis": [[1, 0]]}'],
      "a subspace's 'n' must be a nonnegative integer"),
+    (["tcone", "--desc", '{"n": 1, "degree": -7, "components": []}'],
+     "a variety description's 'degree' must be a nonnegative integer"),
+    (["omega-test", "--desc",
+      '{"n": 1, "degree": {"x": [1]}, "components": []}', "--plane", "[[1]]"],
+     "a variety description's 'degree' must be a nonnegative integer"),
+    (["tcone", "--desc",
+      '{"n": 1, "degree": %s, "components": []}' % ("7" * 5000)],
+     "a variety description's 'degree' must be a nonnegative integer"),
 ], ids=["plane-row-not-array", "plane-basis-not-array", "components-not-array",
         "component-basis-flat", "degrees-not-object", "n-not-integer",
         "n-negative", "n-not-a-number", "n-decimal-string",
         "degree-key-not-a-number", "n-json-decimal", "plane-n-mismatch",
-        "plane-n-json-decimal"])
+        "plane-n-json-decimal", "degree-negative", "degree-not-a-number",
+        "degree-long-literal"])
 def test_json_of_the_wrong_shape_is_a_named_domain_error(capsys, argv, field):
     code, data = run_json(capsys, *argv)
     assert code == 1

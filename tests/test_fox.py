@@ -15,12 +15,12 @@ from jumploci.fox import (
     Abelianization,
     AlexanderMatrix,
     FreeWord,
+    Presentation,
     PresentationSyntaxError,
     abelianize,
     alexander_matrix,
     contains_translated_torus,
     depth1_membership,
-    fox_derivative_abelianized,
     generic_rank_on_torus,
     parse_presentation,
     rank_at_character,
@@ -29,7 +29,8 @@ from jumploci.laurent import (LaurentPoly, bareiss_rank,
                               restrict_matrix_to_translated_torus)
 from jumploci.fox import _d1_rank
 from jumploci.tori import TranslatedTorus
-from suites import character, generator_character_poly
+from suites import (character, fundamental_identity_holds,
+                    generator_character_poly)
 
 F = Fraction
 
@@ -65,7 +66,7 @@ def test_conjugation_convention():
 
 def test_letters_and_exponent_vector():
     w = FreeWord(((0, 2), (1, -1)))
-    assert w.letters() == [(0, 1), (0, 1), (1, -1)]
+    assert oracles.word_letters(w.syllables) == [(0, 1), (0, 1), (1, -1)]
     assert w.exponent_vector(3) == (2, -1, 0)
 
 
@@ -94,6 +95,12 @@ def test_parse_powers_conjugates_and_groups():
     assert r2 == FreeWord(((1, -1), (0, 1), (1, 1)))
     w = FreeWord(((0, 1), (1, 1)))
     assert r3 == w * w
+    # juxtaposed atoms cancel and merge where they meet, letters counted
+    pres = parse_presentation("<a, b, c | a b b^-1 a^-1 c, a^3 a^-5 b^2 b^-1, "
+                              "(a b)^2 (a b)^-1 c^-1 c, [a, b] [b, a]>")
+    assert [(r.syllables, r.length()) for r in pres.relators] == [
+        (((2, 1),), 1), (((0, -2), (1, 1)), 3), (((0, 1), (1, 1)), 2),
+        ((), 0)]
 
 
 def test_parse_accepts_empty_relator_list():
@@ -194,39 +201,58 @@ def test_abelianize_mixed_rank_and_torsion():
 # Fox derivatives
 # ---------------------------------------------------------------------------
 
+def _assert_entries_match_letterwise_oracle(pres, ab=None):
+    m = alexander_matrix(pres, ab)
+    proj = [list(row) for row in m.abelianization.projection]
+    for r, row in zip(pres.relators, m.entries):
+        letters = [(g + 1, s) for g, s in oracles.word_letters(r.syllables)]
+        for j, entry in enumerate(row):
+            assert entry.num_vars == m.num_vars
+            assert entry.terms == oracles.oracle_fox_derivative(
+                letters, j + 1, proj)
+
+
 def test_fox_derivative_matches_letterwise_oracle():
+    # every Alexander matrix entry against the letter-by-letter derivative
+    _assert_entries_match_letterwise_oracle(
+        parse_presentation(datasets.CLOSED_OMEGA_PRES))
+    # powers of +-1 ... +-6, alone, in products and inside commutators
+    for k in (1, 2, 3, 4, 5, 6):
+        for s in (k, -k):
+            _assert_entries_match_letterwise_oracle(parse_presentation(
+                f"<a, b, c | a^{s} b^{-s} a^{s} c, (a b^-1)^{s} c^2, "
+                f"[a^{s}, b c^{-s}], (a^{s})^b>"))
+    # conjugations, syllables that cancel, and non-identity projections:
+    # Z^2 + Z/2 with x1 -> (2, 0), Z + Z/3 with a, b -> 1, and Z with
+    # a -> 4, b -> 3
+    for text in ("<a, b, c | a^b, (a^-2)^(b c), [a^b, c^-1], a^b^c^-1>",
+                 "<a, b, c | a b b^-1 a^-1 c, a^3 a^-5 b^2 b^-1, "
+                 "(a b)^2 (a b)^-1 c^-1 c, [a, b] [b, a] c>",
+                 "<x1, x2, x3 | x1^2 x2^-4, [x1, x3]>",
+                 "<a, b, c | a^(b^-2) c^-3 (a^-1)^c, [a^-2, b^c] a b^-1>",
+                 "<a, b | a b^-2 a^2 b^-2, [a, b^2]>"):
+        _assert_entries_match_letterwise_oracle(parse_presentation(text))
+    # random words over a free group, under the identity and under random
+    # integer projections
     rng = random.Random(41)
-    pres = parse_presentation(datasets.CLOSED_OMEGA_PRES)
-    ab = abelianize(pres)
-    proj = [list(row) for row in ab.projection]
-    for r in pres.relators:
-        for j in range(pres.num_generators):
-            ours = fox_derivative_abelianized(r, j, ab)
-            letters = [(g + 1, s) for g, s in r.letters()]
-            theirs = oracles.oracle_fox_derivative(letters, j + 1, proj)
-            assert {e: int(c) for e, c in ours.terms.items()} == theirs
-    # and on random words over a free group
-    for _ in range(30):
-        syllables = [(rng.randint(0, 2), rng.choice([-3, -2, -1, 1, 2, 3]))
-                     for _ in range(rng.randint(1, 5))]
-        w = FreeWord(syllables)
-        free_ab = Abelianization(
-            free_rank=3,
-            projection=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-            torsion_invariants=())
-        for j in range(3):
-            ours = fox_derivative_abelianized(w, j, free_ab)
-            theirs = oracles.oracle_fox_derivative(
-                [(g + 1, s) for g, s in w.letters()], j + 1,
-                [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-            assert {e: int(c) for e, c in ours.terms.items()} == theirs
+    for _ in range(60):
+        words = [FreeWord([(rng.randint(0, 2), rng.choice([-6, -3, -2, -1, 1, 2, 3, 6]))
+                           for _ in range(rng.randint(1, 6))])
+                 for _ in range(3)]
+        pres = Presentation(("a", "b", "c"), tuple(words))
+        for proj in (((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                     tuple(tuple(rng.randint(-2, 2) for _ in range(2))
+                           for _ in range(3))):
+            _assert_entries_match_letterwise_oracle(
+                pres, Abelianization(free_rank=len(proj[0]), projection=proj,
+                                     torsion_invariants=()))
 
 
 def test_one_relator_matrix_row():
     m = alexander_matrix(parse_presentation(datasets.ONE_RELATOR_PRES))
     assert [e.to_text() for e in m.entries[0]] == [
         "1 - t2^2", "-1 - t2 + t1 + t1*t2"]
-    assert m.fundamental_identity_holds()
+    assert fundamental_identity_holds(m)
 
 
 def test_closed_omega_matrix_is_reproduced_verbatim():
@@ -237,14 +263,14 @@ def test_closed_omega_matrix_is_reproduced_verbatim():
     for row, exp_row in zip(m.entries, datasets.CLOSED_OMEGA_MATRIX_TEXT):
         for entry, text in zip(row, exp_row):
             assert entry == LaurentPoly.parse(text, 3)
-    assert m.fundamental_identity_holds()
+    assert fundamental_identity_holds(m)
 
 
 def test_fundamental_identity_on_all_dataset_presentations():
     for text in [datasets.ONE_RELATOR_PRES, datasets.CLOSED_OMEGA_PRES,
                  datasets.SURFACE_PRES, datasets.PRODUCT_KERNEL_PRES]:
         m = alexander_matrix(parse_presentation(text))
-        assert m.fundamental_identity_holds()
+        assert fundamental_identity_holds(m)
 
 
 def test_generator_character_poly():
@@ -317,7 +343,7 @@ def test_surface_group_contains_both_components():
     ab = abelianize(pres)
     assert ab.free_rank == 6 and ab.torsion_invariants == ()
     m = alexander_matrix(pres, ab)
-    assert m.fundamental_identity_holds()
+    assert fundamental_identity_holds(m)
     assert generic_rank_on_torus(m, datasets.surface_subtorus()) == 3
     assert generic_rank_on_torus(m, datasets.surface_translated()) == 3
     assert contains_translated_torus(m, datasets.surface_subtorus())

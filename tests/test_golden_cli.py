@@ -247,6 +247,22 @@ def build_argvs() -> list[list[str]]:
                   '{"n": 2, "components": [{"lambda": ["1/2", "0"], '
                   '"basis": [[0, 1]]}]}',
                   "--plane", '{"n": 3, "basis": [[1, 0]]}'])
+    # abelianizations with torsion, so alpha is not the identity on the
+    # generators: Z^2 + Z/2 with x1 -> (2, 0), and Z + Z/3 reached through
+    # conjugations and negative powers
+    for pres, desc in (
+            ("<x1, x2, x3 | x1^2 x2^-4, [x1, x3]>",
+             _desc(2, [(["0", "0"], [[1, 0]]), (["1/2", "0"], [[0, 1]]),
+                       (["1/3", "1/4"], [])])),
+            ("<a, b, c | a^(b^-2) c^-3 (a^-1)^c, [a^-2, b^c] a b^-1>",
+             _desc(1, [(["0"], []), (["1/2"], []), (["1/5"], [])]))):
+        calls.append(["alexander", "--pres", pres])
+        calls.append(["charvar-check", "--pres", pres, "--desc", desc])
+    # a word over the letter limit built by juxtaposition, and a degree that
+    # is no nonnegative integer
+    calls.append(["alexander", "--pres", "<x1, x2 | (x1 x2)^50000 x1>"])
+    calls.append(["tcone", "--desc",
+                  '{"n": 1, "degree": -7, "components": []}'])
     return calls
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+import oracles
 import suites
 from jumploci.fox import FreeWord
 from jumploci.laurent import LaurentPoly
@@ -89,6 +90,33 @@ def test_free_group_laws(u, v, w):
     assert (u * u.inverse()).is_identity()
     assert u * FreeWord.identity() == u
     assert (u ** 2) == u * u
+
+
+def _reduce_letters(letters):
+    """Free reduction one letter at a time, the reference for products."""
+    out = []
+    for g, s in letters:
+        if out and out[-1] == (g, -s):
+            out.pop()
+        else:
+            out.append((g, s))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(free_words, st.integers(0, 5), free_words)
+def test_seam_reduced_product_is_the_reduced_concatenation(u, k, w):
+    # v starts with the inverse of u's last k syllables, so the seam cancels
+    # across several syllables, then merges or stops
+    tail = u.syllables[len(u.syllables) - min(k, len(u.syllables)):]
+    v = FreeWord(tuple((g, -e) for g, e in reversed(tail)) + w.syllables)
+    product = u * v
+    reduced = FreeWord(u.syllables + v.syllables)
+    assert product == reduced and product.length() == reduced.length()
+    letters = oracles.word_letters(product.syllables)
+    assert letters == _reduce_letters(oracles.word_letters(u.syllables)
+                                      + oracles.word_letters(v.syllables))
+    assert product.length() == len(letters)
 
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=8)
