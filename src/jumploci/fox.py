@@ -94,13 +94,23 @@ class FreeWord:
                               self._length + other._length - cancelled)
 
     def __pow__(self, k: int) -> "FreeWord":
-        base = self if k > 0 else self.inverse()
-        if len(base.syllables) == 1:
-            (g, e), = base.syllables
-            return FreeWord(((g, e * abs(k)),))
-        stack: list = []
-        cancelled = sum(_join(stack, base.syllables) for _ in range(abs(k)))
-        return FreeWord._make(tuple(stack), base._length * abs(k) - cancelled)
+        """Consecutive copies cancel the matched ends s_0 ... s_(i-1) and
+        s_(j+1) ... against each other and meet as s_j s_i, merged when of one
+        generator; that meeting is built once and repeated, so the power
+        costs time linear in the result."""
+        s = (self if k > 0 else self.inverse()).syllables
+        if not s or not k:
+            return FreeWord._make((), 0)
+        i, j, k = 0, len(s) - 1, abs(k)
+        while i < j and s[i][0] == s[j][0] and s[i][1] + s[j][1] == 0:
+            i, j = i + 1, j - 1
+        if i == j:
+            word = s[:i] + ((s[i][0], s[i][1] * k),) + s[i + 1:]
+        else:
+            seam = (((s[i][0], s[i][1] + s[j][1]),) if s[i][0] == s[j][0]
+                    else (s[j], s[i]))
+            word = s[:j] + (seam + s[i + 1:j]) * (k - 1) + s[j:]
+        return FreeWord._make(word, sum(abs(e) for _, e in word))
 
     def inverse(self) -> "FreeWord":
         return FreeWord._make(
@@ -116,6 +126,14 @@ class FreeWord:
     def length(self) -> int:
         """The number of letters: the sum of |exponent| over the syllables."""
         return self._length
+
+    def letters(self) -> list[tuple[int, int]]:
+        """Expanded (generator, +-1) letters, for cross-checking."""
+        out = []
+        for g, e in self.syllables:
+            s = 1 if e > 0 else -1
+            out.extend([(g, s)] * abs(e))
+        return out
 
     def exponent_vector(self, num_generators: int) -> tuple[int, ...]:
         v = [0] * num_generators
@@ -380,6 +398,19 @@ class AlexanderMatrix:
     @property
     def num_cols(self) -> int:
         return len(self.entries[0]) if self.entries else len(self.abelianization.projection)
+
+    def fundamental_identity_holds(self) -> bool:
+        """Sum_j entry(i,j) (t^{alpha(x_j)} - 1) = 0 for every row i."""
+        n = self.num_vars
+        for row in self.entries:
+            total = LaurentPoly.zero(n)
+            for j, entry in enumerate(row):
+                a = self.abelianization.projection[j]
+                factor = LaurentPoly.monomial(a, 1, n) - LaurentPoly.constant(n, 1)
+                total = total + entry * factor
+            if not total.is_zero():
+                return False
+        return True
 
     def to_json(self) -> dict:
         return {

@@ -196,7 +196,8 @@ class LaurentPoly:
             if len(self.terms) != 1:
                 raise ValueError("only monomials can be inverted")
             (e, c), = self.terms.items()
-            return LaurentPoly(self.num_vars, {tuple(x * k for x in e): c ** k})
+            return LaurentPoly(self.num_vars,
+                               {tuple(x * k for x in e): Fraction(c) ** k})
         out = LaurentPoly.constant(self.num_vars, 1)
         for _ in range(k):
             out = out * self

@@ -247,19 +247,6 @@ def suite_fox_product_rule(cases=200, seed=103):
     return done
 
 
-def fundamental_identity_holds(m) -> bool:
-    """Fox's identity: sum_j entry(i, j) (t^alpha(x_j) - 1) = 0 for every
-    row i of the Alexander matrix m."""
-    n = m.num_vars
-    for row in m.entries:
-        total = LaurentPoly.zero(n)
-        for entry, a in zip(row, m.abelianization.projection):
-            total = total + entry * (LaurentPoly.monomial(a, 1, n) - 1)
-        if not total.is_zero():
-            return False
-    return True
-
-
 def suite_fox_row_identity(cases=200, seed=105):
     """Every matrix row satisfies sum_j entry * (t^alpha(x_j) - 1) = 0."""
     rng = random.Random(seed)
@@ -274,7 +261,7 @@ def suite_fox_row_identity(cases=200, seed=105):
             relators.append(FreeWord(tuple(syllables)))
         pres = Presentation(names, tuple(relators))
         matrix = alexander_matrix(pres)
-        assert fundamental_identity_holds(matrix)
+        assert matrix.fundamental_identity_holds()
         ab = matrix.abelianization
         n = ab.free_rank
         gen_polys = [generator_character_poly(ab, j) for j in range(q)]

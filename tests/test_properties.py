@@ -119,6 +119,17 @@ def test_seam_reduced_product_is_the_reduced_concatenation(u, k, w):
     assert product.length() == len(letters)
 
 
+@settings(max_examples=200, deadline=None)
+@given(free_words, st.integers(-6, 6))
+def test_power_is_the_reduced_repetition(u, k):
+    base = u if k >= 0 else u.inverse()
+    reduced = FreeWord(base.syllables * abs(k))
+    power = u ** k
+    assert power == reduced and power.length() == reduced.length()
+    assert oracles.word_letters(power.syllables) == _reduce_letters(
+        oracles.word_letters(base.syllables) * abs(k))
+
+
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=8)
 char_values = st.lists(rationals, min_size=2, max_size=2)
 
