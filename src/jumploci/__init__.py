@@ -11,7 +11,7 @@ equations).  All arithmetic is exact — rationals, integers, cyclotomics.
 from .qlinalg import (PluckerVector, RationalSubspace, coset_reduce_ints,
                       format_rational, hnf, parse_rational, plucker, rref,
                       schubert_equations, snf)
-from .laurent import (CyclotomicNumber, CycloLaurentPoly, LaurentPoly,
+from .laurent import (CyclotomicNumber, LaurentPoly,
                       bareiss_rank, cyclotomic_polynomial, cyclotomic_rank,
                       evaluate_at_character,
                       restrict_matrix_to_translated_torus)
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Abelianization", "AlexanderMatrix",
-    "ClosedFormVerdict", "CyclotomicNumber", "CycloLaurentPoly", "FpkReport",
+    "ClosedFormVerdict", "CyclotomicNumber", "FpkReport",
     "FreeWord", "GradedDescription", "LaurentPoly",
     "OmegaVerdict", "PlaneQuery", "PluckerVector",
     "Presentation", "PresentationSyntaxError", "RationalSubspace",

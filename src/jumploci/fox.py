@@ -46,6 +46,12 @@ from .tori import TorsionCharacter, TranslatedTorus
 #: one term per letter, so a longer power is refused before it is built.
 MAX_RELATOR_LETTERS = 100_000
 
+#: The most letters :func:`parse_presentation` builds in one presentation:
+#: every power and conjugate it forms and every atom it appends to a word,
+#: at each level of nesting.  Parsing costs time linear in this count, so a
+#: short text of long atoms that cancel each other cannot make it slow.
+MAX_PRESENTATION_LETTERS = 20 * MAX_RELATOR_LETTERS
+
 # ---------------------------------------------------------------------------
 # free words
 # ---------------------------------------------------------------------------
@@ -243,7 +249,8 @@ def parse_presentation(text: str) -> Presentation:
     followed by ``^`` and either an integer (power) or another atom
     (conjugation, ``u^w = w^-1 u w``); ``[u,v]`` is the commutator
     u v u^-1 v^-1 and ``(w)`` groups.  Whitespace is ignored.  A word of
-    more than ``MAX_RELATOR_LETTERS`` letters is a ValueError.
+    more than ``MAX_RELATOR_LETTERS`` letters, or more than
+    ``MAX_PRESENTATION_LETTERS`` letters built in all, is a ValueError.
 
     >>> parse_presentation("<a,b | [a,b]>").relators[0]
     FreeWord(((0, 1), (1, 1), (0, -1), (1, -1)))
@@ -270,12 +277,22 @@ def parse_presentation(text: str) -> Presentation:
     if len(set(names)) != len(names):
         raise PresentationSyntaxError("duplicate generator name", tokens[0][2])
     index = {name: i for i, name in enumerate(names)}
+    built = 0
 
     def bounded(letters: int, at: int) -> None:
         if letters > MAX_RELATOR_LETTERS:
             raise ValueError(
                 f"a word of {letters} letters at position {at} exceeds the "
                 f"relator limit MAX_RELATOR_LETTERS = {MAX_RELATOR_LETTERS}")
+
+    def spend(word: FreeWord, at: int) -> None:
+        nonlocal built
+        built += word.length()
+        if built > MAX_PRESENTATION_LETTERS:
+            raise ValueError(
+                f"the words built by position {at} have {built} letters, over "
+                f"the budget MAX_PRESENTATION_LETTERS = "
+                f"{MAX_PRESENTATION_LETTERS}")
 
     def parse_primary() -> FreeWord:
         nonlocal pos
@@ -314,6 +331,7 @@ def parse_presentation(text: str) -> Presentation:
             else:
                 word = word.conjugate_by(parse_atom())
                 bounded(word.length(), at)
+            spend(word, at)
         return word
 
     def parse_word() -> FreeWord:
@@ -322,6 +340,7 @@ def parse_presentation(text: str) -> Presentation:
         while True:
             at = peek()[2]
             atom = parse_atom()
+            spend(atom, at)
             letters += atom.length() - _join(stack, atom.syllables)
             bounded(letters, at)
             if peek()[0] not in ("name", "[", "("):

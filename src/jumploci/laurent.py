@@ -1,9 +1,10 @@
 """Sparse multivariate Laurent polynomials and cyclotomic arithmetic.
 
-Three layers, all exact:
+Two layers, all exact:
 
-* :class:`LaurentPoly` — Z^n-graded sparse polynomials over Q, with
-  serializers for a JSON term form and a text form such as
+* :class:`LaurentPoly` — Z^n-graded sparse polynomials over Q, or over
+  Q(zeta_m) once restricted to a translated subtorus, with serializers of
+  rational ones to a JSON term form and a text form such as
   ``t1^2*t2^-1 - 3/2*t3 + 1``.  The text parser reads one term per match of
   a regular expression (a sign, then numbers ``p`` or ``p/q`` and variables
   ``tK`` with integer exponents, ``*`` optional, whitespace between any two
@@ -21,9 +22,6 @@ Three layers, all exact:
   over the norm (Phi_m is irreducible, so this is a field).  Ranks at
   characters (:func:`cyclotomic_rank`) take no inverse: they eliminate in
   Z[zeta_m] without division.
-* :class:`CycloLaurentPoly` — Laurent polynomials with cyclotomic
-  coefficients; what a rational polynomial becomes after being restricted to
-  a translated subtorus.
 
 The restriction map is the workhorse: given f on (C*)^n and a coset rho.T
 with direction L, substituting t_i = rho_i * prod_j u_j^{B_ji} (B the k =
@@ -71,16 +69,18 @@ _EXPONENT_GAP = re.compile(r"\s*\^\s*-?\s*")
 
 
 # ---------------------------------------------------------------------------
-# rational Laurent polynomials
+# Laurent polynomials
 # ---------------------------------------------------------------------------
 
 class LaurentPoly:
-    """A sparse Laurent polynomial over Q in ``num_vars`` variables.
+    """A sparse Laurent polynomial in ``num_vars`` variables.
 
-    Terms are a dict from integer exponent tuples to nonzero rational
-    coefficients (Fractions, or ints where a caller builds them on
-    integers); the zero polynomial has no terms.  Canonical serialization
-    orders terms lexicographically by exponent vector (ascending).
+    Terms are a dict from integer exponent tuples to nonzero coefficients:
+    ints and Fractions (the constructor reads rationals), or, built with
+    :meth:`_make`, CyclotomicNumbers of one order.  Arithmetic stays in that
+    ring; the text and JSON forms are rational.  The zero polynomial has no
+    terms.  Canonical serialization orders terms lexicographically by
+    exponent vector (ascending).
 
     >>> t1, t2 = LaurentPoly.variables(2)
     >>> ((t1 - 1) * (t2 + 1)).to_text()
@@ -106,7 +106,8 @@ class LaurentPoly:
     @classmethod
     def _make(cls, num_vars: int, terms: dict) -> "LaurentPoly":
         """The polynomial on ``terms`` as they are: int exponent tuples of
-        length num_vars to nonzero int or Fraction coefficients."""
+        length num_vars to nonzero coefficients, ints and Fractions or
+        CyclotomicNumbers of one order."""
         f = cls.__new__(cls)
         f.num_vars = num_vars
         f.terms = terms
@@ -163,13 +164,18 @@ class LaurentPoly:
         other = self._coerce(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return LaurentPoly(self.num_vars, out)
+            c = out[e] + c if e in out else c
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return LaurentPoly._make(self.num_vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.num_vars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._make(self.num_vars,
+                                 {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -179,15 +185,17 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
-            other = LaurentPoly.constant(self.num_vars, other)
+            return LaurentPoly._make(self.num_vars, {
+                e: p for e, c in self.terms.items() if (p := c * other)})
         if other.num_vars != self.num_vars:
             raise ValueError("variable count mismatch")
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return LaurentPoly(self.num_vars, out)
+                e = tuple(map(operator.add, e1, e2))
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+        return LaurentPoly._make(self.num_vars,
+                                 {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -203,11 +211,52 @@ class LaurentPoly:
             out = out * self
         return out
 
+    def shift(self, delta: Sequence[int]) -> "LaurentPoly":
+        """Multiply by the unit monomial t^delta."""
+        return LaurentPoly._make(self.num_vars, {
+            tuple(map(operator.add, e, delta)): c
+            for e, c in self.terms.items()})
+
+    def monomial_content(self) -> Expo:
+        """Componentwise minimum exponent over the support (zero if empty)."""
+        if not self.terms:
+            return (0,) * self.num_vars
+        return tuple(map(min, zip(*self.terms)))
+
+    def divide_exact(self, other: "LaurentPoly") -> "LaurentPoly":
+        """Quotient self/other in the Laurent ring; raises if not divisible.
+        The leading coefficient c of other is inverted as ``Fraction(1) / c``,
+        exact for an int c (``1 / c`` is a float) and a CyclotomicNumber."""
+        if other.num_vars != self.num_vars:
+            raise ValueError("variable count mismatch")
+        if other.is_zero():
+            raise ZeroDivisionError("division by the zero polynomial")
+        if self.is_zero():
+            return self
+        fshift = self.monomial_content()
+        gshift = other.monomial_content()
+        r = self.shift([-x for x in fshift])
+        g = other.shift([-x for x in gshift])
+        glead_e = max(g.terms)
+        glead_inv = Fraction(1) / g.terms[glead_e]
+        quo: dict = {}
+        while r.terms:
+            rlead_e = max(r.terms)
+            t = tuple(map(operator.sub, rlead_e, glead_e))
+            if any(x < 0 for x in t):
+                raise ArithmeticError("polynomials do not divide exactly")
+            c = quo[t] = r.terms[rlead_e] * glead_inv
+            r = r - g.shift(t) * c
+        return LaurentPoly._make(self.num_vars, quo).shift(
+            tuple(map(operator.sub, fshift, gshift)))
+
     def __eq__(self, other):
         return (isinstance(other, LaurentPoly) and self.num_vars == other.num_vars
                 and self.terms == other.terms)
 
     def __repr__(self):
+        if any(isinstance(c, CyclotomicNumber) for c in self.terms.values()):
+            return f"LaurentPoly({self.num_vars}, {sorted(self.terms.items())})"
         return f"LaurentPoly({self.num_vars}, {self.to_text()!r})"
 
     # -- text form -----------------------------------------------------------
@@ -632,6 +681,9 @@ class CyclotomicNumber:
     def is_zero(self) -> bool:
         return not any(self.num)
 
+    def __bool__(self) -> bool:
+        return any(self.num)
+
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
@@ -758,139 +810,6 @@ class CyclotomicNumber:
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials with cyclotomic coefficients
-# ---------------------------------------------------------------------------
-
-class CycloLaurentPoly:
-    """Sparse Laurent polynomial over Q(zeta_m)."""
-
-    __slots__ = ("num_vars", "order", "terms")
-
-    def __init__(self, num_vars: int, order: int, terms: dict):
-        self.num_vars = int(num_vars)
-        self.order = int(order)
-        clean = {}
-        for e, c in terms.items():
-            e = tuple(int(x) for x in e)
-            if len(e) != num_vars:
-                raise ValueError("exponent arity mismatch")
-            if not isinstance(c, CyclotomicNumber):
-                c = CyclotomicNumber.from_rational(order, c)
-            if c.order != order:
-                raise ValueError("coefficient order mismatch")
-            if not c.is_zero():
-                clean[e] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, num_vars: int, order: int) -> "CycloLaurentPoly":
-        return cls(num_vars, order, {})
-
-    @classmethod
-    def constant(cls, num_vars: int, order: int, value) -> "CycloLaurentPoly":
-        return cls(num_vars, order, {tuple([0] * num_vars): value})
-
-    @classmethod
-    def from_rational_poly(cls, f: LaurentPoly, order: int = 1
-                           ) -> "CycloLaurentPoly":
-        return cls(f.num_vars, order,
-                   {e: CyclotomicNumber.from_rational(order, c)
-                    for e, c in f.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other: "CycloLaurentPoly"):
-        if self.num_vars != other.num_vars or self.order != other.order:
-            raise ValueError("incompatible polynomials")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out[e] + c if e in out else c
-        return CycloLaurentPoly(self.num_vars, self.order, out)
-
-    def __neg__(self):
-        return CycloLaurentPoly(self.num_vars, self.order,
-                                {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._check(other)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                out[e] = out[e] + prod if e in out else prod
-        return CycloLaurentPoly(self.num_vars, self.order, out)
-
-    def scale(self, c: CyclotomicNumber) -> "CycloLaurentPoly":
-        return CycloLaurentPoly(self.num_vars, self.order,
-                                {e: v * c for e, v in self.terms.items()})
-
-    def shift(self, delta: Sequence[int]) -> "CycloLaurentPoly":
-        """Multiply by the unit monomial u^delta."""
-        delta = tuple(int(x) for x in delta)
-        return CycloLaurentPoly(
-            self.num_vars, self.order,
-            {tuple(a + b for a, b in zip(e, delta)): c
-             for e, c in self.terms.items()})
-
-    def monomial_content(self) -> Expo:
-        """Componentwise minimum exponent over the support (zero if empty)."""
-        if not self.terms:
-            return tuple([0] * self.num_vars)
-        mins = None
-        for e in self.terms:
-            mins = e if mins is None else tuple(min(a, b) for a, b in zip(mins, e))
-        return mins
-
-    def leading(self) -> tuple[Expo, CyclotomicNumber]:
-        e = max(self.terms)
-        return e, self.terms[e]
-
-    def divide_exact(self, other: "CycloLaurentPoly") -> "CycloLaurentPoly":
-        """Quotient self/other in the Laurent ring; raises if not divisible."""
-        self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return CycloLaurentPoly.zero(self.num_vars, self.order)
-        fshift = self.monomial_content()
-        gshift = other.monomial_content()
-        f = self.shift(tuple(-x for x in fshift))
-        g = other.shift(tuple(-x for x in gshift))
-        glead_e, glead_c = g.leading()
-        glead_inv = glead_c.inverse()
-        quo: dict = {}
-        r = f
-        while not r.is_zero():
-            rlead_e, rlead_c = r.leading()
-            t = tuple(a - b for a, b in zip(rlead_e, glead_e))
-            if any(x < 0 for x in t):
-                raise ArithmeticError("polynomials do not divide exactly")
-            c = rlead_c * glead_inv
-            quo[t] = c
-            r = r - g.shift(t).scale(c)
-        q = CycloLaurentPoly(self.num_vars, self.order, quo)
-        return q.shift(tuple(a - b for a, b in zip(fshift, gshift)))
-
-    def __eq__(self, other):
-        return (isinstance(other, CycloLaurentPoly)
-                and self.num_vars == other.num_vars
-                and self.order == other.order and self.terms == other.terms)
-
-    def __repr__(self):
-        items = ", ".join(f"{e}: {c!r}" for e, c in sorted(self.terms.items()))
-        return (f"CycloLaurentPoly(vars={self.num_vars}, order={self.order}, "
-                f"{{{items}}})")
-
-
-# ---------------------------------------------------------------------------
 # characters and restriction to translated subtori
 # ---------------------------------------------------------------------------
 
@@ -922,7 +841,7 @@ def evaluate_at_character(f: LaurentPoly, chi: TorsionCharacter
 
 def restrict_matrix_to_translated_torus(
         rows: Sequence[Sequence[LaurentPoly]], torus: TranslatedTorus
-) -> list[list[CycloLaurentPoly]]:
+) -> list[list[LaurentPoly]]:
     """Restrict every entry f to the coset rho.T: substitute
     t_i = rho_i prod_j u_j^B[j][i], with one basis B for the whole matrix.
 
@@ -934,22 +853,23 @@ def restrict_matrix_to_translated_torus(
     restricted matrix has the generic rank of M on the coset.  Two
     monomials t^a and t^a' merge
     iff a - a' is orthogonal to L, whichever basis B is.  The entries have
-    k = dim L variables and coefficients in Q(zeta_m), m the order of the
-    translate.
+    k = dim L variables and CyclotomicNumber coefficients of order m, the
+    order of the translate.
     """
     n = torus.ambient_dim
     basis = torus.direction.rows
     m, w = torus.translate.order, torus.translate.nums
 
-    def restrict(f: LaurentPoly) -> CycloLaurentPoly:
+    def restrict(f: LaurentPoly) -> LaurentPoly:
         if f.num_vars != n:
             raise ValueError("variable count does not match the ambient torus")
         groups: dict = {}
         for a, c in f.terms.items():
             e = tuple(sum(map(operator.mul, b, a)) for b in basis)
             groups.setdefault(e, []).append((sum(map(operator.mul, a, w)), c))
-        return CycloLaurentPoly(len(basis), m, {
-            e: _cyclotomic_sum(m, terms) for e, terms in groups.items()})
+        return LaurentPoly._make(len(basis), {
+            e: z for e, terms in groups.items()
+            if (z := _cyclotomic_sum(m, terms))})
 
     return [[restrict(f) for f in row] for row in rows]
 
@@ -958,20 +878,18 @@ def restrict_matrix_to_translated_torus(
 # fraction-free rank of matrices of (cyclotomic) Laurent polynomials
 # ---------------------------------------------------------------------------
 
-def bareiss_rank(rows: Sequence[Sequence[CycloLaurentPoly]]) -> int:
+def bareiss_rank(rows: Sequence[Sequence[LaurentPoly]]) -> int:
     """Rank over the fraction field, by Bareiss elimination.
 
     Division by the previous pivot is exact: every entry of an intermediate
-    matrix is a minor of the original.
+    matrix is a minor of the original.  The entries share one coefficient
+    ring, Q or one Q(zeta_m).
     """
     work = [list(r) for r in rows]
     if not work:
         return 0
     ncols = len(work[0])
-    nvars = work[0][0].num_vars if work[0] else 0
-    order = work[0][0].order if work[0] else 1
-    prev = CycloLaurentPoly.constant(nvars, order, 1)
-    prev_is_one = True
+    prev = None
     rank = 0
     active_cols = list(range(ncols))
     row_at = rank
@@ -999,12 +917,9 @@ def bareiss_rank(rows: Sequence[Sequence[CycloLaurentPoly]]) -> int:
             else:
                 row = [pivot * work[i][c] - fi * work[row_at][c]
                        for c in active_cols]
-            new_row = [CycloLaurentPoly.zero(nvars, order)] * ncols
             for c, val in zip(active_cols, row):
-                new_row[c] = val.divide_exact(prev) if not prev_is_one else val
-            work[i] = new_row
+                work[i][c] = val if prev is None else val.divide_exact(prev)
         prev = pivot
-        prev_is_one = False
         rank += 1
         row_at += 1
     return rank

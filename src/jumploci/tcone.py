@@ -68,22 +68,18 @@ class SubspaceArrangement:
     __slots__ = ("ambient_dim", "subspaces", "empty")
 
     def __init__(self, ambient_dim: int,
-                 subspaces: Iterable[RationalSubspace] = (),
-                 empty: Optional[bool] = None):
+                 subspaces: Iterable[RationalSubspace] = ()):
         self.ambient_dim = int(ambient_dim)
         pruned = _prune_subspaces(list(subspaces))
         for s in pruned:
             if s.ambient_dim != self.ambient_dim:
                 raise ValueError("ambient dimension mismatch")
         self.subspaces = tuple(sorted(pruned, key=_subspace_sort_key))
-        inferred = not self.subspaces
-        if empty is not None and bool(empty) != inferred:
-            raise ValueError("empty flag inconsistent with subspace list")
-        self.empty = inferred
+        self.empty = not self.subspaces
 
     @classmethod
     def empty_arrangement(cls, ambient_dim: int) -> "SubspaceArrangement":
-        return cls(ambient_dim, (), empty=True)
+        return cls(ambient_dim, ())
 
     def is_empty(self) -> bool:
         return self.empty

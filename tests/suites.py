@@ -72,7 +72,10 @@ def arrangement_from_json(data) -> SubspaceArrangement:
     subs = [RationalSubspace.from_rows(oracles.json_rational_rows(
                 rows, f"an arrangement's 'subspaces' item {k}"), n)
             for k, rows in enumerate(data.get("subspaces", []))]
-    return SubspaceArrangement(n, subs, empty=data.get("empty"))
+    arr = SubspaceArrangement(n, subs)
+    if data.get("empty", arr.empty) != arr.empty:
+        raise ValueError("empty flag inconsistent with subspace list")
+    return arr
 
 
 def laurent_poly_from_json(data) -> LaurentPoly:

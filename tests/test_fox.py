@@ -12,6 +12,7 @@ import datasets
 import oracles
 from jumploci import laurent
 from jumploci.fox import (
+    MAX_PRESENTATION_LETTERS,
     MAX_RELATOR_LETTERS,
     Abelianization,
     AlexanderMatrix,
@@ -168,6 +169,29 @@ def test_parse_refuses_relators_over_the_letter_limit():
                  "<a, b | " + "[" * 20 + "a, b" + "], a" * 20 + ">"):
         with pytest.raises(ValueError, match="MAX_RELATOR_LETTERS"):
             parse_presentation(text)
+
+
+def test_parse_refuses_presentations_over_the_letter_budget():
+    # every power, conjugate and atom built counts, so long atoms that
+    # cancel each other, or a long word raised to -1 over and over, cannot
+    # make a short text slow; many relators at the letter limit still parse
+    limit = MAX_RELATOR_LETTERS
+    k = limit // 2 - 1
+    cancelling = " ".join([f"(x1 x2)^{k} (x1 x2)^-{k}"] * 200)
+    start = time.perf_counter()
+    for text in (f"<x1, x2 | {cancelling}>",
+                 f"<x1, x2 | (x1 x2)^{k}" + "^-1" * 300 + ">"):
+        with pytest.raises(ValueError, match=(
+                "over the budget MAX_PRESENTATION_LETTERS = "
+                f"{MAX_PRESENTATION_LETTERS}$")):
+            parse_presentation(text)
+    assert time.perf_counter() - start < 2
+    commutators = ", ".join(
+        f"([x1, x{a}] [x{b}, x{c}] [x{d}, x{e}])^{limit // 12}"
+        for a, b, c, d, e in ((2, 3, 4, 5, 6), (3, 2, 5, 4, 6),
+                              (4, 2, 6, 3, 5), (5, 2, 4, 3, 6)) * 2)
+    pres = parse_presentation(f"<x1, x2, x3, x4, x5, x6 | {commutators}>")
+    assert [r.length() for r in pres.relators] == [12 * (limit // 12)] * 8
 
 
 def test_round_trip_through_to_text():

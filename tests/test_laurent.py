@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from jumploci.fox import alexander_matrix, parse_presentation
 from jumploci.laurent import (
-    CycloLaurentPoly,
     CyclotomicNumber,
     MAX_VARIABLES,
     LaurentPoly,
@@ -34,6 +34,25 @@ def rand_poly(rng, num_vars, max_terms=5, span=3):
         c = rng.choice([-3, -2, -1, 1, 2, 3])
         terms[e] = terms.get(e, 0) + c
     return LaurentPoly(num_vars, {e: F(c) for e, c in terms.items()})
+
+
+def embed(f, order):
+    """f with each rational coefficient taken into Q(zeta_order)."""
+    return LaurentPoly._make(f.num_vars, {
+        e: CyclotomicNumber.from_rational(order, c) for e, c in f.terms.items()})
+
+
+def rand_cyclo_poly(rng, num_vars, order, max_terms=3, span=2):
+    """Random terms whose coefficients are small sums of powers of zeta."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        e = tuple(rng.randint(-span, span) for _ in range(num_vars))
+        c = sum((rng.choice([-2, -1, 1, 3]) * CyclotomicNumber.zeta_power(
+            order, rng.randrange(order)) for _ in range(rng.randint(1, 2))),
+            CyclotomicNumber.zero(order))
+        if c:
+            terms[e] = c
+    return LaurentPoly._make(num_vars, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +490,10 @@ def test_restriction_substitutes_the_direction_rows():
     t1, t2, t3 = LaurentPoly.variables(3)
     got = restrict_matrix_to_translated_torus([[t1, t2 * t3, t1 - t2]],
                                               torus)[0]
-    one = CyclotomicNumber.one(1)
-    assert got == [CycloLaurentPoly(2, 1, {(2, 0): one}),
-                   CycloLaurentPoly(2, 1, {(1, 3): one}),
-                   CycloLaurentPoly(2, 1, {(2, 0): one, (0, 2): -one})]
+    assert got == [embed(LaurentPoly.parse(text, 2), 1)
+                   for text in ("t1^2", "t1*t2^3", "t1^2 - t2^2")]
+    assert all(type(c) is CyclotomicNumber and c.order == 1
+               for f in got for c in f.terms.values())
 
 
 def test_restriction_detects_vanishing_on_coset():
@@ -519,51 +538,97 @@ def test_restriction_agrees_with_sampling_the_coset():
 
 
 def test_cyclo_poly_exact_division():
+    # one LaurentPoly type over Q and over Q(zeta_m): the quotient of a
+    # product by a factor is the other factor, and a non-divisor raises
     rng = random.Random(37)
+    for _ in range(15):
+        n = rng.randint(1, 2)
+        f, g = rand_poly(rng, n, 3, 2), rand_poly(rng, n, 3, 2)
+        assert (f * g).divide_exact(g) == f
     for m in [1, 2, 3, 4]:
         for _ in range(15):
             n = rng.randint(1, 2)
-            f = CycloLaurentPoly.from_rational_poly(rand_poly(rng, n, 3, 2), m)
-            g = CycloLaurentPoly.from_rational_poly(rand_poly(rng, n, 3, 2), m)
+            f = rand_cyclo_poly(rng, n, m)
+            g = rand_cyclo_poly(rng, n, m)
             if g.is_zero():
                 continue
             assert (f * g).divide_exact(g) == f
-    one = CycloLaurentPoly.from_rational_poly(LaurentPoly.parse("t1 + 1"), 1)
-    other = CycloLaurentPoly.from_rational_poly(LaurentPoly.parse("t1 - 1"), 1)
-    with pytest.raises(ArithmeticError):
-        one.divide_exact(other)
+    for order in (None, 1, 5):
+        one, other = (LaurentPoly.parse(t) for t in ("t1 + 1", "t1 - 1"))
+        if order:
+            one, other = embed(one, order), embed(other, order)
+        with pytest.raises(ArithmeticError):
+            one.divide_exact(other)
+        with pytest.raises(ZeroDivisionError):
+            one.divide_exact(other - other)
 
 
 def test_monomial_content_and_units_do_not_change_divisibility():
-    f = CycloLaurentPoly.from_rational_poly(
-        LaurentPoly.parse("t1^-2*t2 + t1^-1"), 1)
+    f = LaurentPoly.parse("t1^-2*t2 + t1^-1")
     assert f.monomial_content() == (-2, 0)
     shifted = f.shift((5, 7))
     assert shifted.monomial_content() == (3, 7)
-    assert shifted.divide_exact(f) == CycloLaurentPoly.from_rational_poly(
-        LaurentPoly.monomial((5, 7), 1), 1)
+    assert shifted.divide_exact(f) == LaurentPoly.monomial((5, 7), 1)
+    assert embed(shifted, 3).divide_exact(embed(f, 3)) == \
+        embed(LaurentPoly.monomial((5, 7), 1), 3)
+
+
+def test_integer_alexander_entries_divide_to_exact_rationals():
+    # alexander_matrix builds int coefficients; an int leading coefficient
+    # inverted as 1 / c would be a float
+    M = alexander_matrix(parse_presentation(
+        "<a, b, c | a^3 [b, c]^2, b^2 a^3 b^-2>"))   # 3, 2 - 2 t2, 3 t1^2, ...
+    entries = [e for row in M.entries for e in row]
+    assert any(type(c) is int and abs(c) > 1
+               for e in entries for c in e.terms.values())
+    for f in entries:
+        for g in entries:
+            if g.is_zero():
+                continue
+            q = (f * g).divide_exact(g)
+            assert q == f
+            assert all(type(c) in (int, F) for c in q.terms.values())
+    three = LaurentPoly._make(1, {(0,): 3})
+    q = (three * three).divide_exact(three)
+    assert q.terms == {(0,): 3} and type(q.terms[(0,)]) is F
+
+
+def test_repr_of_cyclotomic_coefficients():
+    f = embed(LaurentPoly.parse("t1 - 2"), 3)
+    text = repr(f)
+    assert text.startswith("LaurentPoly(1, ") and "order=3" in text
+    assert repr(LaurentPoly.parse("t1 - 2")) == "LaurentPoly(1, '-2 + t1')"
 
 
 # ---------------------------------------------------------------------------
 # fraction-free rank
 # ---------------------------------------------------------------------------
 
-def as_cyclo_matrix(rows, num_vars, order=1):
-    return [[CycloLaurentPoly.from_rational_poly(LaurentPoly.parse(t, num_vars),
-                                                 order)
-             for t in row] for row in rows]
+def as_matrix(rows, num_vars, order=None):
+    """Texts parsed over Q, or taken into Q(zeta_order)."""
+    parsed = [[LaurentPoly.parse(t, num_vars) for t in row] for row in rows]
+    return parsed if order is None else [[embed(f, order) for f in row]
+                                         for row in parsed]
 
 
 def test_bareiss_rank_frozen_cases():
-    m = as_cyclo_matrix([["t1 - 1", "t2 - 1"], ["t1 - 1", "t2 - 1"]], 2)
-    assert bareiss_rank(m) == 1
-    m2 = as_cyclo_matrix([["t1", "0"], ["0", "t2^-5"]], 2)
-    assert bareiss_rank(m2) == 2
-    m3 = as_cyclo_matrix([["0", "0"], ["0", "0"]], 2)
-    assert bareiss_rank(m3) == 0
-    # rank drops only on the nose: a 2x2 with proportional rows via units
-    m4 = as_cyclo_matrix([["t1 + t2", "t1"], ["t1*t2 + t2^2", "t1*t2"]], 2)
-    assert bareiss_rank(m4) == 1
+    for order in (None, 1, 3):
+        m = as_matrix([["t1 - 1", "t2 - 1"], ["t1 - 1", "t2 - 1"]], 2, order)
+        assert bareiss_rank(m) == 1
+        m2 = as_matrix([["t1", "0"], ["0", "t2^-5"]], 2, order)
+        assert bareiss_rank(m2) == 2
+        m3 = as_matrix([["0", "0"], ["0", "0"]], 2, order)
+        assert bareiss_rank(m3) == 0
+        # rank drops only on the nose: a 2x2 with proportional rows via units
+        m4 = as_matrix([["t1 + t2", "t1"], ["t1*t2 + t2^2", "t1*t2"]], 2,
+                       order)
+        assert bareiss_rank(m4) == 1
+
+
+def oracle_rank(rows, zero, one):
+    return oracles.minor_rank(
+        rows, add=lambda a, b: a + b, mul=lambda a, b: a * b,
+        neg=lambda a: -a, is_zero=lambda a: a.is_zero(), zero=zero, one=one)
 
 
 def test_bareiss_rank_matches_minor_oracle():
@@ -572,23 +637,38 @@ def test_bareiss_rank_matches_minor_oracle():
     monomials in a row or a column (dividing each entry by its own monomial
     content would make their rows equal)."""
     rng = random.Random(39)
-    zero = CycloLaurentPoly.zero(2, 2)
-    one = CycloLaurentPoly.constant(2, 2, 1)
-
-    def oracle_rank(rows):
-        return oracles.minor_rank(
-            rows, add=lambda a, b: a + b, mul=lambda a, b: a * b,
-            neg=lambda a: -a, is_zero=lambda a: a.is_zero(),
-            zero=zero, one=one)
-
-    u = CycloLaurentPoly.from_rational_poly(LaurentPoly.variables(2)[0], 2)
+    zero = embed(LaurentPoly.zero(2), 2)
+    one = embed(LaurentPoly.constant(2, 1), 2)
+    u = embed(LaurentPoly.variables(2)[0], 2)
     for rows in ([[one, u], [one, u * u]], [[one, u], [u, one]]):
-        assert oracle_rank(rows) == 2
+        assert oracle_rank(rows, zero, one) == 2
         assert bareiss_rank(rows) == 2
     for _ in range(25):
-        rows = [[CycloLaurentPoly.from_rational_poly(rand_poly(rng, 2, 2, 1), 2)
-                 for _ in range(3)] for _ in range(3)]
-        assert bareiss_rank(rows) == oracle_rank(rows)
+        rows = [[embed(rand_poly(rng, 2, 2, 1), 2) for _ in range(3)]
+                for _ in range(3)]
+        assert bareiss_rank(rows) == oracle_rank(rows, zero, one)
         shifted = [[p.shift((rng.randint(-2, 2), rng.randint(-2, 2)))
                     for p in row] for row in rows]
-        assert bareiss_rank(shifted) == oracle_rank(shifted)
+        assert bareiss_rank(shifted) == oracle_rank(shifted, zero, one)
+
+
+def test_bareiss_rank_is_unchanged_by_embedding_into_cyclotomic_fields():
+    # one matrix over Q and over Q(zeta_m): one rank, the minor oracle's.
+    # Every other matrix has a row that combines the other two, so both
+    # full and deficient ranks occur.
+    rng = random.Random(40)
+    zero, one = LaurentPoly.zero(2), LaurentPoly.constant(2, 1)
+    ranks = []
+    for trial in range(12):
+        rows = [[rand_poly(rng, 2, 2, 1) for _ in range(3)] for _ in range(3)]
+        if trial % 2:
+            a, b = rand_poly(rng, 2, 2, 1), rand_poly(rng, 2, 2, 1)
+            rows[2] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+            rng.shuffle(rows)
+        rank = oracle_rank(rows, zero, one)
+        ranks.append(rank)
+        assert bareiss_rank(rows) == rank
+        for m in (2, 3, 4, 5):
+            assert bareiss_rank([[embed(f, m) for f in row]
+                                 for row in rows]) == rank
+    assert 3 in ranks and min(ranks) < 3

@@ -246,12 +246,11 @@ def test_arrangement_empty_versus_origin():
 
 
 def test_arrangement_empty_flag_consistency():
-    with pytest.raises(ValueError):
-        SubspaceArrangement(2, [line(1, 0)], empty=True)
-    with pytest.raises(ValueError):
-        SubspaceArrangement(2, [], empty=False)
-    assert SubspaceArrangement(2, [line(1, 0)], empty=False).subspaces == \
-        (line(1, 0),)
+    assert SubspaceArrangement(2, [line(1, 0)]).subspaces == (line(1, 0),)
+    data = SubspaceArrangement(2, [line(1, 0)]).to_json()
+    data["empty"] = True
+    with pytest.raises(ValueError, match="empty flag inconsistent"):
+        arrangement_from_json(data)
 
 
 def test_arrangement_union_and_intersection():
