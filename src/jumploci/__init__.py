@@ -24,7 +24,7 @@ from .tcone import (SubspaceArrangement, tangent_cone_description,
                     tangent_cone_polys)
 from .tori import (GradedDescription, TorsionCharacter, TranslatedTorus,
                    VarietyDescription, sigma_rho_membership)
-from .omega import (ClosedFormVerdict, FpkReport, OmegaVerdict, PlaneQuery,
+from .omega import (ClosedFormVerdict, FpkReport, OmegaVerdict,
                     WitnessReport, WitnessStep, fpk_report, nonopen_witness,
                     omega1_r1_description, omega_codim1_closed_form,
                     omega_membership, plucker_distance)
@@ -35,7 +35,7 @@ __all__ = [
     "Abelianization", "AlexanderMatrix",
     "ClosedFormVerdict", "CyclotomicNumber", "FpkReport",
     "FreeWord", "GradedDescription", "LaurentPoly",
-    "OmegaVerdict", "PlaneQuery", "PluckerVector",
+    "OmegaVerdict", "PluckerVector",
     "Presentation", "PresentationSyntaxError", "RationalSubspace",
     "SubspaceArrangement", "TorsionCharacter",
     "TranslatedTorus", "VarietyDescription", "WitnessReport", "WitnessStep",

@@ -21,14 +21,12 @@ from .fox import (abelianize, alexander_matrix, contains_translated_torus,
 from .laurent import LaurentPoly
 from .omega import (fpk_report, nonopen_witness, omega1_r1_description,
                     omega_codim1_closed_form, omega_membership)
-from .qlinalg import (PluckerVector, RationalSubspace, _echelon,
-                      format_rational, format_rref, json_integer_rows,
-                      parse_rational, schubert_equations)
+from .qlinalg import (PluckerVector, RationalSubspace, format_rational,
+                      format_rref, parse_rational, schubert_equations)
 from .tcone import (DEFAULT_SUPPORT_LIMIT, SUBSET_SUM_LIMIT,
                     SubspaceArrangement, tangent_cone_description,
                     tangent_cone_polys)
-from .tori import (GradedDescription, VarietyDescription, _json_field,
-                   _json_dim, _json_rows)
+from .tori import GradedDescription, VarietyDescription, subspace_from_json
 
 #: The highest order of a component's translate that charvar-check accepts.
 #: Ranks at a character of order m work in Q(zeta_m), of degree phi(m) over
@@ -69,12 +67,8 @@ def _json_integer(text: str):
 
 
 #: The decoder of JSON inputs, built once: ``json.loads`` with a keyword
-#: argument builds a new one on every call.  Integer literals are read by
-#: the decoder's own ``int``; only an input where one is too long is read
-#: again, by the second decoder, which keeps that literal as text.
-_JSON = json.JSONDecoder(parse_float=_json_number)
-_JSON_LONG_INTEGERS = json.JSONDecoder(parse_float=_json_number,
-                                       parse_int=_json_integer)
+#: argument builds a new one on every call.
+_JSON = json.JSONDecoder(parse_float=_json_number, parse_int=_json_integer)
 
 
 def _load_json(value: str):
@@ -86,37 +80,7 @@ def _load_json(value: str):
         if text.startswith("\ufeff"):          # refused as json.load does
             raise json.JSONDecodeError(
                 "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-    try:
-        return _JSON.decode(text)
-    except ValueError as error:
-        if not str(error).startswith("Exceeds the limit"):  # int()'s limit
-            raise
-    return _JSON_LONG_INTEGERS.decode(text)
-
-
-def _parse_subspace(data, ambient_dim: Optional[int] = None) -> RationalSubspace:
-    """Rows, or {"basis": rows} with an optional "n", which must then be
-    ambient_dim; entries are "p/q" strings or numbers.  The rows go to the
-    integer RREF as integer numerators."""
-    if isinstance(data, dict):
-        rows = _json_field(data, "basis", "a subspace")
-        if "n" in data:
-            n = _json_dim(data["n"], "a subspace's 'n'")
-            if ambient_dim is not None and n != ambient_dim:
-                raise ValueError(f"a subspace's 'n' is {n}, but the "
-                                 f"description lives in Q^{ambient_dim}")
-            ambient_dim = n
-    else:
-        rows = data
-    ints = json_integer_rows(_json_rows(rows, "a subspace's 'basis'"),
-                             "a subspace's 'basis'")
-    if ambient_dim is None:
-        if not ints:
-            raise ValueError("cannot infer ambient dimension of an empty basis")
-        ambient_dim = len(ints[0])
-    if any(len(r) != ambient_dim for r in ints):
-        raise ValueError("rows of unequal length")
-    return RationalSubspace(ambient_dim, *_echelon(ints))
+    return _JSON.decode(text)
 
 
 def _parse_polys(texts: Sequence[str]) -> list[LaurentPoly]:
@@ -214,10 +178,11 @@ def _cmd_charvar_check(args) -> tuple[dict, list[str]]:
     matrix = alexander_matrix(pres, ab)
     reports = []
     for comp in desc.components:
-        generic = contains_translated_torus(matrix, comp)
-        # on a point the generic verdict is the verdict at the translate
-        at_translate = (generic if comp.dim == 0
-                        else depth1_membership(matrix, comp.translate))
+        # the translate is a point of the closed coset: off the locus, it
+        # settles the coset without Bareiss; on a point the verdicts agree
+        at_translate = depth1_membership(matrix, comp.translate)
+        generic = at_translate and (
+            comp.dim == 0 or contains_translated_torus(matrix, comp))
         reports.append({
             "component": comp.to_json(),
             "generic_contained": generic,
@@ -235,7 +200,7 @@ def _cmd_charvar_check(args) -> tuple[dict, list[str]]:
 
 def _cmd_omega_test(args) -> tuple[dict, list[str]]:
     desc = VarietyDescription.from_json(_load_json(args.desc))
-    plane = _parse_subspace(_load_json(args.plane), desc.ambient_dim)
+    plane = subspace_from_json(_load_json(args.plane), desc.ambient_dim)
     if args.r is not None and plane.dim != args.r:
         raise ValueError(f"plane has dimension {plane.dim}, expected r={args.r}")
     verdict = omega_membership(desc, plane)
@@ -290,7 +255,7 @@ def _cmd_omega_describe(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_schubert_eqs(args) -> tuple[dict, list[str]]:
-    space = _parse_subspace(_load_json(args.space))
+    space = subspace_from_json(_load_json(args.space))
     forms = schubert_equations(space, args.r)
     subsets = PluckerVector.subset_order(space.ambient_dim, args.r)
     payload = {

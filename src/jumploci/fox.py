@@ -52,6 +52,12 @@ MAX_RELATOR_LETTERS = 100_000
 #: short text of long atoms that cancel each other cannot make it slow.
 MAX_PRESENTATION_LETTERS = 20 * MAX_RELATOR_LETTERS
 
+#: The deepest :func:`parse_presentation` lets groups ``(w)``, commutators
+#: ``[u, v]`` and conjugating exponents ``u^w`` nest in one another.  The
+#: parser descends by recursion, at most three frames a level, so this
+#: keeps it well inside Python's recursion limit.
+MAX_NESTING_DEPTH = 100
+
 # ---------------------------------------------------------------------------
 # free words
 # ---------------------------------------------------------------------------
@@ -249,8 +255,9 @@ def parse_presentation(text: str) -> Presentation:
     followed by ``^`` and either an integer (power) or another atom
     (conjugation, ``u^w = w^-1 u w``); ``[u,v]`` is the commutator
     u v u^-1 v^-1 and ``(w)`` groups.  Whitespace is ignored.  A word of
-    more than ``MAX_RELATOR_LETTERS`` letters, or more than
-    ``MAX_PRESENTATION_LETTERS`` letters built in all, is a ValueError.
+    more than ``MAX_RELATOR_LETTERS`` letters, more than
+    ``MAX_PRESENTATION_LETTERS`` letters built in all, or nesting deeper
+    than ``MAX_NESTING_DEPTH``, is a ValueError.
 
     >>> parse_presentation("<a,b | [a,b]>").relators[0]
     FreeWord(((0, 1), (1, 1), (0, -1), (1, -1)))
@@ -277,7 +284,7 @@ def parse_presentation(text: str) -> Presentation:
     if len(set(names)) != len(names):
         raise PresentationSyntaxError("duplicate generator name", tokens[0][2])
     index = {name: i for i, name in enumerate(names)}
-    built = 0
+    built = depth = 0
 
     def bounded(letters: int, at: int) -> None:
         if letters > MAX_RELATOR_LETTERS:
@@ -319,7 +326,12 @@ def parse_presentation(text: str) -> Presentation:
         raise PresentationSyntaxError("expected a generator, '[' or '('", at)
 
     def parse_atom() -> FreeWord:
-        nonlocal pos
+        nonlocal pos, depth
+        if depth > MAX_NESTING_DEPTH:
+            raise ValueError(
+                f"the presentation nests deeper than MAX_NESTING_DEPTH = "
+                f"{MAX_NESTING_DEPTH} at position {peek()[2]}")
+        depth += 1
         word = parse_primary()
         while peek()[0] == "^":
             pos += 1
@@ -332,6 +344,7 @@ def parse_presentation(text: str) -> Presentation:
                 word = word.conjugate_by(parse_atom())
                 bounded(word.length(), at)
             spend(word, at)
+        depth -= 1
         return word
 
     def parse_word() -> FreeWord:

@@ -21,34 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .qlinalg import (PluckerVector, RationalSubspace, format_rational,
                       format_rref, plucker)
 from .tcone import SubspaceArrangement
 from .tori import (TranslatedTorus, VarietyDescription, GradedDescription,
                    sigma_rho_membership)
-
-PlaneLike = Union["PlaneQuery", RationalSubspace]
-
-
-@dataclass(frozen=True)
-class PlaneQuery:
-    """A positive-dimensional rational plane P in Q^n (1 <= dim <= n)."""
-    plane: RationalSubspace
-
-    def __post_init__(self):
-        if not 1 <= self.plane.dim <= self.plane.ambient_dim:
-            raise ValueError("a plane query needs 1 <= dim <= ambient_dim")
-
-    @property
-    def r(self) -> int:
-        return self.plane.dim
-
-
-def _as_plane(P: PlaneLike) -> RationalSubspace:
-    return (P if isinstance(P, PlaneQuery) else PlaneQuery(P)).plane
-
 
 @dataclass(frozen=True)
 class OmegaVerdict:
@@ -74,7 +53,8 @@ class OmegaVerdict:
         }
 
 
-def omega_membership(W: VarietyDescription, P: PlaneLike) -> OmegaVerdict:
+def omega_membership(W: VarietyDescription, plane: RationalSubspace
+                     ) -> OmegaVerdict:
     """Does the Z^r-cover determined by P have finite Betti numbers w.r.t. W?
 
     P is a member iff no positive-dimensional component (lambda, L)
@@ -82,9 +62,11 @@ def omega_membership(W: VarietyDescription, P: PlaneLike) -> OmegaVerdict:
     P meet L != {0} (:func:`jumploci.tori.sigma_rho_membership`, one call
     per component).  A blocker's reason is "dim_ge_1" when its translate
     lies on the subtorus, which the canonical translate shows as
-    ``through_identity()``, and "sigma_rho" otherwise.
+    ``through_identity()``, and "sigma_rho" otherwise.  The zero plane,
+    which determines no cover, is refused.
     """
-    plane = _as_plane(P)
+    if plane.is_zero():
+        raise ValueError("a plane query needs 1 <= dim <= ambient_dim")
     if plane.ambient_dim != W.ambient_dim:
         raise ValueError("plane and description live in different tori")
     blockers = tuple(
@@ -116,8 +98,7 @@ class ClosedFormVerdict:
     r: int
     subspace: Optional[RationalSubspace] = None
 
-    def contains(self, P: PlaneLike) -> bool:
-        plane = _as_plane(P)
+    def contains(self, plane: RationalSubspace) -> bool:
         if plane.dim != self.r:
             raise ValueError("plane dimension does not match the closed form")
         if self.kind == "all":

@@ -324,6 +324,20 @@ class RationalSubspace:
             raise ValueError("ambient dimensions differ")
 
 
+def rref_order(spaces: Sequence[RationalSubspace]) -> list[tuple]:
+    """One sort key per space, ordering them by (dimension, RREF).
+
+    The RREF is compared on the integer rows, each scaled by one common
+    multiple of every pivot entry: that is the RREF times one positive
+    integer, so it orders the same, and no ``Fraction`` is built.
+    """
+    scale = math.lcm(*(row[p] for s in spaces
+                       for row, p in zip(s.rows, s.pivots)))
+    return [(s.dim, tuple(tuple(x * (scale // row[p]) for x in row)
+                          for row, p in zip(s.rows, s.pivots)))
+            for s in spaces]
+
+
 # ---------------------------------------------------------------------------
 # Hermite and Smith normal forms
 # ---------------------------------------------------------------------------
@@ -711,19 +725,13 @@ def schubert_equations(space: RationalSubspace, r: int) -> list[tuple[Fraction, 
 # ---------------------------------------------------------------------------
 
 def parse_rational(text: str) -> Fraction:
-    """``Fraction(text.strip())``.  The forms JSON input takes, ASCII
-    ``[-]digits`` and ``[-]digits/digits``, are read to ints directly; any
-    other text goes to ``Fraction``, so the accepted texts, their values and
-    the errors raised are Fraction's, but for one refusal made first: a
-    decimal whose exponent is past ``int()``'s digit limit
+    """``Fraction(text.strip())``: the accepted texts, their values and the
+    errors raised are Fraction's, but for one refusal made first: a decimal
+    whose exponent is past ``int()``'s digit limit
     (:func:`_exponent_too_large`) is an OverflowError, since Fraction would
-    build its power of ten in full."""
+    build its power of ten in full.  The plain forms JSON input takes are
+    read to ints by :func:`json_rational_ints` and never reach it."""
     text = text.strip()
-    num, slash, den = text.partition("/")
-    digits = num[1:] if num[:1] == "-" else num
-    if (digits.isascii() and digits.isdigit()
-            and (not slash or den.isascii() and den.isdigit())):
-        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     if _exponent_too_large(text):
         shown = text if len(text) <= 40 else text[:40] + "..."
         raise OverflowError(f"{shown} written out is {number_too_long()}")
@@ -813,14 +821,6 @@ def json_rational_ints(values: Sequence, what: str) -> tuple[list[int], int]:
     if den > 1:
         nums = [p * (den // q) for p, q in zip(nums, dens)]
     return nums, den
-
-
-def json_integer_rows(rows: Sequence[Sequence], what: str) -> list[list[int]]:
-    """Each row of a JSON array of arrays ``what`` as integer numerators
-    over its own denominator (:func:`json_rational_ints`), which span the
-    same line as the row; the denominator is dropped."""
-    return [json_rational_ints(row, f"{what} row {i}")[0]
-            for i, row in enumerate(rows)]
 
 
 def format_rational(x: Fraction) -> str:

@@ -26,8 +26,9 @@ is sound because R(part) + R(rest) grows with R(rest).  The in-part
 differences are integer vectors, each part's R is their primitive integer
 RREF straight from ``qlinalg._echelon``, and every R is held as integer
 rows (see :class:`jumploci.qlinalg.RationalSubspace`), so the sums, the
-pruning and the memo add, compare and hash ints; ``Fraction`` bases are
-built only for the subspaces of the final arrangement.
+pruning, the memo and the order of the final arrangement
+(:func:`jumploci.qlinalg.rref_order`) add, compare and hash ints; no
+``Fraction`` basis is built.
 
 >>> f = LaurentPoly.parse("t1 + t2 - 2")
 >>> [s.basis for s in tangent_cone_polys([f]).subspaces]
@@ -41,7 +42,7 @@ import math
 from typing import Iterable, Optional, Sequence
 
 from .laurent import LaurentPoly
-from .qlinalg import RationalSubspace, _echelon, format_rref
+from .qlinalg import RationalSubspace, _echelon, format_rref, rref_order
 from .tori import VarietyDescription
 
 DEFAULT_SUPPORT_LIMIT = 16
@@ -53,10 +54,6 @@ SUBSET_SUM_LIMIT = 20
 # ---------------------------------------------------------------------------
 # subspace arrangements
 # ---------------------------------------------------------------------------
-
-def _subspace_sort_key(s: RationalSubspace):
-    return (s.dim, s.basis)
-
 
 class SubspaceArrangement:
     """A finite union of rational subspaces, pruned and canonically sorted.
@@ -74,7 +71,9 @@ class SubspaceArrangement:
         for s in pruned:
             if s.ambient_dim != self.ambient_dim:
                 raise ValueError("ambient dimension mismatch")
-        self.subspaces = tuple(sorted(pruned, key=_subspace_sort_key))
+        keys = rref_order(pruned)
+        self.subspaces = tuple(pruned[i] for i in sorted(range(len(pruned)),
+                                                         key=keys.__getitem__))
         self.empty = not self.subspaces
 
     @classmethod

@@ -47,13 +47,12 @@ from typing import Iterable, Optional, Sequence
 from .qlinalg import (
     RationalSubspace,
     _echelon,
-    clear_denominators,
     coset_rep_ints,
     format_ratio,
     format_rref,
     hnf,  # noqa: F401  unused here; perfbench's tracer test rebinds tori.hnf
-    json_integer_rows,
     json_rational_ints,
+    rref_order,
     vec,
 )
 
@@ -129,13 +128,10 @@ class TranslatedTorus:
         lam = vec(lam)
         if ambient_dim is None:
             ambient_dim = len(lam)
-        rows = [clear_denominators(r) for r in basis_rows]
-        if any(len(r) != ambient_dim for r in rows):
-            raise ValueError("rows of unequal length")
         den = math.lcm(*(x.denominator for x in lam))
         return cls(TorsionCharacter(
                        [x.numerator * (den // x.denominator) for x in lam], den),
-                   RationalSubspace(ambient_dim, *_echelon(rows)))
+                   RationalSubspace.from_rows(basis_rows, ambient_dim))
 
     @property
     def ambient_dim(self) -> int:
@@ -188,15 +184,48 @@ class TranslatedTorus:
         description in Q^ambient_dim, read on integers: the basis rows go
         to the integer RREF and lambda, as numerators over one denominator,
         to the constructor."""
-        lam_field, basis_field = "a component's 'lambda'", "a component's 'basis'"
+        lam_field = "a component's 'lambda'"
         nums, den = json_rational_ints(_json_list(
             _json_field(data, "lambda", "a component"), lam_field), lam_field)
-        rows = json_integer_rows(
-            _json_rows(data.get("basis", []), basis_field), basis_field)
-        if any(len(r) != ambient_dim for r in rows):
-            raise ValueError("rows of unequal length")
         return cls(TorsionCharacter(nums, den),
-                   RationalSubspace(ambient_dim, *_echelon(rows)))
+                   _json_span(data.get("basis", []), "a component's 'basis'",
+                              ambient_dim))
+
+
+def subspace_from_json(data, ambient_dim: Optional[int] = None
+                       ) -> RationalSubspace:
+    """A subspace given as basis rows, or as ``{"basis": rows}`` with an
+    optional ``"n"``, which must then be ambient_dim; entries are "p/q"
+    strings or numbers."""
+    if isinstance(data, dict):
+        rows = _json_field(data, "basis", "a subspace")
+        if "n" in data:
+            n = _json_dim(data["n"], "a subspace's 'n'")
+            if ambient_dim is not None and n != ambient_dim:
+                raise ValueError(f"a subspace's 'n' is {n}, but the "
+                                 f"description lives in Q^{ambient_dim}")
+            ambient_dim = n
+    else:
+        rows = data
+    return _json_span(rows, "a subspace's 'basis'", ambient_dim)
+
+
+def _json_span(rows, what: str, n: Optional[int] = None) -> RationalSubspace:
+    """The span in Q^n of a JSON array of rows ``what``, n being the length
+    of the first row if not given.  Each row is read as integer numerators
+    over its own denominator (:func:`jumploci.qlinalg.json_rational_ints`),
+    which span the same line, and the numerators go to the integer RREF."""
+    if not all(isinstance(row, (list, tuple)) for row in _json_list(rows, what)):
+        raise ValueError(f"{what} must be a JSON array of rows (arrays)")
+    ints = [json_rational_ints(row, f"{what} row {i}")[0]
+            for i, row in enumerate(rows)]
+    if n is None:
+        if not ints:
+            raise ValueError("cannot infer ambient dimension of an empty basis")
+        n = len(ints[0])
+    if any(len(r) != n for r in ints):
+        raise ValueError("rows of unequal length")
+    return RationalSubspace(n, *_echelon(ints))
 
 
 def _json_field(data, key: str, what: str):
@@ -226,14 +255,6 @@ def _json_list(value, what: str) -> Sequence:
     """value if it is a JSON array, else a ValueError naming the field."""
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{what} must be a JSON array")
-    return value
-
-
-def _json_rows(value, what: str) -> Sequence:
-    """value if it is a JSON array of arrays (basis rows), else a ValueError."""
-    if not all(isinstance(row, (list, tuple))
-               for row in _json_list(value, what)):
-        raise ValueError(f"{what} must be a JSON array of rows (arrays)")
     return value
 
 
@@ -319,20 +340,15 @@ class VarietyDescription:
 
 def _prune(comps: list[TranslatedTorus]) -> list[TranslatedTorus]:
     """The components no other contains, ordered by (dimension, direction
-    RREF, translate).  The RREF is compared on the integer rows, each scaled
-    by one common multiple of every pivot entry: that is the RREF times one
-    positive integer, so it orders the same; so are the translates, their
-    numerators scaled by one common multiple of their orders."""
+    RREF, translate): the directions by :func:`jumploci.qlinalg.rref_order`,
+    the translates by their numerators scaled by one common multiple of
+    their orders, which orders them as their values."""
     if len(comps) < 2:
         return comps
-    scale = math.lcm(*(row[p] for c in comps
-                       for row, p in zip(c.direction.rows, c.direction.pivots)))
     order = math.lcm(*(c.translate.order for c in comps))
-    keys = [(c.direction.dim,
-             tuple(tuple(x * (scale // row[p]) for x in row)
-                   for row, p in zip(c.direction.rows, c.direction.pivots)),
-             tuple(x * (order // c.translate.order) for x in c.translate.nums))
-            for c in comps]
+    keys = [key + (tuple(x * (order // c.translate.order)
+                         for x in c.translate.nums),)
+            for key, c in zip(rref_order([c.direction for c in comps]), comps)]
     kept: list[int] = []
     for i in sorted(range(len(comps)), key=keys.__getitem__, reverse=True):
         if not any(comps[j].contains(comps[i]) for j in kept):

@@ -396,6 +396,77 @@ def test_bad_rational_entry_is_a_domain_error_naming_it(capsys, argv, message):
     assert len(data["error"]["message"]) < 200
 
 
+EXPONENT_DESC = '{"n": 1, "components": [{"lambda": [%s], "basis": []}]}'
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["omega-test", "--desc", _desc_with(["1/0", "0"], []),
+      "--plane", "[[1, 0]]"],
+     "a component's 'lambda' entry 0 has a zero denominator"),
+    (["omega-test", "--desc", '{"n": 2, "components": [{"lambda": '
+      f'[0, {LONG}], "basis": []}}]}}', "--plane", "[[1, 0]]"],
+     f"a component's 'lambda' entry 1 {TOO_LONG}"),
+    (["tcone", "--desc", '{"n": 2, "components": [{"lambda": [0, 0], '
+      f'"basis": [[-{LONG}, 1]]}}]}}'],
+     f"a component's 'basis' row 0 entry 0 {TOO_LONG}"),
+    (["omega-test", "--desc", LINE_DESC, "--plane", f"[[1, {LONG}]]"],
+     f"a subspace's 'basis' row 0 entry 1 {TOO_LONG}"),
+    (["tcone", "--desc", f'{{"n": {LONG}, "components": []}}'],
+     "a variety description's 'n' must be a nonnegative integer"),
+    (["omega-test", "--desc", LINE_DESC,
+      "--plane", f'{{"n": {LONG}, "basis": [[1, 0]]}}'],
+     "a subspace's 'n' must be a nonnegative integer"),
+    (["omega-test", "--desc", EXPONENT_DESC % '"1e999999999"',
+      "--plane", "[[1]]"],
+     f"a component's 'lambda' entry 0 {TOO_LONG}"),
+    (["omega-test", "--desc", EXPONENT_DESC % "1e999999999",
+      "--plane", "[[1]]"],
+     f"a component's 'lambda' entry 0 {TOO_LONG}"),
+    (["tcone", "--desc", _desc_with([0, 0], 5)],
+     "a component's 'basis' must be a JSON array"),
+    (["omega-test", "--desc", LINE_DESC, "--plane", '{"basis": 5}'],
+     "a subspace's 'basis' must be a JSON array"),
+    (["tcone", "--desc", _desc_with([0, 0], [1, 0])],
+     "a component's 'basis' must be a JSON array of rows (arrays)"),
+    (["omega-test", "--desc", LINE_DESC, "--plane", "[1, 2]"],
+     "a subspace's 'basis' must be a JSON array of rows (arrays)"),
+    (["tcone", "--desc", _desc_with([0, 0], [[1, 0], [1]])],
+     "rows of unequal length"),
+    (["omega-test", "--desc", LINE_DESC, "--plane", "[[1, 0], [1]]"],
+     "rows of unequal length"),
+    (["schubert-eqs", "--space", "[[1, 0], [1]]", "--r", "1"],
+     "rows of unequal length"),
+    (["schubert-eqs", "--space", "[]", "--r", "1"],
+     "cannot infer ambient dimension of an empty basis"),
+    (["schubert-eqs", "--space", '{"basis": []}', "--r", "1"],
+     "cannot infer ambient dimension of an empty basis"),
+    (["omega-test", "--desc", LINE_DESC,
+      "--plane", '{"n": 3, "basis": [[1, 0]]}'],
+     "a subspace's 'n' is 3, but the description lives in Q^2"),
+    (["omega-test", "--desc", LINE_DESC, "--plane", "[[0, 0]]"],
+     "a plane query needs 1 <= dim <= ambient_dim"),
+    (["omega-test", "--desc", LINE_DESC, "--plane", '{"n": 2, "basis": []}'],
+     "a plane query needs 1 <= dim <= ambient_dim"),
+    (["omega-test", "--desc", LINE_DESC, "--plane", '{"n": 2}'],
+     "a subspace is missing the key 'basis'"),
+    (["schubert-eqs", "--space", '{"n": 3}', "--r", "1"],
+     "a subspace is missing the key 'basis'"),
+], ids=["lambda-zero-denominator", "lambda-long-literal", "basis-long-literal",
+        "plane-long-literal", "n-long-literal", "plane-n-long-literal",
+        "exponent-string", "exponent-number", "basis-not-array",
+        "plane-basis-not-array", "basis-row-not-array", "plane-row-not-array",
+        "basis-unequal-rows", "plane-unequal-rows", "space-unequal-rows",
+        "space-empty-basis", "space-empty-basis-object", "plane-n-mismatch",
+        "zero-plane", "zero-plane-no-rows", "plane-missing-basis",
+        "space-missing-basis"])
+def test_input_refusals_keep_their_whole_error(capsys, argv, error):
+    # the whole error object, type and message: the messages are part of
+    # the command-line interface
+    code, data = run_json(capsys, *argv)
+    assert code == 1
+    assert data == {"error": {"type": "ValueError", "message": error}}
+
+
 def test_tcone_domain_error_empty_identity(capsys):
     code, data = run_json(capsys, "tcone", "--poly", "t1 + t2")
     assert code == 0

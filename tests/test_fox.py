@@ -12,6 +12,7 @@ import datasets
 import oracles
 from jumploci import laurent
 from jumploci.fox import (
+    MAX_NESTING_DEPTH,
     MAX_PRESENTATION_LETTERS,
     MAX_RELATOR_LETTERS,
     Abelianization,
@@ -192,6 +193,29 @@ def test_parse_refuses_presentations_over_the_letter_budget():
                               (4, 2, 6, 3, 5), (5, 2, 4, 3, 6)) * 2)
     pres = parse_presentation(f"<x1, x2, x3, x4, x5, x6 | {commutators}>")
     assert [r.length() for r in pres.relators] == [12 * (limit // 12)] * 8
+
+
+def _nested(shape: str, depth: int) -> str:
+    """x1 inside ``depth`` groups, commutators or conjugating exponents."""
+    if shape == "groups":
+        word = "(" * depth + "x1" + ")" * depth
+    elif shape == "commutators":
+        word = "[" * depth + "x1" + ", x1]" * depth
+    else:
+        word = "^".join(["x1"] * (depth + 1))
+    return f"<x1 | {word}>"
+
+
+@pytest.mark.parametrize("shape", ["groups", "commutators", "conjugates"])
+def test_parse_refuses_nesting_past_the_depth_limit(shape):
+    # the parser descends by recursion, so nesting past the limit would
+    # end in a RecursionError; at the limit it parses
+    assert parse_presentation(_nested(shape, MAX_NESTING_DEPTH)).relators
+    for depth in (MAX_NESTING_DEPTH + 1, 400, 999):
+        with pytest.raises(ValueError, match=(
+                f"nests deeper than MAX_NESTING_DEPTH = {MAX_NESTING_DEPTH} "
+                "at position")):
+            parse_presentation(_nested(shape, depth))
 
 
 def test_round_trip_through_to_text():

@@ -9,7 +9,6 @@ import datasets
 from jumploci.omega import (
     ClosedFormVerdict,
     OmegaVerdict,
-    PlaneQuery,
     fpk_report,
     nonopen_witness,
     omega1_r1_description,
@@ -35,11 +34,12 @@ def span(*rows):
 # queries and verdicts
 # ---------------------------------------------------------------------------
 
-def test_plane_query_validation():
-    q = PlaneQuery(span((1, 0), (0, 1)))
-    assert q.r == 2
-    with pytest.raises(ValueError):
-        PlaneQuery(RationalSubspace.zero(2))
+def test_membership_refuses_the_zero_plane():
+    W = datasets.closed_omega_description()
+    assert omega_membership(W, RationalSubspace.full(3)).member is False
+    with pytest.raises(ValueError, match="^a plane query needs 1 <= dim "
+                                         "<= ambient_dim$"):
+        omega_membership(W, RationalSubspace.zero(3))
 
 
 def test_verdict_consistency_check():

@@ -17,6 +17,7 @@ from jumploci.tori import (
     TranslatedTorus,
     VarietyDescription,
     sigma_rho_membership,
+    subspace_from_json,
 )
 from suites import character, intersect_translated, torsion_character_from_json
 
@@ -187,6 +188,17 @@ def test_component_from_json_matches_the_fraction_reader():
     assert t.through_identity() and t.translate.values == (0, 0)
     t = TranslatedTorus.from_json({"lambda": ["-3/6", "0"], "basis": []}, 2)
     assert t.translate.values == (F(1, 2), 0)
+
+
+def test_subspace_from_json_reads_each_row_over_its_own_denominator():
+    expected = RationalSubspace.from_rows([(F(1, 2), F(1, 3)), (2, 0)], 2)
+    assert subspace_from_json([["1/2", "1/3"], [2, 0]]) == expected
+    assert subspace_from_json({"n": 2, "basis": [[3, 2], ["4/2", 0]]}, 2) \
+        == expected
+    assert subspace_from_json({"basis": []}, 3) == RationalSubspace.zero(3)
+    with pytest.raises(ValueError, match="^a subspace's 'basis' row 1 entry 0 "
+                                         "has a zero denominator$"):
+        subspace_from_json([[1], ["0/0"]])
 
 
 def _old_sort_key(t: TranslatedTorus):
