@@ -6,6 +6,18 @@ byte-identical across runs for identical inputs.
 
 Exit codes: 0 success, 1 domain error (a JSON error object is printed),
 2 usage error.
+
+One process that calls ``main`` many times (a batch driver, a test run)
+parses each repeated input once.  A ``--desc`` text is kept as its
+``VarietyDescription`` and a ``--pres`` text as its generator names,
+abelianization and Alexander matrix.  The key is the text itself (for a
+file, its content), so a changed file is a new key.  At most
+``MEMO_ENTRIES`` texts of each kind are kept, and only a description of at
+most ``MEMO_DESCRIPTION_CHARS`` characters or a presentation of weight at
+most ``MEMO_PRESENTATION_WEIGHT``; a heavier input is answered but not
+kept, and a refused one is never kept.  Every process starts with nothing
+kept, so a single shell launch sees no change.  Planes, polynomials,
+graded descriptions, ranks and verdicts are computed on every call.
 """
 
 from __future__ import annotations
@@ -14,6 +26,7 @@ import argparse
 import functools
 import json
 import sys
+from collections import OrderedDict
 from typing import Optional, Sequence
 
 from .fox import (abelianize, alexander_matrix, contains_translated_torus,
@@ -39,6 +52,20 @@ MAX_CHARACTER_ORDER = 4096
 #: circle of order 509 takes about 0.8 s, of order 1009 about 4 s, and
 #: of order 4001 over 100 s.
 MAX_TORUS_ORDER = 512
+#: The most --desc texts and the most --pres texts that one process keeps
+#: parsed, each kind least recently used first out.
+MEMO_ENTRIES = 16
+#: A --desc text is kept parsed only if it has at most this many
+#: characters.  Such a description retained at most 0.6 MB when measured
+#: (tracemalloc, a dense 29 x 130 basis of one-digit entries, whose RREF
+#: entries are longer than its own), so the 16 kept retain about 10 MB.
+MEMO_DESCRIPTION_CHARS = 8192
+#: A --pres text is kept parsed only if its weight (see
+#: ``_presentation_weight``) is at most this.  Measured retention is at
+#: most 110 bytes per unit of weight (a 100 x 100 matrix of empty
+#: entries), so one kept presentation holds at most about 0.9 MB and the 16
+#: kept about 15 MB.
+MEMO_PRESENTATION_WEIGHT = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +98,9 @@ def _json_integer(text: str):
 _JSON = json.JSONDecoder(parse_float=_json_number, parse_int=_json_integer)
 
 
-def _load_json(value: str):
-    """Inline JSON if the value looks like JSON, else a file path."""
+def _json_text(value: str) -> str:
+    """The JSON text of an option: the value itself if it looks like JSON,
+    else the content of the file it names."""
     text = value.strip()
     if not (text.startswith("{") or text.startswith("[")):
         with open(value, "r", encoding="utf-8") as fh:
@@ -80,7 +108,70 @@ def _load_json(value: str):
         if text.startswith("\ufeff"):          # refused as json.load does
             raise json.JSONDecodeError(
                 "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-    return _JSON.decode(text)
+    return text
+
+
+def _load_json(value: str):
+    """Inline JSON if the value looks like JSON, else a file path."""
+    return _JSON.decode(_json_text(value))
+
+
+def _memo(weight, cap: int):
+    """Memoize a function of an input's text: a bounded least-recently-used
+    map from the text to the immutable objects the function builds from it.
+
+    The key is the text itself, never a file name, so an edited file is a
+    new key.  At most ``MEMO_ENTRIES`` texts are kept, and only those whose
+    ``weight(text, value)`` is at most ``cap``: a heavier value is built
+    and returned but not kept.  A text whose build raises is not kept, so it
+    raises the same error on every call.  At the caps above, the two memos
+    together retain at most about 25 MB.  ``entries`` is the map and
+    ``cache_clear`` empties it, as on ``functools.lru_cache``.
+    """
+    def decorate(build):
+        entries: OrderedDict = OrderedDict()
+
+        @functools.wraps(build)
+        def memoized(text: str):
+            if text in entries:
+                entries.move_to_end(text)
+                return entries[text]
+            value = build(text)
+            if weight(text, value) <= cap:
+                entries[text] = value
+                if len(entries) > MEMO_ENTRIES:
+                    entries.popitem(last=False)
+            return value
+
+        memoized.entries = entries
+        memoized.cache_clear = entries.clear
+        return memoized
+    return decorate
+
+
+@_memo(lambda text, desc: len(text), MEMO_DESCRIPTION_CHARS)
+def _description(text: str) -> VarietyDescription:
+    """The variety description of a --desc text."""
+    return VarietyDescription.from_json(_JSON.decode(text))
+
+
+def _presentation_weight(text: str, entry) -> int:
+    """The characters of the text plus n + 1 for each generator's image in
+    Z^n, for each matrix entry and for each term of an entry: an upper
+    bound on the integers and objects the entry holds."""
+    _, ab, matrix = entry
+    cells = sum(1 + len(e.terms) for row in matrix.entries for e in row)
+    return len(text) + (len(ab.projection) + cells) * (matrix.num_vars + 1)
+
+
+@_memo(_presentation_weight, MEMO_PRESENTATION_WEIGHT)
+def _presentation(text: str):
+    """The generator names, abelianization and Alexander matrix of a --pres
+    text.  The parsed relators are not kept: a power of a commutator has
+    many syllables and few matrix terms."""
+    pres = parse_presentation(text)
+    ab = abelianize(pres)
+    return pres.generator_names, ab, alexander_matrix(pres, ab)
 
 
 def _parse_polys(texts: Sequence[str]) -> list[LaurentPoly]:
@@ -98,7 +189,7 @@ def _arrangement(args) -> SubspaceArrangement:
         return tangent_cone_polys(_parse_polys(args.poly),
                                   max_support=args.max_support)
     return tangent_cone_description(
-        VarietyDescription.from_json(_load_json(args.desc)))
+        _description(_json_text(args.desc)))
 
 
 def _point(line: RationalSubspace) -> list[int]:
@@ -133,21 +224,18 @@ def _arrangement_text(arr: SubspaceArrangement) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _cmd_alexander(args) -> tuple[dict, list[str]]:
-    pres = parse_presentation(args.pres)
-    ab = abelianize(pres)
-    matrix = alexander_matrix(pres, ab)
+    names, ab, matrix = _presentation(args.pres)
     payload = {
-        "generators": list(pres.generator_names),
+        "generators": list(names),
         "free_rank": ab.free_rank,
         "torsion_invariants": list(ab.torsion_invariants),
         "matrix": matrix.to_json(),
         "matrix_text": [[e.to_text() for e in row] for row in matrix.entries],
     }
-    lines = [f"generators: {', '.join(pres.generator_names)}",
+    lines = [f"generators: {', '.join(names)}",
              f"free rank: {ab.free_rank}",
              f"torsion invariants: {list(ab.torsion_invariants)}"]
-    for row in matrix.entries:
-        lines.append("  [" + ",  ".join(e.to_text() for e in row) + "]")
+    lines += ["  [" + ",  ".join(row) + "]" for row in payload["matrix_text"]]
     return payload, lines
 
 
@@ -157,9 +245,8 @@ def _cmd_tcone(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_charvar_check(args) -> tuple[dict, list[str]]:
-    pres = parse_presentation(args.pres)
-    ab = abelianize(pres)
-    desc = VarietyDescription.from_json(_load_json(args.desc))
+    _, ab, matrix = _presentation(args.pres)
+    desc = _description(_json_text(args.desc))
     if desc.ambient_dim != ab.free_rank:
         raise ValueError(
             f"description lives in Q^{desc.ambient_dim} but the presentation "
@@ -175,7 +262,6 @@ def _cmd_charvar_check(args) -> tuple[dict, list[str]]:
                 f"component {i} has dimension {comp.dim} and a translate of "
                 f"order {comp.translate.order}, above MAX_TORUS_ORDER = "
                 f"{MAX_TORUS_ORDER} for components of dimension >= 1")
-    matrix = alexander_matrix(pres, ab)
     reports = []
     for comp in desc.components:
         # the translate is a point of the closed coset: off the locus, it
@@ -199,7 +285,7 @@ def _cmd_charvar_check(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_omega_test(args) -> tuple[dict, list[str]]:
-    desc = VarietyDescription.from_json(_load_json(args.desc))
+    desc = _description(_json_text(args.desc))
     plane = subspace_from_json(_load_json(args.plane), desc.ambient_dim)
     if args.r is not None and plane.dim != args.r:
         raise ValueError(f"plane has dimension {plane.dim}, expected r={args.r}")
@@ -241,7 +327,7 @@ def _cmd_omega_describe(args) -> tuple[dict, list[str]]:
         return payload, lines
     if not args.desc:
         raise ValueError("closed forms for r >= 2 require --desc")
-    desc = VarietyDescription.from_json(_load_json(args.desc))
+    desc = _description(_json_text(args.desc))
     verdict = omega_codim1_closed_form(desc, args.r)
     payload = verdict.to_json()
     if verdict.kind == "all":
@@ -277,8 +363,18 @@ def _cmd_schubert_eqs(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_witness(args) -> tuple[dict, list[str]]:
-    desc = VarietyDescription.from_json(_load_json(args.desc))
-    q_list = [int(q) for q in args.q.split(",") if q.strip()]
+    desc = _description(_json_text(args.desc))
+    q_list = []
+    for i, q in enumerate(args.q.split(",")):
+        if q.strip():
+            try:
+                q_list.append(int(q))
+            except ValueError:
+                raise ValueError(f"--q entry {i} is {q.strip()!r}, not an "
+                                 "integer") from None
+    if not q_list:
+        raise ValueError("--q names no integer; expected comma-separated "
+                         "positive integers")
     report = nonopen_witness(desc, args.component, args.r, q_list)
     payload = report.to_json()
     lines = [f"P = {format_rref(report.plane)} -> member"]

@@ -397,6 +397,9 @@ def test_bad_rational_entry_is_a_domain_error_naming_it(capsys, argv, message):
 
 
 EXPONENT_DESC = '{"n": 1, "components": [{"lambda": [%s], "basis": []}]}'
+TRANSLATED_PLANE_DESC = ('{"n": 3, "components": [{"lambda": ["1/2", "0", "0"], '
+                         '"basis": [[0, 1, 0], [0, 0, 1]]}]}')
+NO_Q = "--q names no integer; expected comma-separated positive integers"
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -451,6 +454,18 @@ EXPONENT_DESC = '{"n": 1, "components": [{"lambda": [%s], "basis": []}]}'
      "a subspace is missing the key 'basis'"),
     (["schubert-eqs", "--space", '{"n": 3}', "--r", "1"],
      "a subspace is missing the key 'basis'"),
+    (["witness", "--desc", TRANSLATED_PLANE_DESC, "--component", "0",
+      "--r", "2", "--q", "a"],
+     "--q entry 0 is 'a', not an integer"),
+    (["witness", "--desc", TRANSLATED_PLANE_DESC, "--component", "0",
+      "--r", "2", "--q", "1,, 2x"],
+     "--q entry 2 is '2x', not an integer"),
+    (["witness", "--desc", TRANSLATED_PLANE_DESC, "--component", "0",
+      "--r", "2", "--q", ""],
+     NO_Q),
+    (["witness", "--desc", TRANSLATED_PLANE_DESC, "--component", "0",
+      "--r", "2", "--q", ","],
+     NO_Q),
 ], ids=["lambda-zero-denominator", "lambda-long-literal", "basis-long-literal",
         "plane-long-literal", "n-long-literal", "plane-n-long-literal",
         "exponent-string", "exponent-number", "basis-not-array",
@@ -458,7 +473,8 @@ EXPONENT_DESC = '{"n": 1, "components": [{"lambda": [%s], "basis": []}]}'
         "basis-unequal-rows", "plane-unequal-rows", "space-unequal-rows",
         "space-empty-basis", "space-empty-basis-object", "plane-n-mismatch",
         "zero-plane", "zero-plane-no-rows", "plane-missing-basis",
-        "space-missing-basis"])
+        "space-missing-basis", "q-not-integer", "q-entry-after-blank",
+        "q-empty", "q-only-comma"])
 def test_input_refusals_keep_their_whole_error(capsys, argv, error):
     # the whole error object, type and message: the messages are part of
     # the command-line interface
@@ -570,14 +586,19 @@ def test_charvar_check_builds_one_matrix_and_one_rank_per_point(
         {"lambda": ["0", "0", "0"], "basis": []},
         {"lambda": ["1/3", "1/5", "1/7"], "basis": []},
         {"lambda": ["1/2", "0", "0"], "basis": [[0, 1, 0], [0, 0, 1]]}]})
-    code, data = run_json(capsys, "charvar-check",
-                          "--pres", datasets.CLOSED_OMEGA_PRES, "--desc", desc)
+    argv = ("charvar-check", "--pres", datasets.CLOSED_OMEGA_PRES,
+            "--desc", desc)
+    code, out = run(capsys, *argv)
     assert code == 0
     assert sorted((c["generic_contained"], c["translate_in_locus"])
-                  for c in data["components"]) == [(False, False), (True, True),
-                                                   (True, True)]
+                  for c in json.loads(out)["components"]) == [
+        (False, False), (True, True), (True, True)]
     assert calls["matrix"] == 1
     assert calls["rank"] == 3           # one per point, one at the translate
+    # the same presentation again: its matrix is kept, the ranks are not
+    assert run(capsys, *argv) == (code, out)
+    assert calls["matrix"] == 1
+    assert calls["rank"] == 6
 
 
 def test_charvar_check_rank_mismatch(capsys):
@@ -804,3 +825,60 @@ def test_output_is_deterministic(capsys):
     code2, second = run(capsys, *args)
     assert code1 == code2 == 0
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# the memo of parsed descriptions and presentations
+# ---------------------------------------------------------------------------
+
+def test_memo_key_is_the_file_content_not_its_path(capsys, tmp_path):
+    path = tmp_path / "desc.json"
+    argv = ("omega-test", "--desc", str(path), "--plane", "[[1, 0]]")
+    path.write_text('{"n": 2, "components": [{"lambda": [0, 0], '
+                    '"basis": [[1, 0]]}]}', encoding="utf-8")
+    code, data = run_json(capsys, *argv)
+    assert code == 0 and data["member"] is False
+    path.write_text('{"n": 2, "components": [{"lambda": [0, 0], '
+                    '"basis": [[0, 1]]}]}', encoding="utf-8")
+    code, data = run_json(capsys, *argv)
+    assert code == 0 and data["member"] is True
+
+
+def test_memo_keeps_no_refused_input(capsys):
+    from jumploci import cli
+    for argv in (("omega-test", "--desc", _desc_with(["1/0", "0"], []),
+                  "--plane", "[[1, 0]]"),
+                 ("alexander", "--pres", "<a, b | c>")):
+        first = run(capsys, *argv)
+        assert first[0] == 1
+        assert run(capsys, *argv) == first
+    assert not cli._description.entries and not cli._presentation.entries
+
+
+def test_memo_keeps_the_most_recent_descriptions(capsys):
+    from jumploci import cli
+    texts = [json.dumps({"n": n, "components": []}) for n in range(1, 18)]
+    for text in texts:
+        assert run(capsys, "tcone", "--desc", text)[0] == 0
+    assert len(texts) == cli.MEMO_ENTRIES + 1
+    assert list(cli._description.entries) == texts[1:]
+
+
+def test_memo_answers_but_does_not_keep_heavy_inputs(capsys):
+    from jumploci import cli
+    # 100,000 matrix terms, about 13 MB, from a 38-character text
+    heavy = "<x1, x2 | x1^49999 x2 x1^-49999 x2^-1>"
+    code, data = run_json(capsys, "alexander", "--pres", heavy)
+    assert code == 0
+    assert sum(len(e) for row in data["matrix"]["entries"] for e in row) \
+        == 100_000
+    assert not cli._presentation.entries
+    light = datasets.ONE_RELATOR_PRES
+    assert run(capsys, "alexander", "--pres", light)[0] == 0
+    assert list(cli._presentation.entries) == [light]
+    # a description longer than the cap, padded with spaces
+    long_desc = LINE_DESC[:-1] + " " * cli.MEMO_DESCRIPTION_CHARS + "}"
+    code, data = run_json(capsys, "omega-test", "--desc", long_desc,
+                          "--plane", "[[0, 1]]")
+    assert code == 0 and data["member"] is True
+    assert not cli._description.entries

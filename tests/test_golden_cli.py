@@ -55,6 +55,17 @@ def test_cli_output_matches_the_transcript():
             f"entry {i}: {entry['argv'][:3]}")
 
 
+def test_cli_output_matches_the_transcript_with_a_warm_memo():
+    # the second pass reads every description and presentation it can from
+    # what the first pass kept; refused inputs are refused again
+    entries = _load()
+    for _ in range(2):
+        for i, entry in enumerate(entries):
+            code, out = _call(entry["argv"])
+            assert (code, out) == (entry["exit"], entry["stdout"]), (
+                f"entry {i}: {entry['argv'][:3]}")
+
+
 # ---------------------------------------------------------------------------
 # generator: the argv list below is what the recorded file was made from
 # ---------------------------------------------------------------------------
