@@ -178,7 +178,7 @@ def _parse_polys(texts: Sequence[str]) -> list[LaurentPoly]:
     """Parse each text once, then pad every exponent to the most variables."""
     polys = [LaurentPoly.parse(t) for t in texts]
     n = max((f.num_vars for f in polys), default=0)
-    return [f if f.num_vars == n else LaurentPoly(
+    return [f if f.num_vars == n else LaurentPoly._make(
                 n, {e + (0,) * (n - f.num_vars): c for e, c in f.terms.items()})
             for f in polys]
 

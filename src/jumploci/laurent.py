@@ -9,8 +9,9 @@ Two layers, all exact:
   a regular expression (a sign, then numbers ``p`` or ``p/q`` and variables
   ``tK`` with integer exponents, ``*`` optional, whitespace between any two
   tokens) and keeps each coefficient an integer numerator and denominator
-  until it builds the term's one ``Fraction``.  Indices above
-  ``MAX_VARIABLES`` are refused as they are read.
+  until the term is read: an integral coefficient stays an ``int``, and
+  only any other becomes a ``Fraction``.  Indices above ``MAX_VARIABLES``
+  are refused as they are read.
 * :class:`CyclotomicNumber` — elements of Q(zeta_m) = Q[x]/Phi_m(x), kept
   as integer numerators over one positive common denominator.  Phi_m is the
   Moebius product of the binomials x^d - 1.  A product is one multiplication
@@ -96,8 +97,9 @@ class LaurentPoly:
             e = tuple(int(x) for x in e)
             if len(e) != num_vars:
                 raise ValueError("exponent arity mismatch")
-            c = Fraction(c)
-            if c != 0:
+            if type(c) is not int and type(c) is not Fraction:
+                c = Fraction(c)
+            if c:
                 clean[e] = c
         self.terms = clean
 
@@ -149,7 +151,7 @@ class LaurentPoly:
 
     def coefficient_sum(self) -> Fraction:
         """The value at the trivial character t = (1, ..., 1)."""
-        return sum(self.terms.values(), Fraction(0))
+        return Fraction(sum(self.terms.values()))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -294,8 +296,9 @@ class LaurentPoly:
         ``^-k`` or ``^p/q`` (with q dividing p).  Whitespace may stand
         between any two tokens.  Numbers multiply, exponents of a repeated
         variable add, like terms combine and zero terms drop; blank text is
-        the zero polynomial.  ``num_vars`` defaults to the largest index
-        that appears.  A ``num_vars`` above ``MAX_VARIABLES`` is refused at
+        the zero polynomial.  An integral coefficient is an int, any other
+        a ``Fraction``.  ``num_vars`` defaults to the largest index that
+        appears.  A ``num_vars`` above ``MAX_VARIABLES`` is refused at
         once, and an index above it as the variable is read, before any
         exponent tuple is built.  Bad input raises ValueError with a
         position.
@@ -331,8 +334,10 @@ class LaurentPoly:
             for i, k in exps.items():
                 e[i - 1] = k
             key = tuple(e)
-            terms[key] = terms.get(key, 0) + c
-        return cls(num_vars, terms)
+            terms[key] = terms[key] + c if key in terms else c
+        return cls._make(num_vars, {
+            e: c if type(c) is int or c.denominator != 1 else c.numerator
+            for e, c in terms.items() if c})
 
     # -- JSON form -----------------------------------------------------------
 
@@ -344,11 +349,13 @@ class LaurentPoly:
         }
 
 
-def _term(sign: str, factors) -> Optional[tuple[Fraction, dict[int, int]]]:
+def _term(sign: str, factors
+          ) -> Optional[tuple[int | Fraction, dict[int, int]]]:
     """The coefficient and ``{index: exponent}`` of one term, from its sign
     and its factors as ``_FACTOR`` groups; None if it has no factor or a
-    factor the term scan cannot take (see :func:`_syntax_error`).  A number
-    longer than ``int()`` reads raises its ValueError."""
+    factor the term scan cannot take (see :func:`_syntax_error`).  The
+    coefficient is an int when it is integral and a ``Fraction`` otherwise.
+    A number longer than ``int()`` reads raises its ValueError."""
     if not factors:
         return None
     num, den = (-1 if sign == "-" else 1), 1
@@ -376,7 +383,7 @@ def _term(sign: str, factors) -> Optional[tuple[Fraction, dict[int, int]]]:
                 den *= int(q)
                 if not den:
                     return None
-    return Fraction(num, den), exps
+    return (num // den if num % den == 0 else Fraction(num, den)), exps
 
 
 def _syntax_error(text: str, start: int) -> ValueError:

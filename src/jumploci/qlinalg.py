@@ -135,6 +135,23 @@ def _reduce(v: Sequence[int], rows: Sequence[tuple[int, ...]],
     return v, den
 
 
+def _echelon_contains(rows: Sequence[tuple[int, ...]], pivots: Sequence[int],
+                      sub_rows: Sequence[tuple[int, ...]],
+                      sub_pivots: Sequence[int]) -> bool:
+    """Whether the span of one primitive integer RREF, ``(sub_rows,
+    sub_pivots)``, lies in the span of another, ``(rows, pivots)``.
+
+    The pivots of a subspace are the columns where its vectors can start,
+    so a subspace of V has a subset of V's pivots, and all of them only if
+    it is V.
+    """
+    if not set(sub_pivots).issubset(pivots):
+        return False
+    if len(sub_rows) == len(rows):
+        return sub_rows == rows
+    return all(not any(_reduce(row, rows, pivots)[0]) for row in sub_rows)
+
+
 def _fractions(rows: Sequence[tuple[int, ...]], pivots: Sequence[int]
                ) -> Matrix:
     """The rows of a primitive integer RREF divided by their pivots."""
@@ -274,16 +291,10 @@ class RationalSubspace:
         return not any(_reduce(clear_denominators(v), self.rows, self.pivots)[0])
 
     def contains(self, other: "RationalSubspace") -> bool:
-        """Inclusion.  The pivots of a subspace are the columns where its
-        vectors can start, so a subspace of V has a subset of V's pivots,
-        and all of them only if it is V."""
-        if (self.ambient_dim != other.ambient_dim
-                or not set(other.pivots).issubset(self.pivots)):
-            return False
-        if len(other.rows) == len(self.rows):
-            return other.rows == self.rows
-        return all(not any(_reduce(row, self.rows, self.pivots)[0])
-                   for row in other.rows)
+        """Inclusion (see :func:`_echelon_contains`)."""
+        return (self.ambient_dim == other.ambient_dim
+                and _echelon_contains(self.rows, self.pivots,
+                                      other.rows, other.pivots))
 
     def sum(self, other: "RationalSubspace") -> "RationalSubspace":
         self._check_ambient(other)

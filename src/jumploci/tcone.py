@@ -22,13 +22,20 @@ coefficients.  A recursion anchored on the least unassigned exponent then
 covers the remaining support with minimal parts, memoized on the remaining
 support.  It carries the row space R(p) = span of in-part differences, so
 L(p) = R(p)^perp, and keeps only the inclusion-minimal R at each step.  This
-is sound because R(part) + R(rest) grows with R(rest).  The in-part
-differences are integer vectors, each part's R is their primitive integer
-RREF straight from ``qlinalg._echelon``, and every R is held as integer
-rows (see :class:`jumploci.qlinalg.RationalSubspace`), so the sums, the
-pruning, the memo and the order of the final arrangement
-(:func:`jumploci.qlinalg.rref_order`) add, compare and hash ints; no
-``Fraction`` basis is built.
+is sound because R(part) + R(rest) grows with R(rest).
+
+Everything runs on ints.  The subset sums are the coefficients over their
+common denominator, tabulated by doubling.  A minimal part is kept as its
+bitmask and its in-part differences, which are integer vectors; no subspace
+is built per part.  The recursion carries each R as a raw primitive integer
+RREF ``(rows, pivots)`` from ``qlinalg._echelon``: R(part) + R(rest) is the
+part's differences echelonized into the rows of R(rest) (a rest that is
+already Q^n is the sum as it is), and the memo and the minimal-R prune hash
+and compare those tuples.  A :class:`jumploci.qlinalg.RationalSubspace` is
+built only for each R the recursion returns and for its complement L(p),
+and the final arrangement is ordered on integer rows
+(:func:`jumploci.qlinalg.rref_order`); the cone of a polynomial builds no
+``Fraction``.
 
 >>> f = LaurentPoly.parse("t1 + t2 - 2")
 >>> [s.basis for s in tangent_cone_polys([f]).subspaces]
@@ -39,10 +46,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Iterable, Optional, Sequence
 
 from .laurent import LaurentPoly
-from .qlinalg import RationalSubspace, _echelon, format_rref, rref_order
+from .qlinalg import (RationalSubspace, _echelon, _echelon_contains,
+                      format_rref, rref_order)
 from .tori import VarietyDescription
 
 DEFAULT_SUPPORT_LIMIT = 16
@@ -118,30 +127,30 @@ class SubspaceArrangement:
         }
 
 
-def _prune_subspaces(subs: Iterable[RationalSubspace], minimal: bool = False
+def _prune_subspaces(subs: Iterable[RationalSubspace]
                      ) -> list[RationalSubspace]:
-    """The distinct maximal (or, with ``minimal``, minimal) members of subs
-    under inclusion.
+    """The distinct maximal members of subs under inclusion.
 
     Distinct subspaces of equal dimension never contain one another, so each
-    is compared only with the kept ones of other dimensions.  The order
+    is compared only with the kept ones of higher dimension.  The order
     within a dimension is that of the integer rows; callers sort the result
     as they need.
     """
     out: list[RationalSubspace] = []
-    ordered = sorted(set(subs), key=lambda s: (s.dim, s.rows),
-                     reverse=not minimal)
+    ordered = sorted(set(subs), key=lambda s: (s.dim, s.rows), reverse=True)
     for _, group in itertools.groupby(ordered, key=lambda s: s.dim):
         kept = out[:]
-        out.extend(s for s in group
-                   if not any(s.contains(t) if minimal else t.contains(s)
-                              for t in kept))
+        out.extend(s for s in group if not any(t.contains(s) for t in kept))
     return out
 
 
 # ---------------------------------------------------------------------------
 # tangent cones
 # ---------------------------------------------------------------------------
+
+# A primitive integer RREF as ``qlinalg._echelon`` returns it: (rows, pivots).
+Echelon = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
+
 
 def _poly_cone(f: LaurentPoly) -> list[RationalSubspace]:
     """The maximal L(p) of f, where f(1) = 0, from minimal zero-sum parts."""
@@ -152,34 +161,38 @@ def _poly_cone(f: LaurentPoly) -> list[RationalSubspace]:
             f"support size {k} needs a table of 2^{k} subset sums (about "
             f"{(40 << k) >> 20} MB); tangent cones take at most "
             f"{SUBSET_SUM_LIMIT} terms, whatever max_support is")
-    den = math.lcm(*(c.denominator for c in f.terms.values()))
-    weights = [int(f.terms[e] * den) for e in support]
+    coeffs = [f.terms[e] for e in support]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    # sums[mask]: the sum of the integer weights at the bits of mask
+    sums = [0]
+    for c in coeffs:
+        w = c.numerator * (den // c.denominator)
+        sums += [s + w for s in sums]
     # parts[i]: the minimal zero-sum subsets with least element i, as bitmasks
-    # with their row spaces.  A zero-sum mask is not minimal iff it properly
-    # contains a minimal one with the same least element (split off a
-    # zero-sum proper subset and cut the piece holding that element into
+    # with their in-part differences.  A zero-sum mask is not minimal iff it
+    # properly contains a minimal one with the same least element (split off
+    # a zero-sum proper subset and cut the piece holding that element into
     # minimal parts); such a part is a smaller mask, so it is already listed.
-    sums = [0] * (1 << k)
-    parts: list[list[tuple[int, RationalSubspace]]] = [[] for _ in range(k)]
-    for mask in range(1, 1 << k):
-        low = mask & -mask
-        least = low.bit_length() - 1
-        sums[mask] = sums[mask ^ low] + weights[least]
-        if sums[mask] == 0 and not any(m & mask == m for m, _ in parts[least]):
+    parts: list[list[tuple[int, list[tuple[int, ...]]]]] = [[] for _ in range(k)]
+    for mask in itertools.compress(range(1 << k), map(operator.not_, sums)):
+        if not mask:
+            continue
+        least = (mask & -mask).bit_length() - 1
+        if not any(m & mask == m for m, _ in parts[least]):
             base = support[least]
-            diffs = [[a - b for a, b in zip(support[i], base)]
-                     for i in range(least + 1, k) if mask >> i & 1]
-            parts[least].append((mask, RationalSubspace(n, *_echelon(diffs))))
+            parts[least].append((mask, [
+                tuple(map(operator.sub, support[i], base))
+                for i in range(least + 1, k) if mask >> i & 1]))
+    memo: dict[int, list[Echelon]] = {0: [((), ())]}
+    return [RationalSubspace(n, rows, pivots).perp()
+            for rows, pivots in _row_spaces((1 << k) - 1, n, parts, memo)]
 
-    memo = {0: [RationalSubspace.zero(n)]}
-    return [r.perp() for r in _row_spaces((1 << k) - 1, parts, memo)]
 
-
-def _row_spaces(remaining: int,
-                parts: Sequence[Sequence[tuple[int, RationalSubspace]]],
-                memo: dict[int, list[RationalSubspace]]
-                ) -> list[RationalSubspace]:
-    """Minimal R(p) over partitions of `remaining` into minimal parts.
+def _row_spaces(remaining: int, n: int,
+                parts: Sequence[Sequence[tuple[int, list[tuple[int, ...]]]]],
+                memo: dict[int, list[Echelon]]) -> list[Echelon]:
+    """Minimal R(p) over partitions of `remaining` into minimal parts, as
+    primitive integer RREFs of subspaces of Q^n.
 
     A module-level function rather than a closure: a recursive closure is
     a reference cycle, which would keep the memo alive after the call until
@@ -188,12 +201,24 @@ def _row_spaces(remaining: int,
     if remaining in memo:
         return memo[remaining]
     anchor = (remaining & -remaining).bit_length() - 1
-    found = []
-    for mask, span in parts[anchor]:
+    found = set()
+    for mask, diffs in parts[anchor]:
         if mask & remaining == mask:
-            found.extend(rest.sum(span)
-                         for rest in _row_spaces(remaining ^ mask, parts, memo))
-    memo[remaining] = out = _prune_subspaces(found, minimal=True)
+            for rest in _row_spaces(remaining ^ mask, n, parts, memo):
+                found.add(rest if len(rest[0]) == n else _echelon(diffs, *rest))
+    if len(found) < 2:
+        memo[remaining] = out = list(found)
+        return out
+    # the inclusion-minimal sums: distinct spans of equal dimension never
+    # contain one another, so each is compared with the kept ones of lower
+    # dimension only
+    out = []
+    ordered = sorted(found, key=lambda r: (len(r[0]), r[0]))
+    for _, group in itertools.groupby(ordered, key=lambda r: len(r[0])):
+        kept = out[:]
+        out.extend(r for r in group
+                   if not any(_echelon_contains(*r, *t) for t in kept))
+    memo[remaining] = out
     return out
 
 

@@ -40,6 +40,7 @@ True
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -342,7 +343,14 @@ def _prune(comps: list[TranslatedTorus]) -> list[TranslatedTorus]:
     """The components no other contains, ordered by (dimension, direction
     RREF, translate): the directions by :func:`jumploci.qlinalg.rref_order`,
     the translates by their numerators scaled by one common multiple of
-    their orders, which orders them as their values."""
+    their orders, which orders them as their values.
+
+    Components are canonical, so one contains another of the same dimension
+    only when the two are equal: equal components are kept once, and each
+    is tested only against the kept ones of higher dimension.  A point thus
+    costs one coset test per such torus and none per other point.
+    """
+    comps = list(dict.fromkeys(comps))
     if len(comps) < 2:
         return comps
     order = math.lcm(*(c.translate.order for c in comps))
@@ -350,9 +358,11 @@ def _prune(comps: list[TranslatedTorus]) -> list[TranslatedTorus]:
                          for x in c.translate.nums),)
             for key, c in zip(rref_order([c.direction for c in comps]), comps)]
     kept: list[int] = []
-    for i in sorted(range(len(comps)), key=keys.__getitem__, reverse=True):
-        if not any(comps[j].contains(comps[i]) for j in kept):
-            kept.append(i)
+    ordered = sorted(range(len(comps)), key=keys.__getitem__, reverse=True)
+    for _, group in itertools.groupby(ordered, key=lambda i: comps[i].dim):
+        above = kept[:]
+        kept.extend(i for i in group
+                    if not any(comps[j].contains(comps[i]) for j in above))
     kept.sort(key=keys.__getitem__)
     return [comps[i] for i in kept]
 

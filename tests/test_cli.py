@@ -9,7 +9,7 @@ import pytest
 
 import datasets
 from jumploci.cli import MAX_CHARACTER_ORDER, MAX_TORUS_ORDER, main
-from jumploci.fox import MAX_RELATOR_LETTERS
+from jumploci.fox import MAX_GENERATORS, MAX_RELATOR_LETTERS
 from jumploci.laurent import MAX_VARIABLES
 from jumploci.tori import VarietyDescription
 
@@ -562,6 +562,16 @@ def test_alexander_refuses_a_relator_power_over_the_limit_at_once(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert f"MAX_RELATOR_LETTERS = {MAX_RELATOR_LETTERS}" in data["error"]["message"]
+
+
+def test_alexander_refuses_a_presentation_over_the_generator_limit(capsys):
+    # 2000 generators took 0.4 s and 78 MB, growing as their square
+    names = ", ".join(f"x{i}" for i in range(1, 2001))
+    start = time.perf_counter()
+    code, data = run_json(capsys, "alexander", "--pres", f"<{names} | >")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert f"MAX_GENERATORS = {MAX_GENERATORS}" in data["error"]["message"]
 
 
 def test_charvar_check_builds_one_matrix_and_one_rank_per_point(

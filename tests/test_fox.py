@@ -12,6 +12,7 @@ import datasets
 import oracles
 from jumploci import laurent
 from jumploci.fox import (
+    MAX_GENERATORS,
     MAX_NESTING_DEPTH,
     MAX_PRESENTATION_LETTERS,
     MAX_RELATOR_LETTERS,
@@ -170,6 +171,21 @@ def test_parse_refuses_relators_over_the_letter_limit():
                  "<a, b | " + "[" * 20 + "a, b" + "], a" * 20 + ">"):
         with pytest.raises(ValueError, match="MAX_RELATOR_LETTERS"):
             parse_presentation(text)
+
+
+def test_parse_refuses_more_generators_than_the_limit():
+    # the abelianization builds a q x q matrix, so q is refused while the
+    # generators are read, before any relator
+    names = [f"x{i}" for i in range(1, MAX_GENERATORS + 2)]
+    pres = parse_presentation(f"<{', '.join(names[:-1])} | [x1, x2]>")
+    assert pres.num_generators == MAX_GENERATORS
+    assert abelianize(pres).free_rank == MAX_GENERATORS
+    text = f"<{', '.join(names)} | x1^{MAX_RELATOR_LETTERS + 1}>"
+    with pytest.raises(ValueError, match=(
+            f"^generator {MAX_GENERATORS + 1} at position "
+            f"{text.index(names[-1])} exceeds the limit MAX_GENERATORS = "
+            f"{MAX_GENERATORS}$")):
+        parse_presentation(text)
 
 
 def test_parse_refuses_presentations_over_the_letter_budget():

@@ -177,6 +177,64 @@ def test_parse_matches_the_reference_parser_on_valid_text():
                     == _outcome(oracles.oracle_parse_poly, text, num_vars)), text
 
 
+def _term_text(c, exps):
+    """One signed term ``c*t_i^k*...`` of a generated text."""
+    mono = "*".join(f"t{i}" + (f"^{k}" if k != 1 else "") for i, k in exps)
+    body = str(abs(c))
+    if mono:
+        body = mono if abs(c) == 1 else f"{body}*{mono}"
+    return ("- " if c < 0 else "+ ") + body
+
+
+def test_parse_is_the_reference_parser_term_by_term():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    coeffs = st.one_of(st.integers(-9, 9),
+                       st.fractions(-9, 9, max_denominator=6))
+    terms = st.lists(st.tuples(coeffs, st.lists(
+        st.tuples(st.integers(1, 3), st.integers(-2, 2)), max_size=3)),
+        max_size=7)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(terms)
+    def check(terms):
+        text = " ".join(_term_text(c, exps) for c, exps in terms)
+        num_vars, expected = oracles.oracle_parse_poly(text)
+        f = LaurentPoly.parse(text)
+        assert f.num_vars == num_vars
+        # the same terms in the same order, integral ones as ints
+        assert list(f.terms.items()) == list(expected.items()), text
+        assert all((type(c) is int) == (c.denominator == 1)
+                   for c in f.terms.values()), text
+        as_fractions = LaurentPoly(num_vars,
+                                   {e: F(c) for e, c in expected.items()})
+        assert f.to_text() == as_fractions.to_text()
+        assert f.to_json() == as_fractions.to_json()
+
+    check()
+
+
+def test_parse_drops_cancelled_terms_and_keeps_integral_coefficients_int():
+    cases = {"t1 - t1 + 1": [((0,), 1)],
+             "1/2*t1 + 1/2 - t1": [((1,), F(-1, 2)), ((0,), F(1, 2))],
+             "1/2*t1 + 1/2*t1 - t1 + 2/2": [((0,), 1)],
+             "3/2*t2 - 1/2*t2 + 4/6": [((0, 1), 1), ((0, 0), F(2, 3))],
+             "t1 - t1": []}
+    for text, expected in cases.items():
+        f = LaurentPoly.parse(text)
+        assert list(f.terms.items()) == expected, text
+        assert [type(c) for c in f.terms.values()] == [
+            type(c) for _, c in expected], text
+    # integer and Fraction coefficients print alike
+    ints = LaurentPoly(2, {(1, 0): -3, (0, 1): 1, (0, 0): 2})
+    fracs = LaurentPoly(2, {e: F(c) for e, c in ints.terms.items()})
+    assert ints == fracs
+    assert ints.to_text() == fracs.to_text() == "2 + t2 - 3*t1"
+    assert ints.to_json() == fracs.to_json()
+    assert [type(c) for c in ints.terms.values()] == [int] * 3
+
+
 INVALID_TEXTS = [
     "t1 + + t2", "t0 + 1", "x1 + 1", "1/ + t1", "t1^", "t1^ ", "t1^t2",
     "t1^+2", "t1^--2", "t1^ - - 2", "t1^1/2", "t1^-6/4 - 1", "2^3", "t1^2^3",

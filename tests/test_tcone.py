@@ -1,5 +1,6 @@
 """Exponential tangent cones and subspace arrangements."""
 
+import inspect
 import random
 from fractions import Fraction
 
@@ -13,6 +14,8 @@ from jumploci.tcone import (
     DEFAULT_SUPPORT_LIMIT,
     SUBSET_SUM_LIMIT,
     SubspaceArrangement,
+    _poly_cone,
+    _prune_subspaces,
     tangent_cone_description,
     tangent_cone_polys,
 )
@@ -165,6 +168,42 @@ def test_minimal_part_cone_matches_oracle_and_enumeration(seed, coeffs):
         assert cone.is_empty() == (f.coefficient_sum() != 0)
         checked += 1
     assert checked >= 20
+
+
+def test_poly_cone_matches_the_partition_oracle_on_mixed_coefficients():
+    # parse gives int coefficients where they are integral and Fractions
+    # elsewhere, so the subset sums must take both
+    rng = random.Random(19)
+    checked = 0
+    for _ in range(120):
+        n, k = rng.randint(1, 4), rng.randint(2, 8)
+        terms = {}
+        for _ in range(k):
+            e = tuple(rng.randint(-2, 2) for _ in range(n))
+            terms[e] = rng.choice([1, -1, 2, -3, F(1, 2), F(-3, 2), F(2, 3)])
+        anchor = rng.choice(sorted(terms))
+        terms[anchor] -= sum(terms.values())
+        if terms[anchor] == 0:
+            del terms[anchor]
+        elif terms[anchor].denominator == 1:
+            terms[anchor] = int(terms[anchor])
+        if len(terms) < 2:
+            continue
+        f = LaurentPoly._make(n, terms)
+        cone = _poly_cone(f)
+        assert len(set(cone)) == len(cone), f
+        assert set(cone) == set(_oracle_cone(f).subspaces), f
+        checked += 1
+    assert checked >= 100
+
+
+def test_prune_subspaces_keeps_maximal_members_only():
+    assert list(inspect.signature(_prune_subspaces).parameters) == ["subs"]
+    a, b = line(1, 0, 0), line(0, 1, 0)
+    plane = RationalSubspace.from_rows([(1, 0, 0), (0, 1, 0)], 3)
+    assert _prune_subspaces([a, plane, b, a, RationalSubspace.zero(3)]) == [
+        plane]
+    assert sorted(_prune_subspaces([b, a, b]), key=lambda s: s.rows) == [b, a]
 
 
 def test_minimal_parts_of_different_sizes():

@@ -1,6 +1,7 @@
 """Translated tori, variety descriptions, combinators, intersections."""
 
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -235,6 +236,53 @@ def test_description_prunes_contained_components():
     assert desc.components == (full,)
     kept = datasets.closed_omega_description()
     assert len(kept.components) == 2  # identity not inside the translate
+
+
+def _pairwise_prune(comps):
+    """The distinct components that no other one contains, every pair
+    tested, in the canonical order."""
+    distinct = set(comps)
+    return sorted((c for c in distinct
+                   if not any(d != c and d.contains(c) for d in distinct)),
+                  key=_old_sort_key)
+
+
+def test_description_prune_matches_every_pair_tested():
+    rng = random.Random(72)
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        comps = []
+        for _ in range(rng.randint(2, 9)):
+            dim = rng.randint(0, n)
+            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(dim)]
+            lam = [F(rng.randint(0, 3), rng.choice([1, 2, 4])) for _ in range(n)]
+            comps.append(TranslatedTorus.from_data(lam, rows, n))
+        # points on the tori drawn, and repeats
+        for t in comps[:3]:
+            step = [F(rng.randint(-3, 3), 2) for _ in t.direction.rows]
+            lam = [x + sum(c * row[i] for c, row in zip(step, t.direction.rows))
+                   for i, x in enumerate(t.translate.values)]
+            comps.append(TranslatedTorus.from_data(lam, [], n))
+        comps += rng.sample(comps, 2)
+        rng.shuffle(comps)
+        assert list(VarietyDescription(n, comps).components) \
+            == _pairwise_prune(comps)
+
+
+def test_description_of_many_points_reads_in_linear_time():
+    # 400 distinct points k/1000007 in Q^1 (17 KB of JSON): equal points are
+    # merged and distinct ones never tested against each other; testing
+    # every pair with a coset reduction took about 2 s
+    data = {"n": 1, "components": [{"lambda": [f"{k}/1000007"], "basis": []}
+                                   for k in range(1, 401)]}
+    start = time.perf_counter()
+    desc = VarietyDescription.from_json(data)
+    assert time.perf_counter() - start < 0.2
+    assert [c.translate.values for c in desc.components] == [
+        (F(k, 1000007),) for k in range(1, 401)]
+    data["components"] += data["components"][:5] + [
+        {"lambda": ["0"], "basis": [[1]]}]
+    assert len(VarietyDescription.from_json(data).components) == 1
 
 
 def test_description_is_order_independent():
