@@ -7,6 +7,15 @@ byte-identical across runs for identical inputs.
 Exit codes: 0 success, 1 domain error (a JSON error object is printed),
 2 usage error.
 
+JSON output, the payload and the error object alike, is byte for byte
+``json.dumps(obj, indent=2)``; ``_dumps`` writes it directly, because the
+standard encoder runs its pure-Python generators whenever it indents.  A
+call whose first argument names a subcommand is parsed by that
+subcommand's parser alone, as argparse's own subcommand action would parse
+it.  The whole parser runs only for a call that names no subcommand first
+or leaves arguments unrecognized, and then prints argparse's usage text and
+exits with its code.
+
 One process that calls ``main`` many times (a batch driver, a test run)
 parses each repeated input once.  A ``--desc`` text is kept as its
 ``VarietyDescription`` and a ``--pres`` text as its generator names,
@@ -497,14 +506,90 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and shared by later calls to main."""
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name, built on first use and
+    shared by later calls to main."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return parser, sub.choices
+
+
+def _parse(argv: Sequence[str]) -> tuple[argparse.ArgumentParser,
+                                         argparse.Namespace]:
+    """The parser and the parsed arguments of a call.  The subcommand that
+    ``argv[0]`` names parses the rest, by the call argparse's subcommand
+    action makes; anything else, and any argument left over, goes through
+    the whole parser, which exits with its usage error."""
+    parser, choices = _parser()
+    if argv and argv[0] in choices:
+        args, extras = choices[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(subcommand=argv[0]))
+        if not extras:
+            return parser, args
+    return parser, parser.parse_args(argv)
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for dicts with str keys,
+    lists, tuples, str, int, bool and None; any other type is a TypeError."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list[str]) -> None:
+    """Append the JSON text of value to out; ``newline`` is a line break
+    followed by the indent of value's own line."""
+    kind = type(value)
+    if kind is str:
+        out.append(_escape(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(x) is str for x in value):
+            out.append("[" + inner + ("," + inner).join(map(_escape, value))
+                       + newline + "]")
+            return
+        sep = "[" + inner
+        for x in value:
+            out.append(sep)
+            _write(x, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, x in value.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _escape(key) + ": ")
+            _write(x, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON "
+                        "serializable")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    parser, args = _parse(sys.argv[1:] if argv is None else list(argv))
     if args.subcommand == "tcone" and bool(args.poly) == bool(args.desc):
         parser.error("tcone needs exactly one of --poly / --desc")
     if args.subcommand == "omega-describe" and bool(args.poly) == bool(args.desc):
@@ -513,13 +598,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         payload, lines = args.handler(args)
     except (ValueError, ArithmeticError, KeyError, OSError,
             json.JSONDecodeError) as exc:
-        print(json.dumps({"error": {"type": type(exc).__name__,
-                                    "message": str(exc)}}, indent=2))
+        print(_dumps({"error": {"type": type(exc).__name__,
+                                "message": str(exc)}}))
         return 1
     if args.format == "text":
         print("\n".join(lines))
     else:
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     return 0
 
 

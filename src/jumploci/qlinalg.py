@@ -27,7 +27,10 @@ form (:func:`hnf`) it reduces lambda to the canonical representative of its
 coset mod V + Z^n, and returns the integer step m taken, so lambda - m lies
 in V when the representative is 0.  :func:`coset_rep_ints` keeps only the
 representative and skips the HNF for an integer vector, which lies in every
-V + Z^n; membership tests and the canonical translates of ``tori`` read it.
+V + Z^n, and for a V whose stored rows all have pivot entry 1 (the zero
+space among them), whose projection lattice is already the coordinates off
+the pivots; membership tests and the canonical translates of ``tori`` read
+it.
 The module also provides Smith normal forms, Pluecker coordinates of
 subspaces, the linear equations cutting out the locus of r-planes meeting a
 fixed subspace nontrivially, and the reading of rational JSON entries,
@@ -590,12 +593,19 @@ def coset_rep_ints(nums: Sequence[int], den: int, space: RationalSubspace
     """The representative of :func:`coset_reduce_ints` for lam = nums / den
     (den > 0), as ``(rep nums, rep den)``.  An integer vector (den divides
     every numerator, as in ``"2/2"``) lies in every V + Z^n, so its
-    representative is 0 with no HNF; only a lam with a denominator is
-    reduced."""
+    representative is 0 with no HNF.  When every pivot entry of V's stored
+    rows is 1, as for the zero space (a point), the full space and every
+    coordinate subspace, the projection of Z^n along V is Z^n on the
+    coordinates off the pivots: its HNF is those unit rows, and the
+    representative is the residue of lam mod V taken mod den, with no HNF
+    either.  Only the remaining spaces go to :func:`coset_reduce_ints`."""
     if len(nums) != space.ambient_dim:
         raise ValueError("character length does not match ambient dimension")
     if den == 1 or all(a % den == 0 for a in nums):
         return [0] * len(nums), 1
+    if all(row[p] == 1 for row, p in zip(space.rows, space.pivots)):
+        x, _ = _reduce(nums, space.rows, space.pivots)
+        return [a % den for a in x], den
     x, d, _ = coset_reduce_ints(nums, den, space)
     return x, d
 

@@ -16,11 +16,15 @@ Two pairs (lambda, L) and (lambda', L) describe the same coset exactly when
 lambda - lambda' lies in L + Z^n, so a canonical representative must reduce
 lambda modulo that subgroup.  :func:`jumploci.qlinalg.coset_rep_ints` does
 it on the numerators of lambda over its order: an integral lambda lies in
-Z^n itself, so its representative is 0 and no HNF is built; any other goes
-to :func:`jumploci.qlinalg.coset_reduce_ints`, which kills the L-part of
-lambda, then reduces the remainder to the Hermite fundamental domain of the
-projection of Z^n along L, so the canonical vector has all entries in
-[0, 1); equality of cosets is then literal equality of representations.
+Z^n itself, so its representative is 0 and no HNF is built.  Any other
+lambda loses its L-part, and the remainder is reduced to the Hermite
+fundamental domain of the projection of Z^n along L, so the canonical
+vector has all entries in [0, 1); equality of cosets is then literal
+equality of representations.  When every pivot entry of L's integer RREF
+is 1 (a point, whose L is 0, a coordinate subtorus, or a direction such as
+(1, 2, -3)), that projection is Z^n on the coordinates off the pivots, so
+the remainder is simply taken mod 1 with no HNF; only the other directions
+go through :func:`jumploci.qlinalg.coset_reduce_ints` and its HNF.
 Every translated torus, whether built from rationals
 (:meth:`TranslatedTorus.from_data`) or read from JSON, goes through that
 one constructor.  Components of a description are ordered by a key read off

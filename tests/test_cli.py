@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 
 import datasets
-from jumploci.cli import MAX_CHARACTER_ORDER, MAX_TORUS_ORDER, main
-from jumploci.fox import MAX_GENERATORS, MAX_RELATOR_LETTERS
+from jumploci.cli import (MAX_CHARACTER_ORDER, MAX_TORUS_ORDER, build_parser,
+                          main)
+from jumploci.fox import (MAX_ALEXANDER_ENTRIES, MAX_GENERATORS,
+                          MAX_RELATOR_LETTERS)
 from jumploci.laurent import MAX_VARIABLES
 from jumploci.tori import VarietyDescription
 
@@ -574,6 +576,21 @@ def test_alexander_refuses_a_presentation_over_the_generator_limit(capsys):
     assert f"MAX_GENERATORS = {MAX_GENERATORS}" in data["error"]["message"]
 
 
+def test_alexander_refuses_more_relators_than_the_entry_limit_at_once(capsys):
+    # 20,000 copies of [x1, x2] over 256 generators ran 66 s and 7.1 GB
+    names = ", ".join(f"x{i}" for i in range(1, 257))
+    relators = ", ".join(["[x1, x2]"] * 20_000)
+    start = time.perf_counter()
+    code, data = run_json(capsys, "alexander", "--pres",
+                          f"<{names} | {relators}>")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert data["error"]["message"].startswith(
+        "relator 9 at position ")
+    assert f"MAX_ALEXANDER_ENTRIES = {MAX_ALEXANDER_ENTRIES}" \
+        in data["error"]["message"]
+
+
 def test_charvar_check_builds_one_matrix_and_one_rank_per_point(
         capsys, monkeypatch):
     from jumploci import cli, fox
@@ -892,3 +909,109 @@ def test_memo_answers_but_does_not_keep_heavy_inputs(capsys):
                           "--plane", "[[0, 1]]")
     assert code == 0 and data["member"] is True
     assert not cli._description.entries
+
+
+# ---------------------------------------------------------------------------
+# argument dispatch and the JSON writer
+# ---------------------------------------------------------------------------
+
+def _reference_main(argv):
+    """The command line as one pass of the whole parser and ``json.dumps``:
+    what ``main`` must print and return, byte for byte."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (args.subcommand in ("tcone", "omega-describe")
+            and bool(args.poly) == bool(args.desc)):
+        parser.error(f"{args.subcommand} needs exactly one of --poly / --desc")
+    try:
+        payload, lines = args.handler(args)
+    except (ValueError, ArithmeticError, KeyError, OSError) as exc:
+        print(json.dumps({"error": {"type": type(exc).__name__,
+                                    "message": str(exc)}}, indent=2))
+        return 1
+    print("\n".join(lines) if args.format == "text"
+          else json.dumps(payload, indent=2))
+    return 0
+
+
+POINT = '{"n": 2, "components": [{"lambda": ["1/2", "0"], "basis": []}]}'
+PLANE = "[[1, 0]]"
+PRES = "<x1, x2 | [x1, x2]>"
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["-h"],
+    ["omega-test", "-h"],
+    ["bogus", "--desc", POINT],
+    ["omega-test", "--plane", PLANE],                      # missing --desc
+    ["omega-test", "--bogus", "1"],
+    ["omega-test", "--desc", POINT, "--plane", PLANE, "--bogus", "1"],
+    ["omega-test", "--desc", POINT, "--plane", PLANE, "--r", "one"],
+    ["tcone", "--poly", "t1 - 1", "--format", "xml"],
+    ["alexander", "--pres", PRES, "extra"],
+    ["omega-test", "--des", POINT, "--pla", PLANE],
+    ["omega-test", f"--desc={POINT}", f"--plane={PLANE}", "--r=1"],
+    ["alexander", "--", "--pres", PRES],
+    ["alexander", "--pres", PRES, "--"],
+    ["--", "alexander", "--pres", PRES],
+    ["-h", "alexander"],
+    ["tcone"],
+    ["tcone", "--poly", "t1 - 1", "--desc", POINT],
+    ["omega-describe", "--r", "1"],
+    ["omega-describe", "--r", "1", "--poly", "t1 - 1", "--desc", POINT],
+    ["omega-test", "--desc", POINT, "--plane", "[[1, 0, 0]]"],
+    ["omega-test", "--desc", POINT, "--plane", PLANE, "--format", "text"],
+])
+def test_main_matches_one_pass_of_the_whole_parser(capsys, argv):
+    # exit code, stdout and stderr, of usage errors, help, domain errors
+    # and answers alike
+    def outcome(run_argv):
+        try:
+            code = run_argv(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        return code, capsys.readouterr()
+
+    expected = outcome(_reference_main)
+    assert outcome(main) == expected
+
+
+def test_unrecognized_arguments_exit_2_naming_them(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["omega-test", "--desc", POINT, "--plane", PLANE, "--bogus", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: jumploci [-h]")
+    assert err.endswith("jumploci: error: unrecognized arguments: --bogus 1\n")
+
+
+def test_json_writer_is_json_dumps_with_indent_2():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from jumploci.cli import _dumps
+
+    text = st.text(st.characters(exclude_categories=()), max_size=8)
+    scalars = (st.none() | st.booleans() | text
+               | st.integers(-2 ** 70, 2 ** 70) | st.integers())
+    values = st.recursive(
+        scalars,
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.lists(inner, max_size=4).map(tuple)
+                       | st.lists(text, max_size=4)
+                       | st.dictionaries(text, inner, max_size=4)),
+        max_leaves=30)
+
+    @hypothesis.settings(max_examples=500, deadline=None, database=None)
+    @hypothesis.given(values)
+    @hypothesis.example(["é☃\U0001f600", '"\\', "\x00\x1f\x7f", "\ud800"])
+    @hypothesis.example({"": [], "a": {}, "b": (), "c": [[], {}],
+                         "\udfff": -2 ** 64 - 1, "t": [True, False, None]})
+    def check(value):
+        assert _dumps(value) == json.dumps(value, indent=2)
+
+    check()
+    for bad in (Fraction(1, 2), [1, Fraction(1, 2)], {"x": 1.5},
+                {1: "int key"}, {"s": {1, 2}}):
+        with pytest.raises(TypeError):
+            _dumps(bad)

@@ -12,6 +12,7 @@ import datasets
 import oracles
 from jumploci import laurent
 from jumploci.fox import (
+    MAX_ALEXANDER_ENTRIES,
     MAX_GENERATORS,
     MAX_NESTING_DEPTH,
     MAX_PRESENTATION_LETTERS,
@@ -186,6 +187,25 @@ def test_parse_refuses_more_generators_than_the_limit():
             f"{text.index(names[-1])} exceeds the limit MAX_GENERATORS = "
             f"{MAX_GENERATORS}$")):
         parse_presentation(text)
+
+
+def test_parse_refuses_more_relators_times_generators_than_the_limit():
+    # the limit is reached exactly, in the widest and the narrowest shape;
+    # one relator more is refused before it is read, so its own fault (a
+    # power past the letter limit) is never seen
+    for q in (MAX_GENERATORS, 1):
+        names = ", ".join(f"x{i}" for i in range(1, q + 1))
+        m = MAX_ALEXANDER_ENTRIES // q
+        relators = ", ".join(["x1"] * m)
+        pres = parse_presentation(f"<{names} | {relators}>")
+        assert len(pres.relators) * q == MAX_ALEXANDER_ENTRIES
+        text = f"<{names} | {relators}, x1^{MAX_RELATOR_LETTERS + 1}>"
+        with pytest.raises(ValueError, match=(
+                f"^relator {m + 1} at position {text.index('x1^')} makes "
+                f"{(m + 1) * q} entries \\({m + 1} relators x {q} generators"
+                f"\\), over the limit MAX_ALEXANDER_ENTRIES = "
+                f"{MAX_ALEXANDER_ENTRIES}$")):
+            parse_presentation(text)
 
 
 def test_parse_refuses_presentations_over_the_letter_budget():

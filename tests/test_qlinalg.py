@@ -426,6 +426,69 @@ def test_integer_coset_core_ignores_how_lam_is_written():
         coset_reduce_ints([1, 2, 2], 2, v)
 
 
+def _unit_pivot_space(rng, n):
+    """A random subspace of Q^n whose integer RREF has every pivot entry 1:
+    integer entries right of each pivot, off the other pivots."""
+    pivots = sorted(rng.sample(range(n), rng.randint(0, n)))
+    rows = []
+    for p in pivots:
+        row = [0] * n
+        row[p] = 1
+        for j in range(p + 1, n):
+            if j not in pivots:
+                row[j] = rng.randint(-4, 4)
+        rows.append(row)
+    return RationalSubspace.from_rows(rows, n)
+
+
+def test_unit_pivot_spaces_take_their_representative_without_an_hnf(
+        monkeypatch):
+    """When every pivot entry is 1 the projection lattice is Z^n off the
+    pivots, so coset_rep_ints answers with no HNF, and its answer is the
+    (x, d) of coset_reduce_ints, which builds the HNF."""
+    rng = random.Random(31)
+    spaces = [RationalSubspace.zero(3), RationalSubspace.full(3),
+              RationalSubspace.from_rows([(0, 1, 0)], 3),
+              RationalSubspace.from_rows([(1, 2, -3)], 3),
+              RationalSubspace.from_rows([(1, 0, 5, -2), (0, 1, -1, 3)], 4)]
+    spaces += [_unit_pivot_space(rng, rng.randint(1, 5)) for _ in range(150)]
+    cases = []
+    for v in spaces:
+        assert all(row[p] == 1 for row, p in zip(v.rows, v.pivots))
+        for _ in range(3):
+            den = rng.randint(2, 9)
+            nums = [rng.randint(-20, 20) for _ in range(v.ambient_dim)]
+            nums[0] = den * rng.randint(-2, 2) + rng.randint(1, den - 1)
+            x, d, _ = coset_reduce_ints(nums, den, v)
+            cases.append((nums, den, v, (x, d)))
+    assert sum(not any(x) for *_, (x, _) in cases) > 20   # members too
+    assert sum(bool(any(x)) for *_, (x, _) in cases) > 20
+
+    def no_hnf(rows):
+        raise AssertionError("coset_rep_ints built an HNF")
+
+    monkeypatch.setattr(qlinalg, "hnf", no_hnf)
+    for nums, den, v, expected in cases:
+        assert coset_rep_ints(nums, den, v) == expected
+
+
+def test_reading_a_point_component_builds_no_hnf(monkeypatch):
+    """A point has L = 0, whose (empty) RREF has no pivot above 1: reading
+    it builds no HNF.  A translated line with pivot entry 2 still does."""
+    from jumploci.tori import VarietyDescription
+    calls = []
+    real_hnf = qlinalg.hnf
+    monkeypatch.setattr(qlinalg, "hnf",
+                        lambda rows: calls.append(rows) or real_hnf(rows))
+    point = {"n": 2, "components": [{"lambda": ["1/3", "1/2"], "basis": []}]}
+    VarietyDescription.from_json(point)
+    assert calls == []
+    line = {"n": 2, "components": [{"lambda": ["1/3", "0"],
+                                    "basis": [[2, 1]]}]}
+    VarietyDescription.from_json(line)
+    assert len(calls) == 1
+
+
 def test_coset_membership_of_full_and_zero_spaces():
     full = RationalSubspace.full(3)
     zero = RationalSubspace.zero(3)
