@@ -13,7 +13,6 @@ from .qlinalg import (PluckerVector, RationalSubspace, coset_reduce_ints,
                       schubert_equations, snf)
 from .laurent import (CyclotomicNumber, LaurentPoly,
                       bareiss_rank, cyclotomic_polynomial, cyclotomic_rank,
-                      evaluate_at_character,
                       restrict_matrix_to_translated_torus)
 from .fox import (Abelianization, AlexanderMatrix, FreeWord, Presentation,
                   PresentationSyntaxError, abelianize, alexander_matrix,
@@ -42,7 +41,7 @@ __all__ = [
     "abelianize", "alexander_matrix",
     "bareiss_rank", "contains_translated_torus", "coset_reduce_ints",
     "cyclotomic_polynomial", "cyclotomic_rank", "depth1_membership",
-    "evaluate_at_character", "format_rational",
+    "format_rational",
     "fpk_report", "generic_rank_on_torus",
     "hnf", "nonopen_witness",
     "omega1_r1_description", "omega_codim1_closed_form", "omega_membership",

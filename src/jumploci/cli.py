@@ -51,15 +51,15 @@ from .tcone import (DEFAULT_SUPPORT_LIMIT, SUBSET_SUM_LIMIT,
 from .tori import GradedDescription, VarietyDescription, subspace_from_json
 
 #: The highest order of a component's translate that charvar-check accepts.
-#: Ranks at a character of order m work in Q(zeta_m), of degree phi(m) over
-#: Q; a dense point of order 4001 on a 16 x 6 Alexander matrix takes about
-#: a second.
+#: Ranks at a character of order m work in Z[zeta_m], of rank phi(m) over
+#: Z; a dense point of order 4001 on a 16 x 6 Alexander matrix takes about
+#: 0.1 s.
 MAX_CHARACTER_ORDER = 4096
 #: The highest translate order that charvar-check accepts on a component of
 #: dimension >= 1.  Bareiss elimination over the subtorus still inverts
-#: leading coefficients in Q(zeta_m); on the surface group a translated
-#: circle of order 509 takes about 0.8 s, of order 1009 about 4 s, and
-#: of order 4001 over 100 s.
+#: leading coefficients in Q(zeta_m) for m > 2; on the surface group the
+#: circle through (1/p, 0, 1/2, 0, 0, 0) along e4 takes about 0.4 s at
+#: p = 509, 2.5 s at p = 1009 and 11 s at p = 2003.
 MAX_TORUS_ORDER = 512
 #: The most --desc texts and the most --pres texts that one process keeps
 #: parsed, each kind least recently used first out.
@@ -70,10 +70,11 @@ MEMO_ENTRIES = 16
 #: entries are longer than its own), so the 16 kept retain about 10 MB.
 MEMO_DESCRIPTION_CHARS = 8192
 #: A --pres text is kept parsed only if its weight (see
-#: ``_presentation_weight``) is at most this.  Measured retention is at
-#: most 110 bytes per unit of weight (a 100 x 100 matrix of empty
-#: entries), so one kept presentation holds at most about 0.9 MB and the 16
-#: kept about 15 MB.
+#: ``_presentation_weight``) is at most this.  Measured retention, with the
+#: term table that a rank at a character builds on first use, is at most
+#: 111 bytes per unit of weight (45 generators killed by 45 relators: a
+#: 45 x 45 matrix over Z^0, nearly all of it empty entries), so one kept
+#: presentation holds at most about 0.9 MB and the 16 kept about 15 MB.
 MEMO_PRESENTATION_WEIGHT = 8192
 
 

@@ -20,9 +20,11 @@ the determinantal condition
     rank d2(rho) + rank d1(rho) <= q - 1,
 
 where d2 is the Alexander matrix and d1 is the column with entries
-rho(x_j) - 1.  Ranks at torsion characters are exact cyclotomic Gaussian
-elimination; generic ranks along a translated subtorus restrict the entries
-to the coset first and then run fraction-free elimination.
+rho(x_j) - 1.  Ranks at torsion characters evaluate the matrix into integer
+vectors of Z[zeta_m] and eliminate them without division; generic ranks
+along a translated subtorus restrict the entries to the coset first and
+then run fraction-free elimination.  Both leave out one column that Fox's
+fundamental identity makes redundant (see :class:`AlexanderMatrix`).
 
 >>> P = parse_presentation("<x1,x2 | x1 x2^2 x1^-1 x2^-2>")
 >>> alexander_matrix(P).entries[0][0].to_text()
@@ -35,8 +37,7 @@ import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .laurent import (LaurentPoly, bareiss_rank, cyclotomic_rank,
-                      evaluate_at_character,
+from .laurent import (LaurentPoly, TermTable, bareiss_rank, cyclotomic_rank,
                       restrict_matrix_to_translated_torus)
 from .qlinalg import number_too_long, snf
 from .tori import TorsionCharacter, TranslatedTorus
@@ -62,12 +63,11 @@ MAX_PRESENTATION_LETTERS = 20 * MAX_RELATOR_LETTERS
 
 #: The most entries, relators times generators, of a presentation that
 #: :func:`parse_presentation` reads: the relator exponent matrix and the
-#: Alexander matrix each have one entry per relator and generator, and the
-#: Smith normal form of the former also builds a relators x relators
-#: unimodular witness.  The worst shape is one generator: 2048 relators
-#: ``x1`` take 0.9 s and 85 MB for ``alexander``, 4096 take 3.2 s and
-#: 280 MB; 8 commutators over 256 generators take 0.2 s.  A relator that
-#: would pass the limit is refused before it is read.
+#: Alexander matrix each have one entry per relator and generator.  At the
+#: limit ``alexander`` takes 0.06 s and 22 MB on 2048 relators ``x1``,
+#: 0.1 s on 1024 six-letter relators over two generators and 0.02 s on 8
+#: commutators over 256 generators.  A relator that would pass the limit
+#: is refused before it is read.
 MAX_ALEXANDER_ENTRIES = 2048
 
 #: The deepest :func:`parse_presentation` lets groups ``(w)``, commutators
@@ -431,7 +431,7 @@ def abelianize(P: Presentation) -> Abelianization:
     exponent_rows = [list(r.exponent_vector(q)) for r in P.relators]
     if not exponent_rows:
         exponent_rows = [[0] * q]
-    s, _, v = snf(exponent_rows)
+    s, v = snf(exponent_rows)
     diag = [s[i][i] for i in range(min(len(s), q)) if s[i][i] != 0]
     k = len(diag)
     projection = tuple(tuple(v[i][k:]) for i in range(q))
@@ -445,15 +445,35 @@ def abelianize(P: Presentation) -> Abelianization:
 # ---------------------------------------------------------------------------
 
 class AlexanderMatrix:
-    """m x q matrix of Laurent polynomials alpha(dr_i/dx_j) in n variables."""
+    """m x q matrix of Laurent polynomials alpha(dr_i/dx_j) in n variables.
 
-    __slots__ = ("entries", "num_vars", "abelianization")
+    ``abelianization`` is the one the matrix was built with, or None for a
+    matrix given by its entries alone.  A matrix built from a presentation
+    satisfies Fox's fundamental identity
+
+        sum_j M_ij (t^{a_j} - 1) = 0        (a_j = alpha(x_j)),
+
+    the image of sum_j (dr_i/dx_j)(x_j - 1) = r_i - 1 under alpha.  So
+    wherever one factor t^{a_j} - 1 is nonzero, column j is a combination of
+    the others, and the ranks below leave it out.  :meth:`term_table`
+    indexes the terms for evaluation at characters; it is built on first
+    use and kept with the matrix.
+    """
+
+    __slots__ = ("entries", "num_vars", "abelianization", "_terms")
 
     def __init__(self, entries: Sequence[Sequence[LaurentPoly]], num_vars: int,
-                 abelianization: Abelianization):
+                 abelianization: Optional[Abelianization]):
         self.entries = tuple(tuple(row) for row in entries)
         self.num_vars = num_vars
         self.abelianization = abelianization
+        self._terms: Optional[TermTable] = None
+
+    def term_table(self) -> TermTable:
+        """The entries' terms, indexed once (see :class:`TermTable`)."""
+        if self._terms is None:
+            self._terms = TermTable(self.entries)
+        return self._terms
 
     @property
     def num_rows(self) -> int:
@@ -523,14 +543,19 @@ def alexander_matrix(P: Presentation,
 def rank_at_character(M: AlexanderMatrix, chi: TorsionCharacter) -> int:
     """Exact rank of M(chi) over Q(zeta_m), m the order of chi.
 
-    The entries are evaluated in Q(zeta_m); :func:`cyclotomic_rank` clears
-    the denominators of each row and eliminates in Z[zeta_m] without
-    division.
+    The matrix is evaluated from its :meth:`~AlexanderMatrix.term_table`:
+    one dot product per distinct monomial gives the power of zeta_m each
+    monomial takes, and each entry becomes one integer vector of Z[zeta_m],
+    reduced mod Phi_m.  :func:`cyclotomic_rank` eliminates them without
+    division.  For a matrix built from a presentation, one column j with
+    chi(x_j) != 1 is left out: Fox's fundamental identity puts it in the
+    span of the others, so the rank is the same (see
+    :func:`_kept_columns`).
     """
     if chi.n != M.num_vars:
         raise ValueError("character length mismatch")
-    return cyclotomic_rank([[evaluate_at_character(e, chi) for e in row]
-                            for row in M.entries])
+    return cyclotomic_rank(
+        M.term_table().at_character(chi, _kept_columns(M, chi)), chi.order)
 
 
 def depth1_membership(M: AlexanderMatrix, chi: TorsionCharacter) -> bool:
@@ -546,28 +571,61 @@ def depth1_membership(M: AlexanderMatrix, chi: TorsionCharacter) -> bool:
     return rank2 + rank1 <= M.num_cols - 1
 
 
-def _d1_rank(ab: Abelianization, chi: TorsionCharacter,
-             rows: Sequence[Sequence[int]] = ()) -> int:
-    """Generic rank of d1 = (t^{a_j} - 1)_j on the coset chi times
-    exp(L tensor C), L spanned by ``rows`` (a point when there are none).
+def _d1_support(ab: Abelianization, chi: TorsionCharacter,
+                rows: Sequence[Sequence[int]] = ()) -> list[int]:
+    """The generators j whose entry t^{a_j} - 1 of d1 is not identically
+    zero on the coset chi times exp(L tensor C), L spanned by ``rows`` (a
+    point when there are none).
 
     On the coset t^{a_j} is chi^{a_j} times a monomial whose exponents are
     the pairings of a_j with a basis of L, so the entry vanishes there iff
     a_j pairs to an integer with chi (a . nums divisible by the order) and
-    to zero with L.  The rank is 0 if every entry vanishes and 1 otherwise.
+    to zero with L.
     """
-    for a in ab.projection:
-        if (sum(x * y for x, y in zip(a, chi.nums)) % chi.order
-                or any(sum(x * y for x, y in zip(a, row)) for row in rows)):
-            return 1
-    return 0
+    return [j for j, a in enumerate(ab.projection)
+            if sum(x * y for x, y in zip(a, chi.nums)) % chi.order
+            or any(sum(x * y for x, y in zip(a, row)) for row in rows)]
+
+
+def _d1_rank(ab: Abelianization, chi: TorsionCharacter,
+             rows: Sequence[Sequence[int]] = ()) -> int:
+    """Generic rank of d1 = (t^{a_j} - 1)_j on the coset chi times
+    exp(L tensor C): 0 if every entry vanishes there (see
+    :func:`_d1_support`) and 1 otherwise."""
+    return 1 if _d1_support(ab, chi, rows) else 0
+
+
+def _kept_columns(M: AlexanderMatrix, chi: TorsionCharacter,
+                  rows: Sequence[Sequence[int]] = ()) -> list[int]:
+    """The columns that give M its generic rank on the coset chi times
+    exp(L tensor C), L spanned by ``rows``.
+
+    By Fox's fundamental identity sum_j M_ij (t^{a_j} - 1) = 0, a column j
+    whose factor t^{a_j} - 1 is not identically zero on the coset (see
+    :func:`_d1_support`) is, at a generic point, the combination
+    -sum_{k != j} M_ik (t^{a_k} - 1) / (t^{a_j} - 1) of the others; at a
+    point it is one wherever the factor is nonzero.  So leaving it out
+    keeps every rank exact.  The column with the most terms among those is
+    left out, since its entries cost elimination the most.  A matrix with
+    no abelianization or no rows, and a coset on which every factor
+    vanishes (at a point, the trivial character), keep all their columns.
+    """
+    columns = list(range(M.num_cols))
+    if M.abelianization is not None and M.entries:
+        movable = _d1_support(M.abelianization, chi, rows)
+        if movable:
+            weights = M.term_table().weights
+            columns.remove(max(movable, key=weights.__getitem__))
+    return columns
 
 
 def generic_rank_on_torus(M: AlexanderMatrix, torus: TranslatedTorus) -> int:
     """Rank of M at a generic point of the coset rho exp(L otimes C).
 
     Entries are restricted to the coset (Laurent polynomials in dim L
-    variables with cyclotomic coefficients) and eliminated fraction-free.
+    variables, with int or Fraction coefficients when rho has order at most
+    2 and cyclotomic ones otherwise) and eliminated fraction-free, less the
+    column that Fox's identity makes redundant (see :func:`_kept_columns`).
     A coset of dimension 0 is the point rho, where restricting is
     evaluating, so its rank is :func:`rank_at_character` at rho.
     """
@@ -577,7 +635,9 @@ def generic_rank_on_torus(M: AlexanderMatrix, torus: TranslatedTorus) -> int:
         return 0
     if torus.dim == 0:
         return rank_at_character(M, torus.translate)
-    return bareiss_rank(restrict_matrix_to_translated_torus(M.entries, torus))
+    columns = _kept_columns(M, torus.translate, torus.direction.rows)
+    return bareiss_rank(restrict_matrix_to_translated_torus(
+        [[row[j] for j in columns] for row in M.entries], torus))
 
 
 def contains_translated_torus(M: AlexanderMatrix, torus: TranslatedTorus) -> bool:

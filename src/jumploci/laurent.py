@@ -17,23 +17,32 @@ Two layers, all exact:
   Moebius product of the binomials x^d - 1.  A product is one multiplication
   of Python ints (Kronecker substitution: each coefficient vector packed
   into one int), then a fold mod x^m - 1 and one reduction by the monic
-  Phi_m.  A power of zeta, a lift to a multiple order, or the value of a
-  Laurent polynomial at a character is a vector indexed by exponents mod m,
-  reduced once.  An inverse is the product of the other Galois conjugates
-  over the norm (Phi_m is irreducible, so this is a field).  Ranks at
-  characters (:func:`cyclotomic_rank`) take no inverse: they eliminate in
-  Z[zeta_m] without division.
+  Phi_m.  A power of zeta, a lift to a multiple order, or a sum of powers
+  of zeta is a vector indexed by exponents mod m, reduced once.  An inverse
+  is the product of the other Galois conjugates over the norm (Phi_m is
+  irreducible, so this is a field).
 
-The restriction map is the workhorse: given f on (C*)^n and a coset rho.T
-with direction L, substituting t_i = rho_i * prod_j u_j^{B_ji} (B the k =
-dim L integer rows that store L) yields a polynomial in k variables that
-vanishes identically iff f vanishes on all of rho.T.  A character is read
-on integers throughout: rho = exp(2 pi i w / m) for its numerators w over
-its order m, so the monomial t^a takes the value zeta_m^(a . w).
+A character is read on integers throughout: rho = exp(2 pi i w / m) for its
+numerators w over its order m, so the monomial t^a takes the value
+zeta_m^(a . w).  Ranks at characters never build a CyclotomicNumber: a
+:class:`TermTable` indexes the distinct exponent vectors of a matrix once,
+so evaluating the matrix at a character costs one dot product per distinct
+monomial and gives each entry as its integer vector in Z[zeta_m], reduced
+mod Phi_m; :func:`cyclotomic_rank` eliminates those vectors without
+division or inverse.
+
+The restriction map is the workhorse on subtori: given f on (C*)^n and a
+coset rho.T with direction L, substituting t_i = rho_i * prod_j u_j^{B_ji}
+(B the k = dim L integer rows that store L) yields a polynomial in k
+variables that vanishes identically iff f vanishes on all of rho.T.  Its
+coefficients lie in Q(zeta_m), m the order of rho.  For m <= 2 that field
+is Q itself (zeta_2 = -1), so the coefficients stay ints and Fractions and
+:func:`bareiss_rank` divides integers exactly; only m > 2 takes
+CyclotomicNumbers.
 
 >>> f = LaurentPoly.parse("t1 + t2 - 2")
->>> evaluate_at_character(f, TorsionCharacter((1, 1), 2)).is_zero()
-False
+>>> TermTable([[f]]).at_character(TorsionCharacter((1, 1), 2), [0])
+[[[-4]]]
 >>> f.coefficient_sum()
 Fraction(0, 1)
 """
@@ -235,19 +244,41 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return self
+        lead_inv = Fraction(1) / other.terms[max(other.terms)]
+        return self._divide(other, lambda c: c * lead_inv)
+
+    def _divide_integral(self, other: "LaurentPoly") -> "LaurentPoly":
+        """Quotient self/other of polynomials with int coefficients whose
+        quotient has int coefficients too, as in Bareiss elimination over
+        Z: each coefficient is divided by other's leading one exactly, with
+        ``//``, and a remainder raises ArithmeticError."""
+        lead = other.terms[max(other.terms)]
+
+        def over_lead(c: int) -> int:
+            q, rest = divmod(c, lead)
+            if rest:
+                raise ArithmeticError("polynomials do not divide exactly over Z")
+            return q
+        return self._divide(other, over_lead)
+
+    def _divide(self, other: "LaurentPoly", over_lead) -> "LaurentPoly":
+        """Long division by the nonzero ``other``, whose leading term (the
+        largest exponent) divides each leading term of the remainder:
+        ``over_lead(c)`` is a coefficient c over other's leading one."""
+        if self.is_zero():
+            return self
         fshift = self.monomial_content()
         gshift = other.monomial_content()
         r = self.shift([-x for x in fshift])
         g = other.shift([-x for x in gshift])
         glead_e = max(g.terms)
-        glead_inv = Fraction(1) / g.terms[glead_e]
         quo: dict = {}
         while r.terms:
             rlead_e = max(r.terms)
             t = tuple(map(operator.sub, rlead_e, glead_e))
             if any(x < 0 for x in t):
                 raise ArithmeticError("polynomials do not divide exactly")
-            c = quo[t] = r.terms[rlead_e] * glead_inv
+            c = quo[t] = over_lead(r.terms[rlead_e])
             r = r - g.shift(t) * c
         return LaurentPoly._make(self.num_vars, quo).shift(
             tuple(map(operator.sub, fshift, gshift)))
@@ -834,16 +865,69 @@ def _cyclotomic_sum(m: int, terms: Sequence[tuple[int, Fraction]]
     return CyclotomicNumber._make(m, _reduce(m, acc), den)
 
 
-def evaluate_at_character(f: LaurentPoly, chi: TorsionCharacter
-                          ) -> CyclotomicNumber:
-    """Value of f at the finite-order character chi, in Q(zeta_m) with m
-    the order of chi: the monomial t^a takes the value zeta_m^(a . w), w the
-    numerators of chi over m."""
-    if chi.n != f.num_vars:
-        raise ValueError("character length mismatch")
-    w = chi.nums
-    return _cyclotomic_sum(chi.order, [(sum(map(operator.mul, e, w)), c)
-                                       for e, c in f.terms.items()])
+class TermTable:
+    """The terms of a matrix of rational Laurent polynomials, indexed once
+    for evaluation at many characters.
+
+    ``exponents`` holds each distinct exponent vector of the matrix once.
+    ``cells[i][j]`` is entry (i, j) as a tuple of (index into
+    ``exponents``, coefficient) pairs, with row i scaled by the lcm of its
+    coefficients' denominators, so that every coefficient is an int.
+    Scaling a row by a nonzero rational keeps the rank.  Equal cells are
+    one object, and a character evaluates each of them once.
+    ``weights[j]`` is the number of terms in column j.
+
+    >>> t1, t2 = LaurentPoly.variables(2)
+    >>> table = TermTable([[t1 - 1, LaurentPoly.parse("1/2 t1*t2 - 1/2")]])
+    >>> table.exponents, table.cells
+    ([(1, 0), (0, 0), (1, 1)], [[((0, 2), (1, -2)), ((2, 1), (1, -1))]])
+    """
+
+    __slots__ = ("num_vars", "exponents", "cells", "weights")
+
+    def __init__(self, rows: Sequence[Sequence[LaurentPoly]]):
+        index: dict = {}
+        distinct: dict = {}
+        self.cells = []
+        for row in rows:
+            scale = math.lcm(*(c.denominator for f in row
+                               for c in f.terms.values()))
+            cells = [tuple((index.setdefault(e, len(index)),
+                            c.numerator * (scale // c.denominator))
+                           for e, c in f.terms.items()) for f in row]
+            self.cells.append([distinct.setdefault(c, c) for c in cells])
+        self.num_vars = rows[0][0].num_vars if rows and rows[0] else 0
+        self.exponents = list(index)
+        self.weights = [sum(map(len, column)) for column in zip(*self.cells)]
+
+    def at_character(self, chi: TorsionCharacter, columns: Sequence[int]
+                     ) -> list[list[Optional[list[int]]]]:
+        """The entries in ``columns`` of every row at chi, of order m, as
+        integer vectors of Z[zeta_m] in the basis 1, zeta, ...,
+        zeta^(phi(m)-1), and None for a zero entry: the input of
+        :func:`cyclotomic_rank`.  Each row is the scaled one of the table.
+
+        The monomial t^a takes the value zeta_m^(a . w), w the numerators of
+        chi, so one dot product per distinct exponent vector gives every
+        power; each entry sums its coefficients into an m-long vector at
+        those powers and reduces it mod Phi_m once.
+        """
+        if chi.n != self.num_vars and self.exponents:
+            raise ValueError("character length mismatch")
+        m, w = chi.order, chi.nums
+        powers = [sum(map(operator.mul, e, w)) % m for e in self.exponents]
+        values: dict = {(): None}             # cell -> its vector; () is 0
+        rows = []
+        for row in self.cells:
+            for cell in map(row.__getitem__, columns):
+                if cell not in values:
+                    acc = [0] * m
+                    for i, c in cell:
+                        acc[powers[i]] += c
+                    v = _reduce(m, acc)
+                    values[cell] = v if any(v) else None
+            rows.append([values[row[j]] for j in columns])
+        return rows
 
 
 def restrict_matrix_to_translated_torus(
@@ -858,10 +942,11 @@ def restrict_matrix_to_translated_torus(
     closed connected subgroup of exp(L tensor C) of the same dimension), so
     an entry is zero iff f vanishes identically on the coset, and the
     restricted matrix has the generic rank of M on the coset.  Two
-    monomials t^a and t^a' merge
-    iff a - a' is orthogonal to L, whichever basis B is.  The entries have
-    k = dim L variables and CyclotomicNumber coefficients of order m, the
-    order of the translate.
+    monomials t^a and t^a' merge iff a - a' is orthogonal to L, whichever
+    basis B is.  The entries have k = dim L variables.  Their coefficients
+    lie in Q(zeta_m), m the order of the translate: CyclotomicNumbers of
+    order m when m > 2, and for m <= 2, where zeta_m^k = (-1)^k is rational,
+    the ints and Fractions of f's own ring.
     """
     n = torus.ambient_dim
     basis = torus.direction.rows
@@ -874,6 +959,10 @@ def restrict_matrix_to_translated_torus(
         for a, c in f.terms.items():
             e = tuple(sum(map(operator.mul, b, a)) for b in basis)
             groups.setdefault(e, []).append((sum(map(operator.mul, a, w)), c))
+        if m <= 2:
+            return LaurentPoly._make(len(basis), {
+                e: z for e, terms in groups.items()
+                if (z := sum(-c if k & 1 else c for k, c in terms))})
         return LaurentPoly._make(len(basis), {
             e: z for e, terms in groups.items()
             if (z := _cyclotomic_sum(m, terms))})
@@ -882,7 +971,7 @@ def restrict_matrix_to_translated_torus(
 
 
 # ---------------------------------------------------------------------------
-# fraction-free rank of matrices of (cyclotomic) Laurent polynomials
+# fraction-free ranks
 # ---------------------------------------------------------------------------
 
 def bareiss_rank(rows: Sequence[Sequence[LaurentPoly]]) -> int:
@@ -890,11 +979,18 @@ def bareiss_rank(rows: Sequence[Sequence[LaurentPoly]]) -> int:
 
     Division by the previous pivot is exact: every entry of an intermediate
     matrix is a minor of the original.  The entries share one coefficient
-    ring, Q or one Q(zeta_m).
+    ring, Z, Q or one Q(zeta_m).  When every coefficient is an int, every
+    minor is integral too, so each quotient is taken on ints with ``//``;
+    otherwise the previous pivot's leading coefficient is inverted once per
+    division.
     """
     work = [list(r) for r in rows]
     if not work:
         return 0
+    divide = (LaurentPoly._divide_integral
+              if all(type(c) is int for row in work for f in row
+                     for c in f.terms.values())
+              else LaurentPoly.divide_exact)
     ncols = len(work[0])
     prev = None
     rank = 0
@@ -925,32 +1021,26 @@ def bareiss_rank(rows: Sequence[Sequence[LaurentPoly]]) -> int:
                 row = [pivot * work[i][c] - fi * work[row_at][c]
                        for c in active_cols]
             for c, val in zip(active_cols, row):
-                work[i][c] = val if prev is None else val.divide_exact(prev)
+                work[i][c] = val if prev is None else divide(val, prev)
         prev = pivot
         rank += 1
         row_at += 1
     return rank
 
 
-def cyclotomic_rank(rows: Sequence[Sequence[CyclotomicNumber]]) -> int:
-    """Rank over Q(zeta_m) of a matrix of cyclotomic numbers of one order.
+def cyclotomic_rank(rows: Sequence[Sequence[Optional[list[int]]]],
+                    order: int) -> int:
+    """Rank over Q(zeta_m), m = ``order``, of a matrix whose entries are
+    integer vectors of Z[zeta_m] in the basis 1, zeta, ..., zeta^(phi(m)-1),
+    and None for zero, as :meth:`TermTable.at_character` gives them.
 
-    Each row is scaled to integer numerators, so entries lie in Z[zeta_m],
-    and eliminated without division: a pivot p clears an entry a below it
-    by row_i <- p * row_i - a * row_p, which keeps the rank since p != 0,
-    and the integer content of the new row is divided out.  No inverse is
-    taken.  Zero entries are kept as None.
+    Elimination takes no division and no inverse: a pivot p clears an entry
+    a below it by row_i <- p * row_i - a * row_p, which keeps the rank since
+    p != 0, and the integer content of the new row is divided out.
     """
-    if not rows:
+    work = [list(row) for row in rows]
+    if not work:
         return 0
-    order = rows[0][0].order if rows[0] else 1
-    work = []
-    for row in rows:
-        if any(z.order != order for z in row):
-            raise ValueError("cyclotomic orders differ (lift first)")
-        den = math.lcm(*(z.den for z in row))
-        work.append([[a * (den // z.den) for a in z.num] if any(z.num)
-                     else None for z in row])
     ncols = len(work[0])
     rank = 0
     for col in range(ncols):

@@ -435,38 +435,33 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def snf(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...],
-                                                tuple[tuple[int, ...], ...],
                                                 tuple[tuple[int, ...], ...]]:
-    """Smith normal form with witnesses: S = U @ M @ V.
+    """Smith normal form with its column witness: S = U @ M @ V.
 
     S is diagonal with nonnegative entries in a divisibility chain
-    d1 | d2 | ... ; U and V are unimodular.  A zero input yields S = 0 with
-    U, V identity matrices (so the free projection read off V is the
-    identity for commutator-only relator matrices).
+    d1 | d2 | ... ; U and V are unimodular.  Only S and V are returned: the
+    row operations that make up U are applied to M alone, so no m x m
+    matrix is built for m rows.  A zero input yields S = 0 with V the
+    identity (so the free projection read off V is the identity for
+    commutator-only relator matrices).
 
-    >>> S, U, V = snf([[2, 4], [6, 8]])
+    >>> S, V = snf([[2, 4], [6, 8]])
     >>> (S[0][0], S[1][1])
     (2, 4)
     """
     a = [list(map(int, row)) for row in rows]
     m = len(a)
     n = len(a[0]) if a else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def row_op(i, j, q):              # row_i -= q * row_j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
     def col_op(i, j, q):              # col_i -= q * col_j
         for r in a:
             r[i] -= q * r[j]
         for r in v:
             r[i] -= q * r[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for r in a:
@@ -484,7 +479,7 @@ def snf(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...],
                     piv, best = (i, j), abs(a[i][j])
         if piv is None:
             break
-        swap_rows(t, piv[0])
+        a[t], a[piv[0]] = a[piv[0]], a[t]
         swap_cols(t, piv[1])
         while True:
             for i in range(t + 1, m):
@@ -492,7 +487,7 @@ def snf(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...],
                     q = a[i][t] // a[t][t]
                     row_op(i, t, q)
                     if a[i][t]:       # remainder became the smaller pivot
-                        swap_rows(t, i)
+                        a[t], a[i] = a[i], a[t]
             for j in range(t + 1, n):
                 while a[t][j]:
                     q = a[t][j] // a[t][t]
@@ -504,7 +499,6 @@ def snf(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...],
                 break
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
         t += 1
 
     # Enforce the divisibility chain d_i | d_{i+1}.  At this point the matrix
@@ -524,19 +518,13 @@ def snf(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...],
             a[i], a[i + 1] = ([p * r1 + q * r2 for r1, r2 in zip(a[i], a[i + 1])],
                               [-(y // g) * r1 + (x // g) * r2
                                for r1, r2 in zip(a[i], a[i + 1])])
-            u[i], u[i + 1] = ([p * r1 + q * r2 for r1, r2 in zip(u[i], u[i + 1])],
-                              [-(y // g) * r1 + (x // g) * r2
-                               for r1, r2 in zip(u[i], u[i + 1])])
             # block is now [[g, q*y], [0, lcm]]; g divides q*y
             col_op(i + 1, i, a[i][i + 1] // a[i][i])
             if a[i][i] < 0:
                 a[i] = [-e for e in a[i]]
-                u[i] = [-e for e in u[i]]
             if a[i + 1][i + 1] < 0:
                 a[i + 1] = [-e for e in a[i + 1]]
-                u[i + 1] = [-e for e in u[i + 1]]
-    return (tuple(tuple(r) for r in a), tuple(tuple(r) for r in u),
-            tuple(tuple(r) for r in v))
+    return tuple(tuple(r) for r in a), tuple(tuple(r) for r in v)
 
 
 # ---------------------------------------------------------------------------

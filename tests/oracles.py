@@ -758,6 +758,20 @@ def cyclo_inverse(a, phi_poly):
     return naive_solve(rows, [1] + [0] * (deg - 1))
 
 
+def oracle_character_value(terms, lam):
+    """The value of the polynomial {exponents: coefficient} at the character
+    exp(2 pi i lam), as (m, v): m the order of lam (the lcm of its
+    denominators) and v its Fraction coefficients in the basis 1, zeta_m,
+    ..., zeta_m^(phi(m)-1)."""
+    lam = [Fraction(x) for x in lam]
+    m = math.lcm(*(x.denominator for x in lam))
+    v = [Fraction(0)] * m
+    for exps, coeff in terms.items():
+        k = sum(a * x for a, x in zip(exps, lam)) * m
+        v[int(k) % m] += Fraction(coeff)
+    return m, cyclo_reduce(v, oracle_cyclotomic_polynomial(m))
+
+
 def oracle_cyclotomic_rank(entries, m):
     """Rank over Q(zeta_m) of a matrix whose entries are {k: Fraction}
     dicts, standing for sum(c * zeta_m^k), by Gaussian elimination with

@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import datasets
 import oracles
@@ -32,7 +33,7 @@ from jumploci.fox import (
 )
 from jumploci.laurent import (LaurentPoly, bareiss_rank,
                               restrict_matrix_to_translated_torus)
-from jumploci.fox import _d1_rank
+from jumploci.fox import _d1_rank, _kept_columns
 from jumploci.tori import TranslatedTorus
 from suites import character, generator_character_poly
 
@@ -528,6 +529,108 @@ def test_rank_at_character_takes_no_inverse(monkeypatch):
     assert rank_at_character(m, character((F(1, 5), 0, F(1, 2), 0, 0, 0))) == 3
     assert rank_at_character(m, character(
         (F(1, 5), F(2, 5), F(1, 2), 0, F(1, 3), 0))) == 5
+
+
+#: Presentations for the rank properties: the worked examples, and groups
+#: with torsion in the abelianization, where a generator can have zero
+#: free image (a in the first two) and so is never the column left out,
+#: and a free group, whose matrix has no rows.
+RANK_PRESENTATIONS = (
+    datasets.CLOSED_OMEGA_PRES, datasets.ONE_RELATOR_PRES,
+    datasets.SURFACE_PRES, datasets.PRODUCT_KERNEL_PRES,
+    "<a, b, c | a^2, [b, c] a>", "<a, b, c | a^3, [b, a c^2]>",
+    "<a, b | a^2 b^-4, [a, b]>", "<a, b>")
+
+
+def fraction_matrix(rng, n=2, q=3):
+    """A hand-built AlexanderMatrix with Fraction coefficients and no
+    abelianization, whose third row combines the first two."""
+    def entry():
+        f = LaurentPoly.zero(n)
+        for _ in range(rng.randint(0, 3)):
+            e = tuple(rng.randint(-1, 2) for _ in range(n))
+            f = f + LaurentPoly.monomial(e, F(rng.choice([-3, -1, 1, 2]),
+                                              rng.choice([1, 2, 3])), n)
+        return f
+    top = [[entry() for _ in range(q)] for _ in range(2)]
+    a, b = entry(), entry()
+    return AlexanderMatrix(
+        top + [[a * x + b * y for x, y in zip(*top)]], n, None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rank_at_character_equals_the_oracle_on_the_full_matrix(data):
+    # rank_at_character leaves one column out of a presentation's matrix,
+    # and the oracle eliminates every column over Q(zeta_m) with inverses
+    kind = data.draw(st.sampled_from(("presentation", "random", "fractions")))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    if kind == "presentation":
+        M = alexander_matrix(parse_presentation(
+            data.draw(st.sampled_from(RANK_PRESENTATIONS))))
+    elif kind == "random":
+        M = random_alexander_matrix(rng, data.draw(st.integers(2, 4)))
+    else:
+        M = fraction_matrix(rng)
+    order = data.draw(st.sampled_from((1, 2, 3, 4, 5, 6, 7, 8, 12)))
+    lam = [F(data.draw(st.integers(0, order - 1)), order)
+           for _ in range(M.num_vars)]
+    entries, m = cyclotomic_entries(M, lam)
+    assert rank_at_character(M, character(lam)) == \
+        oracles.oracle_cyclotomic_rank(entries, m)
+
+
+def test_rank_at_character_leaves_out_one_column_only_where_it_moves():
+    # the trivial character moves no generator, a generator of zero free
+    # image never moves, and a hand-built matrix keeps every column
+    M = alexander_matrix(parse_presentation("<a, b, c | a^2, [b, c] a>"))
+    assert M.abelianization.projection[0] == (0, 0)
+    trivial = character((0, 0))
+    assert _kept_columns(M, trivial) == [0, 1, 2]
+    entries, m = cyclotomic_entries(M, (F(0), F(0)))
+    assert rank_at_character(M, trivial) == \
+        oracles.oracle_cyclotomic_rank(entries, m)
+    dropped = set()
+    for lam in [(F(1, 2), F(0)), (F(0), F(1, 3)), (F(1, 5), F(2, 5))]:
+        kept = _kept_columns(M, character(lam))
+        assert len(kept) == 2 and 0 in kept
+        dropped |= {0, 1, 2} - set(kept)
+        entries, m = cyclotomic_entries(M, lam)
+        assert rank_at_character(M, character(lam)) == \
+            oracles.oracle_cyclotomic_rank(entries, m)
+    assert dropped == {1, 2}
+    hand_built = fraction_matrix(random.Random(49))
+    assert _kept_columns(hand_built, character((F(1, 2), F(1, 3)))) == \
+        [0, 1, 2]
+
+
+def test_generic_rank_leaving_out_a_column_is_the_full_bareiss_rank():
+    # translates of order 1 and 2 restrict into Q and run Bareiss on ints,
+    # others into Q(zeta_m); each against Bareiss on every column
+    rng = random.Random(50)
+    dropped = {1: 0, 2: 0, 3: 0}
+    for trial in range(60):
+        M = (alexander_matrix(parse_presentation(datasets.CLOSED_OMEGA_PRES))
+             if trial % 5 == 0
+             else random_alexander_matrix(rng, rng.randint(2, 3)))
+        n = M.num_vars
+        order = (1, 2, rng.choice([3, 4, 6]))[trial % 3]
+        lam = [F(rng.randrange(order), order) for _ in range(n)]
+        rows = [[rng.choice([0, 1, -1, 2]) for _ in range(n)]
+                for _ in range(rng.randint(1, n - 1))]
+        torus = TranslatedTorus.from_data(lam, rows, n)
+        if torus.dim == 0:
+            continue
+        # the reference takes every column and divides over the field, so
+        # an int coefficient becomes a Fraction
+        full = bareiss_rank([[LaurentPoly._make(f.num_vars, {
+            e: c if isinstance(c, laurent.CyclotomicNumber) else F(c)
+            for e, c in f.terms.items()}) for f in row]
+            for row in restrict_matrix_to_translated_torus(M.entries, torus)])
+        assert generic_rank_on_torus(M, torus) == full
+        kept = _kept_columns(M, torus.translate, torus.direction.rows)
+        dropped[min(torus.translate.order, 3)] += len(kept) < M.num_cols
+    assert min(dropped.values()) >= 5
 
 
 def test_generic_rank_at_a_point_is_the_bareiss_rank_of_the_restriction():

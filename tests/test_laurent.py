@@ -15,8 +15,8 @@ from jumploci.laurent import (
     MAX_VARIABLES,
     LaurentPoly,
     bareiss_rank,
+    TermTable,
     cyclotomic_polynomial,
-    evaluate_at_character,
     restrict_matrix_to_translated_torus,
 )
 from jumploci.laurent import _convolve
@@ -510,14 +510,18 @@ def test_lift_preserves_value_and_cross_order_equality():
 # evaluation at finite-order characters
 # ---------------------------------------------------------------------------
 
+def table_value(f, chi):
+    """f at chi through a one-entry TermTable: its integer vector in
+    Z[zeta_m], or None for zero (f has integral coefficients)."""
+    return TermTable([[f]]).at_character(chi, [0])[0][0]
+
+
 def test_evaluate_at_character_simple_values():
     f = LaurentPoly.parse("t1 + t2 - 2")
-    val = evaluate_at_character(f, character((F(1, 2), F(1, 2))))
-    assert val.is_rational() and val.rational_part() == -4
-    assert evaluate_at_character(f, character((0, 0))).is_zero()
+    assert table_value(f, character((F(1, 2), F(1, 2)))) == [-4]
+    assert table_value(f, character((0, 0))) is None
     g = LaurentPoly.parse("t1^3")
-    assert evaluate_at_character(g, character([F(1, 3)])) == \
-        CyclotomicNumber.one(1)
+    assert table_value(g, character([F(1, 3)])) == [1, 0]
 
 
 def test_evaluate_at_character_matches_numeric_oracle():
@@ -527,12 +531,32 @@ def test_evaluate_at_character_matches_numeric_oracle():
         f = rand_poly(rng, n)
         lam = [F(rng.randint(0, 11), rng.choice([1, 2, 3, 4, 6, 12]))
                for _ in range(n)]
-        value = evaluate_at_character(f, character(lam))
-        exact = sum(float(c) * oracles.unit_root(F(k, value.order))
-                    for k, c in enumerate(value.coeffs))
+        chi = character(lam)
+        value = table_value(f, chi) or [0] * len(cyclotomic_polynomial(
+            chi.order)[1:])
+        assert oracles.oracle_character_value(f.terms, lam) == (chi.order,
+                                                                value)
+        exact = sum(c * oracles.unit_root(F(k, chi.order))
+                    for k, c in enumerate(value))
         approx = oracles.eval_laurent_complex(
             f.terms, tuple(oracles.unit_root(x) for x in lam))
         assert abs(exact - approx) < 1e-7
+
+
+def test_term_table_indexes_each_monomial_once_and_scales_rows():
+    # two rows share t1 and 1; the Fraction row is scaled by its lcm 6,
+    # which keeps the rank, and the value at a character is read off the
+    # indexed powers
+    f = LaurentPoly.parse("1/2 t1 - 1/3", 2)
+    g = LaurentPoly.parse("t1 + t2")
+    table = TermTable([[f, LaurentPoly.zero(2)], [g, g - 1]])
+    assert sorted(table.exponents) == [(0, 0), (0, 1), (1, 0)]
+    assert table.cells[0][0] == ((table.exponents.index((1, 0)), 3),
+                                 (table.exponents.index((0, 0)), -2))
+    assert table.cells[0][1] == ()
+    chi = character((F(1, 2), 0))
+    assert table.at_character(chi, [0, 1]) == [[[-5], None], [None, [-1]]]
+    assert table.at_character(chi, [1]) == [[None], [[-1]]]
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +574,8 @@ def test_restriction_substitutes_the_direction_rows():
                                               torus)[0]
     assert got == [embed(LaurentPoly.parse(text, 2), 1)
                    for text in ("t1^2", "t1*t2^3", "t1^2 - t2^2")]
-    assert all(type(c) is CyclotomicNumber and c.order == 1
-               for f in got for c in f.terms.values())
+    # a translate of order 1 restricts into Q itself, not Q(zeta_1)
+    assert all(type(c) in (int, F) for f in got for c in f.terms.values())
 
 
 def test_restriction_detects_vanishing_on_coset():
@@ -651,6 +675,16 @@ def test_integer_alexander_entries_divide_to_exact_rationals():
     assert q.terms == {(0,): 3} and type(q.terms[(0,)]) is F
 
 
+def test_integral_division_stays_on_ints_and_refuses_a_remainder():
+    f, g = LaurentPoly.parse("2*t1^2 - 2"), LaurentPoly.parse("2*t1 - 2")
+    q = (f * g)._divide_integral(g)
+    assert q == f and all(type(c) is int for c in q.terms.values())
+    # over Q, t1 + 1 = (2*t1 + 2) / 2, but 1/2 is no integer
+    with pytest.raises(ArithmeticError):
+        LaurentPoly.parse("t1 + 1")._divide_integral(
+            LaurentPoly.parse("2*t1 + 2"))
+
+
 def test_repr_of_cyclotomic_coefficients():
     f = embed(LaurentPoly.parse("t1 - 2"), 3)
     text = repr(f)
@@ -726,6 +760,10 @@ def test_bareiss_rank_is_unchanged_by_embedding_into_cyclotomic_fields():
         rank = oracle_rank(rows, zero, one)
         ranks.append(rank)
         assert bareiss_rank(rows) == rank
+        # the same entries with int coefficients divide on ints
+        assert bareiss_rank([[LaurentPoly._make(2, {
+            e: int(c) for e, c in f.terms.items()}) for f in row]
+            for row in rows]) == rank
         for m in (2, 3, 4, 5):
             assert bareiss_rank([[embed(f, m) for f in row]
                                  for row in rows]) == rank

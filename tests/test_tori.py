@@ -414,7 +414,7 @@ def test_orbifold_torsion_invariants_use_elementary_divisors():
     # the torsion of a compact orbifold group with cone orders m_i is
     # Z^t / (m_i e_i, (1, ..., 1)); of a punctured one, the sum of Z_{m_i}
     def invariants(rows):
-        smith, _, _ = snf(rows)
+        smith, _ = snf(rows)
         return tuple(d for d in (smith[i][i] for i in range(len(rows[0])))
                      if d > 1)
 
