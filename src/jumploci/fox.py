@@ -86,9 +86,9 @@ class FreeWord:
     Generator indices are zero-based; exponents are nonzero; adjacent
     syllables use distinct generators.
 
-    >>> w = FreeWord.generator(0) * FreeWord.generator(1) ** 2
-    >>> (w * w.inverse()).is_identity()
-    True
+    >>> w = parse_presentation("<a, b | a b^2>").relators[0]
+    >>> w, w * w.inverse()
+    (FreeWord(((0, 1), (1, 2))), FreeWord(()))
     """
 
     __slots__ = ("syllables", "_length")
@@ -101,14 +101,6 @@ class FreeWord:
             if e:
                 length += abs(e) - _join(stack, ((int(g), e),))
         self.syllables, self._length = tuple(stack), length
-
-    @classmethod
-    def identity(cls) -> "FreeWord":
-        return cls(())
-
-    @classmethod
-    def generator(cls, index: int, exponent: int = 1) -> "FreeWord":
-        return cls(((index, exponent),))
 
     @classmethod
     def _make(cls, syllables: tuple, length: int) -> "FreeWord":
@@ -150,20 +142,9 @@ class FreeWord:
         """self^w = w^-1 self w."""
         return w.inverse() * self * w
 
-    def is_identity(self) -> bool:
-        return not self.syllables
-
     def length(self) -> int:
         """The number of letters: the sum of |exponent| over the syllables."""
         return self._length
-
-    def letters(self) -> list[tuple[int, int]]:
-        """Expanded (generator, +-1) letters, for cross-checking."""
-        out = []
-        for g, e in self.syllables:
-            s = 1 if e > 0 else -1
-            out.extend([(g, s)] * abs(e))
-        return out
 
     def exponent_vector(self, num_generators: int) -> tuple[int, ...]:
         v = [0] * num_generators
@@ -176,12 +157,6 @@ class FreeWord:
 
     def __hash__(self):
         return hash(self.syllables)
-
-    def to_text(self, names: Sequence[str]) -> str:
-        if not self.syllables:
-            return "1"
-        return " ".join(
-            names[g] + (f"^{e}" if e != 1 else "") for g, e in self.syllables)
 
     def __repr__(self):
         return f"FreeWord({self.syllables})"
@@ -212,11 +187,6 @@ class Presentation:
     @property
     def num_generators(self) -> int:
         return len(self.generator_names)
-
-    def to_text(self) -> str:
-        gens = ",".join(self.generator_names)
-        rels = ", ".join(r.to_text(self.generator_names) for r in self.relators)
-        return f"<{gens} | {rels}>" if self.relators else f"<{gens}>"
 
 
 # ---------------------------------------------------------------------------
@@ -482,19 +452,6 @@ class AlexanderMatrix:
     @property
     def num_cols(self) -> int:
         return len(self.entries[0]) if self.entries else len(self.abelianization.projection)
-
-    def fundamental_identity_holds(self) -> bool:
-        """Sum_j entry(i,j) (t^{alpha(x_j)} - 1) = 0 for every row i."""
-        n = self.num_vars
-        for row in self.entries:
-            total = LaurentPoly.zero(n)
-            for j, entry in enumerate(row):
-                a = self.abelianization.projection[j]
-                factor = LaurentPoly.monomial(a, 1, n) - LaurentPoly.constant(n, 1)
-                total = total + entry * factor
-            if not total.is_zero():
-                return False
-        return True
 
     def to_json(self) -> dict:
         return {

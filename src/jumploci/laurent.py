@@ -17,10 +17,10 @@ Two layers, all exact:
   Moebius product of the binomials x^d - 1.  A product is one multiplication
   of Python ints (Kronecker substitution: each coefficient vector packed
   into one int), then a fold mod x^m - 1 and one reduction by the monic
-  Phi_m.  A power of zeta, a lift to a multiple order, or a sum of powers
-  of zeta is a vector indexed by exponents mod m, reduced once.  An inverse
-  is the product of the other Galois conjugates over the norm (Phi_m is
-  irreducible, so this is a field).
+  Phi_m.  A power of zeta, or a sum of powers of zeta, is a vector indexed
+  by exponents mod m, reduced once.  An inverse is the product of the
+  other Galois conjugates over the norm (Phi_m is irreducible, so this is
+  a field).
 
 A character is read on integers throughout: rho = exp(2 pi i w / m) for its
 numerators w over its order m, so the monomial t^a takes the value
@@ -92,8 +92,8 @@ class LaurentPoly:
     terms.  Canonical serialization orders terms lexicographically by
     exponent vector (ascending).
 
-    >>> t1, t2 = LaurentPoly.variables(2)
-    >>> ((t1 - 1) * (t2 + 1)).to_text()
+    >>> f = LaurentPoly.parse("t1 - 1", 2) * LaurentPoly.parse("t2 + 1")
+    >>> f.to_text()
     '-1 - t2 + t1 + t1*t2'
     """
 
@@ -124,39 +124,10 @@ class LaurentPoly:
         f.terms = terms
         return f
 
-    @classmethod
-    def zero(cls, num_vars: int) -> "LaurentPoly":
-        return cls(num_vars, {})
-
-    @classmethod
-    def constant(cls, num_vars: int, value) -> "LaurentPoly":
-        return cls(num_vars, {tuple([0] * num_vars): Fraction(value)})
-
-    @classmethod
-    def monomial(cls, exponents: Sequence[int], coeff=1,
-                 num_vars: Optional[int] = None) -> "LaurentPoly":
-        exponents = tuple(int(x) for x in exponents)
-        return cls(num_vars if num_vars is not None else len(exponents),
-                   {exponents: Fraction(coeff)})
-
-    @classmethod
-    def variable(cls, index: int, num_vars: int) -> "LaurentPoly":
-        """The variable t_{index+1} (zero-based index)."""
-        e = [0] * num_vars
-        e[index] = 1
-        return cls(num_vars, {tuple(e): Fraction(1)})
-
-    @classmethod
-    def variables(cls, num_vars: int) -> list["LaurentPoly"]:
-        return [cls.variable(i, num_vars) for i in range(num_vars)]
-
     # -- predicates and views ------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def support(self) -> list[Expo]:
-        return sorted(self.terms)
 
     def coefficient_sum(self) -> Fraction:
         """The value at the trivial character t = (1, ..., 1)."""
@@ -169,7 +140,8 @@ class LaurentPoly:
             if other.num_vars != self.num_vars:
                 raise ValueError("variable count mismatch")
             return other
-        return LaurentPoly.constant(self.num_vars, other)
+        return LaurentPoly(self.num_vars,
+                           {(0,) * self.num_vars: Fraction(other)})
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -217,7 +189,7 @@ class LaurentPoly:
             (e, c), = self.terms.items()
             return LaurentPoly(self.num_vars,
                                {tuple(x * k for x in e): Fraction(c) ** k})
-        out = LaurentPoly.constant(self.num_vars, 1)
+        out = self._coerce(1)
         for _ in range(k):
             out = out * self
         return out
@@ -504,13 +476,6 @@ def _totient(m: int) -> int:
     return m
 
 
-def _mobius(m: int) -> int:
-    primes = _prime_factors(m)
-    if any(m % (p * p) == 0 for p in primes):
-        return 0
-    return -1 if len(primes) % 2 else 1
-
-
 @lru_cache(maxsize=64)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Integer coefficients (ascending) of the m-th cyclotomic polynomial.
@@ -657,13 +622,14 @@ class CyclotomicNumber:
     """An element of Q(zeta_m), coefficients in the basis 1, x, ..., x^{phi-1}.
 
     Stored as integer numerators ``num`` over one positive denominator
-    ``den`` with no common factor, so equal values have equal fields.
-    ``coeffs`` gives the coefficients as Fractions.
+    ``den`` with no common factor, so equal values of one order have equal
+    fields.  Sums and differences take two numbers of one order; products
+    also take a rational scalar.
 
-    >>> z = CyclotomicNumber.zeta_power(3, 1)
-    >>> (z * z + z + 1).is_zero()
+    >>> z, one = (CyclotomicNumber.zeta_power(3, k) for k in (1, 0))
+    >>> (z * z + z + one).is_zero()
     True
-    >>> (z.inverse() * z) == CyclotomicNumber.one(3)
+    >>> z.inverse() * z == one
     True
     """
 
@@ -691,25 +657,6 @@ class CyclotomicNumber:
         z._set(order, num, den)
         return z
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.den) for x in self.num)
-
-    @classmethod
-    def zero(cls, order: int) -> "CyclotomicNumber":
-        return cls._make(order, [0] * _field(order)[0])
-
-    @classmethod
-    def one(cls, order: int) -> "CyclotomicNumber":
-        return cls.from_rational(order, 1)
-
-    @classmethod
-    def from_rational(cls, order: int, value) -> "CyclotomicNumber":
-        v = Fraction(value)
-        num = [0] * _field(order)[0]
-        num[0] = v.numerator
-        return cls._make(order, num, v.denominator)
-
     @classmethod
     def zeta_power(cls, order: int, k: int) -> "CyclotomicNumber":
         """zeta_m^k, exponent taken mod m."""
@@ -722,19 +669,13 @@ class CyclotomicNumber:
     def __bool__(self) -> bool:
         return any(self.num)
 
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
-
-    def rational_part(self) -> Fraction:
-        return Fraction(self.num[0], self.den)
-
     def _check(self, other: "CyclotomicNumber"):
         if self.order != other.order:
-            raise ValueError("cyclotomic orders differ (lift first)")
+            raise ValueError("cyclotomic orders differ")
 
     def __add__(self, other):
         if not isinstance(other, CyclotomicNumber):
-            other = CyclotomicNumber.from_rational(self.order, other)
+            return NotImplemented
         self._check(other)
         den = math.lcm(self.den, other.den)
         s, t = den // self.den, den // other.den
@@ -742,15 +683,13 @@ class CyclotomicNumber:
             self.order, [s * a + t * b for a, b in zip(self.num, other.num)],
             den)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return CyclotomicNumber._make(self.order, [-a for a in self.num],
                                       self.den)
 
     def __sub__(self, other):
         if not isinstance(other, CyclotomicNumber):
-            other = CyclotomicNumber.from_rational(self.order, other)
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
@@ -801,50 +740,22 @@ class CyclotomicNumber:
         return CyclotomicNumber._make(
             m, [sign * self.den * x for x in others], abs(norm[0]))
 
-    def __truediv__(self, other):
-        if not isinstance(other, CyclotomicNumber):
-            other = CyclotomicNumber.from_rational(self.order, other)
-        return self * other.inverse()
-
     def __rtruediv__(self, other):
+        """other / self for a rational other, as ``Fraction(1) / c`` asks."""
         return self.inverse() * other
 
-    def lift(self, new_order: int) -> "CyclotomicNumber":
-        """Image under zeta_m -> zeta_M^(M/m) for m | M."""
-        if new_order == self.order:
-            return self
-        if new_order % self.order != 0:
-            raise ValueError("new order must be a multiple of the old one")
-        step = new_order // self.order
-        spread = [0] * ((len(self.num) - 1) * step + 1)
-        spread[::step] = self.num
-        return CyclotomicNumber._make(new_order, _reduce(new_order, spread),
-                                      self.den)
-
     def __eq__(self, other):
-        if isinstance(other, CyclotomicNumber):
-            if self.order != other.order:
-                m = math.lcm(self.order, other.order)
-                return self.lift(m) == other.lift(m)
-            return self.den == other.den and self.num == other.num
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.rational_part() == other
-        return NotImplemented
+        if not isinstance(other, CyclotomicNumber):
+            return NotImplemented
+        return (self.order == other.order and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
-        # Tr(z) / phi(m) is the same at every order z can be lifted to, and
-        # is z itself when z is rational; Tr(zeta_m^i) is the Ramanujan sum
-        # mu(d) phi(m) / phi(d) with d = m / gcd(m, i).
-        m = self.order
-        trace = Fraction(0)
-        for i, a in enumerate(self.num):
-            if a:
-                d = m // math.gcd(m, i)
-                trace += Fraction(a * _mobius(d), _totient(d))
-        return hash(trace / self.den)
+        return hash((self.order, self.num, self.den))
 
     def __repr__(self):
-        return f"CyclotomicNumber(order={self.order}, {list(self.coeffs)})"
+        coeffs = [Fraction(x, self.den) for x in self.num]
+        return f"CyclotomicNumber(order={self.order}, {coeffs})"
 
 
 # ---------------------------------------------------------------------------
@@ -877,8 +788,8 @@ class TermTable:
     one object, and a character evaluates each of them once.
     ``weights[j]`` is the number of terms in column j.
 
-    >>> t1, t2 = LaurentPoly.variables(2)
-    >>> table = TermTable([[t1 - 1, LaurentPoly.parse("1/2 t1*t2 - 1/2")]])
+    >>> table = TermTable([[LaurentPoly.parse("t1 - 1", 2),
+    ...                     LaurentPoly.parse("1/2 t1*t2 - 1/2")]])
     >>> table.exponents, table.cells
     ([(1, 0), (0, 0), (1, 1)], [[((0, 2), (1, -2)), ((2, 1), (1, -1))]])
     """

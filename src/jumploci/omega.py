@@ -13,8 +13,8 @@ this is decidable exactly:
 On top of the membership test sit the classical closed forms (lines, the
 single-codimension-one case), a constructive non-openness witness family
 P_q -> P, and a homological finiteness reporter.  The excluded set for
-lines is the tangent-cone arrangement itself: a line span(v) survives
-exactly when ``not C.contains_vector(v)``.
+lines is the tangent-cone arrangement itself: a line survives exactly when
+no subspace of the arrangement contains it.
 """
 
 from __future__ import annotations
@@ -97,15 +97,6 @@ class ClosedFormVerdict:
     kind: str                                  # "all" | "grassmannian" | "empty"
     r: int
     subspace: Optional[RationalSubspace] = None
-
-    def contains(self, plane: RationalSubspace) -> bool:
-        if plane.dim != self.r:
-            raise ValueError("plane dimension does not match the closed form")
-        if self.kind == "all":
-            return True
-        if self.kind == "empty":
-            return False
-        return self.subspace.contains(plane)
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "r": self.r}

@@ -65,10 +65,6 @@ PLUCKER_BUDGET = 20_000
 # small helpers
 # ---------------------------------------------------------------------------
 
-def vec(entries: Iterable) -> Vector:
-    return tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
-
-
 def clear_denominators(row: Sequence) -> tuple[int, ...]:
     """Scale a rational row by the lcm of denominators (primitive direction)."""
     row = [x if type(x) is int or type(x) is Fraction else Fraction(x)
@@ -255,11 +251,6 @@ class RationalSubspace:
     def zero(cls, n: int) -> "RationalSubspace":
         return cls(n, (), ())
 
-    @classmethod
-    def full(cls, n: int) -> "RationalSubspace":
-        rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        return cls(n, rows, tuple(range(n)))
-
     @property
     def basis(self) -> Matrix:
         """The reduced row echelon form, each row divided by its pivot."""
@@ -270,10 +261,6 @@ class RationalSubspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    @property
-    def codim(self) -> int:
-        return self.ambient_dim - len(self.rows)
 
     def is_zero(self) -> bool:
         return not self.rows
@@ -289,9 +276,6 @@ class RationalSubspace:
     def __repr__(self):
         rows = ", ".join("(" + ", ".join(str(x) for x in r) + ")" for r in self.basis)
         return f"RationalSubspace({self.ambient_dim}, [{rows}])"
-
-    def contains_vector(self, v: Sequence) -> bool:
-        return not any(_reduce(clear_denominators(v), self.rows, self.pivots)[0])
 
     def contains(self, other: "RationalSubspace") -> bool:
         """Inclusion (see :func:`_echelon_contains`)."""
@@ -329,8 +313,6 @@ class RationalSubspace:
     def perp(self) -> "RationalSubspace":
         """Orthogonal complement {w : w . x = 0 for all x in the subspace}."""
         n = self.ambient_dim
-        if not self.rows:
-            return RationalSubspace.full(n)
         return RationalSubspace(n, *_echelon(_kernel(self.rows, self.pivots, n)))
 
     def _check_ambient(self, other: "RationalSubspace") -> None:

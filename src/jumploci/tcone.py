@@ -89,18 +89,6 @@ class SubspaceArrangement:
     def empty_arrangement(cls, ambient_dim: int) -> "SubspaceArrangement":
         return cls(ambient_dim, ())
 
-    def is_empty(self) -> bool:
-        return self.empty
-
-    def contains_vector(self, x) -> bool:
-        return any(s.contains_vector(x) for s in self.subspaces)
-
-    def union(self, other: "SubspaceArrangement") -> "SubspaceArrangement":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return SubspaceArrangement(self.ambient_dim,
-                                   self.subspaces + other.subspaces)
-
     def intersect(self, other: "SubspaceArrangement") -> "SubspaceArrangement":
         """Pairwise intersections (union-of-subspaces semantics), pruned."""
         if self.ambient_dim != other.ambient_dim:

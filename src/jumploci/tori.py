@@ -25,17 +25,18 @@ is 1 (a point, whose L is 0, a coordinate subtorus, or a direction such as
 (1, 2, -3)), that projection is Z^n on the coordinates off the pivots, so
 the remainder is simply taken mod 1 with no HNF; only the other directions
 go through :func:`jumploci.qlinalg.coset_reduce_ints` and its HNF.
-Every translated torus, whether built from rationals
-(:meth:`TranslatedTorus.from_data`) or read from JSON, goes through that
-one constructor.  Components of a description are ordered by a key read off
-the integer rows of their directions and the numerators of their
-translates.  The plane-membership test :func:`sigma_rho_membership` reads
-whether P meets L off dim(P + L) and only then asks
-:func:`jumploci.qlinalg.coset_rep_ints` whether the translate lies in
-P + L + Z^n.
+Every translated torus, whether built from a character and a subspace or
+read from JSON, goes through that one constructor.  Components of a
+description are ordered by a key read off the integer rows of their
+directions and the numerators of their translates.  The plane-membership
+test :func:`sigma_rho_membership` reads whether P meets L off dim(P + L)
+and only then asks :func:`jumploci.qlinalg.coset_rep_ints` whether the
+translate lies in P + L + Z^n.
 
->>> T1 = TranslatedTorus.from_data(("0", "1/2"), [("1", "1")])
->>> T2 = TranslatedTorus.from_data(("1/2", "0"), [("2", "2")])
+>>> T1 = TranslatedTorus(TorsionCharacter((0, 1), 2),
+...                      RationalSubspace.from_rows([(1, 1)], 2))
+>>> T2 = TranslatedTorus(TorsionCharacter((1, 0), 2),
+...                      RationalSubspace.from_rows([(2, 2)], 2))
 >>> T1 == T2            # same coset of the diagonal subtorus
 True
 >>> T1.translate.nums, T1.translate.order
@@ -58,7 +59,6 @@ from .qlinalg import (
     hnf,  # noqa: F401  unused here; perfbench's tracer test rebinds tori.hnf
     json_rational_ints,
     rref_order,
-    vec,
 )
 
 
@@ -125,19 +125,6 @@ class TranslatedTorus:
         self.translate = TorsionCharacter(
             *coset_rep_ints(translate.nums, translate.order, direction))
 
-    @classmethod
-    def from_data(cls, lam: Iterable, basis_rows: Iterable[Iterable],
-                  ambient_dim: Optional[int] = None) -> "TranslatedTorus":
-        """The coset of lam along the span of basis_rows, both given as
-        rationals (or anything ``Fraction`` reads)."""
-        lam = vec(lam)
-        if ambient_dim is None:
-            ambient_dim = len(lam)
-        den = math.lcm(*(x.denominator for x in lam))
-        return cls(TorsionCharacter(
-                       [x.numerator * (den // x.denominator) for x in lam], den),
-                   RationalSubspace.from_rows(basis_rows, ambient_dim))
-
     @property
     def ambient_dim(self) -> int:
         return self.direction.ambient_dim
@@ -145,9 +132,6 @@ class TranslatedTorus:
     @property
     def dim(self) -> int:
         return self.direction.dim
-
-    def is_point(self) -> bool:
-        return self.direction.dim == 0
 
     def through_identity(self) -> bool:
         """Does the coset contain the trivial character?
@@ -275,29 +259,15 @@ class VarietyDescription:
     with the same underlying set of characters compare equal.
     """
 
-    __slots__ = ("ambient_dim", "components", "degree")
+    __slots__ = ("ambient_dim", "components")
 
-    def __init__(self, n: int, components: Iterable[TranslatedTorus],
-                 degree: Optional[int] = None):
+    def __init__(self, n: int, components: Iterable[TranslatedTorus]):
         comps = list(components)
         for c in comps:
             if c.ambient_dim != n:
                 raise ValueError("component ambient dimension mismatch")
         self.ambient_dim = int(n)
         self.components = tuple(_prune(comps))
-        self.degree = degree
-
-    def is_empty(self) -> bool:
-        return not self.components
-
-    def is_finite(self) -> bool:
-        return all(c.is_point() for c in self.components)
-
-    def union(self, other: "VarietyDescription") -> "VarietyDescription":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        return VarietyDescription(self.ambient_dim,
-                                  self.components + other.components)
 
     def __eq__(self, other):
         return (isinstance(other, VarietyDescription)
@@ -310,37 +280,18 @@ class VarietyDescription:
     def __repr__(self):
         return f"VarietyDescription(n={self.ambient_dim}, {list(self.components)})"
 
-    def to_json(self) -> dict:
-        out = {"n": self.ambient_dim,
-               "components": [c.to_json() for c in self.components]}
-        if self.degree is not None:
-            out["degree"] = self.degree
-        return out
-
     @classmethod
     def from_json(cls, data: dict) -> "VarietyDescription":
+        """A description ``{"n": ..., "components": [...]}``.  An optional
+        ``"degree"`` must be a nonnegative integer; it is checked and not
+        kept."""
         n = _json_dim(_json_field(data, "n", "a variety description"),
                       "a variety description's 'n'")
         comps = [TranslatedTorus.from_json(c, n) for c in _json_list(
             data.get("components", []), "a variety description's 'components'")]
-        degree = data.get("degree")
-        if degree is not None:
-            degree = _json_dim(degree, "a variety description's 'degree'")
-        return cls(n, comps, degree=degree)
-
-    @classmethod
-    def identity_only(cls, n: int, degree: Optional[int] = None):
-        return cls(n, [TranslatedTorus.from_data([0] * n, [], n)], degree=degree)
-
-    @classmethod
-    def full_torus(cls, n: int, degree: Optional[int] = None):
-        return cls(n, [TranslatedTorus(TorsionCharacter([0] * n, 1),
-                                       RationalSubspace.full(n))],
-                   degree=degree)
-
-    @classmethod
-    def empty(cls, n: int, degree: Optional[int] = None):
-        return cls(n, [], degree=degree)
+        if data.get("degree") is not None:
+            _json_dim(data["degree"], "a variety description's 'degree'")
+        return cls(n, comps)
 
 
 def _prune(comps: list[TranslatedTorus]) -> list[TranslatedTorus]:
@@ -411,11 +362,6 @@ class GradedDescription:
                 and self.ambient_dim == other.ambient_dim
                 and self.by_degree == other.by_degree)
 
-    def to_json(self) -> dict:
-        return {"n": self.ambient_dim,
-                "degrees": {str(i): d.to_json()["components"]
-                            for i, d in self.by_degree.items()}}
-
     @classmethod
     def from_json(cls, data: dict) -> "GradedDescription":
         n = _json_dim(_json_field(data, "n", "a graded description"),
@@ -429,7 +375,7 @@ class GradedDescription:
             degree = _json_dim(
                 key, f"a graded description's degree key {key!r}")
             by_degree[degree] = VarietyDescription.from_json(
-                {"n": n, "components": comps, "degree": degree})
+                {"n": n, "components": comps})
         return cls(n, by_degree)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from builders import full_torus, identity_only, torus
 from jumploci import (
     GradedDescription,
     LaurentPoly,
@@ -72,13 +73,12 @@ CLOSED_OMEGA_MATRIX_TEXT = (
 
 def closed_omega_component() -> TranslatedTorus:
     """The translated component: order-2 translate of {t1 = 1}."""
-    return TranslatedTorus.from_data([F(1, 2), 0, 0],
-                                     [(0, 1, 0), (0, 0, 1)], 3)
+    return torus([F(1, 2), 0, 0], [(0, 1, 0), (0, 0, 1)], 3)
 
 
 def closed_omega_description() -> VarietyDescription:
     return VarietyDescription(
-        3, [TranslatedTorus.from_data([0, 0, 0], [], 3),
+        3, [torus([0, 0, 0], [], 3),
             closed_omega_component()])
 
 
@@ -101,8 +101,8 @@ ONE_RELATOR_PRES = "<x1, x2 | x1 x2^2 x1^-1 x2^-2>"
 def two_component_link_description() -> VarietyDescription:
     """{1} union an order-2 translate of the diagonal subtorus of (C*)^2."""
     return VarietyDescription(
-        2, [TranslatedTorus.from_data([0, 0], [], 2),
-            TranslatedTorus.from_data([0, F(1, 2)], [(1, 1)], 2)])
+        2, [torus([0, 0], [], 2),
+            torus([0, F(1, 2)], [(1, 1)], 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +114,7 @@ ARRANGEMENT_MU = (-1, 1, 0, 0, 1, -1, -2, 2)
 
 
 def arrangement_component() -> TranslatedTorus:
-    return TranslatedTorus.from_data(ARRANGEMENT_LAMBDA, [ARRANGEMENT_MU], 8)
+    return torus(ARRANGEMENT_LAMBDA, [ARRANGEMENT_MU], 8)
 
 
 def arrangement_test_plane() -> RationalSubspace:
@@ -143,14 +143,13 @@ def surface_subtorus() -> TranslatedTorus:
     """The untranslated component: direction {x1 = x2 = 0}."""
     rows = [(0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0),
             (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)]
-    return TranslatedTorus.from_data([0] * 6, rows, 6)
+    return torus([0] * 6, rows, 6)
 
 
 def surface_translated() -> TranslatedTorus:
     """The essential translate: rho = (1,1,-1,1,1,1) times {x3 = ... = x6 = 0}."""
-    return TranslatedTorus.from_data(
-        [0, 0, F(1, 2), 0, 0, 0],
-        [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)], 6)
+    return torus([0, 0, F(1, 2), 0, 0, 0],
+                 [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)], 6)
 
 
 def surface_description() -> VarietyDescription:
@@ -197,7 +196,7 @@ def _direct_sum(a: TranslatedTorus, b: TranslatedTorus) -> TranslatedTorus:
     p, q = a.ambient_dim, b.ambient_dim
     rows = [row + tuple(Fraction(0) for _ in range(q)) for row in a.direction.basis]
     rows += [tuple(Fraction(0) for _ in range(p)) + row for row in b.direction.basis]
-    return TranslatedTorus.from_data(lam, rows, p + q)
+    return torus(lam, rows, p + q)
 
 
 def product_description(a: GradedDescription, b: GradedDescription,
@@ -214,7 +213,7 @@ def product_description(a: GradedDescription, b: GradedDescription,
             for ca in a.at(p).components:
                 for cb in b.at(i - p).components:
                     comps.append(_direct_sum(ca, cb))
-        out[i] = VarietyDescription(n, comps, degree=i)
+        out[i] = VarietyDescription(n, comps)
     return GradedDescription(n, out)
 
 
@@ -227,17 +226,16 @@ def wedge_description(a: GradedDescription, b: GradedDescription,
         raise ValueError("wedge description requires positive first Betti "
                          "numbers on both sides")
     n = a.ambient_dim + b.ambient_dim
-    out = {0: VarietyDescription.identity_only(n, degree=0)}
+    out = {0: identity_only(n)}
     for i in range(1, k + 1):
-        out[i] = VarietyDescription.full_torus(n, degree=i)
+        out[i] = full_torus(n)
     return GradedDescription(n, out)
 
 
 def circle_graded(k: int) -> GradedDescription:
     """A single circle: every degree's description is just the identity."""
     return GradedDescription(
-        1, {i: VarietyDescription.identity_only(1, degree=i)
-            for i in range(k + 1)})
+        1, {i: identity_only(1) for i in range(k + 1)})
 
 
 def free2_graded(k: int) -> GradedDescription:

@@ -546,6 +546,24 @@ def oracle_fox_derivative(letters, j, projection):
     return out
 
 
+def fundamental_identity_holds(matrix):
+    """Fox's fundamental identity sum_j M_ij (t^{a_j} - 1) = 0 on every row
+    of an Alexander matrix, a_j the image of generator j: each entry's terms
+    (exponent tuple -> coefficient) are added at their exponent shifted by
+    a_j and subtracted at their own."""
+    projection = matrix.abelianization.projection
+    for row in matrix.entries:
+        total = {}
+        for entry, a in zip(row, projection):
+            for e, c in entry.terms.items():
+                shifted = tuple(x + y for x, y in zip(e, a))
+                total[shifted] = total.get(shifted, 0) + c
+                total[e] = total.get(e, 0) - c
+        if any(total.values()):
+            return False
+    return True
+
+
 def word_letters(syllables):
     """Expand ((gen, exp), ...) syllables into single letters."""
     letters = []

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import datasets
+from builders import description_json, graded_json
 from jumploci.cli import (MAX_CHARACTER_ORDER, MAX_TORUS_ORDER, build_parser,
                           main)
 from jumploci.fox import (MAX_ALEXANDER_ENTRIES, MAX_GENERATORS,
@@ -28,7 +29,7 @@ def run_json(capsys, *argv):
 
 
 def desc_json(desc) -> str:
-    return json.dumps(desc.to_json())
+    return json.dumps(description_json(desc))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +280,7 @@ def test_dimensions_given_as_decimal_strings_keep_their_value(capsys):
         code, data = run_json(capsys, "tcone", "--desc",
                               json.dumps({"n": n, "components": []}))
         assert (code, data["ambient_dim"]) == (0, 2)
-    graded = datasets.free2_graded(1).to_json()
+    graded = graded_json(datasets.free2_graded(1))
     graded["degrees"] = {" 0": graded["degrees"]["0"],
                          "+1": graded["degrees"]["1"]}
     code, data = run_json(capsys, "fpk", "--graded", json.dumps(graded),
@@ -814,7 +815,7 @@ def test_witness_hypothesis_failure_is_domain_error(capsys):
 def test_fpk_json(capsys):
     graded = datasets.free2_cube_graded(3)
     code, data = run_json(capsys, "fpk", "--graded",
-                          json.dumps(graded.to_json()), "--k", "3", "--r", "1")
+                          json.dumps(graded_json(graded)), "--k", "3", "--r", "1")
     assert code == 0
     assert data["certified_empty"] is True
     assert "not finitely generated" in data["deduction"]
@@ -823,7 +824,7 @@ def test_fpk_json(capsys):
 def test_fpk_uncertified(capsys):
     graded = datasets.free2_cube_graded(3)
     code, data = run_json(capsys, "fpk", "--graded",
-                          json.dumps(graded.to_json()), "--k", "2", "--r", "1")
+                          json.dumps(graded_json(graded)), "--k", "2", "--r", "1")
     assert code == 0
     assert data["certified_empty"] is False and "deduction" not in data
 

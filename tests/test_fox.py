@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import builders
 import datasets
 import oracles
 from jumploci import laurent
@@ -34,7 +35,6 @@ from jumploci.fox import (
 from jumploci.laurent import (LaurentPoly, bareiss_rank,
                               restrict_matrix_to_translated_torus)
 from jumploci.fox import _d1_rank, _kept_columns
-from jumploci.tori import TranslatedTorus
 from suites import character, generator_character_poly
 
 F = Fraction
@@ -47,31 +47,31 @@ F = Fraction
 def test_free_reduction_merges_and_cancels():
     w = FreeWord(((0, 2), (0, -2), (1, 3)))
     assert w.syllables == ((1, 3),)
-    assert (FreeWord.generator(0) * FreeWord.generator(0, -1)).is_identity()
+    assert builders.generator(0) * builders.generator(0, -1) == FreeWord()
     assert FreeWord(((0, 1), (1, 2), (1, -1), (0, 3))).syllables == \
         ((0, 1), (1, 1), (0, 3))
 
 
 def test_inverse_and_powers():
     w = FreeWord(((0, 1), (1, -2)))
-    assert (w * w.inverse()).is_identity()
+    assert (w * w.inverse()).syllables == ()
     assert w ** 3 == w * w * w
     assert w ** -2 == (w.inverse()) * (w.inverse())
-    assert w ** 0 == FreeWord.identity()
+    assert w ** 0 == FreeWord()
     # one syllable: exponent arithmetic, whatever the size of the power
-    assert FreeWord.generator(1, -3) ** 10 ** 12 == FreeWord.generator(1, -3 * 10 ** 12)
-    assert FreeWord.generator(1, -3) ** -2 == FreeWord.generator(1, 6)
+    assert builders.generator(1, -3) ** 10 ** 12 == builders.generator(1, -3 * 10 ** 12)
+    assert builders.generator(1, -3) ** -2 == builders.generator(1, 6)
     assert (w ** 4).length() == 12
 
 
 def test_conjugation_convention():
-    a, b = FreeWord.generator(0), FreeWord.generator(1)
+    a, b = builders.generator(0), builders.generator(1)
     assert a.conjugate_by(b) == b.inverse() * a * b
 
 
 def test_letters_and_exponent_vector():
     w = FreeWord(((0, 2), (1, -1)))
-    assert w.letters() == [(0, 1), (0, 1), (1, -1)]
+    assert oracles.word_letters(w.syllables) == [(0, 1), (0, 1), (1, -1)]
     assert w.exponent_vector(3) == (2, -1, 0)
 
 
@@ -255,12 +255,6 @@ def test_parse_refuses_nesting_past_the_depth_limit(shape):
             parse_presentation(_nested(shape, depth))
 
 
-def test_round_trip_through_to_text():
-    pres = parse_presentation(datasets.ONE_RELATOR_PRES)
-    again = parse_presentation(pres.to_text())
-    assert again == pres
-
-
 # ---------------------------------------------------------------------------
 # abelianization
 # ---------------------------------------------------------------------------
@@ -354,18 +348,18 @@ def test_integer_entries_invert_exactly():
     # Z + Z/3: a maps to 0, so d(a^3)/da is the integer constant 3
     m = alexander_matrix(parse_presentation("<a, b | a^3>"))
     entry = m.entries[0][0]
-    assert entry == LaurentPoly.constant(1, 3)
+    assert entry == builders.constant(1, 3)
     inverse = entry ** -1
     assert inverse.terms == {(0,): Fraction(1, 3)}
     assert all(type(c) is Fraction for c in inverse.terms.values())
-    assert inverse * entry == LaurentPoly.constant(1, 1)
+    assert inverse * entry == builders.constant(1, 1)
 
 
 def test_one_relator_matrix_row():
     m = alexander_matrix(parse_presentation(datasets.ONE_RELATOR_PRES))
     assert [e.to_text() for e in m.entries[0]] == [
         "1 - t2^2", "-1 - t2 + t1 + t1*t2"]
-    assert m.fundamental_identity_holds()
+    assert oracles.fundamental_identity_holds(m)
 
 
 def test_closed_omega_matrix_is_reproduced_verbatim():
@@ -376,14 +370,14 @@ def test_closed_omega_matrix_is_reproduced_verbatim():
     for row, exp_row in zip(m.entries, datasets.CLOSED_OMEGA_MATRIX_TEXT):
         for entry, text in zip(row, exp_row):
             assert entry == LaurentPoly.parse(text, 3)
-    assert m.fundamental_identity_holds()
+    assert oracles.fundamental_identity_holds(m)
 
 
 def test_fundamental_identity_on_all_dataset_presentations():
     for text in [datasets.ONE_RELATOR_PRES, datasets.CLOSED_OMEGA_PRES,
                  datasets.SURFACE_PRES, datasets.PRODUCT_KERNEL_PRES]:
         m = alexander_matrix(parse_presentation(text))
-        assert m.fundamental_identity_holds()
+        assert oracles.fundamental_identity_holds(m)
 
 
 def test_generator_character_poly():
@@ -435,8 +429,7 @@ def test_generic_rank_on_translated_torus():
     m = alexander_matrix(pres)
     on_translate = generic_rank_on_torus(m, datasets.closed_omega_component())
     full = generic_rank_on_torus(
-        m, TranslatedTorus.from_data([0, 0, 0],
-                                     [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3))
+        m, builders.torus([0, 0, 0], [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3))
     assert on_translate == 1
     assert full == 2
 
@@ -444,10 +437,10 @@ def test_generic_rank_on_translated_torus():
 def test_contains_translated_torus_closed_omega():
     m = alexander_matrix(parse_presentation(datasets.CLOSED_OMEGA_PRES))
     assert contains_translated_torus(m, datasets.closed_omega_component())
-    full = TranslatedTorus.from_data(
+    full = builders.torus(
         [0, 0, 0], [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
     assert not contains_translated_torus(m, full)
-    point = TranslatedTorus.from_data([F(1, 2), 0, 0], [], 3)
+    point = builders.torus([F(1, 2), 0, 0], [], 3)
     assert contains_translated_torus(m, point)
 
 
@@ -456,7 +449,7 @@ def test_surface_group_contains_both_components():
     ab = abelianize(pres)
     assert ab.free_rank == 6 and ab.torsion_invariants == ()
     m = alexander_matrix(pres, ab)
-    assert m.fundamental_identity_holds()
+    assert oracles.fundamental_identity_holds(m)
     assert generic_rank_on_torus(m, datasets.surface_subtorus()) == 3
     assert generic_rank_on_torus(m, datasets.surface_translated()) == 3
     assert contains_translated_torus(m, datasets.surface_subtorus())
@@ -502,9 +495,9 @@ def test_rank_at_character_matches_the_fraction_oracle():
             M = random_alexander_matrix(rng)
         else:
             # rows 3 and 4 combine rows 1 and 2 with Laurent multipliers
-            t1, t2, t3 = LaurentPoly.variables(3)
+            t1, t2, t3 = builders.variables(3)
             f, g = rng.choice([t1 - 1, t2 * t3 + 2]), rng.choice([t3, t1 - t2])
-            top = [[rng.choice([t1, t2 - 1, t3 + t1, LaurentPoly.zero(3)])
+            top = [[rng.choice([t1, t2 - 1, t3 + t1, LaurentPoly(3, {})])
                     for _ in range(3)] for _ in range(2)]
             rows = top + [[f * a + g * b for a, b in zip(*top)],
                           [g * a for a in top[0]]]
@@ -546,10 +539,10 @@ def fraction_matrix(rng, n=2, q=3):
     """A hand-built AlexanderMatrix with Fraction coefficients and no
     abelianization, whose third row combines the first two."""
     def entry():
-        f = LaurentPoly.zero(n)
+        f = LaurentPoly(n, {})
         for _ in range(rng.randint(0, 3)):
             e = tuple(rng.randint(-1, 2) for _ in range(n))
-            f = f + LaurentPoly.monomial(e, F(rng.choice([-3, -1, 1, 2]),
+            f = f + builders.monomial(e, F(rng.choice([-3, -1, 1, 2]),
                                               rng.choice([1, 2, 3])), n)
         return f
     top = [[entry() for _ in range(q)] for _ in range(2)]
@@ -618,7 +611,7 @@ def test_generic_rank_leaving_out_a_column_is_the_full_bareiss_rank():
         lam = [F(rng.randrange(order), order) for _ in range(n)]
         rows = [[rng.choice([0, 1, -1, 2]) for _ in range(n)]
                 for _ in range(rng.randint(1, n - 1))]
-        torus = TranslatedTorus.from_data(lam, rows, n)
+        torus = builders.torus(lam, rows, n)
         if torus.dim == 0:
             continue
         # the reference takes every column and divides over the field, so
@@ -641,7 +634,7 @@ def test_generic_rank_at_a_point_is_the_bareiss_rank_of_the_restriction():
         for _ in range(6):
             order = rng.choice([2, 3, 4, 6, 12])
             lam = [F(rng.randrange(order), order) for _ in range(M.num_vars)]
-            point = TranslatedTorus.from_data(lam, [], M.num_vars)
+            point = builders.torus(lam, [], M.num_vars)
             restricted = restrict_matrix_to_translated_torus(M.entries, point)
             assert generic_rank_on_torus(M, point) == bareiss_rank(restricted)
 
@@ -666,7 +659,7 @@ def test_generic_rank_on_random_tori_lies_between_point_ranks_and_fox_bound():
                     for _ in range(dim)]
         lam = [F(rng.randrange(d), d) for d in rng.choice(
             [(1,) * q, (2,) * q, (2, 3, 1), (4, 1, 6), (3, 3, 2)])[:q]]
-        torus = TranslatedTorus.from_data(lam, rows, q)
+        torus = builders.torus(lam, rows, q)
         if torus.dim != dim:
             continue
         basis = torus.direction.rows
@@ -707,7 +700,7 @@ def test_d1_rank_reads_the_restriction_off_the_pairings():
                            [[rng.choice([0, 0, 1, -1, 2]) for _ in range(n)]
                             for _ in range(rng.randint(0, n))]))
         for lam, rows in cosets:
-            torus = TranslatedTorus.from_data(lam, rows, n)
+            torus = builders.torus(lam, rows, n)
             restricted = restrict_matrix_to_translated_torus(d1, torus)[0]
             expected = 0 if all(p.is_zero() for p in restricted) else 1
             assert _d1_rank(ab, torus.translate,

@@ -21,6 +21,7 @@ import random
 from fractions import Fraction
 
 import datasets
+from builders import description_json, graded_json
 from jumploci.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -232,16 +233,16 @@ def build_argvs() -> list[list[str]]:
     # them, and one off them
     for desc in (datasets.orbifold_torus_two_cones(),
                  datasets.orbifold_thrice_punctured_sphere()):
-        text = json.dumps(desc.to_json())
+        text = json.dumps(description_json(desc))
         for plane in ('[[1, 0, 0]]', '[[1, 0, 0], [0, 0, 1]]', '[[0, 0, 1]]'):
             calls.append(["omega-test", "--desc", text, "--plane", plane])
         calls.append(["omega-test", "--desc", text, "--plane",
                       '[[1, 0, 1], [0, 1, 0]]', "--format", "text"])
     calls.append(["omega-test", "--desc",
-                  json.dumps(datasets.orbifold_annulus().to_json()),
+                  json.dumps(description_json(datasets.orbifold_annulus())),
                   "--plane", "[[1, 1]]"])
 
-    cube = json.dumps(datasets.free2_cube_graded(3).to_json())
+    cube = json.dumps(graded_json(datasets.free2_cube_graded(3)))
     for k, r in ((3, 1), (1, 5), (2, 1)):
         calls.append(["fpk", "--graded", cube, "--k", str(k), "--r", str(r)])
         calls.append(["fpk", "--graded", cube, "--k", str(k), "--r", str(r),
@@ -274,6 +275,13 @@ def build_argvs() -> list[list[str]]:
     calls.append(["alexander", "--pres", "<x1, x2 | (x1 x2)^50000 x1>"])
     calls.append(["tcone", "--desc",
                   '{"n": 1, "degree": -7, "components": []}'])
+    # Bareiss over Q(zeta_3) on a plane through an order-3 point, which
+    # inverts cyclotomic leading coefficients; and a degree past the top one
+    calls.append(["charvar-check", "--pres", SURFACE_PRES, "--desc",
+                  _desc(6, [(["1/3", "2/3", "0", "0", "1/3", "0"],
+                             [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]])])])
+    calls.append(["fpk", "--graded", '{"n": 2, "degrees": {"0": []}}',
+                  "--k", "3", "--r", "1"])
     return calls
 
 

@@ -77,11 +77,19 @@ def _own_code(obj):
     return code
 
 
+#: Public methods of exported classes that no CLI call runs.
+#: ``CyclotomicNumber.zeta_power`` builds the value the benchmark's
+#: self-test multiplies (``perfbench/test_perfbench.py``).
+NOT_ON_THE_TRANSCRIPT = {"CyclotomicNumber.zeta_power"}
+
+
 def test_every_exported_name_runs_on_the_cli_transcript():
     # the library keeps only what a CLI path reaches: replaying the recorded
-    # transcript must run every exported function, and at least one method
-    # of every exported class that defines methods here (a dataclass with
-    # none of its own, such as WitnessStep, is exempt)
+    # transcript must run every exported function, every public method,
+    # classmethod, staticmethod and property that an exported class defines
+    # here (dunders and other names with a leading underscore are exempt),
+    # and at least one method of every exported class that defines methods
+    # here (a dataclass with none of its own, such as WitnessStep, is exempt)
     import jumploci
     from jumploci.cli import main
     golden = Path(__file__).resolve().parent / "golden_cli.json"
@@ -113,6 +121,13 @@ def test_every_exported_name_runs_on_the_cli_transcript():
             codes = {_own_code(v) for v in vars(obj).values()} - {None}
             if codes and not codes & ran:
                 unused.append(name)
+            unused += [f"{name}.{attr}" for attr, value in vars(obj).items()
+                       if not attr.startswith("_")
+                       and _own_code(value) not in ran | {None}
+                       and f"{name}.{attr}" not in NOT_ON_THE_TRANSCRIPT]
         elif _own_code(obj) not in ran:
             unused.append(name)
     assert unused == []
+    for exempt in NOT_ON_THE_TRANSCRIPT:
+        owner, attr = exempt.split(".")
+        assert _own_code(vars(getattr(jumploci, owner))[attr]) not in ran

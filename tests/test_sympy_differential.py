@@ -16,9 +16,11 @@ from sympy.polys.agca.extensions import FiniteExtension  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 import datasets  # noqa: E402
+from builders import cyclotomic_coeffs  # noqa: E402
 from jumploci.fox import (alexander_matrix, parse_presentation,  # noqa: E402
                           rank_at_character)
-from jumploci.laurent import CyclotomicNumber  # noqa: E402
+from jumploci.laurent import (CyclotomicNumber,  # noqa: E402
+                              cyclotomic_polynomial)
 from jumploci.tori import TorsionCharacter  # noqa: E402
 
 F = Fraction
@@ -31,17 +33,17 @@ def modulus(m):
 
 
 def to_sympy(z):
-    return sympy.Poly(list(reversed(z.coeffs)), X, domain=sympy.QQ)
+    return sympy.Poly(list(reversed(cyclotomic_coeffs(z))), X, domain=sympy.QQ)
 
 
 def from_sympy(poly, m):
-    phi = len(CyclotomicNumber.zero(m).coeffs)
+    phi = len(cyclotomic_polynomial(m)) - 1
     coeffs = [F(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
     return CyclotomicNumber(m, coeffs + [F(0)] * (phi - len(coeffs)))
 
 
 def random_element(rng, m, big):
-    phi = len(CyclotomicNumber.zero(m).coeffs)
+    phi = len(cyclotomic_polynomial(m)) - 1
     bound = 2 ** 20 if big else 4
     return CyclotomicNumber(m, [F(rng.randint(-bound, bound), rng.randint(1, 6))
                                 if rng.random() < 0.7 else F(0)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import builders
 import datasets
 import oracles
 from jumploci.laurent import LaurentPoly
@@ -19,7 +20,7 @@ from jumploci.tcone import (
     tangent_cone_description,
     tangent_cone_polys,
 )
-from suites import arrangement_from_json
+from suites import arrangement_contains_vector, arrangement_from_json
 
 F = Fraction
 
@@ -54,20 +55,20 @@ def test_single_block_partition_of_toy_polynomial():
     toy = LaurentPoly.parse(datasets.TOY_CONE_TEXT)
     cone = tangent_cone_polys([toy])
     assert cone.subspaces == (RationalSubspace.zero(2),)
-    assert not cone.is_empty()
+    assert not cone.empty
 
 
 def test_no_partition_when_identity_misses_variety():
-    assert tangent_cone_polys([LaurentPoly.parse("t1 + t2")]).is_empty()
-    assert tangent_cone_polys([LaurentPoly.parse("3")]).is_empty()
+    assert tangent_cone_polys([LaurentPoly.parse("t1 + t2")]).empty
+    assert tangent_cone_polys([LaurentPoly.parse("3")]).empty
 
 
 def test_partition_enumeration_guard_rails():
     with pytest.raises(ValueError, match="zero polynomial"):
-        tangent_cone_polys([LaurentPoly.zero(2)])
-    big = LaurentPoly.monomial((8,), -8, 1)
+        tangent_cone_polys([LaurentPoly(2, {})])
+    big = builders.monomial((8,), -8, 1)
     for k in range(8):
-        big = big + LaurentPoly.monomial((k,), 1, 1)
+        big = big + builders.monomial((k,), 1, 1)
     with pytest.raises(ValueError, match="exceeds the enumeration limit"):
         tangent_cone_polys([big], max_support=8)
     assert tangent_cone_polys([big], max_support=9).subspaces == (
@@ -84,8 +85,8 @@ def test_subspace_of_trivial_partition_is_full():
     # singleton parts have no in-part differences, so L(p) is everything;
     # they do not sum to zero, and the cone of (t1 - 1)(t2 + 1) is {z1 = 0}
     f = LaurentPoly.parse("t1 - t2 + t1*t2 - 1")
-    assert _in_part_kernel([[e] for e in f.support()], 2) == \
-        RationalSubspace.full(2)
+    assert _in_part_kernel([[e] for e in sorted(f.terms)], 2) == \
+        builders.full_space(2)
     assert tangent_cone_polys([f]).subspaces == (line(0, 1),)
 
 
@@ -116,10 +117,10 @@ def test_random_polynomials_against_partition_oracle():
     rng = random.Random(51)
     for _ in range(40):
         n = rng.randint(2, 3)
-        f = LaurentPoly.zero(n)
+        f = LaurentPoly(n, {})
         for _ in range(rng.randint(2, 5)):
             expo = tuple(rng.randint(-1, 2) for _ in range(n))
-            f = f + LaurentPoly.monomial(expo, rng.choice([-2, -1, 1, 2]), n)
+            f = f + builders.monomial(expo, rng.choice([-2, -1, 1, 2]), n)
         if f.is_zero():
             continue
         ours = set(tangent_cone_polys([f]).subspaces)
@@ -165,7 +166,7 @@ def test_minimal_part_cone_matches_oracle_and_enumeration(seed, coeffs):
             continue
         cone = tangent_cone_polys([f])
         assert cone == _oracle_cone(f), f
-        assert cone.is_empty() == (f.coefficient_sum() != 0)
+        assert cone.empty == (f.coefficient_sum() != 0)
         checked += 1
     assert checked >= 20
 
@@ -239,8 +240,8 @@ def test_cone_of_product_at_support_limit_is_coordinate_hyperplanes():
         [[int(j == i) for j in range(4)] for i in range(4) if i != skip], 4)
         for skip in range(4)}
     assert set(tangent_cone_polys([f]).subspaces) == hyperplanes
-    g = f + LaurentPoly.monomial((5, 0, 0, 0), 1, 4) \
-        - LaurentPoly.monomial((6, 0, 0, 0), 1, 4)
+    g = f + builders.monomial((5, 0, 0, 0), 1, 4) \
+        - builders.monomial((6, 0, 0, 0), 1, 4)
     with pytest.raises(ValueError, match="enumeration limit 16.*exponentially"):
         tangent_cone_polys([g])
     with pytest.raises(ValueError, match="enumeration limit 16"):
@@ -270,18 +271,18 @@ def test_arrangement_prunes_contained_subspaces():
     plane = RationalSubspace.from_rows([(1, 0, 0), (0, 1, 0)], 3)
     arr = SubspaceArrangement(3, [line(1, 0, 0), plane, line(0, 0, 1)])
     assert arr.subspaces == (line(0, 0, 1), plane)
-    assert not arr.is_empty()
+    assert not arr.empty
 
 
 def test_arrangement_empty_versus_origin():
     empty = SubspaceArrangement.empty_arrangement(3)
     origin = SubspaceArrangement(3, [RationalSubspace.zero(3)])
-    assert empty.is_empty()
-    assert not origin.is_empty()
+    assert empty.empty
+    assert not origin.empty
     assert empty != origin
-    assert not empty.contains_vector((0, 0, 0))
-    assert origin.contains_vector((0, 0, 0))
-    assert not origin.contains_vector((1, 0, 0))
+    assert not arrangement_contains_vector(empty, (0, 0, 0))
+    assert arrangement_contains_vector(origin, (0, 0, 0))
+    assert not arrangement_contains_vector(origin, (1, 0, 0))
 
 
 def test_arrangement_empty_flag_consistency():
@@ -293,24 +294,25 @@ def test_arrangement_empty_flag_consistency():
 
 
 def test_arrangement_union_and_intersection():
+    # the union of two arrangements is the one on both lists of subspaces
     a = SubspaceArrangement(2, [line(1, 0)])
     b = SubspaceArrangement(2, [line(0, 1)])
-    both = a.union(b)
+    both = SubspaceArrangement(2, a.subspaces + b.subspaces)
     assert both.subspaces == (line(0, 1), line(1, 0))
     met = both.intersect(SubspaceArrangement(2, [line(1, 1)]))
     assert met.subspaces == (RationalSubspace.zero(2),)
-    assert a.intersect(SubspaceArrangement.empty_arrangement(2)).is_empty()
+    assert a.intersect(SubspaceArrangement.empty_arrangement(2)).empty
     diag = SubspaceArrangement(2, [line(1, 1)])
     assert diag.intersect(diag) == diag
     with pytest.raises(ValueError):
-        a.union(SubspaceArrangement(3, [line(1, 0, 0)]))
+        a.intersect(SubspaceArrangement(3, [line(1, 0, 0)]))
 
 
 def test_arrangement_contains_vector():
     arr = tangent_cone_polys([datasets.chain_delta()])
-    assert arr.contains_vector((0, 2, -2))
-    assert arr.contains_vector((F(1, 2), 0, F(-1, 2)))
-    assert not arr.contains_vector((1, 1, 1))
+    assert arrangement_contains_vector(arr, (0, 2, -2))
+    assert arrangement_contains_vector(arr, (F(1, 2), 0, F(-1, 2)))
+    assert not arrangement_contains_vector(arr, (1, 1, 1))
 
 
 def test_arrangement_json_round_trip():
@@ -343,7 +345,7 @@ def test_cone_of_coordinate_equations_is_origin():
     cone = tangent_cone_polys([LaurentPoly.parse("t1 - 1", 2),
                                LaurentPoly.parse("t2 - 1", 2)])
     assert cone.subspaces == (RationalSubspace.zero(2),)
-    assert not cone.is_empty()
+    assert not cone.empty
 
 
 def test_cone_of_split_product_is_both_axes():
@@ -354,10 +356,10 @@ def test_cone_of_split_product_is_both_axes():
 
 def test_cone_empty_when_identity_not_on_variety():
     cone = tangent_cone_polys([LaurentPoly.parse("t1 + t2")])
-    assert cone.is_empty()
+    assert cone.empty
     mixed = tangent_cone_polys([datasets.chain_delta(),
                                 LaurentPoly.parse("t1 + t2 + t3", 3)])
-    assert mixed.is_empty()
+    assert mixed.empty
 
 
 def test_cone_input_validation():
@@ -367,7 +369,7 @@ def test_cone_input_validation():
         tangent_cone_polys([LaurentPoly.parse("t1 - 1", 1),
                             LaurentPoly.parse("t2 - 1", 2)])
     with pytest.raises(ValueError):
-        tangent_cone_polys([LaurentPoly.zero(2)])
+        tangent_cone_polys([LaurentPoly(2, {})])
 
 
 def test_cone_of_intersected_zero_sets():
@@ -394,5 +396,5 @@ def test_description_cone_keeps_directions_through_identity():
 
 def test_description_cone_of_empty_description():
     from jumploci.tori import VarietyDescription
-    cone = tangent_cone_description(VarietyDescription.empty(4))
-    assert cone.is_empty()
+    cone = tangent_cone_description(VarietyDescription(4, []))
+    assert cone.empty

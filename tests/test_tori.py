@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+import builders
 import datasets
 import oracles
+from builders import description_json, full_torus, graded_json, identity_only
 from datasets import product_description, wedge_description
 from jumploci.omega import omega_membership
 from jumploci.qlinalg import RationalSubspace, snf
@@ -62,13 +64,13 @@ def _point(chi: TorsionCharacter) -> TranslatedTorus:
 
 def test_equal_cosets_share_canonical_form():
     # same coset of span{(1,1)} entered through different representatives
-    a = TranslatedTorus.from_data((0, F(1, 2)), [(1, 1)])
-    b = TranslatedTorus.from_data((F(1, 2), 0), [(1, 1)])
+    a = builders.torus((0, F(1, 2)), [(1, 1)])
+    b = builders.torus((F(1, 2), 0), [(1, 1)])
     assert a == b
     assert a.translate.values == (0, F(1, 2))
     # representative differing by an integer-lattice step along the direction
-    c = TranslatedTorus.from_data((0, F(1, 2)), [(1, F(1, 2))])
-    d = TranslatedTorus.from_data((0, 0), [(1, F(1, 2))])
+    c = builders.torus((0, F(1, 2)), [(1, F(1, 2))])
+    d = builders.torus((0, 0), [(1, F(1, 2))])
     assert c == d
     assert c.translate.values == (0, 0)
 
@@ -80,7 +82,7 @@ def test_canonical_translate_entries_live_in_unit_box():
         lam = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
         rows = [[rng.randint(-2, 2) for _ in range(n)]
                 for _ in range(rng.randint(0, n))]
-        t = TranslatedTorus.from_data(lam, rows, n)
+        t = builders.torus(lam, rows, n)
         assert all(0 <= v < 1 for v in t.translate.values)
         assert all(0 <= x < t.translate.order for x in t.translate.nums)
         # the canonical representative stays in the original coset
@@ -97,8 +99,8 @@ def test_coset_equality_matches_oracle():
                 for _ in range(rng.randint(0, n))]
         lam1 = [F(rng.randint(0, 5), rng.choice([1, 2, 3])) for _ in range(n)]
         lam2 = [F(rng.randint(0, 5), rng.choice([1, 2, 3])) for _ in range(n)]
-        t1 = TranslatedTorus.from_data(lam1, rows, n)
-        t2 = TranslatedTorus.from_data(lam2, rows, n)
+        t1 = builders.torus(lam1, rows, n)
+        t2 = builders.torus(lam2, rows, n)
         diff = [a - b for a, b in zip(lam1, lam2)]
         same_coset = oracles.oracle_lattice_membership(diff, rows, n)
         assert (t1 == t2) == same_coset
@@ -114,30 +116,30 @@ def test_coset_equality_matches_oracle():
 
 def test_membership_and_identity_flags():
     t = datasets.closed_omega_component()
-    assert t.dim == 2 and not t.is_point() and not t.through_identity()
+    assert t.dim == 2 and not t.through_identity()
     assert t.contains(_point(character([F(1, 2), F(1, 3), F(2, 5)])))
     assert not t.contains(_point(character([0, 0, 0])))
     sub = datasets.surface_subtorus()
     assert sub.through_identity()
     assert sub.contains(sub)
-    point = TranslatedTorus.from_data([F(1, 2)], [], 1)
-    assert point.is_point() and not point.through_identity()
+    point = builders.torus([F(1, 2)], [], 1)
+    assert point.dim == 0 and not point.through_identity()
 
 
 def test_containment_of_components():
-    plane = TranslatedTorus.from_data([0, 0], [(1, 0), (0, 1)], 2)
-    line = TranslatedTorus.from_data([0, F(1, 2)], [(1, 0)], 2)
+    plane = builders.torus([0, 0], [(1, 0), (0, 1)], 2)
+    line = builders.torus([0, F(1, 2)], [(1, 0)], 2)
     assert plane.contains(line)  # translate differs by lattice-free part? no:
     # (0,1/2) - (0,0) = (0,1/2) lies in Q^2 + Z^2 trivially (full direction)
-    skew = TranslatedTorus.from_data([0, F(1, 2)], [(1, 0)], 2)
-    base = TranslatedTorus.from_data([0, 0], [(1, 0)], 2)
+    skew = builders.torus([0, F(1, 2)], [(1, 0)], 2)
+    base = builders.torus([0, 0], [(1, 0)], 2)
     assert not base.contains(skew)
-    assert base.contains(TranslatedTorus.from_data([0, 0], [], 2))
+    assert base.contains(builders.torus([0, 0], [], 2))
 
 
 def test_component_sort_key_orders_by_dimension():
-    point = TranslatedTorus.from_data([0, F(1, 2)], [], 2)
-    line = TranslatedTorus.from_data([0, 0], [(1, 0)], 2)
+    point = builders.torus([0, F(1, 2)], [], 2)
+    line = builders.torus([0, 0], [(1, 0)], 2)
     assert VarietyDescription(2, [line, point]).components == (point, line)
 
 
@@ -146,7 +148,7 @@ def test_translated_torus_json_round_trip():
     data = t.to_json()
     assert set(data) == {"lambda", "basis"}
     assert TranslatedTorus.from_json(data, 3) == t
-    p = TranslatedTorus.from_data([F(1, 3)], [], 1)
+    p = builders.torus([F(1, 3)], [], 1)
     assert TranslatedTorus.from_json(p.to_json(), 1) == p
 
 
@@ -173,7 +175,7 @@ def test_component_from_json_matches_the_fraction_reader():
         lam = _translate(rng, n, rows, rng.choice(("integral", "random", "on")))
         data = {"lambda": [_json_entry(rng, x) for x in lam],
                 "basis": [[_json_entry(rng, x) for x in row] for row in rows]}
-        expected = TranslatedTorus.from_data(
+        expected = builders.torus(
             oracles.json_rationals(data["lambda"], "lambda"),
             oracles.json_rational_rows(data["basis"], "basis"), n)
         got = TranslatedTorus.from_json(data, n)
@@ -216,7 +218,7 @@ def test_description_orders_components_as_the_fraction_rref_does():
         for _ in range(rng.randint(2, 6)):
             rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(dim)]
             lam = [F(rng.randint(0, 5), rng.choice([2, 3, 5])) for _ in range(n)]
-            t = TranslatedTorus.from_data(lam, rows, n)
+            t = builders.torus(lam, rows, n)
             if t.dim == dim:
                 comps.append(t)
         desc = VarietyDescription(n, comps)
@@ -230,8 +232,8 @@ def test_description_orders_components_as_the_fraction_rref_does():
 # ---------------------------------------------------------------------------
 
 def test_description_prunes_contained_components():
-    full = TranslatedTorus.from_data([0, 0], [(1, 0), (0, 1)], 2)
-    point = TranslatedTorus.from_data([F(1, 2), 0], [], 2)
+    full = builders.torus([0, 0], [(1, 0), (0, 1)], 2)
+    point = builders.torus([F(1, 2), 0], [], 2)
     desc = VarietyDescription(2, [point, full])
     assert desc.components == (full,)
     kept = datasets.closed_omega_description()
@@ -256,13 +258,13 @@ def test_description_prune_matches_every_pair_tested():
             dim = rng.randint(0, n)
             rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(dim)]
             lam = [F(rng.randint(0, 3), rng.choice([1, 2, 4])) for _ in range(n)]
-            comps.append(TranslatedTorus.from_data(lam, rows, n))
+            comps.append(builders.torus(lam, rows, n))
         # points on the tori drawn, and repeats
         for t in comps[:3]:
             step = [F(rng.randint(-3, 3), 2) for _ in t.direction.rows]
             lam = [x + sum(c * row[i] for c, row in zip(step, t.direction.rows))
                    for i, x in enumerate(t.translate.values)]
-            comps.append(TranslatedTorus.from_data(lam, [], n))
+            comps.append(builders.torus(lam, [], n))
         comps += rng.sample(comps, 2)
         rng.shuffle(comps)
         assert list(VarietyDescription(n, comps).components) \
@@ -291,30 +293,25 @@ def test_description_is_order_independent():
 
 
 def test_description_union_and_finiteness():
+    # a union is the description on both lists of components; it is finite
+    # when every component is a point, which is when the maximal cover (the
+    # plane Q^n) is a member
     d = datasets.two_component_link_description()
-    assert not d.is_finite() and not d.is_empty()
-    points = VarietyDescription(2, [
-        TranslatedTorus.from_data([F(1, 2), 0], [], 2)])
-    assert points.is_finite()
-    assert VarietyDescription.empty(2).is_empty()
-    assert VarietyDescription.empty(2).is_finite()
-    merged = points.union(d)
+    points = VarietyDescription(2, [builders.torus([F(1, 2), 0], [], 2)])
+    full = builders.full_space(2)
+    assert not omega_membership(d, full).member
+    assert omega_membership(points, full).member
+    assert omega_membership(VarietyDescription(2, []), full).member
+    merged = VarietyDescription(2, points.components + d.components)
     # the isolated point (1/2, 0) sits on the translated line and is pruned
     assert merged == d
     with pytest.raises(ValueError):
-        points.union(VarietyDescription.empty(3))
-
-
-def test_description_classmethods():
-    assert VarietyDescription.identity_only(2).components[0].is_point()
-    assert VarietyDescription.full_torus(2).components[0].direction == \
-        RationalSubspace.full(2)
-    assert VarietyDescription.empty(2).components == ()
+        VarietyDescription(3, points.components)
 
 
 def test_description_json_round_trip():
     d = datasets.surface_description()
-    data = d.to_json()
+    data = description_json(d)
     assert data["n"] == 6
     assert VarietyDescription.from_json(data) == d
 
@@ -326,23 +323,23 @@ def test_description_json_round_trip():
 def test_graded_description_checks_cumulativity():
     with pytest.raises(ValueError, match="not cumulative at degree 1"):
         GradedDescription(2, {
-            0: VarietyDescription.full_torus(2, degree=0),
-            1: VarietyDescription.identity_only(2, degree=1)})
+            0: full_torus(2),
+            1: identity_only(2)})
 
 
 def test_graded_description_checks_contiguity():
     with pytest.raises(ValueError, match="contiguous"):
         GradedDescription(2, {
-            0: VarietyDescription.identity_only(2, degree=0),
-            2: VarietyDescription.full_torus(2, degree=2)})
+            0: identity_only(2),
+            2: full_torus(2)})
 
 
 def test_graded_description_access():
     g = datasets.free2_graded(2)
     assert g.max_degree == 2
-    assert g.at(0) == VarietyDescription.identity_only(2, degree=0)
-    assert g.at(1) == VarietyDescription.full_torus(2, degree=1)
-    data = g.to_json()
+    assert g.at(0) == identity_only(2)
+    assert g.at(1) == full_torus(2)
+    data = graded_json(g)
     assert set(data) == {"n", "degrees"}
     assert GradedDescription.from_json(data) == g
 
@@ -353,13 +350,13 @@ def test_graded_description_access():
 
 def test_wedge_of_circles_fills_the_torus():
     g = datasets.free2_graded(3)
-    assert g.at(0) == VarietyDescription.identity_only(2, degree=0)
+    assert g.at(0) == identity_only(2)
     for i in (1, 2, 3):
-        assert g.at(i) == VarietyDescription.full_torus(2, degree=i)
+        assert g.at(i) == full_torus(2)
 
 
 def test_wedge_rejects_rank_zero_factor():
-    trivial = GradedDescription(0, {0: VarietyDescription.identity_only(0, degree=0)})
+    trivial = GradedDescription(0, {0: identity_only(0)})
     with pytest.raises(ValueError, match="positive first Betti"):
         wedge_description(trivial, datasets.circle_graded(1), 1)
 
@@ -372,7 +369,7 @@ def test_product_of_free_squares_degree_one():
     assert [c.direction for c in deg1.components] == [l2, l1]
     assert all(c.through_identity() for c in deg1.components)
     # degree 2 is the full torus (full x full)
-    assert g.at(2) == VarietyDescription.full_torus(4, degree=2)
+    assert g.at(2) == full_torus(4)
 
 
 def test_product_cube_degrees():
@@ -381,7 +378,7 @@ def test_product_cube_degrees():
     assert [c.direction.dim for c in g.at(2).components] == [4, 4, 4]
     deg3 = g.at(3)
     assert len(deg3.components) == 1
-    assert deg3.components[0].direction == RationalSubspace.full(6)
+    assert deg3.components[0].direction == builders.full_space(6)
 
 
 def test_product_requires_sufficient_grading():
@@ -400,7 +397,7 @@ def test_product_symmetry_under_coordinate_permutation():
         return (v[2],) + tuple(v[:2])
 
     moved = VarietyDescription(3, [
-        TranslatedTorus.from_data(rotate(c.translate.values),
+        builders.torus(rotate(c.translate.values),
                                   [rotate(row) for row in c.direction.basis], 3)
         for c in ba.components])
     assert moved == ab
@@ -428,7 +425,7 @@ def test_orbifold_components_materialization():
     # the degree-one loci of three orbifold groups, kept as fixed data
     desc = datasets.orbifold_torus_two_cones()
     point, translate = desc.components
-    assert point.is_point() and point.through_identity()
+    assert point.dim == 0 and point.through_identity()
     assert translate.translate.values == (0, 0, F(1, 2))
     assert translate.direction == RationalSubspace.from_rows(
         [(1, 0, 0), (0, 1, 0)], 3)
@@ -437,7 +434,7 @@ def test_orbifold_components_materialization():
     dirs = [c.direction.dim for c in out.components]
     assert dirs == [2, 2] and len({c.translate.values for c in out.components}) == 2
     # trivial case is just the identity
-    assert datasets.orbifold_annulus() == VarietyDescription.identity_only(2)
+    assert datasets.orbifold_annulus() == identity_only(2)
     # through the image directions the translate blocks nothing, while a
     # plane meeting them and leaving them blocks on both descriptions
     inside = RationalSubspace.from_rows([(1, 0, 0)], 3)
@@ -469,8 +466,8 @@ def test_intersect_translated_surface_components():
 
 
 def test_intersect_translated_parallel_cosets_miss():
-    c1 = TranslatedTorus.from_data((F(1, 2), 0), [(1, 0)], 2)
-    c2 = TranslatedTorus.from_data((0, F(1, 3)), [(1, 0)], 2)
+    c1 = builders.torus((F(1, 2), 0), [(1, 0)], 2)
+    c2 = builders.torus((0, F(1, 3)), [(1, 0)], 2)
     assert intersect_translated(c1, c2) is None
     with pytest.raises(ValueError):
         intersect_translated(c1, datasets.closed_omega_component())
@@ -486,7 +483,7 @@ def test_intersect_translated_witness_on_random_pairs():
             lam = [F(rng.randint(0, 3), rng.choice([1, 2, 3])) for _ in range(n)]
             rows = [[rng.randint(-1, 1) for _ in range(n)]
                     for _ in range(rng.randint(0, n))]
-            return TranslatedTorus.from_data(lam, rows, n)
+            return builders.torus(lam, rows, n)
 
         t1, t2 = rand_torus(), rand_torus()
         hit = intersect_translated(t1, t2)
@@ -535,13 +532,13 @@ def test_sigma_rho_equivalent_to_positive_dimensional_intersection():
         P = RationalSubspace.from_rows([[F(x) for x in r] for r in rows_p], n)
         if P.is_zero():
             continue
-        comp = TranslatedTorus.from_data(
+        comp = builders.torus(
             [F(rng.randint(0, 2), 2) for _ in range(n)],
             [[rng.randint(-1, 1) for _ in range(n)]
              for _ in range(rng.randint(1, 2))], n)
         direct = sigma_rho_membership(P, comp.direction, comp.translate)
         hit = intersect_translated(
-            TranslatedTorus.from_data([0] * n, P.basis, n), comp)
+            builders.torus([0] * n, P.basis, n), comp)
         infinite = hit is not None and hit.dim >= 1
         assert direct == infinite
         both.add(direct)
@@ -589,7 +586,7 @@ def test_sigma_rho_and_omega_membership_match_the_definition():
             lam = _translate(rng, n, plane_rows + rows, kind)
             expected = oracles.oracle_sigma_rho_membership(
                 lam, plane_rows, rows, n)
-            comp = TranslatedTorus.from_data(lam, rows, n)
+            comp = builders.torus(lam, rows, n)
             L = comp.direction
             assert sigma_rho_membership(P, L, character(lam)) == expected
             assert sigma_rho_membership(P, L, comp.translate) == expected
