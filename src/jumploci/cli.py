@@ -4,17 +4,21 @@ Subcommands route to the library and emit deterministic JSON (default) or a
 short text report.  All rationals appear as strings "p/q"; output is
 byte-identical across runs for identical inputs.
 
-Exit codes: 0 success, 1 domain error (a JSON error object is printed),
-2 usage error.
+Exit codes: 0 success, 1 domain error (a JSON error object is printed) or
+a closed stdout (nothing more is printed), 2 usage error.
 
 JSON output, the payload and the error object alike, is byte for byte
 ``json.dumps(obj, indent=2)``; ``_dumps`` writes it directly, because the
 standard encoder runs its pure-Python generators whenever it indents.  A
-call whose first argument names a subcommand is parsed by that
-subcommand's parser alone, as argparse's own subcommand action would parse
-it.  The whole parser runs only for a call that names no subcommand first
-or leaves arguments unrecognized, and then prints argparse's usage text and
-exits with its code.
+well-formed call, a subcommand followed by ``--option value`` pairs of its
+exact option strings, is read off that subcommand's option table, which is
+built from its argparse parser: each value is converted by the action's
+own type and checked against its choices, as ``parse_args`` would, and the
+arguments are the ``Namespace`` that ``parse_args`` returns.  Any other
+call (help, an abbreviated option, ``--option=value``, a value that starts
+with ``-`` but not with ``- ``, a missing required option, any error) goes
+to argparse's whole parser, which stays the only definition of the command
+line and prints its help and usage errors with its own exit codes.
 
 One process that calls ``main`` many times (a batch driver, a test run)
 parses each repeated input once.  A ``--desc`` text is kept as its
@@ -34,6 +38,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from collections import OrderedDict
 from typing import Optional, Sequence
@@ -510,26 +515,76 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.lru_cache(maxsize=None)
 def _parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser and its subcommand parsers by name, built on first use and
-    shared by later calls to main."""
+    """The parser and, by subcommand name, the option table read off its
+    subcommand parser, built on first use and shared by later calls to main.
+
+    A table is ``(options, defaults, required)``: ``options`` maps each
+    exact option string of a store or append action of one value (so never
+    ``-h``/``--help``) to its action; ``defaults`` holds those actions'
+    defaults and the parser's own (``handler``), with ``subcommand`` set to
+    the name; ``required`` is the set of required actions."""
     parser = build_parser()
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
-    return parser, sub.choices
+    tables = {}
+    for name, p in sub.choices.items():
+        actions = [a for a in p._actions if a.nargs is None and type(a) in (
+            argparse._StoreAction, argparse._AppendAction)]
+        options = {s: a for a in actions for s in a.option_strings}
+        defaults = {a.dest: a.default for a in actions}
+        defaults.update(p._defaults, subcommand=name)
+        tables[name] = (options, defaults,
+                        frozenset(a for a in actions if a.required))
+    return parser, tables
+
+
+def _read_table(table, argv: Sequence[str]) -> Optional[dict]:
+    """The arguments ``parse_args`` returns for the table's subcommand
+    followed by ``argv``, or None unless ``argv`` is ``--option value``
+    pairs in which each option is one of the table's exact option strings,
+    each value is read by argparse as a value (it does not start with ``-``,
+    or starts with ``- ``), converts by its action's type and lies in its
+    choices, and every required option is given.  A repeated option keeps
+    its last value; an append option adds to a copy of its list, never to
+    its default."""
+    options, defaults, required = table
+    if len(argv) % 2:
+        return None
+    values = dict(defaults)
+    seen = set()
+    for i in range(0, len(argv), 2):
+        action = options.get(argv[i])
+        text = argv[i + 1]
+        if action is None or (text.startswith("-")
+                              and not text.startswith("- ")):
+            return None
+        if action.type is None:
+            value = text
+        else:
+            try:
+                value = action.type(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        if type(action) is argparse._AppendAction:
+            value = [*values[action.dest], value]
+        values[action.dest] = value
+        seen.add(action)
+    return values if required <= seen else None
 
 
 def _parse(argv: Sequence[str]) -> tuple[argparse.ArgumentParser,
                                          argparse.Namespace]:
-    """The parser and the parsed arguments of a call.  The subcommand that
-    ``argv[0]`` names parses the rest, by the call argparse's subcommand
-    action makes; anything else, and any argument left over, goes through
-    the whole parser, which exits with its usage error."""
-    parser, choices = _parser()
-    if argv and argv[0] in choices:
-        args, extras = choices[argv[0]].parse_known_args(
-            argv[1:], argparse.Namespace(subcommand=argv[0]))
-        if not extras:
-            return parser, args
+    """The parser and the parsed arguments of a call: read off the option
+    table of the subcommand that ``argv[0]`` names when ``_read_table``
+    can, and otherwise by the whole parser, which prints help and usage
+    errors and exits with its code."""
+    parser, tables = _parser()
+    if argv and argv[0] in tables:
+        values = _read_table(tables[argv[0]], argv[1:])
+        if values is not None:
+            return parser, argparse.Namespace(**values)
     return parser, parser.parse_args(argv)
 
 
@@ -601,14 +656,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         payload, lines = args.handler(args)
     except (ValueError, ArithmeticError, KeyError, OSError,
             json.JSONDecodeError) as exc:
-        print(_dumps({"error": {"type": type(exc).__name__,
-                                "message": str(exc)}}))
+        return _print(_dumps({"error": {"type": type(exc).__name__,
+                                        "message": str(exc)}}), 1)
+    return _print("\n".join(lines) if args.format == "text"
+                  else _dumps(payload), 0)
+
+
+def _print(text: str, code: int) -> int:
+    """Print text and return code, or 1 if stdout is a closed pipe.  Then
+    stdout is pointed at os.devnull, so that the interpreter's last flush
+    of what is left in its buffer prints no traceback either."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
-    if args.format == "text":
-        print("\n".join(lines))
-    else:
-        print(_dumps(payload))
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -276,6 +276,8 @@ def fpk_report(W: GradedDescription, k: int, r: int) -> FpkReport:
     particular) makes every r-plane blocked, so the degree-k membership set
     is empty.  No claim is made when the certificate is absent.
     """
+    if r < 1:
+        raise ValueError("r must be >= 1")
     desc = W.at(k)
     n = desc.ambient_dim
     for i, comp in enumerate(desc.components):

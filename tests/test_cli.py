@@ -1,6 +1,10 @@
 """End-to-end command-line tests: JSON payloads, text reports, exit codes."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -9,6 +13,7 @@ import pytest
 
 import datasets
 from builders import description_json, graded_json
+from jumploci import cli
 from jumploci.cli import (MAX_CHARACTER_ORDER, MAX_TORUS_ORDER, build_parser,
                           main)
 from jumploci.fox import (MAX_ALEXANDER_ENTRIES, MAX_GENERATORS,
@@ -985,6 +990,99 @@ def test_unrecognized_arguments_exit_2_naming_them(capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: jumploci [-h]")
     assert err.endswith("jumploci: error: unrecognized arguments: --bogus 1\n")
+
+
+def _outcome(call):
+    """What ``call()`` returns, or ("exit", code) if it exits, with what it
+    printed on stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call()
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def test_option_table_reads_what_the_whole_parser_reads():
+    # every subcommand's options in any order, repeated, mixed with help,
+    # abbreviations, --option=value, --, unknown options and values that
+    # start with a dash: the table's Namespace is parse_args's, and a call
+    # parse_args refuses exits from main with its code and text
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    _, tables = cli._parser()
+    reference = build_parser()
+    odd = ["-h", "--help", "--des", f"--desc={POINT}", "--", "--bogus"]
+    values = st.sampled_from([POINT, PLANE, PRES, "[[1]]", "t1 - 1", "", "1",
+                              "01", "-1", "- t1 + 1", "-t1 + 1", "--plane",
+                              "-h x"])
+
+    @st.composite
+    def calls(draw):
+        name = draw(st.sampled_from(sorted(tables) + ["-h", "bogus"]))
+        own = sorted(tables[name][0]) if name in tables else []
+        keys = st.sampled_from(own + odd)
+        pairs = draw(st.lists(st.tuples(keys, values), max_size=6))
+        tail = draw(st.lists(keys | values, max_size=1))
+        return [name] + [s for pair in pairs for s in pair] + tail
+
+    read = []
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(calls())
+    @hypothesis.example(["omega-test", "--plane", PLANE, "--desc", POINT,
+                         "--r", "01", "--r", "1"])
+    @hypothesis.example(["tcone", "--poly", "- t1 + 1", "--poly", "t1 - 1",
+                         "--max-support", "4", "--format", "text"])
+    @hypothesis.example(["schubert-eqs", "--space", "[[1]]", "--r", "-1"])
+    @hypothesis.example(["tcone", "--poly", "-t1 + 1", "--des", POINT])
+    def check(argv):
+        expected = _outcome(lambda: vars(reference.parse_args(argv)))
+        table = (cli._read_table(tables[argv[0]], argv[1:])
+                 if argv[0] in tables else None)
+        if isinstance(expected[0], dict):
+            assert expected[1:] == ("", "")
+            assert vars(cli._parse(argv)[1]) == expected[0]
+            read.append(table is not None)
+        else:
+            assert table is None
+            assert _outcome(lambda: main(argv)) == expected
+
+    check()
+    assert any(read) and not all(read)
+
+
+def test_table_read_poly_leaves_the_default_list_alone(capsys):
+    for name, argv in (("tcone", []), ("omega-describe", ["--r", "1"])):
+        options = cli._parser()[1][name][0]
+        for _ in range(2):
+            args = cli._parse([name, "--poly", "t1 - 1", "--poly",
+                               "- t2 + 1"] + argv)[1]
+            assert args.poly == ["t1 - 1", "- t2 + 1"]
+        assert options["--poly"].default == []
+        assert run(capsys, name, "--poly", "t1 - 1", *argv)[0] == 0
+        assert options["--poly"].default == []
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the read end is closed before the interpreter starts, so the first
+    # write fails; a traceback, or Python's "Exception ignored" note at its
+    # last flush, would land on stderr
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        for argv in (["schubert-eqs", "--space", "[[1, 2, 3, 4, 5, 6]]",
+                      "--r", "2"],
+                     ["omega-test", "--desc", POINT, "--plane", "[[1]]"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "jumploci.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+                env={**os.environ, "PYTHONPATH": src})
+            assert (proc.returncode, proc.stderr) == (1, b"")
+    finally:
+        os.close(write_end)
 
 
 def test_json_writer_is_json_dumps_with_indent_2():

@@ -282,6 +282,8 @@ def build_argvs() -> list[list[str]]:
                              [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]])])])
     calls.append(["fpk", "--graded", '{"n": 2, "degrees": {"0": []}}',
                   "--k", "3", "--r", "1"])
+    # r < 1 is refused, as omega-describe refuses it
+    calls.append(["fpk", "--graded", cube, "--k", "1", "--r", "0"])
     return calls
 
 

@@ -351,6 +351,13 @@ def test_fpk_certification_depends_on_r():
     assert low.deduction is None and "not certified" in low.reason
 
 
+@pytest.mark.parametrize("r", [0, -3])
+def test_fpk_refuses_r_below_one(r):
+    # refused with omega-describe's text, not reported as uncertified
+    with pytest.raises(ValueError, match=r"^r must be >= 1$"):
+        fpk_report(datasets.free2_cube_graded(3), 1, r)
+
+
 def test_fpk_ignores_translated_components():
     # a translated codim-1 line cannot certify emptiness even for large r
     deg1 = VarietyDescription(
