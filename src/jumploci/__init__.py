@@ -12,8 +12,7 @@ from .qlinalg import (PluckerVector, RationalSubspace, coset_reduce_ints,
                       format_rational, hnf, parse_rational, plucker, rref,
                       schubert_equations, snf)
 from .laurent import (CyclotomicNumber, LaurentPoly,
-                      bareiss_rank, cyclotomic_polynomial, cyclotomic_rank,
-                      restrict_matrix_to_translated_torus)
+                      bareiss_rank, cyclotomic_polynomial, cyclotomic_rank)
 from .fox import (Abelianization, AlexanderMatrix, FreeWord, Presentation,
                   PresentationSyntaxError, abelianize, alexander_matrix,
                   contains_translated_torus, depth1_membership,
@@ -46,7 +45,7 @@ __all__ = [
     "hnf", "nonopen_witness",
     "omega1_r1_description", "omega_codim1_closed_form", "omega_membership",
     "parse_presentation", "parse_rational", "plucker", "plucker_distance",
-    "rank_at_character", "restrict_matrix_to_translated_torus",
+    "rank_at_character",
     "rref", "schubert_equations",
     "sigma_rho_membership", "snf",
     "tangent_cone_description", "tangent_cone_polys",

@@ -23,8 +23,9 @@ where d2 is the Alexander matrix and d1 is the column with entries
 rho(x_j) - 1.  Ranks at torsion characters evaluate the matrix into integer
 vectors of Z[zeta_m] and eliminate them without division; generic ranks
 along a translated subtorus restrict the entries to the coset first and
-then run fraction-free elimination.  Both leave out one column that Fox's
-fundamental identity makes redundant (see :class:`AlexanderMatrix`).
+then run fraction-free elimination.  Both read the entries off one term
+table, and both leave out one column that Fox's fundamental identity makes
+redundant (see :class:`AlexanderMatrix`).
 
 >>> P = parse_presentation("<x1,x2 | x1 x2^2 x1^-1 x2^-2>")
 >>> alexander_matrix(P).entries[0][0].to_text()
@@ -37,8 +38,7 @@ import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .laurent import (LaurentPoly, TermTable, bareiss_rank, cyclotomic_rank,
-                      restrict_matrix_to_translated_torus)
+from .laurent import LaurentPoly, TermTable, bareiss_rank, cyclotomic_rank
 from .qlinalg import number_too_long, snf
 from .tori import TorsionCharacter, TranslatedTorus
 
@@ -418,16 +418,17 @@ class AlexanderMatrix:
     """m x q matrix of Laurent polynomials alpha(dr_i/dx_j) in n variables.
 
     ``abelianization`` is the one the matrix was built with, or None for a
-    matrix given by its entries alone.  A matrix built from a presentation
-    satisfies Fox's fundamental identity
+    matrix given by its entries alone, which has ranks but no degree-one
+    test and needs a row.  A matrix built from a presentation satisfies
+    Fox's fundamental identity
 
         sum_j M_ij (t^{a_j} - 1) = 0        (a_j = alpha(x_j)),
 
     the image of sum_j (dr_i/dx_j)(x_j - 1) = r_i - 1 under alpha.  So
     wherever one factor t^{a_j} - 1 is nonzero, column j is a combination of
     the others, and the ranks below leave it out.  :meth:`term_table`
-    indexes the terms for evaluation at characters; it is built on first
-    use and kept with the matrix.
+    indexes the terms for evaluation at characters and restriction to
+    cosets; it is built on first use and kept with the matrix.
     """
 
     __slots__ = ("entries", "num_vars", "abelianization", "_terms")
@@ -435,6 +436,9 @@ class AlexanderMatrix:
     def __init__(self, entries: Sequence[Sequence[LaurentPoly]], num_vars: int,
                  abelianization: Optional[Abelianization]):
         self.entries = tuple(tuple(row) for row in entries)
+        if not self.entries and abelianization is None:
+            raise ValueError("a matrix with no rows needs the presentation's "
+                             "abelianization to count its columns")
         self.num_vars = num_vars
         self.abelianization = abelianization
         self._terms: Optional[TermTable] = None
@@ -523,8 +527,8 @@ def depth1_membership(M: AlexanderMatrix, chi: TorsionCharacter) -> bool:
     column (chi(x_j) - 1)_j.  At the trivial character this reduces to
     b_1(G) >= 1.
     """
-    rank2 = rank_at_character(M, chi)
     rank1 = _d1_rank(M.abelianization, chi)
+    rank2 = rank_at_character(M, chi)
     return rank2 + rank1 <= M.num_cols - 1
 
 
@@ -548,7 +552,10 @@ def _d1_rank(ab: Abelianization, chi: TorsionCharacter,
              rows: Sequence[Sequence[int]] = ()) -> int:
     """Generic rank of d1 = (t^{a_j} - 1)_j on the coset chi times
     exp(L tensor C): 0 if every entry vanishes there (see
-    :func:`_d1_support`) and 1 otherwise."""
+    :func:`_d1_support`) and 1 otherwise; a ValueError without the a_j."""
+    if ab is None:
+        raise ValueError("the degree-one test needs the presentation's "
+                         "abelianization")
     return 1 if _d1_support(ab, chi, rows) else 0
 
 
@@ -579,22 +586,20 @@ def _kept_columns(M: AlexanderMatrix, chi: TorsionCharacter,
 def generic_rank_on_torus(M: AlexanderMatrix, torus: TranslatedTorus) -> int:
     """Rank of M at a generic point of the coset rho exp(L otimes C).
 
-    Entries are restricted to the coset (Laurent polynomials in dim L
-    variables, with int or Fraction coefficients when rho has order at most
-    2 and cyclotomic ones otherwise) and eliminated fraction-free, less the
-    column that Fox's identity makes redundant (see :func:`_kept_columns`).
+    The term table restricts the entries to the coset (see
+    :meth:`jumploci.laurent.TermTable.on_coset`: int coefficients when rho
+    has order at most 2, cyclotomic ones otherwise), and they are
+    eliminated fraction-free, less the column that Fox's identity makes
+    redundant (see :func:`_kept_columns`).
     A coset of dimension 0 is the point rho, where restricting is
     evaluating, so its rank is :func:`rank_at_character` at rho.
     """
     if torus.ambient_dim != M.num_vars:
         raise ValueError("torus ambient dimension mismatch")
-    if not M.entries:
-        return 0
     if torus.dim == 0:
         return rank_at_character(M, torus.translate)
     columns = _kept_columns(M, torus.translate, torus.direction.rows)
-    return bareiss_rank(restrict_matrix_to_translated_torus(
-        [[row[j] for j in columns] for row in M.entries], torus))
+    return bareiss_rank(M.term_table().on_coset(torus, columns))
 
 
 def contains_translated_torus(M: AlexanderMatrix, torus: TranslatedTorus) -> bool:
@@ -605,6 +610,6 @@ def contains_translated_torus(M: AlexanderMatrix, torus: TranslatedTorus) -> boo
     q - 1.  Rank is lower-semicontinuous ({rank <= k} is closed), so the
     generic verdict certifies every point of the (closed) coset.
     """
-    rank2 = generic_rank_on_torus(M, torus)
     rank1 = _d1_rank(M.abelianization, torus.translate, torus.direction.rows)
+    rank2 = generic_rank_on_torus(M, torus)
     return rank2 + rank1 <= M.num_cols - 1

@@ -31,12 +31,12 @@ monomial and gives each entry as its integer vector in Z[zeta_m], reduced
 mod Phi_m; :func:`cyclotomic_rank` eliminates those vectors without
 division or inverse.
 
-The restriction map is the workhorse on subtori: given f on (C*)^n and a
-coset rho.T with direction L, substituting t_i = rho_i * prod_j u_j^{B_ji}
-(B the k = dim L integer rows that store L) yields a polynomial in k
-variables that vanishes identically iff f vanishes on all of rho.T.  Its
-coefficients lie in Q(zeta_m), m the order of rho.  For m <= 2 that field
-is Q itself (zeta_2 = -1), so the coefficients stay ints and Fractions and
+Generic ranks on a coset rho.T read the same table:
+:meth:`TermTable.on_coset` substitutes t_i = rho_i * prod_j u_j^{B_ji} (B
+the k = dim T integer rows that store T's direction) into every entry, so
+each restricted coefficient is one m-long vector reduced once, m the order
+of rho, and an entry restricts to zero iff it vanishes on all of rho.T.
+For m <= 2, Q(zeta_m) = Q, so the coefficients are ints and
 :func:`bareiss_rank` divides integers exactly; only m > 2 takes
 CyclotomicNumbers.
 
@@ -762,30 +762,17 @@ class CyclotomicNumber:
 # characters and restriction to translated subtori
 # ---------------------------------------------------------------------------
 
-def _cyclotomic_sum(m: int, terms: Sequence[tuple[int, Fraction]]
-                    ) -> CyclotomicNumber:
-    """sum(c * zeta_m^k) over the ``(k, c)`` pairs, with one reduction.
-
-    The coefficients go over their common denominator into one m-long
-    integer vector, indexed by k mod m.
-    """
-    den = math.lcm(*(c.denominator for _, c in terms))
-    acc = [0] * m
-    for k, c in terms:
-        acc[k % m] += c.numerator * (den // c.denominator)
-    return CyclotomicNumber._make(m, _reduce(m, acc), den)
-
-
 class TermTable:
     """The terms of a matrix of rational Laurent polynomials, indexed once
-    for evaluation at many characters.
+    for evaluation at many characters and restriction to cosets.
 
     ``exponents`` holds each distinct exponent vector of the matrix once.
     ``cells[i][j]`` is entry (i, j) as a tuple of (index into
     ``exponents``, coefficient) pairs, with row i scaled by the lcm of its
-    coefficients' denominators, so that every coefficient is an int.
-    Scaling a row by a nonzero rational keeps the rank.  Equal cells are
-    one object, and a character evaluates each of them once.
+    coefficients' denominators (1 for an Alexander matrix), so that every
+    coefficient is an int.  Scaling a row by a nonzero rational keeps the
+    rank.  Equal cells are one object, and a character
+    (:meth:`at_character`) or a coset (:meth:`on_coset`) takes each once.
     ``weights[j]`` is the number of terms in column j.
 
     >>> table = TermTable([[LaurentPoly.parse("t1 - 1", 2),
@@ -840,45 +827,46 @@ class TermTable:
             rows.append([values[row[j]] for j in columns])
         return rows
 
+    def on_coset(self, torus: TranslatedTorus, columns: Sequence[int]
+                 ) -> list[list[LaurentPoly]]:
+        """The entries in ``columns`` of every (scaled) row restricted to
+        the coset rho.T: t_i becomes rho_i prod_j u_j^B[j][i], B the
+        k = dim T integer rows that store T's direction L.  Any integer
+        basis of L maps u -> rho u^B onto the coset, so an entry is zero iff
+        it vanishes there, and the matrix keeps its generic rank there.
 
-def restrict_matrix_to_translated_torus(
-        rows: Sequence[Sequence[LaurentPoly]], torus: TranslatedTorus
-) -> list[list[LaurentPoly]]:
-    """Restrict every entry f to the coset rho.T: substitute
-    t_i = rho_i prod_j u_j^B[j][i], with one basis B for the whole matrix.
-
-    B is the primitive integer RREF that stores the direction L.  Its rows
-    need not be a basis of the lattice L meet Z^n, but any integer basis of
-    L will do: u -> rho u^B maps (C*)^k onto the coset (the image is a
-    closed connected subgroup of exp(L tensor C) of the same dimension), so
-    an entry is zero iff f vanishes identically on the coset, and the
-    restricted matrix has the generic rank of M on the coset.  Two
-    monomials t^a and t^a' merge iff a - a' is orthogonal to L, whichever
-    basis B is.  The entries have k = dim L variables.  Their coefficients
-    lie in Q(zeta_m), m the order of the translate: CyclotomicNumbers of
-    order m when m > 2, and for m <= 2, where zeta_m^k = (-1)^k is rational,
-    the ints and Fractions of f's own ring.
-    """
-    n = torus.ambient_dim
-    basis = torus.direction.rows
-    m, w = torus.translate.order, torus.translate.nums
-
-    def restrict(f: LaurentPoly) -> LaurentPoly:
-        if f.num_vars != n:
+        Each distinct exponent a maps once to (B a, a . w mod m), w the
+        numerators of rho over its order m; each distinct cell sums into
+        one m-long vector per restricted exponent, reduced once mod Phi_m.
+        The coefficient is that vector's one int when phi(m) = 1 (m <= 2,
+        zeta_2 = -1 folded), and a CyclotomicNumber otherwise.
+        """
+        if torus.ambient_dim != self.num_vars and self.exponents:
             raise ValueError("variable count does not match the ambient torus")
-        groups: dict = {}
-        for a, c in f.terms.items():
-            e = tuple(sum(map(operator.mul, b, a)) for b in basis)
-            groups.setdefault(e, []).append((sum(map(operator.mul, a, w)), c))
-        if m <= 2:
-            return LaurentPoly._make(len(basis), {
-                e: z for e, terms in groups.items()
-                if (z := sum(-c if k & 1 else c for k, c in terms))})
-        return LaurentPoly._make(len(basis), {
-            e: z for e, terms in groups.items()
-            if (z := _cyclotomic_sum(m, terms))})
-
-    return [[restrict(f) for f in row] for row in rows]
+        basis = torus.direction.rows
+        m, w = torus.translate.order, torus.translate.nums
+        images = [(tuple(sum(map(operator.mul, b, a)) for b in basis),
+                   sum(map(operator.mul, a, w)) % m) for a in self.exponents]
+        values: dict = {}                     # cell -> its restriction
+        rows = []
+        for row in self.cells:
+            for cell in map(row.__getitem__, columns):
+                if cell not in values:
+                    sums: dict = {}
+                    for i, c in cell:
+                        e, power = images[i]
+                        if e not in sums:
+                            sums[e] = [0] * m
+                        sums[e][power] += c
+                    terms = {}
+                    for e, acc in sums.items():
+                        v = _reduce(m, acc)
+                        if any(v):
+                            terms[e] = (v[0] if len(v) == 1
+                                        else CyclotomicNumber._make(m, v))
+                    values[cell] = LaurentPoly._make(len(basis), terms)
+            rows.append([values[row[j]] for j in columns])
+        return rows
 
 
 # ---------------------------------------------------------------------------

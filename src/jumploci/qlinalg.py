@@ -49,7 +49,7 @@ import itertools
 import math
 import sys
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -332,6 +332,19 @@ def rref_order(spaces: Sequence[RationalSubspace]) -> list[tuple]:
     return [(s.dim, tuple(tuple(x * (scale // row[p]) for x in row)
                           for row, p in zip(s.rows, s.pivots)))
             for s in spaces]
+
+
+def _uncovered(ordered: Iterable, dim: Callable, covers: Callable) -> list:
+    """The items of ``ordered``, in runs of equal ``dim(item)``, that no
+    item kept from an earlier run ``covers(kept, item)``: distinct canonical
+    subspaces or cosets of one dimension never contain one another.  By
+    decreasing dimension under inclusion this keeps the maximal items; by
+    increasing dimension under reverse inclusion, the minimal ones."""
+    kept: list = []
+    for _, group in itertools.groupby(ordered, key=dim):
+        earlier = kept[:]
+        kept.extend(x for x in group if not any(covers(y, x) for y in earlier))
+    return kept
 
 
 # ---------------------------------------------------------------------------

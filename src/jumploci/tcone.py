@@ -51,7 +51,7 @@ from typing import Iterable, Optional, Sequence
 
 from .laurent import LaurentPoly
 from .qlinalg import (RationalSubspace, _echelon, _echelon_contains,
-                      format_rref, rref_order)
+                      _uncovered, format_rref, rref_order)
 from .tori import VarietyDescription
 
 DEFAULT_SUPPORT_LIMIT = 16
@@ -124,12 +124,9 @@ def _prune_subspaces(subs: Iterable[RationalSubspace]
     within a dimension is that of the integer rows; callers sort the result
     as they need.
     """
-    out: list[RationalSubspace] = []
-    ordered = sorted(set(subs), key=lambda s: (s.dim, s.rows), reverse=True)
-    for _, group in itertools.groupby(ordered, key=lambda s: s.dim):
-        kept = out[:]
-        out.extend(s for s in group if not any(t.contains(s) for t in kept))
-    return out
+    return _uncovered(
+        sorted(set(subs), key=lambda s: (s.dim, s.rows), reverse=True),
+        operator.attrgetter("dim"), RationalSubspace.contains)
 
 
 # ---------------------------------------------------------------------------
@@ -197,16 +194,11 @@ def _row_spaces(remaining: int, n: int,
     if len(found) < 2:
         memo[remaining] = out = list(found)
         return out
-    # the inclusion-minimal sums: distinct spans of equal dimension never
-    # contain one another, so each is compared with the kept ones of lower
+    # the inclusion-minimal sums, each compared with the kept ones of lower
     # dimension only
-    out = []
-    ordered = sorted(found, key=lambda r: (len(r[0]), r[0]))
-    for _, group in itertools.groupby(ordered, key=lambda r: len(r[0])):
-        kept = out[:]
-        out.extend(r for r in group
-                   if not any(_echelon_contains(*r, *t) for t in kept))
-    memo[remaining] = out
+    memo[remaining] = out = _uncovered(
+        sorted(found, key=lambda r: (len(r[0]), r[0])), lambda r: len(r[0]),
+        lambda t, r: _echelon_contains(*r, *t))
     return out
 
 

@@ -45,7 +45,6 @@ True
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -53,6 +52,7 @@ from typing import Iterable, Optional, Sequence
 from .qlinalg import (
     RationalSubspace,
     _echelon,
+    _uncovered,
     coset_rep_ints,
     format_ratio,
     format_rref,
@@ -312,12 +312,9 @@ def _prune(comps: list[TranslatedTorus]) -> list[TranslatedTorus]:
     keys = [key + (tuple(x * (order // c.translate.order)
                          for x in c.translate.nums),)
             for key, c in zip(rref_order([c.direction for c in comps]), comps)]
-    kept: list[int] = []
-    ordered = sorted(range(len(comps)), key=keys.__getitem__, reverse=True)
-    for _, group in itertools.groupby(ordered, key=lambda i: comps[i].dim):
-        above = kept[:]
-        kept.extend(i for i in group
-                    if not any(comps[j].contains(comps[i]) for j in above))
+    kept = _uncovered(
+        sorted(range(len(comps)), key=keys.__getitem__, reverse=True),
+        lambda i: comps[i].dim, lambda j, i: comps[j].contains(comps[i]))
     kept.sort(key=keys.__getitem__)
     return [comps[i] for i in kept]
 
@@ -376,6 +373,9 @@ class GradedDescription:
                 key, f"a graded description's degree key {key!r}")
             by_degree[degree] = VarietyDescription.from_json(
                 {"n": n, "components": comps})
+        if 0 not in by_degree:
+            raise ValueError("a graded description's 'degrees' must include "
+                             "degree 0")
         return cls(n, by_degree)
 
 

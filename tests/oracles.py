@@ -734,8 +734,9 @@ def _poly_divmod(a, b):
         f = r[-1] / b[-1]
         shift = len(r) - len(b)
         q[shift] = f
-        for i, c in enumerate(b):
-            r[shift + i] -= f * c
+        if f:
+            for i, c in enumerate(b):
+                r[shift + i] -= f * c
         r.pop()
     return q, r
 
@@ -820,3 +821,30 @@ def oracle_cyclotomic_rank(entries, m):
                            for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def oracle_restrict_to_coset(entries, basis, lam):
+    """Each entry {exponents: coefficient} of a matrix restricted to the
+    coset exp(2 pi i lam) times exp(L tensor C), L spanned by the integer
+    rows ``basis``: t_i -> exp(2 pi i lam_i) prod_j u_j^basis[j][i], term
+    by term.  Returns (m, rows), m the order of lam and each entry a dict
+    from restricted exponents to the nonzero Fraction coefficients in the
+    basis 1, zeta_m, ..., zeta_m^(phi(m)-1)."""
+    lam = [Fraction(x) for x in lam]
+    m = math.lcm(*(x.denominator for x in lam))
+    phi_poly = oracle_cyclotomic_polynomial(m)
+
+    def restrict(terms):
+        sums = {}
+        for exps, coeff in terms.items():
+            e = tuple(sum(b * a for b, a in zip(row, exps)) for row in basis)
+            k = int(sum(a * x for a, x in zip(exps, lam)) * m) % m
+            sums.setdefault(e, [Fraction(0)] * m)[k] += Fraction(coeff)
+        out = {}
+        for e, v in sums.items():
+            v = cyclo_reduce(v, phi_poly)
+            if any(v):
+                out[e] = tuple(v)
+        return out
+
+    return m, [[restrict(terms) for terms in row] for row in entries]

@@ -8,7 +8,8 @@ for itself: rational vectors as integers over one denominator and as
 torsion characters, coset reduction and membership with ``Fraction``
 values, the readers of torsion characters, arrangements and Laurent polynomials from their JSON
 form, intersections of translated tori, the tangent-cone bound on planes,
-and the d1 entries of a presentation.
+the d1 entries of a presentation, and the restriction of a matrix to a
+coset term by term.
 """
 
 import math
@@ -21,7 +22,7 @@ import oracles
 from builders import constant, monomial, torus
 from jumploci.fox import (Abelianization, FreeWord, Presentation,
                           alexander_matrix)
-from jumploci.laurent import LaurentPoly
+from jumploci.laurent import CyclotomicNumber, LaurentPoly
 from jumploci.omega import omega_codim1_closed_form, omega_membership
 from jumploci.qlinalg import (RationalSubspace, coset_rep_ints,
                               coset_reduce_ints, plucker, rref)
@@ -169,6 +170,20 @@ def generator_character_poly(ab: Abelianization, j: int) -> LaurentPoly:
     """t^{alpha(x_j)} - 1, the boundary-d1 entry for generator j."""
     n = ab.free_rank
     return monomial(ab.projection[j], 1, n) - constant(n, 1)
+
+
+def restricted_to_coset(rows, coset: TranslatedTorus
+                        ) -> list[list[LaurentPoly]]:
+    """The matrix of Laurent polynomials restricted to the coset by
+    :func:`oracles.oracle_restrict_to_coset`, term by term: each
+    coefficient a ``Fraction`` when Q(zeta_m) = Q, and a CyclotomicNumber
+    of order m otherwise."""
+    m, restricted = oracles.oracle_restrict_to_coset(
+        [[f.terms for f in row] for row in rows], coset.direction.rows,
+        coset.translate.values)
+    return [[LaurentPoly._make(coset.dim, {
+        e: v[0] if len(v) == 1 else CyclotomicNumber(m, v)
+        for e, v in terms.items()}) for terms in row] for row in restricted]
 
 
 def _random_subspace(rng, n, max_rows=None, entry=2):

@@ -32,10 +32,9 @@ from jumploci.fox import (
     parse_presentation,
     rank_at_character,
 )
-from jumploci.laurent import (LaurentPoly, bareiss_rank,
-                              restrict_matrix_to_translated_torus)
+from jumploci.laurent import LaurentPoly, bareiss_rank
 from jumploci.fox import _d1_rank, _kept_columns
-from suites import character, generator_character_poly
+from suites import character, generator_character_poly, restricted_to_coset
 
 F = Fraction
 
@@ -424,6 +423,28 @@ def test_depth1_membership_validates_length():
         depth1_membership(m, character((0, 0, 0)))
 
 
+def test_degree_one_tests_need_the_abelianization():
+    # a matrix given by its entries alone has ranks but no d1, and one with
+    # no rows could not count its columns
+    M = AlexanderMatrix(alexander_matrix(parse_presentation(
+        datasets.ONE_RELATOR_PRES)).entries, 2, None)
+    assert rank_at_character(M, character((0, F(1, 2)))) == 0
+    assert rank_at_character(M, character((F(1, 2), 0))) == 1
+    for lam, rank in (([0, F(1, 2)], 0), ([0, 0], 1)):
+        assert generic_rank_on_torus(M, builders.torus(lam, [(1, 0)])) == rank
+    with pytest.raises(ValueError, match="needs the presentation's "
+                                         "abelianization"):
+        depth1_membership(M, character((0, F(1, 2))))
+    with pytest.raises(ValueError, match="needs the presentation's "
+                                         "abelianization"):
+        contains_translated_torus(M, builders.torus([0, 0], [(1, 0)]))
+    with pytest.raises(ValueError, match="no rows needs the presentation's "
+                                         "abelianization"):
+        AlexanderMatrix([], 1, None)
+    empty = alexander_matrix(parse_presentation("<x1, x2 | >"))
+    assert (empty.num_rows, empty.num_cols) == (0, 2)
+
+
 def test_generic_rank_on_translated_torus():
     pres = parse_presentation(datasets.CLOSED_OMEGA_PRES)
     m = alexander_matrix(pres)
@@ -614,16 +635,44 @@ def test_generic_rank_leaving_out_a_column_is_the_full_bareiss_rank():
         torus = builders.torus(lam, rows, n)
         if torus.dim == 0:
             continue
-        # the reference takes every column and divides over the field, so
-        # an int coefficient becomes a Fraction
-        full = bareiss_rank([[LaurentPoly._make(f.num_vars, {
-            e: c if isinstance(c, laurent.CyclotomicNumber) else F(c)
-            for e, c in f.terms.items()}) for f in row]
-            for row in restrict_matrix_to_translated_torus(M.entries, torus)])
+        # the reference restricts term by term and takes every column; its
+        # Fraction coefficients make Bareiss divide over the field
+        full = bareiss_rank(restricted_to_coset(M.entries, torus))
         assert generic_rank_on_torus(M, torus) == full
         kept = _kept_columns(M, torus.translate, torus.direction.rows)
         dropped[min(torus.translate.order, 3)] += len(kept) < M.num_cols
     assert min(dropped.values()) >= 5
+
+
+def test_restriction_through_the_term_table_matches_the_oracle():
+    # every entry restricted through the term table, against the oracle's
+    # term-by-term restriction, on the datasets' presentations at random
+    # cosets; and the generic rank against Bareiss on the oracle's matrix
+    rng = random.Random(51)
+    checked = {}
+    for text in (datasets.CLOSED_OMEGA_PRES, datasets.ONE_RELATOR_PRES,
+                 datasets.SURFACE_PRES, datasets.PRODUCT_KERNEL_PRES):
+        M = alexander_matrix(parse_presentation(text))
+        n = M.num_vars
+        for order in (1, 2, 3, 4, 6, 127):
+            for dim in (1, 2):
+                rows = [[rng.randint(-2, 2) for _ in range(n)]
+                        for _ in range(dim)]
+                torus = builders.torus(
+                    [F(rng.randrange(order), order) for _ in range(n)],
+                    rows, n)
+                if torus.dim != dim:
+                    continue
+                oracle = restricted_to_coset(M.entries, torus)
+                assert M.term_table().on_coset(
+                    torus, range(M.num_cols)) == oracle
+                # Bareiss on every column over Q(zeta_127), and on planes of
+                # the surface group's 16 x 6 matrix, takes seconds
+                if order == 127 and n > 3 or n == 6 and dim == 2:
+                    continue
+                assert generic_rank_on_torus(M, torus) == bareiss_rank(oracle)
+                checked[order] = checked.get(order, 0) + 1
+    assert min(checked.values()) >= 3 and len(checked) == 6
 
 
 def test_generic_rank_at_a_point_is_the_bareiss_rank_of_the_restriction():
@@ -635,7 +684,7 @@ def test_generic_rank_at_a_point_is_the_bareiss_rank_of_the_restriction():
             order = rng.choice([2, 3, 4, 6, 12])
             lam = [F(rng.randrange(order), order) for _ in range(M.num_vars)]
             point = builders.torus(lam, [], M.num_vars)
-            restricted = restrict_matrix_to_translated_torus(M.entries, point)
+            restricted = restricted_to_coset(M.entries, point)
             assert generic_rank_on_torus(M, point) == bareiss_rank(restricted)
 
 
@@ -701,7 +750,7 @@ def test_d1_rank_reads_the_restriction_off_the_pairings():
                             for _ in range(rng.randint(0, n))]))
         for lam, rows in cosets:
             torus = builders.torus(lam, rows, n)
-            restricted = restrict_matrix_to_translated_torus(d1, torus)[0]
+            restricted = restricted_to_coset(d1, torus)[0]
             expected = 0 if all(p.is_zero() for p in restricted) else 1
             assert _d1_rank(ab, torus.translate,
                             torus.direction.rows) == expected

@@ -284,6 +284,9 @@ def build_argvs() -> list[list[str]]:
                   "--k", "3", "--r", "1"])
     # r < 1 is refused, as omega-describe refuses it
     calls.append(["fpk", "--graded", cube, "--k", "1", "--r", "0"])
+    # a graded description must have degree 0
+    calls.append(["fpk", "--graded", '{"n": 1, "degrees": {}}',
+                  "--k", "0", "--r", "1"])
     return calls
 
 

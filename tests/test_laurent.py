@@ -18,11 +18,10 @@ from jumploci.laurent import (
     bareiss_rank,
     TermTable,
     cyclotomic_polynomial,
-    restrict_matrix_to_translated_torus,
 )
 from jumploci.laurent import _convolve
 from jumploci.qlinalg import RationalSubspace
-from suites import character, laurent_poly_from_json
+from suites import character, laurent_poly_from_json, restricted_to_coset
 
 F = Fraction
 
@@ -561,17 +560,20 @@ def test_restriction_substitutes_the_direction_rows():
     torus = builders.torus([0, 0, 0], [(2, 0, 1), (0, 2, 1)], 3)
     assert torus.direction.rows == ((2, 0, 1), (0, 2, 1))
     t1, t2, t3 = builders.variables(3)
-    got = restrict_matrix_to_translated_torus([[t1, t2 * t3, t1 - t2]],
-                                              torus)[0]
+    rows = [[t1, t2 * t3, t1 - t2]]
+    got = TermTable(rows).on_coset(torus, [0, 1, 2])[0]
     assert got == [LaurentPoly.parse(text, 2)
                    for text in ("t1^2", "t1*t2^3", "t1^2 - t2^2")]
+    assert restricted_to_coset(rows, torus)[0] == got
     # a translate of order 1 restricts into Q itself, not Q(zeta_1)
-    assert all(type(c) in (int, F) for f in got for c in f.terms.values())
+    assert all(type(c) is int for f in got for c in f.terms.values())
 
 
 def test_restriction_detects_vanishing_on_coset():
     def vanishes(f, torus):
-        return restrict_matrix_to_translated_torus([[f]], torus)[0][0].is_zero()
+        zero = TermTable([[f]]).on_coset(torus, [0])[0][0].is_zero()
+        assert restricted_to_coset([[f]], torus)[0][0].is_zero() == zero
+        return zero
 
     diag = builders.torus([0, 0], [(1, 1)], 2)
     f = LaurentPoly.parse("t1 - t2")
@@ -596,7 +598,8 @@ def test_restriction_agrees_with_sampling_the_coset():
         lam = [F(rng.randint(0, 3), 4) for _ in range(n)]
         torus = builders.torus(lam, rows, n)
         f = rand_poly(rng, n, max_terms=4, span=2)
-        restricted = restrict_matrix_to_translated_torus([[f]], torus)[0][0]
+        restricted = TermTable([[f]]).on_coset(torus, [0])[0][0]
+        assert restricted == restricted_to_coset([[f]], torus)[0][0]
         # sample characters on the coset: lam + s * primitive direction
         zero_everywhere = True
         base = torus.translate.values

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import builders
 import oracles
 from builders import full_space
 from jumploci.qlinalg import (
@@ -29,7 +30,8 @@ from jumploci.qlinalg import (
     snf,
 )
 from jumploci import qlinalg
-from jumploci.qlinalg import _det, _reduce
+from jumploci.qlinalg import _det, _reduce, _uncovered
+from jumploci.tori import TranslatedTorus
 from suites import (contains_vector, coset_reduce, in_lattice_coset,
                     over_one_denominator)
 
@@ -163,6 +165,40 @@ def test_rref_order_sorts_as_the_fraction_rref_does():
             assert ((keys[i] < keys[j], keys[i] == keys[j])
                     == (fraction_keys[i] < fraction_keys[j],
                         fraction_keys[i] == fraction_keys[j]))
+
+
+def test_uncovered_keeps_the_maximal_or_the_minimal_items():
+    # against every pair tested: maximal subspaces and cosets walked by
+    # decreasing dimension with inclusion, minimal row spaces (primitive
+    # integer RREFs) by increasing dimension with the reverse inclusion
+    rng = random.Random(42)
+    dropped = [0, 0, 0]
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        spaces = list({RationalSubspace.from_rows(
+            rand_int_rows(rng, rng.randint(0, n), n, -2, 2), n)
+            for _ in range(rng.randint(0, 7))})
+        maximal = _uncovered(
+            sorted(spaces, key=lambda s: (s.dim, s.rows), reverse=True),
+            lambda s: s.dim, RationalSubspace.contains)
+        assert set(maximal) == {s for s in spaces if not any(
+            t != s and t.contains(s) for t in spaces)}
+        echelons = [(s.rows, s.pivots) for s in spaces]
+        minimal = _uncovered(sorted(echelons, key=lambda r: (len(r[0]), r)),
+                             lambda r: len(r[0]),
+                             lambda t, r: qlinalg._echelon_contains(*r, *t))
+        assert set(minimal) == {r for r in echelons if not any(
+            t != r and qlinalg._echelon_contains(*r, *t) for t in echelons)}
+        cosets = list({builders.torus(
+            [F(rng.randrange(4), 4) for _ in range(n)], s.rows, n)
+            for s in spaces})
+        kept = _uncovered(sorted(cosets, key=lambda c: c.dim, reverse=True),
+                          lambda c: c.dim, TranslatedTorus.contains)
+        assert set(kept) == {c for c in cosets if not any(
+            d != c and d.contains(c) for d in cosets)}
+        dropped = [k + (len(got) < len(items)) for k, got, items in zip(
+            dropped, (maximal, minimal, kept), (spaces, echelons, cosets))]
+    assert min(dropped) >= 20, dropped
 
 
 def canonical_form_ok(space):

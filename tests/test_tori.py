@@ -334,6 +334,13 @@ def test_graded_description_checks_contiguity():
             2: full_torus(2)})
 
 
+def test_graded_description_json_needs_degree_zero():
+    for degrees in ({}, {"1": []}):
+        with pytest.raises(ValueError, match="'degrees' must include "
+                                             "degree 0"):
+            GradedDescription.from_json({"n": 1, "degrees": degrees})
+
+
 def test_graded_description_access():
     g = datasets.free2_graded(2)
     assert g.max_degree == 2
