@@ -15,9 +15,8 @@ from .laurent import (CyclotomicNumber, LaurentPoly,
                       bareiss_rank, cyclotomic_polynomial, cyclotomic_rank)
 from .fox import (Abelianization, AlexanderMatrix, FreeWord, Presentation,
                   PresentationSyntaxError, abelianize, alexander_matrix,
-                  contains_translated_torus, depth1_membership,
-                  generic_rank_on_torus, parse_presentation,
-                  rank_at_character)
+                  contains_translated_torus, generic_rank_on_torus,
+                  parse_presentation, rank_at_character)
 from .tcone import (SubspaceArrangement, tangent_cone_description,
                     tangent_cone_polys)
 from .tori import (GradedDescription, TorsionCharacter, TranslatedTorus,
@@ -39,8 +38,7 @@ __all__ = [
     "TranslatedTorus", "VarietyDescription", "WitnessReport", "WitnessStep",
     "abelianize", "alexander_matrix",
     "bareiss_rank", "contains_translated_torus", "coset_reduce_ints",
-    "cyclotomic_polynomial", "cyclotomic_rank", "depth1_membership",
-    "format_rational",
+    "cyclotomic_polynomial", "cyclotomic_rank", "format_rational",
     "fpk_report", "generic_rank_on_torus",
     "hnf", "nonopen_witness",
     "omega1_r1_description", "omega_codim1_closed_form", "omega_membership",

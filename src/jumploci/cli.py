@@ -44,7 +44,7 @@ from collections import OrderedDict
 from typing import Optional, Sequence
 
 from .fox import (abelianize, alexander_matrix, contains_translated_torus,
-                  depth1_membership, parse_presentation)
+                  parse_presentation)
 from .laurent import LaurentPoly
 from .omega import (fpk_report, nonopen_witness, omega1_r1_description,
                     omega_codim1_closed_form, omega_membership)
@@ -53,7 +53,8 @@ from .qlinalg import (PluckerVector, RationalSubspace, format_rational,
 from .tcone import (DEFAULT_SUPPORT_LIMIT, SUBSET_SUM_LIMIT,
                     SubspaceArrangement, tangent_cone_description,
                     tangent_cone_polys)
-from .tori import GradedDescription, VarietyDescription, subspace_from_json
+from .tori import (GradedDescription, TranslatedTorus, VarietyDescription,
+                   subspace_from_json)
 
 #: The highest order of a component's translate that charvar-check accepts.
 #: Ranks at a character of order m work in Z[zeta_m], of rank phi(m) over
@@ -280,10 +281,13 @@ def _cmd_charvar_check(args) -> tuple[dict, list[str]]:
                 f"order {comp.translate.order}, above MAX_TORUS_ORDER = "
                 f"{MAX_TORUS_ORDER} for components of dimension >= 1")
     reports = []
+    origin = RationalSubspace.zero(desc.ambient_dim)
     for comp in desc.components:
         # the translate is a point of the closed coset: off the locus, it
-        # settles the coset without Bareiss; on a point the verdicts agree
-        at_translate = depth1_membership(matrix, comp.translate)
+        # settles the coset without Bareiss; a point is its own translate
+        point = comp if comp.dim == 0 else TranslatedTorus(comp.translate,
+                                                           origin)
+        at_translate = contains_translated_torus(matrix, point)
         generic = at_translate and (
             comp.dim == 0 or contains_translated_torus(matrix, comp))
         reports.append({
@@ -347,9 +351,7 @@ def _cmd_omega_describe(args) -> tuple[dict, list[str]]:
     desc = _description(_json_text(args.desc))
     verdict = omega_codim1_closed_form(desc, args.r)
     payload = verdict.to_json()
-    if verdict.kind == "all":
-        lines = [f"all r={args.r} planes are members"]
-    elif verdict.kind == "empty":
+    if verdict.kind == "empty":
         lines = [f"no r={args.r} plane is a member"]
     else:
         lines = [f"members are exactly the r={args.r} planes inside "

@@ -14,18 +14,21 @@ The parser reads each word onto one stack of syllables, reducing an atom
 only where it meets the top and counting letters as it goes, so parsing
 is linear in the letters.
 
-Depth-one jump-locus membership of a character rho = exp(2 pi i lambda) is
-the determinantal condition
+Depth-one jump-locus membership of a coset rho exp(L tensor C) is the
+determinantal condition
 
-    rank d2(rho) + rank d1(rho) <= q - 1,
+    rank d2 + rank d1 <= q - 1
 
-where d2 is the Alexander matrix and d1 is the column with entries
-rho(x_j) - 1.  Ranks at torsion characters evaluate the matrix into integer
-vectors of Z[zeta_m] and eliminate them without division; generic ranks
-along a translated subtorus restrict the entries to the coset first and
-then run fraction-free elimination.  Both read the entries off one term
-table, and both leave out one column that Fox's fundamental identity makes
-redundant (see :class:`AlexanderMatrix`).
+at a generic point of the coset, where d2 is the Alexander matrix and d1 is
+the column with entries t^{a_j} - 1.  One test,
+:func:`contains_translated_torus`, decides it for every coset; a torsion
+point rho = exp(2 pi i lambda) is the coset with L = 0.  Ranks at torsion
+points evaluate the matrix into integer vectors of Z[zeta_m] and eliminate
+them without division; generic ranks along a coset of positive dimension
+restrict the entries to the coset first and then run fraction-free
+elimination.  Both read the entries off one term table, and both leave out
+one column that Fox's fundamental identity makes redundant (see
+:class:`AlexanderMatrix`).
 
 >>> P = parse_presentation("<x1,x2 | x1 x2^2 x1^-1 x2^-2>")
 >>> alexander_matrix(P).entries[0][0].to_text()
@@ -519,19 +522,6 @@ def rank_at_character(M: AlexanderMatrix, chi: TorsionCharacter) -> int:
         M.term_table().at_character(chi, _kept_columns(M, chi)), chi.order)
 
 
-def depth1_membership(M: AlexanderMatrix, chi: TorsionCharacter) -> bool:
-    """Whether chi lies in the depth-one degree-one jump locus of the
-    presentation whose Alexander matrix is M.
-
-    Criterion: rank d2(chi) + rank d1(chi) <= q - 1, with d1(chi) the
-    column (chi(x_j) - 1)_j.  At the trivial character this reduces to
-    b_1(G) >= 1.
-    """
-    rank1 = _d1_rank(M.abelianization, chi)
-    rank2 = rank_at_character(M, chi)
-    return rank2 + rank1 <= M.num_cols - 1
-
-
 def _d1_support(ab: Abelianization, chi: TorsionCharacter,
                 rows: Sequence[Sequence[int]] = ()) -> list[int]:
     """The generators j whose entry t^{a_j} - 1 of d1 is not identically
@@ -546,17 +536,6 @@ def _d1_support(ab: Abelianization, chi: TorsionCharacter,
     return [j for j, a in enumerate(ab.projection)
             if sum(x * y for x, y in zip(a, chi.nums)) % chi.order
             or any(sum(x * y for x, y in zip(a, row)) for row in rows)]
-
-
-def _d1_rank(ab: Abelianization, chi: TorsionCharacter,
-             rows: Sequence[Sequence[int]] = ()) -> int:
-    """Generic rank of d1 = (t^{a_j} - 1)_j on the coset chi times
-    exp(L tensor C): 0 if every entry vanishes there (see
-    :func:`_d1_support`) and 1 otherwise; a ValueError without the a_j."""
-    if ab is None:
-        raise ValueError("the degree-one test needs the presentation's "
-                         "abelianization")
-    return 1 if _d1_support(ab, chi, rows) else 0
 
 
 def _kept_columns(M: AlexanderMatrix, chi: TorsionCharacter,
@@ -604,12 +583,21 @@ def generic_rank_on_torus(M: AlexanderMatrix, torus: TranslatedTorus) -> int:
 
 def contains_translated_torus(M: AlexanderMatrix, torus: TranslatedTorus) -> bool:
     """Generic containment of the coset in the degree-one jump locus of the
-    presentation whose Alexander matrix is M.
+    presentation whose Alexander matrix is M; on a coset of dimension 0,
+    membership of one torsion point.
 
     True iff generic rank d2 + generic rank d1 along the coset is at most
-    q - 1.  Rank is lower-semicontinuous ({rank <= k} is closed), so the
-    generic verdict certifies every point of the (closed) coset.
+    q - 1, rank d1 being 1 where some entry t^{a_j} - 1 is not identically
+    zero on the coset (see :func:`_d1_support`); at the trivial character
+    this reduces to b_1(G) >= 1.  A matrix without the presentation's
+    abelianization has no d1: a ValueError.  Rank is lower-semicontinuous
+    ({rank <= k} is closed), so the generic verdict certifies every point
+    of the (closed) coset.
     """
-    rank1 = _d1_rank(M.abelianization, torus.translate, torus.direction.rows)
+    if M.abelianization is None:
+        raise ValueError("the degree-one test needs the presentation's "
+                         "abelianization")
+    rank1 = 1 if _d1_support(M.abelianization, torus.translate,
+                             torus.direction.rows) else 0
     rank2 = generic_rank_on_torus(M, torus)
     return rank2 + rank1 <= M.num_cols - 1

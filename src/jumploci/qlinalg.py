@@ -22,15 +22,14 @@ fraction-free determinants of the stored integer rows.
 A rational vector lambda enters the lattice layer as integer numerators
 over one positive denominator.  :func:`coset_reduce_ints` decides
 ``lambda in V + Z^n`` (the decidable core of every "does this character lie
-on that algebraic subtorus" question downstream): with one Hermite normal
-form (:func:`hnf`) it reduces lambda to the canonical representative of its
-coset mod V + Z^n, and returns the integer step m taken, so lambda - m lies
-in V when the representative is 0.  :func:`coset_rep_ints` keeps only the
-representative and skips the HNF for an integer vector, which lies in every
-V + Z^n, and for a V whose stored rows all have pivot entry 1 (the zero
-space among them), whose projection lattice is already the coordinates off
-the pivots; membership tests and the canonical translates of ``tori`` read
-it.
+on that algebraic subtorus" question downstream): it reduces lambda to the
+canonical representative of its coset mod V + Z^n, and returns the integer
+step m taken, so lambda - m lies in V when the representative is 0.  It
+builds one Hermite normal form (:func:`hnf`), and none for an integer
+vector, which lies in every V + Z^n, or for a V whose stored rows all have
+pivot entry 1 (the zero space among them), whose projection lattice is
+already the coordinates off the pivots.  Membership tests, witnesses and
+the canonical translates of ``tori`` all read it.
 The module also provides Smith normal forms, Pluecker coordinates of
 subspaces, the linear equations cutting out the locus of r-planes meeting a
 fixed subspace nontrivially, and the reading of rational JSON entries,
@@ -39,8 +38,8 @@ whose errors name the entry.
 >>> V = RationalSubspace.from_rows([(1, 1)], 2)
 >>> coset_reduce_ints([3, 1], 2, V)
 ([0, 0], 2, [0, -1])
->>> coset_rep_ints([1, 0], 2, V)
-([0, 1], 2)
+>>> coset_reduce_ints([1, 0], 2, V)
+([0, 1], 2, [0, -1])
 """
 
 from __future__ import annotations
@@ -533,22 +532,31 @@ def coset_reduce_ints(nums: Sequence[int], den: int, space: RationalSubspace
 
     The representative rep = rep nums / rep den has every entry in [0, 1)
     and depends only on the coset lam + V + Z^n, and m is an integer vector
-    with lam - m - rep in V.  So lam lies in V + Z^n exactly when rep is 0,
-    and then m is a witness.
+    with lam - m - rep in V (any such m).  So lam lies in V + Z^n exactly
+    when rep is 0, and then m is a witness.
 
-    Subtracting the element of V that agrees with lam on V's RREF pivots
-    leaves a residue supported off the pivots.  The projection of Z^n along V
-    onto those coordinates is generated by e_j off the pivots and by e_p - b
-    at the pivot p of each basis row b; scaled by the common denominator
-    ``scale`` of the basis, which is the lcm of the pivot entries of the
-    stored integer rows, these are integer rows G.  The residue is reduced,
-    rightmost pivot first, to the fundamental domain of the HNF H = U G.
-    Row k of H is scale (U_k - x) for some x in V, so each step by f copies
-    of it adds f U_k to m.
+    An integer lam (den divides every numerator, as in ``"2/2"``) has rep 0
+    and m = lam.  Otherwise, subtracting the element of V that agrees with
+    lam on V's RREF pivots leaves a residue supported off the pivots.  The
+    projection of Z^n along V onto those coordinates is generated by e_j off
+    the pivots and by e_p - b at the pivot p of each basis row b.  When
+    every pivot entry of V's stored rows is 1 (the zero space, the full
+    space, every coordinate subspace), that is Z^n off the pivots: rep is
+    the residue mod 1 and m its integer part, with no HNF.  Otherwise,
+    scaled by the common denominator ``scale`` of the basis (the lcm of the
+    pivot entries of the stored integer rows), the generators are integer
+    rows G, and the residue is reduced, rightmost pivot first, to the
+    fundamental domain of the HNF H = U G.  Row k of H is scale (U_k - x)
+    for some x in V, so each step by f copies of it adds f U_k to m.
     """
     n = space.ambient_dim
     if len(nums) != n:
         raise ValueError("character length does not match ambient dimension")
+    if den == 1 or all(a % den == 0 for a in nums):
+        return [0] * n, 1, [a // den for a in nums]
+    if all(row[p] == 1 for row, p in zip(space.rows, space.pivots)):
+        x, _ = _reduce(nums, space.rows, space.pivots)
+        return [a % den for a in x], den, [a // den for a in x]
     scale = math.lcm(*(row[p] for row, p in zip(space.rows, space.pivots)))
     gens = [[scale if i == j else 0 for j in range(n)] for i in range(n)]
     for row, p in zip(space.rows, space.pivots):
@@ -569,28 +577,6 @@ def coset_reduce_ints(nums: Sequence[int], den: int, space: RationalSubspace
             x = [a - f * d * b for a, b in zip(x, row)]
             m = [a + f * b for a, b in zip(m, u_row)]
     return x, scale * d, m
-
-
-def coset_rep_ints(nums: Sequence[int], den: int, space: RationalSubspace
-                   ) -> tuple[list[int], int]:
-    """The representative of :func:`coset_reduce_ints` for lam = nums / den
-    (den > 0), as ``(rep nums, rep den)``.  An integer vector (den divides
-    every numerator, as in ``"2/2"``) lies in every V + Z^n, so its
-    representative is 0 with no HNF.  When every pivot entry of V's stored
-    rows is 1, as for the zero space (a point), the full space and every
-    coordinate subspace, the projection of Z^n along V is Z^n on the
-    coordinates off the pivots: its HNF is those unit rows, and the
-    representative is the residue of lam mod V taken mod den, with no HNF
-    either.  Only the remaining spaces go to :func:`coset_reduce_ints`."""
-    if len(nums) != space.ambient_dim:
-        raise ValueError("character length does not match ambient dimension")
-    if den == 1 or all(a % den == 0 for a in nums):
-        return [0] * len(nums), 1
-    if all(row[p] == 1 for row, p in zip(space.rows, space.pivots)):
-        x, _ = _reduce(nums, space.rows, space.pivots)
-        return [a % den for a in x], den
-    x, d, _ = coset_reduce_ints(nums, den, space)
-    return x, d
 
 
 # ---------------------------------------------------------------------------

@@ -14,23 +14,23 @@ Canonical coset representative
 ------------------------------
 Two pairs (lambda, L) and (lambda', L) describe the same coset exactly when
 lambda - lambda' lies in L + Z^n, so a canonical representative must reduce
-lambda modulo that subgroup.  :func:`jumploci.qlinalg.coset_rep_ints` does
-it on the numerators of lambda over its order: an integral lambda lies in
-Z^n itself, so its representative is 0 and no HNF is built.  Any other
-lambda loses its L-part, and the remainder is reduced to the Hermite
+lambda modulo that subgroup.  :func:`jumploci.qlinalg.coset_reduce_ints`
+does it on the numerators of lambda over its order: an integral lambda
+lies in Z^n itself, so its representative is 0 and no HNF is built.  Any
+other lambda loses its L-part, and the remainder is reduced to the Hermite
 fundamental domain of the projection of Z^n along L, so the canonical
 vector has all entries in [0, 1); equality of cosets is then literal
 equality of representations.  When every pivot entry of L's integer RREF
 is 1 (a point, whose L is 0, a coordinate subtorus, or a direction such as
 (1, 2, -3)), that projection is Z^n on the coordinates off the pivots, so
 the remainder is simply taken mod 1 with no HNF; only the other directions
-go through :func:`jumploci.qlinalg.coset_reduce_ints` and its HNF.
+build one.
 Every translated torus, whether built from a character and a subspace or
 read from JSON, goes through that one constructor.  Components of a
 description are ordered by a key read off the integer rows of their
 directions and the numerators of their translates.  The plane-membership
 test :func:`sigma_rho_membership` reads whether P meets L off dim(P + L)
-and only then asks :func:`jumploci.qlinalg.coset_rep_ints` whether the
+and only then asks :func:`jumploci.qlinalg.coset_reduce_ints` whether the
 translate lies in P + L + Z^n.
 
 >>> T1 = TranslatedTorus(TorsionCharacter((0, 1), 2),
@@ -53,7 +53,7 @@ from .qlinalg import (
     RationalSubspace,
     _echelon,
     _uncovered,
-    coset_rep_ints,
+    coset_reduce_ints,
     format_ratio,
     format_rref,
     hnf,  # noqa: F401  unused here; perfbench's tracer test rebinds tori.hnf
@@ -123,7 +123,7 @@ class TranslatedTorus:
             raise ValueError("translate length does not match ambient dimension")
         self.direction = direction
         self.translate = TorsionCharacter(
-            *coset_rep_ints(translate.nums, translate.order, direction))
+            *coset_reduce_ints(translate.nums, translate.order, direction)[:2])
 
     @property
     def ambient_dim(self) -> int:
@@ -137,7 +137,7 @@ class TranslatedTorus:
         """Does the coset contain the trivial character?
 
         The translate is the representative from
-        :func:`jumploci.qlinalg.coset_rep_ints`, which is 0 exactly when
+        :func:`jumploci.qlinalg.coset_reduce_ints`, which is 0 exactly when
         lambda lies in L + Z^n: the translate lies on the subtorus itself.
         """
         return self.translate.is_trivial()
@@ -150,7 +150,7 @@ class TranslatedTorus:
         den = math.lcm(a.order, b.order)
         diff = [y * (den // b.order) - x * (den // a.order)
                 for x, y in zip(a.nums, b.nums)]
-        return not any(coset_rep_ints(diff, den, self.direction)[0])
+        return not any(coset_reduce_ints(diff, den, self.direction)[0])
 
     def __eq__(self, other):
         return (isinstance(other, TranslatedTorus)
@@ -367,10 +367,15 @@ class GradedDescription:
         if not isinstance(degrees, dict):
             raise ValueError("a graded description's 'degrees' must be a JSON "
                              "object mapping degrees to component lists")
-        by_degree = {}
+        by_degree, keys = {}, {}
         for key, comps in degrees.items():
             degree = _json_dim(
                 key, f"a graded description's degree key {key!r}")
+            if degree in keys:
+                raise ValueError(
+                    f"a graded description's degree keys {keys[degree]!r} "
+                    f"and {key!r} both name degree {degree}")
+            keys[degree] = key
             by_degree[degree] = VarietyDescription.from_json(
                 {"n": n, "components": comps})
         if 0 not in by_degree:
@@ -396,8 +401,8 @@ def sigma_rho_membership(plane: RationalSubspace, direction: RationalSubspace,
         raise ValueError("character length does not match ambient dimension")
     total = plane.sum(direction)
     return (total.dim < plane.dim + direction.dim
-            and not any(coset_rep_ints(translate.nums, translate.order,
-                                       total)[0]))
+            and not any(coset_reduce_ints(translate.nums, translate.order,
+                                          total)[0]))
 
 
 if __name__ == "__main__":

@@ -24,8 +24,8 @@ from jumploci.fox import (Abelianization, FreeWord, Presentation,
                           alexander_matrix)
 from jumploci.laurent import CyclotomicNumber, LaurentPoly
 from jumploci.omega import omega_codim1_closed_form, omega_membership
-from jumploci.qlinalg import (RationalSubspace, coset_rep_ints,
-                              coset_reduce_ints, plucker, rref)
+from jumploci.qlinalg import (RationalSubspace, coset_reduce_ints, plucker,
+                              rref)
 from jumploci.tcone import SubspaceArrangement
 from jumploci.tori import TorsionCharacter, TranslatedTorus, VarietyDescription, \
     sigma_rho_membership
@@ -81,8 +81,8 @@ def coset_reduce(lam, space):
 
 def in_lattice_coset(lam, space) -> bool:
     """Is the rational lam in V + Z^n?  Exactly when its representative
-    from :func:`jumploci.qlinalg.coset_rep_ints` is 0."""
-    return not any(coset_rep_ints(*over_one_denominator(lam), space)[0])
+    from :func:`jumploci.qlinalg.coset_reduce_ints` is 0."""
+    return not any(coset_reduce_ints(*over_one_denominator(lam), space)[0])
 
 
 def torsion_character_from_json(data) -> TorsionCharacter:

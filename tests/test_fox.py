@@ -27,13 +27,12 @@ from jumploci.fox import (
     abelianize,
     alexander_matrix,
     contains_translated_torus,
-    depth1_membership,
     generic_rank_on_torus,
     parse_presentation,
     rank_at_character,
 )
 from jumploci.laurent import LaurentPoly, bareiss_rank
-from jumploci.fox import _d1_rank, _kept_columns
+from jumploci.fox import _d1_support, _kept_columns
 from suites import character, generator_character_poly, restricted_to_coset
 
 F = Fraction
@@ -411,16 +410,17 @@ def test_rank_matches_numeric_rank_at_random_characters():
 
 
 def test_depth1_membership_one_relator_group():
+    # a torsion point is the coset of dimension 0
     m = alexander_matrix(parse_presentation(datasets.ONE_RELATOR_PRES))
-    assert depth1_membership(m, character((0, F(1, 2))))
-    assert not depth1_membership(m, character((F(1, 2), 0)))
-    assert depth1_membership(m, character((0, 0)))      # b_1 = 2 >= 1
+    assert contains_translated_torus(m, builders.torus((0, F(1, 2)), []))
+    assert not contains_translated_torus(m, builders.torus((F(1, 2), 0), []))
+    assert contains_translated_torus(m, builders.torus((0, 0), []))  # b_1 = 2
 
 
 def test_depth1_membership_validates_length():
     m = alexander_matrix(parse_presentation(datasets.ONE_RELATOR_PRES))
-    with pytest.raises(ValueError, match="character length mismatch"):
-        depth1_membership(m, character((0, 0, 0)))
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        contains_translated_torus(m, builders.torus((0, 0, 0), []))
 
 
 def test_degree_one_tests_need_the_abelianization():
@@ -434,7 +434,7 @@ def test_degree_one_tests_need_the_abelianization():
         assert generic_rank_on_torus(M, builders.torus(lam, [(1, 0)])) == rank
     with pytest.raises(ValueError, match="needs the presentation's "
                                          "abelianization"):
-        depth1_membership(M, character((0, F(1, 2))))
+        contains_translated_torus(M, builders.torus([0, F(1, 2)], []))
     with pytest.raises(ValueError, match="needs the presentation's "
                                          "abelianization"):
         contains_translated_torus(M, builders.torus([0, 0], [(1, 0)]))
@@ -594,6 +594,24 @@ def test_rank_at_character_equals_the_oracle_on_the_full_matrix(data):
         oracles.oracle_cyclotomic_rank(entries, m)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_point_containment_is_the_rank_condition_at_the_point(data):
+    # a torsion point is the coset of dimension 0, and on it the test reads
+    # rank d2(chi) + rank d1(chi) <= q - 1, with rank d1(chi) = 1 exactly
+    # when chi moves some generator: a_j . lam is not an integer
+    M = alexander_matrix(parse_presentation(
+        data.draw(st.sampled_from(RANK_PRESENTATIONS))))
+    order = data.draw(st.sampled_from((1, 2, 3, 4, 5, 6, 7, 8, 12)))
+    lam = [F(data.draw(st.integers(0, order - 1)), order)
+           for _ in range(M.num_vars)]
+    moves = any(sum(a * x for a, x in zip(row, lam)).denominator != 1
+                for row in M.abelianization.projection)
+    expected = rank_at_character(M, character(lam)) + moves <= M.num_cols - 1
+    assert contains_translated_torus(M, builders.torus(lam, [], M.num_vars)) \
+        == expected
+
+
 def test_rank_at_character_leaves_out_one_column_only_where_it_moves():
     # the trivial character moves no generator, a generator of zero free
     # image never moves, and a hand-built matrix keeps every column
@@ -726,14 +744,15 @@ def test_generic_rank_on_random_tori_lies_between_point_ranks_and_fox_bound():
             point_ranks.append(rank_at_character(M, character(point)))
         assert max(point_ranks) <= generic
         attained += max(point_ranks) == generic
-        if _d1_rank(M.abelianization, torus.translate, basis):
+        if _d1_support(M.abelianization, torus.translate, basis):
             capped += 1
             assert generic <= q - 1
     assert unsaturated >= 5 and capped >= 30 and attained >= 30
 
 
-def test_d1_rank_reads_the_restriction_off_the_pairings():
-    # d1 = (t^{a_j} - 1)_j restricted to random cosets, against _d1_rank
+def test_d1_support_reads_the_restriction_off_the_pairings():
+    # d1 = (t^{a_j} - 1)_j restricted to random cosets: the entries that
+    # vanish there are those _d1_support leaves out
     rng = random.Random(47)
     seen = []
     for text in (datasets.CLOSED_OMEGA_PRES, datasets.ONE_RELATOR_PRES,
@@ -751,8 +770,8 @@ def test_d1_rank_reads_the_restriction_off_the_pairings():
         for lam, rows in cosets:
             torus = builders.torus(lam, rows, n)
             restricted = restricted_to_coset(d1, torus)[0]
-            expected = 0 if all(p.is_zero() for p in restricted) else 1
-            assert _d1_rank(ab, torus.translate,
-                            torus.direction.rows) == expected
-            seen.append(expected)
-    assert seen.count(0) >= 4 and seen.count(1) >= 4
+            expected = [j for j, p in enumerate(restricted) if not p.is_zero()]
+            assert _d1_support(ab, torus.translate,
+                               torus.direction.rows) == expected
+            seen.append(bool(expected))
+    assert seen.count(False) >= 4 and seen.count(True) >= 4

@@ -287,6 +287,35 @@ def build_argvs() -> list[list[str]]:
     # a graded description must have degree 0
     calls.append(["fpk", "--graded", '{"n": 1, "degrees": {}}',
                   "--k", "0", "--r", "1"])
+    # "0" and "00" name one degree: refused, not the earlier list dropped
+    calls.append(["fpk", "--graded",
+                  '{"n": 1, "degrees": {"0": [{"lambda": ["1/2"], "basis": '
+                  '[]}], "00": [{"lambda": ["0"], "basis": [[1]]}]}}',
+                  "--k", "0", "--r", "1"])
+    # Smith normal forms that repair divisibility, take remainder steps and
+    # swap columns
+    for pres in ("<a, b | a^2, b^3>", "<a, b | a^6 b^4, a^4 b^6>",
+                 "<a, b, c | a^2 b^3, c^4>"):
+        calls.append(["alexander", "--pres", pres])
+    # a polynomial in fewer variables than another, and an exponent written
+    # as a fraction that is an integer (4/2)
+    calls.append(["tcone", "--poly", "t1 - 1", "--poly", "t2 - 1"])
+    calls.append(["tcone", "--poly", "t1^4/2 - 1"])
+    # a plane that carries its own n, and a closed form with no member
+    half_circle = ('{"n": 2, "components": [{"lambda": ["1/2", "0"], '
+                   '"basis": [[0, 1]]}]}')
+    calls.append(["omega-test", "--desc", half_circle,
+                  "--plane", '{"n": 2, "basis": [[0, 1]]}'])
+    calls.append(["omega-describe", "--desc", half_circle, "--r", "2",
+                  "--format", "text"])
+    # a free group, whose Alexander matrix has no rows, on a translated
+    # circle; and the surface group on a circle of order 14, whose inverse
+    # doubles an orbit product
+    calls.append(["charvar-check", "--pres", "<a, b | >", "--desc",
+                  _desc(2, [(["1/2", "0"], [[0, 1]])])])
+    calls.append(["charvar-check", "--pres", SURFACE_PRES, "--desc",
+                  _desc(6, [(["1/7", "0", "1/2", "0", "0", "0"],
+                             [[0, 0, 0, 1, 0, 0]])])])
     return calls
 
 

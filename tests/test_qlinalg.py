@@ -17,7 +17,6 @@ from jumploci.qlinalg import (
     RationalSubspace,
     clear_denominators,
     coset_reduce_ints,
-    coset_rep_ints,
     format_rational,
     format_rref,
     hnf,
@@ -418,10 +417,25 @@ def test_coset_solver_returns_a_real_witness():
     assert hits > 10  # the sampler must exercise the positive branch
 
 
-def test_coset_rep_is_the_reduced_representative():
-    """coset_rep_ints skips the HNF for integer vectors; its answers, and
-    the membership read off it, are coset_reduce's."""
+def _no_hnf(rows):
+    raise AssertionError("coset_reduce_ints built an HNF")
+
+
+def _assert_reduced(lam, v, x, d, m):
+    """(x, d, m) is a reduction of lam mod V + Z^n: rep = x / d has entries
+    in [0, 1), m is an integer vector and lam - m - rep lies in V."""
+    rep = [F(a, d) for a in x]
+    assert all(0 <= r < 1 for r in rep)
+    assert all(type(a) is int for a in m)
+    assert contains_vector(v, [a - b - c for a, b, c in zip(lam, m, rep)])
+
+
+def test_coset_rep_is_the_reduced_representative(monkeypatch):
+    """coset_reduce_ints gives an integer vector the representative 0 and
+    the step lam itself, with no HNF; on every lam it returns a reduction
+    whose representative is 0 exactly when the oracle puts lam in V + Z^n."""
     rng = random.Random(23)
+    real_hnf = qlinalg.hnf
     integral = 0
     for _ in range(200):
         n = rng.randint(1, 4)
@@ -429,20 +443,25 @@ def test_coset_rep_is_the_reduced_representative():
         v = RationalSubspace.from_rows(rows, n)
         den = rng.choice([1, 1, 2, 3, 6])
         lam = [F(rng.randint(-6, 6), den) for _ in range(n)]
-        integral += all(x.denominator == 1 for x in lam)
-        rep, _ = coset_reduce(lam, v)
-        x, d = coset_rep_ints(*over_one_denominator(lam), v)
-        assert tuple(F(a, d) for a in x) == rep
-        assert in_lattice_coset(lam, v) == (not any(rep))
+        whole = all(x.denominator == 1 for x in lam)
+        integral += whole
+        monkeypatch.setattr(qlinalg, "hnf", _no_hnf if whole else real_hnf)
+        nums, d = over_one_denominator(lam)
+        # over den * d, not in lowest terms, as "2/2" is
+        x, d, m = coset_reduce_ints([a * den for a in nums], d * den, v)
+        _assert_reduced(lam, v, x, d, m)
+        assert (not any(x)) == oracles.oracle_lattice_membership(lam, rows, n)
+        if whole:
+            assert (x, d, m) == ([0] * n, 1, [int(a) for a in lam])
     assert 20 < integral < 180      # both branches are exercised
     with pytest.raises(ValueError):
-        coset_rep_ints([1, 2, 3], 1, RationalSubspace.zero(2))
+        coset_reduce_ints([1, 2, 3], 1, RationalSubspace.zero(2))
 
 
 def test_integer_coset_core_ignores_how_lam_is_written():
     """nums / den need not be in lowest terms: scaling both by k gives the
     same representative value and step, and an integral lam written with a
-    denominator (as "2/2") gets 0 from coset_rep_ints without an HNF."""
+    denominator (as "2/2") gets 0 from coset_reduce_ints without an HNF."""
     rng = random.Random(29)
     for _ in range(150):
         n = rng.randint(1, 4)
@@ -457,17 +476,13 @@ def test_integer_coset_core_ignores_how_lam_is_written():
         assert m == mk
         assert coset_reduce([F(a, den) for a in nums], v) == (
             tuple(F(a, d) for a in x), tuple(m))
-        rx, rd = coset_rep_ints([a * k for a in nums], den * k, v)
-        assert [F(a, rd) for a in rx] == [F(a, d) for a in x]
     v = RationalSubspace.from_rows([(1, 2)], 2)
     real_hnf = qlinalg.hnf
     qlinalg.hnf = None                  # an HNF here would raise TypeError
     try:
-        assert coset_rep_ints([2, -6], 2, v) == ([0, 0], 1)
+        assert coset_reduce_ints([2, -6], 2, v) == ([0, 0], 1, [1, -3])
     finally:
         qlinalg.hnf = real_hnf
-    with pytest.raises(ValueError, match="character length"):
-        coset_rep_ints([2, 2, 2], 2, v)
     with pytest.raises(ValueError, match="character length"):
         coset_reduce_ints([1, 2, 2], 2, v)
 
@@ -490,32 +505,41 @@ def _unit_pivot_space(rng, n):
 def test_unit_pivot_spaces_take_their_representative_without_an_hnf(
         monkeypatch):
     """When every pivot entry is 1 the projection lattice is Z^n off the
-    pivots, so coset_rep_ints answers with no HNF, and its answer is the
-    (x, d) of coset_reduce_ints, which builds the HNF."""
+    pivots, so coset_reduce_ints answers with no HNF.  Its answer is a
+    reduction with m and rep 0 at the pivots, rep is 0 exactly when the
+    oracle puts lam in V + Z^n, and rep is the same for every lam of the
+    coset: shifted by an integer vector and by an element of V."""
     rng = random.Random(31)
     spaces = [RationalSubspace.zero(3), full_space(3),
               RationalSubspace.from_rows([(0, 1, 0)], 3),
               RationalSubspace.from_rows([(1, 2, -3)], 3),
               RationalSubspace.from_rows([(1, 0, 5, -2), (0, 1, -1, 3)], 4)]
     spaces += [_unit_pivot_space(rng, rng.randint(1, 5)) for _ in range(150)]
-    cases = []
+    monkeypatch.setattr(qlinalg, "hnf", _no_hnf)
+    members = others = 0
     for v in spaces:
         assert all(row[p] == 1 for row, p in zip(v.rows, v.pivots))
+        n = v.ambient_dim
         for _ in range(3):
             den = rng.randint(2, 9)
-            nums = [rng.randint(-20, 20) for _ in range(v.ambient_dim)]
+            nums = [rng.randint(-20, 20) for _ in range(n)]
             nums[0] = den * rng.randint(-2, 2) + rng.randint(1, den - 1)
-            x, d, _ = coset_reduce_ints(nums, den, v)
-            cases.append((nums, den, v, (x, d)))
-    assert sum(not any(x) for *_, (x, _) in cases) > 20   # members too
-    assert sum(bool(any(x)) for *_, (x, _) in cases) > 20
-
-    def no_hnf(rows):
-        raise AssertionError("coset_rep_ints built an HNF")
-
-    monkeypatch.setattr(qlinalg, "hnf", no_hnf)
-    for nums, den, v, expected in cases:
-        assert coset_rep_ints(nums, den, v) == expected
+            lam = [F(a, den) for a in nums]
+            x, d, m = coset_reduce_ints(nums, den, v)
+            _assert_reduced(lam, v, x, d, m)
+            assert not any(x[p] or m[p] for p in v.pivots)
+            member = not any(x)
+            assert member == oracles.oracle_lattice_membership(
+                lam, v.rows, n)
+            members += member
+            others += not member
+            shift = [rng.randint(-5, 5) for _ in range(n)]
+            for row in v.rows:
+                c = F(rng.randint(-9, 9), rng.randint(1, 5))
+                shift = [a + c * b for a, b in zip(shift, row)]
+            shifted = coset_reduce([a + b for a, b in zip(lam, shift)], v)
+            assert shifted[0] == tuple(F(a, d) for a in x)
+    assert members > 20 and others > 20
 
 
 def test_reading_a_point_component_builds_no_hnf(monkeypatch):
@@ -548,7 +572,9 @@ def test_coset_functions_accept_anything_fraction_accepts():
     expected = coset_reduce((F(3, 2), F(1, 2)), v)
     assert coset_reduce(("3/2", 0.5), v) == expected
     assert coset_reduce((F(3, 2), "1/2"), v) == expected
-    assert coset_reduce((3, 1), v) == ((F(0), F(0)), (0, -2))
+    rep, m = coset_reduce((3, 1), v)       # m is any integer step that works
+    assert rep == (F(0), F(0)) and contains_vector(
+        v, [a - b for a, b in zip((3, 1), m)])
     assert coset_reduce(["1/2", "1/2"], v) == ((F(0), F(0)), (0, 0))
     assert not in_lattice_coset(("1/2", 0), v)
 

@@ -1,6 +1,7 @@
 """Translated tori, variety descriptions, combinators, intersections."""
 
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -339,6 +340,22 @@ def test_graded_description_json_needs_degree_zero():
         with pytest.raises(ValueError, match="'degrees' must include "
                                              "degree 0"):
             GradedDescription.from_json({"n": 1, "degrees": degrees})
+
+
+def test_graded_description_json_refuses_a_degree_given_twice():
+    # "0", "00" and " 0" all read as degree 0: the later list must not
+    # silently replace the earlier one
+    point = [{"lambda": ["1/2"], "basis": []}]
+    circle = [{"lambda": ["0"], "basis": [[1]]}]
+    for twin in ("00", " 0", "+0"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"keys '0' and {twin!r} both name degree 0")):
+            GradedDescription.from_json(
+                {"n": 1, "degrees": {"0": point, twin: circle}})
+    with pytest.raises(ValueError, match="keys '1' and '01' both name "
+                                         "degree 1"):
+        GradedDescription.from_json(
+            {"n": 1, "degrees": {"0": point, "1": circle, "01": circle}})
 
 
 def test_graded_description_access():
