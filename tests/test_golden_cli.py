@@ -316,6 +316,22 @@ def build_argvs() -> list[list[str]]:
     calls.append(["charvar-check", "--pres", SURFACE_PRES, "--desc",
                   _desc(6, [(["1/7", "0", "1/2", "0", "0", "0"],
                              [[0, 0, 0, 1, 0, 0]])])])
+    # witnesses on slanted directions whose stored rows have pivot entries
+    # above 1: r = 3 on the hyperplane x1 + 2 x2 + x3 + 3 x4 + 2 x5 = 0,
+    # translated by 1/3 along e1, and q = 1000 on a translated 2-plane
+    calls.append(["witness", "--desc", _desc(5, [(
+        ["1/3", "0", "0", "0", "0"],
+        [["1", "0", "0", "0", "-1/2"], ["1", "1", "0", "0", "-3/2"],
+         ["0", "1", "1", "0", "-3/2"], ["0", "0", "1", "1", "-2"]])]),
+        "--component", "0", "--r", "3", "--q", "1,2,5"])
+    calls.append(["witness", "--desc", _desc(4, [(
+        ["0", "1/2", "0", "1/3"],
+        [["1", "0", "1/2", "-1"], ["0", "1", "2/3", "1"]])]),
+        "--component", "0", "--r", "2", "--q", "1,1000"])
+    # incidence forms against a 3-dimensional space in Q^6
+    calls.append(["schubert-eqs", "--space", json.dumps(
+        [["1", "2", "0", "-1", "1/2", "3"], ["0", "1", "-1", "2", "0", "1/3"],
+         ["2", "0", "1", "1", "-1", "0"]]), "--r", "2"])
     return calls
 
 
