@@ -8,9 +8,8 @@ torsion-translated subtori (lattice normal forms, Plücker/Schubert
 equations).  All arithmetic is exact — rationals, integers, cyclotomics.
 """
 
-from .qlinalg import (PluckerVector, RationalSubspace, coset_reduce_ints,
-                      format_rational, hnf, parse_rational, plucker, rref,
-                      schubert_equations, snf)
+from .qlinalg import (RationalSubspace, coset_reduce_ints, format_rational,
+                      hnf, parse_rational, schubert_equations, snf)
 from .laurent import (CyclotomicNumber, LaurentPoly,
                       bareiss_rank, cyclotomic_polynomial, cyclotomic_rank)
 from .fox import (Abelianization, AlexanderMatrix, FreeWord, Presentation,
@@ -24,7 +23,7 @@ from .tori import (GradedDescription, TorsionCharacter, TranslatedTorus,
 from .omega import (ClosedFormVerdict, FpkReport, OmegaVerdict,
                     WitnessReport, WitnessStep, fpk_report, nonopen_witness,
                     omega1_r1_description, omega_codim1_closed_form,
-                    omega_membership, plucker_distance)
+                    omega_membership)
 
 __version__ = "0.1.0"
 
@@ -32,7 +31,7 @@ __all__ = [
     "Abelianization", "AlexanderMatrix",
     "ClosedFormVerdict", "CyclotomicNumber", "FpkReport",
     "FreeWord", "GradedDescription", "LaurentPoly",
-    "OmegaVerdict", "PluckerVector",
+    "OmegaVerdict",
     "Presentation", "PresentationSyntaxError", "RationalSubspace",
     "SubspaceArrangement", "TorsionCharacter",
     "TranslatedTorus", "VarietyDescription", "WitnessReport", "WitnessStep",
@@ -42,9 +41,9 @@ __all__ = [
     "fpk_report", "generic_rank_on_torus",
     "hnf", "nonopen_witness",
     "omega1_r1_description", "omega_codim1_closed_form", "omega_membership",
-    "parse_presentation", "parse_rational", "plucker", "plucker_distance",
+    "parse_presentation", "parse_rational",
     "rank_at_character",
-    "rref", "schubert_equations",
+    "schubert_equations",
     "sigma_rho_membership", "snf",
     "tangent_cone_description", "tangent_cone_polys",
 ]

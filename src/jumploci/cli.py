@@ -48,8 +48,8 @@ from .fox import (abelianize, alexander_matrix, contains_translated_torus,
 from .laurent import LaurentPoly
 from .omega import (fpk_report, nonopen_witness, omega1_r1_description,
                     omega_codim1_closed_form, omega_membership)
-from .qlinalg import (PluckerVector, RationalSubspace, format_rational,
-                      format_rref, parse_rational, schubert_equations)
+from .qlinalg import (RationalSubspace, format_rational, format_rref,
+                      parse_rational, schubert_equations, subset_order)
 from .tcone import (DEFAULT_SUPPORT_LIMIT, SUBSET_SUM_LIMIT,
                     SubspaceArrangement, tangent_cone_description,
                     tangent_cone_polys)
@@ -362,7 +362,7 @@ def _cmd_omega_describe(args) -> tuple[dict, list[str]]:
 def _cmd_schubert_eqs(args) -> tuple[dict, list[str]]:
     space = subspace_from_json(_load_json(args.space))
     forms = schubert_equations(space, args.r)
-    subsets = PluckerVector.subset_order(space.ambient_dim, args.r)
+    subsets = subset_order(space.ambient_dim, args.r)
     payload = {
         "r": args.r,
         "n": space.ambient_dim,

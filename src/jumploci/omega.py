@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .qlinalg import (PluckerVector, RationalSubspace, format_rational,
-                      format_rref, plucker)
+from .qlinalg import (RationalSubspace, _echelon, _minor_table,
+                      _plucker_budget, format_rational, format_rref)
 from .tcone import SubspaceArrangement
 from .tori import (TranslatedTorus, VarietyDescription, GradedDescription,
                    sigma_rho_membership)
@@ -137,6 +137,15 @@ def omega_codim1_closed_form(W: VarietyDescription, r: int) -> ClosedFormVerdict
 # non-openness witness
 # ---------------------------------------------------------------------------
 
+#: The most q values one witness takes; more is refused before any plane is
+#: built.  A step costs one membership test of P_q and one pass over the
+#: Pluecker coordinates.  At the ``PLUCKER_BUDGET`` edge, 16 steps on a
+#: random 7-plane in Q^17 (19448 coordinates) take 0.4 s in all, and on a
+#: 2-plane of a random translated 6-plane in Q^200 (19900) 2.9-3.7 s, the
+#: membership tests most of it (Python 3.11.7, 2 vCPUs).
+MAX_WITNESS_STEPS = 16
+
+
 @dataclass(frozen=True)
 class WitnessStep:
     q: int
@@ -152,9 +161,10 @@ class WitnessReport:
     Certifies non-openness of the membership set in the Grassmannian: the
     P_q differ from P only in the last basis vector, perturbed by
     (translate of the chosen component)/q, so they converge to P while every
-    P_q stays blocked.  Each step reports ``plucker_distance(plucker(P_q),
-    plucker(P))``, the max-norm distance of the coordinate vectors each
-    scaled to a leading 1.  That number need not shrink with q: when the
+    P_q stays blocked.  Each step reports the max-norm distance of the
+    Plücker coordinate vectors of P_q and P, each scaled to a leading 1: the
+    coordinate on columns S is minor(S) / minor(pivots) for the maximal
+    minors of any basis.  That number need not shrink with q: when the
     first nonzero coordinate of P_q vanishes on P, the scaling blows up.
     For W = {1} together with the order-2 translate of {t1 = 1} in (C*)^3,
     whose member 2-plane is {x1 = 0}, it reads 3, 5, 7, 9, 21 at
@@ -179,14 +189,6 @@ class WitnessReport:
         }
 
 
-def plucker_distance(a: PluckerVector, b: PluckerVector) -> Fraction:
-    """Max-norm distance of normalized Plücker coordinate vectors."""
-    if (a.r, a.n) != (b.r, b.n):
-        raise ValueError("Plücker vectors of different shape")
-    return max((abs(x - y) for x, y in zip(a.coords, b.coords)),
-               default=Fraction(0))
-
-
 def nonopen_witness(W: VarietyDescription, beta: int, r: int,
                     q_list: Sequence[int]) -> WitnessReport:
     """Perturbation family showing the membership set is not open.
@@ -199,15 +201,26 @@ def nonopen_witness(W: VarietyDescription, beta: int, r: int,
     (2) every component parallel to L is likewise translated off L;
     (3) every non-parallel positive-dimensional component meets L only in 0.
 
-    With 2 <= r <= dim L, the plane P spanned by the first r basis vectors
-    of L is a member, while each P_q (last vector perturbed by lambda/q)
-    is blocked; P_q -> P in the Plücker embedding.
+    With 2 <= r <= dim L, the plane P spanned by the first r rows of L's
+    RREF is a member, while each P_q (last row perturbed by lambda/q) is
+    blocked; P_q -> P in the Plücker embedding.  More than
+    ``MAX_WITNESS_STEPS`` q values, or more than ``PLUCKER_BUDGET``
+    Plücker coordinates, is refused before any plane is built.
+
+    Everything runs on L's stored integer rows and the canonical translate
+    lambda = nums / order.  For the last row ``row`` of P, with pivot entry
+    a, P_q is spanned by the rows above it and q order row + a nums.  A
+    maximal minor is linear in its last row, so on the minor table of the
+    rows above, extended once by ``row`` and once by ``nums``, every minor of
+    that basis of P_q is q order m_P + a m_lam: no minor is computed per q.
     """
+    if len(q_list) > MAX_WITNESS_STEPS:
+        raise ValueError(f"{len(q_list)} q values are more than "
+                         f"MAX_WITNESS_STEPS = {MAX_WITNESS_STEPS}")
     if not 0 <= beta < len(W.components):
         raise ValueError("component index out of range")
     comp = W.components[beta]
     L = comp.direction
-    lam = list(comp.translate.values)
     if L.dim < 2 or not 2 <= r <= L.dim:
         raise ValueError("need 2 <= r <= dim of the chosen component")
     if comp.through_identity():
@@ -226,23 +239,33 @@ def nonopen_witness(W: VarietyDescription, beta: int, r: int,
             raise ValueError(
                 f"hypothesis (3) fails: component {i} meets the chosen "
                 "direction nontrivially")
+    n = L.ambient_dim
+    _plucker_budget(n, r)
+    if any(q <= 0 for q in q_list):
+        raise ValueError("q values must be positive")
 
-    basis = [list(row) for row in L.basis]
-    plane = RationalSubspace.from_rows(basis[:r], L.ambient_dim)
-    p_ref = plucker(plane)
+    head, head_pivots = L.rows[:r - 1], L.pivots[:r - 1]
+    row, nums, order = L.rows[r - 1], comp.translate.nums, comp.translate.order
+    a = row[L.pivots[r - 1]]
+    plane = RationalSubspace(n, L.rows[:r], L.pivots[:r])
     verdict = omega_membership(W, plane)
+    shared = _minor_table(head, n)
+    m_p = _minor_table([row], n, shared)
+    m_lam = _minor_table([nums], n, shared)
+    s_p = m_p[plane.pivots]
+    pairs = [(m_p.get(cols, 0), m_lam.get(cols, 0))
+             for cols in m_p.keys() | m_lam.keys()]
     steps = []
     for q in q_list:
-        if q <= 0:
-            raise ValueError("q values must be positive")
-        perturbed = basis[:r - 1] + [
-            [x + y / q for x, y in zip(basis[r - 1], lam)]]
-        plane_q = RationalSubspace.from_rows(perturbed, L.ambient_dim)
-        verdict_q = omega_membership(W, plane_q)
+        c = q * order
+        plane_q = RationalSubspace(n, *_echelon(
+            [[c * x + a * y for x, y in zip(row, nums)]], head, head_pivots))
+        pivots_q = plane_q.pivots
+        s_q = c * m_p.get(pivots_q, 0) + a * m_lam.get(pivots_q, 0)
+        top = max(abs((c * x + a * y) * s_p - x * s_q) for x, y in pairs)
         steps.append(WitnessStep(
-            q=q, plane=plane_q,
-            plucker_distance=plucker_distance(plucker(plane_q), p_ref),
-            verdict=verdict_q))
+            q=q, plane=plane_q, plucker_distance=Fraction(top, abs(s_q * s_p)),
+            verdict=omega_membership(W, plane_q)))
     return WitnessReport(component_index=beta, plane=plane, verdict=verdict,
                          family=tuple(steps))
 

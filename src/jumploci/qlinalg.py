@@ -1,5 +1,5 @@
 """Exact linear algebra over Q and Z: subspaces, lattice cosets, Pluecker
-coordinates.
+minors.
 
 Everything is computed with ``int`` arithmetic, and ``fractions.Fraction``
 where rational values are asked for; there are no floats anywhere.  The
@@ -13,11 +13,9 @@ coset reduction all run on the integer rows.  JSON rows reach that core
 without a ``Fraction``: :func:`json_rational_ints` reads each row as
 integer numerators over one denominator, and the numerators span the same
 line.  :func:`format_rref` writes the RREF back out as ``"p/q"`` strings
-from the integer rows.  The ``Fraction`` RREF (``basis``, and :func:`rref`)
-is built only where rational values are wanted: for a spanning set given
-as rows of rationals (``from_rows`` goes through :func:`rref` and keeps its
-result as ``basis``) and for explicit solutions; Pluecker minors are
-fraction-free determinants of the stored integer rows.
+from the integer rows.  The ``Fraction`` RREF (:func:`rref`) is built only
+for a spanning set given as rows of rationals (``from_rows``), which no
+command-line path does.
 
 A rational vector lambda enters the lattice layer as integer numerators
 over one positive denominator.  :func:`coset_reduce_ints` decides
@@ -30,10 +28,12 @@ vector, which lies in every V + Z^n, or for a V whose stored rows all have
 pivot entry 1 (the zero space among them), whose projection lattice is
 already the coordinates off the pivots.  Membership tests, witnesses and
 the canonical translates of ``tori`` all read it.
-The module also provides Smith normal forms, Pluecker coordinates of
-subspaces, the linear equations cutting out the locus of r-planes meeting a
-fixed subspace nontrivially, and the reading of rational JSON entries,
-whose errors name the entry.
+The module also provides Smith normal forms, the maximal minors of integer
+rows as one table built by Laplace expansion row by row (``_minor_table``,
+which the Pluecker coordinates of witnesses and the coefficients of
+:func:`schubert_equations` are read from), the linear equations cutting out
+the locus of r-planes meeting a fixed subspace nontrivially, and the
+reading of rational JSON entries, whose errors name the entry.
 
 >>> V = RationalSubspace.from_rows([(1, 1)], 2)
 >>> coset_reduce_ints([3, 1], 2, V)
@@ -50,13 +50,15 @@ import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-Vector = tuple[Fraction, ...]
-Matrix = tuple[Vector, ...]
+Matrix = tuple[tuple[Fraction, ...], ...]
 
-#: The most Pluecker coordinates C(n, r) that :func:`plucker` computes, and
-#: the most coefficients C(n, r + s) C(n, r) that :func:`schubert_equations`
-#: writes; more is refused before any minor is computed.  A random 8-plane
-#: in Q^16 (12870 coordinates) takes 1.8 s.
+#: The most Pluecker coordinates C(n, r) of an r-plane in Q^n that a
+#: witness reads, and the most coefficients C(n, r + s) C(n, r) that
+#: :func:`schubert_equations` writes; more is refused before any minor is
+#: computed.  Built on RREF rows, every level of a minor table holds at most
+#: C(n, r) entries (see :func:`_minor_table`), so this bounds memory as
+#: well as time: the table of a random 8-plane in Q^16 (12870 coordinates)
+#: takes about 0.1 s.
 PLUCKER_BUDGET = 20_000
 
 
@@ -150,13 +152,6 @@ def _echelon_contains(rows: Sequence[tuple[int, ...]], pivots: Sequence[int],
     return all(not any(_reduce(row, rows, pivots)[0]) for row in sub_rows)
 
 
-def _fractions(rows: Sequence[tuple[int, ...]], pivots: Sequence[int]
-               ) -> Matrix:
-    """The rows of a primitive integer RREF divided by their pivots."""
-    return tuple(tuple(Fraction(x, r[p]) for x in r)
-                 for r, p in zip(rows, pivots))
-
-
 def _kernel(rows: Sequence[tuple[int, ...]], pivots: Sequence[int], n: int
             ) -> list[tuple[int, ...]]:
     """Primitive integer basis of {x : rows @ x = 0}, from a primitive RREF.
@@ -183,7 +178,8 @@ def rref(rows: Iterable[Iterable]) -> tuple[Matrix, tuple[int, ...]]:
     span the same space; each row is divided by its pivot only at the end.
     """
     reduced, pivots = _echelon(clear_denominators(r) for r in rows)
-    return _fractions(reduced, pivots), pivots
+    return tuple(tuple(Fraction(x, r[p]) for x in r)
+                 for r, p in zip(reduced, pivots)), pivots
 
 
 # ---------------------------------------------------------------------------
@@ -198,21 +194,18 @@ class RationalSubspace:
     of the other rows; ``pivots`` lists those columns in increasing order.
     Dividing each row by its pivot entry gives the reduced row echelon form,
     so two subspaces are equal as point sets exactly when their rows are
-    identical, and equality and hashing compare tuples of ints.  ``basis``,
-    that RREF with ``Fraction`` entries, is kept from :meth:`from_rows`;
-    a subspace made from integer rows (by :meth:`sum`, :meth:`intersect`,
-    :meth:`perp` or the constructor) builds it on first use only.
+    identical, and equality and hashing compare tuples of ints.
 
     >>> A = RationalSubspace.from_rows([(2, 4), (1, 2)], 2)
-    >>> A.basis
-    ((Fraction(1, 1), Fraction(2, 1)),)
+    >>> A
+    RationalSubspace(2, [(1, 2)])
     >>> A == RationalSubspace.from_rows([(-3, -6)], 2)
     True
     >>> RationalSubspace.from_rows([(2, 1, 0), (0, 3, 1)], 3).rows
     ((6, 0, -1), (0, 3, 1))
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivots", "_basis")
+    __slots__ = ("ambient_dim", "rows", "pivots")
 
     def __init__(self, ambient_dim: int, rows: tuple[tuple[int, ...], ...],
                  pivots: tuple[int, ...]):
@@ -221,16 +214,16 @@ class RationalSubspace:
         self.ambient_dim = int(ambient_dim)
         self.rows = rows
         self.pivots = pivots
-        self._basis: Optional[Matrix] = None
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable], ambient_dim: Optional[int] = None
                   ) -> "RationalSubspace":
         """The span of rows of ints, Fractions or anything Fraction accepts.
 
-        The span is reduced by :func:`rref`; its ``Fraction`` rows are kept
-        as ``basis``, and scaled by the lcm of their denominators they are
-        the stored primitive integer rows.
+        The span is reduced by :func:`rref`, and its ``Fraction`` rows,
+        scaled by the lcm of their denominators, are the stored primitive
+        integer rows.  The command line never builds a subspace this way:
+        its readers and the witness planes start from integer rows.
         """
         rows = [tuple(r) for r in rows]
         if ambient_dim is None:
@@ -241,21 +234,12 @@ class RationalSubspace:
             if len(r) != ambient_dim:
                 raise ValueError("rows of unequal length")
         basis, pivots = rref(rows)
-        space = cls(ambient_dim, tuple(clear_denominators(r) for r in basis),
-                    pivots)
-        space._basis = basis
-        return space
+        return cls(ambient_dim, tuple(clear_denominators(r) for r in basis),
+                   pivots)
 
     @classmethod
     def zero(cls, n: int) -> "RationalSubspace":
         return cls(n, (), ())
-
-    @property
-    def basis(self) -> Matrix:
-        """The reduced row echelon form, each row divided by its pivot."""
-        if self._basis is None:
-            self._basis = _fractions(self.rows, self.pivots)
-        return self._basis
 
     @property
     def dim(self) -> int:
@@ -273,7 +257,7 @@ class RationalSubspace:
         return hash((self.ambient_dim, self.rows))
 
     def __repr__(self):
-        rows = ", ".join("(" + ", ".join(str(x) for x in r) + ")" for r in self.basis)
+        rows = ", ".join("(" + ", ".join(r) + ")" for r in format_rref(self))
         return f"RationalSubspace({self.ambient_dim}, [{rows}])"
 
     def contains(self, other: "RationalSubspace") -> bool:
@@ -580,44 +564,20 @@ def coset_reduce_ints(nums: Sequence[int], den: int, space: RationalSubspace
 
 
 # ---------------------------------------------------------------------------
-# Pluecker coordinates and Schubert incidence equations
+# Pluecker minors and Schubert incidence equations
 # ---------------------------------------------------------------------------
 
-class PluckerVector:
-    """Pluecker coordinates of an r-plane in Q^n.
+def subset_order(n: int, r: int) -> list[tuple[int, ...]]:
+    """The r-subsets of range(n), lexicographic: the order of Pluecker
+    coordinates.  More than ``PLUCKER_BUDGET`` is a ValueError."""
+    _plucker_budget(n, r)
+    return list(itertools.combinations(range(n), r))
 
-    Coordinates are indexed by the r-element subsets of ``range(n)`` in
-    lexicographic order and normalized so the first nonzero coordinate is 1.
 
-    >>> P = RationalSubspace.from_rows([(1, 0, 1, 0), (0, 1, 0, 1)], 4)
-    >>> plucker(P).coords
-    (Fraction(1, 1), Fraction(0, 1), Fraction(1, 1), Fraction(-1, 1), Fraction(0, 1), Fraction(1, 1))
-    """
-
-    __slots__ = ("r", "n", "coords")
-
-    def __init__(self, r: int, n: int, coords: Sequence[Fraction]):
-        if len(coords) != math.comb(n, r):
-            raise ValueError("wrong number of Pluecker coordinates")
-        self.r = int(r)
-        self.n = int(n)
-        self.coords = tuple(Fraction(x) for x in coords)
-
-    def __eq__(self, other):
-        return (isinstance(other, PluckerVector) and self.r == other.r
-                and self.n == other.n and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((self.r, self.n, self.coords))
-
-    def __repr__(self):
-        return f"PluckerVector(r={self.r}, n={self.n}, {list(self.coords)})"
-
-    @staticmethod
-    def subset_order(n: int, r: int) -> list[tuple[int, ...]]:
-        """The r-subsets of range(n), lexicographic; at most PLUCKER_BUDGET."""
-        _within_budget(math.comb(n, r), f"C({n}, {r}) Pluecker coordinates")
-        return list(itertools.combinations(range(n), r))
+def _plucker_budget(n: int, r: int) -> None:
+    """Refuse an r-plane in Q^n with more than ``PLUCKER_BUDGET`` Pluecker
+    coordinates."""
+    _within_budget(math.comb(n, r), f"C({n}, {r}) Pluecker coordinates")
 
 
 def _within_budget(count: int, what: str) -> None:
@@ -626,46 +586,41 @@ def _within_budget(count: int, what: str) -> None:
                          f"{PLUCKER_BUDGET}")
 
 
-def _det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, fraction-free (Bareiss): each
-    entry below pivot a becomes a 2x2 minor through a, divided exactly by
-    the previous pivot, and the last pivot is the determinant up to sign."""
-    m = [list(row) for row in rows]
-    sign, prev = 1, 1
-    for c in range(len(m)):
-        p = next((i for i in range(c, len(m)) if m[i][c]), None)
-        if p is None:
-            return 0
-        if p != c:
-            m[c], m[p] = m[p], m[c]
-            sign = -sign
-        a, top = m[c][c], m[c]
-        for i in range(c + 1, len(m)):
-            f = m[i][c]
-            m[i] = [(a * x - f * y) // prev for x, y in zip(m[i], top)]
-        prev = a
-    return sign * prev
+def _minor_table(rows: Iterable[Sequence[int]], n: int,
+                 table: Optional[dict[tuple[int, ...], int]] = None
+                 ) -> dict[tuple[int, ...], int]:
+    """The nonzero maximal minors of integer rows of length n, keyed by
+    their columns in increasing order.
 
+    ``table`` is the table of the k rows above (by default that of no rows:
+    the empty minor, 1), and each next row extends it by Laplace expansion
+    along that row: the minor on columns S gains (-1)^(j + k) row[c] times
+    the minor of the rows above on S without c, for each c in S at position
+    j.  The k-minors of the first k rows of an r-row RREF vanish on every
+    column set holding one of the later pivots, so on RREF rows each level
+    holds at most C(n - r + k, k) <= C(n, r) entries.
 
-def _minors(space: RationalSubspace, subsets: Iterable[Sequence[int]]
-            ) -> list[Fraction]:
-    """The maximal minors of the RREF ``basis`` on each column subset: those
-    of the integer rows over their minor at the pivots, the product of the
-    pivot entries."""
-    rows = space.rows
-    scale = math.prod(row[p] for row, p in zip(rows, space.pivots))
-    return [Fraction(_det([[row[c] for c in cols] for row in rows]), scale)
-            for cols in subsets]
-
-
-def plucker(space: RationalSubspace) -> PluckerVector:
-    """Pluecker coordinates of a nonzero subspace: the maximal minors of its
-    RREF basis.  The pivot columns are the lexicographically first subset
-    with a nonzero minor, and that minor is 1, so they come normalized."""
-    if space.is_zero():
-        raise ValueError("the zero subspace has no Pluecker coordinates")
-    r, n = space.dim, space.ambient_dim
-    return PluckerVector(r, n, _minors(space, PluckerVector.subset_order(n, r)))
+    >>> _minor_table([(1, 0, 2), (0, 1, 3)], 3)
+    {(0, 1): 1, (0, 2): 3, (1, 2): -2}
+    """
+    if table is None:
+        table = {(): 1}
+    for row in rows:
+        support = [(c, row[c]) for c in range(n) if row[c]]
+        grown: dict[tuple[int, ...], int] = {}
+        for cols, minor in table.items():
+            k, j = len(cols), 0
+            for c, x in support:             # j: the columns of cols below c
+                while j < k and cols[j] < c:
+                    j += 1
+                if j < k and cols[j] == c:
+                    continue
+                key = cols[:j] + (c,) + cols[j:]
+                term = x * minor
+                grown[key] = grown.get(key, 0) + (-term if (j + k) % 2
+                                                  else term)
+        table = {key: minor for key, minor in grown.items() if minor}
+    return table
 
 
 def schubert_equations(space: RationalSubspace, r: int) -> list[tuple[Fraction, ...]]:
@@ -673,10 +628,11 @@ def schubert_equations(space: RationalSubspace, r: int) -> list[tuple[Fraction, 
 
     Each form is the Laplace expansion, along the plane's rows, of one
     maximal minor of the stacked matrix (L's basis over a basis of the
-    plane), so its coefficients are signed maximal minors of L's basis, each
-    computed once.  The forms vanish together on plucker(P) exactly when P
-    meets L nontrivially.  Coefficient tuples are aligned with
-    ``PluckerVector.subset_order(n, r)``; r + dim L > n gives no forms (every
+    plane), so its coefficients are signed maximal minors of L's RREF: one
+    minor table of L's stored integer rows, each minor divided by their
+    pivot product.  The forms vanish together on the Pluecker coordinates
+    of P exactly when P meets L nontrivially.  Coefficient tuples are
+    aligned with :func:`subset_order`; r + dim L > n gives no forms (every
     plane meets L), and a table of more than ``PLUCKER_BUDGET`` coefficients
     is a ValueError.
     """
@@ -689,9 +645,9 @@ def schubert_equations(space: RationalSubspace, r: int) -> list[tuple[Fraction, 
         return []
     _within_budget(math.comb(n, r + s) * math.comb(n, r), f"a table of "
                    f"C({n}, {r + s}) * C({n}, {r}) Schubert coefficients")
-    index = {sub: i for i, sub in enumerate(PluckerVector.subset_order(n, r))}
-    comps = list(itertools.combinations(range(n), s))
-    minor = dict(zip(comps, _minors(space, comps)))
+    index = {sub: i for i, sub in enumerate(subset_order(n, r))}
+    minor = _minor_table(space.rows, n)
+    scale = math.prod(row[p] for row, p in zip(space.rows, space.pivots))
     # Laplace signs: the plane's rows are rows s+1..s+r of the stack, its
     # columns the positions J (0-based, hence the + r) in each column set
     parity = sum(range(s + 1, s + r + 1)) + r
@@ -702,9 +658,10 @@ def schubert_equations(space: RationalSubspace, r: int) -> list[tuple[Fraction, 
     for cset in itertools.combinations(range(n), r + s):
         coeffs = [Fraction(0)] * len(index)
         for J, rest, sign in splits:
-            m = minor[tuple(cset[p] for p in rest)]
+            m = minor.get(tuple(cset[p] for p in rest))
             if m:
-                coeffs[index[tuple(cset[p] for p in J)]] = sign * m
+                coeffs[index[tuple(cset[p] for p in J)]] = Fraction(sign * m,
+                                                                    scale)
         if any(coeffs):
             forms.append(tuple(coeffs))
     return forms
@@ -821,8 +778,8 @@ def format_rational(x: Fraction) -> str:
 
 def format_rref(space: RationalSubspace) -> list[list[str]]:
     """The reduced row echelon form of a subspace as ``"p/q"`` strings, as
-    :func:`format_rational` writes each entry of ``basis``, read straight
-    off the primitive integer rows: entry x of a row with pivot entry a is
+    :func:`format_rational` writes each of its entries, read straight off
+    the primitive integer rows: entry x of a row with pivot entry a is
     x / a (a > 0)."""
     return [[format_ratio(x, row[p]) for x in row]
             for row, p in zip(space.rows, space.pivots)]

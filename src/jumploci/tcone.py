@@ -38,7 +38,7 @@ and the final arrangement is ordered on integer rows
 ``Fraction``.
 
 >>> f = LaurentPoly.parse("t1 + t2 - 2")
->>> [s.basis for s in tangent_cone_polys([f]).subspaces]
+>>> [s.rows for s in tangent_cone_polys([f]).subspaces]
 [()]
 """
 
@@ -105,7 +105,7 @@ class SubspaceArrangement:
 
     def __repr__(self):
         return (f"SubspaceArrangement(n={self.ambient_dim}, "
-                f"{[s.basis for s in self.subspaces]})")
+                f"{list(self.subspaces)})")
 
     def to_json(self) -> dict:
         return {
@@ -222,7 +222,7 @@ def tangent_cone_polys(polys: Sequence[LaurentPoly],
 
     >>> cone = tangent_cone_polys([LaurentPoly.parse("t1 - 1", 2),
     ...                            LaurentPoly.parse("t2 - 1", 2)])
-    >>> [s.basis for s in cone.subspaces]
+    >>> [s.rows for s in cone.subspaces]
     [()]
     """
     if not polys:

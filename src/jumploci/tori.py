@@ -46,7 +46,6 @@ True
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .qlinalg import (
@@ -68,13 +67,13 @@ class TorsionCharacter:
     It is held on integers: ``order`` is the order of the character, the
     lcm of the denominators of lambda in lowest terms, and ``nums`` are the
     numerators of lambda over it, each in [0, order).  Equal characters
-    have equal fields; ``values`` reads lambda back as ``Fraction``s.
+    have equal fields.
 
     >>> chi = TorsionCharacter((9, -2), 6)      # (3/2, -1/3) mod Z^2
     >>> chi.nums, chi.order
     ((3, 4), 6)
-    >>> chi.values
-    (Fraction(1, 2), Fraction(2, 3))
+    >>> chi
+    TorsionCharacter((1/2, 2/3))
     """
 
     __slots__ = ("nums", "order")
@@ -90,10 +89,6 @@ class TorsionCharacter:
     def n(self) -> int:
         return len(self.nums)
 
-    @property
-    def values(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.order) for x in self.nums)
-
     def is_trivial(self) -> bool:
         return self.order == 1
 
@@ -105,7 +100,7 @@ class TorsionCharacter:
         return hash((self.nums, self.order))
 
     def __repr__(self):
-        return "TorsionCharacter((" + ", ".join(str(v) for v in self.values) + "))"
+        return "TorsionCharacter((" + ", ".join(self.to_json()) + "))"
 
     def to_json(self) -> list[str]:
         return [format_ratio(x, self.order) for x in self.nums]

@@ -192,10 +192,11 @@ def orbifold_annulus() -> VarietyDescription:
 # ---------------------------------------------------------------------------
 
 def _direct_sum(a: TranslatedTorus, b: TranslatedTorus) -> TranslatedTorus:
-    lam = a.translate.values + b.translate.values
+    lam = [Fraction(x, t.order) for t in (a.translate, b.translate)
+           for x in t.nums]
     p, q = a.ambient_dim, b.ambient_dim
-    rows = [row + tuple(Fraction(0) for _ in range(q)) for row in a.direction.basis]
-    rows += [tuple(Fraction(0) for _ in range(p)) + row for row in b.direction.basis]
+    rows = [row + (0,) * q for row in a.direction.rows]
+    rows += [(0,) * p + row for row in b.direction.rows]
     return torus(lam, rows, p + q)
 
 

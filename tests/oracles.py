@@ -574,8 +574,51 @@ def word_letters(syllables):
 
 
 # ---------------------------------------------------------------------------
-# Grassmann-Pluecker exchange relations
+# Pluecker coordinates, their distance, and the exchange relations
 # ---------------------------------------------------------------------------
+
+class PluckerVector:
+    """Pluecker coordinates of an r-plane in Q^n.
+
+    Coordinates are indexed by the r-element subsets of ``range(n)`` in
+    lexicographic order and normalized so the first nonzero coordinate is 1.
+
+    >>> class Plane:                # anything with spanning rows and n
+    ...     rows, ambient_dim = [(1, 0, 1, 0), (0, 1, 0, 1)], 4
+    >>> plucker(Plane()).coords
+    (Fraction(1, 1), Fraction(0, 1), Fraction(1, 1), Fraction(-1, 1), Fraction(0, 1), Fraction(1, 1))
+    """
+
+    __slots__ = ("r", "n", "coords")
+
+    def __init__(self, r, n, coords):
+        if len(coords) != math.comb(n, r):
+            raise ValueError("wrong number of Pluecker coordinates")
+        self.r = int(r)
+        self.n = int(n)
+        self.coords = tuple(Fraction(x) for x in coords)
+
+
+def plucker(space):
+    """The Pluecker coordinates of a nonzero subspace given by linearly
+    independent spanning ``rows`` in Q^``ambient_dim``: every maximal
+    minor by ``naive_det``, divided by the first nonzero one."""
+    rows, n = [list(row) for row in space.rows], space.ambient_dim
+    if not rows:
+        raise ValueError("the zero subspace has no Pluecker coordinates")
+    minors = [naive_det([[row[c] for c in cols] for row in rows])
+              for cols in itertools.combinations(range(n), len(rows))]
+    lead = next(x for x in minors if x)
+    return PluckerVector(len(rows), n, [x / lead for x in minors])
+
+
+def plucker_distance(a, b):
+    """Max-norm distance of normalized Pluecker coordinate vectors."""
+    if (a.r, a.n) != (b.r, b.n):
+        raise ValueError("Pluecker vectors of different shape")
+    return max((abs(x - y) for x, y in zip(a.coords, b.coords)),
+               default=Fraction(0))
+
 
 def signed_lookup(coords, subset_index, indices):
     """p_{indices} with sign of sorting; 0 on repeated indices."""

@@ -4,12 +4,13 @@ Each ``suite_*`` function runs a seeded batch of exact checks against an
 independent oracle (or an internal consistency law) and returns the number
 of cases it verified.  All assertions are exact — no tolerances.  The
 helpers at the top are second constructions that the library has no use
-for itself: rational vectors as integers over one denominator and as
-torsion characters, coset reduction and membership with ``Fraction``
-values, the readers of torsion characters, arrangements and Laurent polynomials from their JSON
-form, intersections of translated tori, the tangent-cone bound on planes,
-the d1 entries of a presentation, and the restriction of a matrix to a
-coset term by term.
+for itself: the ``Fraction`` RREF of a subspace and the ``Fraction`` values
+of a torsion character, rational vectors as integers over one denominator
+and as torsion characters, coset reduction and membership with
+``Fraction`` values, the readers of torsion characters, arrangements and
+Laurent polynomials from their JSON form, intersections of translated tori,
+the tangent-cone bound on planes, the d1 entries of a presentation, and the
+restriction of a matrix to a coset term by term.
 """
 
 import math
@@ -24,8 +25,7 @@ from jumploci.fox import (Abelianization, FreeWord, Presentation,
                           alexander_matrix)
 from jumploci.laurent import CyclotomicNumber, LaurentPoly
 from jumploci.omega import omega_codim1_closed_form, omega_membership
-from jumploci.qlinalg import (RationalSubspace, coset_reduce_ints, plucker,
-                              rref)
+from jumploci.qlinalg import RationalSubspace, coset_reduce_ints, rref
 from jumploci.tcone import SubspaceArrangement
 from jumploci.tori import TorsionCharacter, TranslatedTorus, VarietyDescription, \
     sigma_rho_membership
@@ -36,6 +36,18 @@ F = Fraction
 # ---------------------------------------------------------------------------
 # second constructions the suites and tests compare the library against
 # ---------------------------------------------------------------------------
+
+def fraction_rref(space: RationalSubspace) -> tuple[tuple[Fraction, ...], ...]:
+    """The reduced row echelon form of a subspace with ``Fraction`` entries:
+    each stored integer row divided by its pivot entry."""
+    return tuple(tuple(F(x, row[p]) for x in row)
+                 for row, p in zip(space.rows, space.pivots))
+
+
+def fraction_values(chi: TorsionCharacter) -> tuple[Fraction, ...]:
+    """The lambda of a torsion character as ``Fraction``s, each in [0, 1)."""
+    return tuple(F(x, chi.order) for x in chi.nums)
+
 
 def over_one_denominator(lam):
     """A rational vector as ``(nums, den)``: integer numerators over the
@@ -135,8 +147,8 @@ def intersect_translated(c1: TranslatedTorus, c2: TranslatedTorus
         raise ValueError("ambient dimensions differ")
     n = c1.ambient_dim
     l1, l2 = c1.direction, c2.direction
-    lam1 = c1.translate.values
-    lam2 = c2.translate.values
+    lam1 = fraction_values(c1.translate)
+    lam2 = fraction_values(c2.translate)
     diff = [a - b for a, b in zip(lam1, lam2)]
     rep, m = coset_reduce(diff, l1.sum(l2))
     if any(rep):
@@ -145,10 +157,11 @@ def intersect_translated(c1: TranslatedTorus, c2: TranslatedTorus
     # split y = -x1 + x2 with x1 in L1, x2 in L2: solve the augmented system
     # [-L1^T | L2^T | y]; the coefficients of x1 sit in the last column
     k1 = l1.dim
-    reduced, pivots = rref([[-row[i] for row in l1.basis]
-                            + [row[i] for row in l2.basis] + [y[i]]
+    basis1, basis2 = fraction_rref(l1), fraction_rref(l2)
+    reduced, pivots = rref([[-row[i] for row in basis1]
+                            + [row[i] for row in basis2] + [y[i]]
                             for i in range(n)])
-    x1 = tuple(sum((r[-1] * l1.basis[pc][i] for r, pc in zip(reduced, pivots)
+    x1 = tuple(sum((r[-1] * basis1[pc][i] for r, pc in zip(reduced, pivots)
                     if pc < k1), Fraction(0))
                for i in range(n))
     witness = character([a + b for a, b in zip(lam1, x1)])
@@ -180,7 +193,7 @@ def restricted_to_coset(rows, coset: TranslatedTorus
     of order m otherwise."""
     m, restricted = oracles.oracle_restrict_to_coset(
         [[f.terms for f in row] for row in rows], coset.direction.rows,
-        coset.translate.values)
+        fraction_values(coset.translate))
     return [[LaurentPoly._make(coset.dim, {
         e: v[0] if len(v) == 1 else CyclotomicNumber(m, v)
         for e, v in terms.items()}) for terms in row] for row in restricted]
@@ -249,7 +262,7 @@ def suite_lattice_oracle(cases=220, seed=102):
         assert (not any(rep)) == theirs
         # rep depends only on the coset: shift by Z^n and by an element of V
         shift = [rng.randint(-5, 5) for _ in range(n)]
-        for row in space.basis:
+        for row in fraction_rref(space):
             c = F(rng.randint(-9, 9), rng.randint(1, 5))
             shift = [a + c * b for a, b in zip(shift, row)]
         assert coset_reduce([a + b for a, b in zip(lam, shift)], space)[0] == rep
@@ -326,7 +339,7 @@ def suite_plucker_relations(cases=200, seed=106):
         space = RationalSubspace.from_rows([[F(x) for x in row] for row in rows], n)
         if space.dim != r:
             continue
-        coords = plucker(space).coords
+        coords = oracles.plucker(space).coords
         residuals = oracles.plucker_relation_residuals(list(coords), r, n)
         assert residuals and all(v == 0 for v in residuals)
         done += 1
@@ -354,7 +367,7 @@ def suite_sigma_containment(cases=210, seed=107):
         if rho_hit:
             assert plain_hit
             translated_hits += 1
-        if in_lattice_coset(rho.values, L):
+        if in_lattice_coset(fraction_values(rho), L):
             assert rho_hit == plain_hit
         done += 1
     assert translated_hits > cases // 20
@@ -376,7 +389,7 @@ def suite_closed_form_agreement(cases=200, seed=108):
             for _attempt in range(30):
                 lam = [F(rng.randint(0, 3), rng.randint(1, 4)) for _ in range(n)]
                 if not in_lattice_coset(lam, L):
-                    comps.append(torus(lam, L.basis, n))
+                    comps.append(torus(lam, fraction_rref(L), n))
                     break
         if not comps:
             continue

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 import datasets
+import oracles
 import suites
 from builders import full_space
 from jumploci.cli import main as cli_main
@@ -21,7 +22,7 @@ from jumploci.laurent import LaurentPoly
 from jumploci.omega import (fpk_report, nonopen_witness,
                             omega1_r1_description, omega_codim1_closed_form,
                             omega_membership)
-from jumploci.qlinalg import RationalSubspace, plucker, schubert_equations
+from jumploci.qlinalg import RationalSubspace, schubert_equations
 from jumploci.tcone import tangent_cone_description, tangent_cone_polys
 from jumploci.tori import VarietyDescription, sigma_rho_membership
 from suites import schubert_upper_bound
@@ -141,7 +142,7 @@ def test_04_product_of_free_groups_schubert_agreement():
         member_seen = blocked_seen = 0
         for _ in range(500):
             plane = random_plane(rng, 4, 2)
-            coords = plucker(plane).coords
+            coords = oracles.plucker(plane).coords
             expected = all(sum(c * x for c, x in zip(form, coords)) != 0
                            for form in (form12, form34))
             verdict = omega_membership(deg1, plane)

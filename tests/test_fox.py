@@ -33,7 +33,8 @@ from jumploci.fox import (
 )
 from jumploci.laurent import LaurentPoly, bareiss_rank
 from jumploci.fox import _d1_support, _kept_columns
-from suites import character, generator_character_poly, restricted_to_coset
+from suites import (character, fraction_values, generator_character_poly,
+                    restricted_to_coset)
 
 F = Fraction
 
@@ -740,7 +741,7 @@ def test_generic_rank_on_random_tori_lies_between_point_ranks_and_fox_bound():
             steps = [F(rng.randrange(k), k) for k in rng.choice(
                 [(2, 3), (5, 4), (3, 3), (7, 2)])[:dim]]
             point = [x + sum(c * row[i] for c, row in zip(steps, basis))
-                     for i, x in enumerate(torus.translate.values)]
+                     for i, x in enumerate(fraction_values(torus.translate))]
             point_ranks.append(rank_at_character(M, character(point)))
         assert max(point_ranks) <= generic
         attained += max(point_ranks) == generic

@@ -332,6 +332,9 @@ def build_argvs() -> list[list[str]]:
     calls.append(["schubert-eqs", "--space", json.dumps(
         [["1", "2", "0", "-1", "1/2", "3"], ["0", "1", "-1", "2", "0", "1/3"],
          ["2", "0", "1", "1", "-1", "0"]]), "--r", "2"])
+    # one q value past MAX_WITNESS_STEPS
+    calls.append(["witness", "--desc", CLOSED, "--component", "1", "--r", "2",
+                  "--q", ",".join(["7"] * 17)])
     return calls
 
 

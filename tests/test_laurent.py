@@ -21,7 +21,8 @@ from jumploci.laurent import (
 )
 from jumploci.laurent import _convolve
 from jumploci.qlinalg import RationalSubspace
-from suites import character, laurent_poly_from_json, restricted_to_coset
+from suites import (character, fraction_values, laurent_poly_from_json,
+                    restricted_to_coset)
 
 F = Fraction
 
@@ -602,7 +603,7 @@ def test_restriction_agrees_with_sampling_the_coset():
         assert restricted == restricted_to_coset([[f]], torus)[0][0]
         # sample characters on the coset: lam + s * primitive direction
         zero_everywhere = True
-        base = torus.translate.values
+        base = fraction_values(torus.translate)
         direction = torus.direction.rows[0]
         for num in range(8):
             pt = tuple(oracles.unit_root(b + F(num, 8) * d)

@@ -8,20 +8,21 @@ import pytest
 import builders
 import datasets
 from jumploci.omega import (
+    MAX_WITNESS_STEPS,
     OmegaVerdict,
     fpk_report,
     nonopen_witness,
     omega1_r1_description,
     omega_codim1_closed_form,
     omega_membership,
-    plucker_distance,
 )
-from jumploci.qlinalg import RationalSubspace, plucker
+from jumploci.qlinalg import RationalSubspace
 from jumploci.tcone import (SubspaceArrangement, tangent_cone_description,
                             tangent_cone_polys)
 from jumploci.tori import GradedDescription, VarietyDescription
+from oracles import plucker, plucker_distance
 from suites import (arrangement_contains_vector, closed_form_contains,
-                    schubert_upper_bound)
+                    fraction_rref, schubert_upper_bound)
 
 F = Fraction
 
@@ -146,7 +147,7 @@ def test_line_membership_matches_tangent_cone_closed_form(W):
     for _ in range(60):
         if rng.random() < 0.5:
             # a line inside a random component's direction
-            basis = rng.choice(comps).direction.basis
+            basis = fraction_rref(rng.choice(comps).direction)
             row = [sum((rng.randint(-2, 2) * b[i] for b in basis), F(0))
                    for i in range(W.ambient_dim)]
         else:
@@ -274,6 +275,49 @@ def test_witness_family_for_surface_description():
         data = report.to_json()
         assert data["member"] is True
         assert [s["member"] for s in data["family"]] == [False] * 5
+
+
+def test_witness_distances_match_the_oracle():
+    # every step's distance is the oracle's, from the Fraction coordinates of
+    # the planes the report prints; the closed-Omega description reads
+    # 3, 5, 7, 9, 21 at q = 1, 2, 3, 4, 10
+    closed = nonopen_witness(datasets.closed_omega_description(), 1, 2,
+                             [1, 2, 3, 4, 10])
+    assert [s.plucker_distance for s in closed.family] == [3, 5, 7, 9, 21]
+    reports = [closed]
+    rng = random.Random(74)
+    while len(reports) < 60:
+        n = rng.randint(3, 7)
+        d = rng.randint(2, min(4, n - 1))
+        rows = [[F(rng.choice([0, 0, 1, -1, 2, -3]), rng.choice([1, 1, 2, 3]))
+                 for _ in range(n)] for _ in range(d)]
+        den = rng.choice([2, 3, 5, 6])
+        comp = builders.torus([F(rng.randrange(den), den) for _ in range(n)],
+                              rows, n)
+        if comp.direction.dim < 2 or comp.through_identity():
+            continue
+        W = VarietyDescription(n, [comp])
+        r = rng.randint(2, comp.direction.dim)
+        qs = [rng.randint(1, 40) for _ in range(rng.randint(1, 4))]
+        reports.append(nonopen_witness(W, 0, r, qs))
+    for report in reports:
+        ref = plucker(report.plane)
+        for step in report.family:
+            assert step.plucker_distance == plucker_distance(
+                plucker(step.plane), ref)
+
+
+def test_witness_refuses_too_many_q_values():
+    W = datasets.closed_omega_description()
+    qs = [7] * MAX_WITNESS_STEPS
+    assert len(nonopen_witness(W, 1, 2, qs).family) == MAX_WITNESS_STEPS
+    with pytest.raises(ValueError, match=(
+            rf"^{MAX_WITNESS_STEPS + 1} q values are more than "
+            rf"MAX_WITNESS_STEPS = {MAX_WITNESS_STEPS}$")):
+        nonopen_witness(W, 1, 2, qs + [7])
+    # refused before anything else is looked at
+    with pytest.raises(ValueError, match="MAX_WITNESS_STEPS"):
+        nonopen_witness(W, 9, 2, [0] * 30_000)
 
 
 def test_witness_rejects_component_through_identity():

@@ -13,7 +13,6 @@ import oracles
 from builders import full_space
 from jumploci.qlinalg import (
     PLUCKER_BUDGET,
-    PluckerVector,
     RationalSubspace,
     clear_denominators,
     coset_reduce_ints,
@@ -22,17 +21,19 @@ from jumploci.qlinalg import (
     hnf,
     json_rational_ints,
     parse_rational,
-    plucker,
     rref,
     rref_order,
     schubert_equations,
     snf,
+    subset_order,
 )
-from jumploci import qlinalg
-from jumploci.qlinalg import _det, _reduce, _uncovered
+from jumploci import omega, qlinalg
+from jumploci.omega import nonopen_witness
+from jumploci.qlinalg import _minor_table, _reduce, _uncovered
+from jumploci.tori import VarietyDescription
 from jumploci.tori import TranslatedTorus
-from suites import (contains_vector, coset_reduce, in_lattice_coset,
-                    over_one_denominator)
+from suites import (contains_vector, coset_reduce, fraction_rref,
+                    in_lattice_coset, over_one_denominator)
 
 F = Fraction
 
@@ -136,7 +137,8 @@ def test_nullspace_matches_oracle():
     for _ in range(40):
         n = rng.randint(1, 5)
         rows = rand_int_rows(rng, rng.randint(1, 3), n)
-        ours = [list(v) for v in RationalSubspace.from_rows(rows, n).perp().basis]
+        ours = [list(v) for v in
+                fraction_rref(RationalSubspace.from_rows(rows, n).perp())]
         theirs = oracles.naive_nullspace(rows, n)
         assert oracles.spans_equal(ours, theirs) if ours or theirs else True
         for v in ours:
@@ -159,7 +161,7 @@ def test_rref_order_sorts_as_the_fraction_rref_does():
                       rand_rational_rows(rng, rng.randint(0, n), n), n)
                   for _ in range(rng.randint(0, 8))]
         keys = rref_order(spaces)
-        fraction_keys = [(s.dim, s.basis) for s in spaces]
+        fraction_keys = [(s.dim, fraction_rref(s)) for s in spaces]
         for i, j in itertools.product(range(len(spaces)), repeat=2):
             assert ((keys[i] < keys[j], keys[i] == keys[j])
                     == (fraction_keys[i] < fraction_keys[j],
@@ -201,8 +203,8 @@ def test_uncovered_keeps_the_maximal_or_the_minimal_items():
 
 
 def canonical_form_ok(space):
-    """Rows primitive, zero before a positive pivot, zero at other pivots;
-    basis is the rows divided by their pivots."""
+    """Rows primitive, zero before a positive pivot, zero at other pivots:
+    divided by their pivots, they are the RREF that ``rref`` computes."""
     assert list(space.pivots) == sorted(set(space.pivots))
     assert len(space.rows) == len(space.pivots) == space.dim
     for row, p in zip(space.rows, space.pivots):
@@ -211,8 +213,7 @@ def canonical_form_ok(space):
         assert math.gcd(*row) == 1
         assert row[p] > 0 and not any(row[:p])
         assert all(other[p] == 0 for other in space.rows if other is not row)
-    assert space.basis == tuple(tuple(F(x, r[p]) for x in r)
-                                for r, p in zip(space.rows, space.pivots))
+    assert rref(space.rows) == (fraction_rref(space), space.pivots)
     return True
 
 
@@ -253,7 +254,6 @@ def test_stored_rows_are_primitive_with_positive_pivots():
         for space in (a, a.sum(b), a.intersect(b), a.perp(),
                       full_space(n), RationalSubspace.zero(n)):
             assert canonical_form_ok(space)
-        assert a.basis is a.basis                     # built once
 
 
 def test_subspace_operations_match_the_oracles():
@@ -264,14 +264,14 @@ def test_subspace_operations_match_the_oracles():
         rows_b = rand_rational_rows(rng, rng.randint(0, n), n)
         a = RationalSubspace.from_rows(rows_a, n)
         b = RationalSubspace.from_rows(rows_b, n)
-        assert oracles.spans_equal(a.basis, rows_a)
+        assert oracles.spans_equal(fraction_rref(a), rows_a)
         assert a.dim == oracles.naive_rank(rows_a)
-        assert oracles.spans_equal(a.sum(b).basis, rows_a + rows_b)
+        assert oracles.spans_equal(fraction_rref(a.sum(b)), rows_a + rows_b)
         perp_a = oracles.naive_nullspace(rows_a, n)
         perp_b = oracles.naive_nullspace(rows_b, n)
-        assert oracles.spans_equal(a.perp().basis, perp_a)
+        assert oracles.spans_equal(fraction_rref(a.perp()), perp_a)
         met = oracles.naive_nullspace(perp_a + perp_b, n)
-        assert oracles.spans_equal(a.intersect(b).basis, met)
+        assert oracles.spans_equal(fraction_rref(a.intersect(b)), met)
         assert a.contains(b) == oracles.span_contains(rows_a, rows_b)
         assert b.contains(a) == oracles.span_contains(rows_b, rows_a)
         v = rand_rational_rows(rng, 1, n)[0]
@@ -279,22 +279,42 @@ def test_subspace_operations_match_the_oracles():
 
 
 def test_minor_matches_cofactor_determinant():
-    # the fraction-free determinant behind every Pluecker minor
+    # every nonzero maximal minor of an integer matrix: one, the
+    # determinant, for a square matrix; zero rows and rank-deficient rows
+    # among them
     rng = random.Random(48)
-    singular = 0
-    for trial in range(80):
+    deficient = square = 0
+    for trial in range(200):
         k = rng.randint(1, 5)
-        rows = [[rng.choice([0, 0, -3, -1, 1, 2, 7]) for _ in range(k + 1)]
+        n = k + rng.choice([0, 0, 1, 2])
+        rows = [[rng.choice([0, 0, -3, -1, 1, 2, 7]) for _ in range(n)]
                 for _ in range(k)]
-        if trial % 3 == 0 and k >= 2:
-            rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[1])]
-        cols = sorted(rng.sample(range(k + 1), k))
-        square = [[row[c] for c in cols] for row in rows]
-        expected = oracles.naive_det(square)
-        singular += expected == 0
-        assert _det(square) == expected
-    assert singular > 0
-    assert _det([[0, 2], [3, 1]]) == -6      # a row swap flips the sign
+        if trial % 5 == 0:
+            rows[rng.randrange(k)] = [0] * n
+        elif trial % 5 == 1 and k >= 2:
+            rows[-1] = [2 * a - 3 * b for a, b in zip(rows[0], rows[1])]
+        expected = {}
+        for cols in itertools.combinations(range(n), k):
+            d = oracles.naive_det([[row[c] for c in cols] for row in rows])
+            if d:
+                expected[cols] = d
+        assert _minor_table(rows, n) == expected
+        deficient += not expected
+        square += n == k
+    assert 40 <= deficient <= 150 and square >= 60, (deficient, square)
+    assert _minor_table([[0, 2], [3, 1]], 2) == {(0, 1): -6}   # a row swap
+    assert _minor_table([], 3) == {(): 1}
+
+
+def test_minor_table_extended_from_a_shared_head_is_a_fresh_table():
+    rng = random.Random(50)
+    for _ in range(100):
+        n = rng.randint(2, 7)
+        k = rng.randint(2, min(n, 5))
+        rows = rand_int_rows(rng, k, n, -3, 3)
+        split = rng.randint(0, k)
+        head = _minor_table(rows[:split], n)
+        assert _minor_table(rows[split:], n, head) == _minor_table(rows, n)
 
 
 def test_clear_denominators_primitive_and_sign_preserving():
@@ -585,7 +605,7 @@ def test_coset_functions_accept_anything_fraction_accepts():
 
 def test_plucker_frozen_example_and_normalization():
     p = RationalSubspace.from_rows([(1, 0, 1, 0), (0, 1, 0, 1)], 4)
-    pv = plucker(p)
+    pv = oracles.plucker(p)
     assert pv.coords == (F(1), F(0), F(1), F(-1), F(0), F(1))
     lead = next(c for c in pv.coords if c != 0)
     assert lead == 1
@@ -593,11 +613,11 @@ def test_plucker_frozen_example_and_normalization():
 
 def test_plucker_rejects_zero_space():
     with pytest.raises(ValueError):
-        plucker(RationalSubspace.zero(3))
+        oracles.plucker(RationalSubspace.zero(3))
 
 
 def test_subset_order_is_lexicographic():
-    assert PluckerVector.subset_order(4, 2) == [
+    assert subset_order(4, 2) == [
         (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
@@ -610,7 +630,13 @@ def test_plucker_coordinates_satisfy_exchange_relations():
         space = RationalSubspace.from_rows(rows, n)
         if space.dim != r:
             continue
-        res = oracles.plucker_relation_residuals(plucker(space).coords, r, n)
+        res = oracles.plucker_relation_residuals(
+            oracles.plucker(space).coords, r, n)
+        assert all(x == 0 for x in res)
+        # the library's minors of the stored rows, unnormalized
+        table = _minor_table(space.rows, n)
+        res = oracles.plucker_relation_residuals(
+            [table.get(cols, 0) for cols in subset_order(n, r)], r, n)
         assert all(x == 0 for x in res)
 
 
@@ -628,7 +654,7 @@ def test_schubert_equations_cut_out_incidence():
         plane = RationalSubspace.from_rows(rand_int_rows(rng, r, n), n)
         if plane.dim != r:
             continue
-        pv = plucker(plane)
+        pv = oracles.plucker(plane)
         vanish = all(sum(c * x for c, x in zip(f, pv.coords)) == 0
                      for f in forms)
         assert vanish == (not plane.intersect(space).is_zero())
@@ -654,7 +680,12 @@ def test_plucker_coordinates_are_ratios_of_minors_of_any_spanning_set():
         minors = [oracles.naive_det([[row[c] for c in cols] for row in rows])
                   for cols in itertools.combinations(range(n), r)]
         lead = next(x for x in minors if x)
-        assert plucker(space).coords == tuple(x / lead for x in minors)
+        assert oracles.plucker(space).coords == tuple(x / lead for x in minors)
+        # the library's table: each minor over the minor at the pivots
+        table = _minor_table(space.rows, n)
+        assert tuple(F(table.get(cols, 0), table[space.pivots])
+                     for cols in itertools.combinations(range(n), r)) == \
+            tuple(x / lead for x in minors)
         checked += 1
 
 
@@ -670,7 +701,8 @@ def test_schubert_equations_match_the_laplace_oracle():
         s = space.dim
         for r in range(1, n + 1):
             assert (schubert_equations(space, r)
-                    == oracles.oracle_schubert_equations(space.basis, n, r))
+                    == oracles.oracle_schubert_equations(
+                        fraction_rref(space), n, r))
             wide += 2 * s > n and r + s <= n
             complementary += r + s == n
         spaces += 1
@@ -678,22 +710,24 @@ def test_schubert_equations_match_the_laplace_oracle():
 
 
 def test_plucker_layer_refuses_work_over_the_budget(monkeypatch):
-    def no_minor(rows):
+    def no_minor(*args):
         raise AssertionError("a minor was computed")
-    monkeypatch.setattr(qlinalg, "_det", no_minor)
+    monkeypatch.setattr(qlinalg, "_minor_table", no_minor)
+    monkeypatch.setattr(omega, "_minor_table", no_minor)
     e1 = RationalSubspace.from_rows([[1] + [0] * 39], 40)
-    half = RationalSubspace.from_rows(
-        [[int(i == j) for j in range(20)] for i in range(10)], 20)
+    half = builders.torus([F(1, 2)] + [0] * 19,
+                          [[int(i == j) for j in range(20)]
+                           for i in range(1, 11)], 20)
     with pytest.raises(ValueError, match=(
             r"^C\(20, 10\) Pluecker coordinates = 184756 is above "
             rf"PLUCKER_BUDGET = {PLUCKER_BUDGET}$")):
-        plucker(half)
+        nonopen_witness(VarietyDescription(20, [half]), 0, 10, [1])
     with pytest.raises(ValueError, match=(
             r"C\(40, 21\) \* C\(40, 20\) Schubert coefficients = \d+ "
             "is above PLUCKER_BUDGET")):
         schubert_equations(e1, 20)
     with pytest.raises(ValueError, match="PLUCKER_BUDGET"):
-        PluckerVector.subset_order(40, 20)
+        subset_order(40, 20)
     # r + dim L > n: every plane meets L, so there is no table to refuse
     big = RationalSubspace.from_rows(
         [[int(i == j) for j in range(40)] for i in range(39)], 40)
@@ -849,7 +883,7 @@ def test_format_rref_writes_the_basis_as_format_rational_does():
                 for _ in range(rng.randint(0, 4))]
         space = RationalSubspace.from_rows(rows, n)
         assert format_rref(space) == [[format_rational(x) for x in row]
-                                      for row in space.basis]
+                                      for row in fraction_rref(space)]
 
 
 def test_parse_rational_matches_fraction_on_generated_texts():

@@ -20,7 +20,8 @@ from jumploci.tcone import (
     tangent_cone_description,
     tangent_cone_polys,
 )
-from suites import arrangement_contains_vector, arrangement_from_json
+from suites import (arrangement_contains_vector, arrangement_from_json,
+                    fraction_rref)
 
 F = Fraction
 
@@ -103,7 +104,7 @@ def test_cone_directions_kill_one_parameter_substitution():
     f = datasets.chain_delta()
     cone = tangent_cone_polys([f])
     for sub in cone.subspaces:
-        for row in sub.basis:
+        for row in fraction_rref(sub):
             z = clear_denominators(row)
             assert _one_parameter_sum(f, z) == {}
             assert _one_parameter_sum(f, [-c for c in z]) == {}
@@ -337,7 +338,7 @@ def test_chain_cone_is_three_lines():
     cone = tangent_cone_polys([datasets.chain_delta()])
     assert set(cone.subspaces) == set(datasets.chain_lines())
     # canonical arrangement order: dimension first, then basis rows
-    assert [s.basis[0] for s in cone.subspaces] == [
+    assert [fraction_rref(s)[0] for s in cone.subspaces] == [
         (0, 1, -1), (1, -1, 0), (1, 0, -1)]
 
 

@@ -23,7 +23,8 @@ from jumploci.tori import (
     sigma_rho_membership,
     subspace_from_json,
 )
-from suites import character, intersect_translated, torsion_character_from_json
+from suites import (character, fraction_rref, fraction_values,
+                    intersect_translated, torsion_character_from_json)
 
 F = Fraction
 
@@ -37,7 +38,7 @@ def test_torsion_character_normalizes_mod_one():
     # the denominator is not in lowest terms
     w = TorsionCharacter([9, -2, 12], 6)
     assert (w.nums, w.order, w.n) == ((3, 4, 0), 6, 3)
-    assert w.values == (F(1, 2), F(2, 3), 0)
+    assert fraction_values(w) == (F(1, 2), F(2, 3), 0)
     assert w == character([F(3, 2), F(-1, 3), 2])
     assert TorsionCharacter([6, -3, 12], 12) == TorsionCharacter([2, 3, 0], 4)
     trivial = TorsionCharacter([4, -8], 4)
@@ -68,12 +69,12 @@ def test_equal_cosets_share_canonical_form():
     a = builders.torus((0, F(1, 2)), [(1, 1)])
     b = builders.torus((F(1, 2), 0), [(1, 1)])
     assert a == b
-    assert a.translate.values == (0, F(1, 2))
+    assert fraction_values(a.translate) == (0, F(1, 2))
     # representative differing by an integer-lattice step along the direction
     c = builders.torus((0, F(1, 2)), [(1, F(1, 2))])
     d = builders.torus((0, 0), [(1, F(1, 2))])
     assert c == d
-    assert c.translate.values == (0, 0)
+    assert fraction_values(c.translate) == (0, 0)
 
 
 def test_canonical_translate_entries_live_in_unit_box():
@@ -84,7 +85,7 @@ def test_canonical_translate_entries_live_in_unit_box():
         rows = [[rng.randint(-2, 2) for _ in range(n)]
                 for _ in range(rng.randint(0, n))]
         t = builders.torus(lam, rows, n)
-        assert all(0 <= v < 1 for v in t.translate.values)
+        assert all(0 <= v < 1 for v in fraction_values(t.translate))
         assert all(0 <= x < t.translate.order for x in t.translate.nums)
         # the canonical representative stays in the original coset
         assert t.contains(_point(character(lam)))
@@ -181,7 +182,8 @@ def test_component_from_json_matches_the_fraction_reader():
             oracles.json_rational_rows(data["basis"], "basis"), n)
         got = TranslatedTorus.from_json(data, n)
         assert got == expected
-        assert got.translate.values == expected.translate.values
+        assert (fraction_values(got.translate)
+                == fraction_values(expected.translate))
         assert got.to_json() == expected.to_json()
         on = oracles.oracle_lattice_membership(lam, rows, n)
         assert got.through_identity() == on
@@ -189,9 +191,9 @@ def test_component_from_json_matches_the_fraction_reader():
     assert min(through.values()) > 30
     # an integral lambda written with denominators
     t = TranslatedTorus.from_json({"lambda": ["2/2", "-3/3"], "basis": []}, 2)
-    assert t.through_identity() and t.translate.values == (0, 0)
+    assert t.through_identity() and fraction_values(t.translate) == (0, 0)
     t = TranslatedTorus.from_json({"lambda": ["-3/6", "0"], "basis": []}, 2)
-    assert t.translate.values == (F(1, 2), 0)
+    assert fraction_values(t.translate) == (F(1, 2), 0)
 
 
 def test_subspace_from_json_reads_each_row_over_its_own_denominator():
@@ -207,7 +209,8 @@ def test_subspace_from_json_reads_each_row_over_its_own_denominator():
 
 def _old_sort_key(t: TranslatedTorus):
     """The order components had when it was read off the Fraction RREF."""
-    return (t.direction.dim, t.direction.basis, t.translate.values)
+    return (t.direction.dim, fraction_rref(t.direction),
+            fraction_values(t.translate))
 
 
 def test_description_orders_components_as_the_fraction_rref_does():
@@ -264,7 +267,7 @@ def test_description_prune_matches_every_pair_tested():
         for t in comps[:3]:
             step = [F(rng.randint(-3, 3), 2) for _ in t.direction.rows]
             lam = [x + sum(c * row[i] for c, row in zip(step, t.direction.rows))
-                   for i, x in enumerate(t.translate.values)]
+                   for i, x in enumerate(fraction_values(t.translate))]
             comps.append(builders.torus(lam, [], n))
         comps += rng.sample(comps, 2)
         rng.shuffle(comps)
@@ -281,7 +284,7 @@ def test_description_of_many_points_reads_in_linear_time():
     start = time.perf_counter()
     desc = VarietyDescription.from_json(data)
     assert time.perf_counter() - start < 0.2
-    assert [c.translate.values for c in desc.components] == [
+    assert [fraction_values(c.translate) for c in desc.components] == [
         (F(k, 1000007),) for k in range(1, 401)]
     data["components"] += data["components"][:5] + [
         {"lambda": ["0"], "basis": [[1]]}]
@@ -421,8 +424,8 @@ def test_product_symmetry_under_coordinate_permutation():
         return (v[2],) + tuple(v[:2])
 
     moved = VarietyDescription(3, [
-        builders.torus(rotate(c.translate.values),
-                                  [rotate(row) for row in c.direction.basis], 3)
+        builders.torus(rotate(fraction_values(c.translate)),
+                       [rotate(row) for row in fraction_rref(c.direction)], 3)
         for c in ba.components])
     assert moved == ab
 
@@ -450,13 +453,14 @@ def test_orbifold_components_materialization():
     desc = datasets.orbifold_torus_two_cones()
     point, translate = desc.components
     assert point.dim == 0 and point.through_identity()
-    assert translate.translate.values == (0, 0, F(1, 2))
+    assert fraction_values(translate.translate) == (0, 0, F(1, 2))
     assert translate.direction == RationalSubspace.from_rows(
         [(1, 0, 0), (0, 1, 0)], 3)
     # full case covers the whole image torus plus translated copies
     out = datasets.orbifold_thrice_punctured_sphere()
     dirs = [c.direction.dim for c in out.components]
-    assert dirs == [2, 2] and len({c.translate.values for c in out.components}) == 2
+    assert dirs == [2, 2] and len({fraction_values(c.translate)
+                                   for c in out.components}) == 2
     # trivial case is just the identity
     assert datasets.orbifold_annulus() == identity_only(2)
     # through the image directions the translate blocks nothing, while a
@@ -562,7 +566,7 @@ def test_sigma_rho_equivalent_to_positive_dimensional_intersection():
              for _ in range(rng.randint(1, 2))], n)
         direct = sigma_rho_membership(P, comp.direction, comp.translate)
         hit = intersect_translated(
-            builders.torus([0] * n, P.basis, n), comp)
+            builders.torus([0] * n, fraction_rref(P), n), comp)
         infinite = hit is not None and hit.dim >= 1
         assert direct == infinite
         both.add(direct)
@@ -623,7 +627,8 @@ def test_sigma_rho_and_omega_membership_match_the_definition():
         assert verdict.member == (not any(blocking))
         for comp, _ in verdict.blockers:
             assert oracles.oracle_sigma_rho_membership(
-                comp.translate.values, plane_rows, comp.direction.basis, n)
+                fraction_values(comp.translate), plane_rows,
+                fraction_rref(comp.direction), n)
     for integral in (True, False):
         for expected in (True, False):
             assert seen[(integral, True, expected)] + \
