@@ -62,12 +62,13 @@ from .tori import (GradedDescription, TranslatedTorus, VarietyDescription,
 #: 0.1 s.
 MAX_CHARACTER_ORDER = 4096
 #: The highest translate order that charvar-check accepts on a component of
-#: dimension >= 1.  Bareiss elimination over the subtorus still inverts
-#: leading coefficients in Q(zeta_m) for m > 2.  On the surface group the
-#: circle through (1/p, 0, 1/2, 0, 0, 0) along e4, of order 2p, ranks in
-#: 0.08-0.11 s at order 502 (p = 251), and, past this limit and so only
-#: through the library, in 0.3-0.4 s at order 1018, 1.8-2.5 s at order 2018
-#: and 8-10.6 s at order 4006 (Python 3.11.7, 2 vCPUs, four runs each).
+#: dimension >= 1.  Bareiss elimination over the subtorus divides exactly in
+#: Z[zeta_m], with one product of Galois conjugates per distinct divisor, and
+#: that product grows fast with phi(m).  On the surface group the circle
+#: through (1/p, 0, 1/2, 0, 0, 0) along e4, of order 2p, ranks in 0.08 s at
+#: order 502 (p = 251), and, past this limit and so only through the
+#: library, in 0.19-0.29 s at order 1018, 1.1-1.4 s at order 2018 and
+#: 3.3-5.1 s at order 4006 (Python 3.11.7, 2 vCPUs, four runs each).
 MAX_TORUS_ORDER = 512
 #: The most --desc texts and the most --pres texts that one process keeps
 #: parsed, each kind least recently used first out.

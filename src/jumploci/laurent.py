@@ -3,7 +3,7 @@
 Two layers, all exact:
 
 * :class:`LaurentPoly` — Z^n-graded sparse polynomials over Q, or over
-  Q(zeta_m) once restricted to a translated subtorus, with serializers of
+  Z[zeta_m] once restricted to a translated subtorus, with serializers of
   rational ones to a JSON term form and a text form such as
   ``t1^2*t2^-1 - 3/2*t3 + 1``.  The text parser reads one term per match of
   a regular expression (a sign, then numbers ``p`` or ``p/q`` and variables
@@ -12,15 +12,15 @@ Two layers, all exact:
   until the term is read: an integral coefficient stays an ``int``, and
   only any other becomes a ``Fraction``.  Indices above ``MAX_VARIABLES``
   are refused as they are read.
-* :class:`CyclotomicNumber` — elements of Q(zeta_m) = Q[x]/Phi_m(x), kept
-  as integer numerators over one positive common denominator.  Phi_m is the
-  Moebius product of the binomials x^d - 1.  A product is one multiplication
-  of Python ints (Kronecker substitution: each coefficient vector packed
-  into one int), then a fold mod x^m - 1 and one reduction by the monic
-  Phi_m.  A power of zeta, or a sum of powers of zeta, is a vector indexed
-  by exponents mod m, reduced once.  An inverse is the product of the
-  other Galois conjugates over the norm (Phi_m is irreducible, so this is
-  a field).
+* :class:`CyclotomicNumber` — elements of Z[zeta_m] = Z[x]/Phi_m(x), kept
+  as integer coefficients.  Phi_m is the Moebius product of the binomials
+  x^d - 1.  A product is one multiplication of Python ints (Kronecker
+  substitution: each coefficient vector packed into one int), then a fold
+  mod x^m - 1 and one reduction by the monic Phi_m.  A power of zeta, or a
+  sum of powers of zeta, is a vector indexed by exponents mod m, reduced
+  once.  Division is ``divmod``: a times the product of b's other Galois
+  conjugates, over b's norm, an integer; the remainder is zero exactly
+  when b divides a.
 
 A character is read on integers throughout: rho = exp(2 pi i w / m) for its
 numerators w over its order m, so the monomial t^a takes the value
@@ -29,16 +29,16 @@ zeta_m^(a . w).  Ranks at characters never build a CyclotomicNumber: a
 so evaluating the matrix at a character costs one dot product per distinct
 monomial and gives each entry as its integer vector in Z[zeta_m], reduced
 mod Phi_m; :func:`cyclotomic_rank` eliminates those vectors without
-division or inverse.
+division.
 
 Generic ranks on a coset rho.T read the same table:
 :meth:`TermTable.on_coset` substitutes t_i = rho_i * prod_j u_j^{B_ji} (B
 the k = dim T integer rows that store T's direction) into every entry, so
 each restricted coefficient is one m-long vector reduced once, m the order
 of rho, and an entry restricts to zero iff it vanishes on all of rho.T.
-For m <= 2, Q(zeta_m) = Q, so the coefficients are ints and
-:func:`bareiss_rank` divides integers exactly; only m > 2 takes
-CyclotomicNumbers.
+The coefficients are ints for m <= 2, where Z[zeta_m] = Z, and
+CyclotomicNumbers otherwise; :func:`bareiss_rank` divides exactly in that
+ring, with one conjugate product per distinct divisor.
 
 >>> f = LaurentPoly.parse("t1 + t2 - 2")
 >>> TermTable([[f]]).at_character(TorsionCharacter((1, 1), 2), [0])
@@ -163,9 +163,6 @@ class LaurentPoly:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
             return LaurentPoly._make(self.num_vars, {
@@ -182,18 +179,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            if len(self.terms) != 1:
-                raise ValueError("only monomials can be inverted")
-            (e, c), = self.terms.items()
-            return LaurentPoly(self.num_vars,
-                               {tuple(x * k for x in e): Fraction(c) ** k})
-        out = self._coerce(1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def shift(self, delta: Sequence[int]) -> "LaurentPoly":
         """Multiply by the unit monomial t^delta."""
         return LaurentPoly._make(self.num_vars, {
@@ -206,51 +191,28 @@ class LaurentPoly:
             return (0,) * self.num_vars
         return tuple(map(min, zip(*self.terms)))
 
-    def divide_exact(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Quotient self/other in the Laurent ring; raises if not divisible.
-        The leading coefficient c of other is inverted as ``Fraction(1) / c``,
-        exact for an int c (``1 / c`` is a float) and a CyclotomicNumber."""
-        if other.num_vars != self.num_vars:
-            raise ValueError("variable count mismatch")
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return self
-        lead_inv = Fraction(1) / other.terms[max(other.terms)]
-        return self._divide(other, lambda c: c * lead_inv)
-
-    def _divide_integral(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Quotient self/other of polynomials with int coefficients whose
-        quotient has int coefficients too, as in Bareiss elimination over
-        Z: each coefficient is divided by other's leading one exactly, with
-        ``//``, and a remainder raises ArithmeticError."""
-        lead = other.terms[max(other.terms)]
-
-        def over_lead(c: int) -> int:
-            q, rest = divmod(c, lead)
-            if rest:
-                raise ArithmeticError("polynomials do not divide exactly over Z")
-            return q
-        return self._divide(other, over_lead)
-
-    def _divide(self, other: "LaurentPoly", over_lead) -> "LaurentPoly":
-        """Long division by the nonzero ``other``, whose leading term (the
-        largest exponent) divides each leading term of the remainder:
-        ``over_lead(c)`` is a coefficient c over other's leading one."""
-        if self.is_zero():
+    def _divide(self, other: "LaurentPoly") -> "LaurentPoly":
+        """The quotient self/other in the Laurent ring over Z or one
+        Z[zeta_m], for a nonzero other: long division by other's leading
+        term (the largest exponent), each quotient coefficient taken by
+        ``divmod`` with other's leading coefficient.  A remainder, in a
+        coefficient or in the polynomial, raises ArithmeticError."""
+        if not self.terms:
             return self
         fshift = self.monomial_content()
         gshift = other.monomial_content()
         r = self.shift([-x for x in fshift])
         g = other.shift([-x for x in gshift])
         glead_e = max(g.terms)
+        lead = g.terms[glead_e]
         quo: dict = {}
         while r.terms:
             rlead_e = max(r.terms)
             t = tuple(map(operator.sub, rlead_e, glead_e))
-            if any(x < 0 for x in t):
+            c, rest = divmod(r.terms[rlead_e], lead)
+            if rest or any(x < 0 for x in t):
                 raise ArithmeticError("polynomials do not divide exactly")
-            c = quo[t] = over_lead(r.terms[rlead_e])
+            quo[t] = c
             r = r - g.shift(t) * c
         return LaurentPoly._make(self.num_vars, quo).shift(
             tuple(map(operator.sub, fshift, gshift)))
@@ -452,7 +414,7 @@ def _digits_end(text: str, i: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic fields Q(zeta_m)
+# cyclotomic integers Z[zeta_m]
 # ---------------------------------------------------------------------------
 
 def _prime_factors(m: int) -> list[int]:
@@ -618,43 +580,63 @@ def _orbit_product(m: int, a: Sequence[int], g: int, k: int) -> list[int]:
     return product
 
 
-class CyclotomicNumber:
-    """An element of Q(zeta_m), coefficients in the basis 1, x, ..., x^{phi-1}.
+@lru_cache(maxsize=8)
+def _conjugate_product(m: int, a: tuple[int, ...]
+                       ) -> tuple[tuple[int, ...], int]:
+    """(c, N) for a in Z[zeta_m]: c the product of the Galois conjugates
+    sigma_g(a) other than a, zeta -> zeta^g for g a unit mod m, and N = a c
+    the norm of a, an integer (zero iff a is).
 
-    Stored as integer numerators ``num`` over one positive denominator
-    ``den`` with no common factor, so equal values of one order have equal
-    fields.  Sums and differences take two numbers of one order; products
-    also take a rational scalar.
+    The conjugates are multiplied along a chain of subgroups H of (Z/m)^*,
+    each adding one generator g by doubling, so the whole product takes
+    O(log phi(m)) multiplications.  Cached: Bareiss divides by one pivot's
+    leading coefficient many times.
+    """
+    others = [1] + [0] * (len(a) - 1)        # prod over H \ {1}
+    norm = list(a)                            # prod over H
+    group = {1}
+    for g in range(2, m):
+        if len(group) == len(a):
+            break
+        if g in group or math.gcd(g, m) != 1:
+            continue
+        t, power = 1, g                       # g^t is the first in H
+        while power not in group:
+            t, power = t + 1, power * g % m
+        # H' = H u gH u ... u g^(t-1)H; the cosets j >= 1 multiply in
+        # sigma_g^j(prod over H) = sigma_g(orbit product of t - 1)
+        others = _ring_mul(m, others, _conjugate(
+            m, _orbit_product(m, norm, g, t - 1), g))
+        norm = _ring_mul(m, a, others)
+        group = {h * pow(g, j, m) % m for h in group for j in range(t)}
+    if any(norm[1:]):
+        raise ArithmeticError("the product of the conjugates is not rational")
+    return tuple(others), norm[0]
+
+
+class CyclotomicNumber:
+    """An element of Z[zeta_m], integer coefficients in the basis 1, x, ...,
+    x^{phi-1}.  Sums and differences take two numbers of one order;
+    products also take an int.  ``divmod(a, b)`` divides in the ring.
 
     >>> z, one = (CyclotomicNumber.zeta_power(3, k) for k in (1, 0))
-    >>> (z * z + z + one).is_zero()
-    True
-    >>> z.inverse() * z == one
-    True
+    >>> bool(z * z + z + one), divmod(one, z) == (z * z, 0 * z)
+    (False, True)
     """
 
-    __slots__ = ("order", "num", "den")
+    __slots__ = ("order", "num")
 
-    def __init__(self, order: int, coeffs: Iterable):
-        coeffs = [Fraction(x) for x in coeffs]
-        if len(coeffs) != _field(int(order))[0]:
+    def __init__(self, order: int, coeffs: Iterable[int]):
+        self.order = int(order)
+        self.num = tuple(map(operator.index, coeffs))
+        if len(self.num) != _field(self.order)[0]:
             raise ValueError("wrong number of coefficients")
-        den = math.lcm(*(c.denominator for c in coeffs))
-        self._set(int(order),
-                  [c.numerator * (den // c.denominator) for c in coeffs], den)
-
-    def _set(self, order: int, num: Sequence[int], den: int) -> None:
-        g = math.gcd(den, *num)
-        self.order = order
-        self.num = tuple(x // g for x in num) if g != 1 else tuple(num)
-        self.den = den // g
 
     @classmethod
-    def _make(cls, order: int, num: Sequence[int], den: int = 1
-              ) -> "CyclotomicNumber":
-        """num / den in lowest terms; den > 0, len(num) = phi(order)."""
+    def _make(cls, order: int, num: Sequence[int]) -> "CyclotomicNumber":
+        """The number with coefficients num; len(num) = phi(order)."""
         z = cls.__new__(cls)
-        z._set(order, num, den)
+        z.order, z.num = order, tuple(num)
         return z
 
     @classmethod
@@ -662,9 +644,6 @@ class CyclotomicNumber:
         """zeta_m^k, exponent taken mod m."""
         k %= order
         return cls._make(order, _reduce(order, [0] * k + [1]))
-
-    def is_zero(self) -> bool:
-        return not any(self.num)
 
     def __bool__(self) -> bool:
         return any(self.num)
@@ -677,15 +656,11 @@ class CyclotomicNumber:
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         self._check(other)
-        den = math.lcm(self.den, other.den)
-        s, t = den // self.den, den // other.den
         return CyclotomicNumber._make(
-            self.order, [s * a + t * b for a, b in zip(self.num, other.num)],
-            den)
+            self.order, [a + b for a, b in zip(self.num, other.num)])
 
     def __neg__(self):
-        return CyclotomicNumber._make(self.order, [-a for a in self.num],
-                                      self.den)
+        return CyclotomicNumber._make(self.order, [-a for a in self.num])
 
     def __sub__(self, other):
         if not isinstance(other, CyclotomicNumber):
@@ -693,69 +668,43 @@ class CyclotomicNumber:
         return self + (-other)
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return CyclotomicNumber._make(self.order,
+                                          [a * other for a in self.num])
         if not isinstance(other, CyclotomicNumber):
-            q = Fraction(other)
-            return CyclotomicNumber._make(
-                self.order, [a * q.numerator for a in self.num],
-                self.den * q.denominator)
+            return NotImplemented
         self._check(other)
         return CyclotomicNumber._make(
-            self.order, _ring_mul(self.order, self.num, other.num),
-            self.den * other.den)
+            self.order, _ring_mul(self.order, self.num, other.num))
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "CyclotomicNumber":
-        """1/z = (the product of the other conjugates of z) / N(z).
-
-        The conjugates sigma_g(z), zeta -> zeta^g for g a unit mod m, are
-        multiplied along a chain of subgroups H of (Z/m)^*, each adding one
-        generator g by doubling, so the whole product takes O(log phi(m))
-        multiplications.  The norm N(z) is z times that product, a rational.
-        """
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        m, a = self.order, list(self.num)
-        others = [1] + [0] * (len(a) - 1)        # prod over H \ {1}
-        norm = a                                  # prod over H
-        group = {1}
-        for g in range(2, m):
-            if len(group) == len(a):
-                break
-            if g in group or math.gcd(g, m) != 1:
-                continue
-            t, power = 1, g                       # g^t is the first in H
-            while power not in group:
-                t, power = t + 1, power * g % m
-            # H' = H u gH u ... u g^(t-1)H; the cosets j >= 1 multiply in
-            # sigma_g^j(prod over H) = sigma_g(orbit product of t - 1)
-            others = _ring_mul(m, others, _conjugate(
-                m, _orbit_product(m, norm, g, t - 1), g))
-            norm = _ring_mul(m, a, others)
-            group = {h * pow(g, j, m) % m for h in group for j in range(t)}
-        if any(norm[1:]):
-            raise ArithmeticError("the product of the conjugates is not "
-                                  "rational")
-        sign = 1 if norm[0] > 0 else -1
-        return CyclotomicNumber._make(
-            m, [sign * self.den * x for x in others], abs(norm[0]))
-
-    def __rtruediv__(self, other):
-        """other / self for a rational other, as ``Fraction(1) / c`` asks."""
-        return self.inverse() * other
+    def __divmod__(self, other):
+        """(q, r) with self = q other + r: q is (self c) // N taken
+        coefficientwise, where c is the product of other's other Galois
+        conjugates and N = other c its norm (see
+        :func:`_conjugate_product`).  r is zero exactly when other divides
+        self, and then q is the quotient.  Division by zero raises
+        ZeroDivisionError."""
+        if not isinstance(other, CyclotomicNumber):
+            return NotImplemented
+        self._check(other)
+        m = self.order
+        others, norm = _conjugate_product(m, other.num)
+        q = CyclotomicNumber._make(
+            m, [x // norm for x in _ring_mul(m, self.num, others)])
+        return q, self - q * other
 
     def __eq__(self, other):
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        return (self.order == other.order and self.den == other.den
-                and self.num == other.num)
+        return self.order == other.order and self.num == other.num
 
     def __hash__(self):
-        return hash((self.order, self.num, self.den))
+        return hash((self.order, self.num))
 
     def __repr__(self):
-        coeffs = [Fraction(x, self.den) for x in self.num]
-        return f"CyclotomicNumber(order={self.order}, {coeffs})"
+        return f"CyclotomicNumber(order={self.order}, {list(self.num)})"
 
 
 # ---------------------------------------------------------------------------
@@ -876,25 +825,23 @@ class TermTable:
 def bareiss_rank(rows: Sequence[Sequence[LaurentPoly]]) -> int:
     """Rank over the fraction field, by Bareiss elimination.
 
-    Division by the previous pivot is exact: every entry of an intermediate
-    matrix is a minor of the original.  The entries share one coefficient
-    ring, Z, Q or one Q(zeta_m).  When every coefficient is an int, every
-    minor is integral too, so each quotient is taken on ints with ``//``;
-    otherwise the previous pivot's leading coefficient is inverted once per
-    division.
+    The coefficients lie in Z or one Z[zeta_m]: ints, or CyclotomicNumbers
+    of one order.  Every entry of an intermediate matrix is a minor of the
+    original, so each division by the previous pivot is exact in that ring
+    (:meth:`LaurentPoly._divide`).  A ``Fraction`` coefficient is refused
+    with a ValueError: scale its row to integers first, which keeps the
+    rank.
     """
     work = [list(r) for r in rows]
+    for i, row in enumerate(work):
+        if any(type(c) is Fraction for f in row for c in f.terms.values()):
+            raise ValueError(f"row {i} has a Fraction coefficient; scale it "
+                             f"to integers, which keeps the rank")
     if not work:
         return 0
-    divide = (LaurentPoly._divide_integral
-              if all(type(c) is int for row in work for f in row
-                     for c in f.terms.values())
-              else LaurentPoly.divide_exact)
-    ncols = len(work[0])
     prev = None
-    rank = 0
-    active_cols = list(range(ncols))
-    row_at = rank
+    active_cols = list(range(len(work[0])))
+    row_at = 0
     while row_at < len(work) and active_cols:
         # pick the surviving entry with the sparsest support as pivot
         best = None
@@ -920,11 +867,10 @@ def bareiss_rank(rows: Sequence[Sequence[LaurentPoly]]) -> int:
                 row = [pivot * work[i][c] - fi * work[row_at][c]
                        for c in active_cols]
             for c, val in zip(active_cols, row):
-                work[i][c] = val if prev is None else divide(val, prev)
+                work[i][c] = val if prev is None else val._divide(prev)
         prev = pivot
-        rank += 1
         row_at += 1
-    return rank
+    return row_at
 
 
 def cyclotomic_rank(rows: Sequence[Sequence[Optional[list[int]]]],

@@ -73,15 +73,10 @@ def graded_json(graded: GradedDescription) -> dict:
 # cyclotomic numbers, Laurent polynomials and free words
 # ---------------------------------------------------------------------------
 
-def cyclotomic(order: int, value) -> CyclotomicNumber:
-    """The rational value as an element of Q(zeta_order)."""
+def cyclotomic(order: int, value: int) -> CyclotomicNumber:
+    """The integer value as an element of Z[zeta_order]."""
     phi = len(cyclotomic_polynomial(order)) - 1
     return CyclotomicNumber(order, [value] + [0] * (phi - 1))
-
-
-def cyclotomic_coeffs(z: CyclotomicNumber) -> tuple[Fraction, ...]:
-    """The coefficients of z in the basis 1, zeta, ..., as Fractions."""
-    return tuple(Fraction(x, z.den) for x in z.num)
 
 
 def constant(num_vars: int, value) -> LaurentPoly:

@@ -187,16 +187,21 @@ def generator_character_poly(ab: Abelianization, j: int) -> LaurentPoly:
 
 def restricted_to_coset(rows, coset: TranslatedTorus
                         ) -> list[list[LaurentPoly]]:
-    """The matrix of Laurent polynomials restricted to the coset by
-    :func:`oracles.oracle_restrict_to_coset`, term by term: each
-    coefficient a ``Fraction`` when Q(zeta_m) = Q, and a CyclotomicNumber
-    of order m otherwise."""
+    """The matrix of Laurent polynomials with integral coefficients
+    restricted to the coset by :func:`oracles.oracle_restrict_to_coset`,
+    term by term: each coefficient an int when Z[zeta_m] = Z, and a
+    CyclotomicNumber of order m otherwise."""
     m, restricted = oracles.oracle_restrict_to_coset(
         [[f.terms for f in row] for row in rows], coset.direction.rows,
         fraction_values(coset.translate))
+
+    def coefficient(v):
+        assert all(x.denominator == 1 for x in v), "integral rows only"
+        v = [x.numerator for x in v]
+        return v[0] if len(v) == 1 else CyclotomicNumber(m, v)
     return [[LaurentPoly._make(coset.dim, {
-        e: v[0] if len(v) == 1 else CyclotomicNumber(m, v)
-        for e, v in terms.items()}) for terms in row] for row in restricted]
+        e: coefficient(v) for e, v in terms.items()}) for terms in row]
+        for row in restricted]
 
 
 def _random_subspace(rng, n, max_rows=None, entry=2):

@@ -343,17 +343,6 @@ def test_fox_derivative_matches_letterwise_oracle():
                                      torsion_invariants=()))
 
 
-def test_integer_entries_invert_exactly():
-    # Z + Z/3: a maps to 0, so d(a^3)/da is the integer constant 3
-    m = alexander_matrix(parse_presentation("<a, b | a^3>"))
-    entry = m.entries[0][0]
-    assert entry == builders.constant(1, 3)
-    inverse = entry ** -1
-    assert inverse.terms == {(0,): Fraction(1, 3)}
-    assert all(type(c) is Fraction for c in inverse.terms.values())
-    assert inverse * entry == builders.constant(1, 1)
-
-
 def test_one_relator_matrix_row():
     m = alexander_matrix(parse_presentation(datasets.ONE_RELATOR_PRES))
     assert [e.to_text() for e in m.entries[0]] == [
@@ -536,14 +525,28 @@ def test_rank_at_character_matches_the_fraction_oracle():
 
 def test_rank_at_character_takes_no_inverse(monkeypatch):
     def refuse(*args):
-        raise AssertionError("inverse taken on the rank path")
-    monkeypatch.setattr(laurent.CyclotomicNumber, "inverse", refuse)
+        raise AssertionError("a conjugate product taken on the rank path")
+    monkeypatch.setattr(laurent, "_conjugate_product", refuse)
     m = alexander_matrix(parse_presentation(datasets.SURFACE_PRES))
     assert rank_at_character(m, character(
         [F(k, 163) for k in (59, 3, 7, 11, 13, 17)])) == 5
     assert rank_at_character(m, character((F(1, 5), 0, F(1, 2), 0, 0, 0))) == 3
     assert rank_at_character(m, character(
         (F(1, 5), F(2, 5), F(1, 2), 0, F(1, 3), 0))) == 5
+
+
+def test_bareiss_takes_one_conjugate_product_per_divisor():
+    # every division in a Bareiss step is by the previous pivot's leading
+    # coefficient, so the conjugate products are few: on the surface group,
+    # the golden plane of order 3 and the circle of order 502 each take at
+    # most 3 (21 and 12 when every division took its own)
+    m = alexander_matrix(parse_presentation(datasets.SURFACE_PRES))
+    e = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+    for lam, rows in (((F(1, 3), F(2, 3), 0, 0, F(1, 3), 0), e[:2]),
+                      ((F(1, 251), 0, F(1, 2), 0, 0, 0), e[3:4])):
+        laurent._conjugate_product.cache_clear()
+        assert not contains_translated_torus(m, builders.torus(lam, rows, 6))
+        assert 1 <= laurent._conjugate_product.cache_info().misses <= 3
 
 
 #: Presentations for the rank properties: the worked examples, and groups
@@ -654,8 +657,7 @@ def test_generic_rank_leaving_out_a_column_is_the_full_bareiss_rank():
         torus = builders.torus(lam, rows, n)
         if torus.dim == 0:
             continue
-        # the reference restricts term by term and takes every column; its
-        # Fraction coefficients make Bareiss divide over the field
+        # the reference restricts term by term and takes every column
         full = bareiss_rank(restricted_to_coset(M.entries, torus))
         assert generic_rank_on_torus(M, torus) == full
         kept = _kept_columns(M, torus.translate, torus.direction.rows)
@@ -685,7 +687,7 @@ def test_restriction_through_the_term_table_matches_the_oracle():
                 oracle = restricted_to_coset(M.entries, torus)
                 assert M.term_table().on_coset(
                     torus, range(M.num_cols)) == oracle
-                # Bareiss on every column over Q(zeta_127), and on planes of
+                # Bareiss on every column over Z[zeta_127], and on planes of
                 # the surface group's 16 x 6 matrix, takes seconds
                 if order == 127 and n > 3 or n == 6 and dim == 2:
                     continue

@@ -309,8 +309,8 @@ def build_argvs() -> list[list[str]]:
     calls.append(["omega-describe", "--desc", half_circle, "--r", "2",
                   "--format", "text"])
     # a free group, whose Alexander matrix has no rows, on a translated
-    # circle; and the surface group on a circle of order 14, whose inverse
-    # doubles an orbit product
+    # circle; and the surface group on a circle of order 14, whose
+    # conjugate product doubles an orbit product
     calls.append(["charvar-check", "--pres", "<a, b | >", "--desc",
                   _desc(2, [(["1/2", "0"], [[0, 1]])])])
     calls.append(["charvar-check", "--pres", SURFACE_PRES, "--desc",
