@@ -50,8 +50,7 @@ from .omega import (fpk_report, nonopen_witness, omega1_r1_description,
                     omega_codim1_closed_form, omega_membership)
 from .qlinalg import (RationalSubspace, format_rational, format_rref,
                       parse_rational, schubert_equations, subset_order)
-from .tcone import (DEFAULT_SUPPORT_LIMIT, SUBSET_SUM_LIMIT,
-                    SubspaceArrangement, tangent_cone_description,
+from .tcone import (SubspaceArrangement, tangent_cone_description,
                     tangent_cone_polys)
 from .tori import (GradedDescription, TranslatedTorus, VarietyDescription,
                    subspace_from_json)
@@ -205,8 +204,7 @@ def _parse_polys(texts: Sequence[str]) -> list[LaurentPoly]:
 def _arrangement(args) -> SubspaceArrangement:
     """The tangent cone of the --poly texts, or else of the --desc variety."""
     if args.poly:
-        return tangent_cone_polys(_parse_polys(args.poly),
-                                  max_support=args.max_support)
+        return tangent_cone_polys(_parse_polys(args.poly))
     return tangent_cone_description(
         _description(_json_text(args.desc)))
 
@@ -418,16 +416,6 @@ def _cmd_fpk(args) -> tuple[dict, list[str]]:
 # parser
 # ---------------------------------------------------------------------------
 
-def _support_limit(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jumploci",
@@ -450,12 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", action="append", default=[],
                    help="Laurent polynomial text (repeatable)")
     p.add_argument("--desc", help="variety description (JSON file or inline)")
-    p.add_argument("--max-support", type=_support_limit,
-                   default=DEFAULT_SUPPORT_LIMIT,
-                   help="support-size guard for the tangent-cone enumeration, "
-                        "whose cost grows exponentially with the support "
-                        f"(default {DEFAULT_SUPPORT_LIMIT}; supports over "
-                        f"{SUBSET_SUM_LIMIT} terms are always rejected)")
     add_format(p)
     p.set_defaults(handler=_cmd_tcone)
 
@@ -481,8 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", action="append", default=[])
     p.add_argument("--desc")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--max-support", type=_support_limit,
-                   default=DEFAULT_SUPPORT_LIMIT)
     add_format(p)
     p.set_defaults(handler=_cmd_omega_describe)
 

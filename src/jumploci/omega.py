@@ -38,12 +38,12 @@ class OmegaVerdict:
     is positive-dimensional through 1) and "sigma_rho" when the finite-order
     translate is essential.
     """
-    member: bool
-    blockers: tuple[tuple[TranslatedTorus, str], ...] = ()
+    blockers: tuple[tuple[TranslatedTorus, str], ...]
 
-    def __post_init__(self):
-        if self.member != (not self.blockers):
-            raise ValueError("member flag inconsistent with blocker list")
+    @property
+    def member(self) -> bool:
+        """P is a member iff no component blocks it."""
+        return not self.blockers
 
     def to_json(self) -> dict:
         return {
@@ -74,7 +74,7 @@ def omega_membership(W: VarietyDescription, plane: RationalSubspace
         for comp in W.components
         if comp.direction.dim >= 1
         and sigma_rho_membership(plane, comp.direction, comp.translate))
-    return OmegaVerdict(member=not blockers, blockers=blockers)
+    return OmegaVerdict(blockers)
 
 
 # ---------------------------------------------------------------------------

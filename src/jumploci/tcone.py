@@ -22,7 +22,8 @@ coefficients.  A recursion anchored on the least unassigned exponent then
 covers the remaining support with minimal parts, memoized on the remaining
 support.  It carries the row space R(p) = span of in-part differences, so
 L(p) = R(p)^perp, and keeps only the inclusion-minimal R at each step.  This
-is sound because R(part) + R(rest) grows with R(rest).
+is sound because R(part) + R(rest) grows with R(rest).  Each minimal part
+joined to one R of the rest is a step, counted against ``CONE_BUDGET``.
 
 Everything runs on ints.  The subset sums are the coefficients over their
 common denominator, tabulated by doubling.  A minimal part is kept as its
@@ -54,10 +55,17 @@ from .qlinalg import (RationalSubspace, _echelon, _echelon_contains,
                       _uncovered, format_rref, rref_order)
 from .tori import VarietyDescription
 
-DEFAULT_SUPPORT_LIMIT = 16
 # The tangent cone tabulates all 2^k subset sums of a k-term support, about
 # 40 bytes each: 40 MB at this size, and gigabytes a few terms later.
 SUBSET_SUM_LIMIT = 20
+# The most steps one tangent_cone_polys call may take; a step costs at most
+# one subspace sum.  Single runs on Python 3.11.7, 2 shared vCPUs: the
+# product of (t_i - 1) over four variables takes 5,938 steps (0.11 s), and
+# with t1^5 - t1^6 added 19,569 (0.40 s); sixteen terms on random exponents in
+# [-2, 2]^n, twelve +1 and four -3, take 37,510-48,270 for n = 4-6
+# (0.8-2.4 s) and 392,606-397,710 for n = 7 (24-26 s), refused here after
+# 3-4 s.  A step costs more as n grows: 9 s to a refusal at n = 10.
+CONE_BUDGET = 60_000
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +145,7 @@ def _prune_subspaces(subs: Iterable[RationalSubspace]
 Echelon = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
 
 
-def _poly_cone(f: LaurentPoly) -> list[RationalSubspace]:
+def _poly_cone(f: LaurentPoly, spent: list[int]) -> list[RationalSubspace]:
     """The maximal L(p) of f, where f(1) = 0, from minimal zero-sum parts."""
     support = sorted(f.terms)
     n, k = f.num_vars, len(support)
@@ -145,7 +153,7 @@ def _poly_cone(f: LaurentPoly) -> list[RationalSubspace]:
         raise ValueError(
             f"support size {k} needs a table of 2^{k} subset sums (about "
             f"{(40 << k) >> 20} MB); tangent cones take at most "
-            f"{SUBSET_SUM_LIMIT} terms, whatever max_support is")
+            f"{SUBSET_SUM_LIMIT} terms")
     coeffs = [f.terms[e] for e in support]
     den = math.lcm(*(c.denominator for c in coeffs))
     # sums[mask]: the sum of the integer weights at the bits of mask
@@ -170,14 +178,19 @@ def _poly_cone(f: LaurentPoly) -> list[RationalSubspace]:
                 for i in range(least + 1, k) if mask >> i & 1]))
     memo: dict[int, list[Echelon]] = {0: [((), ())]}
     return [RationalSubspace(n, rows, pivots).perp()
-            for rows, pivots in _row_spaces((1 << k) - 1, n, parts, memo)]
+            for rows, pivots in _row_spaces((1 << k) - 1, n, parts, memo,
+                                            spent)]
 
 
 def _row_spaces(remaining: int, n: int,
                 parts: Sequence[Sequence[tuple[int, list[tuple[int, ...]]]]],
-                memo: dict[int, list[Echelon]]) -> list[Echelon]:
+                memo: dict[int, list[Echelon]], spent: list[int]
+                ) -> list[Echelon]:
     """Minimal R(p) over partitions of `remaining` into minimal parts, as
     primitive integer RREFs of subspaces of Q^n.
+
+    Each minimal part joined to each row space of the rest is a step, added
+    to ``spent[0]``; more than ``CONE_BUDGET`` steps is a ValueError.
 
     A module-level function rather than a closure: a recursive closure is
     a reference cycle, which would keep the memo alive after the call until
@@ -189,7 +202,14 @@ def _row_spaces(remaining: int, n: int,
     found = set()
     for mask, diffs in parts[anchor]:
         if mask & remaining == mask:
-            for rest in _row_spaces(remaining ^ mask, n, parts, memo):
+            rests = _row_spaces(remaining ^ mask, n, parts, memo, spent)
+            spent[0] += len(rests)
+            if spent[0] > CONE_BUDGET:
+                raise ValueError(
+                    f"tangent cone steps = {spent[0]} is above CONE_BUDGET = "
+                    f"{CONE_BUDGET}; a step joins a minimal zero-sum part of "
+                    f"the support to one partition of the rest")
+            for rest in rests:
                 found.add(rest if len(rest[0]) == n else _echelon(diffs, *rest))
     if len(found) < 2:
         memo[remaining] = out = list(found)
@@ -202,9 +222,7 @@ def _row_spaces(remaining: int, n: int,
     return out
 
 
-def tangent_cone_polys(polys: Sequence[LaurentPoly],
-                       max_support: int = DEFAULT_SUPPORT_LIMIT
-                       ) -> SubspaceArrangement:
+def tangent_cone_polys(polys: Sequence[LaurentPoly]) -> SubspaceArrangement:
     """Tangent cone at 1 of the common zero set of the polynomials.
 
     Per polynomial, the union of the maximal L(p) over admissible
@@ -212,13 +230,12 @@ def tangent_cone_polys(polys: Sequence[LaurentPoly],
     polynomials, pairwise intersections.  A polynomial with f(1) != 0
     forces the empty arrangement (1 is not on the variety).
 
-    Supports larger than ``max_support`` (default ``DEFAULT_SUPPORT_LIMIT``
-    = 16), or than ``SUBSET_SUM_LIMIT`` = 20 whatever ``max_support`` is,
-    are rejected, because the cost grows exponentially with the support
-    size k: 2^k subset sums, then up to one step per partition into
-    minimal parts.  At k = 16 the product of (t_i - 1) over four variables
-    takes about 0.2 s; random supports take about a second in four
-    variables and tens of seconds in seven.
+    The call is refused past ``CONE_BUDGET`` steps over all its polynomials
+    (a step joins a minimal zero-sum part to one row space of the rest),
+    and a support of more than ``SUBSET_SUM_LIMIT`` = 20 terms before its
+    2^k subset sums are tabulated.  The product of (t_i - 1) over four
+    variables takes 5,938 steps (0.1 s); random 16-term supports take about
+    45,000 in four to six variables and 395,000, refused, in seven.
 
     >>> cone = tangent_cone_polys([LaurentPoly.parse("t1 - 1", 2),
     ...                            LaurentPoly.parse("t2 - 1", 2)])
@@ -234,15 +251,11 @@ def tangent_cone_polys(polys: Sequence[LaurentPoly],
         if f.is_zero():
             raise ValueError("tangent cone of the zero polynomial is everything")
     result: Optional[SubspaceArrangement] = None
+    spent = [0]
     for f in polys:
-        if len(f.terms) > max_support:
-            raise ValueError(
-                f"support size {len(f.terms)} exceeds the enumeration limit "
-                f"{max_support}: the cost grows exponentially with the support "
-                f"size; pass a larger max_support to override")
         if f.coefficient_sum() != 0:
             return SubspaceArrangement.empty_arrangement(n)
-        cone = SubspaceArrangement(n, _poly_cone(f))
+        cone = SubspaceArrangement(n, _poly_cone(f, spent))
         result = cone if result is None else result.intersect(cone)
         if result.empty:
             return SubspaceArrangement.empty_arrangement(n)

@@ -54,6 +54,25 @@ TOY_CONE_TEXT = "t1 + t2 - 2"
 
 
 # ---------------------------------------------------------------------------
+# tangent cones of large supports, under the step budget
+# ---------------------------------------------------------------------------
+
+#: (t1 - 1)(t2 - 1)(t3 - 1)(t4 - 1) expanded: 16 terms, whose cone is the
+#: four coordinate hyperplanes.
+FOUR_BINOMIALS_TEXT = (
+    "t1*t2*t3*t4 - t1*t2*t3 - t1*t2*t4 - t1*t3*t4 - t2*t3*t4 + t1*t2 + t1*t3"
+    " + t1*t4 + t2*t3 + t2*t4 + t3*t4 - t1 - t2 - t3 - t4 + 1")
+
+#: An 18-term support of the golden transcript.
+EIGHTEEN_TERMS_TEXT = (
+    "- 1*t1^-2*t2^-2 + 1*t1^-2 + 1*t1^-2*t3^2 + 1*t1^-1*t2*t3^2"
+    " - 1*t1^-1*t2^2*t3^-2 - 1*t2^-2 + 1*t2^-1 + 1*t2 - 1*t2*t3"
+    " + 1*t2^2*t3 + 1*t1*t2^-2 - 1*t1*t2^-1*t3 - 1*t1*t3 + 1*t1*t2^2*t3^2"
+    " - 1*t1^2*t2^-1*t3^2 + 1*t1^2*t3^2 - 1*t1^2*t2*t3^2"
+    " - 1*t1^2*t2^2*t3^-2")
+
+
+# ---------------------------------------------------------------------------
 # a 3-generator group whose jump locus is closed under the membership bound:
 # W = {1} u rho.{subtorus t1 = const}, with the member set for planes a
 # single point of the Grassmannian

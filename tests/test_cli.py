@@ -13,7 +13,7 @@ import pytest
 
 import datasets
 from builders import description_json, graded_json
-from jumploci import cli
+from jumploci import cli, tcone
 from jumploci.cli import (MAX_CHARACTER_ORDER, MAX_TORUS_ORDER, build_parser,
                           main)
 from jumploci.fox import (MAX_ALEXANDER_ENTRIES, MAX_GENERATORS,
@@ -160,29 +160,19 @@ def test_each_poly_is_parsed_once_and_padded(capsys, monkeypatch):
     assert data["subspaces"] == [[["0", "1", "1/2"]]]
 
 
-def test_max_support_below_one_is_usage_error(capsys):
-    for argv in (["tcone", "--poly", "t1 - 1", "--max-support", "0"],
-                 ["omega-describe", "--r", "1", "--poly", "t1 - 1",
-                  "--max-support", "-3"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert "--max-support: must be at least 1" in capsys.readouterr().err
-
-
-def test_support_over_limit_is_domain_error(capsys):
-    code, data = run_json(capsys, "tcone", "--poly", "t1 + t2 + t1*t2 - 3",
-                          "--max-support", "3")
-    assert code == 1
-    assert data["error"]["type"] == "ValueError"
-    assert "support size 4 exceeds the enumeration limit 3" in \
-        data["error"]["message"]
+def test_cone_over_budget_is_domain_error(capsys, monkeypatch):
+    monkeypatch.setattr(tcone, "CONE_BUDGET", 100)
+    for argv in (["tcone"], ["omega-describe", "--r", "1"]):
+        code, data = run_json(capsys, *argv, "--poly",
+                              datasets.FOUR_BINOMIALS_TEXT)
+        assert code == 1
+        assert data["error"]["type"] == "ValueError"
+        assert "is above CONE_BUDGET = 100" in data["error"]["message"]
 
 
 def test_support_beyond_subset_sum_table_is_domain_error(capsys):
     poly = " + ".join(f"t1^{i}" for i in range(1, 22)) + " - 21"
-    code, data = run_json(capsys, "tcone", "--poly", poly,
-                          "--max-support", "34")
+    code, data = run_json(capsys, "tcone", "--poly", poly)
     assert code == 1
     assert data["error"]["type"] == "ValueError"
     assert "2^22 subset sums" in data["error"]["message"]
@@ -1034,7 +1024,7 @@ def test_option_table_reads_what_the_whole_parser_reads():
     @hypothesis.example(["omega-test", "--plane", PLANE, "--desc", POINT,
                          "--r", "01", "--r", "1"])
     @hypothesis.example(["tcone", "--poly", "- t1 + 1", "--poly", "t1 - 1",
-                         "--max-support", "4", "--format", "text"])
+                         "--format", "text"])
     @hypothesis.example(["schubert-eqs", "--space", "[[1]]", "--r", "-1"])
     @hypothesis.example(["tcone", "--poly", "-t1 + 1", "--des", POINT])
     def check(argv):

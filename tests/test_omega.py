@@ -45,11 +45,10 @@ def test_membership_refuses_the_zero_plane():
 
 def test_verdict_consistency_check():
     comp = datasets.closed_omega_component()
-    with pytest.raises(ValueError):
-        OmegaVerdict(member=True, blockers=((comp, "sigma_rho"),))
-    with pytest.raises(ValueError):
-        OmegaVerdict(member=False, blockers=())
-    v = OmegaVerdict(member=False, blockers=((comp, "sigma_rho"),))
+    assert OmegaVerdict(()).member is True
+    assert OmegaVerdict(()).to_json() == {"member": True, "blockers": []}
+    v = OmegaVerdict(((comp, "sigma_rho"),))
+    assert v.member is False
     data = v.to_json()
     assert data["member"] is False
     assert data["blockers"][0]["reason"] == "sigma_rho"

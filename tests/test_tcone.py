@@ -2,6 +2,7 @@
 
 import inspect
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,10 @@ import pytest
 import builders
 import datasets
 import oracles
+from jumploci import tcone
 from jumploci.laurent import LaurentPoly
 from jumploci.qlinalg import RationalSubspace, clear_denominators
 from jumploci.tcone import (
-    DEFAULT_SUPPORT_LIMIT,
     SUBSET_SUM_LIMIT,
     SubspaceArrangement,
     _poly_cone,
@@ -70,10 +71,7 @@ def test_partition_enumeration_guard_rails():
     big = builders.monomial((8,), -8, 1)
     for k in range(8):
         big = big + builders.monomial((k,), 1, 1)
-    with pytest.raises(ValueError, match="exceeds the enumeration limit"):
-        tangent_cone_polys([big], max_support=8)
-    assert tangent_cone_polys([big], max_support=9).subspaces == (
-        RationalSubspace.zero(1),)
+    assert tangent_cone_polys([big]).subspaces == (RationalSubspace.zero(1),)
 
 
 def test_partition_subspace_frozen():
@@ -192,7 +190,7 @@ def test_poly_cone_matches_the_partition_oracle_on_mixed_coefficients():
         if len(terms) < 2:
             continue
         f = LaurentPoly._make(n, terms)
-        cone = _poly_cone(f)
+        cone = _poly_cone(f, [0])
         assert len(set(cone)) == len(cone), f
         assert set(cone) == set(_oracle_cone(f).subspaces), f
         checked += 1
@@ -232,21 +230,39 @@ def test_two_polynomial_systems_match_oracle():
         assert tangent_cone_polys([g, f]) == expected
 
 
-def test_cone_of_product_at_support_limit_is_coordinate_hyperplanes():
-    f = LaurentPoly.parse("t1 - 1", 4)
-    for i in range(2, 5):
-        f = f * LaurentPoly.parse(f"t{i} - 1", 4)
-    assert len(f.terms) == DEFAULT_SUPPORT_LIMIT == 16
+def test_cone_of_four_binomial_product_is_coordinate_hyperplanes():
+    f = LaurentPoly.parse(datasets.FOUR_BINOMIALS_TEXT)
+    assert len(f.terms) == 16
     hyperplanes = {RationalSubspace.from_rows(
         [[int(j == i) for j in range(4)] for i in range(4) if i != skip], 4)
         for skip in range(4)}
     assert set(tangent_cone_polys([f]).subspaces) == hyperplanes
+    # g = (t1 - 1) h with h(1) = -1, so its cone is that of t1 - 1 alone
     g = f + builders.monomial((5, 0, 0, 0), 1, 4) \
         - builders.monomial((6, 0, 0, 0), 1, 4)
-    with pytest.raises(ValueError, match="enumeration limit 16.*exponentially"):
-        tangent_cone_polys([g])
-    with pytest.raises(ValueError, match="enumeration limit 16"):
-        tangent_cone_polys([LaurentPoly.parse("t1 - 1", 4), g])
+    assert len(g.terms) == 18
+    x1 = RationalSubspace.from_rows(
+        [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 4)
+    assert tangent_cone_polys([g]).subspaces == (x1,)
+    assert tangent_cone_polys([f, g]).subspaces == (x1,)
+    h = LaurentPoly.parse(datasets.EIGHTEEN_TERMS_TEXT)
+    assert len(h.terms) == 18
+    assert not tangent_cone_polys([h]).empty
+
+
+def test_cone_over_the_step_budget_is_refused(monkeypatch):
+    f = LaurentPoly.parse(datasets.FOUR_BINOMIALS_TEXT)
+    assert len(tangent_cone_polys([f, f]).subspaces) == 4
+    # the product takes 5938 steps; the budget is read at call time, and
+    # the steps of all the call's polynomials add up
+    monkeypatch.setattr(tcone, "CONE_BUDGET", 5938)
+    assert len(tangent_cone_polys([f]).subspaces) == 4
+    with pytest.raises(ValueError, match=r"^tangent cone steps = \d+ is above "
+                                         r"CONE_BUDGET = 5938;"):
+        tangent_cone_polys([f, f])
+    monkeypatch.setattr(tcone, "CONE_BUDGET", 5937)
+    with pytest.raises(ValueError, match="CONE_BUDGET = 5937"):
+        tangent_cone_polys([f])
 
 
 def test_support_beyond_subset_sum_table_is_rejected_before_allocating():
@@ -254,10 +270,16 @@ def test_support_beyond_subset_sum_table_is_rejected_before_allocating():
     f = LaurentPoly.parse(" + ".join(f"t1^{i}" for i in range(1, k))
                           + f" - {k - 1}")
     assert len(f.terms) == k
-    # 2^34 table slots would take more than 100 GB: the check must come first.
-    with pytest.raises(ValueError, match=rf"2\^{k} subset sums.*at most "
-                                         rf"{SUBSET_SUM_LIMIT} terms"):
-        tangent_cone_polys([f], max_support=34)
+    # the table would take 2^21 slots, about 80 MB: the check must come first
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"2\^{k} subset sums.*at most "
+                                             rf"{SUBSET_SUM_LIMIT} terms"):
+            tangent_cone_polys([f])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
