@@ -683,16 +683,21 @@ class CyclotomicNumber:
         """(q, r) with self = q other + r: q is (self c) // N taken
         coefficientwise, where c is the product of other's other Galois
         conjugates and N = other c its norm (see
-        :func:`_conjugate_product`).  r is zero exactly when other divides
-        self, and then q is the quotient.  Division by zero raises
-        ZeroDivisionError."""
+        :func:`_conjugate_product`).  For a rational integer other = a, c is
+        a^(phi - 1) and N = a^phi, so q is self // a coefficientwise, with
+        no product built.  r is zero exactly when other divides self, and
+        then q is the quotient.  Division by zero raises ZeroDivisionError."""
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         self._check(other)
         m = self.order
-        others, norm = _conjugate_product(m, other.num)
-        q = CyclotomicNumber._make(
-            m, [x // norm for x in _ring_mul(m, self.num, others)])
+        if any(other.num[1:]):
+            others, norm = _conjugate_product(m, other.num)
+            q = [x // norm for x in _ring_mul(m, self.num, others)]
+        else:
+            a = other.num[0]
+            q = [x // a for x in self.num]
+        q = CyclotomicNumber._make(m, q)
         return q, self - q * other
 
     def __eq__(self, other):

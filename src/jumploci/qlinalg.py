@@ -44,6 +44,7 @@ reading of rational JSON entries, whose errors name the entry.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import sys
@@ -91,28 +92,53 @@ def _echelon(new: Iterable[Sequence[int]],
     reduced to zero at the pivots present, and if anything is left it is
     made primitive with a positive leading entry, cleared from the other
     rows and inserted at its pivot.  Every row stays primitive, positive at
-    its pivot and zero at the other pivots.
+    its pivot and zero at the other pivots.  Once the rank reaches the row
+    length the span is everything, whose primitive RREF is the identity; it
+    is returned at once, and the rows of ``new`` not yet read are not read.
     """
+    gcd = math.gcd
     rows, pivots = list(rows), list(pivots)
     for v in new:
-        v, _ = _reduce(v, rows, pivots)
-        c = next((j for j, x in enumerate(v) if x), None)
-        if c is None:
+        for row, p in zip(rows, pivots):
+            f = v[p]
+            if f:
+                a = row[p]
+                g = gcd(a, f)
+                if g != 1:
+                    a, f = a // g, f // g
+                v = [a * x - f * y for x, y in zip(v, row)]
+        for c, a in enumerate(v):
+            if a:
+                break
+        else:
             continue
-        v = _primitive(v)
-        if v[c] < 0:
-            v = tuple(-x for x in v)
+        n = len(v)
+        if len(rows) + 1 == n:
+            return _identity(n)
+        g = gcd(*v)
+        if a < 0:
+            g = -g
+        v = tuple([x // g for x in v]) if g != 1 else tuple(v)
         a = v[c]
         for i, row in enumerate(rows):
             f = row[c]
             if f:
-                g = math.gcd(a, f)
-                rows[i] = _primitive([a // g * x - f // g * y
-                                      for x, y in zip(row, v)])
-        k = sum(p < c for p in pivots)
+                g = gcd(a, f)
+                s, t = a // g, f // g
+                w = [s * x - t * y for x, y in zip(row, v)]
+                g = gcd(*w)
+                rows[i] = tuple([x // g for x in w]) if g != 1 else tuple(w)
+        k = bisect.bisect(pivots, c)
         rows.insert(k, v)
         pivots.insert(k, c)
     return tuple(rows), tuple(pivots)
+
+
+def _identity(n: int
+              ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The primitive integer RREF of Q^n: the identity rows and pivots."""
+    return (tuple(tuple([0] * i + [1] + [0] * (n - 1 - i)) for i in range(n)),
+            tuple(range(n)))
 
 
 def _reduce(v: Sequence[int], rows: Sequence[tuple[int, ...]],

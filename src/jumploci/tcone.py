@@ -28,15 +28,23 @@ joined to one R of the rest is a step, counted against ``CONE_BUDGET``.
 Everything runs on ints.  The subset sums are the coefficients over their
 common denominator, tabulated by doubling.  A minimal part is kept as its
 bitmask and its in-part differences, which are integer vectors; no subspace
-is built per part.  The recursion carries each R as a raw primitive integer
-RREF ``(rows, pivots)`` from ``qlinalg._echelon``: R(part) + R(rest) is the
-part's differences echelonized into the rows of R(rest) (a rest that is
-already Q^n is the sum as it is), and the memo and the minimal-R prune hash
-and compare those tuples.  A :class:`jumploci.qlinalg.RationalSubspace` is
-built only for each R the recursion returns and for its complement L(p),
-and the final arrangement is ordered on integer rows
-(:func:`jumploci.qlinalg.rref_order`); the cone of a polynomial builds no
-``Fraction``.
+is built per part.  Every R lies in the span D of the k - 1 differences from
+the least exponent.  When k - 1 < n the recursion works on coordinates:
+each vector is replaced by its entries at the pivot columns of D's RREF, a
+linear bijection from D onto Q^(dim D) that keeps sums and inclusion, so
+its rows have at most k - 1 entries however many variables there are, and
+each R it returns is lifted back into Q^n.  It carries each R as a raw
+primitive integer RREF ``(rows, pivots)`` from ``qlinalg._echelon``:
+R(part) + R(rest) is the part's differences echelonized into the rows of
+R(rest).  A rest that is the whole working space is the sum as it is, and
+a rest of codimension one is settled by its normal vector, taken once per
+call: the sum is the whole space if some difference of the part leaves
+the rest's hyperplane, and the rest otherwise.  The memo and the minimal-R
+prune hash and compare those tuples.  A
+:class:`jumploci.qlinalg.RationalSubspace` is built only for each R the
+recursion returns and for its complement L(p), and the final arrangement is
+ordered on integer rows (:func:`jumploci.qlinalg.rref_order`); the cone of
+a polynomial builds no ``Fraction``.
 
 >>> f = LaurentPoly.parse("t1 + t2 - 2")
 >>> [s.rows for s in tangent_cone_polys([f]).subspaces]
@@ -52,19 +60,22 @@ from typing import Iterable, Optional, Sequence
 
 from .laurent import LaurentPoly
 from .qlinalg import (RationalSubspace, _echelon, _echelon_contains,
-                      _uncovered, format_rref, rref_order)
+                      _identity, _kernel, _uncovered, format_rref, rref_order)
 from .tori import VarietyDescription
 
 # The tangent cone tabulates all 2^k subset sums of a k-term support, about
 # 40 bytes each: 40 MB at this size, and gigabytes a few terms later.
 SUBSET_SUM_LIMIT = 20
 # The most steps one tangent_cone_polys call may take; a step costs at most
-# one subspace sum.  Single runs on Python 3.11.7, 2 shared vCPUs: the
-# product of (t_i - 1) over four variables takes 5,938 steps (0.11 s), and
-# with t1^5 - t1^6 added 19,569 (0.40 s); sixteen terms on random exponents in
+# one subspace sum, in the span of the support's differences when a k-term
+# support has k - 1 < n.  Single runs on Python 3.11.7, 2 shared vCPUs: the
+# product of (t_i - 1) over four variables takes 5,938 steps (0.08 s), and
+# with t1^5 - t1^6 added 19,569 (0.2 s); sixteen terms on random exponents in
 # [-2, 2]^n, twelve +1 and four -3, take 37,510-48,270 for n = 4-6
-# (0.8-2.4 s) and 392,606-397,710 for n = 7 (24-26 s), refused here after
-# 3-4 s.  A step costs more as n grows: 9 s to a refusal at n = 10.
+# (0.1-1.4 s) and 392,606-397,710 for n = 7 (1.8-2.1 s), refused here after
+# 0.7-1.1 s.  A step costs more as the working space grows, up to 15
+# dimensions for such a support: refused after 3-5 s at n = 10 and 9-13 s
+# at n = 50 and at n = 256.
 CONE_BUDGET = 60_000
 
 
@@ -161,6 +172,16 @@ def _poly_cone(f: LaurentPoly, spent: list[int]) -> list[RationalSubspace]:
     for c in coeffs:
         w = c.numerator * (den // c.denominator)
         sums += [s + w for s in sums]
+    # Every R lies in the span D of the differences, of dimension at most
+    # k - 1.  When that is less than n, the recursion runs on coordinates at
+    # the pivot columns of D's RREF: reading those coordinates is a linear
+    # bijection from D onto Q^dim D, so it keeps sums, inclusion and
+    # dimension, and each R it returns is lifted back into Q^n.
+    diffs = [tuple(map(operator.sub, e, support[0])) for e in support]
+    project = k - 1 < n
+    span, span_pivots = _echelon(diffs) if project else ((), tuple(range(n)))
+    if project:
+        diffs = [tuple([v[p] for p in span_pivots]) for v in diffs]
     # parts[i]: the minimal zero-sum subsets with least element i, as bitmasks
     # with their in-part differences.  A zero-sum mask is not minimal iff it
     # properly contains a minimal one with the same least element (split off
@@ -171,38 +192,57 @@ def _poly_cone(f: LaurentPoly, spent: list[int]) -> list[RationalSubspace]:
         if not mask:
             continue
         least = (mask & -mask).bit_length() - 1
-        if not any(m & mask == m for m, _ in parts[least]):
-            base = support[least]
+        for m, _ in parts[least]:
+            if m & mask == m:
+                break
+        else:
+            base = diffs[least]
             parts[least].append((mask, [
-                tuple(map(operator.sub, support[i], base))
+                tuple(map(operator.sub, diffs[i], base))
                 for i in range(least + 1, k) if mask >> i & 1]))
-    memo: dict[int, list[Echelon]] = {0: [((), ())]}
-    return [RationalSubspace(n, rows, pivots).perp()
-            for rows, pivots in _row_spaces((1 << k) - 1, n, parts, memo,
-                                            spent)]
+    found = _row_spaces((1 << k) - 1, parts, {0: [((), ())]}, {},
+                        _identity(len(span_pivots)), spent)
+    if project:
+        # a row w of R in coordinates is the vector sum_i w_i span_i / a_i of
+        # D, a_i the pivot entry of span_i; times the lcm of the a_i it is
+        # an integer vector
+        scale = math.lcm(*(row[p] for row, p in zip(span, span_pivots)))
+        lifts = [scale // row[p] for row, p in zip(span, span_pivots)]
+        found = [_echelon([
+            [sum(w_i * c * row[j] for w_i, c, row in zip(w, lifts, span) if w_i)
+             for j in range(n)] for w in rows]) for rows, _ in found]
+    return [RationalSubspace(n, rows, pivots).perp() for rows, pivots in found]
 
 
-def _row_spaces(remaining: int, n: int,
+def _row_spaces(remaining: int,
                 parts: Sequence[Sequence[tuple[int, list[tuple[int, ...]]]]],
-                memo: dict[int, list[Echelon]], spent: list[int]
-                ) -> list[Echelon]:
+                memo: dict[int, list[Echelon]],
+                normals: dict[Echelon, tuple[int, ...]], full: Echelon,
+                spent: list[int]) -> list[Echelon]:
     """Minimal R(p) over partitions of `remaining` into minimal parts, as
-    primitive integer RREFs of subspaces of Q^n.
+    primitive integer RREFs of subspaces of the working space Q^d, whose
+    RREF is ``full`` (the identity).
 
     Each minimal part joined to each row space of the rest is a step, added
-    to ``spent[0]``; more than ``CONE_BUDGET`` steps is a ValueError.
+    to ``spent[0]``; more than ``CONE_BUDGET`` steps is a ValueError.  A
+    step onto a rest of codimension one is settled by the rest's normal
+    vector, kept in ``normals`` for the call: the sum is the whole space if
+    some difference of the part is off the rest's hyperplane, and the rest
+    itself otherwise.  Callers read ``memo`` before calling.
 
     A module-level function rather than a closure: a recursive closure is
     a reference cycle, which would keep the memo alive after the call until
     the cyclic garbage collector ran.
     """
-    if remaining in memo:
-        return memo[remaining]
+    d = len(full[1])
     anchor = (remaining & -remaining).bit_length() - 1
     found = set()
     for mask, diffs in parts[anchor]:
         if mask & remaining == mask:
-            rests = _row_spaces(remaining ^ mask, n, parts, memo, spent)
+            rests = memo.get(remaining ^ mask)
+            if rests is None:
+                rests = _row_spaces(remaining ^ mask, parts, memo, normals,
+                                    full, spent)
             spent[0] += len(rests)
             if spent[0] > CONE_BUDGET:
                 raise ValueError(
@@ -210,7 +250,21 @@ def _row_spaces(remaining: int, n: int,
                     f"{CONE_BUDGET}; a step joins a minimal zero-sum part of "
                     f"the support to one partition of the rest")
             for rest in rests:
-                found.add(rest if len(rest[0]) == n else _echelon(diffs, *rest))
+                rank = len(rest[0])
+                if rank == d:
+                    found.add(rest)
+                elif rank == d - 1:
+                    normal = normals.get(rest)
+                    if normal is None:
+                        normals[rest] = normal = _kernel(*rest, d)[0]
+                    for v in diffs:
+                        if sum(map(operator.mul, v, normal)):
+                            found.add(full)
+                            break
+                    else:
+                        found.add(rest)
+                else:
+                    found.add(_echelon(diffs, *rest))
     if len(found) < 2:
         memo[remaining] = out = list(found)
         return out
@@ -234,8 +288,10 @@ def tangent_cone_polys(polys: Sequence[LaurentPoly]) -> SubspaceArrangement:
     (a step joins a minimal zero-sum part to one row space of the rest),
     and a support of more than ``SUBSET_SUM_LIMIT`` = 20 terms before its
     2^k subset sums are tabulated.  The product of (t_i - 1) over four
-    variables takes 5,938 steps (0.1 s); random 16-term supports take about
-    45,000 in four to six variables and 395,000, refused, in seven.
+    variables takes 5,938 steps (0.08 s); random 16-term supports take about
+    45,000 in four to six variables and 395,000, refused, in seven.  Steps
+    run on rows of at most k - 1 entries whatever n is, so such a support
+    is refused after 9-13 s in 50 or 256 variables.
 
     >>> cone = tangent_cone_polys([LaurentPoly.parse("t1 - 1", 2),
     ...                            LaurentPoly.parse("t2 - 1", 2)])

@@ -23,43 +23,20 @@ TAU = 2 * math.pi
 
 
 # ---------------------------------------------------------------------------
-# naive exact linear algebra (row operations only, no canonical forms)
+# naive exact linear algebra (row operations on Fractions)
 # ---------------------------------------------------------------------------
 
 def frac_rows(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def naive_rank(rows):
-    """Rank over Q by plain Gaussian elimination."""
-    m = [row[:] for row in frac_rows(rows)]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        piv = None
-        for i in range(rank, len(m)):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
-def naive_nullspace(rows, n):
-    """Basis (list of length-n Fraction rows) of {x : rows @ x = 0} over Q."""
-    m = [row[:] for row in frac_rows(rows)]
+def naive_rref(rows, n):
+    """Reduced row echelon form over Q by plain Gauss-Jordan elimination:
+    (nonzero rows, pivot columns), each row 1 at its pivot."""
+    m = frac_rows(rows)
     pivots = []
-    rank = 0
     for col in range(n):
+        rank = len(pivots)
         piv = None
         for i in range(rank, len(m)):
             if m[i][col] != 0:
@@ -75,7 +52,18 @@ def naive_nullspace(rows, n):
                 f = m[i][col]
                 m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
         pivots.append(col)
-        rank += 1
+    return [tuple(row) for row in m[:len(pivots)]], tuple(pivots)
+
+
+def naive_rank(rows):
+    """Rank over Q by plain Gaussian elimination."""
+    m = frac_rows(rows)
+    return len(naive_rref(m, len(m[0]) if m else 0)[1])
+
+
+def naive_nullspace(rows, n):
+    """Basis (list of length-n Fraction rows) of {x : rows @ x = 0} over Q."""
+    m, pivots = naive_rref(rows, n)
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:
@@ -271,7 +259,11 @@ def oracle_tangent_cone(terms, n):
     support = sorted(terms)
     if sum(terms.values()) != 0:
         return []
-    spans = []
+    # L(p) is the kernel of the in-part differences, so L(p) is maximal
+    # exactly when the span of those differences is minimal.  Each span is
+    # kept once, as its RREF (at most k - 1 rows); only the minimal ones
+    # become kernels.
+    spans = set()
     for part in set_partitions(support):
         if any(sum(terms[a] for a in block) != 0 for block in part):
             continue
@@ -280,17 +272,10 @@ def oracle_tangent_cone(terms, n):
             base = block[0]
             for other in block[1:]:
                 constraints.append([Fraction(x - y) for x, y in zip(other, base)])
-        basis = naive_nullspace(constraints, n)
-        spans.append(basis)
-    maximal = []
-    for cand in spans:
-        if any(span_contains(other, cand) and not spans_equal(other, cand)
-               for other in spans):
-            continue
-        if any(spans_equal(kept, cand) for kept in maximal):
-            continue
-        maximal.append(cand)
-    return maximal
+        spans.add(tuple(naive_rref(constraints, n)[0]))
+    return [naive_nullspace(cand, n) for cand in spans
+            if not any(other != cand and span_contains(cand, other)
+                       for other in spans)]
 
 
 # ---------------------------------------------------------------------------

@@ -335,6 +335,13 @@ def build_argvs() -> list[list[str]]:
     # one q value past MAX_WITNESS_STEPS
     calls.append(["witness", "--desc", CLOSED, "--component", "1", "--r", "2",
                   "--q", ",".join(["7"] * 17)])
+    # supports whose differences span fewer dimensions than there are
+    # variables, so the cone's recursion runs on coordinates of that span
+    wide = _poly_text(rng, 12, (2, 1, -1, -1, 1, -2))
+    calls.append(["tcone", "--poly", wide])
+    calls.append(["omega-describe", "--r", "1", "--poly", wide])
+    calls.append(["tcone", "--poly", _poly_text(rng, 9, patterns[1]),
+                  "--poly", _poly_text(rng, 9, patterns[2])])
     return calls
 
 

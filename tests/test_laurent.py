@@ -19,7 +19,7 @@ from jumploci.laurent import (
     TermTable,
     cyclotomic_polynomial,
 )
-from jumploci.laurent import _convolve
+from jumploci.laurent import _conjugate_product, _convolve, _ring_mul
 from jumploci.qlinalg import RationalSubspace
 from suites import (character, fraction_values, laurent_poly_from_json,
                     restricted_to_coset)
@@ -485,6 +485,24 @@ def test_inverses_on_random_elements():
             assert rest and q * b + rest == one
     with pytest.raises(ZeroDivisionError):
         divmod(CyclotomicNumber.zeta_power(5, 1), builders.cyclotomic(5, 0))
+
+
+def test_integer_divisor_matches_the_conjugate_product_path():
+    # divmod by a rational integer a divides coefficientwise; the general
+    # path multiplies by a^(phi - 1) and floor-divides by a^phi
+    rng = random.Random(36)
+    for m in [3, 5, 12, 254]:
+        phi = len(cyclotomic_polynomial(m)) - 1
+        for _ in range(12):
+            z = CyclotomicNumber(m, [rng.randint(-50, 50) for _ in range(phi)])
+            a = rng.choice([-1, 1]) * rng.randint(1, 7)
+            b = builders.cyclotomic(m, a)
+            others, norm = _conjugate_product(m, b.num)
+            expected = CyclotomicNumber(
+                m, [x // norm for x in _ring_mul(m, z.num, others)])
+            assert divmod(z, b) == (expected, z - expected * b)
+    with pytest.raises(ZeroDivisionError):
+        divmod(builders.cyclotomic(254, 3), builders.cyclotomic(254, 0))
 
 
 def test_integer_factors_scale_and_divide_back_out():

@@ -76,6 +76,39 @@ def test_rref_empty_and_zero():
     assert rref([(0, 0)]) == ((), ())
 
 
+def test_echelon_is_the_primitive_fraction_rref():
+    rng = random.Random(29)
+    full = 0
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        rows = [[rng.randint(-4, 4) for _ in range(n)]
+                for _ in range(rng.randint(0, n + 3))]
+        if rows and rng.random() < 0.3:
+            rows.append([3 * x - 2 * y for x, y in zip(rows[0], rows[-1])])
+        # rows added onto an RREF of the first few, as the tangent cone adds
+        # a part's differences to the row space of the rest
+        h = rng.randint(0, len(rows))
+        got, pivots = qlinalg._echelon(rows[h:], *qlinalg._echelon(rows[:h]))
+        expected, expected_pivots = oracles.naive_rref(rows, n)
+        assert pivots == expected_pivots
+        assert [tuple(F(x, row[p]) for x in row)
+                for row, p in zip(got, pivots)] == expected
+        assert all(math.gcd(*row) == 1 and row[p] > 0
+                   for row, p in zip(got, pivots))
+        if len(pivots) == n:
+            assert got == tuple(tuple(int(i == j) for j in range(n))
+                                for i in range(n))
+            full += 1
+    assert full >= 100
+    # once the rank is full the rest is not read
+    rows = iter([(2, 1, 0), (0, 3, 1), (1, 0, 5), (1, 2, 3)])
+    assert qlinalg._echelon(rows) == (((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                                      (0, 1, 2))
+    assert list(rows) == [(1, 2, 3)]
+    assert qlinalg._echelon([(0, 0, 0)], *qlinalg._echelon([(1, 2, 3)])) == (
+        ((1, 2, 3),), (0,))
+
+
 def test_subspace_equality_is_set_equality():
     a = RationalSubspace.from_rows([(2, 4), (1, 2)], 2)
     b = RationalSubspace.from_rows([(-3, -6)], 2)

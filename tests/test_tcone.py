@@ -197,6 +197,47 @@ def test_poly_cone_matches_the_partition_oracle_on_mixed_coefficients():
     assert checked >= 100
 
 
+def _wide_polys(seed):
+    """Zero-sum polynomials of 4-7 terms in 8-40 variables, so that the
+    k - 1 differences span fewer dimensions than there are variables."""
+    rng = random.Random(seed)
+    for _ in range(14):
+        n = rng.choice([8, 13, 21, 40])
+        f = _random_poly(rng, n, rng.randint(4, 7), (1, -1, 2, -2, 3),
+                         on_identity=True)
+        if len(f.terms) >= 4:
+            yield f
+
+
+def test_cone_of_a_wide_support_matches_the_oracle():
+    checked = 0
+    for f in _wide_polys(41):
+        assert len(f.terms) - 1 < f.num_vars
+        assert tangent_cone_polys([f]) == _oracle_cone(f), f
+        checked += 1
+    assert checked >= 10
+
+
+def test_recursion_on_a_wide_support_sees_only_span_coordinates(monkeypatch):
+    seen = []
+    recurse = tcone._row_spaces
+
+    def spy(remaining, parts, memo, normals, full, spent):
+        seen.extend(len(v) for part in parts for _, diffs in part
+                    for v in diffs)
+        seen.extend(map(len, full[0]))
+        out = recurse(remaining, parts, memo, normals, full, spent)
+        seen.extend(len(row) for rows, _ in out for row in rows)
+        return out
+
+    monkeypatch.setattr(tcone, "_row_spaces", spy)
+    for f in _wide_polys(43):
+        k, n = len(f.terms), f.num_vars
+        del seen[:]
+        tangent_cone_polys([f])
+        assert seen and max(seen) <= k - 1 < n
+
+
 def test_prune_subspaces_keeps_maximal_members_only():
     assert list(inspect.signature(_prune_subspaces).parameters) == ["subs"]
     a, b = line(1, 0, 0), line(0, 1, 0)
