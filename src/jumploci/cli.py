@@ -61,13 +61,16 @@ from .tori import (GradedDescription, TranslatedTorus, VarietyDescription,
 #: 0.1 s.
 MAX_CHARACTER_ORDER = 4096
 #: The highest translate order that charvar-check accepts on a component of
-#: dimension >= 1.  Bareiss elimination over the subtorus divides exactly in
-#: Z[zeta_m], with one product of Galois conjugates per distinct divisor, and
-#: that product grows fast with phi(m).  On the surface group the circle
-#: through (1/p, 0, 1/2, 0, 0, 0) along e4, of order 2p, ranks in 0.08 s at
-#: order 502 (p = 251), and, past this limit and so only through the
-#: library, in 0.19-0.29 s at order 1018, 1.1-1.4 s at order 2018 and
-#: 3.3-5.1 s at order 4006 (Python 3.11.7, 2 vCPUs, four runs each).
+#: dimension >= 1.  Most cosets are ranked at one integer point now (see
+#: ``fox.generic_rank_on_torus``): on the surface group the circle through
+#: (1/p, 0, 1/2, 0, 0, 0) along e4, of order 2p, is refuted in 0.8-1.0 ms at
+#: order 502 (p = 251) and, past this limit and so only through the library,
+#: in 1.3-1.5 ms at 1018, 2.2-2.4 ms at 2018 and 4.1-4.4 ms at 4006.  What
+#: still reaches Bareiss, a contained coset whose point is too large, costs
+#: more with phi(m): the coset through (0, 0, 3/p, 5/p, 7/p, 11/p) along
+#: (0, 0, 2, 0, 0, -1), (0, 0, 0, 1, 0, 2), (0, 0, 0, 0, 2, -3) takes
+#: 16-18 ms at p = 127, 52-55 ms at 509 and 98-101 ms at 1009 (Python
+#: 3.11.7, 2 shared vCPUs, library calls).
 MAX_TORUS_ORDER = 512
 #: The most --desc texts and the most --pres texts that one process keeps
 #: parsed, each kind least recently used first out.

@@ -24,11 +24,12 @@ the column with entries t^{a_j} - 1.  One test,
 :func:`contains_translated_torus`, decides it for every coset; a torsion
 point rho = exp(2 pi i lambda) is the coset with L = 0.  Ranks at torsion
 points evaluate the matrix into integer vectors of Z[zeta_m] and eliminate
-them without division; generic ranks along a coset of positive dimension
-restrict the entries to the coset first and then run fraction-free
-elimination.  Both read the entries off one term table, and both leave out
-one column that Fox's fundamental identity makes redundant (see
-:class:`AlexanderMatrix`).
+them without division; a generic rank along a coset of positive dimension
+is the same rank at one integer point of the coset, chosen by Cauchy's root
+bound (see :func:`generic_rank_on_torus`), with fraction-free Bareiss
+elimination kept for cosets whose point would be too large.  All read the
+entries off one term table, and all leave out one column that Fox's
+fundamental identity makes redundant (see :class:`AlexanderMatrix`).
 
 >>> P = parse_presentation("<x1,x2 | x1 x2^2 x1^-1 x2^-2>")
 >>> alexander_matrix(P).entries[0][0].to_text()
@@ -37,11 +38,13 @@ one column that Fox's fundamental identity makes redundant (see
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .laurent import LaurentPoly, TermTable, bareiss_rank, cyclotomic_rank
+from .laurent import (LaurentPoly, TermTable, bareiss_rank,
+                      cyclotomic_polynomial, cyclotomic_rank)
 from .qlinalg import number_too_long, snf
 from .tori import TorsionCharacter, TranslatedTorus
 
@@ -504,7 +507,8 @@ def alexander_matrix(P: Presentation,
 # exact ranks
 # ---------------------------------------------------------------------------
 
-def rank_at_character(M: AlexanderMatrix, chi: TorsionCharacter) -> int:
+def rank_at_character(M: AlexanderMatrix, chi: TorsionCharacter,
+                      columns: Optional[Sequence[int]] = None) -> int:
     """Exact rank of M(chi) over Q(zeta_m), m the order of chi.
 
     The matrix is evaluated from its :meth:`~AlexanderMatrix.term_table`:
@@ -514,12 +518,14 @@ def rank_at_character(M: AlexanderMatrix, chi: TorsionCharacter) -> int:
     division.  For a matrix built from a presentation, one column j with
     chi(x_j) != 1 is left out: Fox's fundamental identity puts it in the
     span of the others, so the rank is the same (see
-    :func:`_kept_columns`).
+    :func:`_kept_columns`; a caller that has them passes them as
+    ``columns``).
     """
     if chi.n != M.num_vars:
         raise ValueError("character length mismatch")
-    return cyclotomic_rank(
-        M.term_table().at_character(chi, _kept_columns(M, chi)), chi.order)
+    if columns is None:
+        columns = _kept_columns(M, chi)
+    return cyclotomic_rank(M.term_table().at_point(chi, columns), chi.order)
 
 
 def _d1_support(ab: Abelianization, chi: TorsionCharacter,
@@ -533,19 +539,22 @@ def _d1_support(ab: Abelianization, chi: TorsionCharacter,
     a_j pairs to an integer with chi (a . nums divisible by the order) and
     to zero with L.
     """
+    m, w = chi.order, chi.nums
     return [j for j, a in enumerate(ab.projection)
-            if sum(x * y for x, y in zip(a, chi.nums)) % chi.order
-            or any(sum(x * y for x, y in zip(a, row)) for row in rows)]
+            if sum(map(operator.mul, a, w)) % m
+            or any(sum(map(operator.mul, a, row)) for row in rows)]
 
 
 def _kept_columns(M: AlexanderMatrix, chi: TorsionCharacter,
-                  rows: Sequence[Sequence[int]] = ()) -> list[int]:
+                  rows: Sequence[Sequence[int]] = (),
+                  movable: Optional[Sequence[int]] = None) -> list[int]:
     """The columns that give M its generic rank on the coset chi times
     exp(L tensor C), L spanned by ``rows``.
 
     By Fox's fundamental identity sum_j M_ij (t^{a_j} - 1) = 0, a column j
     whose factor t^{a_j} - 1 is not identically zero on the coset (see
-    :func:`_d1_support`) is, at a generic point, the combination
+    :func:`_d1_support`; a caller that has its list passes it as
+    ``movable``) is, at a generic point, the combination
     -sum_{k != j} M_ik (t^{a_k} - 1) / (t^{a_j} - 1) of the others; at a
     point it is one wherever the factor is nonzero.  So leaving it out
     keeps every rank exact.  The column with the most terms among those is
@@ -555,30 +564,123 @@ def _kept_columns(M: AlexanderMatrix, chi: TorsionCharacter,
     """
     columns = list(range(M.num_cols))
     if M.abelianization is not None and M.entries:
-        movable = _d1_support(M.abelianization, chi, rows)
+        if movable is None:
+            movable = _d1_support(M.abelianization, chi, rows)
         if movable:
             weights = M.term_table().weights
             columns.remove(max(movable, key=weights.__getitem__))
     return columns
 
 
-def generic_rank_on_torus(M: AlexanderMatrix, torus: TranslatedTorus) -> int:
+#: The bits that :func:`generic_rank_on_torus` lets one evaluation at the
+#: point u_j = N^(W_j) write.  The predicted size of that point is
+#: phi(m) log2(B) times the largest power of N in a shifted entry: the bits
+#: of its largest integer, and an entry has phi(m) of them.  A point whose
+#: entries fit in the budget is taken at once; otherwise the small point
+#: (2, 3, 5, ...) comes first, and a coset it does not refute is taken at
+#: the point while its largest integer fits, by Bareiss past that.  Set by
+#: measurement (Python 3.11.7, 2 shared vCPUs; tables in CHANGES.md):
+#: cosets of full rank mostly cost more at the point than under Bareiss
+#: once an entry passes about 100,000 bits (18 of 26 surface cosets drawn,
+#: the worst past 30 s against 0.5-0.8 s), while the contained sub-cosets
+#: of the surface group's components stay cheaper there up to largest
+#: integers of about 110,000 bits (m = 509) and lose from about 700,000
+#: (m = 127, d = 3).
+POINT_BUDGET = 65_536
+
+
+def generic_rank_on_torus(M: AlexanderMatrix, torus: TranslatedTorus,
+                          columns: Optional[Sequence[int]] = None) -> int:
     """Rank of M at a generic point of the coset rho exp(L otimes C).
 
-    The term table restricts the entries to the coset (see
-    :meth:`jumploci.laurent.TermTable.on_coset`: int coefficients when rho
-    has order at most 2, cyclotomic ones otherwise), and they are
-    eliminated fraction-free, less the column that Fox's identity makes
-    redundant (see :func:`_kept_columns`).
-    A coset of dimension 0 is the point rho, where restricting is
-    evaluating, so its rank is :func:`rank_at_character` at rho.
+    The rows B of L's basis parametrize the coset by t = rho u^B, and the
+    entries, less the column that Fox's identity makes redundant (see
+    :func:`_kept_columns`), become Laurent polynomials in u with
+    coefficients in Z[zeta_m], m the order of rho.  Their generic rank is
+    the rank at the integer point u_j = N^(W_j), found by one evaluation
+    (:meth:`jumploci.laurent.TermTable.at_point`) and one division-free
+    elimination (:func:`jumploci.laurent.cyclotomic_rank`):
+
+    * s = min(nonzero rows, kept columns) bounds the size of a minor, B
+      is the product of the s largest row norms sum |c|, and D_j the sum
+      of the s largest row spans in u_j (each row shifted by its least
+      power of u, a unit, which keeps every rank);
+    * N = B^phi(m) + 2, W_1 = 1 and W_(j+1) = W_j (1 + D_j).
+
+    Why it is exact.  Every exponent vector e of a nonzero minor of the
+    shifted matrix has 0 <= e_j <= D_j, so e -> sum_j W_j e_j is injective
+    on its support and the minor becomes a nonzero polynomial g(x) at
+    u_j = x^(W_j), whose coefficients are the minor's.  Every Galois
+    conjugate of a coefficient is at most B in absolute value (expand the
+    determinant: at most the product of the norms of its rows), and the
+    leading coefficient c has a norm that is a nonzero integer, so
+    |sigma(c)| >= B^(1 - phi(m)).  By Cauchy's bound every root z of
+    sigma(g) has |z| <= 1 + B^phi(m) < N, so g(N) != 0: the minors that
+    are nonzero stay nonzero at the point, and the rank there is the
+    generic rank.
+
+    That point's integers grow with phi(m), B and the spans, and at every
+    pivot step of a matrix of full rank.  So when its entries would pass
+    ``POINT_BUDGET`` bits, the rank at the small point (2, 3, 5, ...) is
+    taken first.  A rank at any point is at most the generic rank, so one
+    that reaches s is the generic rank, and a coset that is not contained
+    in the locus has full rank and is refuted there.  A coset that survives
+    is ranked at the point above while its largest integer fits in
+    ``POINT_BUDGET`` bits; otherwise the entries are restricted to the coset
+    (:meth:`jumploci.laurent.TermTable.on_coset`) and eliminated by
+    fraction-free Bareiss (:func:`jumploci.laurent.bareiss_rank`).  A coset
+    of dimension 0 is the point rho, where restricting is evaluating.
+    ``columns`` are the kept columns when the caller has them.
     """
     if torus.ambient_dim != M.num_vars:
         raise ValueError("torus ambient dimension mismatch")
-    if torus.dim == 0:
-        return rank_at_character(M, torus.translate)
-    columns = _kept_columns(M, torus.translate, torus.direction.rows)
-    return bareiss_rank(M.term_table().on_coset(torus, columns))
+    chi, basis = torus.translate, torus.direction.rows
+    if columns is None:
+        columns = _kept_columns(M, chi, basis)
+    table, m = M.term_table(), chi.order
+    if not basis:
+        return rank_at_character(M, chi, columns)
+    bounds = table.coset_bounds(chi, columns, basis)
+    s = min(len(bounds), len(columns))
+    if not s:
+        return 0
+    phi = len(cyclotomic_polynomial(m)) - 1
+    base, weights, size = _cauchy_point(bounds, phi, s)
+    if phi * size > POINT_BUDGET:
+        small = cyclotomic_rank(
+            table.at_point(chi, columns, basis, _primes(len(basis))), m)
+        if small == s:
+            return small
+        if size > POINT_BUDGET:
+            return bareiss_rank(table.on_coset(torus, columns))
+    point = [base ** w for w in weights]
+    return cyclotomic_rank(table.at_point(chi, columns, basis, point), m)
+
+
+def _cauchy_point(bounds: Sequence[tuple[int, Sequence[int]]], phi: int,
+                  s: int) -> tuple[int, list[int], int]:
+    """(N, W, size) for the point u_j = N^(W_j) of
+    :func:`generic_rank_on_torus`, from the rows' norms and spans
+    (:meth:`jumploci.laurent.TermTable.coset_bounds`): size is
+    phi log2(B) times the largest power of N in a shifted entry."""
+    bound = math.prod(sorted(norm for norm, _ in bounds)[-s:])
+    weights = [1]
+    for column in list(zip(*(spans for _, spans in bounds)))[:-1]:
+        weights.append(weights[-1] * (1 + sum(sorted(column)[-s:])))
+    largest = max(sum(map(operator.mul, weights, spans))
+                  for _, spans in bounds)
+    return bound ** phi + 2, weights, phi * bound.bit_length() * largest
+
+
+def _primes(d: int) -> list[int]:
+    """The first d primes, by trial division."""
+    primes: list[int] = []
+    k = 2
+    while len(primes) < d:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
 
 
 def contains_translated_torus(M: AlexanderMatrix, torus: TranslatedTorus) -> bool:
@@ -588,7 +690,8 @@ def contains_translated_torus(M: AlexanderMatrix, torus: TranslatedTorus) -> boo
 
     True iff generic rank d2 + generic rank d1 along the coset is at most
     q - 1, rank d1 being 1 where some entry t^{a_j} - 1 is not identically
-    zero on the coset (see :func:`_d1_support`); at the trivial character
+    zero on the coset (see :func:`_d1_support`, taken once and shared with
+    the column choice of :func:`_kept_columns`); at the trivial character
     this reduces to b_1(G) >= 1.  A matrix without the presentation's
     abelianization has no d1: a ValueError.  Rank is lower-semicontinuous
     ({rank <= k} is closed), so the generic verdict certifies every point
@@ -597,7 +700,8 @@ def contains_translated_torus(M: AlexanderMatrix, torus: TranslatedTorus) -> boo
     if M.abelianization is None:
         raise ValueError("the degree-one test needs the presentation's "
                          "abelianization")
-    rank1 = 1 if _d1_support(M.abelianization, torus.translate,
-                             torus.direction.rows) else 0
-    rank2 = generic_rank_on_torus(M, torus)
-    return rank2 + rank1 <= M.num_cols - 1
+    chi, rows = torus.translate, torus.direction.rows
+    movable = _d1_support(M.abelianization, chi, rows)
+    rank2 = generic_rank_on_torus(M, torus,
+                                  _kept_columns(M, chi, rows, movable))
+    return rank2 + (1 if movable else 0) <= M.num_cols - 1

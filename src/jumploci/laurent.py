@@ -39,9 +39,14 @@ of rho, and an entry restricts to zero iff it vanishes on all of rho.T.
 The coefficients are ints for m <= 2, where Z[zeta_m] = Z, and
 CyclotomicNumbers otherwise; :func:`bareiss_rank` divides exactly in that
 ring, with one conjugate product per distinct divisor.
+:meth:`TermTable.at_point` evaluates the same restriction at an integer
+point u of the coset, each row shifted by its least power of u, into the
+integer vectors that :func:`cyclotomic_rank` eliminates; at the point
+chosen by :func:`jumploci.fox.generic_rank_on_torus` that rank is the
+generic one.
 
 >>> f = LaurentPoly.parse("t1 + t2 - 2")
->>> TermTable([[f]]).at_character(TorsionCharacter((1, 1), 2), [0])
+>>> TermTable([[f]]).at_point(TorsionCharacter((1, 1), 2), [0])
 [[[-4]]]
 >>> f.coefficient_sum()
 Fraction(0, 1)
@@ -546,6 +551,13 @@ def _convolve(pairs: Sequence[tuple[Sequence[int], Sequence[int]]]
     width = bound.bit_length() // 8 + 1
     half = 1 << (8 * width - 1)
     total = sum(_pack(a, width, half) * _pack(b, width, half) for a, b in live)
+    return _unpack(total, width, half, count)
+
+
+def _unpack(total: int, width: int, half: int, count: int) -> list[int]:
+    """The count signed digits of ``width`` bytes that :func:`_pack` and
+    products of packed ints leave in total, each of absolute value below
+    half."""
     data = (total + _offset(width, count)).to_bytes(width * count, "little")
     return [int.from_bytes(data[i:i + width], "little") - half
             for i in range(0, width * count, width)]
@@ -725,8 +737,9 @@ class TermTable:
     ``exponents``, coefficient) pairs, with row i scaled by the lcm of its
     coefficients' denominators (1 for an Alexander matrix), so that every
     coefficient is an int.  Scaling a row by a nonzero rational keeps the
-    rank.  Equal cells are one object, and a character
-    (:meth:`at_character`) or a coset (:meth:`on_coset`) takes each once.
+    rank.  Equal cells are one object, and a character or an integer
+    point of a coset (:meth:`at_point`) or a coset (:meth:`on_coset`)
+    takes each once.
     ``weights[j]`` is the number of terms in column j.
 
     >>> table = TermTable([[LaurentPoly.parse("t1 - 1", 2),
@@ -735,7 +748,7 @@ class TermTable:
     ([(1, 0), (0, 0), (1, 1)], [[((0, 2), (1, -2)), ((2, 1), (1, -1))]])
     """
 
-    __slots__ = ("num_vars", "exponents", "cells", "weights")
+    __slots__ = ("num_vars", "exponents", "cells", "weights", "_coset")
 
     def __init__(self, rows: Sequence[Sequence[LaurentPoly]]):
         index: dict = {}
@@ -751,35 +764,85 @@ class TermTable:
         self.num_vars = rows[0][0].num_vars if rows and rows[0] else 0
         self.exponents = list(index)
         self.weights = [sum(map(len, column)) for column in zip(*self.cells)]
+        self._coset = None
 
-    def at_character(self, chi: TorsionCharacter, columns: Sequence[int]
-                     ) -> list[list[Optional[list[int]]]]:
-        """The entries in ``columns`` of every row at chi, of order m, as
-        integer vectors of Z[zeta_m] in the basis 1, zeta, ...,
-        zeta^(phi(m)-1), and None for a zero entry: the input of
-        :func:`cyclotomic_rank`.  Each row is the scaled one of the table.
+    def at_point(self, chi: TorsionCharacter, columns: Sequence[int],
+                 basis: Sequence[Sequence[int]] = (),
+                 point: Sequence[int] = ()
+                 ) -> list[list[Optional[list[int]]]]:
+        """The entries in ``columns`` of every (scaled) row at the point u
+        of the coset chi.exp(L tensor C), as integer vectors of Z[zeta_m] in
+        the basis 1, zeta, ..., zeta^(phi(m)-1), m the order of chi, and
+        None for a zero entry: the input of :func:`cyclotomic_rank`.  L is
+        stored by the d integer rows ``basis`` and u in Z^d has no zero
+        coordinate; with no rows this is the value at the character chi.
 
-        The monomial t^a takes the value zeta_m^(a . w), w the numerators of
-        chi, so one dot product per distinct exponent vector gives every
-        power; each entry sums its coefficients into an m-long vector at
-        those powers and reduces it mod Phi_m once.
+        t_i becomes chi_i prod_j u_j^B[j][i], so the monomial t^a takes the
+        value zeta_m^(a . w) u^(B a), w the numerators of chi.  Each entry
+        is restricted first (see :meth:`_restricted`), so a monomial that
+        cancels on the coset is never evaluated.  Row i is then multiplied
+        by the unit u^(-lo_i), lo_i the least exponent of each u_j among
+        its restricted terms, so every power of u is a polynomial one and
+        every rank is kept.
         """
         if chi.n != self.num_vars and self.exponents:
             raise ValueError("character length mismatch")
-        m, w = chi.order, chi.nums
-        powers = [sum(map(operator.mul, e, w)) % m for e in self.exponents]
-        values: dict = {(): None}             # cell -> its vector; () is 0
-        rows = []
-        for row in self.cells:
-            for cell in map(row.__getitem__, columns):
-                if cell not in values:
-                    acc = [0] * m
-                    for i, c in cell:
-                        acc[powers[i]] += c
-                    v = _reduce(m, acc)
-                    values[cell] = v if any(v) else None
-            rows.append([values[row[j]] for j in columns])
+        m, rows = chi.order, []
+        if not basis:
+            powers = [sum(map(operator.mul, e, chi.nums)) % m
+                      for e in self.exponents]
+            values: dict = {(): None}         # cell -> its vector; () is 0
+            for row in self.cells:
+                for cell in map(row.__getitem__, columns):
+                    if cell not in values:
+                        acc = [0] * m
+                        for i, c in cell:
+                            acc[powers[i]] += c
+                        v = _reduce(m, acc)
+                        values[cell] = v if any(v) else None
+                rows.append([values[row[j]] for j in columns])
+            return rows
+        values = {}                           # (cell, lo_i) -> its value
+        monomials: dict = {}                  # shifted exponent -> u^e
+        for row, lo, _ in self._restricted(chi, basis, columns):
+            out = []
+            for terms in row:
+                key = (id(terms), lo)         # the rows keep each terms alive
+                if key not in values:
+                    value = None
+                    for e, v in terms.items():
+                        k = tuple(map(operator.sub, e, lo))
+                        if k not in monomials:
+                            monomials[k] = math.prod(map(pow, point, k))
+                        x = monomials[k]
+                        value = ([a + b * x for a, b in zip(value, v)]
+                                 if value else [b * x for b in v])
+                    values[key] = value if value and any(value) else None
+                out.append(values[key])
+            rows.append(out)
         return rows
+
+    def coset_bounds(self, chi: TorsionCharacter, columns: Sequence[int],
+                     basis: Sequence[Sequence[int]]
+                     ) -> list[tuple[int, tuple[int, ...]]]:
+        """For each row with a nonzero entry in ``columns`` restricted to
+        the coset of :meth:`at_point`: the sum of |c| over the integer
+        coefficients c of those entries, and for each u_j the span
+        max - min of its exponent over their terms.  Once the row is
+        shifted by its least exponent, the span bounds the degree in u_j of
+        its entries, and the sum bounds every Galois conjugate of every
+        coefficient of them."""
+        norms: dict = {}                      # id(terms) -> its sum of |c|
+        bounds = []
+        for row, lo, hi in self._restricted(chi, basis, columns):
+            if lo is not None:
+                for terms in row:
+                    if id(terms) not in norms:
+                        norms[id(terms)] = sum(abs(x) for v in terms.values()
+                                               for x in v)
+                bounds.append((sum(norms[id(terms)] for terms in row),
+                               tuple(map(operator.sub, hi, lo))))
+        return bounds
 
     def on_coset(self, torus: TranslatedTorus, columns: Sequence[int]
                  ) -> list[list[LaurentPoly]]:
@@ -789,37 +852,75 @@ class TermTable:
         basis of L maps u -> rho u^B onto the coset, so an entry is zero iff
         it vanishes there, and the matrix keeps its generic rank there.
 
-        Each distinct exponent a maps once to (B a, a . w mod m), w the
-        numerators of rho over its order m; each distinct cell sums into
-        one m-long vector per restricted exponent, reduced once mod Phi_m.
-        The coefficient is that vector's one int when phi(m) = 1 (m <= 2,
-        zeta_2 = -1 folded), and a CyclotomicNumber otherwise.
+        The coefficient of each restricted exponent (see
+        :meth:`_restricted`) is its vector's one int when phi(m) = 1
+        (m <= 2, zeta_2 = -1 folded), and a CyclotomicNumber otherwise.
         """
         if torus.ambient_dim != self.num_vars and self.exponents:
             raise ValueError("variable count does not match the ambient torus")
         basis = torus.direction.rows
-        m, w = torus.translate.order, torus.translate.nums
-        images = [(tuple(sum(map(operator.mul, b, a)) for b in basis),
-                   sum(map(operator.mul, a, w)) % m) for a in self.exponents]
-        values: dict = {}                     # cell -> its restriction
+        m = torus.translate.order
+        values: dict = {}                     # id(terms) -> its restriction
+        rows = []
+        for row, _, _ in self._restricted(torus.translate, basis, columns):
+            out = []
+            for terms in row:
+                if id(terms) not in values:
+                    values[id(terms)] = LaurentPoly._make(len(basis), {
+                        e: v[0] if len(v) == 1 else CyclotomicNumber._make(m, v)
+                        for e, v in terms.items()})
+                out.append(values[id(terms)])
+            rows.append(out)
+        return rows
+
+    def _restricted(self, chi: TorsionCharacter,
+                    basis: Sequence[Sequence[int]], columns: Sequence[int]
+                    ) -> list[tuple[list[dict], Optional[Expo],
+                                    Optional[Expo]]]:
+        """The entries in ``columns`` of every row restricted to the coset
+        chi.exp(L tensor C), L stored by ``basis``, with the least and the
+        greatest exponent of each u_j among the row's terms (None for a row
+        without terms).  Each entry is the dict of its restricted exponents
+        B a with their nonzero coefficients, one dict object per distinct
+        cell.
+
+        Each distinct exponent a maps once to (B a, a . w mod m), w the
+        numerators of chi over its order m; a cell sums its coefficients
+        into one m-long vector per restricted exponent, reduced once mod
+        Phi_m.  The rows of the last coset asked are kept, so that bounding
+        (:meth:`coset_bounds`), evaluating (:meth:`at_point`) and Bareiss's
+        restriction (:meth:`on_coset`) of one coset restrict it once.
+        """
+        key = (chi.order, chi.nums, tuple(map(tuple, basis)), tuple(columns))
+        if self._coset is not None and self._coset[0] == key:
+            return self._coset[1]
+        m, exponents = chi.order, self.exponents
+        images = (list(zip(*[[sum(map(operator.mul, b, a)) for a in exponents]
+                             for b in basis])) if basis
+                  else [()] * len(exponents))
+        powers = [sum(map(operator.mul, a, chi.nums)) % m for a in exponents]
+        done: dict = {}                       # cell -> its restriction
         rows = []
         for row in self.cells:
             for cell in map(row.__getitem__, columns):
-                if cell not in values:
+                if cell not in done:
                     sums: dict = {}
                     for i, c in cell:
-                        e, power = images[i]
+                        e = images[i]
                         if e not in sums:
                             sums[e] = [0] * m
-                        sums[e][power] += c
-                    terms = {}
+                        sums[e][powers[i]] += c
+                    terms = done[cell] = {}
                     for e, acc in sums.items():
                         v = _reduce(m, acc)
                         if any(v):
-                            terms[e] = (v[0] if len(v) == 1
-                                        else CyclotomicNumber._make(m, v))
-                    values[cell] = LaurentPoly._make(len(basis), terms)
-            rows.append([values[row[j]] for j in columns])
+                            terms[e] = v
+            entries = [done[row[j]] for j in columns]
+            exps = [e for terms in entries for e in terms]
+            rows.append((entries, tuple(map(min, zip(*exps))),
+                         tuple(map(max, zip(*exps)))) if exps
+                        else (entries, None, None))
+        self._coset = (key, rows)
         return rows
 
 
@@ -882,11 +983,15 @@ def cyclotomic_rank(rows: Sequence[Sequence[Optional[list[int]]]],
                     order: int) -> int:
     """Rank over Q(zeta_m), m = ``order``, of a matrix whose entries are
     integer vectors of Z[zeta_m] in the basis 1, zeta, ..., zeta^(phi(m)-1),
-    and None for zero, as :meth:`TermTable.at_character` gives them.
+    and None for zero, as :meth:`TermTable.at_point` gives them.
 
     Elimination takes no division and no inverse: a pivot p clears an entry
     a below it by row_i <- p * row_i - a * row_p, which keeps the rank since
-    p != 0, and the integer content of the new row is divided out.
+    p != 0, and the integer content of the new row is divided out.  Products
+    are Kronecker substitutions (see :func:`_convolve`) with the width each
+    entry needs; p and each entry of the pivot row are packed once per
+    pivot step and width, and a once per row and width.  When phi(m) = 1
+    the vectors are single ints and are multiplied as they are.
     """
     work = [list(row) for row in rows]
     if not work:
@@ -904,23 +1009,62 @@ def cyclotomic_rank(rows: Sequence[Sequence[Optional[list[int]]]],
         work[rank], work[piv] = work[piv], work[rank]
         prow = work[rank]
         p = prow[col]
-        for i in range(rank + 1, len(work)):
-            row = work[i]
-            a = row[col]
-            if a is None:
-                continue
-            row[col] = None
-            neg_a = [-x for x in a]
-            for c in range(col + 1, ncols):
-                pairs = [(p, row[c])] if row[c] else []
-                if prow[c]:
-                    pairs.append((neg_a, prow[c]))
-                if pairs:
-                    v = _reduce(order, _convolve(pairs))
+        lower = [i for i in range(rank + 1, len(work)) if work[i][col]]
+        if len(p) == 1:
+            (x,) = p
+            for i in lower:
+                row = work[i]
+                (a,) = row[col]
+                row[col] = None
+                for c in range(col + 1, ncols):
+                    v = x * row[c][0] if row[c] else 0
+                    if prow[c]:
+                        v -= a * prow[c][0]
+                    row[c] = [v] if v else None
+        elif lower:
+            phi = len(p)
+            packed: dict = {}     # (column, width) -> prow[column] packed
+            tops: dict = {}       # column -> phi max |prow[column]|
+            for i in lower:
+                row = work[i]
+                a, row[col] = row[col], None
+                ha = 0                        # max |a|, taken when needed
+                packed_a: dict = {}           # width -> a packed
+                for c in range(col + 1, ncols):
+                    r, q = row[c], prow[c]
+                    if not (r or q):
+                        continue
+                    # the largest coefficient that p r - a q can have
+                    bound = 0
+                    if r:
+                        if col not in tops:
+                            tops[col] = phi * max(map(abs, p))
+                        bound = tops[col] * max(map(abs, r))
+                    if q:
+                        if c not in tops:
+                            tops[c] = phi * max(map(abs, q))
+                        ha = ha or max(map(abs, a))
+                        bound += ha * tops[c]
+                    width = bound.bit_length() // 8 + 1
+                    half = 1 << (8 * width - 1)
+                    total = 0
+                    if r:
+                        if (col, width) not in packed:
+                            packed[col, width] = _pack(p, width, half)
+                        total = packed[col, width] * _pack(r, width, half)
+                    if q:
+                        if (c, width) not in packed:
+                            packed[c, width] = _pack(q, width, half)
+                        if width not in packed_a:
+                            packed_a[width] = _pack(a, width, half)
+                        total -= packed_a[width] * packed[c, width]
+                    v = _reduce(order, _unpack(total, width, half,
+                                               2 * phi - 1))
                     row[c] = v if any(v) else None
-            g = math.gcd(*(x for v in row if v for x in v))
+        for i in lower:
+            g = math.gcd(*(x for v in work[i] if v for x in v))
             if g > 1:
-                work[i] = [[x // g for x in v] if v else None for v in row]
+                work[i] = [[x // g for x in v] if v else None for v in work[i]]
         rank += 1
         if rank == len(work):
             break

@@ -1,5 +1,6 @@
 """Presentations, Fox derivatives, Alexander matrices, exact ranks."""
 
+import cmath
 import math
 import random
 import sys
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import builders
 import datasets
 import oracles
-from jumploci import laurent
+from jumploci import fox, laurent
 from jumploci.fox import (
     MAX_ALEXANDER_ENTRIES,
     MAX_GENERATORS,
@@ -31,7 +32,7 @@ from jumploci.fox import (
     parse_presentation,
     rank_at_character,
 )
-from jumploci.laurent import LaurentPoly, bareiss_rank
+from jumploci.laurent import LaurentPoly, bareiss_rank, cyclotomic_rank
 from jumploci.fox import _d1_support, _kept_columns
 from suites import (character, fraction_values, generator_character_poly,
                     restricted_to_coset)
@@ -539,14 +540,19 @@ def test_bareiss_takes_one_conjugate_product_per_divisor():
     # every division in a Bareiss step is by the previous pivot's leading
     # coefficient, so the conjugate products are few: on the surface group,
     # the golden plane of order 3 and the circle of order 502 each take at
-    # most 3 (21 and 12 when every division took its own)
+    # most 3 (21 and 12 when every division took its own).  Neither coset
+    # reaches Bareiss through contains_translated_torus any more, so
+    # Bareiss is called on their restriction directly.
     m = alexander_matrix(parse_presentation(datasets.SURFACE_PRES))
     e = [tuple(int(i == j) for j in range(6)) for i in range(6)]
     for lam, rows in (((F(1, 3), F(2, 3), 0, 0, F(1, 3), 0), e[:2]),
                       ((F(1, 251), 0, F(1, 2), 0, 0, 0), e[3:4])):
+        torus = builders.torus(lam, rows, 6)
+        columns = _kept_columns(m, torus.translate, torus.direction.rows)
         laurent._conjugate_product.cache_clear()
-        assert not contains_translated_torus(m, builders.torus(lam, rows, 6))
+        assert bareiss_rank(m.term_table().on_coset(torus, columns)) == 5
         assert 1 <= laurent._conjugate_product.cache_info().misses <= 3
+        assert not contains_translated_torus(m, torus)
 
 
 #: Presentations for the rank properties: the worked examples, and groups
@@ -778,3 +784,135 @@ def test_d1_support_reads_the_restriction_off_the_pairings():
                                torus.direction.rows) == expected
             seen.append(bool(expected))
     assert seen.count(False) >= 4 and seen.count(True) >= 4
+
+
+# ---------------------------------------------------------------------------
+# generic ranks: the point of Cauchy's bound, the small point and Bareiss
+# ---------------------------------------------------------------------------
+
+#: The benchmark's group that RANK_PRESENTATIONS lacks; the other three
+#: (surface, closed, one-relator) are among them.
+F2XF2_PRES = "<x1, x2, x3, x4 | [x1, x3], [x1, x4], [x2, x3], [x2, x4]>"
+
+
+def coset_routes(M, torus):
+    """The routes of generic_rank_on_torus on the coset, each taken
+    directly: (s, phi(m) and the predicted size of the point of Cauchy's
+    bound, a function giving the rank there, the rank at the small point,
+    and a function giving Bareiss's rank)."""
+    chi, basis = torus.translate, torus.direction.rows
+    columns = _kept_columns(M, chi, basis)
+    table = M.term_table()
+    bounds = table.coset_bounds(chi, columns, basis)
+    s = min(len(bounds), len(columns))
+    phi = len(laurent.cyclotomic_polynomial(chi.order)) - 1
+    if not s:
+        return 0, phi, 0, lambda: 0, 0, lambda: 0
+    base, weights, size = fox._cauchy_point(bounds, phi, s)
+    small = cyclotomic_rank(
+        table.at_point(chi, columns, basis, fox._primes(len(basis))),
+        chi.order)
+
+    def cauchy():
+        point = [base ** w for w in weights]
+        return cyclotomic_rank(table.at_point(chi, columns, basis, point),
+                               chi.order)
+    return (s, phi, size, cauchy, small,
+            lambda: bareiss_rank(table.on_coset(torus, columns)))
+
+
+def numeric_generic_rank(M, torus, rng):
+    """The oracle: the complex rank of every column of M, floating point,
+    at two random points rho exp(2 pi i B^T theta) of the coset."""
+    lam = fraction_values(torus.translate)
+    basis = torus.direction.rows
+    best = 0
+    for _ in range(2):
+        u = [cmath.exp(2j * math.pi * rng.random()) for _ in basis]
+        t = [oracles.unit_root(x) * math.prod(
+            uj ** row[i] for uj, row in zip(u, basis))
+            for i, x in enumerate(lam)]
+        best = max(best, oracles.complex_rank(
+            [[oracles.eval_laurent_complex(f.terms, t) for f in row]
+             for row in M.entries], tol=1e-7))
+    return best
+
+
+def test_generic_rank_routes_agree_with_bareiss_and_the_oracle():
+    # random cosets of dimension 1 to 3 with translates of orders 1, 2, 3,
+    # 4, 6 and 127, and 509 on circles, on the rank presentations and the
+    # benchmark's groups.  The rank at the point of Cauchy's bound (taken
+    # where the library takes it), Bareiss's rank and the oracle's agree;
+    # the rank at the small point is at most them, and is all of them
+    # when it reaches s.  Bareiss on the surface group's planes over
+    # Z[zeta_127] and its circles over Z[zeta_509] takes up to half a
+    # second, so those cosets lie on its components, where it is fast.
+    rng = random.Random(52)
+    routes = {"point": 0, "refuted": 0, "survived": 0, "bareiss": 0}
+    surface = {(0, 0, F(1, 2), 0, 0, 0): (0, 1), (0,) * 6: (2, 3, 4, 5)}
+    for text in RANK_PRESENTATIONS + (F2XF2_PRES,):
+        M = alexander_matrix(parse_presentation(text))
+        n = M.num_vars
+        on_components = text == datasets.SURFACE_PRES
+        for order in (1, 2, 3, 4, 6, 127, 509):
+            dims = range(1, min(3, n) + 1)
+            if order == 509 and not on_components:
+                dims = [1]
+            elif order >= 127 and on_components:
+                dims = [1, 2, 2, 3, 3]
+            for d in dims:
+                if on_components and order >= 127:
+                    lam0, free = rng.choice([c for c in surface.items()
+                                             if len(c[1]) >= d])
+                    lam = list(lam0)
+                    for i in free:
+                        lam[i] = F(rng.randrange(order), order)
+                    rows = [[rng.randint(-3, 3) if i in free else 0
+                             for i in range(n)] for _ in range(d)]
+                else:
+                    lam = [F(rng.randrange(order), order) for _ in range(n)]
+                    rows = [[rng.randint(-2, 2) for _ in range(n)]
+                            for _ in range(d)]
+                torus = builders.torus(lam, rows, n)
+                if torus.dim != d:
+                    continue
+                s, phi, size, cauchy, small, bareiss = coset_routes(M, torus)
+                generic = bareiss()
+                assert generic == numeric_generic_rank(M, torus, rng)
+                assert generic == generic_rank_on_torus(M, torus)
+                assert small <= generic
+                if small == s:
+                    assert generic == s
+                if phi * size <= fox.POINT_BUDGET:
+                    route = "point"
+                elif small == s:
+                    route = "refuted"
+                else:
+                    route = ("survived" if size <= fox.POINT_BUDGET
+                             else "bareiss")
+                if route in ("point", "survived"):
+                    assert cauchy() == generic
+                routes[route] += 1
+    assert min(routes.values()) >= 3, routes
+
+
+def test_containment_takes_the_d1_support_once(monkeypatch):
+    # contains_translated_torus computes the generators that move on the
+    # coset once, for the rank of d1 and the column left out alike
+    M = alexander_matrix(parse_presentation(datasets.SURFACE_PRES))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _d1_support(*args)
+
+    monkeypatch.setattr(fox, "_d1_support", counted)
+    e = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+    for lam, rows, inside in (((0, 0, F(1, 2), 0, 0, 0), e[:2], True),
+                              ((F(1, 3), 0, 0, 0, 0, 0), [], False),
+                              ((F(1, 127), 0, F(1, 2), 0, 0, 0), e[3:4],
+                               False)):
+        calls.clear()
+        assert contains_translated_torus(
+            M, builders.torus(lam, rows, 6)) is inside
+        assert len(calls) == 1

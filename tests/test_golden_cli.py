@@ -342,6 +342,16 @@ def build_argvs() -> list[list[str]]:
     calls.append(["omega-describe", "--r", "1", "--poly", wide])
     calls.append(["tcone", "--poly", _poly_text(rng, 9, patterns[1]),
                   "--poly", _poly_text(rng, 9, patterns[2])])
+    # generic ranks on cosets whose translate lies in V^1: a translated
+    # plane of order 254 that the rank at the small point refutes, and a
+    # sub-coset of the component {t1 = t2 = 1} with wide direction rows,
+    # past POINT_BUDGET, which Bareiss ranks over Z[zeta_127]
+    calls.append(["charvar-check", "--pres", SURFACE_PRES, "--desc", _desc(6, [(
+        ["56/127", "16/127", "16/127", "0", "124/127", "111/127"],
+        [[-2, -1, -1, -1, -1, 0], [0, -1, 2, -1, -1, -1]])])])
+    calls.append(["charvar-check", "--pres", SURFACE_PRES, "--desc", _desc(6, [(
+        ["0", "0", "3/127", "5/127", "7/127", "11/127"],
+        [[0, 0, 2, 0, 0, -1], [0, 0, 0, 1, 0, 2], [0, 0, 0, 0, 2, -3]])])])
     return calls
 
 

@@ -529,7 +529,7 @@ def test_integer_factors_scale_and_divide_back_out():
 def table_value(f, chi):
     """f at chi through a one-entry TermTable: its integer vector in
     Z[zeta_m], or None for zero (f has integral coefficients)."""
-    return TermTable([[f]]).at_character(chi, [0])[0][0]
+    return TermTable([[f]]).at_point(chi, [0])[0][0]
 
 
 def test_evaluate_at_character_simple_values():
@@ -571,8 +571,8 @@ def test_term_table_indexes_each_monomial_once_and_scales_rows():
                                  (table.exponents.index((0, 0)), -2))
     assert table.cells[0][1] == ()
     chi = character((F(1, 2), 0))
-    assert table.at_character(chi, [0, 1]) == [[[-5], None], [None, [-1]]]
-    assert table.at_character(chi, [1]) == [[None], [[-1]]]
+    assert table.at_point(chi, [0, 1]) == [[[-5], None], [None, [-1]]]
+    assert table.at_point(chi, [1]) == [[None], [[-1]]]
 
 
 # ---------------------------------------------------------------------------
