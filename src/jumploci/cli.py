@@ -320,8 +320,8 @@ def _cmd_omega_test(args) -> tuple[dict, list[str]]:
                  "Betti numbers"]
     else:
         lines = [f"blocked by {len(verdict.blockers)} component(s):"]
-        for comp, reason in verdict.blockers:
-            lines.append(f"  {comp.to_json()} ({reason})")
+        lines += [f"  {b['component']} ({b['reason']})"
+                  for b in payload["blockers"]]
     return payload, lines
 
 

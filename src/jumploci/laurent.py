@@ -63,15 +63,9 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .qlinalg import format_rational, number_too_long
-from .tori import TorsionCharacter, TranslatedTorus
+from .tori import MAX_VARIABLES, TorsionCharacter, TranslatedTorus
 
 Expo = tuple[int, ...]
-
-#: The highest variable index that :meth:`LaurentPoly.parse` accepts.  A
-#: tangent cone in Q^n prints a hyperplane as n - 1 rows, so its cost grows
-#: with n: ``tcone --poly "tN - 1"`` takes 0.5 s and 28 MB at N = 256, and
-#: would take 20 s and 455 MB at N = 1600.
-MAX_VARIABLES = 256
 
 # The text form, one term per match: a sign, then factors (a number p or
 # p/q; a variable tK with an optional exponent ^k, ^-k or ^p/q; a "*"),

@@ -23,7 +23,8 @@ over one positive denominator.  :func:`coset_reduce_ints` decides
 on that algebraic subtorus" question downstream): it reduces lambda to the
 canonical representative of its coset mod V + Z^n, and returns the integer
 step m taken, so lambda - m lies in V when the representative is 0.  It
-builds one Hermite normal form (:func:`hnf`), and none for an integer
+builds one Hermite normal form (:func:`hnf`), taken modulo the lcm of V's
+pivot entries so that no entry exceeds that lcm, and none for an integer
 vector, which lies in every V + Z^n, or for a V whose stored rows all have
 pivot entry 1 (the zero space among them), whose projection lattice is
 already the coordinates off the pivots.  Membership tests, witnesses and
@@ -360,70 +361,71 @@ def _uncovered(ordered: Iterable, dim: Callable, covers: Callable) -> list:
 # Hermite and Smith normal forms
 # ---------------------------------------------------------------------------
 
-def hnf(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...],
-                                                tuple[tuple[int, ...], ...]]:
-    """Row-style Hermite normal form with unimodular witness: H = U @ M.
+def hnf(gens: Sequence[Sequence[int]], modulus: int
+        ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Hermite normal form of the lattice spanned by the integer rows
+    ``gens`` (one or more, of one length w) together with modulus Z^w
+    (modulus >= 1), and the coefficients of its rows: ``(H, C)``.
 
-    Shape convention: pivots are each row's *last* nonzero entry, pivot
-    columns strictly increase down the matrix (lower-triangular in the square
-    nonsingular case), pivots are positive, entries below a pivot are reduced
-    into ``[0, pivot)``.  Zero rows, if any, are moved to the bottom.
+    H is w x w and lower triangular: row c is the basis vector whose last
+    nonzero entry sits at column c, positive and dividing ``modulus``, and
+    every entry left of a diagonal is reduced into [0, H[j][j]) at its
+    column j.  The lattice has one such basis, so H depends on the lattice
+    only.  Row C[c] holds, in [0, modulus), coefficients of the generators
+    with H[c] = sum_i C[c][i] gens[i] modulo modulus Z^w.
 
-    >>> H, U = hnf([[1, 2], [0, 3]])
+    The lattice holds modulus e_j for every j, so every step is taken
+    modulo it (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987; Cohen,
+    GTM 138, 2.4): H starts as modulus times the identity and each
+    generator is inserted column by column from the right, by one extended
+    gcd with the row of that column wherever it is nonzero.  No entry of a
+    row, a generator or a coefficient leaves [0, modulus], and no
+    unimodular witness is built.
+
+    >>> H, C = hnf([[1, 2], [0, 3]], 6)
     >>> H
     ((3, 0), (2, 1))
+    >>> C
+    ((3, 0), (2, 1))
     """
-    work = [list(map(int, row)) for row in rows]
-    m = len(work)
-    n = len(work[0]) if work else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    active = list(range(m))           # indices into work, still pivot-less
-    pivot_rows: list[int] = []        # collected right-to-left
-
-    for col in range(n - 1, -1, -1):
-        carriers = [i for i in active if work[i][col] != 0]
-        if not carriers:
-            continue
-        # combine all carriers into one row with the gcd at this column
-        base = carriers[0]
-        for other in carriers[1:]:
-            a, b = work[base][col], work[other][col]
-            g, x, y = _xgcd(a, b)
-            # rows: base' = x*base + y*other ; other' = -(b/g)*base + (a/g)*other
-            rb, ro = work[base], work[other]
-            ub, uo = u[base], u[other]
-            nb = [x * p + y * q for p, q in zip(rb, ro)]
-            no = [-(b // g) * p + (a // g) * q for p, q in zip(rb, ro)]
-            nub = [x * p + y * q for p, q in zip(ub, uo)]
-            nuo = [-(b // g) * p + (a // g) * q for p, q in zip(ub, uo)]
-            work[base], work[other] = nb, no
-            u[base], u[other] = nub, nuo
-        if work[base][col] < 0:
-            work[base] = [-x for x in work[base]]
-            u[base] = [-x for x in u[base]]
-        active.remove(base)
-        pivot_rows.insert(0, base)
-
-    order = pivot_rows + active       # zero rows last
-    work = [work[i] for i in order]
-    u = [u[i] for i in order]
-
-    # Reduce entries below each pivot into [0, pivot).  Rightmost pivot
-    # first: reducing with row i only touches columns <= pivcol(i), so
-    # earlier (further right) reductions are never disturbed.
-    pivcols = []
-    for row in work[: len(pivot_rows)]:
-        c = max(j for j in range(n) if row[j] != 0)
-        pivcols.append(c)
-    for i in range(len(pivcols) - 1, -1, -1):
-        c = pivcols[i]
-        p = work[i][c]
-        for k in range(i + 1, m):
-            f = work[k][c] // p       # floor division: remainder in [0, p)
+    k, w = len(gens), len(gens[0])
+    h = [[0] * c + [modulus] for c in range(w)]     # row c: columns 0..c
+    coef = [[0] * k for _ in range(w)]
+    for i, gen in enumerate(gens):
+        v = [x % modulus for x in gen]
+        t = [0] * k
+        t[i] = 1
+        for c in range(w - 1, -1, -1):
+            b = v[c]
+            if not b:
+                continue
+            row, tc = h[c], coef[c]
+            a = row[c]
+            if b % a:
+                # row c, v := x row + y v, (a/g) v - (b/g) row: determinant 1
+                g, x, y = _xgcd(a, b)
+                a, b = a // g, b // g
+                h[c] = [(x * p + y * q) % modulus for p, q in zip(row, v)]
+                coef[c] = [(x * p + y * q) % modulus for p, q in zip(tc, t)]
+                v = [(a * q - b * p) % modulus for p, q in zip(row, v)]
+                t = [(a * q - b * p) % modulus for p, q in zip(tc, t)]
+            else:
+                b //= a
+                v = [(q - b * p) % modulus for p, q in zip(row, v)]
+                t = [(q - b * p) % modulus for p, q in zip(tc, t)]
+    # reduce each row left of its diagonal, rightmost column first: row j
+    # only reaches columns <= j, which are reduced after it
+    for c in range(1, w):
+        row, tc = h[c], coef[c]
+        for j in range(c - 1, -1, -1):
+            f = row[j] // h[j][j]
             if f:
-                work[k] = [a - f * b for a, b in zip(work[k], work[i])]
-                u[k] = [a - f * b for a, b in zip(u[k], u[i])]
-    return tuple(tuple(r) for r in work), tuple(tuple(r) for r in u)
+                row = ([(p - f * q) % modulus for p, q in zip(row, h[j])]
+                       + row[j + 1:])
+                tc = [(p - f * q) % modulus for p, q in zip(tc, coef[j])]
+        h[c], coef[c] = row, tc
+    return (tuple(tuple(row + [0] * (w - 1 - c)) for c, row in enumerate(h)),
+            tuple(map(tuple, coef)))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -549,44 +551,53 @@ def coset_reduce_ints(nums: Sequence[int], den: int, space: RationalSubspace
     and m = lam.  Otherwise, subtracting the element of V that agrees with
     lam on V's RREF pivots leaves a residue supported off the pivots.  The
     projection of Z^n along V onto those coordinates is generated by e_j off
-    the pivots and by e_p - b at the pivot p of each basis row b.  When
-    every pivot entry of V's stored rows is 1 (the zero space, the full
-    space, every coordinate subspace), that is Z^n off the pivots: rep is
-    the residue mod 1 and m its integer part, with no HNF.  Otherwise,
-    scaled by the common denominator ``scale`` of the basis (the lcm of the
-    pivot entries of the stored integer rows), the generators are integer
-    rows G, and the residue is reduced, rightmost pivot first, to the
-    fundamental domain of the HNF H = U G.  Row k of H is scale (U_k - x)
-    for some x in V, so each step by f copies of it adds f U_k to m.
+    the pivots and by e_p - b / a at the pivot p of each stored row b, whose
+    pivot entry is a.  When every pivot entry is 1 (the zero space, the
+    full space, every coordinate subspace), that is Z^n off the pivots: rep
+    is the residue mod 1 and m its integer part, with no HNF.  Otherwise,
+    scaled by ``scale``, the lcm of the pivot entries, it is the lattice
+    spanned by the k pivot generators -(scale / a) b (b is zero at every
+    other pivot) and scale e_j for each j off the pivots.  Its HNF H is
+    taken modulo scale by :func:`hnf`, so no entry of H exceeds scale and
+    no coefficient C[c] of the pivot generators reaches it, whatever n is;
+    the residue is reduced, rightmost column first, to H's fundamental
+    domain.  Each step by f copies of row c of H adds f C[c] to the
+    coefficients t of the pivot generators (mod scale): m is t at the
+    pivots, and off the pivots it is whatever makes lam - m - rep lie in V.
     """
     n = space.ambient_dim
     if len(nums) != n:
         raise ValueError("character length does not match ambient dimension")
     if den == 1 or all(a % den == 0 for a in nums):
         return [0] * n, 1, [a // den for a in nums]
-    if all(row[p] == 1 for row, p in zip(space.rows, space.pivots)):
-        x, _ = _reduce(nums, space.rows, space.pivots)
+    rows, pivots = space.rows, space.pivots
+    if all(row[p] == 1 for row, p in zip(rows, pivots)):
+        x, _ = _reduce(nums, rows, pivots)
         return [a % den for a in x], den, [a // den for a in x]
-    scale = math.lcm(*(row[p] for row, p in zip(space.rows, space.pivots)))
-    gens = [[scale if i == j else 0 for j in range(n)] for i in range(n)]
-    for row, p in zip(space.rows, space.pivots):
-        f = scale // row[p]
-        gens[p] = [-x * f for x in row]
-        gens[p][p] = 0                          # scale - row[p] * f
-    h, u = hnf(gens)
-    # the residue of lam mod V, as integers x over scale * d
-    x, d = _reduce(nums, space.rows, space.pivots, den)
-    x = [a * scale for a in x]
-    m = [0] * n
-    for row, u_row in zip(reversed(h), reversed(u)):
-        if not any(row):                        # zero rows sit at the bottom
-            continue
-        c = max(j for j in range(n) if row[j] != 0)
-        f = x[c] // (d * row[c])
+    scale = math.lcm(*(row[p] for row, p in zip(rows, pivots)))
+    free = sorted(set(range(n)).difference(pivots))
+    gens = [[-row[j] * (scale // row[p]) for j in free]
+            for row, p in zip(rows, pivots)]
+    h, coef = hnf(gens, scale)
+    # the residue of lam mod V, off the pivots, as integers y over scale * d
+    x, d = _reduce(nums, rows, pivots, den)
+    start = y = [x[j] * scale for j in free]
+    t = [0] * len(rows)
+    for c in range(len(free) - 1, -1, -1):
+        f = y[c] // (d * h[c][c])
         if f:
-            x = [a - f * d * b for a, b in zip(x, row)]
-            m = [a + f * b for a, b in zip(m, u_row)]
-    return x, scale * d, m
+            y = [a - f * d * b for a, b in zip(y, h[c])]
+            t = [a + f * b for a, b in zip(t, coef[c])]
+    # the steps sum to (start - y) / d = sum_i t_i gens[i] mod scale Z^w
+    t = [a % scale for a in t]
+    m, rep = [0] * n, [0] * n
+    for p, a in zip(pivots, t):
+        m[p] = a
+    for c, j in enumerate(free):
+        m[j] = ((start[c] - y[c]) // d
+                - sum(a * g[c] for a, g in zip(t, gens))) // scale
+        rep[j] = y[c]
+    return rep, scale * d, m
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,11 @@ equality of representations.  When every pivot entry of L's integer RREF
 is 1 (a point, whose L is 0, a coordinate subtorus, or a direction such as
 (1, 2, -3)), that projection is Z^n on the coordinates off the pivots, so
 the remainder is simply taken mod 1 with no HNF; only the other directions
-build one.
+build one, and they build it modulo ``scale``, the lcm of the pivot
+entries (:func:`jumploci.qlinalg.hnf`): the scaled projection lattice holds
+scale times every coordinate vector off the pivots, so no entry of the HNF
+or of the coefficients that give the integer step exceeds scale, whatever
+the dimension.
 Every translated torus, whether built from a character and a subspace or
 read from JSON, goes through that one constructor.  Components of a
 description are ordered by a key read off the integer rows of their
@@ -59,6 +63,17 @@ from .qlinalg import (
     json_rational_ints,
     rref_order,
 )
+
+#: The most coordinates of a character torus: the largest n of a
+#: description, plane or subspace read from JSON (refused as it is read),
+#: and the highest variable index that
+#: :meth:`jumploci.laurent.LaurentPoly.parse` accepts.  A tangent cone in
+#: Q^n prints a hyperplane as n - 1 rows, so its cost grows with n:
+#: ``tcone --poly "tN - 1"`` takes 0.5 s and 28 MB at N = 256, and would
+#: take 20 s and 455 MB at N = 1600.  Reading a dense translated
+#: 128-dimensional component in Q^256 takes about 3 s, nearly all of it in
+#: the RREF of its basis (Python 3.11.7, 2 vCPUs).
+MAX_VARIABLES = 256
 
 
 class TorsionCharacter:
@@ -180,11 +195,12 @@ def subspace_from_json(data, ambient_dim: Optional[int] = None
                        ) -> RationalSubspace:
     """A subspace given as basis rows, or as ``{"basis": rows}`` with an
     optional ``"n"``, which must then be ambient_dim; entries are "p/q"
-    strings or numbers."""
+    strings or numbers.  An ``"n"`` or first row longer than
+    ``MAX_VARIABLES`` is refused."""
     if isinstance(data, dict):
         rows = _json_field(data, "basis", "a subspace")
         if "n" in data:
-            n = _json_dim(data["n"], "a subspace's 'n'")
+            n = _json_ambient(data["n"], "a subspace's 'n'")
             if ambient_dim is not None and n != ambient_dim:
                 raise ValueError(f"a subspace's 'n' is {n}, but the "
                                  f"description lives in Q^{ambient_dim}")
@@ -196,17 +212,19 @@ def subspace_from_json(data, ambient_dim: Optional[int] = None
 
 def _json_span(rows, what: str, n: Optional[int] = None) -> RationalSubspace:
     """The span in Q^n of a JSON array of rows ``what``, n being the length
-    of the first row if not given.  Each row is read as integer numerators
-    over its own denominator (:func:`jumploci.qlinalg.json_rational_ints`),
-    which span the same line, and the numerators go to the integer RREF."""
+    of the first row (at most ``MAX_VARIABLES``) if not given.  Each row is
+    read as integer numerators over its own denominator
+    (:func:`jumploci.qlinalg.json_rational_ints`), which span the same
+    line, and the numerators go to the integer RREF."""
     if not all(isinstance(row, (list, tuple)) for row in _json_list(rows, what)):
         raise ValueError(f"{what} must be a JSON array of rows (arrays)")
+    if n is None:
+        if not rows:
+            raise ValueError("cannot infer ambient dimension of an empty basis")
+        n = len(rows[0])
+        _within_variables(n, f"the length of {what} row 0")
     ints = [json_rational_ints(row, f"{what} row {i}")[0]
             for i, row in enumerate(rows)]
-    if n is None:
-        if not ints:
-            raise ValueError("cannot infer ambient dimension of an empty basis")
-        n = len(ints[0])
     if any(len(r) != n for r in ints):
         raise ValueError("rows of unequal length")
     return RationalSubspace(n, *_echelon(ints))
@@ -233,6 +251,20 @@ def _json_dim(value, what: str) -> int:
     if dim < 0:
         raise ValueError(f"{what} must be a nonnegative integer")
     return dim
+
+
+def _json_ambient(value, what: str) -> int:
+    """An ambient dimension: a :func:`_json_dim` of at most
+    ``MAX_VARIABLES``."""
+    n = _json_dim(value, what)
+    _within_variables(n, what)
+    return n
+
+
+def _within_variables(n: int, what: str) -> None:
+    if n > MAX_VARIABLES:
+        raise ValueError(f"{what} is {n}, above MAX_VARIABLES = "
+                         f"{MAX_VARIABLES}")
 
 
 def _json_list(value, what: str) -> Sequence:
@@ -277,11 +309,11 @@ class VarietyDescription:
 
     @classmethod
     def from_json(cls, data: dict) -> "VarietyDescription":
-        """A description ``{"n": ..., "components": [...]}``.  An optional
-        ``"degree"`` must be a nonnegative integer; it is checked and not
-        kept."""
-        n = _json_dim(_json_field(data, "n", "a variety description"),
-                      "a variety description's 'n'")
+        """A description ``{"n": ..., "components": [...]}``, n at most
+        ``MAX_VARIABLES``.  An optional ``"degree"`` must be a nonnegative
+        integer; it is checked and not kept."""
+        n = _json_ambient(_json_field(data, "n", "a variety description"),
+                          "a variety description's 'n'")
         comps = [TranslatedTorus.from_json(c, n) for c in _json_list(
             data.get("components", []), "a variety description's 'components'")]
         if data.get("degree") is not None:
@@ -356,8 +388,8 @@ class GradedDescription:
 
     @classmethod
     def from_json(cls, data: dict) -> "GradedDescription":
-        n = _json_dim(_json_field(data, "n", "a graded description"),
-                      "a graded description's 'n'")
+        n = _json_ambient(_json_field(data, "n", "a graded description"),
+                          "a graded description's 'n'")
         degrees = _json_field(data, "degrees", "a graded description")
         if not isinstance(degrees, dict):
             raise ValueError("a graded description's 'degrees' must be a JSON "

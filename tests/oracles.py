@@ -233,6 +233,105 @@ def oracle_sigma_rho_membership(lam, plane_rows, direction_rows, n):
 
 
 # ---------------------------------------------------------------------------
+# Hermite normal form with an unbounded witness, and coset reduction by it
+# ---------------------------------------------------------------------------
+
+def unbounded_hnf(rows):
+    """Row-style Hermite normal form with its unimodular witness: H = U @ M.
+
+    Pivots are each row's *last* nonzero entry, pivot columns strictly
+    increase down the matrix, pivots are positive and entries below a pivot
+    lie in [0, pivot); zero rows go to the bottom.  No modulus bounds the
+    entries of H or of U.  (This was the library's ``hnf`` before it took
+    its HNF modulo a multiple of the determinant.)
+    """
+    work = [list(map(int, row)) for row in rows]
+    m = len(work)
+    n = len(work[0]) if work else 0
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    active = list(range(m))
+    pivot_rows = []
+    for col in range(n - 1, -1, -1):
+        carriers = [i for i in active if work[i][col] != 0]
+        if not carriers:
+            continue
+        base = carriers[0]
+        for other in carriers[1:]:
+            a, b = work[base][col], work[other][col]
+            g, x, y = _xgcd(a, b)
+            rb, ro, ub, uo = work[base], work[other], u[base], u[other]
+            work[base] = [x * p + y * q for p, q in zip(rb, ro)]
+            work[other] = [-(b // g) * p + (a // g) * q for p, q in zip(rb, ro)]
+            u[base] = [x * p + y * q for p, q in zip(ub, uo)]
+            u[other] = [-(b // g) * p + (a // g) * q for p, q in zip(ub, uo)]
+        if work[base][col] < 0:
+            work[base] = [-x for x in work[base]]
+            u[base] = [-x for x in u[base]]
+        active.remove(base)
+        pivot_rows.insert(0, base)
+    order = pivot_rows + active
+    work = [work[i] for i in order]
+    u = [u[i] for i in order]
+    pivcols = [max(j for j in range(n) if row[j]) for row in work[:len(pivot_rows)]]
+    for i in range(len(pivcols) - 1, -1, -1):
+        c = pivcols[i]
+        for k in range(i + 1, m):
+            f = work[k][c] // work[i][c]
+            if f:
+                work[k] = [a - f * b for a, b in zip(work[k], work[i])]
+                u[k] = [a - f * b for a, b in zip(u[k], u[i])]
+    return tuple(tuple(r) for r in work), tuple(tuple(r) for r in u)
+
+
+def _xgcd(a, b):
+    """g, x, y with g = gcd(a, b) = a x + b y, g >= 0."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return a, x0, y0
+
+
+def oracle_coset_reduce(lam, basis_rows, n):
+    """(rep, m) for lam mod span_Q(basis) + Z^n, rep with entries in [0, 1)
+    and m an integer vector with lam - m - rep in the span.
+
+    The projection pi along the span onto the coordinates off the pivots of
+    its RREF maps Z^n onto a lattice; scaled to integers by the lcm D of
+    its denominators, its :func:`unbounded_hnf` (with U) gives the
+    fundamental domain that D pi(lam) is reduced to, rightmost pivot first,
+    and each step by f copies of row k adds f U_k to m.
+    """
+    lam = [Fraction(x) for x in lam]
+    reduced, pivots = naive_rref(basis_rows, n)
+
+    def project(v):
+        for row, p in zip(reduced, pivots):
+            if v[p]:
+                f = v[p]
+                v = [a - f * b for a, b in zip(v, row)]
+        return v
+
+    images = [project([Fraction(int(i == j)) for i in range(n)])
+              for j in range(n)]
+    scale = math.lcm(*(x.denominator for v in images for x in v))
+    h, u = unbounded_hnf([[int(x * scale) for x in v] for v in images])
+    x = [a * scale for a in project(lam)]
+    m = [0] * n
+    for row, u_row in zip(reversed(h), reversed(u)):
+        if not any(row):
+            continue
+        c = max(j for j in range(n) if row[j])
+        f = math.floor(x[c] / row[c])
+        x = [a - f * b for a, b in zip(x, row)]
+        m = [a + f * b for a, b in zip(m, u_row)]
+    return tuple(a / scale for a in x), tuple(m)
+
+
+# ---------------------------------------------------------------------------
 # set partitions and exponential tangent cones
 # ---------------------------------------------------------------------------
 

@@ -361,48 +361,68 @@ def test_clear_denominators_primitive_and_sign_preserving():
 # Hermite normal form
 # ---------------------------------------------------------------------------
 
-def hnf_shape_ok(h):
-    """Lower-triangular row HNF: pivots last-nonzero, increasing, positive,
-    below-pivot entries reduced."""
-    rows = [r for r in h if any(r)]
-    pivcols = [max(j for j, x in enumerate(r) if x) for r in rows]
-    if pivcols != sorted(pivcols) or len(set(pivcols)) != len(pivcols):
-        return False
-    for i, c in enumerate(pivcols):
-        if rows[i][c] <= 0:
+def hnf_shape_ok(h, modulus):
+    """Square lower-triangular HNF modulo ``modulus``: row c ends at column
+    c with a positive entry dividing modulus, and each entry left of a
+    diagonal is reduced into [0, that diagonal) of its column."""
+    w = len(h)
+    for c, row in enumerate(h):
+        if len(row) != w or any(row[c + 1:]) or modulus % row[c]:
             return False
-        for k in range(i + 1, len(rows)):
-            if not 0 <= rows[k][c] < rows[i][c]:
-                return False
+        if not all(0 <= row[j] < h[j][j] for j in range(c)):
+            return False
     return True
 
 
+def _oracle_hnf_mod(gens, modulus):
+    """The nonzero rows of the unbounded HNF of gens stacked on modulus I."""
+    w = len(gens[0])
+    stacked = [list(g) for g in gens] + [
+        [modulus * (i == j) for j in range(w)] for i in range(w)]
+    return tuple(r for r in oracles.unbounded_hnf(stacked)[0] if any(r))
+
+
+def _coefficients_ok(gens, modulus, h, coef):
+    """Every coefficient lies in [0, modulus) and row c of H is
+    sum_i coef[c][i] gens[i] modulo modulus Z^w."""
+    for row, cs in zip(h, coef):
+        assert len(cs) == len(gens) and all(0 <= x < modulus for x in cs)
+        combo = [sum(c * g[j] for c, g in zip(cs, gens))
+                 for j in range(len(row))]
+        assert all((a - b) % modulus == 0 for a, b in zip(row, combo))
+
+
 def test_hnf_frozen_example():
-    h, u = hnf([[1, 2], [0, 3]])
+    h, coef = hnf([[1, 2], [0, 3]], 6)
     assert h == ((3, 0), (2, 1))
-    assert [list(r) for r in h] == [
-        [sum(u[i][k] * [[1, 2], [0, 3]][k][j] for k in range(2)) for j in range(2)]
-        for i in range(2)]
+    assert h == _oracle_hnf_mod([[1, 2], [0, 3]], 6)
+    assert hnf([[2, 4]], 6) == (((6, 0), (4, 2)), ((0,), (5,)))
+    _coefficients_ok([[1, 2], [0, 3]], 6, h, coef)
 
 
-def test_hnf_random_shape_and_unimodularity():
+def test_hnf_random_shape_and_coefficients():
+    """On random generators and moduli, H is the unbounded HNF of the
+    generators stacked on modulus I, every entry of H lies in
+    [0, modulus], and the coefficients reproduce H modulo modulus."""
     rng = random.Random(15)
-    for _ in range(60):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        rows = rand_int_rows(rng, m, n)
-        h, u = hnf(rows)
-        assert hnf_shape_ok(h)
-        assert abs(oracles.naive_det([list(r) for r in u])) == 1
-        product = [[sum(u[i][k] * rows[k][j] for k in range(m))
-                    for j in range(n)] for i in range(m)]
-        assert [list(r) for r in h] == product
+    for _ in range(200):
+        k, w = rng.randint(1, 4), rng.randint(1, 5)
+        modulus = rng.choice([1, 2, 6, 12, 30, 64, 210, rng.randint(1, 500)])
+        gens = rand_int_rows(rng, k, w, -40, 40)
+        h, coef = hnf(gens, modulus)
+        assert hnf_shape_ok(h, modulus)
+        assert all(0 <= x <= modulus for row in h for x in row)
+        assert h == _oracle_hnf_mod(gens, modulus)
+        _coefficients_ok(gens, modulus, h, coef)
 
 
 def test_hnf_is_a_lattice_invariant():
-    # Row-equivalent integer matrices (over Z) share their HNF.
+    # Row-equivalent integer matrices (over Z), and generators changed by
+    # multiples of the modulus, share their HNF.
     rows = [[2, 1, 0], [1, 3, 1]]
     mixed = [[3, 4, 1], [1, 3, 1]]        # row0 + row1, row1
-    assert hnf(rows)[0] == hnf(mixed)[0]
+    shifted = [[2 - 12, 1, 24], [1, 3 + 36, 1]]
+    assert hnf(rows, 12)[0] == hnf(mixed, 12)[0] == hnf(shifted, 12)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +490,7 @@ def test_coset_solver_returns_a_real_witness():
     assert hits > 10  # the sampler must exercise the positive branch
 
 
-def _no_hnf(rows):
+def _no_hnf(*args):
     raise AssertionError("coset_reduce_ints built an HNF")
 
 
@@ -597,19 +617,63 @@ def test_unit_pivot_spaces_take_their_representative_without_an_hnf(
 
 def test_reading_a_point_component_builds_no_hnf(monkeypatch):
     """A point has L = 0, whose (empty) RREF has no pivot above 1: reading
-    it builds no HNF.  A translated line with pivot entry 2 still does."""
+    it builds no HNF.  A translated line with pivot entry 2 still builds
+    one, modulo that pivot entry, of its one pivot generator -(2 / 2) 1 on
+    the coordinate off the pivot."""
     from jumploci.tori import VarietyDescription
     calls = []
     real_hnf = qlinalg.hnf
-    monkeypatch.setattr(qlinalg, "hnf",
-                        lambda rows: calls.append(rows) or real_hnf(rows))
+    monkeypatch.setattr(qlinalg, "hnf", lambda gens, modulus: calls.append(
+        (gens, modulus)) or real_hnf(gens, modulus))
     point = {"n": 2, "components": [{"lambda": ["1/3", "1/2"], "basis": []}]}
     VarietyDescription.from_json(point)
     assert calls == []
     line = {"n": 2, "components": [{"lambda": ["1/3", "0"],
                                     "basis": [[2, 1]]}]}
     VarietyDescription.from_json(line)
-    assert len(calls) == 1
+    assert calls == [([[-1]], 2)]
+
+
+def test_coset_reduce_ints_matches_the_unbounded_hnf(monkeypatch):
+    """On random spaces in Q^n, n <= 12, of every rank and mostly with
+    pivot entries above 1, coset_reduce_ints gives the representative that
+    the unbounded HNF with its unimodular witness gives, m is a step with
+    lam - m - rep in V, and every entry of the HNF it builds lies in
+    [0, scale] and every coefficient in [0, scale), scale being the lcm of
+    V's pivot entries."""
+    rng = random.Random(37)
+    real_hnf = qlinalg.hnf
+    built = []
+
+    def bounded_hnf(gens, modulus):
+        h, coef = real_hnf(gens, modulus)
+        built.append(modulus)
+        assert all(0 <= x <= modulus for row in h for x in row)
+        assert all(0 <= x < modulus for row in coef for x in row)
+        return h, coef
+
+    monkeypatch.setattr(qlinalg, "hnf", bounded_hnf)
+    ranks = set()
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        k = rng.randint(0, n)
+        rows = rand_int_rows(rng, k, n, -5, 5)
+        v = RationalSubspace.from_rows(rows, n)
+        den = rng.choice([2, 3, 4, 6, 7, 12, 30])
+        nums = [rng.randint(-60, 60) for _ in range(n)]
+        lam = [F(a, den) for a in nums]
+        before = len(built)
+        x, d, m = coset_reduce_ints(nums, den, v)
+        _assert_reduced(lam, v, x, d, m)
+        rep, _ = oracles.oracle_coset_reduce(lam, rows, n)
+        assert tuple(F(a, d) for a in x) == rep
+        scale = math.lcm(*(r[p] for r, p in zip(v.rows, v.pivots)))
+        if scale > 1 and any(a % den for a in nums):
+            assert built[before:] == [scale]
+            ranks.add(v.dim)
+        else:
+            assert len(built) == before
+    assert len(built) > 150 and len(ranks) > 8
 
 
 def test_coset_membership_of_full_and_zero_spaces():

@@ -16,6 +16,7 @@ from datasets import product_description, wedge_description
 from jumploci.omega import omega_membership
 from jumploci.qlinalg import RationalSubspace, snf
 from jumploci.tori import (
+    MAX_VARIABLES,
     GradedDescription,
     TorsionCharacter,
     TranslatedTorus,
@@ -205,6 +206,30 @@ def test_subspace_from_json_reads_each_row_over_its_own_denominator():
     with pytest.raises(ValueError, match="^a subspace's 'basis' row 1 entry 0 "
                                          "has a zero denominator$"):
         subspace_from_json([[1], ["0/0"]])
+
+
+def test_readers_refuse_more_coordinates_than_max_variables():
+    """A description, graded description, plane or subspace in Q^n with
+    n above MAX_VARIABLES is refused as it is read, naming the limit and
+    the field; n = MAX_VARIABLES is read."""
+    top = MAX_VARIABLES
+    limit = f", above MAX_VARIABLES = {top}$"
+    assert VarietyDescription.from_json(
+        {"n": top, "components": []}).ambient_dim == top
+    assert subspace_from_json([[1] * top]).ambient_dim == top
+    with pytest.raises(ValueError, match="^a variety description's 'n' is "
+                                         f"{top + 1}" + limit):
+        VarietyDescription.from_json({"n": top + 1, "components": [
+            {"lambda": ["1/2"], "basis": []}]})
+    with pytest.raises(ValueError, match="^a graded description's 'n' is "
+                                         f"{10 ** 9}" + limit):
+        GradedDescription.from_json({"n": 10 ** 9, "degrees": {"0": []}})
+    with pytest.raises(ValueError, match="^a subspace's 'n' is "
+                                         f"{top + 1}" + limit):
+        subspace_from_json({"n": top + 1, "basis": []})
+    with pytest.raises(ValueError, match="^the length of a subspace's "
+                                         f"'basis' row 0 is {top + 1}" + limit):
+        subspace_from_json([[0] * (top + 1), ["x"]])
 
 
 def _old_sort_key(t: TranslatedTorus):
