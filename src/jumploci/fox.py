@@ -43,8 +43,8 @@ import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .laurent import (LaurentPoly, TermTable, bareiss_rank,
-                      cyclotomic_polynomial, cyclotomic_rank)
+from .laurent import (LaurentPoly, TermTable, at_point, bareiss_rank,
+                      cyclotomic_polynomial, cyclotomic_rank, on_coset)
 from .qlinalg import number_too_long, snf
 from .tori import TorsionCharacter, TranslatedTorus
 
@@ -525,7 +525,8 @@ def rank_at_character(M: AlexanderMatrix, chi: TorsionCharacter,
         raise ValueError("character length mismatch")
     if columns is None:
         columns = _kept_columns(M, chi)
-    return cyclotomic_rank(M.term_table().at_point(chi, columns), chi.order)
+    return cyclotomic_rank(M.term_table().at_character(chi, columns),
+                           chi.order)
 
 
 def _d1_support(ab: Abelianization, chi: TorsionCharacter,
@@ -596,10 +597,12 @@ def generic_rank_on_torus(M: AlexanderMatrix, torus: TranslatedTorus,
     The rows B of L's basis parametrize the coset by t = rho u^B, and the
     entries, less the column that Fox's identity makes redundant (see
     :func:`_kept_columns`), become Laurent polynomials in u with
-    coefficients in Z[zeta_m], m the order of rho.  Their generic rank is
-    the rank at the integer point u_j = N^(W_j), found by one evaluation
-    (:meth:`jumploci.laurent.TermTable.at_point`) and one division-free
-    elimination (:func:`jumploci.laurent.cyclotomic_rank`):
+    coefficients in Z[zeta_m], m the order of rho, by one restriction
+    (:meth:`jumploci.laurent.TermTable.restrict`) that every route below
+    reads.  Their generic rank is the rank at the integer point
+    u_j = N^(W_j), found by one evaluation (:func:`jumploci.laurent.at_point`)
+    and one division-free elimination
+    (:func:`jumploci.laurent.cyclotomic_rank`):
 
     * s = min(nonzero rows, kept columns) bounds the size of a minor, B
       is the product of the s largest row norms sum |c|, and D_j the sum
@@ -626,8 +629,8 @@ def generic_rank_on_torus(M: AlexanderMatrix, torus: TranslatedTorus,
     that reaches s is the generic rank, and a coset that is not contained
     in the locus has full rank and is refuted there.  A coset that survives
     is ranked at the point above while its largest integer fits in
-    ``POINT_BUDGET`` bits; otherwise the entries are restricted to the coset
-    (:meth:`jumploci.laurent.TermTable.on_coset`) and eliminated by
+    ``POINT_BUDGET`` bits; otherwise the restricted rows become Laurent
+    polynomials (:func:`jumploci.laurent.on_coset`) and are eliminated by
     fraction-free Bareiss (:func:`jumploci.laurent.bareiss_rank`).  A coset
     of dimension 0 is the point rho, where restricting is evaluating.
     ``columns`` are the kept columns when the caller has them.
@@ -637,31 +640,29 @@ def generic_rank_on_torus(M: AlexanderMatrix, torus: TranslatedTorus,
     chi, basis = torus.translate, torus.direction.rows
     if columns is None:
         columns = _kept_columns(M, chi, basis)
-    table, m = M.term_table(), chi.order
     if not basis:
         return rank_at_character(M, chi, columns)
-    bounds = table.coset_bounds(chi, columns, basis)
+    m, rows = chi.order, M.term_table().restrict(chi, basis, columns)
+    bounds = [(norm, spans) for _, _, norm, spans in rows if norm]
     s = min(len(bounds), len(columns))
     if not s:
         return 0
     phi = len(cyclotomic_polynomial(m)) - 1
     base, weights, size = _cauchy_point(bounds, phi, s)
     if phi * size > POINT_BUDGET:
-        small = cyclotomic_rank(
-            table.at_point(chi, columns, basis, _primes(len(basis))), m)
+        small = cyclotomic_rank(at_point(rows, _primes(len(basis))), m)
         if small == s:
             return small
         if size > POINT_BUDGET:
-            return bareiss_rank(table.on_coset(torus, columns))
-    point = [base ** w for w in weights]
-    return cyclotomic_rank(table.at_point(chi, columns, basis, point), m)
+            return bareiss_rank(on_coset(rows, m, len(basis)))
+    return cyclotomic_rank(at_point(rows, [base ** w for w in weights]), m)
 
 
 def _cauchy_point(bounds: Sequence[tuple[int, Sequence[int]]], phi: int,
                   s: int) -> tuple[int, list[int], int]:
     """(N, W, size) for the point u_j = N^(W_j) of
-    :func:`generic_rank_on_torus`, from the rows' norms and spans
-    (:meth:`jumploci.laurent.TermTable.coset_bounds`): size is
+    :func:`generic_rank_on_torus`, from the (norm, spans) of the rows with
+    a term (see :meth:`jumploci.laurent.TermTable.restrict`): size is
     phi log2(B) times the largest power of N in a shifted entry."""
     bound = math.prod(sorted(norm for norm, _ in bounds)[-s:])
     weights = [1]

@@ -32,21 +32,21 @@ mod Phi_m; :func:`cyclotomic_rank` eliminates those vectors without
 division.
 
 Generic ranks on a coset rho.T read the same table:
-:meth:`TermTable.on_coset` substitutes t_i = rho_i * prod_j u_j^{B_ji} (B
+:meth:`TermTable.restrict` substitutes t_i = rho_i * prod_j u_j^{B_ji} (B
 the k = dim T integer rows that store T's direction) into every entry, so
 each restricted coefficient is one m-long vector reduced once, m the order
 of rho, and an entry restricts to zero iff it vanishes on all of rho.T.
-The coefficients are ints for m <= 2, where Z[zeta_m] = Z, and
-CyclotomicNumbers otherwise; :func:`bareiss_rank` divides exactly in that
-ring, with one conjugate product per distinct divisor.
-:meth:`TermTable.at_point` evaluates the same restriction at an integer
-point u of the coset, each row shifted by its least power of u, into the
-integer vectors that :func:`cyclotomic_rank` eliminates; at the point
-chosen by :func:`jumploci.fox.generic_rank_on_torus` that rank is the
-generic one.
+Each restricted row carries its norm and its degree span in each u_j.
+:func:`at_point` evaluates those rows at an integer point u of the coset
+into the integer vectors that :func:`cyclotomic_rank` eliminates; at the
+point chosen by :func:`jumploci.fox.generic_rank_on_torus` that rank is the
+generic one.  :func:`on_coset` turns the same rows into polynomials with
+int coefficients for m <= 2, where Z[zeta_m] = Z, and CyclotomicNumbers
+otherwise; :func:`bareiss_rank` divides exactly in that ring, with one
+conjugate product per distinct divisor.
 
 >>> f = LaurentPoly.parse("t1 + t2 - 2")
->>> TermTable([[f]]).at_point(TorsionCharacter((1, 1), 2), [0])
+>>> TermTable([[f]]).at_character(TorsionCharacter((1, 1), 2), [0])
 [[[-4]]]
 >>> f.coefficient_sum()
 Fraction(0, 1)
@@ -523,29 +523,23 @@ def _pack(v: Sequence[int], width: int, half: int) -> int:
     return int.from_bytes(digits, "little") - _offset(width, len(v))
 
 
-def _convolve(pairs: Sequence[tuple[Sequence[int], Sequence[int]]]
-              ) -> list[int]:
-    """Coefficients of sum(a * b) over the pairs of integer polynomials.
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of the product a * b of two integer polynomials.
 
     Kronecker substitution (Harvey, J. Symb. Comp. 44, 2009): each vector is
     packed into one Python int with ``width`` bytes per coefficient, the
-    ints are multiplied and summed, and the result is unpacked with signs.
-    The width leaves room for the largest coefficient the sum can have, so
-    no digit carries into the next.
+    ints are multiplied, and the result is unpacked with signs.  The width
+    leaves room for the largest coefficient the product can have, so no
+    digit carries into the next.
     """
-    count = max(len(a) + len(b) - 1 for a, b in pairs)
-    live, bound = [], 0
-    for a, b in pairs:
-        size = max(map(abs, a)) * max(map(abs, b))
-        if size:
-            live.append((a, b))
-            bound += size * min(len(a), len(b))
+    count = len(a) + len(b) - 1
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     if not bound:
         return [0] * count
     width = bound.bit_length() // 8 + 1
     half = 1 << (8 * width - 1)
-    total = sum(_pack(a, width, half) * _pack(b, width, half) for a, b in live)
-    return _unpack(total, width, half, count)
+    return _unpack(_pack(a, width, half) * _pack(b, width, half),
+                   width, half, count)
 
 
 def _unpack(total: int, width: int, half: int, count: int) -> list[int]:
@@ -559,7 +553,7 @@ def _unpack(total: int, width: int, half: int, count: int) -> list[int]:
 
 def _ring_mul(m: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
     """a * b in Z[zeta_m], both given by their phi(m) coefficients."""
-    return _reduce(m, _convolve([(a, b)]))
+    return _reduce(m, _convolve(a, b))
 
 
 def _conjugate(m: int, a: Sequence[int], g: int) -> list[int]:
@@ -722,6 +716,10 @@ class CyclotomicNumber:
 # characters and restriction to translated subtori
 # ---------------------------------------------------------------------------
 
+#: A row of :meth:`TermTable.restrict`: (entries, lo, norm, spans).
+Restricted = tuple[list[dict], Optional[Expo], int, Optional[Expo]]
+
+
 class TermTable:
     """The terms of a matrix of rational Laurent polynomials, indexed once
     for evaluation at many characters and restriction to cosets.
@@ -731,10 +729,10 @@ class TermTable:
     ``exponents``, coefficient) pairs, with row i scaled by the lcm of its
     coefficients' denominators (1 for an Alexander matrix), so that every
     coefficient is an int.  Scaling a row by a nonzero rational keeps the
-    rank.  Equal cells are one object, and a character or an integer
-    point of a coset (:meth:`at_point`) or a coset (:meth:`on_coset`)
-    takes each once.
-    ``weights[j]`` is the number of terms in column j.
+    rank.  Equal cells are one object, and a character
+    (:meth:`at_character`) or a coset (:meth:`restrict`) takes each once.
+    ``weights[j]`` is the number of terms in column j.  A table never
+    changes once built.
 
     >>> table = TermTable([[LaurentPoly.parse("t1 - 1", 2),
     ...                     LaurentPoly.parse("1/2 t1*t2 - 1/2")]])
@@ -742,7 +740,7 @@ class TermTable:
     ([(1, 0), (0, 0), (1, 1)], [[((0, 2), (1, -2)), ((2, 1), (1, -1))]])
     """
 
-    __slots__ = ("num_vars", "exponents", "cells", "weights", "_coset")
+    __slots__ = ("num_vars", "exponents", "cells", "weights")
 
     def __init__(self, rows: Sequence[Sequence[LaurentPoly]]):
         index: dict = {}
@@ -758,144 +756,66 @@ class TermTable:
         self.num_vars = rows[0][0].num_vars if rows and rows[0] else 0
         self.exponents = list(index)
         self.weights = [sum(map(len, column)) for column in zip(*self.cells)]
-        self._coset = None
 
-    def at_point(self, chi: TorsionCharacter, columns: Sequence[int],
-                 basis: Sequence[Sequence[int]] = (),
-                 point: Sequence[int] = ()
-                 ) -> list[list[Optional[list[int]]]]:
-        """The entries in ``columns`` of every (scaled) row at the point u
-        of the coset chi.exp(L tensor C), as integer vectors of Z[zeta_m] in
-        the basis 1, zeta, ..., zeta^(phi(m)-1), m the order of chi, and
-        None for a zero entry: the input of :func:`cyclotomic_rank`.  L is
-        stored by the d integer rows ``basis`` and u in Z^d has no zero
-        coordinate; with no rows this is the value at the character chi.
-
-        t_i becomes chi_i prod_j u_j^B[j][i], so the monomial t^a takes the
-        value zeta_m^(a . w) u^(B a), w the numerators of chi.  Each entry
-        is restricted first (see :meth:`_restricted`), so a monomial that
-        cancels on the coset is never evaluated.  Row i is then multiplied
-        by the unit u^(-lo_i), lo_i the least exponent of each u_j among
-        its restricted terms, so every power of u is a polynomial one and
-        every rank is kept.
+    def at_character(self, chi: TorsionCharacter, columns: Sequence[int]
+                     ) -> list[list[Optional[list[int]]]]:
+        """The entries in ``columns`` of every (scaled) row at the character
+        chi, as integer vectors of Z[zeta_m] in the basis 1, zeta, ...,
+        zeta^(phi(m)-1), m the order of chi, and None for a zero entry: the
+        input of :func:`cyclotomic_rank`.  The monomial t^a takes the value
+        zeta_m^(a . w), w the numerators of chi.
         """
         if chi.n != self.num_vars and self.exponents:
             raise ValueError("character length mismatch")
         m, rows = chi.order, []
-        if not basis:
-            powers = [sum(map(operator.mul, e, chi.nums)) % m
-                      for e in self.exponents]
-            values: dict = {(): None}         # cell -> its vector; () is 0
-            for row in self.cells:
-                for cell in map(row.__getitem__, columns):
-                    if cell not in values:
-                        acc = [0] * m
-                        for i, c in cell:
-                            acc[powers[i]] += c
-                        v = _reduce(m, acc)
-                        values[cell] = v if any(v) else None
-                rows.append([values[row[j]] for j in columns])
-            return rows
-        values = {}                           # (cell, lo_i) -> its value
-        monomials: dict = {}                  # shifted exponent -> u^e
-        for row, lo, _ in self._restricted(chi, basis, columns):
-            out = []
-            for terms in row:
-                key = (id(terms), lo)         # the rows keep each terms alive
-                if key not in values:
-                    value = None
-                    for e, v in terms.items():
-                        k = tuple(map(operator.sub, e, lo))
-                        if k not in monomials:
-                            monomials[k] = math.prod(map(pow, point, k))
-                        x = monomials[k]
-                        value = ([a + b * x for a, b in zip(value, v)]
-                                 if value else [b * x for b in v])
-                    values[key] = value if value and any(value) else None
-                out.append(values[key])
-            rows.append(out)
+        powers = [sum(map(operator.mul, e, chi.nums)) % m
+                  for e in self.exponents]
+        values: dict = {(): None}             # cell -> its vector; () is 0
+        for row in self.cells:
+            for cell in map(row.__getitem__, columns):
+                if cell not in values:
+                    acc = [0] * m
+                    for i, c in cell:
+                        acc[powers[i]] += c
+                    v = _reduce(m, acc)
+                    values[cell] = v if any(v) else None
+            rows.append([values[row[j]] for j in columns])
         return rows
 
-    def coset_bounds(self, chi: TorsionCharacter, columns: Sequence[int],
-                     basis: Sequence[Sequence[int]]
-                     ) -> list[tuple[int, tuple[int, ...]]]:
-        """For each row with a nonzero entry in ``columns`` restricted to
-        the coset of :meth:`at_point`: the sum of |c| over the integer
-        coefficients c of those entries, and for each u_j the span
-        max - min of its exponent over their terms.  Once the row is
-        shifted by its least exponent, the span bounds the degree in u_j of
-        its entries, and the sum bounds every Galois conjugate of every
-        coefficient of them."""
-        norms: dict = {}                      # id(terms) -> its sum of |c|
-        bounds = []
-        for row, lo, hi in self._restricted(chi, basis, columns):
-            if lo is not None:
-                for terms in row:
-                    if id(terms) not in norms:
-                        norms[id(terms)] = sum(abs(x) for v in terms.values()
-                                               for x in v)
-                bounds.append((sum(norms[id(terms)] for terms in row),
-                               tuple(map(operator.sub, hi, lo))))
-        return bounds
-
-    def on_coset(self, torus: TranslatedTorus, columns: Sequence[int]
-                 ) -> list[list[LaurentPoly]]:
+    def restrict(self, chi: TorsionCharacter,
+                 basis: Sequence[Sequence[int]], columns: Sequence[int]
+                 ) -> list[Restricted]:
         """The entries in ``columns`` of every (scaled) row restricted to
-        the coset rho.T: t_i becomes rho_i prod_j u_j^B[j][i], B the
-        k = dim T integer rows that store T's direction L.  Any integer
-        basis of L maps u -> rho u^B onto the coset, so an entry is zero iff
-        it vanishes there, and the matrix keeps its generic rank there.
+        the coset chi.exp(L tensor C), L stored by the d integer rows
+        ``basis``: t_i becomes chi_i prod_j u_j^B[j][i], so the monomial
+        t^a becomes zeta_m^(a . w) u^(B a), w the numerators of chi over its
+        order m.  Any integer basis of L maps u -> chi u^B onto the coset,
+        so an entry restricts to zero iff it vanishes there, and the matrix
+        keeps its generic rank there.
 
-        The coefficient of each restricted exponent (see
-        :meth:`_restricted`) is its vector's one int when phi(m) = 1
-        (m <= 2, zeta_2 = -1 folded), and a CyclotomicNumber otherwise.
+        Each row is (entries, lo, norm, spans).  An entry is the dict of
+        its restricted exponents B a with their nonzero coefficients, each
+        an integer vector of Z[zeta_m] reduced once mod Phi_m; equal cells
+        share one dict.  lo is the least exponent of each u_j among the
+        row's terms, spans their greatest less lo, and norm the sum of |c|
+        over the integers c of the row's coefficients (lo and spans are
+        None, and norm 0, for a row without terms).  Once the row is
+        shifted by u^(-lo), a unit, the spans bound the degree in u_j of
+        its entries, and the norm bounds every Galois conjugate of every
+        coefficient of them.
         """
-        if torus.ambient_dim != self.num_vars and self.exponents:
-            raise ValueError("variable count does not match the ambient torus")
-        basis = torus.direction.rows
-        m = torus.translate.order
-        values: dict = {}                     # id(terms) -> its restriction
-        rows = []
-        for row, _, _ in self._restricted(torus.translate, basis, columns):
-            out = []
-            for terms in row:
-                if id(terms) not in values:
-                    values[id(terms)] = LaurentPoly._make(len(basis), {
-                        e: v[0] if len(v) == 1 else CyclotomicNumber._make(m, v)
-                        for e, v in terms.items()})
-                out.append(values[id(terms)])
-            rows.append(out)
-        return rows
-
-    def _restricted(self, chi: TorsionCharacter,
-                    basis: Sequence[Sequence[int]], columns: Sequence[int]
-                    ) -> list[tuple[list[dict], Optional[Expo],
-                                    Optional[Expo]]]:
-        """The entries in ``columns`` of every row restricted to the coset
-        chi.exp(L tensor C), L stored by ``basis``, with the least and the
-        greatest exponent of each u_j among the row's terms (None for a row
-        without terms).  Each entry is the dict of its restricted exponents
-        B a with their nonzero coefficients, one dict object per distinct
-        cell.
-
-        Each distinct exponent a maps once to (B a, a . w mod m), w the
-        numerators of chi over its order m; a cell sums its coefficients
-        into one m-long vector per restricted exponent, reduced once mod
-        Phi_m.  The rows of the last coset asked are kept, so that bounding
-        (:meth:`coset_bounds`), evaluating (:meth:`at_point`) and Bareiss's
-        restriction (:meth:`on_coset`) of one coset restrict it once.
-        """
-        key = (chi.order, chi.nums, tuple(map(tuple, basis)), tuple(columns))
-        if self._coset is not None and self._coset[0] == key:
-            return self._coset[1]
+        if chi.n != self.num_vars and self.exponents:
+            raise ValueError("character length mismatch")
         m, exponents = chi.order, self.exponents
         images = (list(zip(*[[sum(map(operator.mul, b, a)) for a in exponents]
                              for b in basis])) if basis
                   else [()] * len(exponents))
         powers = [sum(map(operator.mul, a, chi.nums)) % m for a in exponents]
-        done: dict = {}                       # cell -> its restriction
+        done: dict = {}                       # cell -> (its restriction, norm)
         rows = []
         for row in self.cells:
+            norm = 0
+            entries = []
             for cell in map(row.__getitem__, columns):
                 if cell not in done:
                     sums: dict = {}
@@ -904,18 +824,78 @@ class TermTable:
                         if e not in sums:
                             sums[e] = [0] * m
                         sums[e][powers[i]] += c
-                    terms = done[cell] = {}
+                    terms, size = {}, 0
                     for e, acc in sums.items():
                         v = _reduce(m, acc)
                         if any(v):
                             terms[e] = v
-            entries = [done[row[j]] for j in columns]
+                            size += sum(map(abs, v))
+                    done[cell] = terms, size
+                terms, size = done[cell]
+                entries.append(terms)
+                norm += size
             exps = [e for terms in entries for e in terms]
-            rows.append((entries, tuple(map(min, zip(*exps))),
-                         tuple(map(max, zip(*exps)))) if exps
-                        else (entries, None, None))
-        self._coset = (key, rows)
+            if exps:
+                lo = tuple(map(min, zip(*exps)))
+                rows.append((entries, lo, norm, tuple(
+                    map(operator.sub, map(max, zip(*exps)), lo))))
+            else:
+                rows.append((entries, None, 0, None))
         return rows
+
+
+def at_point(rows: Sequence[Restricted], point: Sequence[int]
+             ) -> list[list[Optional[list[int]]]]:
+    """The restricted ``rows`` of :meth:`TermTable.restrict` at the integer
+    point u, which has no zero coordinate, as integer vectors of Z[zeta_m]
+    and None for a zero entry: the input of :func:`cyclotomic_rank`.
+
+    Row i is multiplied by the unit u^(-lo_i), so every power of u is a
+    polynomial one and every rank is kept.  A monomial that cancels on the
+    coset was dropped by the restriction and is never evaluated.
+    """
+    values: dict = {}                         # (cell, lo_i) -> its value
+    monomials: dict = {}                      # shifted exponent -> u^e
+    out = []
+    for entries, lo, _, _ in rows:
+        row = []
+        for terms in entries:
+            key = (id(terms), lo)             # the rows keep each terms alive
+            if key not in values:
+                value = None
+                for e, v in terms.items():
+                    k = tuple(map(operator.sub, e, lo))
+                    if k not in monomials:
+                        monomials[k] = math.prod(map(pow, point, k))
+                    x = monomials[k]
+                    value = ([a + b * x for a, b in zip(value, v)]
+                             if value else [b * x for b in v])
+                values[key] = value if value and any(value) else None
+            row.append(values[key])
+        out.append(row)
+    return out
+
+
+def on_coset(rows: Sequence[Restricted], order: int, dim: int
+             ) -> list[list[LaurentPoly]]:
+    """The restricted ``rows`` of :meth:`TermTable.restrict` as Laurent
+    polynomials in the ``dim`` variables u, over Z[zeta_m] for m =
+    ``order``: the input of :func:`bareiss_rank`.  A coefficient is its
+    vector's one int when phi(m) = 1 (m <= 2, zeta_2 = -1 folded), and a
+    CyclotomicNumber otherwise.
+    """
+    values: dict = {}                         # id(terms) -> its polynomial
+    out = []
+    for entries, _, _, _ in rows:
+        row = []
+        for terms in entries:
+            if id(terms) not in values:
+                values[id(terms)] = LaurentPoly._make(dim, {
+                    e: v[0] if len(v) == 1 else CyclotomicNumber._make(order, v)
+                    for e, v in terms.items()})
+            row.append(values[id(terms)])
+        out.append(row)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -977,7 +957,8 @@ def cyclotomic_rank(rows: Sequence[Sequence[Optional[list[int]]]],
                     order: int) -> int:
     """Rank over Q(zeta_m), m = ``order``, of a matrix whose entries are
     integer vectors of Z[zeta_m] in the basis 1, zeta, ..., zeta^(phi(m)-1),
-    and None for zero, as :meth:`TermTable.at_point` gives them.
+    and None for zero, as :meth:`TermTable.at_character` and
+    :func:`at_point` give them.
 
     Elimination takes no division and no inverse: a pivot p clears an entry
     a below it by row_i <- p * row_i - a * row_p, which keeps the rank since

@@ -13,8 +13,8 @@ import math
 from fractions import Fraction
 
 from jumploci.fox import FreeWord
-from jumploci.laurent import (CyclotomicNumber, LaurentPoly,
-                              cyclotomic_polynomial)
+from jumploci.laurent import (CyclotomicNumber, LaurentPoly, TermTable,
+                              cyclotomic_polynomial, on_coset)
 from jumploci.qlinalg import RationalSubspace
 from jumploci.tori import (GradedDescription, TorsionCharacter,
                            TranslatedTorus, VarietyDescription)
@@ -39,6 +39,14 @@ def torus(lam, basis_rows, ambient_dim: int | None = None) -> TranslatedTorus:
                          den),
         RationalSubspace.from_rows(
             basis_rows, len(lam) if ambient_dim is None else ambient_dim))
+
+
+def restricted_polys(table: TermTable, coset: TranslatedTorus,
+                     columns) -> list[list[LaurentPoly]]:
+    """The entries in ``columns`` of the table restricted to the coset, as
+    the Laurent polynomials that Bareiss ranks."""
+    chi, rows = coset.translate, coset.direction.rows
+    return on_coset(table.restrict(chi, rows, columns), chi.order, len(rows))
 
 
 def identity_only(n: int) -> VarietyDescription:

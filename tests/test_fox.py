@@ -1,6 +1,7 @@
 """Presentations, Fox derivatives, Alexander matrices, exact ranks."""
 
 import cmath
+import copy
 import math
 import random
 import sys
@@ -550,7 +551,8 @@ def test_bareiss_takes_one_conjugate_product_per_divisor():
         torus = builders.torus(lam, rows, 6)
         columns = _kept_columns(m, torus.translate, torus.direction.rows)
         laurent._conjugate_product.cache_clear()
-        assert bareiss_rank(m.term_table().on_coset(torus, columns)) == 5
+        assert bareiss_rank(builders.restricted_polys(
+            m.term_table(), torus, columns)) == 5
         assert 1 <= laurent._conjugate_product.cache_info().misses <= 3
         assert not contains_translated_torus(m, torus)
 
@@ -691,8 +693,8 @@ def test_restriction_through_the_term_table_matches_the_oracle():
                 if torus.dim != dim:
                     continue
                 oracle = restricted_to_coset(M.entries, torus)
-                assert M.term_table().on_coset(
-                    torus, range(M.num_cols)) == oracle
+                assert builders.restricted_polys(
+                    M.term_table(), torus, range(M.num_cols)) == oracle
                 # Bareiss on every column over Z[zeta_127], and on planes of
                 # the surface group's 16 x 6 matrix, takes seconds
                 if order == 127 and n > 3 or n == 6 and dim == 2:
@@ -797,28 +799,26 @@ F2XF2_PRES = "<x1, x2, x3, x4 | [x1, x3], [x1, x4], [x2, x3], [x2, x4]>"
 
 def coset_routes(M, torus):
     """The routes of generic_rank_on_torus on the coset, each taken
-    directly: (s, phi(m) and the predicted size of the point of Cauchy's
-    bound, a function giving the rank there, the rank at the small point,
-    and a function giving Bareiss's rank)."""
+    directly from one restriction: (s, phi(m) and the predicted size of
+    the point of Cauchy's bound, a function giving the rank there, the
+    rank at the small point, and a function giving Bareiss's rank)."""
     chi, basis = torus.translate, torus.direction.rows
     columns = _kept_columns(M, chi, basis)
-    table = M.term_table()
-    bounds = table.coset_bounds(chi, columns, basis)
+    rows = M.term_table().restrict(chi, basis, columns)
+    bounds = [(norm, spans) for _, _, norm, spans in rows if norm]
     s = min(len(bounds), len(columns))
     phi = len(laurent.cyclotomic_polynomial(chi.order)) - 1
     if not s:
         return 0, phi, 0, lambda: 0, 0, lambda: 0
     base, weights, size = fox._cauchy_point(bounds, phi, s)
     small = cyclotomic_rank(
-        table.at_point(chi, columns, basis, fox._primes(len(basis))),
-        chi.order)
+        laurent.at_point(rows, fox._primes(len(basis))), chi.order)
 
     def cauchy():
         point = [base ** w for w in weights]
-        return cyclotomic_rank(table.at_point(chi, columns, basis, point),
-                               chi.order)
-    return (s, phi, size, cauchy, small,
-            lambda: bareiss_rank(table.on_coset(torus, columns)))
+        return cyclotomic_rank(laurent.at_point(rows, point), chi.order)
+    return (s, phi, size, cauchy, small, lambda: bareiss_rank(
+        laurent.on_coset(rows, chi.order, len(basis))))
 
 
 def numeric_generic_rank(M, torus, rng):
@@ -894,6 +894,54 @@ def test_generic_rank_routes_agree_with_bareiss_and_the_oracle():
                     assert cauchy() == generic
                 routes[route] += 1
     assert min(routes.values()) >= 3, routes
+
+
+def test_every_route_restricts_the_coset_once(monkeypatch):
+    # generic_rank_on_torus restricts a coset once and hands the rows to
+    # every route it takes, and the term table, which the CLI memo keeps
+    # between calls, holds nothing of the call.  On the surface group: a
+    # plane of order 3 is ranked at the point of Cauchy's bound at once, a
+    # plane of order 127 is refuted at the small point, a circle of order
+    # 502 survives it and is ranked at the point of Cauchy's bound, and a
+    # 3-torus of order 127 with wide direction rows survives it and goes
+    # to Bareiss.
+    M = alexander_matrix(parse_presentation(datasets.SURFACE_PRES))
+    table = M.term_table()
+    calls, restrict_once = [], laurent.TermTable.restrict
+
+    def restrict(self, *args):
+        calls.append("restrict")
+        return restrict_once(self, *args)
+
+    def at_point(rows, point):
+        calls.append("small" if point == fox._primes(len(point))
+                     else "cauchy")
+        return laurent.at_point(rows, point)
+
+    def on_coset(*args):
+        calls.append("bareiss")
+        return laurent.on_coset(*args)
+
+    monkeypatch.setattr(laurent.TermTable, "restrict", restrict)
+    monkeypatch.setattr(fox, "at_point", at_point)
+    monkeypatch.setattr(fox, "on_coset", on_coset)
+    e = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+    for lam, rows, rank, route in (
+            ((F(1, 3), F(2, 3), 0, 0, F(1, 3), 0), e[:2], 5, ["cauchy"]),
+            ([F(k, 127) for k in (56, 16, 16, 0, 124, 111)],
+             [(-2, -1, -1, -1, -1, 0), (0, -1, 2, -1, -1, -1)], 5, ["small"]),
+            ((F(1, 251), F(2, 251), F(1, 2), 0, 0, 0), e[:1], 3,
+             ["small", "cauchy"]),
+            ((0, 0, F(3, 127), F(5, 127), F(7, 127), F(11, 127)),
+             [(0, 0, 2, 0, 0, -1), (0, 0, 0, 1, 0, 2), (0, 0, 0, 0, 2, -3)],
+             3, ["small", "bareiss"])):
+        before = [copy.deepcopy(getattr(table, name))
+                  for name in laurent.TermTable.__slots__]
+        calls.clear()
+        assert generic_rank_on_torus(M, builders.torus(lam, rows, 6)) == rank
+        assert calls == ["restrict"] + route
+        assert [getattr(table, name)
+                for name in laurent.TermTable.__slots__] == before
 
 
 def test_containment_takes_the_d1_support_once(monkeypatch):

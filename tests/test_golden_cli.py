@@ -352,6 +352,12 @@ def build_argvs() -> list[list[str]]:
     calls.append(["charvar-check", "--pres", SURFACE_PRES, "--desc", _desc(6, [(
         ["0", "0", "3/127", "5/127", "7/127", "11/127"],
         [[0, 0, 2, 0, 0, -1], [0, 0, 0, 1, 0, 2], [0, 0, 0, 0, 2, -3]])])])
+    # a contained plane of order 508 past POINT_BUDGET, whose Bareiss
+    # elimination divides by a pivot that is no integer, so division in
+    # Z[zeta_508] (a conjugate product) runs
+    calls.append(["charvar-check", "--pres", SURFACE_PRES, "--desc", _desc(6, [(
+        ["0", "0", "0", "0", "53/508", "17/254"],
+        [[0, 0, 1, 0, "-1/2", 0], [0, 0, 0, 1, "3/2", 0]])])])
     return calls
 
 

@@ -1,4 +1,4 @@
-"""Rules on the library's source code itself."""
+"""Rules on the library's source code itself, and on its CI workflow."""
 
 import ast
 import contextlib
@@ -8,7 +8,10 @@ import json
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "jumploci"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "jumploci"
 
 
 def test_library_has_no_assert_statements():
@@ -134,3 +137,16 @@ def test_every_exported_name_runs_on_the_cli_transcript():
     for exempt in NOT_ON_THE_TRANSCRIPT:
         owner, attr = exempt.split(".")
         assert _own_code(vars(getattr(jumploci, owner))[attr]) not in ran
+
+
+def test_ci_workflow_parses_and_every_step_runs_a_string():
+    # a step name holding `"verified": true` once left the workflow
+    # unreadable as YAML, and nothing here caught it
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml")
+                              .read_text(encoding="utf-8"))
+    steps = [step for job in workflow["jobs"].values() for step in job["steps"]]
+    assert steps
+    for step in steps:
+        assert isinstance(step.get("name", ""), str)
+        assert isinstance(step.get("run", ""), str)
