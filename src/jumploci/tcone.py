@@ -16,33 +16,52 @@ degree-one characteristic arrangement.
 :func:`tangent_cone_polys` does not visit every admissible partition (there
 are Bell-number many).  Every admissible partition refines to one whose
 parts are *minimal* zero-sum sets, and refining only enlarges L(p), so the
-maximal L(p) all come from partitions into minimal parts.  The minimal
-zero-sum subsets are found once from the 2^k subset sums of the k support
-coefficients.  A recursion anchored on the least unassigned exponent then
-covers the remaining support with minimal parts, memoized on the remaining
-support.  It carries the row space R(p) = span of in-part differences, so
-L(p) = R(p)^perp, and keeps only the inclusion-minimal R at each step.  This
-is sound because R(part) + R(rest) grows with R(rest).  Each minimal part
-joined to one R of the rest is a step, counted against ``CONE_BUDGET``.
+maximal L(p) all come from partitions into minimal parts, and L(p) =
+R(p)^perp for the row space R(p) = span of in-part differences.
 
-Everything runs on ints.  The subset sums are the coefficients over their
-common denominator, tabulated by doubling.  A minimal part is kept as its
-bitmask and its in-part differences, which are integer vectors; no subspace
-is built per part.  Every R lies in the span D of the k - 1 differences from
-the least exponent.  When k - 1 < n the recursion works on coordinates:
-each vector is replaced by its entries at the pivot columns of D's RREF, a
-linear bijection from D onto Q^(dim D) that keeps sums and inclusion, so
-its rows have at most k - 1 entries however many variables there are, and
-each R it returns is lifted back into Q^n.  It carries each R as a raw
-primitive integer RREF ``(rows, pivots)`` from ``qlinalg._echelon``:
-R(part) + R(rest) is the part's differences echelonized into the rows of
-R(rest).  A rest that is the whole working space is the sum as it is, and
-a rest of codimension one is settled by its normal vector, taken once per
-call: the sum is the whole space if some difference of the part leaves
-the rest's hyperplane, and the rest otherwise.  The memo and the minimal-R
-prune hash and compare those tuples.  A
-:class:`jumploci.qlinalg.RationalSubspace` is built only for each R the
-recursion returns and for its complement L(p), and the final arrangement is
+Every R lies in the span D of the k - 1 differences from the least exponent
+a_0.  When k - 1 < n the cone is found on coordinates: each vector is
+replaced by its entries at the pivot columns of D's RREF, a linear
+bijection from D onto Q^(dim D) that keeps sums and inclusion, so rows have
+at most k - 1 entries however many variables there are, and each R found
+is lifted back into Q^n.  The working space is Q^d, with d = n or dim D.
+
+The minimal R(p) are the minimal subspaces R that are spanned by
+differences of the support and whose classes of exponents congruent mod R
+each sum to zero: R(p) is one, as its classes are unions of parts, and any
+such R contains R(p) for the partition cutting its classes into minimal
+parts.  When d <= 2 this is settled in closed form.  {0} never qualifies,
+as each of its classes is one term with a nonzero coefficient; a
+qualifying line puts a_0 in a class with some other exponent b, so it is
+spanned by b - a_0.  So the lines through a_0 and the other exponents are
+the only proper candidates, distinct lines never contain each other, and
+the whole working space is minimal only when no line qualifies (always so
+when d = 1).  Each line is tested by one pass over the support, its
+classes keyed by a 2 x 2 determinant; no subset sum is tabulated and no
+step is taken.
+
+When d >= 3 a minimal R can be a plane holding no qualifying line, and a
+recursion runs.  The minimal zero-sum subsets are found once from the 2^k
+subset sums of the k support coefficients.  A recursion anchored on the
+least unassigned exponent then covers the remaining support with minimal
+parts, memoized on the remaining support.  It carries R(p) and keeps only
+the inclusion-minimal R at each step.  This is sound because R(part) +
+R(rest) grows with R(rest).  Each minimal part joined to one R of the rest
+is a step, counted against ``CONE_BUDGET``.
+
+Everything runs on ints.  The weights are the coefficients over their
+common denominator, and the subset sums are tabulated from them by
+doubling.  A minimal part is kept as its bitmask and its in-part
+differences, which are integer vectors; no subspace is built per part.
+Both routes give each R as a raw primitive integer RREF ``(rows, pivots)``
+as ``qlinalg._echelon`` makes it.  In the recursion, R(part) + R(rest) is
+the part's differences echelonized into the rows of R(rest).  A rest that
+is the whole working space is the sum as it is, and a rest of codimension
+one is settled by its normal vector, taken once per call: the sum is the
+whole space if some difference of the part leaves the rest's hyperplane,
+and the rest otherwise.  The memo and the minimal-R prune hash and compare
+those tuples.  A :class:`jumploci.qlinalg.RationalSubspace` is built only
+for each R found and for its complement L(p), and the final arrangement is
 ordered on integer rows (:func:`jumploci.qlinalg.rref_order`); the cone of
 a polynomial builds no ``Fraction``.
 
@@ -63,19 +82,21 @@ from .qlinalg import (RationalSubspace, _echelon, _echelon_contains,
                       _identity, _kernel, _uncovered, format_rref, rref_order)
 from .tori import VarietyDescription
 
-# The tangent cone tabulates all 2^k subset sums of a k-term support, about
-# 40 bytes each: 40 MB at this size, and gigabytes a few terms later.
+# The recursion tabulates all 2^k subset sums of a k-term support, about 40
+# bytes each: 40 MB at this size, and gigabytes a few terms later.  Every
+# support is checked against it, whichever route its cone takes.
 SUBSET_SUM_LIMIT = 20
-# The most steps one tangent_cone_polys call may take; a step costs at most
-# one subspace sum, in the span of the support's differences when a k-term
-# support has k - 1 < n.  Single runs on Python 3.11.7, 2 shared vCPUs: the
-# product of (t_i - 1) over four variables takes 5,938 steps (0.08 s), and
-# with t1^5 - t1^6 added 19,569 (0.2 s); sixteen terms on random exponents in
-# [-2, 2]^n, twelve +1 and four -3, take 37,510-48,270 for n = 4-6
-# (0.1-1.4 s) and 392,606-397,710 for n = 7 (1.8-2.1 s), refused here after
-# 0.7-1.1 s.  A step costs more as the working space grows, up to 15
-# dimensions for such a support: refused after 3-5 s at n = 10 and 9-13 s
-# at n = 50 and at n = 256.
+# The most steps one tangent_cone_polys call may take; a step is one of the
+# recursion's, on a working space of dimension >= 3 (the closed form below
+# that takes none), and costs at most one subspace sum, in the span of the
+# support's differences when a k-term support has k - 1 < n.  Single runs on
+# Python 3.11.7, 2 shared vCPUs: the product of (t_i - 1) over four
+# variables takes 5,938 steps (0.08 s), and with t1^5 - t1^6 added 19,569
+# (0.2 s); sixteen terms on random exponents in [-2, 2]^n, twelve +1 and
+# four -3, take 37,510-48,270 for n = 4-6 (0.1-1.4 s) and 392,606-397,710
+# for n = 7 (1.8-2.1 s), refused here after 0.7-1.1 s.  A step costs more as
+# the working space grows, up to 15 dimensions for such a support: refused
+# after 3-5 s at n = 10 and 9-13 s at n = 50 and at n = 256.
 CONE_BUDGET = 60_000
 
 
@@ -167,26 +188,90 @@ def _poly_cone(f: LaurentPoly, spent: list[int]) -> list[RationalSubspace]:
             f"{SUBSET_SUM_LIMIT} terms")
     coeffs = [f.terms[e] for e in support]
     den = math.lcm(*(c.denominator for c in coeffs))
-    # sums[mask]: the sum of the integer weights at the bits of mask
-    sums = [0]
-    for c in coeffs:
-        w = c.numerator * (den // c.denominator)
-        sums += [s + w for s in sums]
+    weights = [c.numerator * (den // c.denominator) for c in coeffs]
     # Every R lies in the span D of the differences, of dimension at most
-    # k - 1.  When that is less than n, the recursion runs on coordinates at
+    # k - 1.  When that is less than n, the cone is found on coordinates at
     # the pivot columns of D's RREF: reading those coordinates is a linear
     # bijection from D onto Q^dim D, so it keeps sums, inclusion and
-    # dimension, and each R it returns is lifted back into Q^n.
+    # dimension, and each R found there is lifted back into Q^n.
     diffs = [tuple(map(operator.sub, e, support[0])) for e in support]
     project = k - 1 < n
     span, span_pivots = _echelon(diffs) if project else ((), tuple(range(n)))
     if project:
         diffs = [tuple([v[p] for p in span_pivots]) for v in diffs]
-    # parts[i]: the minimal zero-sum subsets with least element i, as bitmasks
-    # with their in-part differences.  A zero-sum mask is not minimal iff it
-    # properly contains a minimal one with the same least element (split off
-    # a zero-sum proper subset and cut the piece holding that element into
-    # minimal parts); such a part is a smaller mask, so it is already listed.
+    d = len(span_pivots)
+    if d <= 2:
+        found = _line_spaces(diffs, weights, d)
+    else:
+        found = _row_spaces((1 << k) - 1, _minimal_parts(diffs, weights),
+                            {0: [((), ())]}, {}, _identity(d), spent)
+    if project:
+        # a row w of R in coordinates is the vector sum_i w_i span_i / a_i of
+        # D, a_i the pivot entry of span_i; times the lcm of the a_i it is
+        # an integer vector
+        scale = math.lcm(*(row[p] for row, p in zip(span, span_pivots)))
+        lifts = [scale // row[p] for row, p in zip(span, span_pivots)]
+        found = [_echelon([
+            [sum(w_i * c * row[j] for w_i, c, row in zip(w, lifts, span) if w_i)
+             for j in range(n)] for w in rows]) for rows, _ in found]
+    return [RationalSubspace(n, rows, pivots).perp() for rows, pivots in found]
+
+
+def _line_spaces(diffs: Sequence[tuple[int, ...]], weights: Sequence[int],
+                 d: int) -> list[Echelon]:
+    """Minimal R(p) on a working space Q^d with d <= 2, in closed form.
+
+    ``diffs`` are the exponents less the least one, a_0, in working
+    coordinates, and ``weights`` their integer coefficients.  The candidates
+    are the lines through a_0 and another exponent: a line R qualifies iff
+    every class of exponents congruent mod R sums to zero, and the classes
+    of the line along u are keyed by the determinant of u with each
+    difference.  The class of a_0 is the exponents on the line itself, so a
+    line is tested in full only when those sum to zero.  Distinct lines are
+    incomparable; with none, the whole working space is the one minimal R.
+    """
+    full = _identity(d)
+    if d == 1:
+        return [full]
+    # on_line[u]: the weight of a_0 plus those of the exponents on the line
+    # through a_0 along the primitive u.  a_0 is the least exponent, so each
+    # difference leads with a positive entry, at a pivot of the span when
+    # projected, and so does u: it is the line's primitive RREF row.
+    on_line: dict[tuple[int, int], int] = {}
+    for (x, y), w in zip(diffs[1:], weights[1:]):
+        g = math.gcd(x, y)
+        u = (x // g, y // g)
+        on_line[u] = on_line.get(u, weights[0]) + w
+    found = []
+    for u, through in on_line.items():
+        if through:
+            continue
+        ux, uy = u
+        classes: dict[int, int] = {}
+        for (x, y), w in zip(diffs, weights):
+            key = ux * y - uy * x
+            classes[key] = classes.get(key, 0) + w
+        if not any(classes.values()):
+            found.append(((u,), (0 if ux else 1,)))
+    return found or [full]
+
+
+def _minimal_parts(diffs: Sequence[tuple[int, ...]], weights: Sequence[int]
+                   ) -> list[list[tuple[int, list[tuple[int, ...]]]]]:
+    """The minimal zero-sum subsets of the support, by least element.
+
+    Entry i lists the minimal zero-sum subsets whose least element is i, as
+    bitmasks with their in-part differences.  A zero-sum mask is not minimal
+    iff it properly contains a minimal one with the same least element
+    (split off a zero-sum proper subset and cut the piece holding that
+    element into minimal parts); such a part is a smaller mask, so it is
+    already listed.
+    """
+    k = len(weights)
+    # sums[mask]: the sum of the integer weights at the bits of mask
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
     parts: list[list[tuple[int, list[tuple[int, ...]]]]] = [[] for _ in range(k)]
     for mask in itertools.compress(range(1 << k), map(operator.not_, sums)):
         if not mask:
@@ -200,18 +285,7 @@ def _poly_cone(f: LaurentPoly, spent: list[int]) -> list[RationalSubspace]:
             parts[least].append((mask, [
                 tuple(map(operator.sub, diffs[i], base))
                 for i in range(least + 1, k) if mask >> i & 1]))
-    found = _row_spaces((1 << k) - 1, parts, {0: [((), ())]}, {},
-                        _identity(len(span_pivots)), spent)
-    if project:
-        # a row w of R in coordinates is the vector sum_i w_i span_i / a_i of
-        # D, a_i the pivot entry of span_i; times the lcm of the a_i it is
-        # an integer vector
-        scale = math.lcm(*(row[p] for row, p in zip(span, span_pivots)))
-        lifts = [scale // row[p] for row, p in zip(span, span_pivots)]
-        found = [_echelon([
-            [sum(w_i * c * row[j] for w_i, c, row in zip(w, lifts, span) if w_i)
-             for j in range(n)] for w in rows]) for rows, _ in found]
-    return [RationalSubspace(n, rows, pivots).perp() for rows, pivots in found]
+    return parts
 
 
 def _row_spaces(remaining: int,
@@ -287,11 +361,14 @@ def tangent_cone_polys(polys: Sequence[LaurentPoly]) -> SubspaceArrangement:
     The call is refused past ``CONE_BUDGET`` steps over all its polynomials
     (a step joins a minimal zero-sum part to one row space of the rest),
     and a support of more than ``SUBSET_SUM_LIMIT`` = 20 terms before its
-    2^k subset sums are tabulated.  The product of (t_i - 1) over four
-    variables takes 5,938 steps (0.08 s); random 16-term supports take about
-    45,000 in four to six variables and 395,000, refused, in seven.  Steps
-    run on rows of at most k - 1 entries whatever n is, so such a support
-    is refused after 9-13 s in 50 or 256 variables.
+    2^k subset sums are tabulated.  Only supports whose differences work in
+    a space of dimension >= 3 take steps; in two variables, or when the
+    differences span a line or a plane, the cone is found in closed form
+    from the lines through the least exponent.  The product of (t_i - 1)
+    over four variables takes 5,938 steps (0.08 s); random 16-term supports
+    take about 45,000 in four to six variables and 395,000, refused, in
+    seven.  Steps run on rows of at most k - 1 entries whatever n is, so
+    such a support is refused after 9-13 s in 50 or 256 variables.
 
     >>> cone = tangent_cone_polys([LaurentPoly.parse("t1 - 1", 2),
     ...                            LaurentPoly.parse("t2 - 1", 2)])

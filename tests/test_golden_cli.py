@@ -342,6 +342,12 @@ def build_argvs() -> list[list[str]]:
     calls.append(["omega-describe", "--r", "1", "--poly", wide])
     calls.append(["tcone", "--poly", _poly_text(rng, 9, patterns[1]),
                   "--poly", _poly_text(rng, 9, patterns[2])])
+    # projected supports whose differences span a plane: 4 terms in Q^6
+    # with two qualifying lines, whose lifted rows hold 1/2, and 3 terms in
+    # Q^6 where no line qualifies
+    calls.append(["tcone", "--poly", "t1*t4 - t2*t4 - t1*t6^2 + t2*t6^2"])
+    calls.append(["omega-describe", "--r", "1", "--poly",
+                  "t1^2 + t3*t4 - 2*t6"])
     # generic ranks on cosets whose translate lies in V^1: a translated
     # plane of order 254 that the rank at the small point refutes, and a
     # sub-coset of the component {t1 = t2 = 1} with wide direction rows,

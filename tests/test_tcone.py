@@ -1,6 +1,7 @@
 """Exponential tangent cones and subspace arrangements."""
 
 import inspect
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -170,17 +171,45 @@ def test_minimal_part_cone_matches_oracle_and_enumeration(seed, coeffs):
     assert checked >= 20
 
 
-def test_poly_cone_matches_the_partition_oracle_on_mixed_coefficients():
-    # parse gives int coefficients where they are integral and Fractions
-    # elsewhere, so the subset sums must take both
-    rng = random.Random(19)
-    checked = 0
+def _working_dim(f: LaurentPoly) -> int:
+    """The dimension of the space the cone of f is found in: n, or the rank
+    of the exponent differences when the k - 1 of them are fewer than n."""
+    support = sorted(f.terms)
+    n, k = f.num_vars, len(support)
+    if k - 1 >= n:
+        return n
+    return RationalSubspace.from_rows(
+        [[a - b for a, b in zip(e, support[0])] for e in support], n).dim
+
+
+def _mixed_supports(rng):
+    """Exponent sets: random ones in Q^1..Q^4, and ones on a line or a plane
+    through a random point of Q^3..Q^6 with fewer terms than variables, so
+    that the differences are projected onto a span of dimension 1 or 2."""
     for _ in range(120):
         n, k = rng.randint(1, 4), rng.randint(2, 8)
-        terms = {}
-        for _ in range(k):
-            e = tuple(rng.randint(-2, 2) for _ in range(n))
-            terms[e] = rng.choice([1, -1, 2, -3, F(1, 2), F(-3, 2), F(2, 3)])
+        yield n, [tuple(rng.randint(-2, 2) for _ in range(n))
+                  for _ in range(k)]
+    for i in range(60):
+        n = rng.randint(3, 6)
+        base = [rng.randint(-2, 2) for _ in range(n)]
+        basis = [[rng.randint(-2, 2) for _ in range(n)]
+                 for _ in range(1 + i % 2)]
+        yield n, [tuple(x + sum(c * v[j] for c, v in zip(cs, basis))
+                        for j, x in enumerate(base))
+                  for cs in ([rng.randint(-2, 2) for _ in basis]
+                             for _ in range(rng.randint(2, n)))]
+
+
+def test_poly_cone_matches_the_partition_oracle_on_mixed_coefficients():
+    # parse gives int coefficients where they are integral and Fractions
+    # elsewhere, so the weights must take both; supports of working
+    # dimension <= 2 take the closed form and the others the recursion
+    rng = random.Random(19)
+    by_route = {True: 0, False: 0}
+    for n, exponents in _mixed_supports(rng):
+        terms = {e: rng.choice([1, -1, 2, -3, F(1, 2), F(-3, 2), F(2, 3)])
+                 for e in exponents}
         anchor = rng.choice(sorted(terms))
         terms[anchor] -= sum(terms.values())
         if terms[anchor] == 0:
@@ -193,8 +222,8 @@ def test_poly_cone_matches_the_partition_oracle_on_mixed_coefficients():
         cone = _poly_cone(f, [0])
         assert len(set(cone)) == len(cone), f
         assert set(cone) == set(_oracle_cone(f).subspaces), f
-        checked += 1
-    assert checked >= 100
+        by_route[_working_dim(f) <= 2] += 1
+    assert by_route[True] >= 30 and by_route[False] >= 30, by_route
 
 
 def _wide_polys(seed):
@@ -304,6 +333,118 @@ def test_cone_over_the_step_budget_is_refused(monkeypatch):
     monkeypatch.setattr(tcone, "CONE_BUDGET", 5937)
     with pytest.raises(ValueError, match="CONE_BUDGET = 5937"):
         tangent_cone_polys([f])
+
+
+def test_working_dimension_two_takes_the_closed_form(monkeypatch):
+    entered = []
+    for name in ("_minimal_parts", "_row_spaces"):
+        def spy(*args, _name=name, _real=getattr(tcone, name)):
+            entered.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(tcone, name, spy)
+    # two variables, and four terms in Q^6 whose differences span a plane
+    for text in ("t1 - t2 + t1*t2 - 1", "t1*t4 - t2*t4 - t1*t6^2 + t2*t6^2"):
+        f = LaurentPoly.parse(text)
+        spent = [0]
+        assert set(_poly_cone(f, spent)) == set(_oracle_cone(f).subspaces)
+        assert spent == [0] and not entered
+    spent = [0]
+    _poly_cone(LaurentPoly.parse(datasets.FOUR_BINOMIALS_TEXT), spent)
+    assert spent == [5938]
+    assert entered[:2] == ["_minimal_parts", "_row_spaces"]
+
+
+def _both_routes(f: LaurentPoly):
+    """The closed form and the recursion on the working coordinates of a
+    two-variable support of at least three terms, with the recursion's
+    step count."""
+    support = sorted(f.terms)
+    k = len(support)
+    assert f.num_vars == 2 <= k - 1
+    coeffs = [F(f.terms[e]) for e in support]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    weights = [c.numerator * (den // c.denominator) for c in coeffs]
+    diffs = [tuple(a - b for a, b in zip(e, support[0])) for e in support]
+    spent = [0]
+    recursed = tcone._row_spaces(
+        (1 << k) - 1, tcone._minimal_parts(diffs, weights), {0: [((), ())]},
+        {}, (((1, 0), (0, 1)), (0, 1)), spent)
+    return tcone._line_spaces(diffs, weights, 2), recursed, spent[0]
+
+
+def _planar_support(rng, kind, coeffs):
+    """A zero-sum support in two variables of 9-16 terms before cancelling,
+    as {exponent: coefficient}.
+
+    kind 0: random exponents in [-3, 3]^2, where lines rarely qualify;
+    kind 1: groups of 2-3 points on lines along one direction, each group
+    summing to zero, so that lines along it qualify; kind 2: g(t^u) h(t^v)
+    for zero-sum g and h of 3-4 terms, so that lines along u and along v
+    both qualify.
+    """
+    directions = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, -1)]
+    terms = {}
+    if kind == 0:
+        for _ in range(rng.randint(9, 16)):
+            e = (rng.randint(-3, 3), rng.randint(-3, 3))
+            terms[e] = terms.get(e, 0) + rng.choice(coeffs)
+        anchor = next(iter(terms))
+        terms[anchor] -= sum(terms.values())
+    elif kind == 1:
+        u, size = rng.choice(directions), rng.randint(9, 16)
+        while len(terms) < size:
+            base = (rng.randint(-2, 2), rng.randint(-2, 2))
+            steps = rng.sample(range(-1, 2), rng.randint(2, 3))
+            cs = [rng.choice(coeffs) for _ in steps[1:]]
+            for t, c in zip(steps, [-sum(cs)] + cs):
+                e = (base[0] + t * u[0], base[1] + t * u[1])
+                terms[e] = terms.get(e, 0) + c
+            terms = {e: c for e, c in terms.items() if c}
+    else:
+        u, v = rng.sample(directions, 2)
+        factors = []
+        for _ in range(2):
+            cs = [rng.choice(coeffs) for _ in range(rng.randint(2, 3))]
+            factors.append(zip(rng.sample(range(-2, 3), len(cs) + 1),
+                               [-sum(cs)] + cs))
+        g, h = map(list, factors)
+        for a, c in g:
+            for b, d in h:
+                e = (a * u[0] + b * v[0], a * u[1] + b * v[1])
+                terms[e] = terms.get(e, 0) + c * d
+    return {e: c for e, c in terms.items() if c}
+
+
+def test_closed_form_matches_the_recursion_past_the_oracle(monkeypatch):
+    # the partition oracle stops near 9 terms; the recursion runs here with
+    # no step budget on the same working coordinates
+    monkeypatch.setattr(tcone, "CONE_BUDGET", 10 ** 9)
+    coeffs = (1, -1, 2, -2, 3, F(1, 2), F(-1, 2))
+    rng = random.Random(34)
+    lines = {0: 0, 1: 0, 2: 0}
+    for i in range(90):
+        terms = _planar_support(rng, i % 3, coeffs)
+        if len(terms) < 3:
+            continue
+        f = LaurentPoly(2, {e: F(c) for e, c in terms.items()})
+        closed, recursed, _ = _both_routes(f)
+        assert len(set(closed)) == len(closed), f
+        assert set(closed) == set(recursed), f
+        n_lines = 0 if len(closed[0][0]) == 2 else len(closed)
+        lines[min(n_lines, 2)] += 1
+    # no line, one line and several lines
+    assert min(lines.values()) >= 15, lines
+
+
+def test_planar_support_past_the_step_budget_is_answered(monkeypatch):
+    f = LaurentPoly.parse(datasets.EIGHTEEN_PLANAR_TERMS_TEXT)
+    assert len(f.terms) == 18
+    assert tangent_cone_polys([f]).subspaces == (RationalSubspace.zero(2),)
+    monkeypatch.setattr(tcone, "CONE_BUDGET", 10 ** 6)
+    closed, recursed, steps = _both_routes(f)
+    assert steps > 60_000
+    # the whole working space as R, so the cone is {0}
+    assert closed == recursed == [(((1, 0), (0, 1)), (0, 1))]
 
 
 def test_support_beyond_subset_sum_table_is_rejected_before_allocating():
