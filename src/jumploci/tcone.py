@@ -30,30 +30,43 @@ The minimal R(p) are the minimal subspaces R that are spanned by
 differences of the support and whose classes of exponents congruent mod R
 each sum to zero: R(p) is one, as its classes are unions of parts, and any
 such R contains R(p) for the partition cutting its classes into minimal
-parts.  When d <= 2 this is settled in closed form.  {0} never qualifies,
-as each of its classes is one term with a nonzero coefficient; a
-qualifying line puts a_0 in a class with some other exponent b, so it is
-spanned by b - a_0.  So the lines through a_0 and the other exponents are
-the only proper candidates, distinct lines never contain each other, and
-the whole working space is minimal only when no line qualifies (always so
-when d = 1).  Each line is tested by one pass over the support, its
-classes keyed by a 2 x 2 determinant; no subset sum is tabulated and no
-step is taken.
+parts.  When d <= 3 this is settled in closed form; steps are taken only
+from d = 4.  {0} never qualifies, as each of its classes is one term with
+a nonzero coefficient; a qualifying R puts a_0 in a class with some other
+exponent b, so it contains the line spanned by b - a_0.  So the lines
+through a_0 and the other exponents are the only qualifying lines, and
+distinct lines never contain each other.  When d <= 2 they are the only
+proper candidates, and the whole working space is minimal only when no
+line qualifies (always so when d = 1).  Each line is tested by one pass
+over the support, its classes keyed by a 2 x 2 determinant.
 
-When d >= 3 a minimal R can be a plane holding no qualifying line, and a
-recursion runs.  The minimal zero-sum subsets are found once from the 2^k
-subset sums of the k support coefficients.  A recursion anchored on the
-least unassigned exponent then covers the remaining support with minimal
-parts, memoized on the remaining support.  It carries R(p) and keeps only
-the inclusion-minimal R at each step.  This is sound because R(part) +
-R(rest) grows with R(rest).  Each minimal part joined to one R of the rest
-is a step, counted against ``CONE_BUDGET``.
+When d = 3 a minimal R can also be a plane holding no qualifying line.
+Such a plane R contains one of the lines Qu through a_0, and it qualifies
+exactly when its image, a line in the quotient Q^3 / Qu, qualifies for
+the classes mod Qu with their weights summed.  As Qu does not qualify, it
+has a class c of nonzero sum, and c's class mod R holds another class e
+of nonzero sum, so R is spanned by u and x_e - x_c for exponents x_e and
+x_c of those classes: in the quotient, R is a line through c and e.  So
+for each u, the lines of the quotient through one class c of nonzero sum
+and the others are tested as the lines through a_0 are when d = 2, each
+in full only when c's class mod it sums to zero.  Distinct planes never
+contain each other, so the minimal R are the qualifying lines and the
+qualifying planes holding none of them, or the whole working space when
+there are neither.  No subset sum is tabulated and no step is taken.
+
+When d >= 4 a recursion runs.  The minimal zero-sum subsets are found
+once from the 2^k subset sums of the k support coefficients.  A recursion
+anchored on the least unassigned exponent then covers the remaining
+support with minimal parts, memoized on the remaining support.  It
+carries R(p) and keeps only the inclusion-minimal R at each step.  This
+is sound because R(part) + R(rest) grows with R(rest).  Each minimal part
+joined to one R of the rest is a step, counted against ``CONE_BUDGET``.
 
 Everything runs on ints.  The weights are the coefficients over their
 common denominator, and the subset sums are tabulated from them by
 doubling.  A minimal part is kept as its bitmask and its in-part
 differences, which are integer vectors; no subspace is built per part.
-Both routes give each R as a raw primitive integer RREF ``(rows, pivots)``
+Every route gives each R as a raw primitive integer RREF ``(rows, pivots)``
 as ``qlinalg._echelon`` makes it.  In the recursion, R(part) + R(rest) is
 the part's differences echelonized into the rows of R(rest).  A rest that
 is the whole working space is the sum as it is, and a rest of codimension
@@ -79,7 +92,8 @@ from typing import Iterable, Optional, Sequence
 
 from .laurent import LaurentPoly
 from .qlinalg import (RationalSubspace, _echelon, _echelon_contains,
-                      _identity, _kernel, _uncovered, format_rref, rref_order)
+                      _identity, _kernel, _primitive, _uncovered, format_rref,
+                      rref_order)
 from .tori import VarietyDescription
 
 # The recursion tabulates all 2^k subset sums of a k-term support, about 40
@@ -87,11 +101,13 @@ from .tori import VarietyDescription
 # support is checked against it, whichever route its cone takes.
 SUBSET_SUM_LIMIT = 20
 # The most steps one tangent_cone_polys call may take; a step is one of the
-# recursion's, on a working space of dimension >= 3 (the closed form below
-# that takes none), and costs at most one subspace sum, in the span of the
-# support's differences when a k-term support has k - 1 < n.  Single runs on
-# Python 3.11.7, 2 shared vCPUs: the product of (t_i - 1) over four
-# variables takes 5,938 steps (0.08 s), and with t1^5 - t1^6 added 19,569
+# recursion's, and costs at most one subspace sum, in the span of the
+# support's differences when a k-term support has k - 1 < n.  Working
+# dimension d <= 3 is found in closed form; steps are taken only from d = 4.
+# Single runs on Python 3.11.7, 2 shared vCPUs: the product (t1 - 1)(t2 - 1)
+# (t1 t2 - 1)(t3 - 1)(t1 t3 - 1), 20 terms with d = 3, would take 29,582
+# steps (0.2 s) and takes none (about 1 ms); the product of (t_i - 1) over
+# four variables takes 5,938 steps (0.08 s), and with t1^5 - t1^6 added 19,569
 # (0.2 s); sixteen terms on random exponents in [-2, 2]^n, twelve +1 and
 # four -3, take 37,510-48,270 for n = 4-6 (0.1-1.4 s) and 392,606-397,710
 # for n = 7 (1.8-2.1 s), refused here after 0.7-1.1 s.  A step costs more as
@@ -202,6 +218,8 @@ def _poly_cone(f: LaurentPoly, spent: list[int]) -> list[RationalSubspace]:
     d = len(span_pivots)
     if d <= 2:
         found = _line_spaces(diffs, weights, d)
+    elif d == 3:
+        found = _plane_spaces(diffs, weights)
     else:
         found = _row_spaces((1 << k) - 1, _minimal_parts(diffs, weights),
                             {0: [((), ())]}, {}, _identity(d), spent)
@@ -223,37 +241,108 @@ def _line_spaces(diffs: Sequence[tuple[int, ...]], weights: Sequence[int],
 
     ``diffs`` are the exponents less the least one, a_0, in working
     coordinates, and ``weights`` their integer coefficients.  The candidates
-    are the lines through a_0 and another exponent: a line R qualifies iff
-    every class of exponents congruent mod R sums to zero, and the classes
-    of the line along u are keyed by the determinant of u with each
-    difference.  The class of a_0 is the exponents on the line itself, so a
-    line is tested in full only when those sum to zero.  Distinct lines are
-    incomparable; with none, the whole working space is the one minimal R.
+    are the lines through a_0 and another exponent (:func:`_lines_through`),
+    and each direction found is the line's primitive RREF row.  Distinct
+    lines are incomparable; with none, the whole working space is the one
+    minimal R.
     """
     full = _identity(d)
     if d == 1:
         return [full]
-    # on_line[u]: the weight of a_0 plus those of the exponents on the line
-    # through a_0 along the primitive u.  a_0 is the least exponent, so each
-    # difference leads with a positive entry, at a pivot of the span when
-    # projected, and so does u: it is the line's primitive RREF row.
-    on_line: dict[tuple[int, int], int] = {}
-    for (x, y), w in zip(diffs[1:], weights[1:]):
-        g = math.gcd(x, y)
+    return [((u,), (0 if u[0] else 1,)) for u in _lines_through(
+        weights[0], list(zip(diffs[1:], weights[1:])))] or [full]
+
+
+def _plane_spaces(diffs: Sequence[tuple[int, ...]], weights: Sequence[int]
+                  ) -> list[Echelon]:
+    """Minimal R(p) on a working space Q^3, in closed form.
+
+    ``diffs`` and ``weights`` are as for :func:`_line_spaces`.  For each
+    line through a_0 along the primitive u of a difference, the support is
+    cut into its classes mod the line, keyed by coordinates on the quotient
+    Q^3 / Qu, and each class's weights are summed.  The line qualifies when
+    every class sums to zero.  Otherwise the planes through it are the
+    lines of the quotient, and a qualifying one joins a class c of nonzero
+    sum to another: the lines of the quotient through c are tested as
+    :func:`_line_spaces` tests the lines through a_0.  The minimal R are
+    the qualifying lines and the qualifying planes holding none of them,
+    or the whole working space when there are neither.
+    """
+    lines: list[tuple[tuple[int, ...], int]] = []
+    planes: dict[tuple[int, ...], tuple[tuple[int, ...], list[int]]] = {}
+    columns = tuple(zip(*diffs))
+    for u in dict.fromkeys(map(_primitive, diffs[1:])):
+        # a_0 is the least exponent, so each difference leads with a
+        # positive entry, at a pivot of the span when projected, and so does
+        # u, at u_j: ((u,), (j,)) is the line's primitive RREF.  For the
+        # other coordinates a < b, x -> (u_j x_a - u_a x_j, u_j x_b - u_b x_j)
+        # maps Q^3 onto Q^2 with kernel Qu
+        j = 0 if u[0] else 1 if u[1] else 2
+        a, b = (0, 1, 2)[:j] + (0, 1, 2)[j + 1:]
+        uj, ua, ub = u[j], u[a], u[b]
+        classes: dict[tuple[int, int], int] = {}
+        for xa, xb, xj, w in zip(columns[a], columns[b], columns[j], weights):
+            key = (uj * xa - ua * xj, uj * xb - ub * xj)
+            classes[key] = classes.get(key, 0) + w
+        # c is the class of a_0, at the origin, unless that sums to zero
+        anchor = classes.pop((0, 0))
+        others = [(q, s) for q, s in classes.items() if s]
+        if not anchor:
+            if not others:
+                lines.append((u, j))
+                continue
+            (cx, cy), anchor = others.pop()
+            others = [((x - cx, y - cy), s) for (x, y), s in others]
+        for delta in _lines_through(anchor, others):
+            # the plane spanned by u and y, where y_j = 0 and (y_a, y_b)
+            # is delta, is named by its primitive normal u x y with a
+            # positive leading entry
+            y = [0, 0, 0]
+            y[a], y[b] = delta
+            normal = _primitive([u[1] * y[2] - u[2] * y[1],
+                                 u[2] * y[0] - u[0] * y[2],
+                                 u[0] * y[1] - u[1] * y[0]])
+            if normal < (0, 0, 0):
+                normal = tuple([-c for c in normal])
+            planes.setdefault(normal, (u, y))
+    found = [((u,), (j,)) for u, j in lines]
+    found += [_echelon(span) for normal, span in planes.items()
+              if all(sum(map(operator.mul, normal, u)) for u, _ in lines)]
+    return found or [_identity(3)]
+
+
+def _lines_through(anchor: int, points: Sequence[tuple[tuple[int, int], int]]
+                   ) -> list[tuple[int, int]]:
+    """The lines in Q^2 through the origin, of weight ``anchor``, along
+    which the weighted ``points``, distinct and off the origin, cancel: each
+    line's classes of points congruent mod it, keyed by the determinant of
+    its direction with each point, sum to zero.  Each line is given by its
+    primitive direction with a positive leading entry.
+
+    The candidates are the lines through the origin and a point.  The class
+    of the origin is the anchor and the points on the line, so only a line
+    where those sum to zero is tested in full.
+    """
+    gcd = math.gcd
+    through: dict[tuple[int, int], int] = {}
+    for (x, y), w in points:
+        g = gcd(x, y)
+        if x < 0 or not x and y < 0:
+            g = -g
         u = (x // g, y // g)
-        on_line[u] = on_line.get(u, weights[0]) + w
+        through[u] = through.get(u, anchor) + w
     found = []
-    for u, through in on_line.items():
-        if through:
+    for u, on_line in through.items():
+        if on_line:
             continue
         ux, uy = u
-        classes: dict[int, int] = {}
-        for (x, y), w in zip(diffs, weights):
+        classes = {0: anchor}
+        for (x, y), w in points:
             key = ux * y - uy * x
             classes[key] = classes.get(key, 0) + w
         if not any(classes.values()):
-            found.append(((u,), (0 if ux else 1,)))
-    return found or [full]
+            found.append(u)
+    return found
 
 
 def _minimal_parts(diffs: Sequence[tuple[int, ...]], weights: Sequence[int]
@@ -361,10 +450,11 @@ def tangent_cone_polys(polys: Sequence[LaurentPoly]) -> SubspaceArrangement:
     The call is refused past ``CONE_BUDGET`` steps over all its polynomials
     (a step joins a minimal zero-sum part to one row space of the rest),
     and a support of more than ``SUBSET_SUM_LIMIT`` = 20 terms before its
-    2^k subset sums are tabulated.  Only supports whose differences work in
-    a space of dimension >= 3 take steps; in two variables, or when the
-    differences span a line or a plane, the cone is found in closed form
-    from the lines through the least exponent.  The product of (t_i - 1)
+    2^k subset sums are tabulated.  Working dimension d <= 3 is found in
+    closed form; steps are taken only from d = 4.  In up to three
+    variables, or when the differences span a space of dimension at most 3,
+    the cone comes from the lines through the least exponent and the
+    planes through them, with no steps.  The product of (t_i - 1)
     over four variables takes 5,938 steps (0.08 s); random 16-term supports
     take about 45,000 in four to six variables and 395,000, refused, in
     seven.  Steps run on rows of at most k - 1 entries whatever n is, so

@@ -73,12 +73,23 @@ EIGHTEEN_TERMS_TEXT = (
 
 #: 12 x (+1) and 6 x (-2) on 18 exponents in [-3, 3]^2, whose cone is {0}.
 #: The recursion over minimal zero-sum parts takes 65,336 steps on it, past
-#: CONE_BUDGET; in two variables the cone is found in closed form instead.
+#: CONE_BUDGET; working dimension d <= 3 is found in closed form instead,
+#: and steps are taken only from d = 4.
 EIGHTEEN_PLANAR_TERMS_TEXT = (
     "-2*t1^-3*t2^-2 + t1^-3*t2^-1 + t1^-2*t2^-2 + t1^-2*t2 + t1^-2*t2^2"
     " + t1^-2*t2^3 - 2*t1^-1*t2 + t2^2 - 2*t1*t2^-3 - 2*t1*t2^-2 + t1"
     " - 2*t1*t2^3 + t1^2*t2^-3 + t1^2 + t1^2*t2^3 - 2*t1^3*t2^-2 + t1^3"
     " + t1^3*t2")
+
+#: (t1 - 1)(t2 - 1)(t1*t2 - 1)(t3 - 1)(t1*t3 - 1) expanded: 20 terms in three
+#: variables, whose cone is five planes.  The recursion over minimal zero-sum
+#: parts takes 29,582 steps on it; in three variables the cone is found in
+#: closed form instead.
+FIVE_BINOMIALS_TEXT = (
+    "-1 + t3 + t2 - t2*t3 + t1 - t1*t3^2 - t1*t2*t3 + t1*t2*t3^2 - t1*t2^2"
+    " + t1*t2^2*t3 - t1^2*t3 + t1^2*t3^2 - t1^2*t2 + t1^2*t2*t3 + t1^2*t2^2"
+    " - t1^2*t2^2*t3^2 + t1^3*t2*t3 - t1^3*t2*t3^2 - t1^3*t2^2*t3"
+    " + t1^3*t2^2*t3^2")
 
 
 # ---------------------------------------------------------------------------

@@ -364,6 +364,12 @@ def build_argvs() -> list[list[str]]:
     calls.append(["charvar-check", "--pres", SURFACE_PRES, "--desc", _desc(6, [(
         ["0", "0", "0", "0", "53/508", "17/254"],
         [[0, 0, 1, 0, "-1/2", 0], [0, 0, 0, 1, "3/2", 0]])])])
+    # three-variable supports: a 20-term product of five binomials, whose
+    # cone is five planes, and four terms where two planes qualify as row
+    # spaces and no line does
+    calls.append(["tcone", "--poly", datasets.FIVE_BINOMIALS_TEXT])
+    calls.append(["omega-describe", "--r", "1", "--poly",
+                  "t1*t2^2 + t1*t2^2*t3 - t3 - t1^2*t2"])
     return calls
 
 

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -183,9 +184,11 @@ def _working_dim(f: LaurentPoly) -> int:
 
 
 def _mixed_supports(rng):
-    """Exponent sets: random ones in Q^1..Q^4, and ones on a line or a plane
+    """Exponent sets: random ones in Q^1..Q^4, ones on a line or a plane
     through a random point of Q^3..Q^6 with fewer terms than variables, so
-    that the differences are projected onto a span of dimension 1 or 2."""
+    that the differences are projected onto a span of dimension 1 or 2, and
+    random ones of 5-8 terms in Q^3..Q^5, whose differences mostly span the
+    whole space."""
     for _ in range(120):
         n, k = rng.randint(1, 4), rng.randint(2, 8)
         yield n, [tuple(rng.randint(-2, 2) for _ in range(n))
@@ -199,14 +202,19 @@ def _mixed_supports(rng):
                         for j, x in enumerate(base))
                   for cs in ([rng.randint(-2, 2) for _ in basis]
                              for _ in range(rng.randint(2, n)))]
+    for i in range(60):
+        n = (3, 3, 4, 5)[i % 4]
+        yield n, [tuple(rng.randint(-2, 2) for _ in range(n))
+                  for _ in range(rng.randint(5, 8))]
 
 
 def test_poly_cone_matches_the_partition_oracle_on_mixed_coefficients():
     # parse gives int coefficients where they are integral and Fractions
     # elsewhere, so the weights must take both; supports of working
-    # dimension <= 2 take the closed form and the others the recursion
+    # dimension <= 2 and 3 take the two closed forms and the others the
+    # recursion
     rng = random.Random(19)
-    by_route = {True: 0, False: 0}
+    by_route = {2: 0, 3: 0, 4: 0}
     for n, exponents in _mixed_supports(rng):
         terms = {e: rng.choice([1, -1, 2, -3, F(1, 2), F(-3, 2), F(2, 3)])
                  for e in exponents}
@@ -222,8 +230,8 @@ def test_poly_cone_matches_the_partition_oracle_on_mixed_coefficients():
         cone = _poly_cone(f, [0])
         assert len(set(cone)) == len(cone), f
         assert set(cone) == set(_oracle_cone(f).subspaces), f
-        by_route[_working_dim(f) <= 2] += 1
-    assert by_route[True] >= 30 and by_route[False] >= 30, by_route
+        by_route[min(max(_working_dim(f), 2), 4)] += 1
+    assert min(by_route.values()) >= 30, by_route
 
 
 def _wide_polys(seed):
@@ -260,11 +268,18 @@ def test_recursion_on_a_wide_support_sees_only_span_coordinates(monkeypatch):
         return out
 
     monkeypatch.setattr(tcone, "_row_spaces", spy)
+    # the supports of working dimension >= 4; those of 3 and less take the
+    # closed forms
+    checked = 0
     for f in _wide_polys(43):
+        if _working_dim(f) < 4:
+            continue
         k, n = len(f.terms), f.num_vars
         del seen[:]
         tangent_cone_polys([f])
         assert seen and max(seen) <= k - 1 < n
+        checked += 1
+    assert checked == 10
 
 
 def test_prune_subspaces_keeps_maximal_members_only():
@@ -354,13 +369,47 @@ def test_working_dimension_two_takes_the_closed_form(monkeypatch):
     assert entered[:2] == ["_minimal_parts", "_row_spaces"]
 
 
+def test_working_dimension_three_takes_the_closed_form(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a support of working dimension 3 recursed")
+
+    monkeypatch.setattr(tcone, "_minimal_parts", refuse)
+    monkeypatch.setattr(tcone, "_row_spaces", refuse)
+    # three variables, and four terms in Q^6 whose differences span Q^3
+    for text in ("t1*t2^2 + t1*t2^2*t3 - t3 - t1^2*t2",
+                 "t1*t5 - t2*t5 - t1*t3^2*t6 + t2^2*t4"):
+        f = LaurentPoly.parse(text)
+        spent = [0]
+        assert set(_poly_cone(f, spent)) == set(_oracle_cone(f).subspaces)
+        assert spent == [0]
+    monkeypatch.undo()
+    spent = [0]
+    _poly_cone(LaurentPoly.parse(datasets.FOUR_BINOMIALS_TEXT), spent)
+    assert spent == [5938]
+
+
+def test_three_variable_product_takes_no_steps(monkeypatch):
+    f = LaurentPoly.parse(datasets.FIVE_BINOMIALS_TEXT)
+    assert len(f.terms) == 20
+    spent = [0]
+    cone = _poly_cone(f, spent)
+    assert spent == [0]
+    # the planes normal to the five binomials' exponents
+    assert set(cone) == {RationalSubspace.from_rows([r], 3).perp() for r in (
+        (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1))}
+    monkeypatch.setattr(tcone, "CONE_BUDGET", 10 ** 6)
+    closed, recursed, steps = _both_routes(f)
+    assert steps == 29_582
+    assert set(closed) == set(recursed)
+
+
 def _both_routes(f: LaurentPoly):
     """The closed form and the recursion on the working coordinates of a
-    two-variable support of at least three terms, with the recursion's
-    step count."""
+    support in two or three variables with more terms than variables, with
+    the recursion's step count."""
     support = sorted(f.terms)
-    k = len(support)
-    assert f.num_vars == 2 <= k - 1
+    n, k = f.num_vars, len(support)
+    assert n in (2, 3) and n <= k - 1
     coeffs = [F(f.terms[e]) for e in support]
     den = math.lcm(*(c.denominator for c in coeffs))
     weights = [c.numerator * (den // c.denominator) for c in coeffs]
@@ -368,8 +417,10 @@ def _both_routes(f: LaurentPoly):
     spent = [0]
     recursed = tcone._row_spaces(
         (1 << k) - 1, tcone._minimal_parts(diffs, weights), {0: [((), ())]},
-        {}, (((1, 0), (0, 1)), (0, 1)), spent)
-    return tcone._line_spaces(diffs, weights, 2), recursed, spent[0]
+        {}, tcone._identity(n), spent)
+    closed = (tcone._line_spaces(diffs, weights, 2) if n == 2
+              else tcone._plane_spaces(diffs, weights))
+    return closed, recursed, spent[0]
 
 
 def _planar_support(rng, kind, coeffs):
@@ -434,6 +485,73 @@ def test_closed_form_matches_the_recursion_past_the_oracle(monkeypatch):
         lines[min(n_lines, 2)] += 1
     # no line, one line and several lines
     assert min(lines.values()) >= 15, lines
+
+
+def _spatial_support(rng, kind, coeffs):
+    """A zero-sum support in three variables of 9-16 terms before
+    cancelling, as {exponent: coefficient}.
+
+    kind 0: random exponents in [-2, 2]^3, where the whole space is most
+    often the one minimal R; kind 1: groups of 2-3 points on lines along
+    one direction, each group summing to zero, so that lines along it
+    qualify; kind 2: groups of 2-4 points on parallel planes, each group
+    summing to zero, so that the planes' direction qualifies and, mostly,
+    no line does.
+    """
+    def point():
+        return tuple(rng.randint(-2, 2) for _ in range(3))
+
+    terms = {}
+    size = rng.randint(9, 16)
+    if kind == 0:
+        for _ in range(size):
+            e = point()
+            terms[e] = terms.get(e, 0) + rng.choice(coeffs)
+        anchor = next(iter(terms))
+        terms[anchor] -= sum(terms.values())
+        return {e: c for e, c in terms.items() if c}
+    u = (0, 0, 0)
+    while not any(u):
+        u = point()
+    while len(terms) < size:
+        base = point()
+        if kind == 1:
+            group = [tuple(b + t * x for b, x in zip(base, u))
+                     for t in rng.sample(range(-1, 2), rng.randint(2, 3))]
+        else:
+            # u is the planes' normal: points of the plane through base
+            level = sum(map(operator.mul, u, base))
+            group = list(dict.fromkeys(
+                e for e in (point() for _ in range(40))
+                if e != base and sum(map(operator.mul, u, e)) == level))
+            if not group:
+                continue
+            group = [base] + group[:rng.randint(1, 3)]
+        cs = [rng.choice(coeffs) for _ in group[1:]]
+        for e, c in zip(group, [-sum(cs)] + cs):
+            terms[e] = terms.get(e, 0) + c
+        terms = {e: c for e, c in terms.items() if c}
+    return terms
+
+
+def test_closed_form_in_three_variables_matches_the_recursion(monkeypatch):
+    monkeypatch.setattr(tcone, "CONE_BUDGET", 10 ** 9)
+    coeffs = (1, -1, 2, -2, 3, F(1, 2), F(-1, 2))
+    rng = random.Random(35)
+    outcomes = {"whole": 0, "lines": 0, "planes": 0}
+    for i in range(90):
+        terms = _spatial_support(rng, i % 3, coeffs)
+        if len(terms) < 4:
+            continue
+        f = LaurentPoly(3, {e: F(c) for e, c in terms.items()})
+        closed, recursed, _ = _both_routes(f)
+        assert len(set(closed)) == len(closed), f
+        assert set(closed) == set(recursed), f
+        dims = {len(rows) for rows, _ in closed}
+        outcomes["whole" if dims == {3} else "lines" if 1 in dims
+                 else "planes"] += 1
+    # the whole space, some lines, and planes holding no qualifying line
+    assert min(outcomes.values()) >= 15, outcomes
 
 
 def test_planar_support_past_the_step_budget_is_answered(monkeypatch):
