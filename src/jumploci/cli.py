@@ -25,11 +25,11 @@ parses each repeated input once.  A ``--desc`` text is kept as its
 ``VarietyDescription`` and a ``--pres`` text as its generator names,
 abelianization and Alexander matrix.  The key is the text itself (for a
 file, its content), so a changed file is a new key.  At most
-``MEMO_ENTRIES`` texts of each kind are kept, and only a description of at
-most ``MEMO_DESCRIPTION_CHARS`` characters or a presentation of weight at
-most ``MEMO_PRESENTATION_WEIGHT``; a heavier input is answered but not
-kept, and a refused one is never kept.  Every process starts with nothing
-kept, so a single shell launch sees no change.  Planes, polynomials,
+``MEMO_ENTRIES`` texts of each kind are kept, and only those of weight at
+most ``MEMO_WEIGHT``: a description's characters, or a presentation's
+weight; a heavier input is answered but not kept, and a refused one is
+never kept.  Every process starts with nothing kept, so a single shell
+launch sees no change.  Planes, polynomials,
 graded descriptions, ranks and verdicts are computed on every call.
 """
 
@@ -55,38 +55,20 @@ from .tcone import (SubspaceArrangement, tangent_cone_description,
 from .tori import (GradedDescription, TranslatedTorus, VarietyDescription,
                    subspace_from_json)
 
-#: The highest order of a component's translate that charvar-check accepts.
-#: Ranks at a character of order m work in Z[zeta_m], of rank phi(m) over
-#: Z; a dense point of order 4001 on a 16 x 6 Alexander matrix takes about
-#: 0.1 s.
+#: The highest order of a component's translate that charvar-check accepts,
+#: points and cosets alike.  Ranks work in Z[zeta_m]: on the surface group's
+#: 16 x 6 Alexander matrix, a dense point of order 4001 takes about 0.1 s
+#: and a contained 3-torus of order 4093 about 20 ms.
 MAX_CHARACTER_ORDER = 4096
-#: The highest translate order that charvar-check accepts on a component of
-#: dimension >= 1.  Most cosets are ranked at one integer point now (see
-#: ``fox.generic_rank_on_torus``): on the surface group the circle through
-#: (1/p, 0, 1/2, 0, 0, 0) along e4, of order 2p, is refuted in 0.8-1.0 ms at
-#: order 502 (p = 251) and, past this limit and so only through the library,
-#: in 1.3-1.5 ms at 1018, 2.2-2.4 ms at 2018 and 4.1-4.4 ms at 4006.  What
-#: still reaches Bareiss, a contained coset whose point is too large, costs
-#: more with phi(m): the coset through (0, 0, 3/p, 5/p, 7/p, 11/p) along
-#: (0, 0, 2, 0, 0, -1), (0, 0, 0, 1, 0, 2), (0, 0, 0, 0, 2, -3) takes
-#: 16-18 ms at p = 127, 52-55 ms at 509 and 98-101 ms at 1009 (Python
-#: 3.11.7, 2 shared vCPUs, library calls).
-MAX_TORUS_ORDER = 512
 #: The most --desc texts and the most --pres texts that one process keeps
 #: parsed, each kind least recently used first out.
 MEMO_ENTRIES = 16
-#: A --desc text is kept parsed only if it has at most this many
-#: characters.  Such a description retained at most 0.6 MB when measured
-#: (tracemalloc, a dense 29 x 130 basis of one-digit entries, whose RREF
-#: entries are longer than its own), so the 16 kept retain about 10 MB.
-MEMO_DESCRIPTION_CHARS = 8192
-#: A --pres text is kept parsed only if its weight (see
-#: ``_presentation_weight``) is at most this.  Measured retention, with the
-#: term table that a rank at a character builds on first use, is at most
-#: 111 bytes per unit of weight (45 generators killed by 45 relators: a
-#: 45 x 45 matrix over Z^0, nearly all of it empty entries), so one kept
-#: presentation holds at most about 0.9 MB and the 16 kept about 15 MB.
-MEMO_PRESENTATION_WEIGHT = 8192
+#: A text is kept parsed only if its weight is at most this: a --desc
+#: text's characters, a --pres text's ``_presentation_weight``.  At the cap
+#: (tracemalloc) a description retained at most 0.6 MB (a dense 29 x 130
+#: basis) and a presentation, with its term table, at most 0.9 MB (45 x 45
+#: over Z^0), so the 16 kept of each kind retain about 10 MB and 15 MB.
+MEMO_WEIGHT = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -137,15 +119,15 @@ def _load_json(value: str):
     return _JSON.decode(_json_text(value))
 
 
-def _memo(weight, cap: int):
+def _memo(weight):
     """Memoize a function of an input's text: a bounded least-recently-used
     map from the text to the immutable objects the function builds from it.
 
     The key is the text itself, never a file name, so an edited file is a
     new key.  At most ``MEMO_ENTRIES`` texts are kept, and only those whose
-    ``weight(text, value)`` is at most ``cap``: a heavier value is built
-    and returned but not kept.  A text whose build raises is not kept, so it
-    raises the same error on every call.  At the caps above, the two memos
+    ``weight(text, value)`` is at most ``MEMO_WEIGHT``: a heavier value is
+    built and returned but not kept.  A text whose build raises is not kept,
+    so it raises the same error on every call.  At that cap, the two memos
     together retain at most about 25 MB.  ``entries`` is the map and
     ``cache_clear`` empties it, as on ``functools.lru_cache``.
     """
@@ -158,7 +140,7 @@ def _memo(weight, cap: int):
                 entries.move_to_end(text)
                 return entries[text]
             value = build(text)
-            if weight(text, value) <= cap:
+            if weight(text, value) <= MEMO_WEIGHT:
                 entries[text] = value
                 if len(entries) > MEMO_ENTRIES:
                     entries.popitem(last=False)
@@ -170,7 +152,7 @@ def _memo(weight, cap: int):
     return decorate
 
 
-@_memo(lambda text, desc: len(text), MEMO_DESCRIPTION_CHARS)
+@_memo(lambda text, desc: len(text))
 def _description(text: str) -> VarietyDescription:
     """The variety description of a --desc text."""
     return VarietyDescription.from_json(_JSON.decode(text))
@@ -185,7 +167,7 @@ def _presentation_weight(text: str, entry) -> int:
     return len(text) + (len(ab.projection) + cells) * (matrix.num_vars + 1)
 
 
-@_memo(_presentation_weight, MEMO_PRESENTATION_WEIGHT)
+@_memo(_presentation_weight)
 def _presentation(text: str):
     """The generator names, abelianization and Alexander matrix of a --pres
     text.  The parsed relators are not kept: a power of a commutator has
@@ -277,11 +259,6 @@ def _cmd_charvar_check(args) -> tuple[dict, list[str]]:
                 f"component {i} has a translate of order "
                 f"{comp.translate.order}, above MAX_CHARACTER_ORDER = "
                 f"{MAX_CHARACTER_ORDER}")
-        if comp.dim >= 1 and comp.translate.order > MAX_TORUS_ORDER:
-            raise ValueError(
-                f"component {i} has dimension {comp.dim} and a translate of "
-                f"order {comp.translate.order}, above MAX_TORUS_ORDER = "
-                f"{MAX_TORUS_ORDER} for components of dimension >= 1")
     reports = []
     origin = RationalSubspace.zero(desc.ambient_dim)
     for comp in desc.components:

@@ -25,11 +25,12 @@ the column with entries t^{a_j} - 1.  One test,
 point rho = exp(2 pi i lambda) is the coset with L = 0.  Ranks at torsion
 points evaluate the matrix into integer vectors of Z[zeta_m] and eliminate
 them without division; a generic rank along a coset of positive dimension
-is the same rank at one integer point of the coset, chosen by Cauchy's root
-bound (see :func:`generic_rank_on_torus`), with fraction-free Bareiss
-elimination kept for cosets whose point would be too large.  All read the
-entries off one term table, and all leave out one column that Fox's
-fundamental identity makes redundant (see :class:`AlexanderMatrix`).
+is the same rank at one integer point of the coset, a Kronecker
+substitution whose base is twice the coefficient height of the minors (see
+:func:`generic_rank_on_torus`), with fraction-free Bareiss elimination kept
+for cosets whose point would be too large.  All read the entries off one
+term table, and all leave out one column that Fox's fundamental identity
+makes redundant (see :class:`AlexanderMatrix`).
 
 >>> P = parse_presentation("<x1,x2 | x1 x2^2 x1^-1 x2^-2>")
 >>> alexander_matrix(P).entries[0][0].to_text()
@@ -44,7 +45,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .laurent import (LaurentPoly, TermTable, at_point, bareiss_rank,
-                      cyclotomic_polynomial, cyclotomic_rank, on_coset)
+                      cyclotomic_polynomial, cyclotomic_rank, on_coset,
+                      zeta_height)
 from .qlinalg import number_too_long, snf
 from .tori import TorsionCharacter, TranslatedTorus
 
@@ -574,19 +576,16 @@ def _kept_columns(M: AlexanderMatrix, chi: TorsionCharacter,
 
 
 #: The bits that :func:`generic_rank_on_torus` lets one evaluation at the
-#: point u_j = N^(W_j) write.  The predicted size of that point is
-#: phi(m) log2(B) times the largest power of N in a shifted entry: the bits
-#: of its largest integer, and an entry has phi(m) of them.  A point whose
-#: entries fit in the budget is taken at once; otherwise the small point
-#: (2, 3, 5, ...) comes first, and a coset it does not refute is taken at
-#: the point while its largest integer fits, by Bareiss past that.  Set by
-#: measurement (Python 3.11.7, 2 shared vCPUs; tables in CHANGES.md):
-#: cosets of full rank mostly cost more at the point than under Bareiss
-#: once an entry passes about 100,000 bits (18 of 26 surface cosets drawn,
-#: the worst past 30 s against 0.5-0.8 s), while the contained sub-cosets
-#: of the surface group's components stay cheaper there up to largest
-#: integers of about 110,000 bits (m = 509) and lose from about 700,000
-#: (m = 127, d = 3).
+#: point u_j = N^(W_j) write: phi(m) integers, each of log2(N) bits times
+#: the largest power of N in a shifted entry.  A point within the budget
+#: is taken at once; otherwise the small point (2, 3, 5, ...) comes first,
+#: and a coset it does not refute is taken at the point while one integer
+#: fits, by Bareiss past that.  Measured on the surface group (Python 3.11.7, 2
+#: shared vCPUs; tables in CHANGES.md): contained cosets are ranked faster
+#: at the point than by Bareiss up to about 65,000 bits at phi(m) = 1 and
+#: 100,000 at phi(m) = 2-24, and cost the same at both points, while cosets
+#: of full rank are refuted faster at the small point, by 1.3-2x at 10,000
+#: bits in all and up to 8x (8 ms against 0.5 ms) near the budget.
 POINT_BUDGET = 65_536
 
 
@@ -608,22 +607,23 @@ def generic_rank_on_torus(M: AlexanderMatrix, torus: TranslatedTorus,
       is the product of the s largest row norms sum |c|, and D_j the sum
       of the s largest row spans in u_j (each row shifted by its least
       power of u, a unit, which keeps every rank);
-    * N = B^phi(m) + 2, W_1 = 1 and W_(j+1) = W_j (1 + D_j).
+    * N = 2 rho_m B + 1, rho_m = :func:`jumploci.laurent.zeta_height`,
+      W_1 = 1 and W_(j+1) = W_j (1 + D_j).
 
-    Why it is exact.  Every exponent vector e of a nonzero minor of the
-    shifted matrix has 0 <= e_j <= D_j, so e -> sum_j W_j e_j is injective
-    on its support and the minor becomes a nonzero polynomial g(x) at
-    u_j = x^(W_j), whose coefficients are the minor's.  Every Galois
-    conjugate of a coefficient is at most B in absolute value (expand the
-    determinant: at most the product of the norms of its rows), and the
-    leading coefficient c has a norm that is a nonzero integer, so
-    |sigma(c)| >= B^(1 - phi(m)).  By Cauchy's bound every root z of
-    sigma(g) has |z| <= 1 + B^phi(m) < N, so g(N) != 0: the minors that
-    are nonzero stay nonzero at the point, and the rank there is the
-    generic rank.
+    Why it is exact (Kronecker substitution).  Every exponent vector e of a
+    minor g of the shifted matrix has 0 <= e_j <= D_j, so e -> W.e is
+    injective on its support, and each power-basis coordinate of g at the
+    point is sum_e c_(e,i) N^(W.e): a balanced base-N number whose digits
+    are g's coefficients.  With the reduced entry vectors lifted as they
+    are to Z[x]/(x^m - 1), every minor has l1 norm at most B there (expand
+    the determinant: at most the product of the norms of its rows), and it
+    reduces mod Phi_m to coordinates at most rho_m B.  So every digit is
+    below N/2 in absolute value, and g is
+    zero at the point only when g = 0: the minors that are nonzero stay
+    nonzero there, and the rank there is the generic rank.
 
-    That point's integers grow with phi(m), B and the spans, and at every
-    pivot step of a matrix of full rank.  So when its entries would pass
+    That point's integers grow with B and the spans, and at every pivot
+    step of a matrix of full rank.  So when its entries would pass
     ``POINT_BUDGET`` bits, the rank at the small point (2, 3, 5, ...) is
     taken first.  A rank at any point is at most the generic rank, so one
     that reaches s is the generic rank, and a coset that is not contained
@@ -648,7 +648,7 @@ def generic_rank_on_torus(M: AlexanderMatrix, torus: TranslatedTorus,
     if not s:
         return 0
     phi = len(cyclotomic_polynomial(m)) - 1
-    base, weights, size = _cauchy_point(bounds, phi, s)
+    base, weights, size = _kronecker_point(bounds, zeta_height(m), s)
     if phi * size > POINT_BUDGET:
         small = cyclotomic_rank(at_point(rows, _primes(len(basis))), m)
         if small == s:
@@ -658,19 +658,21 @@ def generic_rank_on_torus(M: AlexanderMatrix, torus: TranslatedTorus,
     return cyclotomic_rank(at_point(rows, [base ** w for w in weights]), m)
 
 
-def _cauchy_point(bounds: Sequence[tuple[int, Sequence[int]]], phi: int,
-                  s: int) -> tuple[int, list[int], int]:
+def _kronecker_point(bounds: Sequence[tuple[int, Sequence[int]]],
+                     height: int, s: int) -> tuple[int, list[int], int]:
     """(N, W, size) for the point u_j = N^(W_j) of
     :func:`generic_rank_on_torus`, from the (norm, spans) of the rows with
-    a term (see :meth:`jumploci.laurent.TermTable.restrict`): size is
-    phi log2(B) times the largest power of N in a shifted entry."""
+    a term (see :meth:`jumploci.laurent.TermTable.restrict`) and rho_m =
+    ``height``: size is the bits of N times the largest power of N in a
+    shifted entry."""
     bound = math.prod(sorted(norm for norm, _ in bounds)[-s:])
     weights = [1]
     for column in list(zip(*(spans for _, spans in bounds)))[:-1]:
         weights.append(weights[-1] * (1 + sum(sorted(column)[-s:])))
     largest = max(sum(map(operator.mul, weights, spans))
                   for _, spans in bounds)
-    return bound ** phi + 2, weights, phi * bound.bit_length() * largest
+    base = 2 * height * bound + 1
+    return base, weights, base.bit_length() * largest
 
 
 def _primes(d: int) -> list[int]:

@@ -97,8 +97,9 @@ from .qlinalg import (RationalSubspace, _echelon, _echelon_contains,
 from .tori import VarietyDescription
 
 # The recursion tabulates all 2^k subset sums of a k-term support, about 40
-# bytes each: 40 MB at this size, and gigabytes a few terms later.  Every
-# support is checked against it, whichever route its cone takes.
+# bytes each: 40 MB at this size, and gigabytes a few terms later.  Only a
+# support of working dimension 4 or more, which takes the recursion, is
+# checked against it; the closed forms build no table.
 SUBSET_SUM_LIMIT = 20
 # The most steps one tangent_cone_polys call may take; a step is one of the
 # recursion's, and costs at most one subspace sum, in the span of the
@@ -197,11 +198,6 @@ def _poly_cone(f: LaurentPoly, spent: list[int]) -> list[RationalSubspace]:
     """The maximal L(p) of f, where f(1) = 0, from minimal zero-sum parts."""
     support = sorted(f.terms)
     n, k = f.num_vars, len(support)
-    if k > SUBSET_SUM_LIMIT:
-        raise ValueError(
-            f"support size {k} needs a table of 2^{k} subset sums (about "
-            f"{(40 << k) >> 20} MB); tangent cones take at most "
-            f"{SUBSET_SUM_LIMIT} terms")
     coeffs = [f.terms[e] for e in support]
     den = math.lcm(*(c.denominator for c in coeffs))
     weights = [c.numerator * (den // c.denominator) for c in coeffs]
@@ -220,6 +216,11 @@ def _poly_cone(f: LaurentPoly, spent: list[int]) -> list[RationalSubspace]:
         found = _line_spaces(diffs, weights, d)
     elif d == 3:
         found = _plane_spaces(diffs, weights)
+    elif k > SUBSET_SUM_LIMIT:
+        raise ValueError(
+            f"support size {k} needs a table of 2^{k} subset sums (about "
+            f"{(40 << k) >> 20} MB); tangent cones of working dimension 4 "
+            f"or more take at most {SUBSET_SUM_LIMIT} terms")
     else:
         found = _row_spaces((1 << k) - 1, _minimal_parts(diffs, weights),
                             {0: [((), ())]}, {}, _identity(d), spent)
@@ -449,12 +450,13 @@ def tangent_cone_polys(polys: Sequence[LaurentPoly]) -> SubspaceArrangement:
 
     The call is refused past ``CONE_BUDGET`` steps over all its polynomials
     (a step joins a minimal zero-sum part to one row space of the rest),
-    and a support of more than ``SUBSET_SUM_LIMIT`` = 20 terms before its
-    2^k subset sums are tabulated.  Working dimension d <= 3 is found in
-    closed form; steps are taken only from d = 4.  In up to three
-    variables, or when the differences span a space of dimension at most 3,
-    the cone comes from the lines through the least exponent and the
-    planes through them, with no steps.  The product of (t_i - 1)
+    and a support of working dimension d >= 4 and more than
+    ``SUBSET_SUM_LIMIT`` = 20 terms before its 2^k subset sums are
+    tabulated.  Working dimension d <= 3 is found in closed form; steps are
+    taken only from d = 4.  In up to three variables, or when the
+    differences span a space of dimension at most 3, the cone comes from
+    the lines through the least exponent and the planes through them, with
+    no steps.  The product of (t_i - 1)
     over four variables takes 5,938 steps (0.08 s); random 16-term supports
     take about 45,000 in four to six variables and 395,000, refused, in
     seven.  Steps run on rows of at most k - 1 entries whatever n is, so

@@ -878,6 +878,42 @@ def oracle_cyclotomic_polynomial(m):
     return num
 
 
+def oracle_zeta_height(m):
+    """rho_m, the largest |coefficient| of zeta_m^r over r < m in the basis
+    1, zeta, ..., zeta^(phi(m)-1), read off integers rather than reduced
+    polynomials.  At B = 2^32 the remainder a of x^r mod Phi_m has the value
+    a(B) = B^r mod Phi_m(B), taken as the residue of least absolute value:
+    its coefficients are far below B / 8, so |a(B)| < Phi_m(B) / 2 and that
+    residue is a(B), whose balanced base-B digits are a's coefficients.
+    Phi_m(B) is B^m - 1 over Phi_d(B) for the proper divisors d of m, as in
+    :func:`oracle_cyclotomic_polynomial`.
+    """
+    from array import array
+    base, values = 1 << 32, {}
+
+    def cyclotomic_value(n):
+        if n not in values:
+            v = base ** n - 1
+            for d in range(1, n):
+                if n % d == 0:
+                    v //= cyclotomic_value(d)
+            values[n] = v
+        return values[n]
+
+    modulus = cyclotomic_value(m)
+    phi = sum(math.gcd(k, m) == 1 for k in range(1, m + 1))
+    bias = int.from_bytes(b"\0\0\0\x80" * phi, "little")
+    height, value = 1, base ** (phi - 1)        # x^r, r < phi: a basis vector
+    for _ in range(phi, m):
+        value = value * base % modulus
+        if 2 * value > modulus:
+            value -= modulus
+        digits = array("I", (value + bias).to_bytes(4 * phi, "little"))
+        height = max(height, max(digits) - (1 << 31), (1 << 31) - min(digits))
+    assert height < 1 << 20, "coefficients too large for the digit reading"
+    return height
+
+
 def cyclo_reduce(coeffs, phi_poly):
     """coeffs mod phi_poly, padded to deg(phi_poly) Fractions."""
     deg = len(phi_poly) - 1

@@ -14,7 +14,7 @@ import pytest
 import datasets
 from builders import description_json, graded_json
 from jumploci import cli, tcone
-from jumploci.cli import (MAX_CHARACTER_ORDER, MAX_TORUS_ORDER, build_parser,
+from jumploci.cli import (MAX_CHARACTER_ORDER, build_parser,
                           main)
 from jumploci.fox import (MAX_ALEXANDER_ENTRIES, MAX_GENERATORS,
                           MAX_RELATOR_LETTERS)
@@ -171,11 +171,18 @@ def test_cone_over_budget_is_domain_error(capsys, monkeypatch):
 
 
 def test_support_beyond_subset_sum_table_is_domain_error(capsys):
-    poly = " + ".join(f"t1^{i}" for i in range(1, 22)) + " - 21"
+    # 21 terms of working dimension 4: t1^1..t1^17, t2, t3, t4 and 1
+    poly = (" + ".join(f"t1^{i}" for i in range(1, 18))
+            + " + t2 + t3 + t4 - 20")
     code, data = run_json(capsys, "tcone", "--poly", poly)
     assert code == 1
     assert data["error"]["type"] == "ValueError"
-    assert "2^22 subset sums" in data["error"]["message"]
+    assert "2^21 subset sums" in data["error"]["message"]
+    # 21 terms in one variable build no table: the cone is {0}
+    poly = " + ".join(f"t1^{i}" for i in range(1, 21)) + " - 20"
+    code, data = run_json(capsys, "tcone", "--poly", poly)
+    assert code == 0
+    assert data["subspaces"] == [[]] and not data["empty"]
 
 
 def test_variable_index_over_the_limit_is_refused_at_once(capsys):
@@ -529,24 +536,28 @@ def circle_desc(lam):
                                                "basis": [[1, 0]]}]})
 
 
-def test_charvar_check_refuses_subtori_of_high_order(capsys):
-    over = 521                                  # prime, above MAX_TORUS_ORDER
-    assert MAX_TORUS_ORDER < over < MAX_CHARACTER_ORDER
-    start = time.perf_counter()
+def test_charvar_check_answers_subtori_of_every_order(capsys):
+    # MAX_CHARACTER_ORDER is the one order limit, for points and cosets
+    # alike: circles of orders 526 and 4078 on a component of the surface
+    # group are verified, and a circle of order 4099 is refused at once
+    for p in (263, 2039):
+        lam = [f"1/{p}", f"2/{p}", "1/2", "0", "0", "0"]
+        start = time.perf_counter()
+        code, data = run_json(capsys, "charvar-check",
+                              "--pres", datasets.SURFACE_PRES, "--desc",
+                              json.dumps({"n": 6, "components": [{
+                                  "lambda": lam,
+                                  "basis": [[1, 0, 0, 0, 0, 0]]}]}))
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and data["verified"] is True
+    over = MAX_CHARACTER_ORDER + 3
     code, data = run_json(capsys, "charvar-check",
                           "--pres", datasets.ONE_RELATOR_PRES,
                           "--desc", circle_desc(["0", f"1/{over}"]))
-    assert time.perf_counter() - start < 1.0
     assert code == 1
     assert data["error"]["message"] == (
-        f"component 0 has dimension 1 and a translate of order {over}, above "
-        f"MAX_TORUS_ORDER = {MAX_TORUS_ORDER} for components of dimension "
-        f">= 1")
-    # a point of the same order, and a circle of low order, still run
-    code, data = run_json(capsys, "charvar-check",
-                          "--pres", datasets.ONE_RELATOR_PRES,
-                          "--desc", point_desc(2, ["0", f"1/{over}"]))
-    assert code == 0
+        f"component 0 has a translate of order {over}, above "
+        f"MAX_CHARACTER_ORDER = {MAX_CHARACTER_ORDER}")
     code, data = run_json(capsys, "charvar-check",
                           "--pres", datasets.ONE_RELATOR_PRES,
                           "--desc", circle_desc(["0", "1/2"]))
@@ -900,7 +911,7 @@ def test_memo_answers_but_does_not_keep_heavy_inputs(capsys):
     assert run(capsys, "alexander", "--pres", light)[0] == 0
     assert list(cli._presentation.entries) == [light]
     # a description longer than the cap, padded with spaces
-    long_desc = LINE_DESC[:-1] + " " * cli.MEMO_DESCRIPTION_CHARS + "}"
+    long_desc = LINE_DESC[:-1] + " " * cli.MEMO_WEIGHT + "}"
     code, data = run_json(capsys, "omega-test", "--desc", long_desc,
                           "--plane", "[[0, 1]]")
     assert code == 0 and data["member"] is True

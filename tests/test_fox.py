@@ -789,7 +789,7 @@ def test_d1_support_reads_the_restriction_off_the_pairings():
 
 
 # ---------------------------------------------------------------------------
-# generic ranks: the point of Cauchy's bound, the small point and Bareiss
+# generic ranks: the Kronecker point, the small point and Bareiss
 # ---------------------------------------------------------------------------
 
 #: The benchmark's group that RANK_PRESENTATIONS lacks; the other three
@@ -800,8 +800,8 @@ F2XF2_PRES = "<x1, x2, x3, x4 | [x1, x3], [x1, x4], [x2, x3], [x2, x4]>"
 def coset_routes(M, torus):
     """The routes of generic_rank_on_torus on the coset, each taken
     directly from one restriction: (s, phi(m) and the predicted size of
-    the point of Cauchy's bound, a function giving the rank there, the
-    rank at the small point, and a function giving Bareiss's rank)."""
+    the Kronecker point, a function giving the rank there, the rank at the
+    small point, and a function giving Bareiss's rank)."""
     chi, basis = torus.translate, torus.direction.rows
     columns = _kept_columns(M, chi, basis)
     rows = M.term_table().restrict(chi, basis, columns)
@@ -810,14 +810,15 @@ def coset_routes(M, torus):
     phi = len(laurent.cyclotomic_polynomial(chi.order)) - 1
     if not s:
         return 0, phi, 0, lambda: 0, 0, lambda: 0
-    base, weights, size = fox._cauchy_point(bounds, phi, s)
+    base, weights, size = fox._kronecker_point(
+        bounds, laurent.zeta_height(chi.order), s)
     small = cyclotomic_rank(
         laurent.at_point(rows, fox._primes(len(basis))), chi.order)
 
-    def cauchy():
+    def kronecker():
         point = [base ** w for w in weights]
         return cyclotomic_rank(laurent.at_point(rows, point), chi.order)
-    return (s, phi, size, cauchy, small, lambda: bareiss_rank(
+    return (s, phi, size, kronecker, small, lambda: bareiss_rank(
         laurent.on_coset(rows, chi.order, len(basis))))
 
 
@@ -840,13 +841,14 @@ def numeric_generic_rank(M, torus, rng):
 
 def test_generic_rank_routes_agree_with_bareiss_and_the_oracle():
     # random cosets of dimension 1 to 3 with translates of orders 1, 2, 3,
-    # 4, 6 and 127, and 509 on circles, on the rank presentations and the
-    # benchmark's groups.  The rank at the point of Cauchy's bound (taken
-    # where the library takes it), Bareiss's rank and the oracle's agree;
-    # the rank at the small point is at most them, and is all of them
-    # when it reaches s.  Bareiss on the surface group's planes over
-    # Z[zeta_127] and its circles over Z[zeta_509] takes up to half a
-    # second, so those cosets lie on its components, where it is fast.
+    # 4, 6 and 127, and 105, 385 (rho_m = 2 and 3) and 509 on circles, on
+    # the rank presentations and the benchmark's groups.  The rank at the
+    # Kronecker point (taken where the library takes it), Bareiss's rank
+    # and the oracle's agree; the rank at the small point is at most them,
+    # and is all of them when it reaches s.  Bareiss on the surface group's
+    # planes over Z[zeta_127] and its circles over Z[zeta_509] takes up to
+    # half a second, so those cosets lie on its components, where it is
+    # fast.
     rng = random.Random(52)
     routes = {"point": 0, "refuted": 0, "survived": 0, "bareiss": 0}
     surface = {(0, 0, F(1, 2), 0, 0, 0): (0, 1), (0,) * 6: (2, 3, 4, 5)}
@@ -854,14 +856,14 @@ def test_generic_rank_routes_agree_with_bareiss_and_the_oracle():
         M = alexander_matrix(parse_presentation(text))
         n = M.num_vars
         on_components = text == datasets.SURFACE_PRES
-        for order in (1, 2, 3, 4, 6, 127, 509):
+        for order in (1, 2, 3, 4, 6, 105, 127, 385, 509):
             dims = range(1, min(3, n) + 1)
-            if order == 509 and not on_components:
+            if order in (385, 509) and not on_components:
                 dims = [1]
-            elif order >= 127 and on_components:
+            elif order >= 105 and on_components:
                 dims = [1, 2, 2, 3, 3]
             for d in dims:
-                if on_components and order >= 127:
+                if on_components and order >= 105:
                     lam0, free = rng.choice([c for c in surface.items()
                                              if len(c[1]) >= d])
                     lam = list(lam0)
@@ -876,7 +878,8 @@ def test_generic_rank_routes_agree_with_bareiss_and_the_oracle():
                 torus = builders.torus(lam, rows, n)
                 if torus.dim != d:
                     continue
-                s, phi, size, cauchy, small, bareiss = coset_routes(M, torus)
+                s, phi, size, kronecker, small, bareiss = coset_routes(
+                    M, torus)
                 generic = bareiss()
                 assert generic == numeric_generic_rank(M, torus, rng)
                 assert generic == generic_rank_on_torus(M, torus)
@@ -891,7 +894,7 @@ def test_generic_rank_routes_agree_with_bareiss_and_the_oracle():
                     route = ("survived" if size <= fox.POINT_BUDGET
                              else "bareiss")
                 if route in ("point", "survived"):
-                    assert cauchy() == generic
+                    assert kronecker() == generic
                 routes[route] += 1
     assert min(routes.values()) >= 3, routes
 
@@ -900,11 +903,11 @@ def test_every_route_restricts_the_coset_once(monkeypatch):
     # generic_rank_on_torus restricts a coset once and hands the rows to
     # every route it takes, and the term table, which the CLI memo keeps
     # between calls, holds nothing of the call.  On the surface group: a
-    # plane of order 3 is ranked at the point of Cauchy's bound at once, a
-    # plane of order 127 is refuted at the small point, a circle of order
-    # 502 survives it and is ranked at the point of Cauchy's bound, and a
-    # 3-torus of order 127 with wide direction rows survives it and goes
-    # to Bareiss.
+    # plane of order 3 is ranked at the Kronecker point at once, a plane of
+    # order 127 is refuted at the small point, a 3-torus of order 127 with
+    # wide direction rows survives it and is ranked at the Kronecker point,
+    # and a 3-torus of order 1 with wider rows survives it and goes to
+    # Bareiss, its point past POINT_BUDGET even at phi = 1.
     M = alexander_matrix(parse_presentation(datasets.SURFACE_PRES))
     table = M.term_table()
     calls, restrict_once = [], laurent.TermTable.restrict
@@ -915,7 +918,7 @@ def test_every_route_restricts_the_coset_once(monkeypatch):
 
     def at_point(rows, point):
         calls.append("small" if point == fox._primes(len(point))
-                     else "cauchy")
+                     else "kronecker")
         return laurent.at_point(rows, point)
 
     def on_coset(*args):
@@ -927,13 +930,14 @@ def test_every_route_restricts_the_coset_once(monkeypatch):
     monkeypatch.setattr(fox, "on_coset", on_coset)
     e = [tuple(int(i == j) for j in range(6)) for i in range(6)]
     for lam, rows, rank, route in (
-            ((F(1, 3), F(2, 3), 0, 0, F(1, 3), 0), e[:2], 5, ["cauchy"]),
+            ((F(1, 3), F(2, 3), 0, 0, F(1, 3), 0), e[:2], 5, ["kronecker"]),
             ([F(k, 127) for k in (56, 16, 16, 0, 124, 111)],
              [(-2, -1, -1, -1, -1, 0), (0, -1, 2, -1, -1, -1)], 5, ["small"]),
-            ((F(1, 251), F(2, 251), F(1, 2), 0, 0, 0), e[:1], 3,
-             ["small", "cauchy"]),
             ((0, 0, F(3, 127), F(5, 127), F(7, 127), F(11, 127)),
              [(0, 0, 2, 0, 0, -1), (0, 0, 0, 1, 0, 2), (0, 0, 0, 0, 2, -3)],
+             3, ["small", "kronecker"]),
+            ((0,) * 6,
+             [(0, 0, 3, -2, 0, 1), (0, 0, 1, 2, -3, 0), (0, 0, 0, 1, 2, -3)],
              3, ["small", "bareiss"])):
         before = [copy.deepcopy(getattr(table, name))
                   for name in laurent.TermTable.__slots__]

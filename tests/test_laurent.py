@@ -18,6 +18,7 @@ from jumploci.laurent import (
     bareiss_rank,
     TermTable,
     cyclotomic_polynomial,
+    zeta_height,
 )
 from jumploci.laurent import _conjugate_product, _convolve, _ring_mul
 from jumploci.qlinalg import RationalSubspace
@@ -390,6 +391,20 @@ def test_large_cyclotomic_polynomials_satisfy_their_identities():
         c = cyclotomic_polynomial(m)
         assert len(c) - 1 == phi and c == c[::-1] and sum(c) == 1
     assert cyclotomic_polynomial.cache_info().maxsize is not None
+
+
+def test_zeta_height_matches_the_oracle():
+    # every order below 700 and the largest heights up to the CLI's
+    # MAX_CHARACTER_ORDER; prime powers and orders with at most two odd
+    # primes have height 1
+    orders = list(range(1, 700)) + [2310, 3465, 3990, 4095]
+    heights = {m: zeta_height(m) for m in orders}
+    assert heights == {m: oracles.oracle_zeta_height(m) for m in orders}
+    assert [heights[m] for m in (105, 385, 595, 3465)] == [2, 3, 4, 9]
+    for m in orders:
+        odd_primes = [p for p in range(3, m + 1, 2)
+                      if not m % p and all(p % q for q in range(3, p, 2))]
+        assert len(odd_primes) > 2 or heights[m] == 1
 
 
 def schoolbook(a, b):

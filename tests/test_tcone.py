@@ -566,9 +566,10 @@ def test_planar_support_past_the_step_budget_is_answered(monkeypatch):
 
 
 def test_support_beyond_subset_sum_table_is_rejected_before_allocating():
+    # working dimension 4: t1^1..t1^(k-4), t2, t3, t4 and the constant
     k = SUBSET_SUM_LIMIT + 1
-    f = LaurentPoly.parse(" + ".join(f"t1^{i}" for i in range(1, k))
-                          + f" - {k - 1}")
+    f = LaurentPoly.parse(" + ".join(f"t1^{i}" for i in range(1, k - 3))
+                          + f" + t2 + t3 + t4 - {k - 1}")
     assert len(f.terms) == k
     # the table would take 2^21 slots, about 80 MB: the check must come first
     tracemalloc.start()
@@ -580,6 +581,24 @@ def test_support_beyond_subset_sum_table_is_rejected_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_long_supports_of_working_dimension_at_most_3_build_no_table():
+    # the closed forms build no subset-sum table, so SUBSET_SUM_LIMIT does
+    # not refuse them: (1 - t1) times 11 terms in two or three variables
+    # (22 terms) has the line along e1 as a minimal R, so the hyperplane
+    # x1 = 0 in its cone
+    for n in (2, 3):
+        g = LaurentPoly.parse(" + ".join(
+            f"{i}*t2^{i}" + f"*t3^{i * i % 5}" * (n == 3)
+            for i in range(1, 12)), n)
+        f = LaurentPoly.parse("1 - t1", n) * g
+        assert len(f.terms) == 22
+        plane = RationalSubspace.from_rows(
+            [[int(i == j) for i in range(n)] for j in range(1, n)], n)
+        subspaces = tangent_cone_polys([f]).subspaces
+        assert plane in subspaces
+        assert n == 3 or subspaces == (plane,)
 
 
 # ---------------------------------------------------------------------------
