@@ -56,9 +56,9 @@ from .tori import (GradedDescription, TranslatedTorus, VarietyDescription,
                    subspace_from_json)
 
 #: The highest order of a component's translate that charvar-check accepts,
-#: points and cosets alike.  Ranks work in Z[zeta_m]: on the surface group's
-#: 16 x 6 Alexander matrix, a dense point of order 4001 takes about 0.1 s
-#: and a contained 3-torus of order 4093 about 20 ms.
+#: points and cosets alike (``fox.MAX_BAREISS_ORDER`` bounds Bareiss).  On
+#: the surface group's 16 x 6 Alexander matrix, a dense point of order 4001
+#: takes about 0.1 s and a contained circle of order 4078 about 3 ms.
 MAX_CHARACTER_ORDER = 4096
 #: The most --desc texts and the most --pres texts that one process keeps
 #: parsed, each kind least recently used first out.

@@ -26,11 +26,10 @@ point rho = exp(2 pi i lambda) is the coset with L = 0.  Ranks at torsion
 points evaluate the matrix into integer vectors of Z[zeta_m] and eliminate
 them without division; a generic rank along a coset of positive dimension
 is the same rank at one integer point of the coset, a Kronecker
-substitution whose base is twice the coefficient height of the minors (see
-:func:`generic_rank_on_torus`), with fraction-free Bareiss elimination kept
-for cosets whose point would be too large.  All read the entries off one
-term table, and all leave out one column that Fox's fundamental identity
-makes redundant (see :class:`AlexanderMatrix`).
+substitution sized by the coefficient height of the minors (see
+:func:`generic_rank_on_torus`), with Bareiss kept for contained cosets of
+low order whose point is too large.  All read one term table and leave
+out a column that Fox's identity makes redundant (:class:`AlexanderMatrix`).
 
 >>> P = parse_presentation("<x1,x2 | x1 x2^2 x1^-1 x2^-2>")
 >>> alexander_matrix(P).entries[0][0].to_text()
@@ -575,18 +574,19 @@ def _kept_columns(M: AlexanderMatrix, chi: TorsionCharacter,
     return columns
 
 
-#: The bits that :func:`generic_rank_on_torus` lets one evaluation at the
-#: point u_j = N^(W_j) write: phi(m) integers, each of log2(N) bits times
-#: the largest power of N in a shifted entry.  A point within the budget
-#: is taken at once; otherwise the small point (2, 3, 5, ...) comes first,
-#: and a coset it does not refute is taken at the point while one integer
-#: fits, by Bareiss past that.  Measured on the surface group (Python 3.11.7, 2
-#: shared vCPUs; tables in CHANGES.md): contained cosets are ranked faster
-#: at the point than by Bareiss up to about 65,000 bits at phi(m) = 1 and
-#: 100,000 at phi(m) = 2-24, and cost the same at both points, while cosets
-#: of full rank are refuted faster at the small point, by 1.3-2x at 10,000
-#: bits in all and up to 8x (8 ms against 0.5 ms) near the budget.
+#: The bits that :func:`generic_rank_on_torus` lets one evaluation at
+#: u_j = N^(W_j) write: phi(m) integers of log2(N) bits times the largest
+#: power of N in a shifted entry.  Past them the small point (2, 3, 5, ...)
+#: is taken, and a coset it does not refute goes to Bareiss: elimination at
+#: the point multiplies packed entries of all those bits, and a contained
+#: coset of order 509 whose point holds 12.8 million (a dense 2 x 2 minor)
+#: took 11.8 s there against 2.7 s by Bareiss (Python 3.11.7, 2 vCPUs).
 POINT_BUDGET = 65_536
+#: The highest order m at which it eliminates by Bareiss over Z[zeta_m];
+#: past it such a coset is a ValueError.  Products and conjugate products in
+#: Z[zeta_m] grow with m: one conjugate product takes 0.3 s at m = 509 and
+#: 15-27 s at m = 4093, a 2 x 2 elimination of 50-term entries 2.7 s and 19 s.
+MAX_BAREISS_ORDER = 512
 
 
 def generic_rank_on_torus(M: AlexanderMatrix, torus: TranslatedTorus,
@@ -607,31 +607,28 @@ def generic_rank_on_torus(M: AlexanderMatrix, torus: TranslatedTorus,
       is the product of the s largest row norms sum |c|, and D_j the sum
       of the s largest row spans in u_j (each row shifted by its least
       power of u, a unit, which keeps every rank);
-    * N = 2 rho_m B + 1, rho_m = :func:`jumploci.laurent.zeta_height`,
-      W_1 = 1 and W_(j+1) = W_j (1 + D_j).
+    * N = 2 rho_m B + 1 (:func:`jumploci.laurent.zeta_height`), W_1 = 1
+      and W_(j+1) = W_j (1 + D_j).
 
     Why it is exact (Kronecker substitution).  Every exponent vector e of a
     minor g of the shifted matrix has 0 <= e_j <= D_j, so e -> W.e is
     injective on its support, and each power-basis coordinate of g at the
     point is sum_e c_(e,i) N^(W.e): a balanced base-N number whose digits
-    are g's coefficients.  With the reduced entry vectors lifted as they
-    are to Z[x]/(x^m - 1), every minor has l1 norm at most B there (expand
-    the determinant: at most the product of the norms of its rows), and it
-    reduces mod Phi_m to coordinates at most rho_m B.  So every digit is
-    below N/2 in absolute value, and g is
-    zero at the point only when g = 0: the minors that are nonzero stay
-    nonzero there, and the rank there is the generic rank.
+    are g's coefficients.  Lifted to Z[x]/(x^m - 1), every minor has l1
+    norm at most B (expand the determinant), and it reduces mod Phi_m to
+    coordinates at most rho_m B < N/2.  So g is zero at the point only when
+    g = 0, and the rank there is the generic rank.
 
     That point's integers grow with B and the spans, and at every pivot
     step of a matrix of full rank.  So when its entries would pass
     ``POINT_BUDGET`` bits, the rank at the small point (2, 3, 5, ...) is
-    taken first.  A rank at any point is at most the generic rank, so one
+    taken instead.  A rank at any point is at most the generic rank, so one
     that reaches s is the generic rank, and a coset that is not contained
-    in the locus has full rank and is refuted there.  A coset that survives
-    is ranked at the point above while its largest integer fits in
-    ``POINT_BUDGET`` bits; otherwise the restricted rows become Laurent
-    polynomials (:func:`jumploci.laurent.on_coset`) and are eliminated by
-    fraction-free Bareiss (:func:`jumploci.laurent.bareiss_rank`).  A coset
+    in the locus has full rank and is refuted there.  The restricted rows
+    of a coset that survives become Laurent polynomials
+    (:func:`jumploci.laurent.on_coset`) and are eliminated by fraction-free
+    Bareiss (:func:`jumploci.laurent.bareiss_rank`), up to order
+    ``MAX_BAREISS_ORDER``; past it such a coset is a ValueError.  A coset
     of dimension 0 is the point rho, where restricting is evaluating.
     ``columns`` are the kept columns when the caller has them.
     """
@@ -653,18 +650,20 @@ def generic_rank_on_torus(M: AlexanderMatrix, torus: TranslatedTorus,
         small = cyclotomic_rank(at_point(rows, _primes(len(basis))), m)
         if small == s:
             return small
-        if size > POINT_BUDGET:
-            return bareiss_rank(on_coset(rows, m, len(basis)))
+        if m > MAX_BAREISS_ORDER:
+            raise ValueError(
+                f"the coset has order {m}, above MAX_BAREISS_ORDER = "
+                f"{MAX_BAREISS_ORDER}, and needs Bareiss: the small point "
+                f"does not refute it, and its point has {phi * size} bits")
+        return bareiss_rank(on_coset(rows, m, len(basis)))
     return cyclotomic_rank(at_point(rows, [base ** w for w in weights]), m)
 
 
 def _kronecker_point(bounds: Sequence[tuple[int, Sequence[int]]],
                      height: int, s: int) -> tuple[int, list[int], int]:
-    """(N, W, size) for the point u_j = N^(W_j) of
-    :func:`generic_rank_on_torus`, from the (norm, spans) of the rows with
-    a term (see :meth:`jumploci.laurent.TermTable.restrict`) and rho_m =
-    ``height``: size is the bits of N times the largest power of N in a
-    shifted entry."""
+    """(N, W, size) of :func:`generic_rank_on_torus` from the (norm, spans)
+    of the restricted rows with a term and rho_m = ``height``: size is the
+    bits of N times the largest power of N in a shifted entry."""
     bound = math.prod(sorted(norm for norm, _ in bounds)[-s:])
     weights = [1]
     for column in list(zip(*(spans for _, spans in bounds)))[:-1]:

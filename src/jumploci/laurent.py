@@ -39,12 +39,11 @@ of rho, and an entry restricts to zero iff it vanishes on all of rho.T.
 Each restricted row carries its norm and its degree span in each u_j.
 :func:`at_point` evaluates those rows at an integer point u of the coset
 into the integer vectors that :func:`cyclotomic_rank` eliminates; at the
-point chosen by :func:`jumploci.fox.generic_rank_on_torus`, sized by the
-row norms and :func:`zeta_height`, that rank is the generic one.
-:func:`on_coset` turns the same rows into polynomials with int coefficients
-for m <= 2, where Z[zeta_m] = Z, and CyclotomicNumbers otherwise;
-:func:`bareiss_rank` divides exactly in that ring, with one conjugate
-product per distinct divisor.
+point chosen by :func:`jumploci.fox.generic_rank_on_torus` that rank is the
+generic one.  :func:`on_coset` turns the same rows into polynomials with
+int coefficients for m <= 2, where Z[zeta_m] = Z, and CyclotomicNumbers
+otherwise; :func:`bareiss_rank` divides exactly in that ring, with one
+conjugate product per distinct divisor.
 
 >>> f = LaurentPoly.parse("t1 + t2 - 2")
 >>> TermTable([[f]]).at_character(TorsionCharacter((1, 1), 2), [0])
@@ -492,10 +491,9 @@ def _field(m: int) -> tuple[int, int, tuple[int, ...]]:
 
 @lru_cache(maxsize=64)
 def zeta_height(m: int) -> int:
-    """rho_m, the largest |coefficient| of zeta_m^r over r < m in the basis
-    1, zeta, ..., zeta^(phi(m)-1): an integer polynomial of degree below m
-    reduces mod Phi_m to coefficients at most rho_m times its l1 norm.
-    Each power past the basis is the one before times x, reduced once."""
+    """rho_m = max |coefficient| of zeta_m^r, r < m, in the power basis, so
+    a polynomial of degree below m reduces mod Phi_m to coefficients at most
+    rho_m times its l1 norm; each x^r is x^(r-1) times x, reduced once."""
     phi, _, low = _field(m)
     height, v = 1, [0] * (phi - 1) + [1]
     for _ in range(phi, m):

@@ -52,7 +52,7 @@ and the others are tested as the lines through a_0 are when d = 2, each
 in full only when c's class mod it sums to zero.  Distinct planes never
 contain each other, so the minimal R are the qualifying lines and the
 qualifying planes holding none of them, or the whole working space when
-there are neither.  No subset sum is tabulated and no step is taken.
+there are neither.  No subset sum is tabulated; each class entry is a step.
 
 When d >= 4 a recursion runs.  The minimal zero-sum subsets are found
 once from the 2^k subset sums of the k support coefficients.  A recursion
@@ -97,22 +97,23 @@ from .qlinalg import (RationalSubspace, _echelon, _echelon_contains,
 from .tori import VarietyDescription
 
 # The recursion tabulates all 2^k subset sums of a k-term support, about 40
-# bytes each: 40 MB at this size, and gigabytes a few terms later.  Only a
-# support of working dimension 4 or more, which takes the recursion, is
-# checked against it; the closed forms build no table.
+# bytes each: 40 MB at this size, and gigabytes a few terms later.  Only
+# supports of working dimension 4 or more, which recurse, are checked.
 SUBSET_SUM_LIMIT = 20
 # The most steps one tangent_cone_polys call may take; a step is one of the
 # recursion's, and costs at most one subspace sum, in the span of the
 # support's differences when a k-term support has k - 1 < n.  Working
-# dimension d <= 3 is found in closed form; steps are taken only from d = 4.
-# Single runs on Python 3.11.7, 2 shared vCPUs: the product (t1 - 1)(t2 - 1)
-# (t1 t2 - 1)(t3 - 1)(t1 t3 - 1), 20 terms with d = 3, would take 29,582
-# steps (0.2 s) and takes none (about 1 ms); the product of (t_i - 1) over
-# four variables takes 5,938 steps (0.08 s), and with t1^5 - t1^6 added 19,569
-# (0.2 s); sixteen terms on random exponents in [-2, 2]^n, twelve +1 and
-# four -3, take 37,510-48,270 for n = 4-6 (0.1-1.4 s) and 392,606-397,710
-# for n = 7 (1.8-2.1 s), refused here after 0.7-1.1 s.  A step costs more as
-# the working space grows, up to 15 dimensions for such a support: refused
+# dimension d <= 3 is found in closed form, which charges one per term put
+# in a class (about k^2 for k terms): 4,000 terms in three variables, 18 s
+# uncharged, are refused at once.  Single runs on Python 3.11.7, 2 shared
+# vCPUs: the product (t1 - 1)(t2 - 1)(t1 t2 - 1)(t3 - 1)(t1 t3 - 1), 20
+# terms with d = 3, would take 29,582 steps (0.2 s) and takes 1,557 in
+# closed form (1 ms); the product of (t_i - 1) over four variables takes
+# 5,938 steps (0.08 s), and with t1^5 - t1^6 added 19,569 (0.2 s); sixteen
+# terms on random exponents in [-2, 2]^n, twelve +1 and four -3, take
+# 37,510-48,270 for n = 4-6 (0.1-1.4 s) and 392,606-397,710 for n = 7
+# (1.8-2.1 s), refused here after 0.7-1.1 s.  A step costs more as the
+# working space grows, up to 15 dimensions for such a support: refused
 # after 3-5 s at n = 10 and 9-13 s at n = 50 and at n = 256.
 CONE_BUDGET = 60_000
 
@@ -213,9 +214,9 @@ def _poly_cone(f: LaurentPoly, spent: list[int]) -> list[RationalSubspace]:
         diffs = [tuple([v[p] for p in span_pivots]) for v in diffs]
     d = len(span_pivots)
     if d <= 2:
-        found = _line_spaces(diffs, weights, d)
+        found = _line_spaces(diffs, weights, d, spent)
     elif d == 3:
-        found = _plane_spaces(diffs, weights)
+        found = _plane_spaces(diffs, weights, spent)
     elif k > SUBSET_SUM_LIMIT:
         raise ValueError(
             f"support size {k} needs a table of 2^{k} subset sums (about "
@@ -237,7 +238,7 @@ def _poly_cone(f: LaurentPoly, spent: list[int]) -> list[RationalSubspace]:
 
 
 def _line_spaces(diffs: Sequence[tuple[int, ...]], weights: Sequence[int],
-                 d: int) -> list[Echelon]:
+                 d: int, spent: list[int]) -> list[Echelon]:
     """Minimal R(p) on a working space Q^d with d <= 2, in closed form.
 
     ``diffs`` are the exponents less the least one, a_0, in working
@@ -250,12 +251,13 @@ def _line_spaces(diffs: Sequence[tuple[int, ...]], weights: Sequence[int],
     full = _identity(d)
     if d == 1:
         return [full]
+    _charge(spent, len(diffs))
     return [((u,), (0 if u[0] else 1,)) for u in _lines_through(
-        weights[0], list(zip(diffs[1:], weights[1:])))] or [full]
+        weights[0], list(zip(diffs[1:], weights[1:])), spent)] or [full]
 
 
-def _plane_spaces(diffs: Sequence[tuple[int, ...]], weights: Sequence[int]
-                  ) -> list[Echelon]:
+def _plane_spaces(diffs: Sequence[tuple[int, ...]], weights: Sequence[int],
+                  spent: list[int]) -> list[Echelon]:
     """Minimal R(p) on a working space Q^3, in closed form.
 
     ``diffs`` and ``weights`` are as for :func:`_line_spaces`.  For each
@@ -272,7 +274,10 @@ def _plane_spaces(diffs: Sequence[tuple[int, ...]], weights: Sequence[int]
     lines: list[tuple[tuple[int, ...], int]] = []
     planes: dict[tuple[int, ...], tuple[tuple[int, ...], list[int]]] = {}
     columns = tuple(zip(*diffs))
-    for u in dict.fromkeys(map(_primitive, diffs[1:])):
+    directions = dict.fromkeys(map(_primitive, diffs[1:]))
+    # each direction puts every term in a class, then each class in a line
+    _charge(spent, 2 * len(weights) * len(directions))
+    for u in directions:
         # a_0 is the least exponent, so each difference leads with a
         # positive entry, at a pivot of the span when projected, and so does
         # u, at u_j: ((u,), (j,)) is the line's primitive RREF.  For the
@@ -294,7 +299,7 @@ def _plane_spaces(diffs: Sequence[tuple[int, ...]], weights: Sequence[int]
                 continue
             (cx, cy), anchor = others.pop()
             others = [((x - cx, y - cy), s) for (x, y), s in others]
-        for delta in _lines_through(anchor, others):
+        for delta in _lines_through(anchor, others, spent):
             # the plane spanned by u and y, where y_j = 0 and (y_a, y_b)
             # is delta, is named by its primitive normal u x y with a
             # positive leading entry
@@ -312,8 +317,8 @@ def _plane_spaces(diffs: Sequence[tuple[int, ...]], weights: Sequence[int]
     return found or [_identity(3)]
 
 
-def _lines_through(anchor: int, points: Sequence[tuple[tuple[int, int], int]]
-                   ) -> list[tuple[int, int]]:
+def _lines_through(anchor: int, points: Sequence[tuple[tuple[int, int], int]],
+                   spent: list[int]) -> list[tuple[int, int]]:
     """The lines in Q^2 through the origin, of weight ``anchor``, along
     which the weighted ``points``, distinct and off the origin, cancel: each
     line's classes of points congruent mod it, keyed by the determinant of
@@ -322,7 +327,8 @@ def _lines_through(anchor: int, points: Sequence[tuple[tuple[int, int], int]]
 
     The candidates are the lines through the origin and a point.  The class
     of the origin is the anchor and the points on the line, so only a line
-    where those sum to zero is tested in full.
+    where those sum to zero is tested in full, charged to ``spent`` one
+    unit per point; the callers charge the first pass.
     """
     gcd = math.gcd
     through: dict[tuple[int, int], int] = {}
@@ -336,6 +342,7 @@ def _lines_through(anchor: int, points: Sequence[tuple[tuple[int, int], int]]
     for u, on_line in through.items():
         if on_line:
             continue
+        _charge(spent, len(points))
         ux, uy = u
         classes = {0: anchor}
         for (x, y), w in points:
@@ -344,6 +351,16 @@ def _lines_through(anchor: int, points: Sequence[tuple[tuple[int, int], int]]
         if not any(classes.values()):
             found.append(u)
     return found
+
+
+def _charge(spent: list[int], steps: int) -> None:
+    """Add ``steps`` to ``spent[0]``: past ``CONE_BUDGET``, a ValueError."""
+    spent[0] += steps
+    if spent[0] > CONE_BUDGET:
+        raise ValueError(
+            f"tangent cone steps = {spent[0]} is above CONE_BUDGET = "
+            f"{CONE_BUDGET}; a step joins a minimal zero-sum part to one "
+            f"partition of the rest, or puts a term in a class")
 
 
 def _minimal_parts(diffs: Sequence[tuple[int, ...]], weights: Sequence[int]
@@ -407,12 +424,7 @@ def _row_spaces(remaining: int,
             if rests is None:
                 rests = _row_spaces(remaining ^ mask, parts, memo, normals,
                                     full, spent)
-            spent[0] += len(rests)
-            if spent[0] > CONE_BUDGET:
-                raise ValueError(
-                    f"tangent cone steps = {spent[0]} is above CONE_BUDGET = "
-                    f"{CONE_BUDGET}; a step joins a minimal zero-sum part of "
-                    f"the support to one partition of the rest")
+            _charge(spent, len(rests))
             for rest in rests:
                 rank = len(rest[0])
                 if rank == d:
@@ -452,14 +464,12 @@ def tangent_cone_polys(polys: Sequence[LaurentPoly]) -> SubspaceArrangement:
     (a step joins a minimal zero-sum part to one row space of the rest),
     and a support of working dimension d >= 4 and more than
     ``SUBSET_SUM_LIMIT`` = 20 terms before its 2^k subset sums are
-    tabulated.  Working dimension d <= 3 is found in closed form; steps are
-    taken only from d = 4.  In up to three variables, or when the
-    differences span a space of dimension at most 3, the cone comes from
-    the lines through the least exponent and the planes through them, with
-    no steps.  The product of (t_i - 1)
-    over four variables takes 5,938 steps (0.08 s); random 16-term supports
-    take about 45,000 in four to six variables and 395,000, refused, in
-    seven.  Steps run on rows of at most k - 1 entries whatever n is, so
+    tabulated.  In up to three variables, or when the differences span a
+    space of dimension d <= 3, the cone comes in closed form from the lines
+    through the least exponent and the planes through them, each class
+    entry a step.  The product of (t_i - 1) over four variables takes 5,938
+    steps (0.08 s); random 16-term supports take about 45,000 in four to six
+    variables and 395,000, refused, in seven.  Steps run on rows of at most k - 1 entries whatever n is, so
     such a support is refused after 9-13 s in 50 or 256 variables.
 
     >>> cone = tangent_cone_polys([LaurentPoly.parse("t1 - 1", 2),

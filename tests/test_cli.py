@@ -16,8 +16,8 @@ from builders import description_json, graded_json
 from jumploci import cli, tcone
 from jumploci.cli import (MAX_CHARACTER_ORDER, build_parser,
                           main)
-from jumploci.fox import (MAX_ALEXANDER_ENTRIES, MAX_GENERATORS,
-                          MAX_RELATOR_LETTERS)
+from jumploci.fox import (MAX_ALEXANDER_ENTRIES, MAX_BAREISS_ORDER,
+                          MAX_GENERATORS, MAX_RELATOR_LETTERS)
 from jumploci.laurent import MAX_VARIABLES
 from jumploci.tori import VarietyDescription
 
@@ -536,10 +536,11 @@ def circle_desc(lam):
                                                "basis": [[1, 0]]}]})
 
 
-def test_charvar_check_answers_subtori_of_every_order(capsys):
-    # MAX_CHARACTER_ORDER is the one order limit, for points and cosets
-    # alike: circles of orders 526 and 4078 on a component of the surface
-    # group are verified, and a circle of order 4099 is refused at once
+def test_charvar_check_refuses_subtori_of_high_order(capsys):
+    # a coset of any order up to MAX_CHARACTER_ORDER is answered when the
+    # Kronecker point within POINT_BUDGET or the small point settles it:
+    # circles of orders 526 and 4078 on a component of the surface group
+    # are verified at the point
     for p in (263, 2039):
         lam = [f"1/{p}", f"2/{p}", "1/2", "0", "0", "0"]
         start = time.perf_counter()
@@ -550,14 +551,35 @@ def test_charvar_check_answers_subtori_of_every_order(capsys):
                                   "basis": [[1, 0, 0, 0, 0, 0]]}]}))
         assert time.perf_counter() - start < 2.0
         assert code == 0 and data["verified"] is True
+    # a contained 3-torus of order 4093 would need Bareiss over
+    # Z[zeta_4093], past MAX_BAREISS_ORDER, and a circle of order 4099 is
+    # past MAX_CHARACTER_ORDER: both are refused at once
+    lam = ["0", "0", "5/4093", "7/4093", "11/4093", "0"]
+    basis = [[int(i == j) for i in range(6)] for j in (3, 4, 5)]
     over = MAX_CHARACTER_ORDER + 3
-    code, data = run_json(capsys, "charvar-check",
-                          "--pres", datasets.ONE_RELATOR_PRES,
-                          "--desc", circle_desc(["0", f"1/{over}"]))
-    assert code == 1
+    for pres, desc, limit in (
+            (datasets.SURFACE_PRES, json.dumps({"n": 6, "components": [{
+                "lambda": lam, "basis": basis}]}),
+             f"MAX_BAREISS_ORDER = {MAX_BAREISS_ORDER}"),
+            (datasets.ONE_RELATOR_PRES, circle_desc(["0", f"1/{over}"]),
+             f"MAX_CHARACTER_ORDER = {MAX_CHARACTER_ORDER}")):
+        start = time.perf_counter()
+        code, data = run_json(capsys, "charvar-check", "--pres", pres,
+                              "--desc", desc)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert limit in data["error"]["message"]
     assert data["error"]["message"] == (
         f"component 0 has a translate of order {over}, above "
         f"MAX_CHARACTER_ORDER = {MAX_CHARACTER_ORDER}")
+    # the same 3-torus at order 509 is ranked by Bareiss, and a circle of
+    # low order still runs
+    lam = ["0", "0", "5/509", "7/509", "11/509", "0"]
+    code, data = run_json(capsys, "charvar-check", "--pres",
+                          datasets.SURFACE_PRES, "--desc", json.dumps({
+                              "n": 6, "components": [{"lambda": lam,
+                                                      "basis": basis}]}))
+    assert code == 0 and data["verified"] is True
     code, data = run_json(capsys, "charvar-check",
                           "--pres", datasets.ONE_RELATOR_PRES,
                           "--desc", circle_desc(["0", "1/2"]))

@@ -845,12 +845,14 @@ def test_generic_rank_routes_agree_with_bareiss_and_the_oracle():
     # the rank presentations and the benchmark's groups.  The rank at the
     # Kronecker point (taken where the library takes it), Bareiss's rank
     # and the oracle's agree; the rank at the small point is at most them,
-    # and is all of them when it reaches s.  Bareiss on the surface group's
-    # planes over Z[zeta_127] and its circles over Z[zeta_509] takes up to
-    # half a second, so those cosets lie on its components, where it is
-    # fast.
+    # and is all of them when it reaches s.  A coset that survives the
+    # small point past MAX_BAREISS_ORDER is refused by the library, and
+    # Bareiss's rank still agrees with the oracle's.  Bareiss on the
+    # surface group's planes over Z[zeta_127] and its circles over
+    # Z[zeta_509] takes up to half a second, so those cosets lie on its
+    # components, where it is fast.
     rng = random.Random(52)
-    routes = {"point": 0, "refuted": 0, "survived": 0, "bareiss": 0}
+    routes = {"point": 0, "refuted": 0, "bareiss": 0, "refused": 0}
     surface = {(0, 0, F(1, 2), 0, 0, 0): (0, 1), (0,) * 6: (2, 3, 4, 5)}
     for text in RANK_PRESENTATIONS + (F2XF2_PRES,):
         M = alexander_matrix(parse_presentation(text))
@@ -882,19 +884,23 @@ def test_generic_rank_routes_agree_with_bareiss_and_the_oracle():
                     M, torus)
                 generic = bareiss()
                 assert generic == numeric_generic_rank(M, torus, rng)
-                assert generic == generic_rank_on_torus(M, torus)
                 assert small <= generic
                 if small == s:
                     assert generic == s
                 if phi * size <= fox.POINT_BUDGET:
                     route = "point"
+                    assert kronecker() == generic
                 elif small == s:
                     route = "refuted"
+                elif torus.translate.order <= fox.MAX_BAREISS_ORDER:
+                    route = "bareiss"
                 else:
-                    route = ("survived" if size <= fox.POINT_BUDGET
-                             else "bareiss")
-                if route in ("point", "survived"):
-                    assert kronecker() == generic
+                    route = "refused"
+                    with pytest.raises(ValueError,
+                                       match="MAX_BAREISS_ORDER = 512"):
+                        generic_rank_on_torus(M, torus)
+                if route != "refused":
+                    assert generic == generic_rank_on_torus(M, torus)
                 routes[route] += 1
     assert min(routes.values()) >= 3, routes
 
@@ -905,9 +911,8 @@ def test_every_route_restricts_the_coset_once(monkeypatch):
     # between calls, holds nothing of the call.  On the surface group: a
     # plane of order 3 is ranked at the Kronecker point at once, a plane of
     # order 127 is refuted at the small point, a 3-torus of order 127 with
-    # wide direction rows survives it and is ranked at the Kronecker point,
-    # and a 3-torus of order 1 with wider rows survives it and goes to
-    # Bareiss, its point past POINT_BUDGET even at phi = 1.
+    # wide direction rows survives it and goes to Bareiss, and a 3-torus of
+    # order 4093 survives it and is refused past MAX_BAREISS_ORDER.
     M = alexander_matrix(parse_presentation(datasets.SURFACE_PRES))
     table = M.term_table()
     calls, restrict_once = [], laurent.TermTable.restrict
@@ -935,14 +940,18 @@ def test_every_route_restricts_the_coset_once(monkeypatch):
              [(-2, -1, -1, -1, -1, 0), (0, -1, 2, -1, -1, -1)], 5, ["small"]),
             ((0, 0, F(3, 127), F(5, 127), F(7, 127), F(11, 127)),
              [(0, 0, 2, 0, 0, -1), (0, 0, 0, 1, 0, 2), (0, 0, 0, 0, 2, -3)],
-             3, ["small", "kronecker"]),
-            ((0,) * 6,
-             [(0, 0, 3, -2, 0, 1), (0, 0, 1, 2, -3, 0), (0, 0, 0, 1, 2, -3)],
-             3, ["small", "bareiss"])):
+             3, ["small", "bareiss"]),
+            ((0, 0, F(5, 4093), F(7, 4093), F(11, 4093), 0), e[3:],
+             None, ["small"])):
         before = [copy.deepcopy(getattr(table, name))
                   for name in laurent.TermTable.__slots__]
         calls.clear()
-        assert generic_rank_on_torus(M, builders.torus(lam, rows, 6)) == rank
+        torus = builders.torus(lam, rows, 6)
+        if rank is None:
+            with pytest.raises(ValueError, match="MAX_BAREISS_ORDER"):
+                generic_rank_on_torus(M, torus)
+        else:
+            assert generic_rank_on_torus(M, torus) == rank
         assert calls == ["restrict"] + route
         assert [getattr(table, name)
                 for name in laurent.TermTable.__slots__] == before

@@ -351,21 +351,21 @@ def build_argvs() -> list[list[str]]:
     # generic ranks on cosets whose translate lies in V^1: a translated
     # plane of order 254 that the rank at the small point refutes, and a
     # sub-coset of the component {t1 = t2 = 1} with wide direction rows,
-    # which survives the small point and is ranked at the Kronecker point
+    # which survives the small point and Bareiss ranks over Z[zeta_127]
     calls.append(["charvar-check", "--pres", SURFACE_PRES, "--desc", _desc(6, [(
         ["56/127", "16/127", "16/127", "0", "124/127", "111/127"],
         [[-2, -1, -1, -1, -1, 0], [0, -1, 2, -1, -1, -1]])])])
     calls.append(["charvar-check", "--pres", SURFACE_PRES, "--desc", _desc(6, [(
         ["0", "0", "3/127", "5/127", "7/127", "11/127"],
         [[0, 0, 2, 0, 0, -1], [0, 0, 0, 1, 0, 2], [0, 0, 0, 0, 2, -3]])])])
-    # a contained plane of order 508, ranked at the Kronecker point after
-    # the small point
+    # a contained plane of order 508 past POINT_BUDGET, whose Bareiss
+    # elimination divides by a pivot that is no integer, so division in
+    # Z[zeta_508] (a conjugate product) runs
     calls.append(["charvar-check", "--pres", SURFACE_PRES, "--desc", _desc(6, [(
         ["0", "0", "0", "0", "53/508", "17/254"],
         [[0, 0, 1, 0, "-1/2", 0], [0, 0, 0, 1, "3/2", 0]])])])
-    # a contained 3-torus of that component with wider rows, whose
-    # Kronecker point is past POINT_BUDGET, so Bareiss ranks it over
-    # Z[zeta_129]
+    # a contained 3-torus of that component with wider rows, which Bareiss
+    # ranks over Z[zeta_129] with integer pivots
     calls.append(["charvar-check", "--pres", SURFACE_PRES, "--desc", _desc(6, [(
         ["0", "0", "1/6", "1/12", "5/6", "1/6"],
         [[0, 0, 0, 6, -4, -8], [0, 0, -7, 8, 3, -8], [0, 0, -2, 2, -1, 5]])])])

@@ -4,6 +4,7 @@ import inspect
 import math
 import operator
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -357,12 +358,14 @@ def test_working_dimension_two_takes_the_closed_form(monkeypatch):
             entered.append(_name)
             return _real(*args)
         monkeypatch.setattr(tcone, name, spy)
-    # two variables, and four terms in Q^6 whose differences span a plane
+    # two variables, and four terms in Q^6 whose differences span a plane;
+    # the closed form charges the budget one unit per term put in a class:
+    # four for the first pass, and three per line tested in full
     for text in ("t1 - t2 + t1*t2 - 1", "t1*t4 - t2*t4 - t1*t6^2 + t2*t6^2"):
         f = LaurentPoly.parse(text)
         spent = [0]
         assert set(_poly_cone(f, spent)) == set(_oracle_cone(f).subspaces)
-        assert spent == [0] and not entered
+        assert spent == [10] and not entered
     spent = [0]
     _poly_cone(LaurentPoly.parse(datasets.FOUR_BINOMIALS_TEXT), spent)
     assert spent == [5938]
@@ -381,7 +384,7 @@ def test_working_dimension_three_takes_the_closed_form(monkeypatch):
         f = LaurentPoly.parse(text)
         spent = [0]
         assert set(_poly_cone(f, spent)) == set(_oracle_cone(f).subspaces)
-        assert spent == [0]
+        assert spent == [26]
     monkeypatch.undo()
     spent = [0]
     _poly_cone(LaurentPoly.parse(datasets.FOUR_BINOMIALS_TEXT), spent)
@@ -393,7 +396,8 @@ def test_three_variable_product_takes_no_steps(monkeypatch):
     assert len(f.terms) == 20
     spent = [0]
     cone = _poly_cone(f, spent)
-    assert spent == [0]
+    # no step of the recursion: only the closed form's 1557 class updates
+    assert spent == [1557]
     # the planes normal to the five binomials' exponents
     assert set(cone) == {RationalSubspace.from_rows([r], 3).perp() for r in (
         (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1))}
@@ -418,8 +422,8 @@ def _both_routes(f: LaurentPoly):
     recursed = tcone._row_spaces(
         (1 << k) - 1, tcone._minimal_parts(diffs, weights), {0: [((), ())]},
         {}, tcone._identity(n), spent)
-    closed = (tcone._line_spaces(diffs, weights, 2) if n == 2
-              else tcone._plane_spaces(diffs, weights))
+    closed = (tcone._line_spaces(diffs, weights, 2, [0]) if n == 2
+              else tcone._plane_spaces(diffs, weights, [0]))
     return closed, recursed, spent[0]
 
 
@@ -599,6 +603,43 @@ def test_long_supports_of_working_dimension_at_most_3_build_no_table():
         subspaces = tangent_cone_polys([f]).subspaces
         assert plane in subspaces
         assert n == 3 or subspaces == (plane,)
+
+
+def _pairs_on_lines(count: int) -> LaurentPoly:
+    """1 + (count - 1) t1, then t^u - 2 t^(2u) along count primitive
+    directions u = (a, b) with 1 <= b <= a: the coefficients sum to zero,
+    and every line through the constant but e1's passes the prefilter and
+    is tested in full."""
+    directions = [(a, b) for a in range(1, count + 1) for b in range(1, a + 1)
+                  if math.gcd(a, b) == 1][:count]
+    terms = {(0, 0): 1, (1, 0): count - 1}
+    for a, b in directions:
+        terms[a, b], terms[2 * a, 2 * b] = 1, -2
+    return LaurentPoly(2, {e: Fraction(c) for e, c in terms.items()})
+
+
+def test_long_supports_of_working_dimension_at_most_3_are_refused_in_time():
+    # the closed forms charge CONE_BUDGET one unit per term put in a class,
+    # before they put it there, so a support of thousands of terms is
+    # refused once its charge passes the budget: the 8,001 terms on 4,000
+    # lines, each tested in full, and 4,000 random terms in three variables
+    rng = random.Random(4000)
+    exponents = set()
+    while len(exponents) < 3999:
+        exponents.add(tuple(rng.randint(-40, 40) for _ in range(3)))
+    exponents.discard((0, 0, 0))
+    spatial = {e: Fraction(1) for e in exponents}
+    spatial[0, 0, 0] = Fraction(-len(exponents))
+    for f in (_pairs_on_lines(4000), LaurentPoly(3, spatial)):
+        assert f.coefficient_sum() == 0 and len(f.terms) > 3000
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"CONE_BUDGET = 60000; .* or "
+                                             r"puts a term in a class"):
+            tangent_cone_polys([f])
+        assert time.perf_counter() - start < 1.0
+    # a short one is answered: its lines are tested in full within budget
+    assert tangent_cone_polys([_pairs_on_lines(100)]).subspaces == (
+        RationalSubspace.zero(2),)
 
 
 # ---------------------------------------------------------------------------
